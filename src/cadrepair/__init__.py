@@ -42,20 +42,16 @@ from .metrics import (
     PcaProjection,
     SourceTag,
     VariantRow,
-    feasibility_rate,
-    jsd,
     median_heuristic_sigma,
     mmd,
     mmd_histogram,
     pca_2d,
-    rbf_kernel,
 )
 from .nets import (
     ClassifierResult,
     LinearRegressor,
     Mlp,
     TrainConfig,
-    classifier_probability,
     fit_linear_regressor,
     mlp_forward,
     mlp_grad_input,
@@ -75,7 +71,6 @@ from .pipeline import (
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
-    run_variant,
     run_variants,
     self_repair,
 )

@@ -19,9 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import diffusion, pipeline
-from .codec import encode, read_latents, write_latents
+from .codec import CONDITION_DIM, encode, read_latents, write_latents
 from .config import ConfigError, RunConfig
-from .geometry import MalformedRecord, SamplingStall, record_from_sequence, sequence_from_record
+from .geometry import (
+    ArityError,
+    MalformedRecord,
+    SamplingStall,
+    record_from_sequence,
+    sequence_from_record,
+)
 from .metrics import MmdConfig, SourceTag, pca_2d
 from .nets import (
     LinearRegressor,
@@ -60,17 +66,6 @@ MODEL_FILES = {
     "ssl_regressor": "ssl_regressor.json",
     "gt_regressor": "gt_regressor.json",
 }
-
-_VARIANT_ORDER = [
-    VariantId.BASELINE,
-    VariantId.VAR1,
-    VariantId.VAR2,
-    VariantId.VAR3,
-    VariantId.VAR4,
-    VariantId.VAR5,
-    VariantId.FULL,
-]
-
 
 class MissingArtifact(Exception):
     pass
@@ -146,13 +141,14 @@ def _load_conditions(out: Path) -> list[GroundTruthCondition]:
             try:
                 obj = json.loads(line)
                 seq = sequence_from_record(obj["sequence"])
-                conditions.append(
-                    GroundTruthCondition(
-                        np.asarray(obj["condition"], dtype=float), seq, encode(seq)
+                condition = np.asarray(obj["condition"], dtype=float)
+                if condition.shape != (CONDITION_DIM,):
+                    raise MalformedRecord(
+                        f"condition: expected {CONDITION_DIM} numbers, got shape {condition.shape}"
                     )
-                )
-            except (KeyError, TypeError, MalformedRecord) as exc:
+            except (KeyError, TypeError, ValueError, ArityError, MalformedRecord) as exc:
                 raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+            conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
     return conditions
 
 
@@ -293,7 +289,6 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
 
     latents_path = _require_file(out / "latents.bin", "run gen-dataset first")
     latents = read_latents(latents_path)
-    n_generated = cfg.n_conditions * cfg.generations_per_condition
 
     if which == "classifier":
         labels_path = _require_file(out / "labels.csv", "run gen-dataset first")
@@ -302,7 +297,7 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             next(reader)
             labels = np.array([int(row[2]) for row in reader], dtype=bool)
         result = train_classifier(
-            latents[:n_generated],
+            latents[: len(labels)],
             labels,
             TrainConfig(
                 epochs=cfg.classifier.epochs,
@@ -347,29 +342,27 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             reader = csv.reader(fh)
             next(reader)
             pairs = np.array([[int(a), int(b)] for a, b in reader], dtype=int).reshape(-1, 2)
+        # the fit sees only the train split of the pairs
         min_rows = latents.shape[1] + 1
-        if len(pairs) < min_rows:
+        if round(len(pairs) * cfg.split) < min_rows:
             raise MissingArtifact(
-                f"{pairs_path} holds {len(pairs)} pairs; need >= {min_rows} to fit"
+                f"{pairs_path} holds {len(pairs)} pairs; need >= {min_rows} in the "
+                f"{cfg.split} train split to fit"
             )
         if which == "ssl_regressor":
             inputs = latents[pairs[:, 0]]
             targets = latents[pairs[:, 1]]
             seed_index = 2
         else:
+            # latents.bin holds the generated rows, one per gt pair, then the ground truth
             inputs = latents[pairs[:, 0]]
-            targets = latents[n_generated + pairs[:, 1]]
+            targets = latents[len(pairs) + pairs[:, 1]]
             seed_index = 3
         result = train_regressor(
             inputs,
             targets,
-            TrainConfig(
-                epochs=1,
-                batch_size=1,
-                learning_rate=1.0,
-                seed=derived_seed(cfg.master_seed, STREAM_TRAINING, seed_index),
-                split=cfg.split,
-            ),
+            derived_seed(cfg.master_seed, STREAM_TRAINING, seed_index),
+            split=cfg.split,
             ridge=cfg.ridge,
         )
         save_model(out / MODEL_FILES[which], result.model)
@@ -405,7 +398,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
 
 def _parse_variants(raw: str) -> list[VariantId]:
     if raw == "all":
-        return list(_VARIANT_ORDER)
+        return list(VariantId)
     chosen = set()
     for token in raw.split(","):
         token = token.strip().lower()
@@ -414,11 +407,11 @@ def _parse_variants(raw: str) -> list[VariantId]:
         try:
             chosen.add(VariantId(token))
         except ValueError as exc:
-            names = ", ".join(v.value for v in _VARIANT_ORDER)
+            names = ", ".join(v.value for v in VariantId)
             raise ConfigError(f"unknown variant {token!r}; expected one of {names}") from exc
     if not chosen:
         raise ConfigError("no variants requested")
-    return [v for v in _VARIANT_ORDER if v in chosen]
+    return [v for v in VariantId if v in chosen]
 
 
 def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
@@ -522,6 +515,9 @@ def cmd_pca(cfg: RunConfig) -> int:
     for filename, tag in sources:
         path = _require_file(out / filename, "run `eval` with baseline and full variants first")
         block = read_latents(path)
+        n_bad = int((~np.isfinite(block)).any(axis=1).sum())
+        if n_bad:
+            raise MalformedRecord(f"{path}: {n_bad} of {len(block)} rows are not finite")
         blocks.append(block)
         tags.extend([tag] * len(block))
     stacked = np.vstack(blocks)

@@ -10,7 +10,6 @@ ground-truth latents have maximal margin.
 
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
@@ -132,11 +131,3 @@ def read_latents(path) -> np.ndarray:
     if len(body) != expected:
         raise MalformedRecord(f"{path}: expected {expected} payload bytes, got {len(body)}")
     return np.frombuffer(body, dtype="<f4").reshape(rows, width).astype(np.float64)
-
-
-def write_latents_csv(path, latents) -> None:
-    arr = np.asarray(latents, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])

@@ -10,7 +10,6 @@ into uniform volume point clouds.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -430,31 +429,3 @@ def sample_point_cloud(seq: CommandSequence, n: int, seed) -> PointCloud:
     xy = np.concatenate(chunks)[:n]
     z = rng.uniform(0.0, seq.depth, n)
     return PointCloud(np.column_stack([xy, z]), n)
-
-
-def monte_carlo_volume(seq: CommandSequence, proposals: int, seed) -> float:
-    """Estimate solid volume from the sampler's acceptance rate over `proposals` draws."""
-    if proposals <= 0:
-        raise ValueError("proposals must be positive")
-    _require_valid(seq)
-    poly = discretize_profile(seq, ARC_SEGMENTS)
-    rng = np.random.default_rng(seed)
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-    accepted = 0
-    remaining = proposals
-    while remaining > 0:
-        batch = min(_PROPOSAL_CHUNK, remaining)
-        pts = rng.uniform(lo, hi, size=(batch, 2))
-        accepted += int(points_in_polygon(pts, poly).sum())
-        remaining -= batch
-    bbox_area = float((hi[0] - lo[0]) * (hi[1] - lo[1]))
-    return accepted / proposals * bbox_area * seq.depth
-
-
-def write_point_cloud_csv(cloud: PointCloud, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z"])
-        for px, py, pz in cloud.points:
-            writer.writerow([repr(float(px)), repr(float(py)), repr(float(pz))])

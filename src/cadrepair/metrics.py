@@ -1,10 +1,9 @@
-"""Evaluation mathematics: feasibility rate, kernel MMD, JSD, histograms, PCA.
+"""Evaluation mathematics: kernel MMD, score histograms, PCA.
 
 The MMD estimator is the biased V-statistic (diagonal terms included) under a
 Gaussian RBF kernel whose bandwidth defaults to the median pairwise distance
-of the pooled clouds. PCA runs a cyclic Jacobi eigensolver on the 21x21
-sample covariance, small enough that convergence to machine precision is
-immediate.
+of the pooled clouds. PCA takes the top two eigenvectors of the 21x21 sample
+covariance.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ import numpy as np
 
 
 class MetricsError(Exception):
-    pass
-
-
-class EmptyPopulation(MetricsError):
     pass
 
 
@@ -56,22 +51,6 @@ class MmdConfig:
             raise BadSigma(f"fixed sigma must be > 0, got {self.sigma}")
         if self.cloud_size < 1:
             raise ValueError("cloud_size must be >= 1")
-
-
-def feasibility_rate(valid_count: int, invalid_count: int) -> float:
-    if valid_count < 0 or invalid_count < 0:
-        raise ValueError("counts must be non-negative")
-    total = valid_count + invalid_count
-    if total == 0:
-        raise EmptyPopulation("no outcomes to rate")
-    return valid_count / total
-
-
-def rbf_kernel(x, y, sigma: float) -> float:
-    if sigma <= 0.0:
-        raise BadSigma(f"sigma must be > 0, got {sigma}")
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(np.exp(-(diff @ diff) / (2.0 * sigma * sigma)))
 
 
 def _square_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,34 +93,6 @@ def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
     return math.sqrt(max(kxx + kyy - kxy, 0.0))
 
 
-def _kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0.0
-    return float((p[mask] * np.log2(p[mask] / q[mask])).sum())
-
-
-def jsd(x_points, y_points, bins_per_axis: int = 8) -> float:
-    """Jensen-Shannon divergence (base 2, in [0, 1]) of binned 3D clouds.
-
-    Both clouds are histogrammed over their joint bounding box; empty bins
-    follow the 0 log 0 = 0 convention.
-    """
-    x = np.asarray(x_points, dtype=float)
-    y = np.asarray(y_points, dtype=float)
-    if len(x) < 1 or len(y) < 1:
-        raise TooFewPoints("both clouds must be non-empty")
-    pooled = np.vstack([x, y])
-    lo = pooled.min(axis=0)
-    hi = pooled.max(axis=0)
-    hi = np.where(hi > lo, hi, lo + 1.0)  # degenerate axis: single shared bin
-    bounds = list(zip(lo, hi))
-    p, _ = np.histogramdd(x, bins=bins_per_axis, range=bounds)
-    q, _ = np.histogramdd(y, bins=bins_per_axis, range=bounds)
-    p = p.ravel() / p.sum()
-    q = q.ravel() / q.sum()
-    mid = 0.5 * (p + q)
-    return 0.5 * _kl_bits(p, mid) + 0.5 * _kl_bits(q, mid)
-
-
 @dataclass(frozen=True, eq=False)
 class Histogram:
     counts: np.ndarray
@@ -172,40 +123,6 @@ class PcaProjection:
     explained_variance: np.ndarray  # fractions, descending
 
 
-def _jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix."""
-    a = np.array(matrix, dtype=float)
-    n = len(a)
-    vecs = np.eye(n)
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float((a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= 1e-14 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta^2 would overflow; use the limit 1/(2 theta)
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), vecs
-
-
 def pca_2d(latents, tags) -> PcaProjection:
     """Top-2 principal axes of the latent rows with a deterministic sign fix."""
     x = np.asarray(latents, dtype=float)
@@ -216,7 +133,7 @@ def pca_2d(latents, tags) -> PcaProjection:
         raise ValueError("one tag per latent row required")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
-    eigenvalues, eigenvectors = _jacobi_eigh(cov)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     components = eigenvectors[:, order[:2]].T.copy()
     for row in components:

@@ -132,12 +132,6 @@ def mlp_grad_input(model: Mlp, x) -> np.ndarray:
     return delta @ model.weights[0]
 
 
-def classifier_probability(model: Mlp, latent) -> float:
-    """Feasibility probability of a latent; infeasibility is one minus this."""
-    out, _ = mlp_forward(model, latent)
-    return float(out[0] if out.ndim == 1 else out)
-
-
 def init_mlp(dims, output_activation: OutputActivation, rng) -> Mlp:
     """He-initialized MLP; deterministic for a given generator state."""
     weights = []
@@ -148,32 +142,18 @@ def init_mlp(dims, output_activation: OutputActivation, rng) -> Mlp:
     return Mlp(weights, biases, output_activation)
 
 
-def _forward_cached(model: Mlp, x):
-    acts = [x]
-    preacts = []
-    a = x
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        s = a @ w.T + b
-        preacts.append(s)
-        if k < last:
-            a = np.maximum(s, 0.0)
-        elif model.output_activation is OutputActivation.SIGMOID:
-            a = _sigmoid(s)
-        else:
-            a = s
-        acts.append(a)
-    return acts, preacts
+def mlp_param_grads(model: Mlp, x, preacts, d_preact_last):
+    """Backpropagate d(loss)/d(last pre-activation) into per-layer (dW, db).
 
-
-def mlp_param_grads(model: Mlp, x, d_preact_last):
-    """Backpropagate d(loss)/d(last pre-activation) into per-layer (dW, db)."""
-    acts, preacts = _forward_cached(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    delta = np.atleast_2d(d_preact_last)
+    ``x`` is an (n, d) batch and ``preacts`` the pre-activations that
+    ``mlp_forward`` returned for it; the hidden layers' inputs are rebuilt
+    from them, so no second forward pass runs.
+    """
+    delta = d_preact_last
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.weights)
     for k in range(len(model.weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ acts[k]
+        grads_w[k] = delta.T @ (np.maximum(preacts[k - 1], 0.0) if k > 0 else x)
         grads_b[k] = delta.sum(axis=0)
         if k > 0:
             delta = (delta @ model.weights[k]) * (preacts[k - 1] > 0)
@@ -251,15 +231,12 @@ def _classification_metrics(y_true, y_pred) -> ClassifierMetrics:
     return ClassifierMetrics(accuracy, balanced, precision, recall, f1, confusion)
 
 
-def train_classifier(
-    latents, labels, config: TrainConfig, input_noise_std: float = 0.0
-) -> ClassifierResult:
+def train_classifier(latents, labels, config: TrainConfig) -> ClassifierResult:
     """Train the feasibility classifier on labeled latents.
 
     Undersamples the majority class to exact balance, shuffles, splits by
     ``config.split``, and fits input->128->64->1 with binary cross-entropy via
-    mini-batch SGD with momentum. ``input_noise_std`` optionally perturbs
-    training inputs with Gaussian noise (experimental; off by default).
+    mini-batch SGD with momentum.
     """
     x = np.asarray(latents, dtype=float)
     y = np.asarray(labels, dtype=bool)
@@ -271,8 +248,6 @@ def train_classifier(
     n_train = int(round(len(x) * config.split))
     x_train, y_train = x[:n_train], y[:n_train]
     x_test, y_test = x[n_train:], y[n_train:]
-    if input_noise_std > 0.0:
-        x_train = x_train + rng.normal(0.0, input_noise_std, size=x_train.shape)
     model = init_mlp(
         [x.shape[1], *CLASSIFIER_HIDDEN, 1], OutputActivation.SIGMOID, rng
     )
@@ -282,9 +257,9 @@ def train_classifier(
         for start in range(0, len(x_train), config.batch_size):
             idx = order[start : start + config.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            probs, _ = mlp_forward(model, xb)
+            probs, preacts = mlp_forward(model, xb)
             d_last = (probs - yb[:, None]) / len(xb)  # BCE through the sigmoid
-            grads_w, grads_b = mlp_param_grads(model, xb, d_last)
+            grads_w, grads_b = mlp_param_grads(model, xb, preacts, d_last)
             _sgd_step(model, grads_w, grads_b, velocity, config.learning_rate)
     probs, _ = mlp_forward(model, x_test)
     metrics = _classification_metrics(y_test.astype(int), (probs[:, 0] >= 0.5).astype(int))
@@ -372,14 +347,17 @@ class RegressorResult:
     test_mse: float
 
 
-def train_regressor(inputs, targets, config: TrainConfig, ridge: float = 0.0) -> RegressorResult:
-    """Fit on the train split and report R^2 / MSE on both splits."""
+def train_regressor(
+    inputs, targets, seed: int, split: float = 0.8, ridge: float = 0.0
+) -> RegressorResult:
+    """Shuffle by ``seed``, fit on the first ``split`` share of the rows, and
+    report R^2 / MSE on both splits."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
-    n_train = int(round(len(x) * config.split))
+    n_train = int(round(len(x) * split))
     model = fit_linear_regressor(x[:n_train], y[:n_train], ridge)
     pred_train = regressor_predict(model, x[:n_train])
     pred_test = regressor_predict(model, x[n_train:])
@@ -452,11 +430,11 @@ def train_denoiser(conditions, latents, schedule, config: TrainConfig) -> Denois
             ab = alpha_bars[t - 1][:, None]
             z_t = np.sqrt(ab) * zb + np.sqrt(1.0 - ab) * eps
             feats = np.concatenate([z_t, timestep_embedding(t), cb], axis=1)
-            pred, _ = mlp_forward(model, feats)
+            pred, preacts = mlp_forward(model, feats)
             diff = pred - eps
             batch_losses.append(float((diff * diff).sum(axis=1).mean()))
             d_last = 2.0 * diff / len(idx)
-            grads_w, grads_b = mlp_param_grads(model, feats, d_last)
+            grads_w, grads_b = mlp_param_grads(model, feats, preacts, d_last)
             _sgd_step(model, grads_w, grads_b, velocity, config.learning_rate)
         epoch_losses.append(float(np.mean(batch_losses)))
     return DenoiserResult(model, epoch_losses)

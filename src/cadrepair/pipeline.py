@@ -74,7 +74,7 @@ def seed_stream(master_seed: int, label: int, *indices: int) -> np.random.SeedSe
 
 
 def derived_seed(master_seed: int, label: int, *indices: int) -> int:
-    """Single-integer seed derived from a labeled stream (for TrainConfig)."""
+    """Single-integer seed derived from a labeled stream (for model training)."""
     return int(seed_stream(master_seed, label, *indices).generate_state(1)[0])
 
 
@@ -399,35 +399,6 @@ def summarize_outcomes(variant: VariantId, outcomes) -> VariantRow:
     )
 
 
-def run_variant(
-    variant: VariantId,
-    eval_conditions,
-    models: TrainedModels,
-    schedule: diffusion.DiffusionSchedule,
-    seed: int,
-    guidance: diffusion.GuidanceConfig = diffusion.GuidanceConfig(),
-    mmd_config: MmdConfig = MmdConfig(),
-    gt_clouds=None,
-    return_outcomes: bool = False,
-):
-    """Evaluate one variant over the condition set with paired per-condition seeds."""
-    for name in _required_models(variant):
-        if getattr(models, name) is None:
-            raise MissingModel(f"variant {variant.value} needs model {name!r}")
-    if gt_clouds is None:
-        gt_clouds = [
-            ground_truth_cloud(c, i, seed, mmd_config) for i, c in enumerate(eval_conditions)
-        ]
-    outcomes = [
-        evaluate_condition(
-            variant, i, cond, gt_clouds[i].points, models, schedule, seed, guidance, mmd_config
-        )
-        for i, cond in enumerate(eval_conditions)
-    ]
-    row = summarize_outcomes(variant, outcomes)
-    return (row, outcomes) if return_outcomes else row
-
-
 _WORKER_CONTEXT: dict = {}
 
 
@@ -461,7 +432,8 @@ def run_variants(
     mmd_config: MmdConfig = MmdConfig(),
     threads: int = 1,
 ) -> tuple[EvalReport, dict[VariantId, list[ConditionOutcome]]]:
-    """Run several variants against shared ground-truth clouds and paired seeds.
+    """Evaluate variants over the condition set with shared ground-truth
+    clouds and paired per-condition seeds.
 
     Conditions are independent, so threads > 1 fans the per-condition work out
     to a process pool; results are reduced in condition order either way.
@@ -471,40 +443,30 @@ def run_variants(
         for name in _required_models(variant):
             if getattr(models, name) is None:
                 raise MissingModel(f"variant {variant.value} needs model {name!r}")
-    gt_clouds = [
-        ground_truth_cloud(c, i, seed, mmd_config) for i, c in enumerate(eval_conditions)
-    ]
+    payload = {
+        "conditions": list(eval_conditions),
+        "gt_points": [
+            ground_truth_cloud(c, i, seed, mmd_config).points
+            for i, c in enumerate(eval_conditions)
+        ],
+        "models": models,
+        "schedule": schedule,
+        "seed": seed,
+        "guidance": guidance,
+        "mmd_config": mmd_config,
+    }
     n = len(eval_conditions)
     tasks = [(v.value, i) for v in variants for i in range(n)]
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = {
-            "conditions": list(eval_conditions),
-            "gt_points": [c.points for c in gt_clouds],
-            "models": models,
-            "schedule": schedule,
-            "seed": seed,
-            "guidance": guidance,
-            "mmd_config": mmd_config,
-        }
         chunksize = max(1, len(tasks) // (threads * 8))
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_init_eval_worker, initargs=(payload,)
         ) as pool:
             flat = list(pool.map(_eval_task, tasks, chunksize=chunksize))
     else:
-        _init_eval_worker(
-            {
-                "conditions": list(eval_conditions),
-                "gt_points": [c.points for c in gt_clouds],
-                "models": models,
-                "schedule": schedule,
-                "seed": seed,
-                "guidance": guidance,
-                "mmd_config": mmd_config,
-            }
-        )
+        _init_eval_worker(payload)
         flat = [_eval_task(task) for task in tasks]
     rows = []
     outcome_map = {}

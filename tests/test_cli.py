@@ -1,0 +1,202 @@
+"""End-to-end tests of the command line, run in process through ``cli.main``.
+
+One tiny configuration drives every stage (all four ``train`` targets,
+``gen-dataset``, ``eval``, ``pca`` and ``repair``) in about a second. The
+tests check exit codes 0, 2, 4 and 5 and byte-identical reruns. Exit code 3
+(generation stall) is left untested: ground-truth rejection sampling only
+gives up after 10**6 draws, far too slow for this suite.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from cadrepair import cli
+from cadrepair.codec import LATENT_DIM, write_latents
+from cadrepair.geometry import record_from_sequence
+from cadrepair.pipeline import gen_ground_truth
+
+TINY = {
+    "master_seed": 3,
+    "n_conditions": 40,
+    "generations_per_condition": 3,
+    "n_eval_conditions": 4,
+    "timesteps": 50,
+    "cloud_size": 16,
+    "regressor_scale": 0.02,
+    "denoiser": {"epochs": 300, "batch_size": 16, "learning_rate": 3e-3},
+    "classifier": {"epochs": 5, "batch_size": 16, "learning_rate": 3e-2},
+}
+
+EVAL_FILES = (
+    "report.csv",
+    "mmd_scores.csv",
+    "mmd_hist.csv",
+    "eval_latents_gt.bin",
+    "eval_latents_baseline.bin",
+    "eval_latents_full.bin",
+)
+
+
+def write_config(path, out_dir, **overrides) -> str:
+    path.write_text(json.dumps({**TINY, "out_dir": str(out_dir), **overrides}))
+    return str(path)
+
+
+def run_stage(config: str, *argv: str) -> int:
+    return cli.main([*argv, "--config", config])
+
+
+def run_pipeline(tmp_path, name: str) -> dict[str, int]:
+    out = tmp_path / name
+    config = write_config(tmp_path / f"{name}.json", out)
+    stages = [
+        ("train", "--which", "denoiser"),
+        ("gen-dataset",),
+        ("train", "--which", "classifier"),
+        ("train", "--which", "ssl_regressor"),
+        ("train", "--which", "gt_regressor"),
+        ("eval", "--variants", "all", "--threads", "2"),
+        ("pca",),
+    ]
+    codes = {" ".join(argv): run_stage(config, *argv) for argv in stages}
+    codes["repair"] = cli.main(
+        ["repair", "--latents", str(out / "eval_latents_full.bin"),
+         "--regressor", str(out / "ssl_regressor.json")]
+    )
+    return codes
+
+
+def artifact_bytes(out_dir) -> dict[str, bytes]:
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(out_dir.iterdir())
+        if p.is_file() and p.name != "config.json"  # config.json names the run directory
+    }
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    return root, run_pipeline(root, "a"), run_pipeline(root, "b")
+
+
+def test_every_stage_exits_zero(runs):
+    _, codes_a, codes_b = runs
+    assert set(codes_a.values()) == {cli.EXIT_OK}, codes_a
+    assert codes_b == codes_a
+
+
+def test_rerun_is_byte_identical(runs):
+    root, _, _ = runs
+    first, second = artifact_bytes(root / "a"), artifact_bytes(root / "b")
+    assert {"denoiser.json", "latents.bin", "pca.csv", "repaired.bin", *EVAL_FILES} <= set(first)
+    assert first == second
+
+
+def test_eval_thread_count_does_not_change_bytes(runs, tmp_path):
+    root, _, _ = runs
+    out = tmp_path / "serial"
+    shutil.copytree(root / "a", out)
+    for name in EVAL_FILES:
+        (out / name).unlink()
+    config = write_config(tmp_path / "serial.json", out)
+    assert run_stage(config, "eval", "--variants", "all", "--threads", "1") == cli.EXIT_OK
+    for name in EVAL_FILES:
+        assert (out / name).read_bytes() == (root / "a" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("n_conditions", [TINY["n_conditions"] - 10, TINY["n_conditions"] + 10])
+def test_training_reads_row_counts_from_the_dataset(runs, tmp_path, n_conditions):
+    # the dataset was generated under TINY; retraining under another
+    # n_conditions must index the same rows and give the same models
+    root, _, _ = runs
+    out = tmp_path / "retrain"
+    out.mkdir()
+    for name in ("latents.bin", "labels.csv", "pairs_gt.csv"):
+        shutil.copy(root / "a" / name, out / name)
+    config = write_config(tmp_path / "retrain.json", out, n_conditions=n_conditions)
+    for which in ("classifier", "gt_regressor"):
+        assert run_stage(config, "train", "--which", which) == cli.EXIT_OK
+        model = f"{which}.json"
+        assert (out / model).read_bytes() == (root / "a" / model).read_bytes(), model
+
+
+def test_unknown_variant_exits_2(tmp_path):
+    config = write_config(tmp_path / "c.json", tmp_path / "out")
+    assert run_stage(config, "eval", "--variants", "baseline,var9") == cli.EXIT_CONFIG
+
+
+def test_unknown_config_key_exits_2(tmp_path):
+    config = write_config(tmp_path / "c.json", tmp_path / "out", bogus=1)
+    assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_CONFIG
+
+
+def test_missing_model_exits_4(tmp_path):
+    config = write_config(tmp_path / "c.json", tmp_path / "out")
+    assert run_stage(config, "eval", "--variants", "baseline") == cli.EXIT_MISSING
+
+
+def test_empty_evaluation_exits_5(tmp_path):
+    config = write_config(tmp_path / "c.json", tmp_path / "out", n_eval_conditions=0)
+    assert run_stage(config, "eval", "--variants", "baseline") == cli.EXIT_EMPTY
+
+
+def test_ssl_regressor_with_too_few_train_pairs_exits_4(tmp_path):
+    # 22 pairs pass a plain ">= 22" check, but the 0.8 split fits on 18 rows
+    out = tmp_path / "out"
+    out.mkdir()
+    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(44, LATENT_DIM)))
+    with open(out / "pairs_ssl.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["invalid_row", "valid_row"])
+        writer.writerows([i, 22 + i] for i in range(22))
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", "ssl_regressor") == cli.EXIT_MISSING
+
+
+SIX_EDGES = {
+    "edges": [{"kind": "line", "x": 0.1 * i, "y": 0.0, "bulge": 0.0} for i in range(6)],
+    "depth": 0.5,
+}
+
+
+@pytest.mark.parametrize("defect", ["truncated-json", "six-edges", "condition-width"])
+def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
+    gt = gen_ground_truth(1, seed=0)[0]
+    good = {
+        "condition_id": 0,
+        "condition": [float(v) for v in gt.condition],
+        "sequence": record_from_sequence(gt.sequence),
+    }
+    bad_line = {
+        "truncated-json": json.dumps(good)[:-7],
+        "six-edges": json.dumps({**good, "sequence": SIX_EDGES}),
+        "condition-width": json.dumps({**good, "condition": [0.1, 0.2, 0.3]}),
+    }[defect]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "conditions.jsonl").write_text(json.dumps(good) + "\n" + bad_line + "\n")
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_CONFIG
+    assert "conditions.jsonl:2:" in caplog.text
+
+
+def test_pca_rejects_non_finite_rows(tmp_path, caplog):
+    out = tmp_path / "out"
+    out.mkdir()
+    rng = np.random.default_rng(1)
+    for name in ("eval_latents_baseline.bin", "eval_latents_gt.bin"):
+        write_latents(out / name, rng.normal(size=(3, LATENT_DIM)))
+    full = rng.normal(size=(3, LATENT_DIM))
+    full[1, 4] = np.inf
+    write_latents(out / "eval_latents_full.bin", full)
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "pca") == cli.EXIT_CONFIG
+    assert "eval_latents_full.bin: 1 of 3 rows are not finite" in caplog.text
+    assert not (out / "pca.csv").exists()

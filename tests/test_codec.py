@@ -16,7 +16,6 @@ from cadrepair.codec import (
     quantize,
     read_latents,
     write_latents,
-    write_latents_csv,
 )
 from cadrepair.geometry import (
     CommandSequence,
@@ -264,11 +263,3 @@ def test_latent_file_truncated_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(MalformedRecord):
         read_latents(path)
-
-
-def test_latent_csv_export(tmp_path):
-    matrix = np.arange(42, dtype=float).reshape(2, 21)
-    path = tmp_path / "latents.csv"
-    write_latents_csv(path, matrix)
-    rows = [list(map(float, row.split(","))) for row in path.read_text().strip().splitlines()]
-    np.testing.assert_array_equal(np.array(rows), matrix)

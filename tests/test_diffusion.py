@@ -22,8 +22,8 @@ from cadrepair.nets import (
     Mlp,
     OutputActivation,
     TrainConfig,
-    classifier_probability,
     init_mlp,
+    mlp_forward,
     mlp_grad_input,
     regressor_loss_grad,
     train_denoiser,
@@ -178,7 +178,7 @@ def test_classifier_guide_increases_feasibility_first_order():
             continue
         h = 1e-4
         stepped = z - h * grad_inf
-        assert classifier_probability(clf, stepped) >= classifier_probability(clf, z) - 1e-12
+        assert mlp_forward(clf, stepped)[0][0] >= mlp_forward(clf, z)[0][0] - 1e-12
 
 
 def test_regressor_guide_zero_scale_and_identity():

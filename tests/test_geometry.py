@@ -15,14 +15,12 @@ from cadrepair.geometry import (
     SketchEdge,
     discretize_profile,
     kernel_check,
-    monte_carlo_volume,
     parse_sequence,
     points_in_polygon,
     polygon_area,
     sample_point_cloud,
     self_intersects,
     serialize_sequence,
-    write_point_cloud_csv,
 )
 
 from conftest import command_sequences, random_simple_polygon
@@ -384,25 +382,7 @@ def test_triangle_cloud_statistics():
     assert abs(mean_z - depth / 2.0) < 3.0 * se
 
 
-def test_monte_carlo_volume_triangle():
-    seq = CommandSequence((line(0, 0), line(1, 0), line(0, 1)), 0.6)
-    estimate = monte_carlo_volume(seq, 200_000, seed=5)
-    expected = 0.5 * 0.6
-    assert abs(estimate - expected) / expected < 0.02
-
-
 def test_points_in_polygon_even_odd():
     poly = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     pts = np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2], [0.25, 0.99]])
     np.testing.assert_array_equal(points_in_polygon(pts, poly), [True, False, False, True])
-
-
-def test_point_cloud_csv(tmp_path):
-    cloud = sample_point_cloud(square(), 8, seed=1)
-    path = tmp_path / "cloud.csv"
-    write_point_cloud_csv(cloud, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,z"
-    assert len(lines) == 9
-    first = [float(v) for v in lines[1].split(",")]
-    np.testing.assert_allclose(first, cloud.points[0])

@@ -5,66 +5,16 @@ import pytest
 
 from cadrepair.metrics import (
     BadSigma,
-    EmptyPopulation,
     EmptyScores,
     MmdConfig,
     SourceTag,
     TooFewPoints,
     TooFewRows,
-    feasibility_rate,
-    jsd,
     median_heuristic_sigma,
     mmd,
     mmd_histogram,
     pca_2d,
-    rbf_kernel,
 )
-
-
-# ---------------------------------------------------------------- feasibility rate
-
-
-def test_feasibility_rate_reference_counts():
-    # two published count pairs for the same benchmark round to different
-    # rates; both are asserted from the raw counts
-    assert abs(feasibility_rate(7707, 808) - 0.90511) < 1e-5
-    assert abs(feasibility_rate(8239, 276) - 0.96759) < 1e-5
-
-
-def test_feasibility_rate_boundaries():
-    assert feasibility_rate(0, 5) == 0.0
-    assert feasibility_rate(5, 0) == 1.0
-    with pytest.raises(EmptyPopulation):
-        feasibility_rate(0, 0)
-    with pytest.raises(ValueError):
-        feasibility_rate(-1, 5)
-
-
-def test_feasibility_rate_monotone_in_valid_count():
-    rates = [feasibility_rate(v, 10) for v in range(0, 50, 5)]
-    assert all(b > a for a, b in zip(rates, rates[1:]))
-    assert all(0.0 <= r <= 1.0 for r in rates)
-
-
-# ---------------------------------------------------------------- RBF kernel
-
-
-def test_rbf_identical_points():
-    assert rbf_kernel([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], sigma=0.7) == 1.0
-
-
-def test_rbf_at_one_sigma():
-    assert math.isclose(rbf_kernel([0, 0, 0], [0.5, 0, 0], sigma=0.5), math.exp(-0.5), rel_tol=1e-12)
-
-
-def test_rbf_monotone_decreasing():
-    values = [rbf_kernel([0, 0, 0], [d, 0, 0], sigma=1.0) for d in np.linspace(0, 3, 10)]
-    assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_rbf_bad_sigma():
-    with pytest.raises(BadSigma):
-        rbf_kernel([0, 0, 0], [1, 0, 0], sigma=0.0)
 
 
 # ---------------------------------------------------------------- median heuristic
@@ -174,37 +124,6 @@ def test_mmd_empty_cloud_raises():
 def test_mmd_config_validates_sigma():
     with pytest.raises(BadSigma):
         MmdConfig(sigma=-1.0)
-
-
-# ---------------------------------------------------------------- JSD
-
-
-def test_jsd_identical_clouds():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(200, 3))
-    assert jsd(x, x.copy()) == 0.0
-
-
-def test_jsd_disjoint_halves_is_one():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(0.0, 0.4, size=(300, 3))
-    y = rng.uniform(0.6, 1.0, size=(300, 3))
-    assert math.isclose(jsd(x, y, bins_per_axis=8), 1.0, rel_tol=1e-12)
-
-
-def test_jsd_bounded():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        x = rng.normal(size=(100, 3))
-        y = rng.normal(loc=rng.uniform(-1, 1), size=(120, 3))
-        value = jsd(x, y)
-        assert 0.0 <= value <= 1.0
-
-
-def test_jsd_degenerate_axis():
-    x = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.zeros(50)])
-    y = x.copy()
-    assert jsd(x, y) == 0.0
 
 
 # ---------------------------------------------------------------- histogram

@@ -24,7 +24,6 @@ from cadrepair.pipeline import (
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
-    run_variant,
     run_variants,
     self_repair,
     stack_generated_latents,
@@ -235,7 +234,7 @@ def test_run_variant_missing_model():
     models = TrainedModels(denoiser=toy_models().denoiser)
     conditions = gen_ground_truth(2, seed=12)
     with pytest.raises(MissingModel):
-        run_variant(VariantId.VAR3, conditions, models, SCHED, seed=1)
+        run_variants([VariantId.VAR3], conditions, models, SCHED, seed=1)
 
 
 def test_variant_rows_paired_and_monotone():
@@ -263,15 +262,11 @@ def test_variant_rows_paired_and_monotone():
 def test_variant_repair_counts_consistent():
     models = toy_models(seed=2)
     conditions = gen_ground_truth(5, seed=14)
-    row, outcomes = run_variant(
-        VariantId.VAR1,
-        conditions,
-        models,
-        SCHED,
-        seed=4,
-        mmd_config=MmdConfig(cloud_size=64),
-        return_outcomes=True,
+    report, outcomes = run_variants(
+        [VariantId.VAR1], conditions, models, SCHED, seed=4, mmd_config=MmdConfig(cloud_size=64)
     )
+    (row,) = report.rows
+    outcomes = outcomes[VariantId.VAR1]
     stages = [o.stage for o in outcomes]
     assert row.repaired_count == sum(s is RepairStage.REPAIRED_VALID for s in stages)
     assert row.repair_failed_count == sum(s is RepairStage.REPAIRED_INVALID for s in stages)
@@ -282,9 +277,10 @@ def test_variant_repair_counts_consistent():
 def test_baseline_never_repairs():
     models = toy_models(seed=3)
     conditions = gen_ground_truth(4, seed=15)
-    row = run_variant(
-        VariantId.BASELINE, conditions, models, SCHED, seed=5, mmd_config=MmdConfig(cloud_size=64)
+    report, _ = run_variants(
+        [VariantId.BASELINE], conditions, models, SCHED, seed=5, mmd_config=MmdConfig(cloud_size=64)
     )
+    (row,) = report.rows
     assert row.repaired_count == 0
     assert row.repair_failed_count == 0
 
@@ -318,19 +314,19 @@ def test_guided_variants_use_guidance():
     models = toy_models(seed=5)
     conditions = gen_ground_truth(3, seed=17)
     cfg = MmdConfig(cloud_size=64)
-    base, base_out = run_variant(
-        VariantId.BASELINE, conditions, models, SCHED, seed=7, mmd_config=cfg,
-        return_outcomes=True,
+    _, base_out = run_variants(
+        [VariantId.BASELINE], conditions, models, SCHED, seed=7, mmd_config=cfg
     )
-    zeroed, zero_out = run_variant(
-        VariantId.VAR5, conditions, models, SCHED, seed=7,
-        guidance=GuidanceConfig(True, True, 0.0, 0.0), mmd_config=cfg, return_outcomes=True,
+    base_out = base_out[VariantId.BASELINE]
+    _, zero_out = run_variants(
+        [VariantId.VAR5], conditions, models, SCHED, seed=7,
+        guidance=GuidanceConfig(True, True, 0.0, 0.0), mmd_config=cfg,
     )
+    zero_out = zero_out[VariantId.VAR5]
     for a, b in zip(base_out, zero_out):
         np.testing.assert_array_equal(a.final_latent, b.final_latent)
-    guided, guided_out = run_variant(
-        VariantId.VAR5, conditions, models, SCHED, seed=7, mmd_config=cfg, return_outcomes=True,
-    )
+    _, guided_out = run_variants([VariantId.VAR5], conditions, models, SCHED, seed=7, mmd_config=cfg)
+    guided_out = guided_out[VariantId.VAR5]
     assert any(
         not np.array_equal(a.final_latent, b.final_latent)
         for a, b in zip(base_out, guided_out)
