@@ -117,6 +117,14 @@ def _require_file(path: Path, hint: str) -> Path:
     return path
 
 
+def _read_finite_latents(path: Path) -> np.ndarray:
+    latents = read_latents(path)
+    n_bad = int((~np.isfinite(latents)).any(axis=1).sum())
+    if n_bad:
+        raise MalformedRecord(f"{path}: {n_bad} of {len(latents)} rows are not finite")
+    return latents
+
+
 def _load_mlp(path: Path):
     model = load_model(path)
     if isinstance(model, LinearRegressor):
@@ -514,10 +522,7 @@ def cmd_pca(cfg: RunConfig) -> int:
     tags: list[SourceTag] = []
     for filename, tag in sources:
         path = _require_file(out / filename, "run `eval` with baseline and full variants first")
-        block = read_latents(path)
-        n_bad = int((~np.isfinite(block)).any(axis=1).sum())
-        if n_bad:
-            raise MalformedRecord(f"{path}: {n_bad} of {len(block)} rows are not finite")
+        block = _read_finite_latents(path)
         blocks.append(block)
         tags.extend([tag] * len(block))
     stacked = np.vstack(blocks)
@@ -546,7 +551,7 @@ def cmd_pca(cfg: RunConfig) -> int:
 def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> int:
     latents_file = _require_file(Path(latents_path), "point --latents at a latent matrix file")
     regressor_file = _require_file(Path(regressor_path), "point --regressor at a model file")
-    latents = read_latents(latents_file)
+    latents = _read_finite_latents(latents_file)
     regressor = _load_regressor(regressor_file)
     destination = Path(out_dir) if out_dir else latents_file.parent
     destination.mkdir(parents=True, exist_ok=True)

@@ -156,26 +156,39 @@ def initial_latent(seed, dim: int) -> np.ndarray:
 
 
 def sample(
-    condition,
+    conditions,
     denoiser: Mlp,
     guidance: GuidanceConfig,
     schedule: DiffusionSchedule,
-    seed,
+    seeds,
     classifier: Mlp | None = None,
     regressor: LinearRegressor | None = None,
 ) -> np.ndarray:
-    """Draw one latent by iterating the reverse chain from t=T down to 1.
+    """Draw one latent per row of the (B, c) ``conditions`` by iterating the
+    reverse chain from t=T down to 1 on the whole batch; returns (B, d).
 
-    Deterministic for a given seed; the noise stream never depends on the
-    guidance configuration, so paired-seed comparisons across configs share
-    both the starting latent and every per-step noise draw.
+    Row i draws from its own generator, seeded by ``seeds[i]``: its starting
+    latent, then one standard normal vector per step with t > 1. A generator's
+    draws do not depend on how they are split into calls, so all T are taken
+    up front. Each row is deterministic for its seed and independent of the
+    other rows, and the noise stream never depends on the guidance
+    configuration, so paired-seed comparisons across configs share both the
+    starting latent and every per-step noise draw.
     """
-    condition = np.asarray(condition, dtype=float)
+    conditions = np.asarray(conditions, dtype=float)
+    if conditions.ndim != 2 or len(conditions) != len(seeds):
+        raise ValueError(
+            f"need (B, c) conditions with one seed per row, got {conditions.shape} "
+            f"and {len(seeds)} seeds"
+        )
     latent_dim = denoiser.weights[-1].shape[0]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(latent_dim)
+    # (B, T, d): step index 0 is the starting latent, T - t + 1 the step-t noise
+    draws = np.empty((len(seeds), schedule.T, latent_dim))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    z = draws[:, 0]
     for t in range(schedule.T, 0, -1):
-        eps_hat, _ = mlp_forward(denoiser, denoiser_features(z, t, condition))
-        noise = rng.standard_normal(latent_dim) if t > 1 else None
+        eps_hat, _ = mlp_forward(denoiser, denoiser_features(z, t, conditions))
+        noise = draws[:, schedule.T - t + 1] if t > 1 else None
         z = sample_step(z, t, eps_hat, noise, schedule, guidance, classifier, regressor)
     return z

@@ -303,21 +303,22 @@ def regressor_predict(model: LinearRegressor, z) -> np.ndarray:
     return z @ model.weights.T + model.bias
 
 
-def regressor_loss_grad(model: LinearRegressor, z) -> tuple[float, np.ndarray]:
-    """Squared-norm self-consistency loss ||Wz + b - z||^2 and its z-gradient.
+def regressor_loss_grad(model: LinearRegressor, z) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-norm self-consistency loss ||Wz + b - z||^2 and its z-gradient,
+    for one latent (d,) or per row of a batch (B, d).
 
     The prediction is a function of z, so the gradient carries the Jacobian:
-    2 (W - I)^T (Wz + b - z).
+    2 (W - I)^T (Wz + b - z), written row-wise as 2 residual (W - I).
     """
     z = np.asarray(z, dtype=float)
     out_dim, in_dim = model.weights.shape
     if out_dim != in_dim:
         raise DimensionMismatch("self-consistency loss needs a square regressor")
-    if z.shape != (in_dim,):
-        raise DimensionMismatch(f"latent width {z.shape} != expected ({in_dim},)")
-    residual = model.weights @ z + model.bias - z
-    loss = float(residual @ residual)
-    grad = 2.0 * (model.weights - np.eye(in_dim)).T @ residual
+    if z.ndim not in (1, 2) or z.shape[-1] != in_dim:
+        raise DimensionMismatch(f"latent shape {z.shape} != expected (..., {in_dim})")
+    residual = z @ model.weights.T + model.bias - z
+    loss = (residual * residual).sum(axis=-1)
+    grad = 2.0 * residual @ (model.weights - np.eye(in_dim))
     return loss, grad
 
 
@@ -381,12 +382,16 @@ def timestep_embedding(t) -> np.ndarray:
 
 
 def denoiser_features(z_t, t, condition) -> np.ndarray:
-    """Assemble the denoiser input: noisy latent, timestep embedding, condition."""
+    """Assemble the denoiser input: noisy latent, timestep embedding, condition.
+
+    For a batch (B, d) of latents, a scalar timestep and a single condition
+    are broadcast over the rows.
+    """
     z_t = np.asarray(z_t, dtype=float)
     condition = np.asarray(condition, dtype=float)
     if z_t.ndim == 1:
         return np.concatenate([z_t, timestep_embedding(t), condition])
-    emb = timestep_embedding(t)
+    emb = np.broadcast_to(timestep_embedding(t), (len(z_t), TIMESTEP_EMBED_DIM))
     cond = np.broadcast_to(condition, (len(z_t), condition.shape[-1]))
     return np.concatenate([z_t, emb, cond], axis=1)
 
@@ -429,7 +434,7 @@ def train_denoiser(conditions, latents, schedule, config: TrainConfig) -> Denois
             eps = rng.standard_normal(zb.shape)
             ab = alpha_bars[t - 1][:, None]
             z_t = np.sqrt(ab) * zb + np.sqrt(1.0 - ab) * eps
-            feats = np.concatenate([z_t, timestep_embedding(t), cb], axis=1)
+            feats = denoiser_features(z_t, t, cb)
             pred, preacts = mlp_forward(model, feats)
             diff = pred - eps
             batch_losses.append(float((diff * diff).sum(axis=1).mean()))

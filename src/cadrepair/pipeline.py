@@ -40,6 +40,13 @@ STREAM_CLOUD_GT = 4
 STREAM_CLOUD_GEN = 5
 STREAM_TRAINING = 6
 
+# Rows per batched reverse-chain call. Blocks are cut from the row order
+# alone, never from the worker count, so results do not depend on --threads.
+# Eight rows already amortize most of the per-step overhead, keep the peak
+# memory of a block small, and cut an eval of 40 conditions x 3 variants into
+# 15 pool tasks, fine enough to balance across workers.
+CHAIN_BLOCK = 8
+
 _REJECTION_MIN_DRAWS = 1_000_000
 _REJECTION_MIN_RATE = 1e-3
 
@@ -147,17 +154,30 @@ def gen_dataset(
     """Generate the labeled dataset: per condition, several sampled latents
     decoded and kernel-checked, alongside the ground truth."""
     ground_truth = gen_ground_truth(n_conditions, seed_stream(seed, STREAM_TRAIN_GT))
+    # condition-major: generation g of condition cid is row cid * generations_per_condition + g
+    conditions = np.repeat([gt.condition for gt in ground_truth], generations_per_condition, axis=0)
+    seeds = [
+        seed_stream(seed, STREAM_DATASET_GEN, cid, g)
+        for cid in range(n_conditions)
+        for g in range(generations_per_condition)
+    ]
+    latents = np.vstack(
+        [
+            diffusion.sample(
+                conditions[lo : lo + CHAIN_BLOCK],
+                denoiser,
+                guidance,
+                schedule,
+                seeds[lo : lo + CHAIN_BLOCK],
+            )
+            for lo in range(0, len(seeds), CHAIN_BLOCK)
+        ]
+    )
     records = []
     for cid, gt in enumerate(ground_truth):
         generations = []
         for g in range(generations_per_condition):
-            latent = diffusion.sample(
-                gt.condition,
-                denoiser,
-                guidance,
-                schedule,
-                seed_stream(seed, STREAM_DATASET_GEN, cid, g),
-            )
+            latent = latents[cid * generations_per_condition + g]
             sequence = decode(latent)
             generations.append(Generation(g, latent, sequence, kernel_check(sequence)))
         records.append(
@@ -312,16 +332,21 @@ class ConditionOutcome:
 
 def evaluate_condition(
     variant: VariantId,
-    condition_id: int,
-    condition: GroundTruthCondition,
-    gt_cloud_points: np.ndarray,
+    condition_ids,
+    conditions,
+    gt_points,
     models: TrainedModels,
     schedule: diffusion.DiffusionSchedule,
     seed: int,
     guidance: diffusion.GuidanceConfig,
     mmd_config: MmdConfig,
-) -> ConditionOutcome:
-    """Sample, optionally repair, kernel-check, and MMD-score one condition."""
+) -> list[ConditionOutcome]:
+    """Sample one block of conditions in one batched chain, then optionally
+    repair, kernel-check, and MMD-score each row.
+
+    ``condition_ids``, ``conditions`` (GroundTruthCondition) and ``gt_points``
+    pair up; outcomes come back in the same order.
+    """
     plan = _VARIANT_PLANS[variant]
     variant_guidance = diffusion.GuidanceConfig(
         use_classifier=plan.use_classifier,
@@ -330,35 +355,38 @@ def evaluate_condition(
         regressor_scale=guidance.regressor_scale,
         stop_gradient_y=guidance.stop_gradient_y,
     )
-    sample_seed = seed_stream(seed, STREAM_EVAL_SAMPLE, condition_id)
+    sample_seeds = [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids]
     latent_dim = models.denoiser.weights[-1].shape[0]
-    start = diffusion.initial_latent(sample_seed, latent_dim)
-    z0 = diffusion.sample(
-        condition.condition,
+    z0s = diffusion.sample(
+        np.array([c.condition for c in conditions]),
         models.denoiser,
         variant_guidance,
         schedule,
-        sample_seed,
+        sample_seeds,
         classifier=models.classifier if plan.use_classifier else None,
         regressor=models.ssl_regressor if plan.use_regressor else None,
     )
-    if plan.repair_model is not None:
-        outcome = self_repair(z0, getattr(models, plan.repair_model))
-        stage = outcome.stage
-        final_latent = outcome.final_latent
-        sequence, report = outcome.sequence, outcome.report
-    else:
-        stage = None
-        final_latent = z0
-        sequence = decode(z0)
-        report = kernel_check(sequence)
-    score = None
-    if report.valid:
-        cloud = sample_point_cloud(
-            sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, condition_id)
-        )
-        score = mmd(cloud.points, gt_cloud_points, mmd_config)
-    return ConditionOutcome(condition_id, report.valid, stage, final_latent, start, score)
+    outcomes = []
+    for cid, sample_seed, z0, points in zip(condition_ids, sample_seeds, z0s, gt_points):
+        if plan.repair_model is not None:
+            outcome = self_repair(z0, getattr(models, plan.repair_model))
+            stage = outcome.stage
+            final_latent = outcome.final_latent
+            sequence, report = outcome.sequence, outcome.report
+        else:
+            stage = None
+            final_latent = z0
+            sequence = decode(z0)
+            report = kernel_check(sequence)
+        score = None
+        if report.valid:
+            cloud = sample_point_cloud(
+                sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
+            )
+            score = mmd(cloud.points, points, mmd_config)
+        start = diffusion.initial_latent(sample_seed, latent_dim)
+        outcomes.append(ConditionOutcome(cid, report.valid, stage, final_latent, start, score))
+    return outcomes
 
 
 def ground_truth_cloud(
@@ -407,13 +435,13 @@ def _init_eval_worker(payload) -> None:
 
 
 def _eval_task(task):
-    variant_value, index = task
+    variant_value, lo, hi = task
     ctx = _WORKER_CONTEXT
     return evaluate_condition(
         VariantId(variant_value),
-        index,
-        ctx["conditions"][index],
-        ctx["gt_points"][index],
+        range(lo, hi),
+        ctx["conditions"][lo:hi],
+        ctx["gt_points"][lo:hi],
         ctx["models"],
         ctx["schedule"],
         ctx["seed"],
@@ -435,8 +463,9 @@ def run_variants(
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds.
 
-    Conditions are independent, so threads > 1 fans the per-condition work out
-    to a process pool; results are reduced in condition order either way.
+    Each variant's conditions are cut into blocks of CHAIN_BLOCK that run one
+    batched chain each; threads > 1 fans the blocks out to a process pool.
+    Results are reduced in condition order either way.
     """
     variants = list(variants)
     for variant in variants:
@@ -456,18 +485,20 @@ def run_variants(
         "mmd_config": mmd_config,
     }
     n = len(eval_conditions)
-    tasks = [(v.value, i) for v in variants for i in range(n)]
+    tasks = [
+        (v.value, lo, min(lo + CHAIN_BLOCK, n)) for v in variants for lo in range(0, n, CHAIN_BLOCK)
+    ]
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = max(1, len(tasks) // (threads * 8))
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_init_eval_worker, initargs=(payload,)
         ) as pool:
-            flat = list(pool.map(_eval_task, tasks, chunksize=chunksize))
+            blocks = list(pool.map(_eval_task, tasks))
     else:
         _init_eval_worker(payload)
-        flat = [_eval_task(task) for task in tasks]
+        blocks = [_eval_task(task) for task in tasks]
+    flat = [outcome for block in blocks for outcome in block]
     rows = []
     outcome_map = {}
     for k, variant in enumerate(variants):

@@ -19,7 +19,8 @@ import pytest
 from cadrepair import cli
 from cadrepair.codec import LATENT_DIM, write_latents
 from cadrepair.geometry import record_from_sequence
-from cadrepair.pipeline import gen_ground_truth
+from cadrepair.nets import LinearRegressor, save_model
+from cadrepair.pipeline import CHAIN_BLOCK, gen_ground_truth
 
 TINY = {
     "master_seed": 3,
@@ -111,6 +112,25 @@ def test_eval_thread_count_does_not_change_bytes(runs, tmp_path):
         assert (out / name).read_bytes() == (root / "a" / name).read_bytes(), name
 
 
+def test_eval_spanning_chain_blocks_does_not_depend_on_thread_count(runs, tmp_path):
+    # TINY evaluates fewer conditions than one block; here every variant has
+    # two full blocks and a tail block
+    root, _, _ = runs
+    n_eval = 2 * CHAIN_BLOCK + 3
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        shutil.copytree(root / "a", out)
+        for name in EVAL_FILES:
+            (out / name).unlink()
+        config = write_config(tmp_path / f"{threads}.json", out, n_eval_conditions=n_eval)
+        assert run_stage(config, "eval", "--variants", "all", "--threads", threads) == cli.EXIT_OK
+        outputs.append({name: (out / name).read_bytes() for name in EVAL_FILES})
+    assert outputs[0] == outputs[1]
+    with open(tmp_path / "threads1" / "report.csv") as fh:
+        assert {int(row["n"]) for row in csv.DictReader(fh)} == {n_eval}
+
+
 @pytest.mark.parametrize("n_conditions", [TINY["n_conditions"] - 10, TINY["n_conditions"] + 10])
 def test_training_reads_row_counts_from_the_dataset(runs, tmp_path, n_conditions):
     # the dataset was generated under TINY; retraining under another
@@ -200,3 +220,18 @@ def test_pca_rejects_non_finite_rows(tmp_path, caplog):
     assert run_stage(config, "pca") == cli.EXIT_CONFIG
     assert "eval_latents_full.bin: 1 of 3 rows are not finite" in caplog.text
     assert not (out / "pca.csv").exists()
+
+
+def test_repair_rejects_non_finite_rows(tmp_path, caplog):
+    latents = np.random.default_rng(2).normal(size=(3, LATENT_DIM))
+    latents[2, 0] = np.inf
+    write_latents(tmp_path / "latents.bin", latents)
+    save_model(tmp_path / "reg.json", LinearRegressor(np.eye(LATENT_DIM), np.zeros(LATENT_DIM)))
+    code = cli.main(
+        ["repair", "--latents", str(tmp_path / "latents.bin"),
+         "--regressor", str(tmp_path / "reg.json")]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert "latents.bin: 1 of 3 rows are not finite" in caplog.text
+    assert not (tmp_path / "repaired.bin").exists()
+    assert not (tmp_path / "repair_outcomes.csv").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cadrepair import diffusion
 from cadrepair.diffusion import (
     BadRange,
     GuidanceConfig,
@@ -283,15 +284,30 @@ def _toy_denoiser(rng):
     return init_mlp([21 + 8 + 8, 32, 21], OutputActivation.IDENTITY, rng)
 
 
+def _toy_guides(rng):
+    clf = init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng)
+    reg = LinearRegressor(np.eye(21) * 0.9 + rng.normal(size=(21, 21)) * 0.01, np.zeros(21))
+    return clf, reg
+
+
 def test_sample_deterministic_per_seed():
     rng = np.random.default_rng(10)
     denoiser = _toy_denoiser(rng)
-    c = rng.uniform(size=8)
-    a = sample(c, denoiser, UNGUIDED, DEFAULT, seed=11)
-    b = sample(c, denoiser, UNGUIDED, DEFAULT, seed=11)
+    c = rng.uniform(size=(3, 8))
+    a = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[11, 12, 13])
+    b = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[11, 12, 13])
+    assert a.shape == (3, 21)
     np.testing.assert_array_equal(a, b)
-    other = sample(c, denoiser, UNGUIDED, DEFAULT, seed=12)
-    assert not np.array_equal(a, other)
+    other = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[14, 12, 13])
+    assert not np.array_equal(a[0], other[0])
+
+
+def test_sample_needs_one_seed_per_condition_row():
+    denoiser = _toy_denoiser(np.random.default_rng(10))
+    with pytest.raises(ValueError):
+        sample(np.zeros((3, 8)), denoiser, UNGUIDED, DEFAULT, seeds=[1, 2])
+    with pytest.raises(ValueError):
+        sample(np.zeros(8), denoiser, UNGUIDED, DEFAULT, seeds=[1])
 
 
 def test_sample_zero_scale_guidance_bitwise_equals_unguided():
@@ -299,14 +315,14 @@ def test_sample_zero_scale_guidance_bitwise_equals_unguided():
     denoiser = _toy_denoiser(rng)
     clf = init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(np.eye(21) * 0.5, np.zeros(21))
-    c = rng.uniform(size=8)
-    plain = sample(c, denoiser, UNGUIDED, DEFAULT, seed=21)
+    c = rng.uniform(size=(3, 8))
+    plain = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[21, 22, 23])
     zeroed = sample(
         c,
         denoiser,
         GuidanceConfig(True, True, 0.0, 0.0),
         DEFAULT,
-        seed=21,
+        seeds=[21, 22, 23],
         classifier=clf,
         regressor=reg,
     )
@@ -322,6 +338,62 @@ def test_sample_noise_stream_independent_of_guidance():
     assert start.shape == (21,)
 
 
+def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
+    # every reverse step of a guided batch sees the same z_T and the same
+    # per-step noise as the unguided batch, row by row, and each row's
+    # stream is its seed's draws: the starting latent, then one
+    # standard_normal(d) per step with t > 1
+    rng = np.random.default_rng(16)
+    denoiser = _toy_denoiser(rng)
+    clf, reg = _toy_guides(rng)
+    c = rng.uniform(size=(3, 8))
+    seeds = [31, 32, 33]
+    sched = build_schedule(6, 1e-4, 0.02)
+    seen = []
+
+    def spy(z_t, t, eps_hat, noise, *args):
+        seen.append((np.copy(z_t), None if noise is None else np.copy(noise)))
+        return sample_step(z_t, t, eps_hat, noise, *args)
+
+    monkeypatch.setattr(diffusion, "sample_step", spy)
+    sample(c, denoiser, UNGUIDED, sched, seeds=seeds)
+    plain, seen = seen, []
+    sample(c, denoiser, GuidanceConfig(True, True, 1.0, 1.0), sched, seeds=seeds,
+           classifier=clf, regressor=reg)
+    guided = seen
+    assert len(plain) == len(guided) == sched.T
+    np.testing.assert_array_equal(guided[0][0], plain[0][0])
+    for (_, noise_plain), (_, noise_guided) in zip(plain, guided):
+        if noise_plain is None:
+            assert noise_guided is None
+        else:
+            np.testing.assert_array_equal(noise_guided, noise_plain)
+    for row, seed in enumerate(seeds):
+        serial = np.random.default_rng(seed)
+        np.testing.assert_array_equal(plain[0][0][row], serial.standard_normal(21))
+        np.testing.assert_array_equal(plain[0][0][row], initial_latent(seed, 21))
+        for _, noise in plain[:-1]:
+            np.testing.assert_array_equal(noise[row], serial.standard_normal(21))
+    assert plain[-1][1] is None
+
+
+def test_sample_batch_rows_match_single_row_calls():
+    # a row's result does not depend on the other rows of its batch; the
+    # batched matrix products round differently from one-row products, so
+    # agreement is to 1e-12, not bitwise
+    rng = np.random.default_rng(17)
+    denoiser = _toy_denoiser(rng)
+    clf, reg = _toy_guides(rng)
+    c = rng.uniform(size=(5, 8))
+    seeds = [41, 42, 43, 44, 45]
+    for guidance in (UNGUIDED, GuidanceConfig(True, True, 0.5, 0.5)):
+        batch = sample(c, denoiser, guidance, DEFAULT, seeds, classifier=clf, regressor=reg)
+        for i, seed in enumerate(seeds):
+            single = sample(c[i : i + 1], denoiser, guidance, DEFAULT, [seed],
+                            classifier=clf, regressor=reg)
+            np.testing.assert_allclose(batch[i], single[0], rtol=0.0, atol=1e-12)
+
+
 def test_sample_collapses_to_fixed_latent():
     # denoiser trained on a single repeated latent: samples land near it
     rng = np.random.default_rng(15)
@@ -334,8 +406,6 @@ def test_sample_collapses_to_fixed_latent():
         DEFAULT,
         TrainConfig(epochs=800, batch_size=32, learning_rate=5e-3, seed=3),
     )
-    draws = np.array(
-        [sample(conditions[0], result.model, UNGUIDED, DEFAULT, seed=100 + i) for i in range(40)]
-    )
+    draws = sample(conditions[:40], result.model, UNGUIDED, DEFAULT, seeds=range(100, 140))
     mean_abs_err = np.abs(draws - target).mean(axis=0)
     assert mean_abs_err.max() < 0.1

@@ -366,6 +366,20 @@ def test_regressor_loss_grad_matches_finite_differences():
         assert err < 1e-8
 
 
+def test_batched_regressor_loss_grad_matches_finite_differences_per_row():
+    rng = np.random.default_rng(14)
+    model = LinearRegressor(rng.normal(size=(6, 6)), rng.normal(size=6))
+    z = rng.normal(size=(5, 6))
+    loss, grad = regressor_loss_grad(model, z)
+    assert loss.shape == (5,) and grad.shape == (5, 6)
+    for i in range(5):
+        row_loss, _ = regressor_loss_grad(model, z[i])
+        np.testing.assert_allclose(loss[i], row_loss, rtol=1e-14)
+        numeric = _fd_grad(lambda v: regressor_loss_grad(model, v)[0], z[i], h=1e-4)
+        err = np.linalg.norm(grad[i] - numeric) / max(np.linalg.norm(numeric), 1e-12)
+        assert err < 1e-8
+
+
 def test_train_regressor_reports_split_metrics():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(200, 3))
@@ -461,6 +475,16 @@ def test_denoiser_features_layout():
     assert feats.shape == (37,)
     np.testing.assert_array_equal(feats[:21], z)
     np.testing.assert_array_equal(feats[29:], c)
+
+
+def test_denoiser_features_broadcast_scalar_timestep_over_batch():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(4, 21))
+    c = rng.uniform(size=(4, 8))
+    feats = denoiser_features(z, 3, c)
+    assert feats.shape == (4, 37)
+    for i in range(4):
+        np.testing.assert_array_equal(feats[i], denoiser_features(z[i], 3, c[i]))
 
 
 def test_model_save_load_roundtrip(tmp_path):

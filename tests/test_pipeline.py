@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cadrepair.codec import decode, encode, quantize
-from cadrepair.diffusion import GuidanceConfig, UNGUIDED, build_schedule
+from cadrepair.diffusion import GuidanceConfig, UNGUIDED, build_schedule, initial_latent, sample
 from cadrepair.geometry import InvalidReason, ValidityReport, kernel_check
 from cadrepair.metrics import MmdConfig
 from cadrepair.nets import (
@@ -13,6 +13,9 @@ from cadrepair.nets import (
     init_mlp,
 )
 from cadrepair.pipeline import (
+    CHAIN_BLOCK,
+    STREAM_DATASET_GEN,
+    STREAM_EVAL_SAMPLE,
     DatasetRecord,
     Generation,
     MissingModel,
@@ -24,7 +27,10 @@ from cadrepair.pipeline import (
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
+    evaluate_condition,
+    ground_truth_cloud,
     run_variants,
+    seed_stream,
     self_repair,
     stack_generated_latents,
     stack_ground_truth_latents,
@@ -95,6 +101,21 @@ def test_gen_dataset_labels_match_kernel():
         for g in r.generations:
             assert g.report == kernel_check(g.sequence)
             assert decode(g.latent) == g.sequence
+
+
+def test_gen_dataset_blocks_match_single_chains():
+    # 3 x 5 = 15 chains: one full block and a 7-row tail block; each row
+    # equals its own one-row chain (to 1e-12: batched products round
+    # differently) and keeps its condition-major (condition, generation) seed
+    assert 15 % CHAIN_BLOCK != 0
+    models = toy_models(seed=6)
+    records = gen_dataset(3, 5, models.denoiser, UNGUIDED, SCHED, seed=8)
+    for r in records:
+        for g in r.generations:
+            single = sample(r.condition[None], models.denoiser, UNGUIDED, SCHED,
+                            [seed_stream(8, STREAM_DATASET_GEN, r.condition_id, g.index)])
+            np.testing.assert_allclose(g.latent, single[0], rtol=0.0, atol=1e-12)
+            assert g.report == kernel_check(decode(single[0]))
 
 
 # ---------------------------------------------------------------- pairing
@@ -331,3 +352,40 @@ def test_guided_variants_use_guidance():
         not np.array_equal(a.final_latent, b.final_latent)
         for a, b in zip(base_out, guided_out)
     )
+
+
+def test_run_variants_blocks_match_single_conditions():
+    # 11 conditions: a full block and a 3-row tail block per variant
+    assert 11 % CHAIN_BLOCK != 0
+    conditions = gen_ground_truth(11, seed=18)
+    models = toy_models(seed=7)
+    # var1 repairs every sample onto one valid latent, so every row is scored
+    models.ssl_regressor = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
+    cfg = MmdConfig(cloud_size=64)
+    variants = [VariantId.BASELINE, VariantId.VAR1]
+    _, serial = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg)
+    _, parallel = run_variants(
+        variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=2
+    )
+    for variant in variants:
+        outcomes = serial[variant]
+        assert [o.condition_id for o in outcomes] == list(range(11))
+        for a, b in zip(outcomes, parallel[variant]):
+            np.testing.assert_array_equal(a.final_latent, b.final_latent)
+            assert (a.valid, a.stage, a.mmd_score) == (b.valid, b.stage, b.mmd_score)
+        for i, outcome in enumerate(outcomes):
+            np.testing.assert_array_equal(
+                outcome.start_latent,
+                initial_latent(seed_stream(9, STREAM_EVAL_SAMPLE, i), 21),
+            )
+            points = ground_truth_cloud(conditions[i], i, 9, cfg).points
+            (single,) = evaluate_condition(
+                variant, [i], [conditions[i]], [points], models, SCHED, 9, UNGUIDED, cfg
+            )
+            np.testing.assert_allclose(
+                outcome.final_latent, single.final_latent, rtol=0.0, atol=1e-12
+            )
+            assert (outcome.valid, outcome.stage) == (single.valid, single.stage)
+            if single.mmd_score is not None:
+                assert abs(outcome.mmd_score - single.mmd_score) <= 1e-12
+    assert all(o.mmd_score is not None for o in serial[VariantId.VAR1])
