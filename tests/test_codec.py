@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadrepair.codec import (
@@ -175,6 +175,7 @@ def test_encode_of_ground_truth_is_quantize_fixed():
 
 
 @given(latent_vectors(values=st.floats(-1.5, 1.5, allow_nan=False)))
+@example(np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 5e-324, 0, 0, 0] + [1.0, 0, 0, 0] * 2 + [0.0]))
 @settings(max_examples=200)
 def test_decode_locally_constant_away_from_thresholds(z):
     seq = decode(z)
@@ -185,7 +186,11 @@ def test_decode_locally_constant_away_from_thresholds(z):
         margin = min(abs(t - 0.0), abs(t - 0.5))
         if margin == 0.0:
             return  # sitting exactly on a threshold: no safe perturbation
-        perturbed[4 * i] = t + 0.9 * margin * float(rng.uniform(-1, 1))
+        step = t + 0.9 * margin * float(rng.uniform(-1, 1))
+        # At subnormal scale 0.9 * margin rounds up to margin, which would put
+        # the step on the threshold; keep it strictly inside (t - margin, t + margin).
+        lo, hi = np.nextafter(t - margin, t), np.nextafter(t + margin, t)
+        perturbed[4 * i] = min(max(step, lo), hi)
     reread = decode(perturbed)
     assert len(reread.edges) == len(seq.edges)
     assert [e.kind for e in reread.edges] == [e.kind for e in seq.edges]
