@@ -37,7 +37,6 @@ from .geometry import (
     serialize_sequence,
 )
 from .metrics import (
-    EvalReport,
     MmdConfig,
     PcaProjection,
     SourceTag,

@@ -14,12 +14,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diffusion, pipeline
-from .codec import CONDITION_DIM, encode, read_latents, write_latents
+from .codec import CONDITION_DIM, LATENT_DIM, encode, read_latents, write_latents
 from .config import ConfigError, RunConfig
 from .geometry import (
     ArityError,
@@ -92,8 +93,6 @@ def _schedule(cfg: RunConfig) -> diffusion.DiffusionSchedule:
 
 def _guidance(cfg: RunConfig) -> diffusion.GuidanceConfig:
     return diffusion.GuidanceConfig(
-        use_classifier=cfg.use_classifier_guidance,
-        use_regressor=cfg.use_regressor_guidance,
         classifier_scale=cfg.classifier_scale,
         regressor_scale=cfg.regressor_scale,
         stop_gradient_y=cfg.stop_gradient_y,
@@ -119,6 +118,8 @@ def _require_file(path: Path, hint: str) -> Path:
 
 def _read_finite_latents(path: Path) -> np.ndarray:
     latents = read_latents(path)
+    if latents.shape[1] != LATENT_DIM:
+        raise MalformedRecord(f"{path}: rows are {latents.shape[1]} wide, expected {LATENT_DIM}")
     n_bad = int((~np.isfinite(latents)).any(axis=1).sum())
     if n_bad:
         raise MalformedRecord(f"{path}: {n_bad} of {len(latents)} rows are not finite")
@@ -188,13 +189,11 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     denoiser = _load_mlp(
         _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first")
     )
-    schedule = _schedule(cfg)
     records = pipeline.gen_dataset(
         cfg.n_conditions,
         cfg.generations_per_condition,
         denoiser,
-        diffusion.UNGUIDED,
-        schedule,
+        _schedule(cfg),
         cfg.master_seed,
     )
     generated = pipeline.stack_generated_latents(records)
@@ -438,7 +437,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
-    report, outcome_map = pipeline.run_variants(
+    outcome_map = pipeline.run_variants(
         variants,
         eval_conditions,
         models,
@@ -448,6 +447,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
         mmd_config=_mmd_config(cfg),
         threads=threads,
     )
+    rows = [pipeline.summarize_outcomes(v, outcomes) for v, outcomes in outcome_map.items()]
 
     _write_csv(
         out / "report.csv",
@@ -472,16 +472,15 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
                 row.repaired_count,
                 row.repair_failed_count,
             ]
-            for row in report.rows
+            for row in rows
         ],
     )
     score_rows = []
     hist_rows = []
-    for variant in variants:
-        for outcome in outcome_map[variant]:
+    for (variant, outcomes), row in zip(outcome_map.items(), rows):
+        for outcome in outcomes:
             if outcome.mmd_score is not None:
                 score_rows.append([outcome.condition_id, variant.value, _fmt(outcome.mmd_score)])
-        row = next(r for r in report.rows if r.variant == variant.value)
         for lo, hi, count in zip(
             row.histogram.edges[:-1], row.histogram.edges[1:], row.histogram.counts
         ):
@@ -502,7 +501,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
             )
 
     print(f"{'variant':<10} {'n':>5} {'valid':>5} {'feas':>7} {'meanMMD':>8} {'repaired':>8}")
-    for row in report.rows:
+    for row in rows:
         mean_str = f"{row.mean_mmd:.4f}" if row.mmd_scores else "-"
         print(
             f"{row.variant:<10} {row.n:>5} {row.n_valid:>5} {row.feasibility:>7.4f} "
@@ -616,11 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    overrides = {}
     if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
+        overrides["master_seed"] = args.seed
     if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    return cfg
+        overrides["out_dir"] = args.out
+    return replace(cfg, **overrides)  # re-runs RunConfig's range checks
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ generated it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,13 @@ class ModelTraining:
     epochs: int
     batch_size: int
     learning_rate: float
+
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not (self.epochs >= 1 and self.batch_size >= 1):
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ConfigError("learning_rate must be > 0")
 
 
 @dataclass
@@ -40,6 +48,7 @@ class RunConfig:
     )
     ridge: float = 1e-6
     split: float = 0.8
+    # no stage reads these two; kept because the benchmark's pinned configs name them
     use_classifier_guidance: bool = True
     use_regressor_guidance: bool = True
     classifier_scale: float = 10.0
@@ -58,8 +67,17 @@ class RunConfig:
             raise ConfigError("generations_per_condition must be >= 1")
         if not 0.0 < self.split < 1.0:
             raise ConfigError("split must lie in (0, 1)")
-        if self.classifier_scale < 0.0 or self.regressor_scale < 0.0:
-            raise ConfigError("guidance scales must be >= 0")
+        if not self.timesteps >= 2:
+            raise ConfigError("timesteps must be >= 2")
+        if not 0.0 < self.beta_start < self.beta_end < 1.0:
+            raise ConfigError("need 0 < beta_start < beta_end < 1")
+        if not self.ridge >= 0.0:
+            raise ConfigError("ridge must be >= 0")
+        if not self.cloud_size >= 1:
+            raise ConfigError("cloud_size must be >= 1")
+        for scale in (self.classifier_scale, self.regressor_scale):
+            if not (math.isfinite(scale) and scale >= 0.0):
+                raise ConfigError("guidance scales must be finite and >= 0")
         if isinstance(self.sigma_mode, str):
             if self.sigma_mode != "median":
                 raise ConfigError("sigma_mode must be 'median' or a positive number")

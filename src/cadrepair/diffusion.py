@@ -1,10 +1,10 @@
 """Conditional DDPM over latent vectors with feasibility-guided denoising.
 
-Each reverse step forms the epsilon-parameterized posterior mean, optionally
-shifts it down the classifier's infeasibility gradient and the regressor's
-self-consistency loss gradient (both evaluated at the current noisy latent,
-in that order), then adds posterior-variance noise. The final step is
-deterministic.
+Each reverse step forms the epsilon-parameterized posterior mean, shifts it
+down the classifier's infeasibility gradient when a classifier is given and
+down the regressor's self-consistency loss gradient when a regressor is given
+(both evaluated at the current noisy latent, in that order), then adds
+posterior-variance noise. The final step is deterministic.
 """
 
 from __future__ import annotations
@@ -52,18 +52,16 @@ class DiffusionSchedule:
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    use_classifier: bool = False
-    use_regressor: bool = False
+    """Strengths of the guidance terms; a term runs only when its model is given."""
+
     classifier_scale: float = 10.0
     regressor_scale: float = 10.0
     stop_gradient_y: bool = False
 
     def __post_init__(self):
-        if self.classifier_scale < 0.0 or self.regressor_scale < 0.0:
+        # written so that NaN fails too
+        if not (self.classifier_scale >= 0.0 and self.regressor_scale >= 0.0):
             raise ValueError("guidance scales must be >= 0")
-
-
-UNGUIDED = GuidanceConfig()
 
 
 def build_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
@@ -131,38 +129,30 @@ def sample_step(
     eps_hat,
     noise,
     schedule: DiffusionSchedule,
-    guidance: GuidanceConfig = UNGUIDED,
     classifier: Mlp | None = None,
     regressor: LinearRegressor | None = None,
+    guidance: GuidanceConfig = GuidanceConfig(),
 ) -> np.ndarray:
-    """One reverse step: posterior mean, guidance shifts, then noise (none at t=1)."""
+    """One reverse step: posterior mean, a shift for each model given, then
+    noise (none at t=1)."""
     mu = posterior_mean(z_t, t, eps_hat, schedule)
-    if guidance.use_classifier:
-        if classifier is None:
-            raise ValueError("classifier guidance enabled but no classifier given")
+    if classifier is not None:
         mu = classifier_guide(mu, z_t, classifier, guidance.classifier_scale)
-    if guidance.use_regressor:
-        if regressor is None:
-            raise ValueError("regressor guidance enabled but no regressor given")
+    if regressor is not None:
         mu = regressor_guide(mu, z_t, regressor, guidance.regressor_scale, guidance.stop_gradient_y)
     if t == 1:
         return mu
     return mu + np.sqrt(schedule.posterior_variance[t - 1]) * np.asarray(noise, dtype=float)
 
 
-def initial_latent(seed, dim: int) -> np.ndarray:
-    """The standard-normal starting latent that sample() draws for this seed."""
-    return np.random.default_rng(seed).standard_normal(dim)
-
-
 def sample(
     conditions,
     denoiser: Mlp,
-    guidance: GuidanceConfig,
     schedule: DiffusionSchedule,
     seeds,
     classifier: Mlp | None = None,
     regressor: LinearRegressor | None = None,
+    guidance: GuidanceConfig = GuidanceConfig(),
 ) -> np.ndarray:
     """Draw one latent per row of the (B, c) ``conditions`` by iterating the
     reverse chain from t=T down to 1 on the whole batch; returns (B, d).
@@ -171,8 +161,8 @@ def sample(
     latent, then one standard normal vector per step with t > 1. A generator's
     draws do not depend on how they are split into calls, so all T are taken
     up front. Each row is deterministic for its seed and independent of the
-    other rows, and the noise stream never depends on the guidance
-    configuration, so paired-seed comparisons across configs share both the
+    other rows, and the noise stream never depends on which guidance models
+    are given, so paired-seed comparisons across variants share both the
     starting latent and every per-step noise draw.
     """
     conditions = np.asarray(conditions, dtype=float)
@@ -190,5 +180,5 @@ def sample(
     for t in range(schedule.T, 0, -1):
         eps_hat, _ = mlp_forward(denoiser, denoiser_features(z, t, conditions))
         noise = draws[:, schedule.T - t + 1] if t > 1 else None
-        z = sample_step(z, t, eps_hat, noise, schedule, guidance, classifier, regressor)
+        z = sample_step(z, t, eps_hat, noise, schedule, classifier, regressor, guidance)
     return z

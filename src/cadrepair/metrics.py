@@ -161,9 +161,3 @@ class VariantRow:
     histogram: Histogram
     repaired_count: int
     repair_failed_count: int
-    start_hash: str  # digest of the per-condition starting latents (pairing audit)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    rows: tuple[VariantRow, ...]

@@ -8,7 +8,6 @@ variant of the evaluation matrix shares per-condition starting noise
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +25,7 @@ from .geometry import (
     kernel_check,
     sample_point_cloud,
 )
-from .metrics import EvalReport, Histogram, MmdConfig, VariantRow, mmd, mmd_histogram
+from .metrics import Histogram, MmdConfig, VariantRow, mmd, mmd_histogram
 from .nets import LinearRegressor, Mlp, regressor_predict
 
 logger = logging.getLogger(__name__)
@@ -147,12 +146,11 @@ def gen_dataset(
     n_conditions: int,
     generations_per_condition: int,
     denoiser: Mlp,
-    guidance: diffusion.GuidanceConfig,
     schedule: diffusion.DiffusionSchedule,
     seed: int,
 ) -> list[DatasetRecord]:
-    """Generate the labeled dataset: per condition, several sampled latents
-    decoded and kernel-checked, alongside the ground truth."""
+    """Generate the labeled dataset: per condition, several unguided sampled
+    latents decoded and kernel-checked, alongside the ground truth."""
     ground_truth = gen_ground_truth(n_conditions, seed_stream(seed, STREAM_TRAIN_GT))
     # condition-major: generation g of condition cid is row cid * generations_per_condition + g
     conditions = np.repeat([gt.condition for gt in ground_truth], generations_per_condition, axis=0)
@@ -164,11 +162,7 @@ def gen_dataset(
     latents = np.vstack(
         [
             diffusion.sample(
-                conditions[lo : lo + CHAIN_BLOCK],
-                denoiser,
-                guidance,
-                schedule,
-                seeds[lo : lo + CHAIN_BLOCK],
+                conditions[lo : lo + CHAIN_BLOCK], denoiser, schedule, seeds[lo : lo + CHAIN_BLOCK]
             )
             for lo in range(0, len(seeds), CHAIN_BLOCK)
         ]
@@ -254,22 +248,19 @@ class RepairOutcome:
         return self.pre_repair if self.post_repair is None else self.post_repair
 
 
-def self_repair(latent, regressor: LinearRegressor, max_iters: int = 1) -> RepairOutcome:
+def self_repair(latent, regressor: LinearRegressor) -> RepairOutcome:
     """Kernel-gated repair: already-valid latents pass through untouched,
-    invalid ones are re-mapped through the regressor up to max_iters times."""
+    invalid ones are re-mapped through the regressor once."""
     z = np.asarray(latent, dtype=float)
     sequence = decode(z)
     report = kernel_check(sequence)
     if report.valid:
         return RepairOutcome(RepairStage.VALID_DIRECT, z, None, sequence, report)
-    current = z
-    for _ in range(max_iters):
-        current = regressor_predict(regressor, current)
-        sequence = decode(current)
-        report = kernel_check(sequence)
-        if report.valid:
-            return RepairOutcome(RepairStage.REPAIRED_VALID, z, current, sequence, report)
-    return RepairOutcome(RepairStage.REPAIRED_INVALID, z, current, sequence, report)
+    repaired = regressor_predict(regressor, z)
+    sequence = decode(repaired)
+    report = kernel_check(sequence)
+    stage = RepairStage.REPAIRED_VALID if report.valid else RepairStage.REPAIRED_INVALID
+    return RepairOutcome(stage, z, repaired, sequence, report)
 
 
 class VariantId(Enum):
@@ -326,7 +317,6 @@ class ConditionOutcome:
     valid: bool
     stage: RepairStage | None
     final_latent: np.ndarray
-    start_latent: np.ndarray
     mmd_score: float | None
 
 
@@ -348,26 +338,17 @@ def evaluate_condition(
     pair up; outcomes come back in the same order.
     """
     plan = _VARIANT_PLANS[variant]
-    variant_guidance = diffusion.GuidanceConfig(
-        use_classifier=plan.use_classifier,
-        use_regressor=plan.use_regressor,
-        classifier_scale=guidance.classifier_scale,
-        regressor_scale=guidance.regressor_scale,
-        stop_gradient_y=guidance.stop_gradient_y,
-    )
-    sample_seeds = [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids]
-    latent_dim = models.denoiser.weights[-1].shape[0]
     z0s = diffusion.sample(
         np.array([c.condition for c in conditions]),
         models.denoiser,
-        variant_guidance,
         schedule,
-        sample_seeds,
+        [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids],
         classifier=models.classifier if plan.use_classifier else None,
         regressor=models.ssl_regressor if plan.use_regressor else None,
+        guidance=guidance,
     )
     outcomes = []
-    for cid, sample_seed, z0, points in zip(condition_ids, sample_seeds, z0s, gt_points):
+    for cid, z0, points in zip(condition_ids, z0s, gt_points):
         if plan.repair_model is not None:
             outcome = self_repair(z0, getattr(models, plan.repair_model))
             stage = outcome.stage
@@ -384,8 +365,7 @@ def evaluate_condition(
                 sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
             )
             score = mmd(cloud.points, points, mmd_config)
-        start = diffusion.initial_latent(sample_seed, latent_dim)
-        outcomes.append(ConditionOutcome(cid, report.valid, stage, final_latent, start, score))
+        outcomes.append(ConditionOutcome(cid, report.valid, stage, final_latent, score))
     return outcomes
 
 
@@ -395,13 +375,6 @@ def ground_truth_cloud(
     return sample_point_cloud(
         condition.sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GT, condition_id)
     )
-
-
-def _start_hash(outcomes) -> str:
-    digest = hashlib.sha256()
-    for outcome in outcomes:
-        digest.update(np.ascontiguousarray(outcome.start_latent, dtype="<f8").tobytes())
-    return digest.hexdigest()
 
 
 def summarize_outcomes(variant: VariantId, outcomes) -> VariantRow:
@@ -423,7 +396,6 @@ def summarize_outcomes(variant: VariantId, outcomes) -> VariantRow:
         histogram=histogram,
         repaired_count=sum(1 for o in outcomes if o.stage is RepairStage.REPAIRED_VALID),
         repair_failed_count=sum(1 for o in outcomes if o.stage is RepairStage.REPAIRED_INVALID),
-        start_hash=_start_hash(outcomes),
     )
 
 
@@ -459,13 +431,14 @@ def run_variants(
     guidance: diffusion.GuidanceConfig = diffusion.GuidanceConfig(),
     mmd_config: MmdConfig = MmdConfig(),
     threads: int = 1,
-) -> tuple[EvalReport, dict[VariantId, list[ConditionOutcome]]]:
+) -> dict[VariantId, list[ConditionOutcome]]:
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds.
 
     Each variant's conditions are cut into blocks of CHAIN_BLOCK that run one
     batched chain each; threads > 1 fans the blocks out to a process pool.
-    Results are reduced in condition order either way.
+    Returns each variant's outcomes in condition order, in the order of
+    ``variants``, either way.
     """
     variants = list(variants)
     for variant in variants:
@@ -499,10 +472,4 @@ def run_variants(
         _init_eval_worker(payload)
         blocks = [_eval_task(task) for task in tasks]
     flat = [outcome for block in blocks for outcome in block]
-    rows = []
-    outcome_map = {}
-    for k, variant in enumerate(variants):
-        outcomes = flat[k * n : (k + 1) * n]
-        rows.append(summarize_outcomes(variant, outcomes))
-        outcome_map[variant] = outcomes
-    return EvalReport(tuple(rows)), outcome_map
+    return {variant: flat[k * n : (k + 1) * n] for k, variant in enumerate(variants)}

@@ -155,6 +155,45 @@ def test_unknown_variant_exits_2(tmp_path):
 def test_unknown_config_key_exits_2(tmp_path):
     config = write_config(tmp_path / "c.json", tmp_path / "out", bogus=1)
     assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_CONFIG
+    assert not (tmp_path / "out" / "config.json").exists()
+
+
+TRAIN_DENOISER = ("train", "--which", "denoiser")
+EVAL_BASELINE = ("eval", "--variants", "baseline")
+
+
+@pytest.mark.parametrize(
+    "overrides, argv",
+    [
+        ({"timesteps": 1}, TRAIN_DENOISER),
+        ({"beta_start": 0.05}, TRAIN_DENOISER),
+        ({"denoiser": {**TINY["denoiser"], "epochs": 0}}, TRAIN_DENOISER),
+        ({"denoiser": {**TINY["denoiser"], "batch_size": 0}}, TRAIN_DENOISER),
+        ({"classifier": {**TINY["classifier"], "learning_rate": 0.0}}, TRAIN_DENOISER),
+        ({"cloud_size": 0}, EVAL_BASELINE),
+        ({"ridge": -1.0}, ("train", "--which", "gt_regressor")),
+        ({"classifier_scale": float("nan")}, EVAL_BASELINE),
+        ({"regressor_scale": float("inf")}, EVAL_BASELINE),
+        ({}, (*TRAIN_DENOISER, "--seed", "-1")),
+    ],
+    ids=[
+        "timesteps-1",
+        "beta_start-above-beta_end",
+        "epochs-0",
+        "batch_size-0",
+        "learning_rate-0",
+        "cloud_size-0",
+        "ridge-negative",
+        "scale-nan",
+        "scale-inf",
+        "seed-override-negative",
+    ],
+)
+def test_out_of_range_config_exits_2(tmp_path, overrides, argv):
+    # json writes NaN and Infinity, and Python's json reads them back
+    config = write_config(tmp_path / "c.json", tmp_path / "out", **overrides)
+    assert run_stage(config, *argv) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out" / "config.json").exists()
 
 
 def test_missing_model_exits_4(tmp_path):
@@ -220,6 +259,11 @@ def test_pca_rejects_non_finite_rows(tmp_path, caplog):
     assert run_stage(config, "pca") == cli.EXIT_CONFIG
     assert "eval_latents_full.bin: 1 of 3 rows are not finite" in caplog.text
     assert not (out / "pca.csv").exists()
+    # a file of the wrong width is rejected the same way
+    write_latents(out / "eval_latents_full.bin", rng.normal(size=(3, 5)))
+    assert run_stage(config, "pca") == cli.EXIT_CONFIG
+    assert f"eval_latents_full.bin: rows are 5 wide, expected {LATENT_DIM}" in caplog.text
+    assert not (out / "pca.csv").exists()
 
 
 def test_repair_rejects_non_finite_rows(tmp_path, caplog):
@@ -233,5 +277,15 @@ def test_repair_rejects_non_finite_rows(tmp_path, caplog):
     )
     assert code == cli.EXIT_CONFIG
     assert "latents.bin: 1 of 3 rows are not finite" in caplog.text
+    assert not (tmp_path / "repaired.bin").exists()
+    assert not (tmp_path / "repair_outcomes.csv").exists()
+    # a file of the wrong width is rejected the same way
+    write_latents(tmp_path / "narrow.bin", np.zeros((3, 5)))
+    code = cli.main(
+        ["repair", "--latents", str(tmp_path / "narrow.bin"),
+         "--regressor", str(tmp_path / "reg.json")]
+    )
+    assert code == cli.EXIT_CONFIG
+    assert f"narrow.bin: rows are 5 wide, expected {LATENT_DIM}" in caplog.text
     assert not (tmp_path / "repaired.bin").exists()
     assert not (tmp_path / "repair_outcomes.csv").exists()

@@ -8,11 +8,9 @@ from cadrepair.diffusion import (
     BadRange,
     GuidanceConfig,
     StepOutOfRange,
-    UNGUIDED,
     build_schedule,
     classifier_guide,
     forward_diffuse,
-    initial_latent,
     posterior_mean,
     regressor_guide,
     sample,
@@ -220,8 +218,8 @@ def test_sample_step_unguided_reduction_bitwise():
     clf = init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(rng.normal(size=(21, 21)), rng.normal(size=21))
     plain = sample_step(z_t, 50, eps_hat, noise, DEFAULT)
-    zero_scales = GuidanceConfig(True, True, 0.0, 0.0)
-    guided = sample_step(z_t, 50, eps_hat, noise, DEFAULT, zero_scales, clf, reg)
+    zero_scales = GuidanceConfig(0.0, 0.0)
+    guided = sample_step(z_t, 50, eps_hat, noise, DEFAULT, clf, reg, zero_scales)
     np.testing.assert_array_equal(plain, guided)
 
 
@@ -240,8 +238,8 @@ def test_sample_step_guidance_composition_exact():
     noise = rng.standard_normal(21)
     clf = init_mlp([21, 16, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(rng.normal(size=(21, 21)) * 0.1, rng.normal(size=21) * 0.1)
-    cfg = GuidanceConfig(True, True, 10.0, 10.0)
-    guided = sample_step(z_t, 30, eps_hat, noise, DEFAULT, cfg, clf, reg)
+    cfg = GuidanceConfig(10.0, 10.0)
+    guided = sample_step(z_t, 30, eps_hat, noise, DEFAULT, clf, reg, cfg)
     plain = sample_step(z_t, 30, eps_hat, noise, DEFAULT)
     grad_inf = -mlp_grad_input(clf, z_t)
     _, grad_reg = regressor_loss_grad(reg, z_t)
@@ -257,8 +255,8 @@ def test_sample_step_order_is_classifier_then_regressor():
     noise = rng.standard_normal(21)
     clf = init_mlp([21, 16, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(rng.normal(size=(21, 21)) * 0.2, rng.normal(size=21))
-    cfg = GuidanceConfig(True, True, 10.0, 10.0)
-    guided = sample_step(z_t, 30, eps_hat, noise, DEFAULT, cfg, clf, reg)
+    cfg = GuidanceConfig(10.0, 10.0)
+    guided = sample_step(z_t, 30, eps_hat, noise, DEFAULT, clf, reg, cfg)
     mu = posterior_mean(z_t, 30, eps_hat, DEFAULT)
     mu = classifier_guide(mu, z_t, clf, 10.0)
     mu = regressor_guide(mu, z_t, reg, 10.0)
@@ -266,15 +264,11 @@ def test_sample_step_order_is_classifier_then_regressor():
     np.testing.assert_array_equal(guided, expected)
 
 
-def test_sample_step_requires_models_when_enabled():
-    with pytest.raises(ValueError):
-        sample_step(np.zeros(21), 5, np.zeros(21), np.zeros(21), DEFAULT,
-                    GuidanceConfig(use_classifier=True))
-
-
 def test_guidance_config_validates_scales():
     with pytest.raises(ValueError):
         GuidanceConfig(classifier_scale=-1.0)
+    with pytest.raises(ValueError):
+        GuidanceConfig(regressor_scale=float("nan"))
 
 
 # ---------------------------------------------------------------- full sampling
@@ -294,20 +288,20 @@ def test_sample_deterministic_per_seed():
     rng = np.random.default_rng(10)
     denoiser = _toy_denoiser(rng)
     c = rng.uniform(size=(3, 8))
-    a = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[11, 12, 13])
-    b = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[11, 12, 13])
+    a = sample(c, denoiser, DEFAULT, seeds=[11, 12, 13])
+    b = sample(c, denoiser, DEFAULT, seeds=[11, 12, 13])
     assert a.shape == (3, 21)
     np.testing.assert_array_equal(a, b)
-    other = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[14, 12, 13])
+    other = sample(c, denoiser, DEFAULT, seeds=[14, 12, 13])
     assert not np.array_equal(a[0], other[0])
 
 
 def test_sample_needs_one_seed_per_condition_row():
     denoiser = _toy_denoiser(np.random.default_rng(10))
     with pytest.raises(ValueError):
-        sample(np.zeros((3, 8)), denoiser, UNGUIDED, DEFAULT, seeds=[1, 2])
+        sample(np.zeros((3, 8)), denoiser, DEFAULT, seeds=[1, 2])
     with pytest.raises(ValueError):
-        sample(np.zeros(8), denoiser, UNGUIDED, DEFAULT, seeds=[1])
+        sample(np.zeros(8), denoiser, DEFAULT, seeds=[1])
 
 
 def test_sample_zero_scale_guidance_bitwise_equals_unguided():
@@ -316,26 +310,17 @@ def test_sample_zero_scale_guidance_bitwise_equals_unguided():
     clf = init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(np.eye(21) * 0.5, np.zeros(21))
     c = rng.uniform(size=(3, 8))
-    plain = sample(c, denoiser, UNGUIDED, DEFAULT, seeds=[21, 22, 23])
+    plain = sample(c, denoiser, DEFAULT, seeds=[21, 22, 23])
     zeroed = sample(
         c,
         denoiser,
-        GuidanceConfig(True, True, 0.0, 0.0),
         DEFAULT,
         seeds=[21, 22, 23],
         classifier=clf,
         regressor=reg,
+        guidance=GuidanceConfig(0.0, 0.0),
     )
     np.testing.assert_array_equal(plain, zeroed)
-
-
-def test_sample_noise_stream_independent_of_guidance():
-    # guided and unguided runs share z_T bitwise under one seed
-    rng = np.random.default_rng(14)
-    denoiser = _toy_denoiser(rng)
-    start = initial_latent(77, 21)
-    np.testing.assert_array_equal(initial_latent(77, 21), start)
-    assert start.shape == (21,)
 
 
 def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
@@ -356,10 +341,10 @@ def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
         return sample_step(z_t, t, eps_hat, noise, *args)
 
     monkeypatch.setattr(diffusion, "sample_step", spy)
-    sample(c, denoiser, UNGUIDED, sched, seeds=seeds)
+    sample(c, denoiser, sched, seeds=seeds)
     plain, seen = seen, []
-    sample(c, denoiser, GuidanceConfig(True, True, 1.0, 1.0), sched, seeds=seeds,
-           classifier=clf, regressor=reg)
+    sample(c, denoiser, sched, seeds=seeds, classifier=clf, regressor=reg,
+           guidance=GuidanceConfig(1.0, 1.0))
     guided = seen
     assert len(plain) == len(guided) == sched.T
     np.testing.assert_array_equal(guided[0][0], plain[0][0])
@@ -371,7 +356,6 @@ def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
     for row, seed in enumerate(seeds):
         serial = np.random.default_rng(seed)
         np.testing.assert_array_equal(plain[0][0][row], serial.standard_normal(21))
-        np.testing.assert_array_equal(plain[0][0][row], initial_latent(seed, 21))
         for _, noise in plain[:-1]:
             np.testing.assert_array_equal(noise[row], serial.standard_normal(21))
     assert plain[-1][1] is None
@@ -386,11 +370,12 @@ def test_sample_batch_rows_match_single_row_calls():
     clf, reg = _toy_guides(rng)
     c = rng.uniform(size=(5, 8))
     seeds = [41, 42, 43, 44, 45]
-    for guidance in (UNGUIDED, GuidanceConfig(True, True, 0.5, 0.5)):
-        batch = sample(c, denoiser, guidance, DEFAULT, seeds, classifier=clf, regressor=reg)
+    guidance = GuidanceConfig(0.5, 0.5)
+    for classifier, regressor in ((None, None), (clf, reg)):
+        batch = sample(c, denoiser, DEFAULT, seeds, classifier, regressor, guidance)
         for i, seed in enumerate(seeds):
-            single = sample(c[i : i + 1], denoiser, guidance, DEFAULT, [seed],
-                            classifier=clf, regressor=reg)
+            single = sample(c[i : i + 1], denoiser, DEFAULT, [seed], classifier, regressor,
+                            guidance)
             np.testing.assert_allclose(batch[i], single[0], rtol=0.0, atol=1e-12)
 
 
@@ -406,6 +391,6 @@ def test_sample_collapses_to_fixed_latent():
         DEFAULT,
         TrainConfig(epochs=800, batch_size=32, learning_rate=5e-3, seed=3),
     )
-    draws = sample(conditions[:40], result.model, UNGUIDED, DEFAULT, seeds=range(100, 140))
+    draws = sample(conditions[:40], result.model, DEFAULT, seeds=range(100, 140))
     mean_abs_err = np.abs(draws - target).mean(axis=0)
     assert mean_abs_err.max() < 0.1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cadrepair.codec import decode, encode, quantize
-from cadrepair.diffusion import GuidanceConfig, UNGUIDED, build_schedule, initial_latent, sample
+from cadrepair.diffusion import GuidanceConfig, build_schedule, sample
 from cadrepair.geometry import InvalidReason, ValidityReport, kernel_check
 from cadrepair.metrics import MmdConfig
 from cadrepair.nets import (
@@ -15,7 +15,6 @@ from cadrepair.nets import (
 from cadrepair.pipeline import (
     CHAIN_BLOCK,
     STREAM_DATASET_GEN,
-    STREAM_EVAL_SAMPLE,
     DatasetRecord,
     Generation,
     MissingModel,
@@ -34,6 +33,7 @@ from cadrepair.pipeline import (
     self_repair,
     stack_generated_latents,
     stack_ground_truth_latents,
+    summarize_outcomes,
 )
 
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -82,12 +82,12 @@ def test_ground_truth_requires_positive_count():
 
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
-    records = gen_dataset(4, 3, models.denoiser, UNGUIDED, SCHED, seed=11)
+    records = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
     assert len(records) == 4
     assert all(len(r.generations) == 3 for r in records)
     assert stack_generated_latents(records).shape == (12, 21)
     assert stack_ground_truth_latents(records).shape == (4, 21)
-    again = gen_dataset(4, 3, models.denoiser, UNGUIDED, SCHED, seed=11)
+    again = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
     for r1, r2 in zip(records, again):
         for g1, g2 in zip(r1.generations, r2.generations):
             np.testing.assert_array_equal(g1.latent, g2.latent)
@@ -96,7 +96,7 @@ def test_gen_dataset_counts_and_determinism():
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    records = gen_dataset(3, 2, models.denoiser, UNGUIDED, SCHED, seed=2)
+    records = gen_dataset(3, 2, models.denoiser, SCHED, seed=2)
     for r in records:
         for g in r.generations:
             assert g.report == kernel_check(g.sequence)
@@ -109,10 +109,10 @@ def test_gen_dataset_blocks_match_single_chains():
     # differently) and keeps its condition-major (condition, generation) seed
     assert 15 % CHAIN_BLOCK != 0
     models = toy_models(seed=6)
-    records = gen_dataset(3, 5, models.denoiser, UNGUIDED, SCHED, seed=8)
+    records = gen_dataset(3, 5, models.denoiser, SCHED, seed=8)
     for r in records:
         for g in r.generations:
-            single = sample(r.condition[None], models.denoiser, UNGUIDED, SCHED,
+            single = sample(r.condition[None], models.denoiser, SCHED,
                             [seed_stream(8, STREAM_DATASET_GEN, r.condition_id, g.index)])
             np.testing.assert_allclose(g.latent, single[0], rtol=0.0, atol=1e-12)
             assert g.report == kernel_check(decode(single[0]))
@@ -186,7 +186,7 @@ def test_ssl_pairs_none_raises():
 
 def test_gt_pairs_cover_every_generation():
     models = toy_models()
-    records = gen_dataset(3, 4, models.denoiser, UNGUIDED, SCHED, seed=7)
+    records = gen_dataset(3, 4, models.denoiser, SCHED, seed=7)
     pairs = build_gt_pairs(records)
     assert pairs.shape == (12, 2)
     assert pairs[:, 0].tolist() == list(range(12))
@@ -234,13 +234,11 @@ def test_repair_fixture_recovers_validity():
     np.testing.assert_array_equal(outcome.pre_repair, broken)
 
 
-def test_repair_max_iters_applies_regressor_repeatedly():
+def test_repair_applies_regressor_once():
     bad = np.zeros(21)
     nudger = LinearRegressor(np.eye(21), np.full(21, 0.05))
-    one = self_repair(bad, nudger, max_iters=1)
-    three = self_repair(bad, nudger, max_iters=3)
+    one = self_repair(bad, nudger)
     np.testing.assert_allclose(one.post_repair, np.full(21, 0.05))
-    np.testing.assert_allclose(three.post_repair, np.full(21, 0.15))
 
 
 def test_repair_mismatched_regressor_raises():
@@ -262,7 +260,7 @@ def test_variant_rows_paired_and_monotone():
     models = toy_models(seed=1)
     conditions = gen_ground_truth(6, seed=13)
     cfg = MmdConfig(cloud_size=64)
-    report, outcomes = run_variants(
+    outcomes = run_variants(
         [VariantId.BASELINE, VariantId.VAR5, VariantId.FULL],
         conditions,
         models,
@@ -270,9 +268,7 @@ def test_variant_rows_paired_and_monotone():
         seed=3,
         mmd_config=cfg,
     )
-    rows = {row.variant: row for row in report.rows}
-    hashes = {row.start_hash for row in report.rows}
-    assert len(hashes) == 1  # same starting noise across variants
+    rows = {v.value: summarize_outcomes(v, o) for v, o in outcomes.items()}
     assert rows["full"].n_valid >= rows["var5"].n_valid  # repair only adds validity
     for row in rows.values():
         assert row.n == 6
@@ -283,11 +279,10 @@ def test_variant_rows_paired_and_monotone():
 def test_variant_repair_counts_consistent():
     models = toy_models(seed=2)
     conditions = gen_ground_truth(5, seed=14)
-    report, outcomes = run_variants(
+    outcomes = run_variants(
         [VariantId.VAR1], conditions, models, SCHED, seed=4, mmd_config=MmdConfig(cloud_size=64)
-    )
-    (row,) = report.rows
-    outcomes = outcomes[VariantId.VAR1]
+    )[VariantId.VAR1]
+    row = summarize_outcomes(VariantId.VAR1, outcomes)
     stages = [o.stage for o in outcomes]
     assert row.repaired_count == sum(s is RepairStage.REPAIRED_VALID for s in stages)
     assert row.repair_failed_count == sum(s is RepairStage.REPAIRED_INVALID for s in stages)
@@ -298,10 +293,10 @@ def test_variant_repair_counts_consistent():
 def test_baseline_never_repairs():
     models = toy_models(seed=3)
     conditions = gen_ground_truth(4, seed=15)
-    report, _ = run_variants(
+    outcomes = run_variants(
         [VariantId.BASELINE], conditions, models, SCHED, seed=5, mmd_config=MmdConfig(cloud_size=64)
-    )
-    (row,) = report.rows
+    )[VariantId.BASELINE]
+    row = summarize_outcomes(VariantId.BASELINE, outcomes)
     assert row.repaired_count == 0
     assert row.repair_failed_count == 0
 
@@ -310,10 +305,10 @@ def test_run_variants_parallel_matches_serial():
     models = toy_models(seed=4)
     conditions = gen_ground_truth(4, seed=16)
     cfg = MmdConfig(cloud_size=64)
-    serial, _ = run_variants(
+    serial = run_variants(
         [VariantId.BASELINE, VariantId.VAR1], conditions, models, SCHED, seed=6, mmd_config=cfg
     )
-    parallel, _ = run_variants(
+    parallel = run_variants(
         [VariantId.BASELINE, VariantId.VAR1],
         conditions,
         models,
@@ -322,36 +317,38 @@ def test_run_variants_parallel_matches_serial():
         mmd_config=cfg,
         threads=2,
     )
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a.variant == b.variant
+    assert list(serial) == list(parallel)
+    for variant in serial:
+        a = summarize_outcomes(variant, serial[variant])
+        b = summarize_outcomes(variant, parallel[variant])
         assert a.n_valid == b.n_valid
         assert a.mmd_scores == b.mmd_scores
-        assert a.start_hash == b.start_hash
 
 
 def test_guided_variants_use_guidance():
-    # with zero scales the guided variant reproduces the baseline bitwise;
-    # with the default scales it generally diverges from it
+    # each guided variant passes exactly its own models: with the scales of
+    # its own terms at zero it reproduces the baseline bitwise, whatever the
+    # other term's scale; with its own scale non-zero it diverges from it
     models = toy_models(seed=5)
     conditions = gen_ground_truth(3, seed=17)
     cfg = MmdConfig(cloud_size=64)
-    _, base_out = run_variants(
-        [VariantId.BASELINE], conditions, models, SCHED, seed=7, mmd_config=cfg
-    )
-    base_out = base_out[VariantId.BASELINE]
-    _, zero_out = run_variants(
-        [VariantId.VAR5], conditions, models, SCHED, seed=7,
-        guidance=GuidanceConfig(True, True, 0.0, 0.0), mmd_config=cfg,
-    )
-    zero_out = zero_out[VariantId.VAR5]
-    for a, b in zip(base_out, zero_out):
-        np.testing.assert_array_equal(a.final_latent, b.final_latent)
-    _, guided_out = run_variants([VariantId.VAR5], conditions, models, SCHED, seed=7, mmd_config=cfg)
-    guided_out = guided_out[VariantId.VAR5]
-    assert any(
-        not np.array_equal(a.final_latent, b.final_latent)
-        for a, b in zip(base_out, guided_out)
-    )
+
+    def final_latents(variant, guidance):
+        outcomes = run_variants(
+            [variant], conditions, models, SCHED, seed=7, guidance=guidance, mmd_config=cfg
+        )[variant]
+        return [o.final_latent for o in outcomes]
+
+    base = final_latents(VariantId.BASELINE, GuidanceConfig())
+    for variant, silent, active in (
+        (VariantId.VAR3, GuidanceConfig(0.0, 10.0), GuidanceConfig(10.0, 0.0)),
+        (VariantId.VAR4, GuidanceConfig(10.0, 0.0), GuidanceConfig(0.0, 10.0)),
+        (VariantId.VAR5, GuidanceConfig(0.0, 0.0), GuidanceConfig()),
+    ):
+        for a, b in zip(base, final_latents(variant, silent)):
+            np.testing.assert_array_equal(a, b)
+        guided = final_latents(variant, active)
+        assert any(not np.array_equal(a, b) for a, b in zip(base, guided)), variant
 
 
 def test_run_variants_blocks_match_single_conditions():
@@ -363,8 +360,8 @@ def test_run_variants_blocks_match_single_conditions():
     models.ssl_regressor = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
     cfg = MmdConfig(cloud_size=64)
     variants = [VariantId.BASELINE, VariantId.VAR1]
-    _, serial = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg)
-    _, parallel = run_variants(
+    serial = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg)
+    parallel = run_variants(
         variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=2
     )
     for variant in variants:
@@ -374,13 +371,9 @@ def test_run_variants_blocks_match_single_conditions():
             np.testing.assert_array_equal(a.final_latent, b.final_latent)
             assert (a.valid, a.stage, a.mmd_score) == (b.valid, b.stage, b.mmd_score)
         for i, outcome in enumerate(outcomes):
-            np.testing.assert_array_equal(
-                outcome.start_latent,
-                initial_latent(seed_stream(9, STREAM_EVAL_SAMPLE, i), 21),
-            )
             points = ground_truth_cloud(conditions[i], i, 9, cfg).points
             (single,) = evaluate_condition(
-                variant, [i], [conditions[i]], [points], models, SCHED, 9, UNGUIDED, cfg
+                variant, [i], [conditions[i]], [points], models, SCHED, 9, GuidanceConfig(), cfg
             )
             np.testing.assert_allclose(
                 outcome.final_latent, single.final_latent, rtol=0.0, atol=1e-12
