@@ -17,6 +17,14 @@ class ConfigError(Exception):
     pass
 
 
+def _require_ints(obj, names: tuple[str, ...]) -> None:
+    # bool is an int subclass, but `true` is no count
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelTraining:
     epochs: int
@@ -24,6 +32,7 @@ class ModelTraining:
     learning_rate: float
 
     def __post_init__(self):
+        _require_ints(self, ("epochs", "batch_size"))
         # each check is written so that NaN fails it
         if not (self.epochs >= 1 and self.batch_size >= 1):
             raise ConfigError("epochs and batch_size must be >= 1")
@@ -59,6 +68,17 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        _require_ints(
+            self,
+            (
+                "master_seed",
+                "n_conditions",
+                "generations_per_condition",
+                "n_eval_conditions",
+                "timesteps",
+                "cloud_size",
+            ),
+        )
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         if self.n_conditions < 1 or self.n_eval_conditions < 0:
@@ -81,8 +101,10 @@ class RunConfig:
         if isinstance(self.sigma_mode, str):
             if self.sigma_mode != "median":
                 raise ConfigError("sigma_mode must be 'median' or a positive number")
-        elif not self.sigma_mode > 0.0:
-            raise ConfigError("fixed sigma must be > 0")
+        elif isinstance(self.sigma_mode, bool) or not (
+            math.isfinite(self.sigma_mode) and self.sigma_mode > 0.0
+        ):
+            raise ConfigError("fixed sigma must be finite and > 0")
 
     @property
     def fixed_sigma(self) -> float | None:

@@ -2,7 +2,9 @@
 
 The MMD estimator is the biased V-statistic (diagonal terms included) under a
 Gaussian RBF kernel whose bandwidth defaults to the median pairwise distance
-of the pooled clouds. PCA takes the top two eigenvectors of the 21x21 sample
+of the pooled clouds. Each call builds one squared-distance matrix of the
+pooled cloud; the median bandwidth and the xx, yy and xy kernel blocks are all
+read from it. PCA takes the top two eigenvectors of the 21x21 sample
 covariance.
 """
 
@@ -47,15 +49,44 @@ class MmdConfig:
     cloud_size: int = 512
 
     def __post_init__(self):
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise BadSigma(f"fixed sigma must be > 0, got {self.sigma}")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise BadSigma(f"fixed sigma must be finite and > 0, got {self.sigma}")
         if self.cloud_size < 1:
             raise ValueError("cloud_size must be >= 1")
 
 
-def _square_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=-1)
+def _pairwise_square_dists(points: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances between the rows of `points`, summed dx² + dy² + dz².
+
+    Built one coordinate at a time into two (n, n) buffers; the summation
+    order matches ``(diff * diff).sum(axis=-1)`` over broadcast differences,
+    so the values agree bitwise.
+    """
+    d2 = np.empty((len(points), len(points)))
+    term = np.empty_like(d2)
+    for k, column in enumerate(points.T):
+        out = d2 if k == 0 else term
+        np.subtract(column[:, None], column[None, :], out=out)
+        np.multiply(out, out, out=out)
+        if k > 0:
+            np.add(d2, term, out=d2)
+    return d2
+
+
+def _median_distance(d2: np.ndarray) -> float:
+    """Median of sqrt over the strict upper triangle of `d2`; 1.0 when it is zero.
+
+    Selects the middle one or two squared distances and takes sqrt of those
+    alone: sqrt is monotone, so this equals ``np.median(np.sqrt(upper))``.
+    """
+    upper = d2[~np.tri(len(d2), dtype=bool)]
+    half = len(upper) // 2
+    upper.partition(half)
+    median = math.sqrt(upper[half])
+    if len(upper) % 2 == 0:
+        # the rank below the middle is the largest value left of it
+        median = (math.sqrt(upper[:half].max()) + median) / 2.0
+    return median if median > 0.0 else 1.0
 
 
 def median_heuristic_sigma(x_points, y_points) -> float:
@@ -70,10 +101,7 @@ def median_heuristic_sigma(x_points, y_points) -> float:
     if len(pooled) > _MEDIAN_SUBSAMPLE_LIMIT:
         rng = np.random.default_rng(_MEDIAN_SUBSAMPLE_SEED)
         pooled = pooled[rng.choice(len(pooled), _MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
-    d2 = _square_dists(pooled, pooled)
-    iu = np.triu_indices(len(pooled), k=1)
-    median = float(np.median(np.sqrt(d2[iu])))
-    return median if median > 0.0 else 1.0
+    return _median_distance(_pairwise_square_dists(pooled))
 
 
 def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
@@ -83,13 +111,19 @@ def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
     m, n = len(x), len(y)
     if m < 1 or n < 1:
         raise TooFewPoints("both clouds must be non-empty")
-    sigma = config.sigma if config.sigma is not None else median_heuristic_sigma(x, y)
-    if sigma <= 0.0:
-        raise BadSigma(f"sigma must be > 0, got {sigma}")
+    d2 = _pairwise_square_dists(np.vstack([x, y]))
+    if config.sigma is not None:
+        sigma = config.sigma
+    elif m + n > _MEDIAN_SUBSAMPLE_LIMIT:
+        sigma = median_heuristic_sigma(x, y)
+    else:
+        sigma = _median_distance(d2)
     denom = 2.0 * sigma * sigma
-    kxx = float(np.exp(-_square_dists(x, x) / denom).sum()) / (m * m)
-    kyy = float(np.exp(-_square_dists(y, y) / denom).sum()) / (n * n)
-    kxy = float(np.exp(-_square_dists(x, y) / denom).sum()) * 2.0 / (m * n)
+    # -block / denom is a fresh C-contiguous array, so each sum runs in the
+    # same order as over a separately built block
+    kxx = float(np.exp(-d2[:m, :m] / denom).sum()) / (m * m)
+    kyy = float(np.exp(-d2[m:, m:] / denom).sum()) / (n * n)
+    kxy = float(np.exp(-d2[:m, m:] / denom).sum()) * 2.0 / (m * n)
     return math.sqrt(max(kxx + kyy - kxy, 0.0))
 
 

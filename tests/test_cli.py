@@ -175,6 +175,14 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"classifier_scale": float("nan")}, EVAL_BASELINE),
         ({"regressor_scale": float("inf")}, EVAL_BASELINE),
         ({}, (*TRAIN_DENOISER, "--seed", "-1")),
+        ({"timesteps": 2.5}, TRAIN_DENOISER),
+        ({"cloud_size": 3.5}, EVAL_BASELINE),
+        ({"n_conditions": True}, TRAIN_DENOISER),
+        ({"denoiser": {**TINY["denoiser"], "epochs": 2.5}}, TRAIN_DENOISER),
+        ({"classifier": {**TINY["classifier"], "batch_size": True}}, TRAIN_DENOISER),
+        ({"sigma_mode": float("inf")}, EVAL_BASELINE),
+        ({"sigma_mode": float("nan")}, EVAL_BASELINE),
+        ({"sigma_mode": True}, EVAL_BASELINE),
     ],
     ids=[
         "timesteps-1",
@@ -187,6 +195,14 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "scale-nan",
         "scale-inf",
         "seed-override-negative",
+        "timesteps-float",
+        "cloud_size-float",
+        "n_conditions-bool",
+        "epochs-float",
+        "batch_size-bool",
+        "sigma_mode-inf",
+        "sigma_mode-nan",
+        "sigma_mode-bool",
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, overrides, argv):

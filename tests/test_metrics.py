@@ -47,6 +47,22 @@ def test_median_matches_sort_oracle():
         assert math.isclose(median_heuristic_sigma(x, y), oracle, rel_tol=1e-9)
 
 
+def test_median_matches_sort_oracle_odd_pair_count():
+    # 7 pooled points give 21 pairs: the median is the single middle rank
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        x = rng.normal(size=(4, 3))
+        y = rng.normal(size=(3, 3))
+        pooled = np.vstack([x, y])
+        dists = sorted(
+            float(np.linalg.norm(pooled[i] - pooled[j]))
+            for i in range(len(pooled))
+            for j in range(i + 1, len(pooled))
+        )
+        assert len(dists) == 21
+        assert math.isclose(median_heuristic_sigma(x, y), dists[10], rel_tol=1e-9)
+
+
 def test_median_too_few_points():
     with pytest.raises(TooFewPoints):
         median_heuristic_sigma(np.zeros((1, 3)), np.zeros((0, 3)))
@@ -124,6 +140,73 @@ def test_mmd_empty_cloud_raises():
 def test_mmd_config_validates_sigma():
     with pytest.raises(BadSigma):
         MmdConfig(sigma=-1.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0])
+def test_mmd_config_rejects_non_finite_or_zero_sigma(sigma):
+    with pytest.raises(BadSigma):
+        MmdConfig(sigma=sigma)
+
+
+def mmd_broadcast_oracle(x, y, sigma=None):
+    """The former broadcast formula: one (n, m, 3) difference tensor per block."""
+
+    def square_dists(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return (diff * diff).sum(axis=-1)
+
+    if sigma is None:
+        pooled = np.vstack([x, y])
+        upper = square_dists(pooled, pooled)[np.triu_indices(len(pooled), k=1)]
+        median = float(np.median(np.sqrt(upper)))
+        sigma = median if median > 0.0 else 1.0
+    m, n = len(x), len(y)
+    denom = 2.0 * sigma * sigma
+    kxx = float(np.exp(-square_dists(x, x) / denom).sum()) / (m * m)
+    kyy = float(np.exp(-square_dists(y, y) / denom).sum()) / (n * n)
+    kxy = float(np.exp(-square_dists(x, y) / denom).sum()) * 2.0 / (m * n)
+    return math.sqrt(max(kxx + kyy - kxy, 0.0))
+
+
+@pytest.mark.parametrize(
+    "m, n, sigma, spread",
+    [
+        (512, 512, None, 1.0),
+        (4, 3, None, 1.0),  # 21 pooled pairs: single middle rank
+        (1, 40, None, 1.0),
+        (40, 1, None, 1.0),
+        (6, 5, None, 0.0),  # every point identical: median 0, sigma 1.0
+        (60, 45, 0.7, 1.0),
+    ],
+    ids=["512+512", "odd-pairs", "one-point-x", "one-point-y", "identical", "fixed-sigma"],
+)
+def test_mmd_matches_broadcast_formula_bitwise(m, n, sigma, spread):
+    rng = np.random.default_rng(m * 1000 + n)
+    x = spread * rng.normal(size=(m, 3)) + 0.25
+    y = spread * rng.normal(size=(n, 3)) + 0.25
+    cfg = MmdConfig(sigma=sigma)
+    assert mmd(x, y, cfg) == mmd_broadcast_oracle(x, y, sigma)
+
+
+def test_mmd_matches_broadcast_formula_bitwise_random_sizes():
+    # a change of summation order (coordinates, or the cross block's
+    # orientation) moves the last bit of some of these scores
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        m = int(rng.integers(1, 200))
+        n = int(rng.integers(1, 200))
+        x = rng.normal(size=(m, 3)) * rng.uniform(0.1, 5.0)
+        y = rng.normal(size=(n, 3)) + rng.normal(size=3)
+        sigma = float(rng.uniform(0.2, 3.0))
+        assert mmd(x, y) == mmd_broadcast_oracle(x, y)
+        assert mmd(x, y, MmdConfig(sigma=sigma)) == mmd_broadcast_oracle(x, y, sigma)
+
+
+def test_mmd_above_subsample_limit_uses_median_heuristic_sigma():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(1300, 3))
+    y = rng.normal(size=(900, 3)) + 0.3
+    assert mmd(x, y) == mmd(x, y, MmdConfig(sigma=median_heuristic_sigma(x, y)))
 
 
 # ---------------------------------------------------------------- histogram
