@@ -6,7 +6,6 @@ from .codec import (
     condition_descriptor,
     decode,
     encode,
-    quantize,
     read_latents,
     write_latents,
 )
@@ -15,7 +14,6 @@ from .diffusion import (
     GuidanceConfig,
     build_schedule,
     classifier_guide,
-    forward_diffuse,
     posterior_mean,
     regressor_guide,
     sample,
@@ -30,11 +28,9 @@ from .geometry import (
     ValidityReport,
     discretize_profile,
     kernel_check,
-    parse_sequence,
     polygon_area,
     sample_point_cloud,
     self_intersects,
-    serialize_sequence,
 )
 from .metrics import (
     MmdConfig,
@@ -50,7 +46,6 @@ from .nets import (
     ClassifierResult,
     LinearRegressor,
     Mlp,
-    TrainConfig,
     fit_linear_regressor,
     mlp_forward,
     mlp_grad_input,
@@ -61,7 +56,6 @@ from .nets import (
     train_regressor,
 )
 from .pipeline import (
-    DatasetRecord,
     RepairOutcome,
     RepairStage,
     TrainedModels,

@@ -2,8 +2,10 @@
 
 Every subcommand is a pure function of (config, input files, seed): reruns
 produce byte-identical artifacts. Exit codes are stable for scripting:
-0 success, 2 config/schema error, 3 generation stall, 4 missing artifact,
-5 empty evaluation set.
+0 success; 2 config/schema error; 3 stall: ground-truth rejection sampling or
+point-cloud sampling accepts too few draws; 4 missing artifact, or too little
+data to fit (too few regressor pairs, or labels of a single class); 5 empty
+evaluation set.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .geometry import (
 from .metrics import MmdConfig, SourceTag, pca_2d
 from .nets import (
     LinearRegressor,
-    TrainConfig,
     load_model,
     save_model,
     train_classifier,
@@ -189,26 +190,21 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     denoiser = _load_mlp(
         _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first")
     )
-    records = pipeline.gen_dataset(
-        cfg.n_conditions,
-        cfg.generations_per_condition,
-        denoiser,
-        _schedule(cfg),
-        cfg.master_seed,
+    per_condition = cfg.generations_per_condition
+    ground_truth, generated, reports = pipeline.gen_dataset(
+        cfg.n_conditions, per_condition, denoiser, _schedule(cfg), cfg.master_seed
     )
-    generated = pipeline.stack_generated_latents(records)
-    gt_latents = pipeline.stack_ground_truth_latents(records)
-    labels = pipeline.generation_labels(records)
-    write_latents(out / "latents.bin", np.vstack([generated, gt_latents]))
+    labels = np.array([r.valid for r in reports], dtype=bool)
+    write_latents(out / "latents.bin", np.vstack([generated, [gt.latent for gt in ground_truth]]))
 
     with open(out / "conditions.jsonl", "w") as fh:
-        for r in records:
+        for cid, gt in enumerate(ground_truth):
             fh.write(
                 json.dumps(
                     {
-                        "condition_id": r.condition_id,
-                        "condition": [float(v) for v in r.condition],
-                        "sequence": record_from_sequence(r.sequence),
+                        "condition_id": cid,
+                        "condition": [float(v) for v in gt.condition],
+                        "sequence": record_from_sequence(gt.sequence),
                     },
                     allow_nan=False,
                     separators=(",", ":"),
@@ -216,20 +212,19 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
                 + "\n"
             )
 
-    label_rows = []
-    for r in records:
-        for g in r.generations:
-            reasons = "|".join(reason.name for reason in g.report.reasons)
-            label_rows.append([r.condition_id, g.index, int(g.report.valid), reasons])
+    label_rows = [
+        [i // per_condition, i % per_condition, int(r.valid), "|".join(x.name for x in r.reasons)]
+        for i, r in enumerate(reports)
+    ]
     _write_csv(out / "labels.csv", ["condition_id", "seed", "valid", "reasons"], label_rows)
 
     try:
-        ssl_pairs = pipeline.build_ssl_pairs(records)
+        ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
     except NoPairs:
         logger.warning("no invalid/valid sibling pairs exist; pairs_ssl.csv is empty")
         ssl_pairs = np.zeros((0, 2), dtype=int)
     _write_csv(out / "pairs_ssl.csv", ["invalid_row", "valid_row"], ssl_pairs.tolist())
-    gt_pairs = pipeline.build_gt_pairs(records)
+    gt_pairs = pipeline.build_gt_pairs(len(generated), per_condition)
     _write_csv(out / "pairs_gt.csv", ["gen_row", "gt_row"], gt_pairs.tolist())
 
     n_total = len(labels)
@@ -237,13 +232,13 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     n_invalid = n_total - n_valid
     invalid_fraction = n_invalid / n_total
     summary = {
-        "conditions": len(records),
-        "generations_per_condition": cfg.generations_per_condition,
+        "conditions": len(ground_truth),
+        "generations_per_condition": per_condition,
         "generated_latents": n_total,
         "valid_latents": n_valid,
         "invalid_latents": n_invalid,
         "invalid_fraction": invalid_fraction,
-        "ground_truth_latents": len(records),
+        "ground_truth_latents": len(ground_truth),
         "ssl_pairs": int(len(ssl_pairs)),
         "gt_pairs": int(len(gt_pairs)),
     }
@@ -270,13 +265,8 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             np.array([c.condition for c in conditions]),
             np.array([c.latent for c in conditions]),
             schedule,
-            TrainConfig(
-                epochs=cfg.denoiser.epochs,
-                batch_size=cfg.denoiser.batch_size,
-                learning_rate=cfg.denoiser.learning_rate,
-                seed=derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
-                split=cfg.split,
-            ),
+            cfg.denoiser,
+            derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
         )
         save_model(out / MODEL_FILES["denoiser"], result.model)
         _update_metrics_csv(
@@ -303,16 +293,18 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             reader = csv.reader(fh)
             next(reader)
             labels = np.array([int(row[2]) for row in reader], dtype=bool)
+        n_valid = int(labels.sum())
+        if n_valid in (0, len(labels)):
+            raise MissingArtifact(
+                f"{labels_path} holds {n_valid} valid and {len(labels) - n_valid} invalid "
+                "rows; need both classes to fit"
+            )
         result = train_classifier(
             latents[: len(labels)],
             labels,
-            TrainConfig(
-                epochs=cfg.classifier.epochs,
-                batch_size=cfg.classifier.batch_size,
-                learning_rate=cfg.classifier.learning_rate,
-                seed=derived_seed(cfg.master_seed, STREAM_TRAINING, 1),
-                split=cfg.split,
-            ),
+            cfg.classifier,
+            derived_seed(cfg.master_seed, STREAM_TRAINING, 1),
+            split=cfg.split,
         )
         save_model(out / MODEL_FILES["classifier"], result.model)
         m = result.metrics
@@ -555,7 +547,8 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     destination = Path(out_dir) if out_dir else latents_file.parent
     destination.mkdir(parents=True, exist_ok=True)
     outcomes = [pipeline.self_repair(row, regressor) for row in latents]
-    write_latents(destination / "repaired.bin", np.array([o.final_latent for o in outcomes]))
+    repaired = np.array([o.final_latent for o in outcomes]).reshape(-1, LATENT_DIM)
+    write_latents(destination / "repaired.bin", repaired)
     _write_csv(
         destination / "repair_outcomes.csv",
         ["row", "stage", "valid"],
@@ -599,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for per-condition evaluation",
+        help=f"worker processes; eval runs in blocks of {pipeline.CHAIN_BLOCK} conditions",
     )
 
     p_pca = sub.add_parser("pca", help="project evaluation latents to 2D")

@@ -81,11 +81,6 @@ def encode(seq: CommandSequence) -> np.ndarray:
     return z
 
 
-def quantize(latent) -> np.ndarray:
-    """Idempotent projection onto the codec's canonical manifold."""
-    return encode(decode(latent))
-
-
 def condition_descriptor(seq: CommandSequence) -> np.ndarray:
     """Shape descriptor of a kernel-valid sequence, the diffusion condition.
 

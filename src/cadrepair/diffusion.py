@@ -83,14 +83,6 @@ def _check_step(t: int, schedule: DiffusionSchedule) -> None:
         raise StepOutOfRange(f"step {t} outside [1, {schedule.T}]")
 
 
-def forward_diffuse(z0, t: int, eps, schedule: DiffusionSchedule) -> np.ndarray:
-    _check_step(t, schedule)
-    ab = schedule.alpha_bars[t - 1]
-    return np.sqrt(ab) * np.asarray(z0, dtype=float) + np.sqrt(1.0 - ab) * np.asarray(
-        eps, dtype=float
-    )
-
-
 def posterior_mean(z_t, t: int, eps_hat, schedule: DiffusionSchedule) -> np.ndarray:
     """Epsilon-parameterized posterior mean of the reverse transition."""
     _check_step(t, schedule)

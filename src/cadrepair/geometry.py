@@ -10,7 +10,6 @@ into uniform volume point clouds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -176,20 +175,6 @@ def record_from_sequence(seq: CommandSequence) -> dict:
         ],
         "depth": seq.depth,
     }
-
-
-def parse_sequence(text: str) -> CommandSequence:
-    """Parse one JSON-lines sequence record."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from exc
-    return sequence_from_record(obj)
-
-
-def serialize_sequence(seq: CommandSequence) -> str:
-    """Serialize to the JSON record form; ``parse_sequence`` round-trips it exactly."""
-    return json.dumps(record_from_sequence(seq), allow_nan=False, separators=(",", ":"))
 
 
 def _arc_points(start, end, bulge: float, segments: int) -> list[tuple[float, float]]:

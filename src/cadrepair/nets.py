@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .config import ModelTraining
+
 CLASSIFIER_HIDDEN = (128, 64)
 DENOISER_HIDDEN = (128, 128)
 TIMESTEP_EMBED_DIM = 8
@@ -69,23 +71,6 @@ class LinearRegressor:
 
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-    split: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 < self.split < 1.0:
-            raise ValueError("split must lie in (0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be >= 1")
 
 
 def _sigmoid(x):
@@ -231,21 +216,23 @@ def _classification_metrics(y_true, y_pred) -> ClassifierMetrics:
     return ClassifierMetrics(accuracy, balanced, precision, recall, f1, confusion)
 
 
-def train_classifier(latents, labels, config: TrainConfig) -> ClassifierResult:
+def train_classifier(
+    latents, labels, config: ModelTraining, seed: int, split: float = 0.8
+) -> ClassifierResult:
     """Train the feasibility classifier on labeled latents.
 
-    Undersamples the majority class to exact balance, shuffles, splits by
-    ``config.split``, and fits input->128->64->1 with binary cross-entropy via
+    Undersamples the majority class to exact balance, shuffles by ``seed``,
+    splits by ``split``, and fits input->128->64->1 with binary cross-entropy via
     mini-batch SGD with momentum.
     """
     x = np.asarray(latents, dtype=float)
     y = np.asarray(labels, dtype=bool)
     if x.ndim != 2 or len(x) != len(y):
         raise DimensionMismatch("latents must be (n, d) with one label per row")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     chosen = undersample_balanced(y, rng)
     x, y = x[chosen], y[chosen].astype(float)
-    n_train = int(round(len(x) * config.split))
+    n_train = int(round(len(x) * split))
     x_train, y_train = x[:n_train], y[:n_train]
     x_test, y_test = x[n_train:], y[n_train:]
     model = init_mlp(
@@ -402,7 +389,9 @@ class DenoiserResult:
     epoch_losses: list[float]
 
 
-def train_denoiser(conditions, latents, schedule, config: TrainConfig) -> DenoiserResult:
+def train_denoiser(
+    conditions, latents, schedule, config: ModelTraining, seed: int
+) -> DenoiserResult:
     """Train the noise-prediction network on (condition, clean latent) pairs.
 
     Each example in each batch gets a fresh uniform timestep and Gaussian
@@ -415,7 +404,7 @@ def train_denoiser(conditions, latents, schedule, config: TrainConfig) -> Denois
     if len(c) != len(z0):
         raise DimensionMismatch("conditions and latents must pair up")
     latent_dim = z0.shape[1]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     model = init_mlp(
         [latent_dim + TIMESTEP_EMBED_DIM + c.shape[1], *DENOISER_HIDDEN, latent_dim],
         OutputActivation.IDENTITY,

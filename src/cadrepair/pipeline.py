@@ -91,23 +91,6 @@ class GroundTruthCondition:
     latent: np.ndarray
 
 
-@dataclass(frozen=True)
-class Generation:
-    index: int
-    latent: np.ndarray
-    sequence: CommandSequence
-    report: ValidityReport
-
-
-@dataclass(frozen=True)
-class DatasetRecord:
-    condition_id: int
-    condition: np.ndarray
-    sequence: CommandSequence
-    latent: np.ndarray
-    generations: tuple[Generation, ...]
-
-
 def _random_sequence(rng: np.random.Generator) -> CommandSequence:
     count = int(rng.integers(_EDGE_COUNTS[0], _EDGE_COUNTS[1] + 1))
     edges = []
@@ -148,11 +131,14 @@ def gen_dataset(
     denoiser: Mlp,
     schedule: diffusion.DiffusionSchedule,
     seed: int,
-) -> list[DatasetRecord]:
-    """Generate the labeled dataset: per condition, several unguided sampled
-    latents decoded and kernel-checked, alongside the ground truth."""
+) -> tuple[list[GroundTruthCondition], np.ndarray, list[ValidityReport]]:
+    """Generate the labeled dataset: the ground-truth conditions, several
+    unguided sampled latents per condition, and each latent's kernel report.
+
+    Latents are (n_conditions * generations_per_condition, d) in condition-major
+    order: generation g of condition cid is row cid * generations_per_condition + g.
+    """
     ground_truth = gen_ground_truth(n_conditions, seed_stream(seed, STREAM_TRAIN_GT))
-    # condition-major: generation g of condition cid is row cid * generations_per_condition + g
     conditions = np.repeat([gt.condition for gt in ground_truth], generations_per_condition, axis=0)
     seeds = [
         seed_stream(seed, STREAM_DATASET_GEN, cid, g)
@@ -167,66 +153,36 @@ def gen_dataset(
             for lo in range(0, len(seeds), CHAIN_BLOCK)
         ]
     )
-    records = []
-    for cid, gt in enumerate(ground_truth):
-        generations = []
-        for g in range(generations_per_condition):
-            latent = latents[cid * generations_per_condition + g]
-            sequence = decode(latent)
-            generations.append(Generation(g, latent, sequence, kernel_check(sequence)))
-        records.append(
-            DatasetRecord(cid, gt.condition, gt.sequence, gt.latent, tuple(generations))
-        )
-    return records
+    return ground_truth, latents, [kernel_check(decode(z)) for z in latents]
 
 
-def stack_generated_latents(records) -> np.ndarray:
-    """Generated latents in row order condition-major, generation-minor."""
-    return np.array([g.latent for r in records for g in r.generations], dtype=float)
-
-
-def stack_ground_truth_latents(records) -> np.ndarray:
-    return np.array([r.latent for r in records], dtype=float)
-
-
-def generation_labels(records) -> np.ndarray:
-    return np.array([g.report.valid for r in records for g in r.generations], dtype=bool)
-
-
-def build_ssl_pairs(records) -> np.ndarray:
+def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
     """Pair each invalid generation with its nearest valid sibling.
 
-    Returns (k, 2) rows of (invalid_row, valid_row) indices into the stacked
-    generated-latent matrix; conditions without a valid sibling contribute
-    nothing.
+    ``latents`` and ``valid`` are the condition-major rows of ``gen_dataset``.
+    Returns (k, 2) rows of (invalid_row, valid_row) indices into ``latents``;
+    conditions without a valid sibling contribute nothing.
     """
+    valid = np.asarray(valid, dtype=bool)
     pairs = []
-    per_condition = len(records[0].generations) if records else 0
-    for r in records:
-        valid = [(i, g.latent) for i, g in enumerate(r.generations) if g.report.valid]
-        if not valid:
+    for lo in range(0, len(latents), generations_per_condition):
+        rows = np.arange(lo, lo + generations_per_condition)
+        siblings = rows[valid[rows]]
+        if not len(siblings):
             continue
-        valid_latents = np.array([v for _, v in valid])
-        for i, g in enumerate(r.generations):
-            if g.report.valid:
-                continue
-            dists = np.linalg.norm(valid_latents - g.latent, axis=1)
-            j = valid[int(np.argmin(dists))][0]
-            pairs.append((r.condition_id * per_condition + i, r.condition_id * per_condition + j))
+        sibling_latents = latents[siblings]
+        for i in rows[~valid[rows]]:
+            dists = np.linalg.norm(sibling_latents - latents[i], axis=1)
+            pairs.append((i, siblings[int(np.argmin(dists))]))
     if not pairs:
         raise NoPairs("no invalid generation has a valid sibling")
     return np.array(pairs, dtype=int)
 
 
-def build_gt_pairs(records) -> np.ndarray:
+def build_gt_pairs(n_generated: int, generations_per_condition: int) -> np.ndarray:
     """(generated_row, ground_truth_row) for every generation, valid or not."""
-    per_condition = len(records[0].generations) if records else 0
-    pairs = [
-        (r.condition_id * per_condition + i, r.condition_id)
-        for r in records
-        for i in range(len(r.generations))
-    ]
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+    rows = np.arange(n_generated)
+    return np.column_stack([rows, rows // generations_per_condition])
 
 
 class RepairStage(Enum):

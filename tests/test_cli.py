@@ -2,9 +2,9 @@
 
 One tiny configuration drives every stage (all four ``train`` targets,
 ``gen-dataset``, ``eval``, ``pca`` and ``repair``) in about a second. The
-tests check exit codes 0, 2, 4 and 5 and byte-identical reruns. Exit code 3
-(generation stall) is left untested: ground-truth rejection sampling only
-gives up after 10**6 draws, far too slow for this suite.
+tests check every exit code and byte-identical reruns. The stalls behind exit
+code 3 only trigger after 10**6 draws or 10**7 proposals, so those tests lower
+the module's stall thresholds instead.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import shutil
 import numpy as np
 import pytest
 
-from cadrepair import cli
-from cadrepair.codec import LATENT_DIM, write_latents
+from cadrepair import cli, geometry, pipeline
+from cadrepair.codec import LATENT_DIM, read_latents, write_latents
 from cadrepair.geometry import record_from_sequence
 from cadrepair.nets import LinearRegressor, save_model
 from cadrepair.pipeline import CHAIN_BLOCK, gen_ground_truth
@@ -235,6 +235,42 @@ def test_ssl_regressor_with_too_few_train_pairs_exits_4(tmp_path):
     assert run_stage(config, "train", "--which", "ssl_regressor") == cli.EXIT_MISSING
 
 
+def test_single_class_labels_exit_4(tmp_path, caplog):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(10, LATENT_DIM)))
+    with open(out / "labels.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["condition_id", "seed", "valid", "reasons"])
+        writer.writerows([i, 0, 1, ""] for i in range(10))
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", "classifier") == cli.EXIT_MISSING
+    assert "labels.csv holds 10 valid and 0 invalid rows" in caplog.text
+    assert not (out / "classifier.json").exists()
+
+
+def test_ground_truth_rejection_stall_exits_3(tmp_path, monkeypatch):
+    # every rejected draw now counts as a stall
+    monkeypatch.setattr(pipeline, "_REJECTION_MIN_DRAWS", 1)
+    monkeypatch.setattr(pipeline, "_REJECTION_MIN_RATE", 1.1)
+    config = write_config(tmp_path / "c.json", tmp_path / "out")
+    assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_STALL
+    assert not (tmp_path / "out" / "denoiser.json").exists()
+
+
+def test_point_cloud_sampling_stall_exits_3(runs, tmp_path, monkeypatch):
+    root, _, _ = runs
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(root / "a" / "denoiser.json", out / "denoiser.json")
+    # the first chunk of proposals already counts as a stall
+    monkeypatch.setattr(geometry, "_STALL_PROPOSALS", 1)
+    monkeypatch.setattr(geometry, "_STALL_RATE", 1.1)
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "eval", "--variants", "baseline", "--threads", "1") == cli.EXIT_STALL
+    assert not (out / "report.csv").exists()
+
+
 SIX_EDGES = {
     "edges": [{"kind": "line", "x": 0.1 * i, "y": 0.0, "bulge": 0.0} for i in range(6)],
     "depth": 0.5,
@@ -305,3 +341,15 @@ def test_repair_rejects_non_finite_rows(tmp_path, caplog):
     assert f"narrow.bin: rows are 5 wide, expected {LATENT_DIM}" in caplog.text
     assert not (tmp_path / "repaired.bin").exists()
     assert not (tmp_path / "repair_outcomes.csv").exists()
+
+
+def test_repair_of_an_empty_file_writes_empty_outputs(tmp_path):
+    write_latents(tmp_path / "latents.bin", np.zeros((0, LATENT_DIM)))
+    save_model(tmp_path / "reg.json", LinearRegressor(np.eye(LATENT_DIM), np.zeros(LATENT_DIM)))
+    code = cli.main(
+        ["repair", "--latents", str(tmp_path / "latents.bin"),
+         "--regressor", str(tmp_path / "reg.json")]
+    )
+    assert code == cli.EXIT_OK
+    assert read_latents(tmp_path / "repaired.bin").shape == (0, LATENT_DIM)
+    assert (tmp_path / "repair_outcomes.csv").read_text().splitlines() == ["row,stage,valid"]

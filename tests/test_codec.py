@@ -13,7 +13,6 @@ from cadrepair.codec import (
     condition_descriptor,
     decode,
     encode,
-    quantize,
     read_latents,
     write_latents,
 )
@@ -36,6 +35,11 @@ def line(x, y):
 
 def triangle(depth=0.5):
     return CommandSequence((line(0, 0), line(1, 0), line(0, 1)), depth)
+
+
+def quantize(z):
+    """Projection onto the codec's canonical latents."""
+    return encode(decode(z))
 
 
 def latent_from_slots(slots, depth):

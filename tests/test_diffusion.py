@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cadrepair import diffusion
+from cadrepair.config import ModelTraining
 from cadrepair.diffusion import (
     BadRange,
     GuidanceConfig,
     StepOutOfRange,
     build_schedule,
     classifier_guide,
-    forward_diffuse,
     posterior_mean,
     regressor_guide,
     sample,
@@ -20,7 +20,6 @@ from cadrepair.nets import (
     LinearRegressor,
     Mlp,
     OutputActivation,
-    TrainConfig,
     init_mlp,
     mlp_forward,
     mlp_grad_input,
@@ -67,50 +66,26 @@ def test_posterior_variance_bounded_by_beta():
     assert (sched.posterior_variance <= sched.betas + 1e-18).all()
 
 
-# ---------------------------------------------------------------- forward process
-
-
-def test_forward_diffuse_zero_noise():
-    z0 = np.linspace(-1, 1, 21)
-    z_t = forward_diffuse(z0, 40, np.zeros(21), DEFAULT)
-    np.testing.assert_allclose(z_t, math.sqrt(DEFAULT.alpha_bars[39]) * z0, atol=1e-15)
-
-
-def test_forward_diffuse_near_total_noise_limit():
-    sched = build_schedule(100, 1e-3, 0.2)
-    assert sched.alpha_bars[-1] < 0.01
-    z0 = np.full(21, 0.5)
-    eps = np.random.default_rng(0).standard_normal(21)
-    z_t = forward_diffuse(z0, 100, eps, sched)
-    assert np.abs(z_t - eps).max() < 0.15
-
-
-def test_forward_diffuse_step_bounds():
-    with pytest.raises(StepOutOfRange):
-        forward_diffuse(np.zeros(21), 0, np.zeros(21), DEFAULT)
-    with pytest.raises(StepOutOfRange):
-        forward_diffuse(np.zeros(21), 101, np.zeros(21), DEFAULT)
-
-
-def test_forward_diffuse_variance_monte_carlo():
-    rng = np.random.default_rng(1)
-    z0 = rng.normal(size=21)
-    t = 60
-    draws = np.array(
-        [forward_diffuse(z0, t, rng.standard_normal(21), DEFAULT) for _ in range(4000)]
-    )
-    per_coord_var = draws.var(axis=0)
-    expected = 1.0 - DEFAULT.alpha_bars[t - 1]
-    assert abs(per_coord_var.mean() - expected) < 0.05 * expected
-
-
 # ---------------------------------------------------------------- posterior mean
+
+
+def forward_diffuse(z0, t, eps, sched):
+    """Sample of q(z_t | z0) at noise eps, the formula train_denoiser noises with."""
+    ab = sched.alpha_bars[t - 1]
+    return math.sqrt(ab) * z0 + math.sqrt(1.0 - ab) * eps
 
 
 def test_posterior_mean_zero_eps_hat():
     z_t = np.linspace(-2, 2, 21)
     mu = posterior_mean(z_t, 10, np.zeros(21), DEFAULT)
     np.testing.assert_allclose(mu, z_t / math.sqrt(DEFAULT.alphas[9]), atol=1e-15)
+
+
+def test_posterior_mean_step_bounds():
+    with pytest.raises(StepOutOfRange):
+        posterior_mean(np.zeros(21), 0, np.zeros(21), DEFAULT)
+    with pytest.raises(StepOutOfRange):
+        posterior_mean(np.zeros(21), 101, np.zeros(21), DEFAULT)
 
 
 def test_posterior_mean_recovers_z0_at_t1():
@@ -389,7 +364,8 @@ def test_sample_collapses_to_fixed_latent():
         conditions,
         latents,
         DEFAULT,
-        TrainConfig(epochs=800, batch_size=32, learning_rate=5e-3, seed=3),
+        ModelTraining(epochs=800, batch_size=32, learning_rate=5e-3),
+        seed=3,
     )
     draws = sample(conditions[:40], result.model, DEFAULT, seeds=range(100, 140))
     mean_abs_err = np.abs(draws - target).mean(axis=0)

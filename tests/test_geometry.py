@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,12 +16,12 @@ from cadrepair.geometry import (
     SketchEdge,
     discretize_profile,
     kernel_check,
-    parse_sequence,
     points_in_polygon,
     polygon_area,
+    record_from_sequence,
     sample_point_cloud,
     self_intersects,
-    serialize_sequence,
+    sequence_from_record,
 )
 
 from conftest import command_sequences, random_simple_polygon
@@ -43,6 +44,16 @@ def bowtie():
 
 
 # ---------------------------------------------------------------- parsing
+
+
+def parse_sequence(text):
+    """One sequence record of conditions.jsonl."""
+    return sequence_from_record(json.loads(text))
+
+
+def serialize_sequence(seq):
+    """The sequence record as gen-dataset writes it to conditions.jsonl."""
+    return json.dumps(record_from_sequence(seq), allow_nan=False, separators=(",", ":"))
 
 
 def test_parse_square_record():
@@ -72,7 +83,6 @@ def test_parse_six_edges_is_arity_error():
 @pytest.mark.parametrize(
     "text",
     [
-        "not json",
         "[1,2,3]",
         '{"edges":[],"depth":0.5,"extra":1}',
         '{"edges":[{"kind":"circle","x":0,"y":0,"bulge":0}],"depth":0.5}',

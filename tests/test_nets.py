@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cadrepair.config import ModelTraining
 from cadrepair.diffusion import build_schedule
 from cadrepair.nets import (
     DimensionMismatch,
@@ -13,7 +14,6 @@ from cadrepair.nets import (
     OutputActivation,
     RankDeficient,
     SingleClassData,
-    TrainConfig,
     denoiser_features,
     fit_linear_regressor,
     init_mlp,
@@ -240,7 +240,7 @@ def test_classifier_on_separable_data():
     rng = np.random.default_rng(42)
     x, y = separable_latents(600, rng)
     result = train_classifier(
-        x, y, TrainConfig(epochs=60, batch_size=32, learning_rate=0.05, seed=1)
+        x, y, ModelTraining(epochs=60, batch_size=32, learning_rate=0.05), seed=1
     )
     assert result.metrics.accuracy >= 0.95
     assert result.metrics.balanced_accuracy >= 0.95
@@ -251,7 +251,7 @@ def test_classifier_single_class_raises():
     x = np.random.default_rng(0).normal(size=(50, 21))
     with pytest.raises(SingleClassData):
         train_classifier(x, np.ones(50, dtype=bool),
-                         TrainConfig(epochs=1, batch_size=8, learning_rate=0.1, seed=0))
+                         ModelTraining(epochs=1, batch_size=8, learning_rate=0.1), seed=0)
 
 
 def test_undersample_exact_balance_no_duplicates():
@@ -266,9 +266,9 @@ def test_undersample_exact_balance_no_duplicates():
 def test_classifier_training_bitwise_reproducible():
     rng = np.random.default_rng(9)
     x, y = separable_latents(200, rng)
-    cfg = TrainConfig(epochs=10, batch_size=16, learning_rate=0.05, seed=5)
-    a = train_classifier(x, y, cfg)
-    b = train_classifier(x, y, cfg)
+    cfg = ModelTraining(epochs=10, batch_size=16, learning_rate=0.05)
+    a = train_classifier(x, y, cfg, seed=5)
+    b = train_classifier(x, y, cfg, seed=5)
     for wa, wb in zip(a.model.weights, b.model.weights):
         np.testing.assert_array_equal(wa, wb)
     for ba, bb in zip(a.model.biases, b.model.biases):
@@ -279,7 +279,7 @@ def test_classifier_architecture():
     rng = np.random.default_rng(11)
     x, y = separable_latents(80, rng)
     result = train_classifier(
-        x, y, TrainConfig(epochs=1, batch_size=8, learning_rate=0.01, seed=2)
+        x, y, ModelTraining(epochs=1, batch_size=8, learning_rate=0.01), seed=2
     )
     assert result.model.layer_dims == [21, 128, 64, 1]
     assert result.model.output_activation is OutputActivation.SIGMOID
@@ -414,7 +414,7 @@ def test_denoiser_loss_decreases():
     sched = build_schedule(100, 1e-4, 0.02)
     result = train_denoiser(
         conditions, latents, sched,
-        TrainConfig(epochs=60, batch_size=32, learning_rate=2e-3, seed=1),
+        ModelTraining(epochs=60, batch_size=32, learning_rate=2e-3), seed=1,
     )
     assert result.epoch_losses[-1] <= 0.5 * result.epoch_losses[0]
     assert all(np.isfinite(w).all() for w in result.model.weights)
@@ -429,7 +429,7 @@ def test_denoiser_pure_noise_moment_under_full_noising():
     assert sched.alpha_bars[-1] < 0.01
     result = train_denoiser(
         conditions, latents, sched,
-        TrainConfig(epochs=150, batch_size=32, learning_rate=2e-3, seed=2),
+        ModelTraining(epochs=150, batch_size=32, learning_rate=2e-3), seed=2,
     )
     z = rng.standard_normal((400, 21))
     feats = denoiser_features(z, np.full(400, sched.T), conditions[rng.integers(0, 120, 400)])
@@ -442,16 +442,16 @@ def test_denoiser_empty_dataset():
     sched = build_schedule(10, 1e-4, 0.02)
     with pytest.raises(EmptyDataset):
         train_denoiser(np.zeros((0, 8)), np.zeros((0, 21)), sched,
-                       TrainConfig(epochs=1, batch_size=4, learning_rate=0.01, seed=0))
+                       ModelTraining(epochs=1, batch_size=4, learning_rate=0.01), seed=0)
 
 
 def test_denoiser_training_bitwise_reproducible():
     rng = np.random.default_rng(15)
     conditions, latents = synthetic_pairs(40, rng)
     sched = build_schedule(50, 1e-4, 0.02)
-    cfg = TrainConfig(epochs=5, batch_size=16, learning_rate=1e-3, seed=9)
-    a = train_denoiser(conditions, latents, sched, cfg)
-    b = train_denoiser(conditions, latents, sched, cfg)
+    cfg = ModelTraining(epochs=5, batch_size=16, learning_rate=1e-3)
+    a = train_denoiser(conditions, latents, sched, cfg, seed=9)
+    b = train_denoiser(conditions, latents, sched, cfg, seed=9)
     for wa, wb in zip(a.model.weights, b.model.weights):
         np.testing.assert_array_equal(wa, wb)
     assert a.epoch_losses == b.epoch_losses

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cadrepair.codec import decode, encode, quantize
+from cadrepair.codec import decode, encode
 from cadrepair.diffusion import GuidanceConfig, build_schedule, sample
-from cadrepair.geometry import InvalidReason, ValidityReport, kernel_check
+from cadrepair.geometry import kernel_check
 from cadrepair.metrics import MmdConfig
 from cadrepair.nets import (
     DimensionMismatch,
@@ -15,8 +15,6 @@ from cadrepair.nets import (
 from cadrepair.pipeline import (
     CHAIN_BLOCK,
     STREAM_DATASET_GEN,
-    DatasetRecord,
-    Generation,
     MissingModel,
     NoPairs,
     RepairStage,
@@ -31,14 +29,10 @@ from cadrepair.pipeline import (
     run_variants,
     seed_stream,
     self_repair,
-    stack_generated_latents,
-    stack_ground_truth_latents,
     summarize_outcomes,
 )
 
 SCHED = build_schedule(100, 1e-4, 0.02)
-VALID = ValidityReport.from_reasons([])
-INVALID = ValidityReport.from_reasons([InvalidReason.TOO_FEW_VERTICES])
 
 
 def toy_models(seed=0):
@@ -82,25 +76,20 @@ def test_ground_truth_requires_positive_count():
 
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
-    records = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
-    assert len(records) == 4
-    assert all(len(r.generations) == 3 for r in records)
-    assert stack_generated_latents(records).shape == (12, 21)
-    assert stack_ground_truth_latents(records).shape == (4, 21)
-    again = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
-    for r1, r2 in zip(records, again):
-        for g1, g2 in zip(r1.generations, r2.generations):
-            np.testing.assert_array_equal(g1.latent, g2.latent)
-            assert g1.report == g2.report
+    ground_truth, latents, reports = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
+    assert len(ground_truth) == 4
+    assert latents.shape == (12, 21)
+    assert len(reports) == 12
+    again_gt, again_latents, again_reports = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
+    assert [gt.sequence for gt in again_gt] == [gt.sequence for gt in ground_truth]
+    np.testing.assert_array_equal(again_latents, latents)
+    assert again_reports == reports
 
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    records = gen_dataset(3, 2, models.denoiser, SCHED, seed=2)
-    for r in records:
-        for g in r.generations:
-            assert g.report == kernel_check(g.sequence)
-            assert decode(g.latent) == g.sequence
+    _, latents, reports = gen_dataset(3, 2, models.denoiser, SCHED, seed=2)
+    assert reports == [kernel_check(decode(z)) for z in latents]
 
 
 def test_gen_dataset_blocks_match_single_chains():
@@ -109,34 +98,21 @@ def test_gen_dataset_blocks_match_single_chains():
     # differently) and keeps its condition-major (condition, generation) seed
     assert 15 % CHAIN_BLOCK != 0
     models = toy_models(seed=6)
-    records = gen_dataset(3, 5, models.denoiser, SCHED, seed=8)
-    for r in records:
-        for g in r.generations:
-            single = sample(r.condition[None], models.denoiser, SCHED,
-                            [seed_stream(8, STREAM_DATASET_GEN, r.condition_id, g.index)])
-            np.testing.assert_allclose(g.latent, single[0], rtol=0.0, atol=1e-12)
-            assert g.report == kernel_check(decode(single[0]))
+    ground_truth, latents, reports = gen_dataset(3, 5, models.denoiser, SCHED, seed=8)
+    for row, (z, report) in enumerate(zip(latents, reports)):
+        cid, g = divmod(row, 5)
+        single = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
+                        [seed_stream(8, STREAM_DATASET_GEN, cid, g)])
+        np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
+        assert report == kernel_check(decode(single[0]))
 
 
 # ---------------------------------------------------------------- pairing
 
 
-def _record(condition_id, gen_latents, gen_valid, per_condition):
-    gens = tuple(
-        Generation(i, np.asarray(z, dtype=float), decode(np.asarray(z, dtype=float)),
-                   VALID if ok else INVALID)
-        for i, (z, ok) in enumerate(zip(gen_latents, gen_valid))
-    )
-    assert len(gens) == per_condition
-    latent = np.zeros(21)
-    return DatasetRecord(condition_id, np.zeros(8), decode(latent), latent, gens)
-
-
 def test_ssl_pairs_two_invalid_three_valid():
-    rng = np.random.default_rng(3)
-    latents = [rng.normal(size=21) for _ in range(5)]
-    record = _record(0, latents, [False, True, False, True, True], 5)
-    pairs = build_ssl_pairs([record])
+    latents = np.random.default_rng(3).normal(size=(5, 21))
+    pairs = build_ssl_pairs(latents, [False, True, False, True, True], 5)
     assert pairs.shape == (2, 2)
     assert set(pairs[:, 0]) == {0, 2}
     assert set(pairs[:, 1]) <= {1, 3, 4}
@@ -144,56 +120,47 @@ def test_ssl_pairs_two_invalid_three_valid():
 
 def test_ssl_pairs_picks_nearest_valid():
     base = np.zeros(21)
-    near = base + 0.1
-    far = base + 5.0
-    record = _record(0, [base, near, far], [False, True, True], 3)
-    pairs = build_ssl_pairs([record])
+    latents = np.array([base, base + 0.1, base + 5.0])
+    pairs = build_ssl_pairs(latents, [False, True, True], 3)
     assert pairs.tolist() == [[0, 1]]
 
 
 def test_ssl_pairs_invalid_only_condition_contributes_nothing():
-    rng = np.random.default_rng(4)
-    rec_a = _record(0, [rng.normal(size=21) for _ in range(3)], [False, False, False], 3)
-    rec_b = _record(1, [rng.normal(size=21) for _ in range(3)], [False, True, True], 3)
-    pairs = build_ssl_pairs([rec_a, rec_b])
+    latents = np.random.default_rng(4).normal(size=(6, 21))
+    pairs = build_ssl_pairs(latents, [False, False, False, False, True, True], 3)
     assert (pairs[:, 0] // 3 == 1).all()  # only the second condition pairs up
     assert len(pairs) == 1
 
 
 def test_ssl_pairs_outputs_are_valid_rows():
     rng = np.random.default_rng(5)
-    records = [
-        _record(i, [rng.normal(size=21) for _ in range(4)],
-                [bool(rng.random() < 0.5) for _ in range(4)], 4)
-        for i in range(6)
-    ]
-    flat_valid = [g.report.valid for r in records for g in r.generations]
-    try:
-        pairs = build_ssl_pairs(records)
-    except NoPairs:
-        pytest.skip("random draw made no pairs")
+    latents = rng.normal(size=(24, 21))
+    valid = rng.random(24) < 0.5
+    pairs = build_ssl_pairs(latents, valid, 4)
+    by_condition = valid.reshape(6, 4)
+    # one pair per invalid row of each condition that has a valid sibling
+    assert len(pairs) == (~by_condition).sum(axis=1)[by_condition.any(axis=1)].sum()
     for invalid_row, valid_row in pairs:
-        assert not flat_valid[invalid_row]
-        assert flat_valid[valid_row]
+        assert not valid[invalid_row]
+        assert valid[valid_row]
+        assert invalid_row // 4 == valid_row // 4  # siblings share a condition
 
 
 def test_ssl_pairs_none_raises():
-    rng = np.random.default_rng(6)
-    record = _record(0, [rng.normal(size=21) for _ in range(3)], [False, False, False], 3)
+    latents = np.random.default_rng(6).normal(size=(3, 21))
     with pytest.raises(NoPairs):
-        build_ssl_pairs([record])
+        build_ssl_pairs(latents, [False, False, False], 3)
 
 
 def test_gt_pairs_cover_every_generation():
     models = toy_models()
-    records = gen_dataset(3, 4, models.denoiser, SCHED, seed=7)
-    pairs = build_gt_pairs(records)
+    ground_truth, latents, _ = gen_dataset(3, 4, models.denoiser, SCHED, seed=7)
+    pairs = build_gt_pairs(len(latents), 4)
     assert pairs.shape == (12, 2)
     assert pairs[:, 0].tolist() == list(range(12))
     assert pairs[:, 1].tolist() == [0] * 4 + [1] * 4 + [2] * 4
-    gt = stack_ground_truth_latents(records)
-    for row in gt:
-        np.testing.assert_array_equal(quantize(row), row)  # targets are canonical
+    for gt in ground_truth:
+        np.testing.assert_array_equal(encode(decode(gt.latent)), gt.latent)  # targets are canonical
 
 
 # ---------------------------------------------------------------- repair
