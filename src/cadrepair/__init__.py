@@ -23,7 +23,6 @@ from .geometry import (
     CommandSequence,
     EdgeKind,
     InvalidReason,
-    PointCloud,
     SketchEdge,
     ValidityReport,
     discretize_profile,
@@ -35,8 +34,6 @@ from .geometry import (
 from .metrics import (
     MmdConfig,
     PcaProjection,
-    SourceTag,
-    VariantRow,
     median_heuristic_sigma,
     mmd,
     mmd_histogram,

@@ -31,7 +31,7 @@ from .geometry import (
     record_from_sequence,
     sequence_from_record,
 )
-from .metrics import MmdConfig, SourceTag, pca_2d
+from .metrics import MmdConfig, mmd_histogram, pca_2d
 from .nets import (
     LinearRegressor,
     load_model,
@@ -294,10 +294,14 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             next(reader)
             labels = np.array([int(row[2]) for row in reader], dtype=bool)
         n_valid = int(labels.sum())
-        if n_valid in (0, len(labels)):
+        # train_classifier balances the classes, then splits at cfg.split
+        n_bal = 2 * min(n_valid, len(labels) - n_valid)
+        n_train = int(round(n_bal * cfg.split))
+        if not 1 <= n_train < n_bal:
             raise MissingArtifact(
                 f"{labels_path} holds {n_valid} valid and {len(labels) - n_valid} invalid "
-                "rows; need both classes to fit"
+                f"rows; their balanced split has {n_train} train and {n_bal - n_train} "
+                "held-out rows, need at least one of each"
             )
         result = train_classifier(
             latents[: len(labels)],
@@ -414,6 +418,18 @@ def _parse_variants(raw: str) -> list[VariantId]:
 
 
 def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
+    """Run the variants on held-out conditions and write, into the run directory:
+
+    - ``report.csv``: variant, n, n_valid, feasibility, mean_mmd, median_mmd,
+      repaired_count, repair_failed_count; one row per variant, mean and
+      median ``nan`` when the variant scored nothing.
+    - ``mmd_scores.csv``: condition_id, variant, mmd; one row per valid outcome.
+    - ``mmd_hist.csv``: variant, bin_lo, bin_hi, count; 16 equal-width bins per
+      variant over [0, max score], or over [0, 1] when the variant has no score.
+    - ``eval_latents_gt.bin``: the ground-truth latents of the conditions.
+    - ``eval_latents_baseline.bin`` and ``eval_latents_full.bin``: the final
+      latents of that variant, written only when that variant runs.
+    """
     out = _out_dir(cfg)
     variants = _parse_variants(variants_raw)
     if cfg.n_eval_conditions < 1:
@@ -439,8 +455,29 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
         mmd_config=_mmd_config(cfg),
         threads=threads,
     )
-    rows = [pipeline.summarize_outcomes(v, outcomes) for v, outcomes in outcome_map.items()]
 
+    print(f"{'variant':<10} {'n':>5} {'valid':>5} {'feas':>7} {'meanMMD':>8} {'repaired':>8}")
+    report_rows, score_rows, hist_rows = [], [], []
+    for variant, outcomes in outcome_map.items():
+        name, n = variant.value, len(outcomes)
+        n_valid = sum(o.valid for o in outcomes)
+        feas = n_valid / n
+        scored = [o for o in outcomes if o.mmd_score is not None]
+        scores = [o.mmd_score for o in scored]
+        mean_mmd = float(np.mean(scores)) if scores else float("nan")
+        median_mmd = float(np.median(scores)) if scores else float("nan")
+        repaired = sum(o.stage is pipeline.RepairStage.REPAIRED_VALID for o in outcomes)
+        failed = sum(o.stage is pipeline.RepairStage.REPAIRED_INVALID for o in outcomes)
+        report_rows.append(
+            [name, n, n_valid, _fmt(feas), _fmt(mean_mmd), _fmt(median_mmd), repaired, failed]
+        )
+        score_rows += [[o.condition_id, name, _fmt(o.mmd_score)] for o in scored]
+        counts, edges = mmd_histogram(scores)
+        hist_rows += [
+            [name, _fmt(lo), _fmt(hi), int(c)] for lo, hi, c in zip(edges, edges[1:], counts)
+        ]
+        mean_str = f"{mean_mmd:.4f}" if scores else "-"
+        print(f"{name:<10} {n:>5} {n_valid:>5} {feas:>7.4f} {mean_str:>8} {repaired:>8}")
     _write_csv(
         out / "report.csv",
         [
@@ -453,30 +490,8 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
             "repaired_count",
             "repair_failed_count",
         ],
-        [
-            [
-                row.variant,
-                row.n,
-                row.n_valid,
-                _fmt(row.feasibility),
-                _fmt(row.mean_mmd),
-                _fmt(row.median_mmd),
-                row.repaired_count,
-                row.repair_failed_count,
-            ]
-            for row in rows
-        ],
+        report_rows,
     )
-    score_rows = []
-    hist_rows = []
-    for (variant, outcomes), row in zip(outcome_map.items(), rows):
-        for outcome in outcomes:
-            if outcome.mmd_score is not None:
-                score_rows.append([outcome.condition_id, variant.value, _fmt(outcome.mmd_score)])
-        for lo, hi, count in zip(
-            row.histogram.edges[:-1], row.histogram.edges[1:], row.histogram.counts
-        ):
-            hist_rows.append([variant.value, _fmt(lo), _fmt(hi), int(count)])
     _write_csv(out / "mmd_scores.csv", ["condition_id", "variant", "mmd"], score_rows)
     _write_csv(out / "mmd_hist.csv", ["variant", "bin_lo", "bin_hi", "count"], hist_rows)
 
@@ -491,45 +506,33 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
             write_latents(
                 out / filename, np.array([o.final_latent for o in outcome_map[variant]])
             )
-
-    print(f"{'variant':<10} {'n':>5} {'valid':>5} {'feas':>7} {'meanMMD':>8} {'repaired':>8}")
-    for row in rows:
-        mean_str = f"{row.mean_mmd:.4f}" if row.mmd_scores else "-"
-        print(
-            f"{row.variant:<10} {row.n:>5} {row.n_valid:>5} {row.feasibility:>7.4f} "
-            f"{mean_str:>8} {row.repaired_count:>8}"
-        )
     return EXIT_OK
 
 
 def cmd_pca(cfg: RunConfig) -> int:
+    """Project the eval latents onto their top two principal axes and write
+    ``pca.csv``: pc1, pc2, tag; one row per latent, tagged ``Baseline``,
+    ``SelfRepairing`` or ``GroundTruth`` by the file it came from
+    (``eval_latents_baseline.bin``, ``eval_latents_full.bin``,
+    ``eval_latents_gt.bin``)."""
     out = _out_dir(cfg)
-    sources = [
-        ("eval_latents_baseline.bin", SourceTag.BASELINE),
-        ("eval_latents_full.bin", SourceTag.SELF_REPAIRING),
-        ("eval_latents_gt.bin", SourceTag.GROUND_TRUTH),
-    ]
-    blocks = []
-    tags: list[SourceTag] = []
-    for filename, tag in sources:
-        path = _require_file(out / filename, "run `eval` with baseline and full variants first")
-        block = _read_finite_latents(path)
-        blocks.append(block)
-        tags.extend([tag] * len(block))
-    stacked = np.vstack(blocks)
-    projection = pca_2d(stacked, tags)
+    sources = (
+        ("eval_latents_baseline.bin", "Baseline"),
+        ("eval_latents_full.bin", "SelfRepairing"),
+        ("eval_latents_gt.bin", "GroundTruth"),
+    )
+    hint = "run `eval` with baseline and full variants first"
+    blocks = [_read_finite_latents(_require_file(out / name, hint)) for name, _ in sources]
+    tags = np.repeat([tag for _, tag in sources], [len(block) for block in blocks])
+    projection = pca_2d(np.vstack(blocks))
+    coords = projection.coords
     _write_csv(
         out / "pca.csv",
         ["pc1", "pc2", "tag"],
-        [
-            [_fmt(x), _fmt(y), tag.value]
-            for (x, y), tag in zip(projection.coords, projection.tags)
-        ],
+        [[_fmt(x), _fmt(y), tag] for (x, y), tag in zip(coords, tags)],
     )
-    coords = projection.coords
-    tag_arr = np.array([t.value for t in projection.tags])
-    base_centroid = coords[tag_arr == SourceTag.BASELINE.value].mean(axis=0)
-    full_centroid = coords[tag_arr == SourceTag.SELF_REPAIRING.value].mean(axis=0)
+    base_centroid = coords[tags == "Baseline"].mean(axis=0)
+    full_centroid = coords[tags == "SelfRepairing"].mean(axis=0)
     centroid_distance = float(np.linalg.norm(base_centroid - full_centroid))
     print(
         "explained variance: "

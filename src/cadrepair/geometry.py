@@ -108,12 +108,6 @@ class ValidityReport:
         return cls(valid=not ordered, reasons=ordered)
 
 
-@dataclass(frozen=True, eq=False)
-class PointCloud:
-    points: np.ndarray  # (count, 3)
-    count: int
-
-
 def _require_number(obj: dict, key: str, context: str) -> float:
     if key not in obj:
         raise MalformedRecord(f"{context}: missing field {key!r}")
@@ -385,8 +379,8 @@ def _require_valid(seq: CommandSequence) -> None:
         raise InfeasibleSolid(f"sequence fails kernel checks: {names}")
 
 
-def sample_point_cloud(seq: CommandSequence, n: int, seed) -> PointCloud:
-    """Sample n points uniformly from the solid volume; deterministic per seed.
+def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:
+    """Sample (n, 3) points uniformly from the solid volume; deterministic per seed.
 
     (x, y) proposals are uniform over the profile bounding box and accepted by
     the even-odd test on the discretized profile; z is uniform in [0, depth].
@@ -413,4 +407,4 @@ def sample_point_cloud(seq: CommandSequence, n: int, seed) -> PointCloud:
             )
     xy = np.concatenate(chunks)[:n]
     z = rng.uniform(0.0, seq.depth, n)
-    return PointCloud(np.column_stack([xy, z]), n)
+    return np.column_stack([xy, z])

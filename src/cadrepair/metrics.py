@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,10 +25,6 @@ class BadSigma(MetricsError):
 
 
 class TooFewPoints(MetricsError):
-    pass
-
-
-class EmptyScores(MetricsError):
     pass
 
 
@@ -127,44 +122,26 @@ def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
     return math.sqrt(max(kxx + kyy - kxy, 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    counts: np.ndarray
-    edges: np.ndarray
-
-
-def mmd_histogram(scores, bins: int = 16) -> Histogram:
-    """Equal-width histogram over [0, max(scores)]."""
+def mmd_histogram(scores, bins: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's (counts, edges) of equal-width bins over [0, max(scores)], or
+    over [0, 1] when that maximum is 0 or there are no scores."""
     values = np.asarray(scores, dtype=float)
-    if values.size == 0:
-        raise EmptyScores("no scores to bin")
-    top = float(values.max())
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, top if top > 0.0 else 1.0))
-    return Histogram(counts, edges)
-
-
-class SourceTag(Enum):
-    BASELINE = "Baseline"
-    SELF_REPAIRING = "SelfRepairing"
-    GROUND_TRUTH = "GroundTruth"
+    top = float(values.max(initial=0.0))
+    return np.histogram(values, bins=bins, range=(0.0, top if top > 0.0 else 1.0))
 
 
 @dataclass(frozen=True, eq=False)
 class PcaProjection:
     components: np.ndarray  # (2, d) orthonormal rows
     coords: np.ndarray  # (n, 2)
-    tags: tuple[SourceTag, ...]
     explained_variance: np.ndarray  # fractions, descending
 
 
-def pca_2d(latents, tags) -> PcaProjection:
+def pca_2d(latents) -> PcaProjection:
     """Top-2 principal axes of the latent rows with a deterministic sign fix."""
     x = np.asarray(latents, dtype=float)
     if x.ndim != 2 or len(x) < 3:
         raise TooFewRows("need at least 3 latent rows")
-    tag_tuple = tuple(tags)
-    if len(tag_tuple) != len(x):
-        raise ValueError("one tag per latent row required")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
@@ -178,20 +155,4 @@ def pca_2d(latents, tags) -> PcaProjection:
         explained = eigenvalues[order[:2]] / total
     else:
         explained = np.zeros(2)
-    return PcaProjection(components, centered @ components.T, tag_tuple, explained)
-
-
-@dataclass(frozen=True, eq=False)
-class VariantRow:
-    """One evaluated configuration: feasibility counts, MMD stats, repair tallies."""
-
-    variant: str
-    n: int
-    n_valid: int
-    feasibility: float
-    mmd_scores: tuple[float, ...]
-    mean_mmd: float
-    median_mmd: float
-    histogram: Histogram
-    repaired_count: int
-    repair_failed_count: int
+    return PcaProjection(components, centered @ components.T, explained)

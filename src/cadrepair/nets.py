@@ -359,25 +359,22 @@ def train_regressor(
 
 
 def timestep_embedding(t) -> np.ndarray:
-    """Sinusoidal embedding of (possibly batched) integer timesteps, width 8."""
+    """Sinusoidal embedding of integer timesteps: (B, 8) for B timesteps, (1, 8) for a scalar."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     half = TIMESTEP_EMBED_DIM // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
     angles = t_arr[:, None] * freqs[None, :]
-    emb = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-    return emb[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else emb
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
 def denoiser_features(z_t, t, condition) -> np.ndarray:
-    """Assemble the denoiser input: noisy latent, timestep embedding, condition.
+    """Assemble the denoiser input rows: noisy latent, timestep embedding, condition.
 
-    For a batch (B, d) of latents, a scalar timestep and a single condition
-    are broadcast over the rows.
+    ``z_t`` is a (B, d) batch; a scalar timestep and a single condition are
+    broadcast over its rows.
     """
     z_t = np.asarray(z_t, dtype=float)
     condition = np.asarray(condition, dtype=float)
-    if z_t.ndim == 1:
-        return np.concatenate([z_t, timestep_embedding(t), condition])
     emb = np.broadcast_to(timestep_embedding(t), (len(z_t), TIMESTEP_EMBED_DIM))
     cond = np.broadcast_to(condition, (len(z_t), condition.shape[-1]))
     return np.concatenate([z_t, emb, cond], axis=1)

@@ -25,7 +25,7 @@ from .geometry import (
     kernel_check,
     sample_point_cloud,
 )
-from .metrics import Histogram, MmdConfig, VariantRow, mmd, mmd_histogram
+from .metrics import MmdConfig, mmd
 from .nets import LinearRegressor, Mlp, regressor_predict
 
 logger = logging.getLogger(__name__)
@@ -194,14 +194,9 @@ class RepairStage(Enum):
 @dataclass(frozen=True)
 class RepairOutcome:
     stage: RepairStage
-    pre_repair: np.ndarray
-    post_repair: np.ndarray | None
+    final_latent: np.ndarray
     sequence: CommandSequence
     report: ValidityReport
-
-    @property
-    def final_latent(self) -> np.ndarray:
-        return self.pre_repair if self.post_repair is None else self.post_repair
 
 
 def self_repair(latent, regressor: LinearRegressor) -> RepairOutcome:
@@ -211,12 +206,12 @@ def self_repair(latent, regressor: LinearRegressor) -> RepairOutcome:
     sequence = decode(z)
     report = kernel_check(sequence)
     if report.valid:
-        return RepairOutcome(RepairStage.VALID_DIRECT, z, None, sequence, report)
+        return RepairOutcome(RepairStage.VALID_DIRECT, z, sequence, report)
     repaired = regressor_predict(regressor, z)
     sequence = decode(repaired)
     report = kernel_check(sequence)
     stage = RepairStage.REPAIRED_VALID if report.valid else RepairStage.REPAIRED_INVALID
-    return RepairOutcome(stage, z, repaired, sequence, report)
+    return RepairOutcome(stage, repaired, sequence, report)
 
 
 class VariantId(Enum):
@@ -320,38 +315,16 @@ def evaluate_condition(
             cloud = sample_point_cloud(
                 sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
             )
-            score = mmd(cloud.points, points, mmd_config)
+            score = mmd(cloud, points, mmd_config)
         outcomes.append(ConditionOutcome(cid, report.valid, stage, final_latent, score))
     return outcomes
 
 
 def ground_truth_cloud(
     condition: GroundTruthCondition, condition_id: int, seed: int, mmd_config: MmdConfig
-):
+) -> np.ndarray:
     return sample_point_cloud(
         condition.sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GT, condition_id)
-    )
-
-
-def summarize_outcomes(variant: VariantId, outcomes) -> VariantRow:
-    n = len(outcomes)
-    n_valid = sum(1 for o in outcomes if o.valid)
-    scores = tuple(o.mmd_score for o in outcomes if o.mmd_score is not None)
-    if scores:
-        histogram = mmd_histogram(scores)
-    else:
-        histogram = Histogram(np.zeros(16, dtype=int), np.linspace(0.0, 1.0, 17))
-    return VariantRow(
-        variant=variant.value,
-        n=n,
-        n_valid=n_valid,
-        feasibility=n_valid / n if n else float("nan"),
-        mmd_scores=scores,
-        mean_mmd=float(np.mean(scores)) if scores else float("nan"),
-        median_mmd=float(np.median(scores)) if scores else float("nan"),
-        histogram=histogram,
-        repaired_count=sum(1 for o in outcomes if o.stage is RepairStage.REPAIRED_VALID),
-        repair_failed_count=sum(1 for o in outcomes if o.stage is RepairStage.REPAIRED_INVALID),
     )
 
 
@@ -404,8 +377,7 @@ def run_variants(
     payload = {
         "conditions": list(eval_conditions),
         "gt_points": [
-            ground_truth_cloud(c, i, seed, mmd_config).points
-            for i, c in enumerate(eval_conditions)
+            ground_truth_cloud(c, i, seed, mmd_config) for i, c in enumerate(eval_conditions)
         ],
         "models": models,
         "schedule": schedule,

@@ -131,6 +131,31 @@ def test_eval_spanning_chain_blocks_does_not_depend_on_thread_count(runs, tmp_pa
         assert {int(row["n"]) for row in csv.DictReader(fh)} == {n_eval}
 
 
+def read_rows(path) -> list[dict[str, str]]:
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_report_agrees_with_scores_and_histogram(runs):
+    root, _, _ = runs
+    out = root / "a"
+    report = read_rows(out / "report.csv")
+    scores, hist = read_rows(out / "mmd_scores.csv"), read_rows(out / "mmd_hist.csv")
+    assert [row["variant"] for row in report] == [v.value for v in pipeline.VariantId]
+    for row in report:
+        variant = row["variant"]
+        mine = [float(r["mmd"]) for r in scores if r["variant"] == variant]
+        counts = [int(r["count"]) for r in hist if r["variant"] == variant]
+        assert int(row["n"]) == TINY["n_eval_conditions"]
+        assert len(counts) == 16
+        assert int(row["n_valid"]) == len(mine) == sum(counts)
+        assert row["feasibility"] == repr(float(len(mine) / TINY["n_eval_conditions"]))
+        assert row["mean_mmd"] == (repr(float(np.mean(mine))) if mine else "nan")
+        assert row["median_mmd"] == (repr(float(np.median(mine))) if mine else "nan")
+        if variant in ("baseline", "var3", "var4", "var5"):
+            assert row["repaired_count"] == row["repair_failed_count"] == "0"
+
+
 @pytest.mark.parametrize("n_conditions", [TINY["n_conditions"] - 10, TINY["n_conditions"] + 10])
 def test_training_reads_row_counts_from_the_dataset(runs, tmp_path, n_conditions):
     # the dataset was generated under TINY; retraining under another
@@ -235,17 +260,19 @@ def test_ssl_regressor_with_too_few_train_pairs_exits_4(tmp_path):
     assert run_stage(config, "train", "--which", "ssl_regressor") == cli.EXIT_MISSING
 
 
-def test_single_class_labels_exit_4(tmp_path, caplog):
+# with one valid row of ten the balanced split is 2 rows, both of them train
+@pytest.mark.parametrize("n_valid", [10, 1], ids=["all-valid", "one-valid"])
+def test_single_class_labels_exit_4(tmp_path, caplog, n_valid):
     out = tmp_path / "out"
     out.mkdir()
     write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(10, LATENT_DIM)))
     with open(out / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["condition_id", "seed", "valid", "reasons"])
-        writer.writerows([i, 0, 1, ""] for i in range(10))
+        writer.writerows([i, 0, int(i < n_valid), ""] for i in range(10))
     config = write_config(tmp_path / "c.json", out)
     assert run_stage(config, "train", "--which", "classifier") == cli.EXIT_MISSING
-    assert "labels.csv holds 10 valid and 0 invalid rows" in caplog.text
+    assert f"labels.csv holds {n_valid} valid and {10 - n_valid} invalid rows" in caplog.text
     assert not (out / "classifier.json").exists()
 
 

@@ -361,18 +361,17 @@ def test_kernel_total_deterministic_valid_iff_no_reasons(seq):
 def test_cloud_inside_unit_box():
     seq = square(depth=1.0)
     cloud = sample_point_cloud(seq, 1000, seed=3)
-    assert cloud.count == 1000
-    assert cloud.points.shape == (1000, 3)
-    assert (cloud.points >= 0).all() and (cloud.points <= 1).all()
+    assert cloud.shape == (1000, 3)
+    assert (cloud >= 0).all() and (cloud <= 1).all()
 
 
 def test_cloud_deterministic():
     seq = square()
     a = sample_point_cloud(seq, 256, seed=42)
     b = sample_point_cloud(seq, 256, seed=42)
-    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a, b)
     c = sample_point_cloud(seq, 256, seed=43)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(a, c)
 
 
 def test_cloud_rejects_infeasible():
@@ -385,9 +384,9 @@ def test_triangle_cloud_statistics():
     seq = CommandSequence((line(0, 0), line(1, 0), line(0, 1)), depth)
     n = 100_000
     cloud = sample_point_cloud(seq, n, seed=7)
-    xy = cloud.points[:, :2]
+    xy = cloud[:, :2]
     assert ((xy[:, 0] + xy[:, 1]) < 1.0 + 1e-12).mean() > 0.9999
-    mean_z = cloud.points[:, 2].mean()
+    mean_z = cloud[:, 2].mean()
     se = depth / math.sqrt(12.0 * n)
     assert abs(mean_z - depth / 2.0) < 3.0 * se
 

@@ -5,9 +5,7 @@ import pytest
 
 from cadrepair.metrics import (
     BadSigma,
-    EmptyScores,
     MmdConfig,
-    SourceTag,
     TooFewPoints,
     TooFewRows,
     median_heuristic_sigma,
@@ -213,36 +211,37 @@ def test_mmd_above_subsample_limit_uses_median_heuristic_sigma():
 
 
 def test_histogram_single_score():
-    hist = mmd_histogram([0.37], bins=16)
-    assert hist.counts.sum() == 1
-    assert hist.counts[-1] == 1
-    assert hist.edges[0] == 0.0
-    assert math.isclose(hist.edges[-1], 0.37)
+    counts, edges = mmd_histogram([0.37], bins=16)
+    assert counts.sum() == 1
+    assert counts[-1] == 1
+    assert edges[0] == 0.0
+    assert math.isclose(edges[-1], 0.37)
 
 
 def test_histogram_counts_sum():
     rng = np.random.default_rng(9)
     scores = rng.uniform(0, 1, 137)
-    hist = mmd_histogram(scores)
-    assert hist.counts.sum() == 137
-    assert len(hist.counts) == 16
+    counts, _ = mmd_histogram(scores)
+    assert counts.sum() == 137
+    assert len(counts) == 16
 
 
 def test_histogram_hand_fixture():
-    hist = mmd_histogram([0.1, 0.2, 0.4, 0.8], bins=4)
-    np.testing.assert_array_equal(hist.counts, [1, 1, 1, 1])
-    np.testing.assert_allclose(hist.edges, [0.0, 0.2, 0.4, 0.6, 0.8])
+    counts, edges = mmd_histogram([0.1, 0.2, 0.4, 0.8], bins=4)
+    np.testing.assert_array_equal(counts, [1, 1, 1, 1])
+    np.testing.assert_allclose(edges, [0.0, 0.2, 0.4, 0.6, 0.8])
 
 
-def test_histogram_empty_raises():
-    with pytest.raises(EmptyScores):
-        mmd_histogram([])
+def test_histogram_empty_bins_unit_range():
+    counts, edges = mmd_histogram([])
+    np.testing.assert_array_equal(counts, np.zeros(16, dtype=int))
+    assert edges.tobytes() == np.linspace(0.0, 1.0, 17).tobytes()
 
 
 def test_histogram_all_zero_scores():
-    hist = mmd_histogram([0.0, 0.0], bins=4)
-    assert hist.counts.sum() == 2
-    assert hist.edges[-1] == 1.0  # degenerate range guard
+    counts, edges = mmd_histogram([0.0, 0.0], bins=4)
+    assert counts.sum() == 2
+    assert edges[-1] == 1.0  # degenerate range guard
 
 
 # ---------------------------------------------------------------- PCA
@@ -275,7 +274,7 @@ def principal_angles(a, b):
 def test_pca_components_orthonormal():
     rng = np.random.default_rng(10)
     latents = rng.normal(size=(200, 21))
-    proj = pca_2d(latents, [SourceTag.BASELINE] * 200)
+    proj = pca_2d(latents)
     gram = proj.components @ proj.components.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-9)
 
@@ -284,7 +283,7 @@ def test_pca_rank_one_data():
     rng = np.random.default_rng(11)
     direction = rng.normal(size=21)
     latents = np.outer(rng.normal(size=100), direction)
-    proj = pca_2d(latents, [SourceTag.GROUND_TRUTH] * 100)
+    proj = pca_2d(latents)
     assert proj.explained_variance[0] > 0.999
     assert proj.explained_variance[0] >= proj.explained_variance[1] >= 0.0
 
@@ -292,7 +291,7 @@ def test_pca_rank_one_data():
 def test_pca_matches_power_iteration_oracle():
     rng = np.random.default_rng(12)
     latents = rng.normal(size=(300, 21)) @ np.diag(rng.uniform(0.2, 3.0, 21))
-    proj = pca_2d(latents, [SourceTag.BASELINE] * 300)
+    proj = pca_2d(latents)
     centered = latents - latents.mean(axis=0)
     cov = centered.T @ centered / (len(latents) - 1)
     oracle = power_iteration_top2(cov)
@@ -303,7 +302,7 @@ def test_pca_matches_power_iteration_oracle():
 def test_pca_sign_convention():
     rng = np.random.default_rng(13)
     latents = rng.normal(size=(50, 21))
-    proj = pca_2d(latents, [SourceTag.BASELINE] * 50)
+    proj = pca_2d(latents)
     for row in proj.components:
         assert row[np.argmax(np.abs(row))] > 0.0
 
@@ -311,7 +310,7 @@ def test_pca_sign_convention():
 def test_pca_projection_non_expansive():
     rng = np.random.default_rng(14)
     latents = rng.normal(size=(80, 21))
-    proj = pca_2d(latents, [SourceTag.BASELINE] * 80)
+    proj = pca_2d(latents)
     for _ in range(100):
         i, j = rng.integers(0, 80, 2)
         d2 = np.linalg.norm(proj.coords[i] - proj.coords[j])
@@ -322,7 +321,7 @@ def test_pca_projection_non_expansive():
 def test_pca_reconstruction_error_equals_trailing_eigenvalues():
     rng = np.random.default_rng(15)
     latents = rng.normal(size=(120, 21)) @ np.diag(rng.uniform(0.1, 2.0, 21))
-    proj = pca_2d(latents, [SourceTag.BASELINE] * 120)
+    proj = pca_2d(latents)
     centered = latents - latents.mean(axis=0)
     resid = centered - proj.coords @ proj.components
     per_sample = (resid**2).sum() / (len(latents) - 1)
@@ -333,9 +332,5 @@ def test_pca_reconstruction_error_equals_trailing_eigenvalues():
 
 def test_pca_too_few_rows():
     with pytest.raises(TooFewRows):
-        pca_2d(np.zeros((2, 21)), [SourceTag.BASELINE] * 2)
+        pca_2d(np.zeros((2, 21)))
 
-
-def test_pca_tag_count_must_match():
-    with pytest.raises(ValueError):
-        pca_2d(np.zeros((5, 21)), [SourceTag.BASELINE] * 4)

@@ -465,16 +465,16 @@ def test_timestep_embedding_width_and_uniqueness():
     assert emb.shape == (100, 8)
     assert len({tuple(np.round(row, 9)) for row in emb}) == 100
     single = timestep_embedding(17)
-    np.testing.assert_array_equal(single, emb[16])
+    np.testing.assert_array_equal(single, emb[16:17])
 
 
 def test_denoiser_features_layout():
-    z = np.arange(21, dtype=float)
+    z = np.arange(21, dtype=float)[None, :]
     c = np.arange(8, dtype=float)
     feats = denoiser_features(z, 3, c)
-    assert feats.shape == (37,)
-    np.testing.assert_array_equal(feats[:21], z)
-    np.testing.assert_array_equal(feats[29:], c)
+    assert feats.shape == (1, 37)
+    np.testing.assert_array_equal(feats[:, :21], z)
+    np.testing.assert_array_equal(feats[:, 29:], c[None, :])
 
 
 def test_denoiser_features_broadcast_scalar_timestep_over_batch():
@@ -484,7 +484,8 @@ def test_denoiser_features_broadcast_scalar_timestep_over_batch():
     feats = denoiser_features(z, 3, c)
     assert feats.shape == (4, 37)
     for i in range(4):
-        np.testing.assert_array_equal(feats[i], denoiser_features(z[i], 3, c[i]))
+        expected = np.concatenate([z[i], timestep_embedding(3)[0], c[i]])
+        np.testing.assert_array_equal(feats[i], expected)
 
 
 def test_model_save_load_roundtrip(tmp_path):

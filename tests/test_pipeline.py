@@ -11,6 +11,7 @@ from cadrepair.nets import (
     OutputActivation,
     fit_linear_regressor,
     init_mlp,
+    regressor_predict,
 )
 from cadrepair.pipeline import (
     CHAIN_BLOCK,
@@ -29,7 +30,6 @@ from cadrepair.pipeline import (
     run_variants,
     seed_stream,
     self_repair,
-    summarize_outcomes,
 )
 
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -171,7 +171,6 @@ def test_repair_valid_direct_never_calls_regressor():
     broken = LinearRegressor(np.zeros((5, 5)), np.zeros(5))  # would raise if applied
     outcome = self_repair(valid_latent, broken)
     assert outcome.stage is RepairStage.VALID_DIRECT
-    assert outcome.post_repair is None
     np.testing.assert_array_equal(outcome.final_latent, valid_latent)
 
 
@@ -180,7 +179,7 @@ def test_repair_identity_regressor_cannot_fix():
     identity = LinearRegressor(np.eye(21), np.zeros(21))
     outcome = self_repair(bad, identity)
     assert outcome.stage is RepairStage.REPAIRED_INVALID
-    np.testing.assert_array_equal(outcome.post_repair, bad)
+    np.testing.assert_array_equal(outcome.final_latent, bad)
     assert not outcome.report.valid
 
 
@@ -198,14 +197,14 @@ def test_repair_fixture_recovers_validity():
     outcome = self_repair(broken, regressor)
     assert outcome.stage is RepairStage.REPAIRED_VALID
     assert outcome.report.valid
-    np.testing.assert_array_equal(outcome.pre_repair, broken)
+    np.testing.assert_array_equal(outcome.final_latent, regressor_predict(regressor, broken))
 
 
 def test_repair_applies_regressor_once():
     bad = np.zeros(21)
     nudger = LinearRegressor(np.eye(21), np.full(21, 0.05))
     one = self_repair(bad, nudger)
-    np.testing.assert_allclose(one.post_repair, np.full(21, 0.05))
+    np.testing.assert_allclose(one.final_latent, np.full(21, 0.05))
 
 
 def test_repair_mismatched_regressor_raises():
@@ -235,12 +234,11 @@ def test_variant_rows_paired_and_monotone():
         seed=3,
         mmd_config=cfg,
     )
-    rows = {v.value: summarize_outcomes(v, o) for v, o in outcomes.items()}
-    assert rows["full"].n_valid >= rows["var5"].n_valid  # repair only adds validity
-    for row in rows.values():
-        assert row.n == 6
-        assert row.feasibility == row.n_valid / row.n
-        assert int(row.histogram.counts.sum()) == len(row.mmd_scores)
+    n_valid = {v: sum(o.valid for o in rows) for v, rows in outcomes.items()}
+    assert n_valid[VariantId.FULL] >= n_valid[VariantId.VAR5]  # repair only adds validity
+    for rows in outcomes.values():
+        assert [o.condition_id for o in rows] == list(range(6))
+        assert all((o.mmd_score is not None) == o.valid for o in rows)  # scored iff valid
 
 
 def test_variant_repair_counts_consistent():
@@ -249,12 +247,11 @@ def test_variant_repair_counts_consistent():
     outcomes = run_variants(
         [VariantId.VAR1], conditions, models, SCHED, seed=4, mmd_config=MmdConfig(cloud_size=64)
     )[VariantId.VAR1]
-    row = summarize_outcomes(VariantId.VAR1, outcomes)
-    stages = [o.stage for o in outcomes]
-    assert row.repaired_count == sum(s is RepairStage.REPAIRED_VALID for s in stages)
-    assert row.repair_failed_count == sum(s is RepairStage.REPAIRED_INVALID for s in stages)
-    direct = sum(s is RepairStage.VALID_DIRECT for s in stages)
-    assert direct + row.repaired_count == row.n_valid
+    assert len(outcomes) == 5
+    for o in outcomes:
+        assert isinstance(o.stage, RepairStage)  # every row goes through self-repair
+        assert o.valid == (o.stage is not RepairStage.REPAIRED_INVALID)
+        assert (o.mmd_score is not None) == o.valid
 
 
 def test_baseline_never_repairs():
@@ -263,9 +260,8 @@ def test_baseline_never_repairs():
     outcomes = run_variants(
         [VariantId.BASELINE], conditions, models, SCHED, seed=5, mmd_config=MmdConfig(cloud_size=64)
     )[VariantId.BASELINE]
-    row = summarize_outcomes(VariantId.BASELINE, outcomes)
-    assert row.repaired_count == 0
-    assert row.repair_failed_count == 0
+    assert len(outcomes) == 4
+    assert all(o.stage is None for o in outcomes)
 
 
 def test_run_variants_parallel_matches_serial():
@@ -286,10 +282,9 @@ def test_run_variants_parallel_matches_serial():
     )
     assert list(serial) == list(parallel)
     for variant in serial:
-        a = summarize_outcomes(variant, serial[variant])
-        b = summarize_outcomes(variant, parallel[variant])
-        assert a.n_valid == b.n_valid
-        assert a.mmd_scores == b.mmd_scores
+        a = [(o.condition_id, o.valid, o.stage, o.mmd_score) for o in serial[variant]]
+        b = [(o.condition_id, o.valid, o.stage, o.mmd_score) for o in parallel[variant]]
+        assert a == b
 
 
 def test_guided_variants_use_guidance():
@@ -338,7 +333,7 @@ def test_run_variants_blocks_match_single_conditions():
             np.testing.assert_array_equal(a.final_latent, b.final_latent)
             assert (a.valid, a.stage, a.mmd_score) == (b.valid, b.stage, b.mmd_score)
         for i, outcome in enumerate(outcomes):
-            points = ground_truth_cloud(conditions[i], i, 9, cfg).points
+            points = ground_truth_cloud(conditions[i], i, 9, cfg)
             (single,) = evaluate_condition(
                 variant, [i], [conditions[i]], [points], models, SCHED, 9, GuidanceConfig(), cfg
             )
