@@ -595,7 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help=f"worker processes; eval runs in blocks of {pipeline.CHAIN_BLOCK} conditions",
+        help=(
+            f"worker processes, at most one per block of {pipeline.CHAIN_BLOCK} conditions; "
+            "each block runs every variant"
+        ),
     )
 
     p_pca = sub.add_parser("pca", help="project evaluation latents to 2D")

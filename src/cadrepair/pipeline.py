@@ -9,7 +9,7 @@ variant of the evaluation matrix shares per-condition starting noise
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -41,9 +41,10 @@ STREAM_TRAINING = 6
 
 # Rows per batched reverse-chain call. Blocks are cut from the row order
 # alone, never from the worker count, so results do not depend on --threads.
-# Eight rows already amortize most of the per-step overhead, keep the peak
-# memory of a block small, and cut an eval of 40 conditions x 3 variants into
-# 15 pool tasks, fine enough to balance across workers.
+# Eight rows already amortize most of the per-step overhead and keep the peak
+# memory of a block small. Eval makes one pool task per block, which runs every
+# requested variant on it, so an eval of 40 conditions is 5 tasks: enough to
+# spread over a few workers while variants of one guidance plan share a chain.
 CHAIN_BLOCK = 8
 
 _REJECTION_MIN_DRAWS = 1_000_000
@@ -234,28 +235,28 @@ class TrainedModels:
 
 @dataclass(frozen=True)
 class _VariantPlan:
-    use_classifier: bool
-    use_regressor: bool
+    guidance: tuple[bool, bool]  # (use_classifier, use_regressor); variants share its chain
     repair_model: str | None  # TrainedModels attribute name
 
 
 _VARIANT_PLANS: dict[VariantId, _VariantPlan] = {
-    VariantId.BASELINE: _VariantPlan(False, False, None),
-    VariantId.VAR1: _VariantPlan(False, False, "ssl_regressor"),
-    VariantId.VAR2: _VariantPlan(False, False, "gt_regressor"),
-    VariantId.VAR3: _VariantPlan(True, False, None),
-    VariantId.VAR4: _VariantPlan(False, True, None),
-    VariantId.VAR5: _VariantPlan(True, True, None),
-    VariantId.FULL: _VariantPlan(True, True, "ssl_regressor"),
+    VariantId.BASELINE: _VariantPlan((False, False), None),
+    VariantId.VAR1: _VariantPlan((False, False), "ssl_regressor"),
+    VariantId.VAR2: _VariantPlan((False, False), "gt_regressor"),
+    VariantId.VAR3: _VariantPlan((True, False), None),
+    VariantId.VAR4: _VariantPlan((False, True), None),
+    VariantId.VAR5: _VariantPlan((True, True), None),
+    VariantId.FULL: _VariantPlan((True, True), "ssl_regressor"),
 }
 
 
 def _required_models(variant: VariantId) -> list[str]:
     plan = _VARIANT_PLANS[variant]
+    use_classifier, use_regressor = plan.guidance
     needed = ["denoiser"]
-    if plan.use_classifier:
+    if use_classifier:
         needed.append("classifier")
-    if plan.use_regressor:
+    if use_regressor:
         needed.append("ssl_regressor")
     if plan.repair_model:
         needed.append(plan.repair_model)
@@ -281,42 +282,59 @@ def evaluate_condition(
     seed: int,
     guidance: diffusion.GuidanceConfig,
     mmd_config: MmdConfig,
+    chains: dict,
 ) -> list[ConditionOutcome]:
-    """Sample one block of conditions in one batched chain, then optionally
-    repair, kernel-check, and MMD-score each row.
+    """Evaluate one variant on one block of conditions.
 
     ``condition_ids``, ``conditions`` (GroundTruthCondition) and ``gt_points``
-    pair up; outcomes come back in the same order.
+    pair up; outcomes come back in the same order. ``chains`` belongs to this
+    block: it maps a guidance plan, ``(use_classifier, use_regressor)``, to the
+    unrepaired outcomes of that plan's chain. A missing plan runs one batched
+    chain and stores its rows decoded, kernel-checked and, if valid, scored.
+    A variant without a repair model returns the stored outcomes. A repair
+    variant keeps each row that is valid before repair, latent and score
+    alike, as ``VALID_DIRECT``; only invalid rows are repaired and scored.
+    Sharing is exact: every chain and cloud is seeded by condition id alone.
     """
-    plan = _VARIANT_PLANS[variant]
-    z0s = diffusion.sample(
-        np.array([c.condition for c in conditions]),
-        models.denoiser,
-        schedule,
-        [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids],
-        classifier=models.classifier if plan.use_classifier else None,
-        regressor=models.ssl_regressor if plan.use_regressor else None,
-        guidance=guidance,
-    )
-    outcomes = []
-    for cid, z0, points in zip(condition_ids, z0s, gt_points):
-        if plan.repair_model is not None:
-            outcome = self_repair(z0, getattr(models, plan.repair_model))
-            stage = outcome.stage
-            final_latent = outcome.final_latent
-            sequence, report = outcome.sequence, outcome.report
-        else:
-            stage = None
-            final_latent = z0
-            sequence = decode(z0)
-            report = kernel_check(sequence)
+
+    def scored(cid, stage, latent, sequence, report, points):
         score = None
         if report.valid:
             cloud = sample_point_cloud(
                 sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
             )
             score = mmd(cloud, points, mmd_config)
-        outcomes.append(ConditionOutcome(cid, report.valid, stage, final_latent, score))
+        return ConditionOutcome(cid, report.valid, stage, latent, score)
+
+    plan = _VARIANT_PLANS[variant]
+    if plan.guidance not in chains:
+        use_classifier, use_regressor = plan.guidance
+        z0s = diffusion.sample(
+            np.array([c.condition for c in conditions]),
+            models.denoiser,
+            schedule,
+            [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids],
+            classifier=models.classifier if use_classifier else None,
+            regressor=models.ssl_regressor if use_regressor else None,
+            guidance=guidance,
+        )
+        unrepaired = []
+        for cid, z0, points in zip(condition_ids, z0s, gt_points):
+            sequence = decode(z0)
+            unrepaired.append(scored(cid, None, z0, sequence, kernel_check(sequence), points))
+        chains[plan.guidance] = unrepaired
+    if plan.repair_model is None:
+        return list(chains[plan.guidance])
+    regressor = getattr(models, plan.repair_model)
+    outcomes = []
+    for row, points in zip(chains[plan.guidance], gt_points):
+        if row.valid:
+            outcomes.append(replace(row, stage=RepairStage.VALID_DIRECT))
+        else:
+            r = self_repair(row.final_latent, regressor)
+            outcomes.append(
+                scored(row.condition_id, r.stage, r.final_latent, r.sequence, r.report, points)
+            )
     return outcomes
 
 
@@ -336,19 +354,28 @@ def _init_eval_worker(payload) -> None:
 
 
 def _eval_task(task):
-    variant_value, lo, hi = task
+    lo, hi = task
     ctx = _WORKER_CONTEXT
-    return evaluate_condition(
-        VariantId(variant_value),
-        range(lo, hi),
-        ctx["conditions"][lo:hi],
-        ctx["gt_points"][lo:hi],
-        ctx["models"],
-        ctx["schedule"],
-        ctx["seed"],
-        ctx["guidance"],
-        ctx["mmd_config"],
-    )
+    ids = range(lo, hi)
+    conditions = ctx["conditions"][lo:hi]
+    seed, mmd_config = ctx["seed"], ctx["mmd_config"]
+    gt_points = [ground_truth_cloud(c, i, seed, mmd_config) for i, c in zip(ids, conditions)]
+    chains: dict = {}
+    return [
+        evaluate_condition(
+            variant,
+            ids,
+            conditions,
+            gt_points,
+            ctx["models"],
+            ctx["schedule"],
+            seed,
+            ctx["guidance"],
+            mmd_config,
+            chains,
+        )
+        for variant in ctx["variants"]
+    ]
 
 
 def run_variants(
@@ -364,9 +391,11 @@ def run_variants(
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds.
 
-    Each variant's conditions are cut into blocks of CHAIN_BLOCK that run one
-    batched chain each; threads > 1 fans the blocks out to a process pool.
-    Returns each variant's outcomes in condition order, in the order of
+    The conditions are cut into blocks of CHAIN_BLOCK, one task each. A task
+    samples the block's ground-truth clouds, then runs the variants in order,
+    one batched chain per distinct guidance plan (see ``evaluate_condition``).
+    threads > 1 fans the tasks out to a process pool of at most one worker per
+    task. Returns each variant's outcomes in condition order, in the order of
     ``variants``, either way.
     """
     variants = list(variants)
@@ -375,10 +404,8 @@ def run_variants(
             if getattr(models, name) is None:
                 raise MissingModel(f"variant {variant.value} needs model {name!r}")
     payload = {
+        "variants": variants,
         "conditions": list(eval_conditions),
-        "gt_points": [
-            ground_truth_cloud(c, i, seed, mmd_config) for i, c in enumerate(eval_conditions)
-        ],
         "models": models,
         "schedule": schedule,
         "seed": seed,
@@ -386,18 +413,20 @@ def run_variants(
         "mmd_config": mmd_config,
     }
     n = len(eval_conditions)
-    tasks = [
-        (v.value, lo, min(lo + CHAIN_BLOCK, n)) for v in variants for lo in range(0, n, CHAIN_BLOCK)
-    ]
+    tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_eval_worker, initargs=(payload,)
+            max_workers=min(threads, len(tasks)),
+            initializer=_init_eval_worker,
+            initargs=(payload,),
         ) as pool:
             blocks = list(pool.map(_eval_task, tasks))
     else:
         _init_eval_worker(payload)
         blocks = [_eval_task(task) for task in tasks]
-    flat = [outcome for block in blocks for outcome in block]
-    return {variant: flat[k * n : (k + 1) * n] for k, variant in enumerate(variants)}
+    return {
+        variant: [outcome for block in blocks for outcome in block[k]]
+        for k, variant in enumerate(variants)
+    }

@@ -172,6 +172,15 @@ def test_training_reads_row_counts_from_the_dataset(runs, tmp_path, n_conditions
         assert (out / model).read_bytes() == (root / "a" / model).read_bytes(), model
 
 
+def test_console_script_entry_prints_help(monkeypatch, capsys):
+    # pyproject.toml's `cadrepair` script calls cli.entry
+    monkeypatch.setattr("sys.argv", ["cadrepair", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == 0
+    assert "eval" in capsys.readouterr().out
+
+
 def test_unknown_variant_exits_2(tmp_path):
     config = write_config(tmp_path / "c.json", tmp_path / "out")
     assert run_stage(config, "eval", "--variants", "baseline,var9") == cli.EXIT_CONFIG

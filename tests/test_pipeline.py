@@ -1,7 +1,11 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from cadrepair import pipeline
 from cadrepair.codec import decode, encode
+from cadrepair.config import ModelTraining
 from cadrepair.diffusion import GuidanceConfig, build_schedule, sample
 from cadrepair.geometry import kernel_check
 from cadrepair.metrics import MmdConfig
@@ -12,6 +16,7 @@ from cadrepair.nets import (
     fit_linear_regressor,
     init_mlp,
     regressor_predict,
+    train_denoiser,
 )
 from cadrepair.pipeline import (
     CHAIN_BLOCK,
@@ -335,7 +340,7 @@ def test_run_variants_blocks_match_single_conditions():
         for i, outcome in enumerate(outcomes):
             points = ground_truth_cloud(conditions[i], i, 9, cfg)
             (single,) = evaluate_condition(
-                variant, [i], [conditions[i]], [points], models, SCHED, 9, GuidanceConfig(), cfg
+                variant, [i], [conditions[i]], [points], models, SCHED, 9, GuidanceConfig(), cfg, {}
             )
             np.testing.assert_allclose(
                 outcome.final_latent, single.final_latent, rtol=0.0, atol=1e-12
@@ -344,3 +349,97 @@ def test_run_variants_blocks_match_single_conditions():
             if single.mmd_score is not None:
                 assert abs(outcome.mmd_score - single.mmd_score) <= 1e-12
     assert all(o.mmd_score is not None for o in serial[VariantId.VAR1])
+
+
+def _sharing_case():
+    # a full block and a 3-row tail block; a briefly trained denoiser and
+    # weak guidance make some samples valid before repair, and the toy
+    # regressors repair some of the others
+    conditions = gen_ground_truth(CHAIN_BLOCK + 3, seed=19)
+    train = gen_ground_truth(64, seed=30)
+    models = toy_models(seed=8)
+    models.denoiser = train_denoiser(
+        [gt.condition for gt in train],
+        [gt.latent for gt in train],
+        SCHED,
+        ModelTraining(epochs=100, batch_size=16, learning_rate=3e-3),
+        seed=1,
+    ).model
+    return conditions, models, GuidanceConfig(0.1, 0.01), MmdConfig(cloud_size=64)
+
+
+def test_run_variants_shared_chains_match_single_variants():
+    conditions, models, guidance, cfg = _sharing_case()
+
+    def run(variants, threads=1):
+        return run_variants(variants, conditions, models, SCHED, 10, guidance, cfg, threads=threads)
+
+    together = {threads: run(list(VariantId), threads) for threads in (1, 2)}
+    for variant in VariantId:
+        (alone,) = run([variant]).values()
+        for outcomes in (together[1][variant], together[2][variant]):
+            assert len(outcomes) == len(alone) == len(conditions)
+            for a, b in zip(alone, outcomes):
+                assert np.array_equal(a.final_latent, b.final_latent)
+                assert (a.condition_id, a.valid, a.stage, a.mmd_score) == (
+                    b.condition_id, b.valid, b.stage, b.mmd_score
+                )
+    for variant in (VariantId.VAR1, VariantId.VAR2, VariantId.FULL):
+        assert {o.stage for o in together[1][variant]} == set(RepairStage), variant
+
+
+def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
+    conditions, models, guidance, cfg = _sharing_case()
+    calls = {"sample": 0, "mmd": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
+    monkeypatch.setattr(pipeline, "mmd", spy("mmd", pipeline.mmd))
+    outcomes = run_variants(list(VariantId), conditions, models, SCHED, 10, guidance, cfg)
+    assert calls["sample"] == 4 * 2  # 4 guidance plans x 2 blocks
+    unrepaired = (VariantId.BASELINE, VariantId.VAR3, VariantId.VAR4, VariantId.VAR5)
+    repaired = (VariantId.VAR1, VariantId.VAR2, VariantId.FULL)
+    n_valid = sum(o.valid for v in unrepaired for o in outcomes[v])
+    n_repaired = sum(o.stage is RepairStage.REPAIRED_VALID for v in repaired for o in outcomes[v])
+    assert 0 < n_valid and 0 < n_repaired
+    assert calls["mmd"] == n_valid + n_repaired
+
+
+def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
+    pool_sizes = []
+
+    class SerialPool:
+        """ProcessPoolExecutor stand-in that records its size and maps in process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            pool_sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    conditions = gen_ground_truth(11, seed=20)
+    outcomes = run_variants(
+        [VariantId.BASELINE],
+        conditions,
+        toy_models(seed=9),
+        SCHED,
+        seed=11,
+        mmd_config=MmdConfig(cloud_size=64),
+        threads=64,
+    )
+    assert pool_sizes == [2]  # 11 conditions: 2 blocks
+    assert [o.condition_id for o in outcomes[VariantId.BASELINE]] == list(range(11))
