@@ -22,18 +22,20 @@ from pathlib import Path
 import numpy as np
 
 from . import diffusion, pipeline
-from .codec import CONDITION_DIM, LATENT_DIM, encode, read_latents, write_latents
+from .codec import CONDITION_DIM, LATENT_DIM, decode, encode, read_latents, write_latents
 from .config import ConfigError, RunConfig
 from .geometry import (
     ArityError,
     MalformedRecord,
     SamplingStall,
+    kernel_check,
     record_from_sequence,
     sequence_from_record,
 )
 from .metrics import MmdConfig, mmd_histogram, pca_2d
 from .nets import (
     LinearRegressor,
+    Mlp,
     load_model,
     save_model,
     train_classifier,
@@ -127,17 +129,15 @@ def _read_finite_latents(path: Path) -> np.ndarray:
     return latents
 
 
-def _load_mlp(path: Path):
-    model = load_model(path)
-    if isinstance(model, LinearRegressor):
-        raise MalformedRecord(f"{path}: expected an MLP model file")
-    return model
-
-
-def _load_regressor(path: Path) -> LinearRegressor:
-    model = load_model(path)
-    if not isinstance(model, LinearRegressor):
-        raise MalformedRecord(f"{path}: expected a linear regressor model file")
+def _load_model(path: Path, cls: type):
+    """Read a model file that must hold a ``cls``. A file that is not JSON, not an
+    object, of an unknown kind or missing a field is a MalformedRecord."""
+    try:
+        model = load_model(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MalformedRecord(f"{path}: not a model file: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(model, cls):
+        raise MalformedRecord(f"{path}: expected a {cls.__name__} model file")
     return model
 
 
@@ -187,8 +187,8 @@ def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) ->
 
 def cmd_gen_dataset(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    denoiser = _load_mlp(
-        _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first")
+    denoiser = _load_model(
+        _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first"), Mlp
     )
     per_condition = cfg.generations_per_condition
     ground_truth, generated, reports = pipeline.gen_dataset(
@@ -438,10 +438,8 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     models = TrainedModels()
     for name in needed:
         path = _require_file(out / MODEL_FILES[name], f"run `train --which {name}` first")
-        if name in ("denoiser", "classifier"):
-            setattr(models, name, _load_mlp(path))
-        else:
-            setattr(models, name, _load_regressor(path))
+        cls = Mlp if name in ("denoiser", "classifier") else LinearRegressor
+        setattr(models, name, _load_model(path, cls))
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
@@ -543,13 +541,29 @@ def cmd_pca(cfg: RunConfig) -> int:
 
 
 def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> int:
+    """Kernel-check each row of a latent matrix file, self-repair the rows that
+    fail, and write, into ``out_dir`` (default: beside the latents file):
+
+    - ``repaired.bin``: one latent per row; a row that passes is kept unrepaired.
+    - ``repair_outcomes.csv``: row, stage, valid; stage ``ValidDirect`` for a
+      row that passed, else ``RepairedValid`` or ``RepairedInvalid``.
+    """
     latents_file = _require_file(Path(latents_path), "point --latents at a latent matrix file")
     regressor_file = _require_file(Path(regressor_path), "point --regressor at a model file")
     latents = _read_finite_latents(latents_file)
-    regressor = _load_regressor(regressor_file)
+    regressor = _load_model(regressor_file, LinearRegressor)
     destination = Path(out_dir) if out_dir else latents_file.parent
     destination.mkdir(parents=True, exist_ok=True)
-    outcomes = [pipeline.self_repair(row, regressor) for row in latents]
+    outcomes = []
+    for row in latents:
+        sequence = decode(row)
+        report = kernel_check(sequence)
+        if report.valid:
+            outcomes.append(
+                pipeline.RepairOutcome(pipeline.RepairStage.VALID_DIRECT, row, sequence, report)
+            )
+        else:
+            outcomes.append(pipeline.self_repair(row, regressor))
     repaired = np.array([o.final_latent for o in outcomes]).reshape(-1, LATENT_DIM)
     write_latents(destination / "repaired.bin", repaired)
     _write_csv(

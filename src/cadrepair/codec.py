@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
-    ARC_SEGMENTS,
     MAX_EDGES,
     CommandSequence,
     EdgeKind,
@@ -91,7 +90,7 @@ def condition_descriptor(seq: CommandSequence) -> np.ndarray:
     if not report.valid:
         names = ",".join(r.name for r in report.reasons)
         raise InfeasibleSolid(f"descriptor needs a kernel-valid sequence: {names}")
-    poly = discretize_profile(seq, ARC_SEGMENTS)
+    poly = discretize_profile(seq)
     area = polygon_area(poly)
     nxt = np.roll(poly, -1, axis=0)
     perimeter = float(np.hypot(*(nxt - poly).T).sum())

@@ -60,8 +60,8 @@ class GuidanceConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not (self.classifier_scale >= 0.0 and self.regressor_scale >= 0.0):
-            raise ValueError("guidance scales must be >= 0")
+        if not (0.0 <= self.classifier_scale < np.inf and 0.0 <= self.regressor_scale < np.inf):
+            raise ValueError("guidance scales must be finite and >= 0")
 
 
 def build_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSchedule:

@@ -17,7 +17,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 MAX_EDGES = 5
-ARC_SEGMENTS = 16  # profile discretization used by every kernel check
+ARC_SEGMENTS = 16  # segments per arc in every discretized profile
 MIN_VERTEX_SEPARATION = 1e-3
 MIN_PROFILE_AREA = 1e-3
 COORD_BOUND = 1.0
@@ -171,8 +171,8 @@ def record_from_sequence(seq: CommandSequence) -> dict:
     }
 
 
-def _arc_points(start, end, bulge: float, segments: int) -> list[tuple[float, float]]:
-    """Points along a bulge arc from start to end: segments-1 intermediates plus end.
+def _arc_points(start, end, bulge: float) -> list[tuple[float, float]]:
+    """Points along a bulge arc from start to end: ARC_SEGMENTS-1 intermediates plus end.
 
     Bulge is tan(theta/4) of the included angle, positive for a counterclockwise
     sweep; the sagitta is bulge * chord / 2.
@@ -183,7 +183,7 @@ def _arc_points(start, end, bulge: float, segments: int) -> list[tuple[float, fl
     if abs(bulge) < _BULGE_EPS:
         return [(x1, y1)]  # degenerates to the chord
     if chord == 0.0:
-        return [(x1, y1)] * segments  # degenerate chord: every arc point coincides
+        return [(x1, y1)] * ARC_SEGMENTS  # degenerate chord: every arc point coincides
     theta = 4.0 * math.atan(bulge)
     signed_radius = chord * (1.0 + bulge * bulge) / (4.0 * bulge)
     offset_angle = math.atan2(y1 - y0, x1 - x0) + math.pi / 2.0 - 2.0 * math.atan(bulge)
@@ -192,27 +192,25 @@ def _arc_points(start, end, bulge: float, segments: int) -> list[tuple[float, fl
     radius = abs(signed_radius)
     start_angle = math.atan2(y0 - cy, x0 - cx)
     pts = []
-    for k in range(1, segments):
-        a = start_angle + theta * k / segments
+    for k in range(1, ARC_SEGMENTS):
+        a = start_angle + theta * k / ARC_SEGMENTS
         pts.append((cx + radius * math.cos(a), cy + radius * math.sin(a)))
     pts.append((x1, y1))
     return pts
 
 
-def discretize_profile(seq: CommandSequence, arc_segments: int = ARC_SEGMENTS) -> np.ndarray:
+def discretize_profile(seq: CommandSequence) -> np.ndarray:
     """Realize the closed profile as an (n, 2) polygon vertex array.
 
-    Line edges contribute their target; arc edges contribute arc_segments-1
+    Line edges contribute their target; arc edges contribute ARC_SEGMENTS-1
     intermediate points plus the target. The closing edge (last vertex back to
     the first) is implicit, as is each edge's start at the previous target.
     """
-    if arc_segments < 1:
-        raise ValueError("arc_segments must be >= 1")
     targets = [e.target for e in seq.edges]
     pts: list[tuple[float, float]] = []
     for i, edge in enumerate(seq.edges):
         if edge.kind is EdgeKind.ARC:
-            pts.extend(_arc_points(targets[i - 1], edge.target, edge.bulge, arc_segments))
+            pts.extend(_arc_points(targets[i - 1], edge.target, edge.bulge))
         else:
             pts.append(edge.target)
     return np.array(pts, dtype=float).reshape(-1, 2)
@@ -248,7 +246,7 @@ def canonicalize_sequence(seq: CommandSequence) -> CommandSequence:
     k = len(seq.edges)
     if k < 3:
         return seq
-    poly = discretize_profile(seq, ARC_SEGMENTS)
+    poly = discretize_profile(seq)
     if polygon_area(poly) < 0.0:
         seq = reverse_sequence(seq)
     targets = [e.target for e in seq.edges]
@@ -344,7 +342,7 @@ def kernel_check(seq: CommandSequence) -> ValidityReport:
         if not bool((gaps >= MIN_VERTEX_SEPARATION).all()):
             reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
     if n >= 3 and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
-        poly = discretize_profile(seq, ARC_SEGMENTS)
+        poly = discretize_profile(seq)
         if self_intersects(poly):
             reasons.add(InvalidReason.SELF_INTERSECTION)
         if not abs(polygon_area(poly)) >= MIN_PROFILE_AREA:
@@ -388,7 +386,7 @@ def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:
     if n <= 0:
         raise ValueError("n must be positive")
     _require_valid(seq)
-    poly = discretize_profile(seq, ARC_SEGMENTS)
+    poly = discretize_profile(seq)
     rng = np.random.default_rng(seed)
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)

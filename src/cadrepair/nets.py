@@ -457,6 +457,8 @@ def save_model(path, model: Mlp | LinearRegressor) -> None:
 def load_model(path) -> Mlp | LinearRegressor:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} holds no JSON object")
     kind = payload.get("kind")
     if kind == "mlp":
         return Mlp(

@@ -201,14 +201,13 @@ class RepairOutcome:
 
 
 def self_repair(latent, regressor: LinearRegressor) -> RepairOutcome:
-    """Kernel-gated repair: already-valid latents pass through untouched,
-    invalid ones are re-mapped through the regressor once."""
-    z = np.asarray(latent, dtype=float)
-    sequence = decode(z)
-    report = kernel_check(sequence)
-    if report.valid:
-        return RepairOutcome(RepairStage.VALID_DIRECT, z, sequence, report)
-    repaired = regressor_predict(regressor, z)
+    """Re-map a latent through the regressor once, then decode and kernel-check it.
+
+    Precondition: ``latent`` already failed the kernel check. The caller gates
+    on that check and keeps a valid latent as ``VALID_DIRECT`` itself, so this
+    returns ``REPAIRED_VALID`` or ``REPAIRED_INVALID`` only.
+    """
+    repaired = regressor_predict(regressor, latent)
     sequence = decode(repaired)
     report = kernel_check(sequence)
     stage = RepairStage.REPAIRED_VALID if report.valid else RepairStage.REPAIRED_INVALID
@@ -235,32 +234,26 @@ class TrainedModels:
 
 @dataclass(frozen=True)
 class _VariantPlan:
-    guidance: tuple[bool, bool]  # (use_classifier, use_regressor); variants share its chain
+    # TrainedModels attribute names of the chain's (classifier, regressor)
+    # guides, each or None; variants of equal guidance share one chain
+    guidance: tuple[str | None, str | None]
     repair_model: str | None  # TrainedModels attribute name
 
 
 _VARIANT_PLANS: dict[VariantId, _VariantPlan] = {
-    VariantId.BASELINE: _VariantPlan((False, False), None),
-    VariantId.VAR1: _VariantPlan((False, False), "ssl_regressor"),
-    VariantId.VAR2: _VariantPlan((False, False), "gt_regressor"),
-    VariantId.VAR3: _VariantPlan((True, False), None),
-    VariantId.VAR4: _VariantPlan((False, True), None),
-    VariantId.VAR5: _VariantPlan((True, True), None),
-    VariantId.FULL: _VariantPlan((True, True), "ssl_regressor"),
+    VariantId.BASELINE: _VariantPlan((None, None), None),
+    VariantId.VAR1: _VariantPlan((None, None), "ssl_regressor"),
+    VariantId.VAR2: _VariantPlan((None, None), "gt_regressor"),
+    VariantId.VAR3: _VariantPlan(("classifier", None), None),
+    VariantId.VAR4: _VariantPlan((None, "ssl_regressor"), None),
+    VariantId.VAR5: _VariantPlan(("classifier", "ssl_regressor"), None),
+    VariantId.FULL: _VariantPlan(("classifier", "ssl_regressor"), "ssl_regressor"),
 }
 
 
 def _required_models(variant: VariantId) -> list[str]:
     plan = _VARIANT_PLANS[variant]
-    use_classifier, use_regressor = plan.guidance
-    needed = ["denoiser"]
-    if use_classifier:
-        needed.append("classifier")
-    if use_regressor:
-        needed.append("ssl_regressor")
-    if plan.repair_model:
-        needed.append(plan.repair_model)
-    return needed
+    return [name for name in ("denoiser", *plan.guidance, plan.repair_model) if name]
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,7 @@ def evaluate_condition(
 
     ``condition_ids``, ``conditions`` (GroundTruthCondition) and ``gt_points``
     pair up; outcomes come back in the same order. ``chains`` belongs to this
-    block: it maps a guidance plan, ``(use_classifier, use_regressor)``, to the
+    block: it maps a guidance plan, the pair of guidance model names, to the
     unrepaired outcomes of that plan's chain. A missing plan runs one batched
     chain and stores its rows decoded, kernel-checked and, if valid, scored.
     A variant without a repair model returns the stored outcomes. A repair
@@ -308,14 +301,14 @@ def evaluate_condition(
 
     plan = _VARIANT_PLANS[variant]
     if plan.guidance not in chains:
-        use_classifier, use_regressor = plan.guidance
+        classifier, guide = (getattr(models, name) if name else None for name in plan.guidance)
         z0s = diffusion.sample(
             np.array([c.condition for c in conditions]),
             models.denoiser,
             schedule,
             [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids],
-            classifier=models.classifier if use_classifier else None,
-            regressor=models.ssl_regressor if use_regressor else None,
+            classifier=classifier,
+            regressor=guide,
             guidance=guidance,
         )
         unrepaired = []

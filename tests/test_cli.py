@@ -389,3 +389,45 @@ def test_repair_of_an_empty_file_writes_empty_outputs(tmp_path):
     assert code == cli.EXIT_OK
     assert read_latents(tmp_path / "repaired.bin").shape == (0, LATENT_DIM)
     assert (tmp_path / "repair_outcomes.csv").read_text().splitlines() == ["row,stage,valid"]
+
+
+def test_repair_valid_direct_never_calls_regressor(tmp_path):
+    write_latents(tmp_path / "latents.bin", gen_ground_truth(1, seed=8)[0].latent[None])
+    # a 5x5 regressor raises DimensionMismatch if applied to a latent
+    save_model(tmp_path / "reg.json", LinearRegressor(np.zeros((5, 5)), np.zeros(5)))
+    code = cli.main(
+        ["repair", "--latents", str(tmp_path / "latents.bin"),
+         "--regressor", str(tmp_path / "reg.json")]
+    )
+    assert code == cli.EXIT_OK
+    assert read_rows(tmp_path / "repair_outcomes.csv") == [
+        {"row": "0", "stage": "ValidDirect", "valid": "1"}
+    ]
+    assert (tmp_path / "repaired.bin").read_bytes() == (tmp_path / "latents.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stage, text",
+    [
+        ("gen-dataset", '{"format_version":1,"kind":"mlp","weights":[[[0.5,'),
+        ("gen-dataset", '{"kind":"mlp"}'),
+        ("repair", '{"kind":"tree"}'),
+        ("repair", "[1,2]"),
+    ],
+    ids=["truncated-json", "missing-field", "unknown-kind", "not-an-object"],
+)
+def test_corrupt_model_file_exits_2(tmp_path, caplog, stage, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    if stage == "repair":
+        model = out / "ssl_regressor.json"
+        write_latents(out / "input.bin", np.zeros((1, LATENT_DIM)))
+        argv = ["repair", "--latents", str(out / "input.bin"), "--regressor", str(model)]
+    else:
+        model = out / "denoiser.json"
+        argv = ["gen-dataset", "--config", write_config(tmp_path / "c.json", out)]
+    model.write_text(text)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"{model}: not a model file" in caplog.text
+    assert not (out / "latents.bin").exists()
+    assert not (out / "repaired.bin").exists()

@@ -244,6 +244,8 @@ def test_guidance_config_validates_scales():
         GuidanceConfig(classifier_scale=-1.0)
     with pytest.raises(ValueError):
         GuidanceConfig(regressor_scale=float("nan"))
+    with pytest.raises(ValueError):
+        GuidanceConfig(classifier_scale=float("inf"))
 
 
 # ---------------------------------------------------------------- full sampling

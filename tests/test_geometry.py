@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadrepair.geometry import (
+    ARC_SEGMENTS,
     ArityError,
     CommandSequence,
     EdgeKind,
@@ -125,18 +126,18 @@ def test_line_edge_rejects_bulge():
 
 
 def test_square_discretizes_to_four_vertices():
-    poly = discretize_profile(square(), 16)
+    poly = discretize_profile(square())
     assert poly.shape == (4, 2)
     np.testing.assert_array_equal(poly, [[0, 0], [1, 0], [1, 1], [0, 1]])
 
 
 def test_semicircle_midpoint_sagitta():
-    # bulge 1 = semicircle: the single intermediate point sits at chord/2
+    # bulge 1 = semicircle: the middle intermediate point sits at chord/2
     # from the chord midpoint (sagitta = bulge * chord / 2).
     seq = CommandSequence((line(0, 0), arc(1, 0, 1.0)), 0.5)
-    poly = discretize_profile(seq, 2)
-    assert poly.shape == (3, 2)
-    mid = poly[1]
+    poly = discretize_profile(seq)
+    assert poly.shape == (1 + ARC_SEGMENTS, 2)
+    mid = poly[ARC_SEGMENTS // 2]
     chord_mid = np.array([0.5, 0.0])
     assert math.isclose(np.linalg.norm(mid - chord_mid), 0.5, rel_tol=1e-12)
 
@@ -144,12 +145,12 @@ def test_semicircle_midpoint_sagitta():
 def test_zero_bulge_arc_equals_line():
     arcs = CommandSequence((line(0, 0), SketchEdge(EdgeKind.ARC, (1.0, 0.0), 0.0), line(1, 1)), 0.5)
     lines = CommandSequence((line(0, 0), line(1, 0), line(1, 1)), 0.5)
-    np.testing.assert_array_equal(discretize_profile(arcs, 16), discretize_profile(lines, 16))
+    np.testing.assert_array_equal(discretize_profile(arcs), discretize_profile(lines))
 
 
 def test_arc_points_lie_on_circle():
     seq = CommandSequence((line(0, 0), arc(1, 0, 0.5)), 0.5)
-    poly = discretize_profile(seq, 16)
+    poly = discretize_profile(seq)
     arc_pts = poly[1:]
     # center for bulge 0.5 over the unit chord: (0.5, 0.375), radius 0.625
     center = np.array([0.5, 0.375])
@@ -159,8 +160,7 @@ def test_arc_points_lie_on_circle():
 
 def test_arc_segments_count():
     seq = CommandSequence((line(0, 0), arc(1, 0, 0.4)), 0.5)
-    for segments in (1, 2, 5, 16):
-        assert discretize_profile(seq, segments).shape == (1 + segments, 2)
+    assert discretize_profile(seq).shape == (1 + ARC_SEGMENTS, 2)
 
 
 # ---------------------------------------------------------------- area

@@ -1,4 +1,6 @@
 import concurrent.futures
+import functools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -169,14 +171,6 @@ def test_gt_pairs_cover_every_generation():
 
 
 # ---------------------------------------------------------------- repair
-
-
-def test_repair_valid_direct_never_calls_regressor():
-    valid_latent = encode(gen_ground_truth(1, seed=8)[0].sequence)
-    broken = LinearRegressor(np.zeros((5, 5)), np.zeros(5))  # would raise if applied
-    outcome = self_repair(valid_latent, broken)
-    assert outcome.stage is RepairStage.VALID_DIRECT
-    np.testing.assert_array_equal(outcome.final_latent, valid_latent)
 
 
 def test_repair_identity_regressor_cannot_fix():
@@ -390,7 +384,7 @@ def test_run_variants_shared_chains_match_single_variants():
 
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
     conditions, models, guidance, cfg = _sharing_case()
-    calls = {"sample": 0, "mmd": 0}
+    calls = {"sample": 0, "mmd": 0, "decode": 0, "self_repair": 0}
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -401,6 +395,8 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
 
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
     monkeypatch.setattr(pipeline, "mmd", spy("mmd", pipeline.mmd))
+    for name in ("decode", "self_repair"):
+        monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
     outcomes = run_variants(list(VariantId), conditions, models, SCHED, 10, guidance, cfg)
     assert calls["sample"] == 4 * 2  # 4 guidance plans x 2 blocks
     unrepaired = (VariantId.BASELINE, VariantId.VAR3, VariantId.VAR4, VariantId.VAR5)
@@ -409,6 +405,36 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     n_repaired = sum(o.stage is RepairStage.REPAIRED_VALID for v in repaired for o in outcomes[v])
     assert 0 < n_valid and 0 < n_repaired
     assert calls["mmd"] == n_valid + n_repaired
+    # each chain row is decoded once; self-repair decodes only its repaired latent
+    n_attempted = sum(
+        o.stage is not RepairStage.VALID_DIRECT for v in repaired for o in outcomes[v]
+    )
+    assert calls["self_repair"] == n_attempted
+    assert calls["decode"] == 4 * len(conditions) + n_attempted
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method):
+    # workers that do not fork get the payload pickled: the default on macOS
+    # (spawn) and, from Python 3.14, on Linux (forkserver)
+    conditions = gen_ground_truth(11, seed=18)
+    models = toy_models(seed=7)
+    cfg = MmdConfig(cloud_size=64)
+    variants = [VariantId.BASELINE, VariantId.VAR1]
+    serial = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg)
+    pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    pooled = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=2)
+    assert list(pooled) == variants
+    for variant in variants:
+        assert len(pooled[variant]) == len(conditions)
+        for a, b in zip(serial[variant], pooled[variant]):
+            np.testing.assert_array_equal(a.final_latent, b.final_latent)
+            assert (a.condition_id, a.valid, a.stage, a.mmd_score) == (
+                b.condition_id, b.valid, b.stage, b.mmd_score
+            )
 
 
 def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
