@@ -2,10 +2,12 @@
 
 Every subcommand is a pure function of (config, input files, seed): reruns
 produce byte-identical artifacts. Exit codes are stable for scripting:
-0 success; 2 config/schema error; 3 stall: ground-truth rejection sampling or
-point-cloud sampling accepts too few draws; 4 missing artifact, or too little
-data to fit (too few regressor pairs, or labels of a single class); 5 empty
-evaluation set.
+0 success; 2 config/schema error (``ConfigError``): a config value, input record,
+latent file or model file is malformed; 3 stall (``SamplingStall``): ground-truth
+rejection sampling or point-cloud sampling accepts too few draws; 4 missing
+artifact, or too little data to fit: too few regressor pairs, or labels of a
+single class (``MissingArtifact``); 5 empty evaluation set (``EmptyEvaluation``).
+Each code has that one exception type; any other exception exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -24,16 +26,10 @@ import numpy as np
 from . import diffusion, pipeline
 from .codec import CONDITION_DIM, LATENT_DIM, decode, encode, read_latents, write_latents
 from .config import ConfigError, RunConfig
-from .geometry import (
-    ArityError,
-    MalformedRecord,
-    SamplingStall,
-    kernel_check,
-    record_from_sequence,
-    sequence_from_record,
-)
+from .geometry import SamplingStall, kernel_check, record_from_sequence, sequence_from_record
 from .metrics import MmdConfig, mmd_histogram, pca_2d
 from .nets import (
+    TIMESTEP_EMBED_DIM,
     LinearRegressor,
     Mlp,
     load_model,
@@ -47,9 +43,6 @@ from .pipeline import (
     STREAM_TRAIN_GT,
     STREAM_TRAINING,
     GroundTruthCondition,
-    MissingModel,
-    NoPairs,
-    RejectionStall,
     TrainedModels,
     VariantId,
     derived_seed,
@@ -71,12 +64,20 @@ MODEL_FILES = {
     "gt_regressor": "gt_regressor.json",
 }
 
+# the class, input width, output width and output activation of each model role
+_MODEL_SPECS = {
+    "denoiser": (Mlp, LATENT_DIM + TIMESTEP_EMBED_DIM + CONDITION_DIM, LATENT_DIM, "identity"),
+    "classifier": (Mlp, LATENT_DIM, 1, "sigmoid"),
+    "regressor": (LinearRegressor, LATENT_DIM, LATENT_DIM, None),
+}
+
+
 class MissingArtifact(Exception):
-    pass
+    """An input file is missing or holds too little data to fit (exit 4)."""
 
 
 class EmptyEvaluation(Exception):
-    pass
+    """The evaluation set has no condition (exit 5)."""
 
 
 def _fmt(value) -> str:
@@ -122,22 +123,45 @@ def _require_file(path: Path, hint: str) -> Path:
 def _read_finite_latents(path: Path) -> np.ndarray:
     latents = read_latents(path)
     if latents.shape[1] != LATENT_DIM:
-        raise MalformedRecord(f"{path}: rows are {latents.shape[1]} wide, expected {LATENT_DIM}")
+        raise ConfigError(f"{path}: rows are {latents.shape[1]} wide, expected {LATENT_DIM}")
     n_bad = int((~np.isfinite(latents)).any(axis=1).sum())
     if n_bad:
-        raise MalformedRecord(f"{path}: {n_bad} of {len(latents)} rows are not finite")
+        raise ConfigError(f"{path}: {n_bad} of {len(latents)} rows are not finite")
     return latents
 
 
-def _load_model(path: Path, cls: type):
-    """Read a model file that must hold a ``cls``. A file that is not JSON, not an
-    object, of an unknown kind or missing a field is a MalformedRecord."""
+def _check_layers(model, width: int, out_width: int, head: str | None) -> None:
+    """Raise ValueError unless each layer of ``model`` takes the previous layer's
+    output (``width`` for the first) and has a bias to match, every value is
+    finite, and the last layer gives ``out_width`` through the ``head`` activation."""
+    if isinstance(model, LinearRegressor):
+        layers = [(model.weights, model.bias)]
+    elif model.output_activation.value != head:
+        raise ValueError(f"output activation is {model.output_activation.value}, need {head}")
+    else:
+        layers = zip(model.weights, model.biases, strict=True)
+    for k, (w, b) in enumerate(layers):
+        if w.ndim != 2 or w.shape[1] != width or b.shape != w.shape[:1]:
+            raise ValueError(f"layer {k}: weights {w.shape}, bias {b.shape}; need {width} inputs")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {k} holds non-finite values")
+        width = w.shape[0]
+    if width != out_width:
+        raise ValueError(f"output width is {width}, need {out_width}")
+
+
+def _load_model(path: Path, role: str):
+    """Read the model file of a ``role`` in _MODEL_SPECS. A file that is not JSON,
+    not an object, of an unknown kind or class, missing a field, of the wrong
+    shape or not finite is a ConfigError naming the path."""
+    cls, width, out_width, head = _MODEL_SPECS[role]
     try:
         model = load_model(path)
+        if not isinstance(model, cls):
+            raise ConfigError(f"{path}: expected a {cls.__name__} model file")
+        _check_layers(model, width, out_width, head)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise MalformedRecord(f"{path}: not a model file: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(model, cls):
-        raise MalformedRecord(f"{path}: expected a {cls.__name__} model file")
+        raise ConfigError(f"{path}: not a model file: {type(exc).__name__}: {exc}") from exc
     return model
 
 
@@ -153,12 +177,14 @@ def _load_conditions(out: Path) -> list[GroundTruthCondition]:
                 seq = sequence_from_record(obj["sequence"])
                 condition = np.asarray(obj["condition"], dtype=float)
                 if condition.shape != (CONDITION_DIM,):
-                    raise MalformedRecord(
+                    raise ConfigError(
                         f"condition: expected {CONDITION_DIM} numbers, got shape {condition.shape}"
                     )
-            except (KeyError, TypeError, ValueError, ArityError, MalformedRecord) as exc:
-                raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
+    if not conditions:
+        raise ConfigError(f"{path}: holds no condition")
     return conditions
 
 
@@ -188,7 +214,8 @@ def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) ->
 def cmd_gen_dataset(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     denoiser = _load_model(
-        _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first"), Mlp
+        _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first"),
+        "denoiser",
     )
     per_condition = cfg.generations_per_condition
     ground_truth, generated, reports = pipeline.gen_dataset(
@@ -218,11 +245,9 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     ]
     _write_csv(out / "labels.csv", ["condition_id", "seed", "valid", "reasons"], label_rows)
 
-    try:
-        ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
-    except NoPairs:
+    ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
+    if not len(ssl_pairs):
         logger.warning("no invalid/valid sibling pairs exist; pairs_ssl.csv is empty")
-        ssl_pairs = np.zeros((0, 2), dtype=int)
     _write_csv(out / "pairs_ssl.csv", ["invalid_row", "valid_row"], ssl_pairs.tolist())
     gt_pairs = pipeline.build_gt_pairs(len(generated), per_condition)
     _write_csv(out / "pairs_gt.csv", ["gen_row", "gt_row"], gt_pairs.tolist())
@@ -438,8 +463,8 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     models = TrainedModels()
     for name in needed:
         path = _require_file(out / MODEL_FILES[name], f"run `train --which {name}` first")
-        cls = Mlp if name in ("denoiser", "classifier") else LinearRegressor
-        setattr(models, name, _load_model(path, cls))
+        role = "regressor" if name.endswith("regressor") else name
+        setattr(models, name, _load_model(path, role))
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
@@ -551,7 +576,7 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     latents_file = _require_file(Path(latents_path), "point --latents at a latent matrix file")
     regressor_file = _require_file(Path(regressor_path), "point --regressor at a model file")
     latents = _read_finite_latents(latents_file)
-    regressor = _load_model(regressor_file, LinearRegressor)
+    regressor = _load_model(regressor_file, "regressor")
     destination = Path(out_dir) if out_dir else latents_file.parent
     destination.mkdir(parents=True, exist_ok=True)
     outcomes = []
@@ -652,13 +677,13 @@ def main(argv=None) -> int:
         if args.command == "pca":
             return cmd_pca(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, MalformedRecord) as exc:
+    except ConfigError as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
-    except (RejectionStall, SamplingStall) as exc:
+    except SamplingStall as exc:
         logger.error("%s", exc)
         return EXIT_STALL
-    except (MissingArtifact, MissingModel) as exc:
+    except MissingArtifact as exc:
         logger.error("%s", exc)
         return EXIT_MISSING
     except EmptyEvaluation as exc:

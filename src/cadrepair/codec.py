@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .geometry import (
     MAX_EDGES,
     CommandSequence,
     EdgeKind,
-    InfeasibleSolid,
-    MalformedRecord,
     SketchEdge,
     discretize_profile,
     kernel_check,
@@ -89,7 +88,7 @@ def condition_descriptor(seq: CommandSequence) -> np.ndarray:
     report = kernel_check(seq)
     if not report.valid:
         names = ",".join(r.name for r in report.reasons)
-        raise InfeasibleSolid(f"descriptor needs a kernel-valid sequence: {names}")
+        raise ValueError(f"descriptor needs a kernel-valid sequence: {names}")
     poly = discretize_profile(seq)
     area = polygon_area(poly)
     nxt = np.roll(poly, -1, axis=0)
@@ -116,12 +115,12 @@ def write_latents(path, latents) -> None:
 def read_latents(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
-        raise MalformedRecord(f"{path}: too short for a latent matrix header")
+        raise ConfigError(f"{path}: too short for a latent matrix header")
     magic, rows, width, _ = _HEADER.unpack_from(data)
     if magic != _LATENT_MAGIC:
-        raise MalformedRecord(f"{path}: bad magic {magic!r}")
+        raise ConfigError(f"{path}: bad magic {magic!r}")
     body = data[_HEADER.size :]
     expected = rows * width * 4
     if len(body) != expected:
-        raise MalformedRecord(f"{path}: expected {expected} payload bytes, got {len(body)}")
+        raise ConfigError(f"{path}: expected {expected} payload bytes, got {len(body)}")
     return np.frombuffer(body, dtype="<f4").reshape(rows, width).astype(np.float64)

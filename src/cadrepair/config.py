@@ -14,7 +14,7 @@ from pathlib import Path
 
 
 class ConfigError(Exception):
-    pass
+    """A config value, input record or artifact file is malformed (exit 2)."""
 
 
 def _require_ints(obj, names: tuple[str, ...]) -> None:
@@ -57,7 +57,8 @@ class RunConfig:
     )
     ridge: float = 1e-6
     split: float = 0.8
-    # no stage reads these two; kept because the benchmark's pinned configs name them
+    # no stage reads these two and --variants chooses guidance; only `true` is
+    # accepted, kept because the benchmark's pinned configs name them
     use_classifier_guidance: bool = True
     use_regressor_guidance: bool = True
     classifier_scale: float = 10.0
@@ -95,6 +96,11 @@ class RunConfig:
             raise ConfigError("ridge must be >= 0")
         if not self.cloud_size >= 1:
             raise ConfigError("cloud_size must be >= 1")
+        if self.use_classifier_guidance is not True or self.use_regressor_guidance is not True:
+            raise ConfigError(
+                "use_classifier_guidance and use_regressor_guidance must be true; "
+                "--variants chooses guidance"
+            )
         for scale in (self.classifier_scale, self.regressor_scale):
             if not (math.isfinite(scale) and scale >= 0.0):
                 raise ConfigError("guidance scales must be finite and >= 0")

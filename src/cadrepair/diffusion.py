@@ -24,18 +24,6 @@ from .nets import (
 )
 
 
-class DiffusionError(Exception):
-    pass
-
-
-class BadRange(DiffusionError):
-    pass
-
-
-class StepOutOfRange(DiffusionError):
-    pass
-
-
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """Per-step noise constants; index t-1 holds the step-t values."""
@@ -67,9 +55,9 @@ class GuidanceConfig:
 def build_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
     """Linear beta schedule with precomputed alphas and posterior variances."""
     if T < 2:
-        raise BadRange(f"T must be >= 2, got {T}")
+        raise ValueError(f"T must be >= 2, got {T}")
     if not 0.0 < beta_start < beta_end < 1.0:
-        raise BadRange(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
+        raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
     betas = np.linspace(beta_start, beta_end, T)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
@@ -80,7 +68,7 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSched
 
 def _check_step(t: int, schedule: DiffusionSchedule) -> None:
     if not 1 <= t <= schedule.T:
-        raise StepOutOfRange(f"step {t} outside [1, {schedule.T}]")
+        raise ValueError(f"step {t} outside [1, {schedule.T}]")
 
 
 def posterior_mean(z_t, t: int, eps_hat, schedule: DiffusionSchedule) -> np.ndarray:

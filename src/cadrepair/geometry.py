@@ -16,6 +16,8 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
+from .config import ConfigError
+
 MAX_EDGES = 5
 ARC_SEGMENTS = 16  # segments per arc in every discretized profile
 MIN_VERTEX_SEPARATION = 1e-3
@@ -33,24 +35,8 @@ _STALL_PROPOSALS = 10_000_000
 _STALL_RATE = 1e-4
 
 
-class GeometryError(Exception):
-    """Base class for errors raised by this module."""
-
-
-class MalformedRecord(GeometryError):
-    """A serialized record has a bad field name, type, or value."""
-
-
-class ArityError(GeometryError):
-    """A sequence carries more edges than the language allows."""
-
-
-class InfeasibleSolid(GeometryError):
-    """An operation requiring a kernel-valid sequence received an invalid one."""
-
-
-class SamplingStall(GeometryError):
-    """Rejection sampling acceptance rate collapsed below the safety floor."""
+class SamplingStall(Exception):
+    """Rejection sampling acceptance rate collapsed below the safety floor (exit 3)."""
 
 
 class EdgeKind(Enum):
@@ -94,7 +80,7 @@ class CommandSequence:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
         if len(self.edges) > MAX_EDGES:
-            raise ArityError(f"at most {MAX_EDGES} edges allowed, got {len(self.edges)}")
+            raise ValueError(f"at most {MAX_EDGES} edges allowed, got {len(self.edges)}")
 
 
 @dataclass(frozen=True)
@@ -110,13 +96,13 @@ class ValidityReport:
 
 def _require_number(obj: dict, key: str, context: str) -> float:
     if key not in obj:
-        raise MalformedRecord(f"{context}: missing field {key!r}")
+        raise ConfigError(f"{context}: missing field {key!r}")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedRecord(f"{context}.{key}: expected a number, got {type(value).__name__}")
+        raise ConfigError(f"{context}.{key}: expected a number, got {type(value).__name__}")
     value = float(value)
     if not math.isfinite(value):
-        raise MalformedRecord(f"{context}.{key}: non-finite number not allowed")
+        raise ConfigError(f"{context}.{key}: non-finite number not allowed")
     return value
 
 
@@ -128,34 +114,34 @@ def sequence_from_record(obj) -> CommandSequence:
     offending field named in the error.
     """
     if not isinstance(obj, dict):
-        raise MalformedRecord("record must be a JSON object")
+        raise ConfigError("record must be a JSON object")
     unknown = set(obj) - {"edges", "depth"}
     if unknown:
-        raise MalformedRecord(f"unknown record fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown record fields: {sorted(unknown)}")
     if "edges" not in obj or "depth" not in obj:
-        raise MalformedRecord("record must carry 'edges' and 'depth'")
+        raise ConfigError("record must carry 'edges' and 'depth'")
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
-        raise MalformedRecord("edges: expected a list")
+        raise ConfigError("edges: expected a list")
     if len(raw_edges) > MAX_EDGES:
-        raise ArityError(f"at most {MAX_EDGES} edges allowed, got {len(raw_edges)}")
+        raise ConfigError(f"at most {MAX_EDGES} edges allowed, got {len(raw_edges)}")
     edges = []
     for i, raw in enumerate(raw_edges):
         context = f"edges[{i}]"
         if not isinstance(raw, dict):
-            raise MalformedRecord(f"{context}: expected an object")
+            raise ConfigError(f"{context}: expected an object")
         unknown = set(raw) - {"kind", "x", "y", "bulge"}
         if unknown:
-            raise MalformedRecord(f"{context}: unknown fields {sorted(unknown)}")
+            raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
         kind_raw = raw.get("kind")
         if kind_raw not in (EdgeKind.LINE.value, EdgeKind.ARC.value):
-            raise MalformedRecord(f"{context}.kind: expected 'line' or 'arc', got {kind_raw!r}")
+            raise ConfigError(f"{context}.kind: expected 'line' or 'arc', got {kind_raw!r}")
         kind = EdgeKind(kind_raw)
         x = _require_number(raw, "x", context)
         y = _require_number(raw, "y", context)
         bulge = _require_number(raw, "bulge", context) if "bulge" in raw else 0.0
         if kind is EdgeKind.LINE and bulge != 0.0:
-            raise MalformedRecord(f"{context}.bulge: must be 0 for line edges")
+            raise ConfigError(f"{context}.bulge: must be 0 for line edges")
         edges.append(SketchEdge(kind, (x, y), bulge))
     depth = _require_number(obj, "depth", "record")
     return CommandSequence(tuple(edges), depth)
@@ -374,7 +360,7 @@ def _require_valid(seq: CommandSequence) -> None:
     report = kernel_check(seq)
     if not report.valid:
         names = ",".join(r.name for r in report.reasons)
-        raise InfeasibleSolid(f"sequence fails kernel checks: {names}")
+        raise ValueError(f"sequence fails kernel checks: {names}")
 
 
 def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:

@@ -16,22 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class MetricsError(Exception):
-    pass
-
-
-class BadSigma(MetricsError):
-    pass
-
-
-class TooFewPoints(MetricsError):
-    pass
-
-
-class TooFewRows(MetricsError):
-    pass
-
-
 _MEDIAN_SUBSAMPLE_LIMIT = 2048
 _MEDIAN_SUBSAMPLE_SEED = 0
 
@@ -45,7 +29,7 @@ class MmdConfig:
 
     def __post_init__(self):
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise BadSigma(f"fixed sigma must be finite and > 0, got {self.sigma}")
+            raise ValueError(f"fixed sigma must be finite and > 0, got {self.sigma}")
         if self.cloud_size < 1:
             raise ValueError("cloud_size must be >= 1")
 
@@ -92,7 +76,7 @@ def median_heuristic_sigma(x_points, y_points) -> float:
     """
     pooled = np.vstack([np.asarray(x_points, dtype=float), np.asarray(y_points, dtype=float)])
     if len(pooled) < 2:
-        raise TooFewPoints("need at least 2 pooled points")
+        raise ValueError("need at least 2 pooled points")
     if len(pooled) > _MEDIAN_SUBSAMPLE_LIMIT:
         rng = np.random.default_rng(_MEDIAN_SUBSAMPLE_SEED)
         pooled = pooled[rng.choice(len(pooled), _MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
@@ -105,7 +89,7 @@ def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
     y = np.asarray(y_points, dtype=float)
     m, n = len(x), len(y)
     if m < 1 or n < 1:
-        raise TooFewPoints("both clouds must be non-empty")
+        raise ValueError("both clouds must be non-empty")
     d2 = _pairwise_square_dists(np.vstack([x, y]))
     if config.sigma is not None:
         sigma = config.sigma
@@ -141,7 +125,7 @@ def pca_2d(latents) -> PcaProjection:
     """Top-2 principal axes of the latent rows with a deterministic sign fix."""
     x = np.asarray(latents, dtype=float)
     if x.ndim != 2 or len(x) < 3:
-        raise TooFewRows("need at least 3 latent rows")
+        raise ValueError("need at least 3 latent rows")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)

@@ -23,30 +23,6 @@ TIMESTEP_EMBED_DIM = 8
 MOMENTUM = 0.9
 
 
-class NeuralError(Exception):
-    pass
-
-
-class DimensionMismatch(NeuralError):
-    pass
-
-
-class NonScalarOutput(NeuralError):
-    pass
-
-
-class SingleClassData(NeuralError):
-    pass
-
-
-class RankDeficient(NeuralError):
-    pass
-
-
-class EmptyDataset(NeuralError):
-    pass
-
-
 class OutputActivation(Enum):
     SIGMOID = "sigmoid"
     IDENTITY = "identity"
@@ -86,9 +62,7 @@ def mlp_forward(model: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass for one vector or a batch; returns output and pre-activations."""
     a = np.asarray(x, dtype=float)
     if a.shape[-1] != model.weights[0].shape[1]:
-        raise DimensionMismatch(
-            f"input width {a.shape[-1]} != expected {model.weights[0].shape[1]}"
-        )
+        raise ValueError(f"input width {a.shape[-1]} != expected {model.weights[0].shape[1]}")
     preacts = []
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -106,7 +80,7 @@ def mlp_forward(model: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
 def mlp_grad_input(model: Mlp, x) -> np.ndarray:
     """Exact gradient of the scalar output with respect to the input vector."""
     if model.weights[-1].shape[0] != 1:
-        raise NonScalarOutput(f"output width is {model.weights[-1].shape[0]}, need 1")
+        raise ValueError(f"output width is {model.weights[-1].shape[0]}, need 1")
     out, preacts = mlp_forward(model, np.asarray(x, dtype=float))
     if model.output_activation is OutputActivation.SIGMOID:
         delta = out * (1.0 - out)
@@ -185,7 +159,7 @@ def undersample_balanced(labels, rng) -> np.ndarray:
     pos = np.flatnonzero(labels)
     neg = np.flatnonzero(~labels)
     if len(pos) == 0 or len(neg) == 0:
-        raise SingleClassData("both classes are required")
+        raise ValueError("both classes are required")
     if len(pos) > len(neg):
         pos = pos[rng.permutation(len(pos))[: len(neg)]]
     elif len(neg) > len(pos):
@@ -228,7 +202,7 @@ def train_classifier(
     x = np.asarray(latents, dtype=float)
     y = np.asarray(labels, dtype=bool)
     if x.ndim != 2 or len(x) != len(y):
-        raise DimensionMismatch("latents must be (n, d) with one label per row")
+        raise ValueError("latents must be (n, d) with one label per row")
     rng = np.random.default_rng(seed)
     chosen = undersample_balanced(y, rng)
     x, y = x[chosen], y[chosen].astype(float)
@@ -265,7 +239,7 @@ def fit_linear_regressor(inputs, targets, ridge: float = 0.0) -> LinearRegressor
     if y.ndim == 1:
         y = y[:, None]
     if x.ndim != 2 or len(x) != len(y):
-        raise DimensionMismatch("inputs must be (n, p) with matching target rows")
+        raise ValueError("inputs must be (n, p) with matching target rows")
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
     n, p = x.shape
@@ -277,16 +251,14 @@ def fit_linear_regressor(inputs, targets, ridge: float = 0.0) -> LinearRegressor
         y = np.vstack([y, np.zeros((p + 1, y.shape[1]))])
     theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if ridge == 0.0 and rank < p + 1:
-        raise RankDeficient(f"design rank {rank} < {p + 1}; use ridge > 0")
+        raise ValueError(f"design rank {rank} < {p + 1}; use ridge > 0")
     return LinearRegressor(theta[:-1].T.copy(), theta[-1].copy())
 
 
 def regressor_predict(model: LinearRegressor, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != model.weights.shape[1]:
-        raise DimensionMismatch(
-            f"input width {z.shape[-1]} != expected {model.weights.shape[1]}"
-        )
+        raise ValueError(f"input width {z.shape[-1]} != expected {model.weights.shape[1]}")
     return z @ model.weights.T + model.bias
 
 
@@ -300,9 +272,9 @@ def regressor_loss_grad(model: LinearRegressor, z) -> tuple[np.ndarray, np.ndarr
     z = np.asarray(z, dtype=float)
     out_dim, in_dim = model.weights.shape
     if out_dim != in_dim:
-        raise DimensionMismatch("self-consistency loss needs a square regressor")
+        raise ValueError("self-consistency loss needs a square regressor")
     if z.ndim not in (1, 2) or z.shape[-1] != in_dim:
-        raise DimensionMismatch(f"latent shape {z.shape} != expected (..., {in_dim})")
+        raise ValueError(f"latent shape {z.shape} != expected (..., {in_dim})")
     residual = z @ model.weights.T + model.bias - z
     loss = (residual * residual).sum(axis=-1)
     grad = 2.0 * residual @ (model.weights - np.eye(in_dim))
@@ -397,9 +369,9 @@ def train_denoiser(
     c = np.asarray(conditions, dtype=float)
     z0 = np.asarray(latents, dtype=float)
     if len(c) == 0:
-        raise EmptyDataset("no training pairs")
+        raise ValueError("no training pairs")
     if len(c) != len(z0):
-        raise DimensionMismatch("conditions and latents must pair up")
+        raise ValueError("conditions and latents must pair up")
     latent_dim = z0.shape[1]
     rng = np.random.default_rng(seed)
     model = init_mlp(

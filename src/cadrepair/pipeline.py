@@ -19,6 +19,7 @@ from .codec import condition_descriptor, decode, encode
 from .geometry import (
     CommandSequence,
     EdgeKind,
+    SamplingStall,
     SketchEdge,
     ValidityReport,
     canonicalize_sequence,
@@ -57,22 +58,6 @@ _BULGE_RANGE = 0.8
 _DEPTH_RANGE = (0.1, 0.9)
 _ARC_PROBABILITY = 0.3
 _EDGE_COUNTS = (3, 5)
-
-
-class PipelineError(Exception):
-    pass
-
-
-class RejectionStall(PipelineError):
-    pass
-
-
-class NoPairs(PipelineError):
-    pass
-
-
-class MissingModel(PipelineError):
-    pass
 
 
 def seed_stream(master_seed: int, label: int, *indices: int) -> np.random.SeedSequence:
@@ -121,7 +106,7 @@ def gen_ground_truth(n_conditions: int, seed) -> list[GroundTruthCondition]:
             seq = canonicalize_sequence(seq)
             out.append(GroundTruthCondition(condition_descriptor(seq), seq, encode(seq)))
         elif draws >= _REJECTION_MIN_DRAWS and len(out) / draws < _REJECTION_MIN_RATE:
-            raise RejectionStall(f"acceptance {len(out) / draws:.2e} after {draws} draws")
+            raise SamplingStall(f"acceptance {len(out) / draws:.2e} after {draws} draws")
     logger.info("ground-truth acceptance rate %.3f (%d/%d)", len(out) / draws, len(out), draws)
     return out
 
@@ -162,7 +147,7 @@ def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarra
 
     ``latents`` and ``valid`` are the condition-major rows of ``gen_dataset``.
     Returns (k, 2) rows of (invalid_row, valid_row) indices into ``latents``;
-    conditions without a valid sibling contribute nothing.
+    conditions without a valid sibling contribute nothing, so k may be 0.
     """
     valid = np.asarray(valid, dtype=bool)
     pairs = []
@@ -175,9 +160,7 @@ def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarra
         for i in rows[~valid[rows]]:
             dists = np.linalg.norm(sibling_latents - latents[i], axis=1)
             pairs.append((i, siblings[int(np.argmin(dists))]))
-    if not pairs:
-        raise NoPairs("no invalid generation has a valid sibling")
-    return np.array(pairs, dtype=int)
+    return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
 def build_gt_pairs(n_generated: int, generations_per_condition: int) -> np.ndarray:
@@ -395,7 +378,7 @@ def run_variants(
     for variant in variants:
         for name in _required_models(variant):
             if getattr(models, name) is None:
-                raise MissingModel(f"variant {variant.value} needs model {name!r}")
+                raise ValueError(f"variant {variant.value} needs model {name!r}")
     payload = {
         "variants": variants,
         "conditions": list(eval_conditions),

@@ -10,16 +10,20 @@ the module's stall thresholds instead.
 from __future__ import annotations
 
 import csv
+import importlib
+import inspect
 import json
+import pkgutil
 import shutil
 
 import numpy as np
 import pytest
 
+import cadrepair
 from cadrepair import cli, geometry, pipeline
-from cadrepair.codec import LATENT_DIM, read_latents, write_latents
+from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
 from cadrepair.geometry import record_from_sequence
-from cadrepair.nets import LinearRegressor, save_model
+from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import CHAIN_BLOCK, gen_ground_truth
 
 TINY = {
@@ -217,6 +221,8 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"sigma_mode": float("inf")}, EVAL_BASELINE),
         ({"sigma_mode": float("nan")}, EVAL_BASELINE),
         ({"sigma_mode": True}, EVAL_BASELINE),
+        ({"use_classifier_guidance": False}, EVAL_BASELINE),
+        ({"use_regressor_guidance": False}, EVAL_BASELINE),
     ],
     ids=[
         "timesteps-1",
@@ -237,6 +243,8 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "sigma_mode-inf",
         "sigma_mode-nan",
         "sigma_mode-bool",
+        "use_classifier_guidance-false",
+        "use_regressor_guidance-false",
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, overrides, argv):
@@ -313,7 +321,9 @@ SIX_EDGES = {
 }
 
 
-@pytest.mark.parametrize("defect", ["truncated-json", "six-edges", "condition-width"])
+@pytest.mark.parametrize(
+    "defect", ["truncated-json", "six-edges", "condition-width", "empty-file"]
+)
 def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
     gt = gen_ground_truth(1, seed=0)[0]
     good = {
@@ -325,13 +335,20 @@ def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
         "truncated-json": json.dumps(good)[:-7],
         "six-edges": json.dumps({**good, "sequence": SIX_EDGES}),
         "condition-width": json.dumps({**good, "condition": [0.1, 0.2, 0.3]}),
+        "empty-file": None,
     }[defect]
     out = tmp_path / "out"
     out.mkdir()
-    (out / "conditions.jsonl").write_text(json.dumps(good) + "\n" + bad_line + "\n")
+    if bad_line is None:
+        (out / "conditions.jsonl").write_text("")
+        expected = "conditions.jsonl: holds no condition"
+    else:
+        (out / "conditions.jsonl").write_text(json.dumps(good) + "\n" + bad_line + "\n")
+        expected = "conditions.jsonl:2:"
     config = write_config(tmp_path / "c.json", out)
     assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_CONFIG
-    assert "conditions.jsonl:2:" in caplog.text
+    assert expected in caplog.text
+    assert not (out / "denoiser.json").exists()
 
 
 def test_pca_rejects_non_finite_rows(tmp_path, caplog):
@@ -391,19 +408,37 @@ def test_repair_of_an_empty_file_writes_empty_outputs(tmp_path):
     assert (tmp_path / "repair_outcomes.csv").read_text().splitlines() == ["row,stage,valid"]
 
 
-def test_repair_valid_direct_never_calls_regressor(tmp_path):
+def test_repair_valid_direct_never_calls_regressor(tmp_path, monkeypatch):
     write_latents(tmp_path / "latents.bin", gen_ground_truth(1, seed=8)[0].latent[None])
-    # a 5x5 regressor raises DimensionMismatch if applied to a latent
-    save_model(tmp_path / "reg.json", LinearRegressor(np.zeros((5, 5)), np.zeros(5)))
+    # the all-zero regressor maps every latent to an invalid one
+    zero = LinearRegressor(np.zeros((LATENT_DIM, LATENT_DIM)), np.zeros(LATENT_DIM))
+    save_model(tmp_path / "reg.json", zero)
+    repairs = []
+    repair = pipeline.self_repair
+    monkeypatch.setattr(pipeline, "self_repair", lambda *a: repairs.append(a) or repair(*a))
     code = cli.main(
         ["repair", "--latents", str(tmp_path / "latents.bin"),
          "--regressor", str(tmp_path / "reg.json")]
     )
     assert code == cli.EXIT_OK
+    assert repairs == []
     assert read_rows(tmp_path / "repair_outcomes.csv") == [
         {"row": "0", "stage": "ValidDirect", "valid": "1"}
     ]
     assert (tmp_path / "repaired.bin").read_bytes() == (tmp_path / "latents.bin").read_bytes()
+
+
+def zero_mlp_file(dims, head: str) -> str:
+    """The model file of an all-zero Mlp with layer widths ``dims``."""
+    return json.dumps({
+        "kind": "mlp",
+        "weights": [[[0.0] * n_in] * n_out for n_in, n_out in zip(dims, dims[1:])],
+        "biases": [[0.0] * n_out for n_out in dims[1:]],
+        "activations": {"output": head},
+    })
+
+
+DENOISER_INPUTS = LATENT_DIM + TIMESTEP_EMBED_DIM + CONDITION_DIM
 
 
 @pytest.mark.parametrize(
@@ -413,8 +448,23 @@ def test_repair_valid_direct_never_calls_regressor(tmp_path):
         ("gen-dataset", '{"kind":"mlp"}'),
         ("repair", '{"kind":"tree"}'),
         ("repair", "[1,2]"),
+        ("repair", json.dumps(
+            {"kind": "linear_regressor", "weights": [[0.0] * 5] * 5, "bias": [0.0] * 5}
+        )),
+        ("repair", '{"kind":"linear_regressor","weights":null,"bias":null}'),
+        ("eval", zero_mlp_file([LATENT_DIM, 2], "sigmoid")),
+        ("gen-dataset", zero_mlp_file([DENOISER_INPUTS - 1, LATENT_DIM], "identity")),
     ],
-    ids=["truncated-json", "missing-field", "unknown-kind", "not-an-object"],
+    ids=[
+        "truncated-json",
+        "missing-field",
+        "unknown-kind",
+        "not-an-object",
+        "regressor-5x5",
+        "null-weights",
+        "classifier-2-outputs",
+        "denoiser-input-width",
+    ],
 )
 def test_corrupt_model_file_exits_2(tmp_path, caplog, stage, text):
     out = tmp_path / "out"
@@ -423,6 +473,13 @@ def test_corrupt_model_file_exits_2(tmp_path, caplog, stage, text):
         model = out / "ssl_regressor.json"
         write_latents(out / "input.bin", np.zeros((1, LATENT_DIM)))
         argv = ["repair", "--latents", str(out / "input.bin"), "--regressor", str(model)]
+    elif stage == "eval":
+        model = out / "classifier.json"
+        (out / "denoiser.json").write_text(
+            zero_mlp_file([DENOISER_INPUTS, LATENT_DIM], "identity")
+        )
+        config = write_config(tmp_path / "c.json", out)
+        argv = ["eval", "--variants", "var3", "--threads", "1", "--config", config]
     else:
         model = out / "denoiser.json"
         argv = ["gen-dataset", "--config", write_config(tmp_path / "c.json", out)]
@@ -431,3 +488,36 @@ def test_corrupt_model_file_exits_2(tmp_path, caplog, stage, text):
     assert f"{model}: not a model file" in caplog.text
     assert not (out / "latents.bin").exists()
     assert not (out / "repaired.bin").exists()
+    assert not (out / "report.csv").exists()
+
+
+# the one exception type behind each failure exit code, as cli's docstring names them
+EXIT_CODES = {
+    "ConfigError": cli.EXIT_CONFIG,
+    "SamplingStall": cli.EXIT_STALL,
+    "MissingArtifact": cli.EXIT_MISSING,
+    "EmptyEvaluation": cli.EXIT_EMPTY,
+}
+
+
+def test_every_exception_type_exits_with_its_code(tmp_path, monkeypatch, caplog):
+    modules = [
+        importlib.import_module(f"cadrepair.{info.name}")
+        for info in pkgutil.iter_modules(cadrepair.__path__)
+    ]
+    defined = [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    ]
+    assert sorted(cls.__name__ for cls in defined) == sorted(EXIT_CODES)
+    config = write_config(tmp_path / "c.json", tmp_path / "out")
+    for cls in defined:
+
+        def fail(cfg, cls=cls):
+            raise cls(f"injected {cls.__name__}")
+
+        monkeypatch.setattr(cli, "cmd_pca", fail)
+        assert run_stage(config, "pca") == EXIT_CODES[cls.__name__], cls
+        assert f"injected {cls.__name__}" in caplog.text

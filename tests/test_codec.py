@@ -16,11 +16,10 @@ from cadrepair.codec import (
     read_latents,
     write_latents,
 )
+from cadrepair.config import ConfigError
 from cadrepair.geometry import (
     CommandSequence,
     EdgeKind,
-    InfeasibleSolid,
-    MalformedRecord,
     SketchEdge,
     kernel_check,
 )
@@ -232,7 +231,7 @@ def test_descriptor_translation_moves_only_centroid():
 
 
 def test_descriptor_requires_validity():
-    with pytest.raises(InfeasibleSolid):
+    with pytest.raises(ValueError, match="descriptor needs a kernel-valid sequence: TOO_FEW"):
         condition_descriptor(CommandSequence((line(0, 0), line(1, 0)), 0.5))
 
 
@@ -258,10 +257,10 @@ def test_latent_file_roundtrip(tmp_path):
 def test_latent_file_header_validation(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(ConfigError, match="bad.bin: bad magic b'NOPE'"):
         read_latents(path)
     path.write_bytes(b"LA")
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(ConfigError, match="bad.bin: too short for a latent matrix header"):
         read_latents(path)
 
 
@@ -270,5 +269,5 @@ def test_latent_file_truncated_payload(tmp_path):
     write_latents(path, np.zeros((4, LATENT_DIM)))
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(ConfigError, match="short.bin: expected 336 payload bytes, got 328"):
         read_latents(path)

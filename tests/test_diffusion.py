@@ -6,9 +6,7 @@ import pytest
 from cadrepair import diffusion
 from cadrepair.config import ModelTraining
 from cadrepair.diffusion import (
-    BadRange,
     GuidanceConfig,
-    StepOutOfRange,
     build_schedule,
     classifier_guide,
     posterior_mean,
@@ -34,8 +32,10 @@ DEFAULT = build_schedule(100, 1e-4, 0.02)
 
 
 def test_schedule_bad_ranges():
-    for args in ((1, 1e-4, 0.02), (10, 0.0, 0.02), (10, 0.02, 0.02), (10, 1e-4, 1.0)):
-        with pytest.raises(BadRange):
+    with pytest.raises(ValueError, match="T must be >= 2, got 1"):
+        build_schedule(1, 1e-4, 0.02)
+    for args in ((10, 0.0, 0.02), (10, 0.02, 0.02), (10, 1e-4, 1.0)):
+        with pytest.raises(ValueError, match="need 0 < beta_start < beta_end < 1, got"):
             build_schedule(*args)
 
 
@@ -82,9 +82,9 @@ def test_posterior_mean_zero_eps_hat():
 
 
 def test_posterior_mean_step_bounds():
-    with pytest.raises(StepOutOfRange):
+    with pytest.raises(ValueError, match=r"step 0 outside \[1, 100\]"):
         posterior_mean(np.zeros(21), 0, np.zeros(21), DEFAULT)
-    with pytest.raises(StepOutOfRange):
+    with pytest.raises(ValueError, match=r"step 101 outside \[1, 100\]"):
         posterior_mean(np.zeros(21), 101, np.zeros(21), DEFAULT)
 
 

@@ -1,19 +1,18 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadrepair.config import ConfigError
 from cadrepair.geometry import (
     ARC_SEGMENTS,
-    ArityError,
     CommandSequence,
     EdgeKind,
-    InfeasibleSolid,
     InvalidReason,
-    MalformedRecord,
     SketchEdge,
     discretize_profile,
     kernel_check,
@@ -77,27 +76,34 @@ def test_parse_empty_sequence_is_structurally_fine():
 
 def test_parse_six_edges_is_arity_error():
     edges = ",".join('{"kind":"line","x":%d,"y":0.0,"bulge":0.0}' % i for i in range(6))
-    with pytest.raises(ArityError):
+    with pytest.raises(ConfigError, match="at most 5 edges allowed, got 6"):
         parse_sequence('{"edges":[%s],"depth":0.5}' % edges)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[1,2,3]",
-        '{"edges":[],"depth":0.5,"extra":1}',
-        '{"edges":[{"kind":"circle","x":0,"y":0,"bulge":0}],"depth":0.5}',
-        '{"edges":[{"kind":"line","x":"a","y":0,"bulge":0}],"depth":0.5}',
-        '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0.5}],"depth":0.5}',
-        '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0,"junk":1}],"depth":0.5}',
-        '{"edges":[{"kind":"line","x":1e999,"y":0,"bulge":0}],"depth":0.5}',
-        '{"edges":[]}',
-        '{"depth":0.5}',
-        '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0}],"depth":true}',
-    ],
-)
+# each malformed record and the error that names its fault
+MALFORMED_RECORDS = {
+    "[1,2,3]": "record must be a JSON object",
+    '{"edges":[],"depth":0.5,"extra":1}': "unknown record fields: ['extra']",
+    '{"edges":[{"kind":"circle","x":0,"y":0,"bulge":0}],"depth":0.5}':
+        "edges[0].kind: expected 'line' or 'arc', got 'circle'",
+    '{"edges":[{"kind":"line","x":"a","y":0,"bulge":0}],"depth":0.5}':
+        "edges[0].x: expected a number, got str",
+    '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0.5}],"depth":0.5}':
+        "edges[0].bulge: must be 0 for line edges",
+    '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0,"junk":1}],"depth":0.5}':
+        "edges[0]: unknown fields ['junk']",
+    '{"edges":[{"kind":"line","x":1e999,"y":0,"bulge":0}],"depth":0.5}':
+        "edges[0].x: non-finite number not allowed",
+    '{"edges":[]}': "record must carry 'edges' and 'depth'",
+    '{"depth":0.5}': "record must carry 'edges' and 'depth'",
+    '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0}],"depth":true}':
+        "record.depth: expected a number, got bool",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_RECORDS))
 def test_parse_malformed_records(text):
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(ConfigError, match=re.escape(MALFORMED_RECORDS[text])):
         parse_sequence(text)
 
 
@@ -113,7 +119,7 @@ def test_parse_serialize_roundtrip(seq):
 
 
 def test_sequence_type_enforces_arity():
-    with pytest.raises(ArityError):
+    with pytest.raises(ValueError, match="at most 5 edges allowed, got 6"):
         CommandSequence(tuple(line(i, 0) for i in range(6)), 0.5)
 
 
@@ -375,7 +381,7 @@ def test_cloud_deterministic():
 
 
 def test_cloud_rejects_infeasible():
-    with pytest.raises(InfeasibleSolid):
+    with pytest.raises(ValueError, match="sequence fails kernel checks: DEPTH_NON_POSITIVE"):
         sample_point_cloud(square(depth=-1.0), 10, seed=0)
 
 

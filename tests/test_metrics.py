@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from cadrepair.metrics import (
-    BadSigma,
     MmdConfig,
-    TooFewPoints,
-    TooFewRows,
     median_heuristic_sigma,
     mmd,
     mmd_histogram,
@@ -62,7 +59,7 @@ def test_median_matches_sort_oracle_odd_pair_count():
 
 
 def test_median_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="need at least 2 pooled points"):
         median_heuristic_sigma(np.zeros((1, 3)), np.zeros((0, 3)))
 
 
@@ -131,18 +128,18 @@ def test_mmd_translation_invariance():
 
 
 def test_mmd_empty_cloud_raises():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="both clouds must be non-empty"):
         mmd(np.zeros((0, 3)), np.zeros((5, 3)))
 
 
 def test_mmd_config_validates_sigma():
-    with pytest.raises(BadSigma):
+    with pytest.raises(ValueError, match="fixed sigma must be finite and > 0, got -1.0"):
         MmdConfig(sigma=-1.0)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0])
 def test_mmd_config_rejects_non_finite_or_zero_sigma(sigma):
-    with pytest.raises(BadSigma):
+    with pytest.raises(ValueError, match=f"fixed sigma must be finite and > 0, got {sigma}"):
         MmdConfig(sigma=sigma)
 
 
@@ -331,6 +328,6 @@ def test_pca_reconstruction_error_equals_trailing_eigenvalues():
 
 
 def test_pca_too_few_rows():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(ValueError, match="need at least 3 latent rows"):
         pca_2d(np.zeros((2, 21)))
 
