@@ -196,6 +196,29 @@ def _train_gt_conditions(cfg: RunConfig, out: Path) -> list[GroundTruthCondition
     )
 
 
+def _read_csv_ints(path: Path, columns: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+    """The integer cells in ``columns`` of each data row of a CSV file and each row's
+    line; a short row or a non-integer cell is a ConfigError naming path:line."""
+    rows, lines = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            try:
+                rows.append([int(row[c]) for c in columns])
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+            lines.append(reader.line_num)
+    return np.array(rows, dtype=int).reshape(-1, len(columns)), lines
+
+
+def _reject_rows(path: Path, lines: list[int], bad: np.ndarray, what: str) -> None:
+    """ConfigError naming path:line of the first row with a cell flagged in ``bad``."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    if len(rows):
+        raise ConfigError(f"{path}:{lines[rows[0]]}: {what}")
+
+
 def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) -> None:
     path = out / "metrics.csv"
     rows: dict[tuple[str, str], str] = {}
@@ -314,10 +337,9 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
 
     if which == "classifier":
         labels_path = _require_file(out / "labels.csv", "run gen-dataset first")
-        with open(labels_path) as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            labels = np.array([int(row[2]) for row in reader], dtype=bool)
+        valid, lines = _read_csv_ints(labels_path, (2,))
+        _reject_rows(labels_path, lines, (valid != 0) & (valid != 1), "valid must be 0 or 1")
+        labels = valid[:, 0].astype(bool)
         n_valid = int(labels.sum())
         # train_classifier balances the classes, then splits at cfg.split
         n_bal = 2 * min(n_valid, len(labels) - n_valid)
@@ -366,10 +388,15 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
     if which in ("ssl_regressor", "gt_regressor"):
         pair_file = "pairs_ssl.csv" if which == "ssl_regressor" else "pairs_gt.csv"
         pairs_path = _require_file(out / pair_file, "run gen-dataset first")
-        with open(pairs_path) as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            pairs = np.array([[int(a), int(b)] for a, b in reader], dtype=int).reshape(-1, 2)
+        pairs, lines = _read_csv_ints(pairs_path, (0, 1))
+        # latents.bin holds the generated rows, one per gt pair, then the ground truth
+        rows = pairs if which == "ssl_regressor" else pairs + [0, len(pairs)]
+        _reject_rows(
+            pairs_path,
+            lines,
+            (pairs < 0) | (rows >= len(latents)),
+            f"names a row outside {latents_path}, which has {len(latents)} rows",
+        )
         # the fit sees only the train split of the pairs
         min_rows = latents.shape[1] + 1
         if round(len(pairs) * cfg.split) < min_rows:
@@ -377,19 +404,10 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
                 f"{pairs_path} holds {len(pairs)} pairs; need >= {min_rows} in the "
                 f"{cfg.split} train split to fit"
             )
-        if which == "ssl_regressor":
-            inputs = latents[pairs[:, 0]]
-            targets = latents[pairs[:, 1]]
-            seed_index = 2
-        else:
-            # latents.bin holds the generated rows, one per gt pair, then the ground truth
-            inputs = latents[pairs[:, 0]]
-            targets = latents[len(pairs) + pairs[:, 1]]
-            seed_index = 3
         result = train_regressor(
-            inputs,
-            targets,
-            derived_seed(cfg.master_seed, STREAM_TRAINING, seed_index),
+            latents[rows[:, 0]],
+            latents[rows[:, 1]],
+            derived_seed(cfg.master_seed, STREAM_TRAINING, 2 if which == "ssl_regressor" else 3),
             split=cfg.split,
             ridge=cfg.ridge,
         )
@@ -546,7 +564,11 @@ def cmd_pca(cfg: RunConfig) -> int:
     )
     hint = "run `eval` with baseline and full variants first"
     blocks = [_read_finite_latents(_require_file(out / name, hint)) for name, _ in sources]
-    tags = np.repeat([tag for _, tag in sources], [len(block) for block in blocks])
+    counts = [len(block) for block in blocks]
+    if min(counts) < 1 or sum(counts) < 3:
+        names = ", ".join(name for name, _ in sources)
+        raise ConfigError(f"{out}: {names} hold {counts} rows; pca needs 3 or more, one per file")
+    tags = np.repeat([tag for _, tag in sources], counts)
     projection = pca_2d(np.vstack(blocks))
     coords = projection.coords
     _write_csv(
@@ -635,8 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=os.cpu_count() or 1,
         help=(
-            f"worker processes, at most one per block of {pipeline.CHAIN_BLOCK} conditions; "
-            "each block runs every variant"
+            "worker processes, at most one per condition; reverse chains run in blocks of "
+            f"{pipeline.CHAIN_BLOCK} conditions, then every variant is scored per condition"
         ),
     )
 

@@ -55,6 +55,7 @@ class InvalidReason(IntEnum):
     NEAR_ZERO_AREA = 5
     DEPTH_NON_POSITIVE = 6
     DEPTH_TOO_LARGE = 7
+    NON_FINITE = 8
 
 
 @dataclass(frozen=True)
@@ -310,24 +311,31 @@ def kernel_check(seq: CommandSequence) -> ValidityReport:
     wraparound) separated by >= 1e-3, discretized profile free of
     self-intersection, |shoelace area| >= 1e-3, and 0 < depth <= 1. The two
     polygon checks need >= 3 pairwise-distinct vertices and are skipped when
-    an earlier count/degeneracy failure makes them meaningless.
+    an earlier count/degeneracy failure makes them meaningless. A non-finite
+    target, bulge or depth is reported as NON_FINITE, and the separation and
+    polygon checks, whose arithmetic it would poison, are skipped.
     """
     reasons: set[InvalidReason] = set()
     n = len(seq.edges)
     if n < 3:
         reasons.add(InvalidReason.TOO_FEW_VERTICES)
+    finite = math.isfinite(seq.depth) and all(
+        math.isfinite(v) for e in seq.edges for v in (*e.target, e.bulge)
+    )
+    if not finite:
+        reasons.add(InvalidReason.NON_FINITE)
     for edge in seq.edges:
         x, y = edge.target
         if not (abs(x) <= COORD_BOUND and abs(y) <= COORD_BOUND):
             reasons.add(InvalidReason.OUT_OF_BOUNDS)
         if edge.kind is EdgeKind.ARC and not abs(edge.bulge) <= MAX_BULGE:
             reasons.add(InvalidReason.BULGE_OUT_OF_RANGE)
-    if n >= 2:
+    if n >= 2 and finite:
         targets = np.array([e.target for e in seq.edges], dtype=float)
         gaps = np.hypot(*(targets - np.roll(targets, -1, axis=0)).T)
         if not bool((gaps >= MIN_VERTEX_SEPARATION).all()):
             reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
-    if n >= 3 and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
+    if n >= 3 and finite and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
         poly = discretize_profile(seq)
         if self_intersects(poly):
             reasons.add(InvalidReason.SELF_INTERSECTION)

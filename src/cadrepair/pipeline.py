@@ -40,13 +40,16 @@ STREAM_CLOUD_GT = 4
 STREAM_CLOUD_GEN = 5
 STREAM_TRAINING = 6
 
-# Rows per batched reverse-chain call. Blocks are cut from the row order
-# alone, never from the worker count, so results do not depend on --threads.
-# Eight rows already amortize most of the per-step overhead and keep the peak
-# memory of a block small. Eval makes one pool task per block, which runs every
-# requested variant on it, so an eval of 40 conditions is 5 tasks: enough to
-# spread over a few workers while variants of one guidance plan share a chain.
-CHAIN_BLOCK = 8
+# Rows per batched reverse-chain call, in gen_dataset and run_variants alike.
+# Blocks are cut from the row order alone, never from the worker count, so
+# results do not depend on --threads. A block's noise buffer is
+# CHAIN_BLOCK x T x 21 float64s. Measured on the benchmark's gen config (1000
+# chains of T=100, 2-vCPU host, BLAS threads 1; chain time in process, median
+# of 5, then the gen-dataset CLI's peak RSS): 8 rows 0.79 s, 38.7 MB; 32 rows
+# 0.36 s, 39.3 MB; 64 rows 0.32 s, 40.0 MB; 128 rows 0.27 s, 41.5 MB. 64 rows
+# take most of the gain and still cut an eval of a few hundred conditions into
+# several chain tasks per guidance plan.
+CHAIN_BLOCK = 64
 
 _REJECTION_MIN_DRAWS = 1_000_000
 _REJECTION_MIN_RATE = 1e-3
@@ -123,6 +126,7 @@ def gen_dataset(
 
     Latents are (n_conditions * generations_per_condition, d) in condition-major
     order: generation g of condition cid is row cid * generations_per_condition + g.
+    Their chains run in blocks of CHAIN_BLOCK rows cut from that order.
     """
     ground_truth = gen_ground_truth(n_conditions, seed_stream(seed, STREAM_TRAIN_GT))
     conditions = np.repeat([gt.condition for gt in ground_truth], generations_per_condition, axis=0)
@@ -248,72 +252,6 @@ class ConditionOutcome:
     mmd_score: float | None
 
 
-def evaluate_condition(
-    variant: VariantId,
-    condition_ids,
-    conditions,
-    gt_points,
-    models: TrainedModels,
-    schedule: diffusion.DiffusionSchedule,
-    seed: int,
-    guidance: diffusion.GuidanceConfig,
-    mmd_config: MmdConfig,
-    chains: dict,
-) -> list[ConditionOutcome]:
-    """Evaluate one variant on one block of conditions.
-
-    ``condition_ids``, ``conditions`` (GroundTruthCondition) and ``gt_points``
-    pair up; outcomes come back in the same order. ``chains`` belongs to this
-    block: it maps a guidance plan, the pair of guidance model names, to the
-    unrepaired outcomes of that plan's chain. A missing plan runs one batched
-    chain and stores its rows decoded, kernel-checked and, if valid, scored.
-    A variant without a repair model returns the stored outcomes. A repair
-    variant keeps each row that is valid before repair, latent and score
-    alike, as ``VALID_DIRECT``; only invalid rows are repaired and scored.
-    Sharing is exact: every chain and cloud is seeded by condition id alone.
-    """
-
-    def scored(cid, stage, latent, sequence, report, points):
-        score = None
-        if report.valid:
-            cloud = sample_point_cloud(
-                sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
-            )
-            score = mmd(cloud, points, mmd_config)
-        return ConditionOutcome(cid, report.valid, stage, latent, score)
-
-    plan = _VARIANT_PLANS[variant]
-    if plan.guidance not in chains:
-        classifier, guide = (getattr(models, name) if name else None for name in plan.guidance)
-        z0s = diffusion.sample(
-            np.array([c.condition for c in conditions]),
-            models.denoiser,
-            schedule,
-            [seed_stream(seed, STREAM_EVAL_SAMPLE, cid) for cid in condition_ids],
-            classifier=classifier,
-            regressor=guide,
-            guidance=guidance,
-        )
-        unrepaired = []
-        for cid, z0, points in zip(condition_ids, z0s, gt_points):
-            sequence = decode(z0)
-            unrepaired.append(scored(cid, None, z0, sequence, kernel_check(sequence), points))
-        chains[plan.guidance] = unrepaired
-    if plan.repair_model is None:
-        return list(chains[plan.guidance])
-    regressor = getattr(models, plan.repair_model)
-    outcomes = []
-    for row, points in zip(chains[plan.guidance], gt_points):
-        if row.valid:
-            outcomes.append(replace(row, stage=RepairStage.VALID_DIRECT))
-        else:
-            r = self_repair(row.final_latent, regressor)
-            outcomes.append(
-                scored(row.condition_id, r.stage, r.final_latent, r.sequence, r.report, points)
-            )
-    return outcomes
-
-
 def ground_truth_cloud(
     condition: GroundTruthCondition, condition_id: int, seed: int, mmd_config: MmdConfig
 ) -> np.ndarray:
@@ -329,29 +267,65 @@ def _init_eval_worker(payload) -> None:
     _WORKER_CONTEXT.update(payload)
 
 
-def _eval_task(task):
-    lo, hi = task
+def _chain_task(task) -> np.ndarray:
+    """Latents of one guidance plan's batched reverse chain over conditions [lo, hi)."""
+    guidance, lo, hi = task
     ctx = _WORKER_CONTEXT
-    ids = range(lo, hi)
-    conditions = ctx["conditions"][lo:hi]
-    seed, mmd_config = ctx["seed"], ctx["mmd_config"]
-    gt_points = [ground_truth_cloud(c, i, seed, mmd_config) for i, c in zip(ids, conditions)]
-    chains: dict = {}
-    return [
-        evaluate_condition(
-            variant,
-            ids,
-            conditions,
-            gt_points,
-            ctx["models"],
-            ctx["schedule"],
-            seed,
-            ctx["guidance"],
-            mmd_config,
-            chains,
-        )
-        for variant in ctx["variants"]
-    ]
+    classifier, guide = (getattr(ctx["models"], name) if name else None for name in guidance)
+    return diffusion.sample(
+        np.array([c.condition for c in ctx["conditions"][lo:hi]]),
+        ctx["models"].denoiser,
+        ctx["schedule"],
+        [seed_stream(ctx["seed"], STREAM_EVAL_SAMPLE, cid) for cid in range(lo, hi)],
+        classifier=classifier,
+        regressor=guide,
+        guidance=ctx["guidance"],
+    )
+
+
+def _score_task(task) -> list[ConditionOutcome]:
+    """Every variant's outcome on one condition, given each plan's latent for it.
+
+    Each plan's latent is decoded, kernel-checked and, if valid, scored once. A
+    repair variant keeps a row valid before repair, latent and score alike, as
+    ``VALID_DIRECT``; only an invalid row is repaired and scored.
+    """
+    cid, plan_latents = task
+    ctx = _WORKER_CONTEXT
+    seed, mmd_config, models = ctx["seed"], ctx["mmd_config"], ctx["models"]
+    points = ground_truth_cloud(ctx["conditions"][cid], cid, seed, mmd_config)
+
+    def scored(stage, latent, sequence, report):
+        score = None
+        if report.valid:
+            cloud = sample_point_cloud(
+                sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
+            )
+            score = mmd(cloud, points, mmd_config)
+        return ConditionOutcome(cid, report.valid, stage, latent, score)
+
+    unrepaired = {}
+    for guidance, z0 in zip(ctx["plans"], plan_latents):
+        sequence = decode(z0)
+        unrepaired[guidance] = scored(None, z0, sequence, kernel_check(sequence))
+    outcomes = []
+    for variant in ctx["variants"]:
+        plan = _VARIANT_PLANS[variant]
+        row = unrepaired[plan.guidance]
+        if plan.repair_model is None:
+            outcomes.append(row)
+        elif row.valid:
+            outcomes.append(replace(row, stage=RepairStage.VALID_DIRECT))
+        else:
+            r = self_repair(row.final_latent, getattr(models, plan.repair_model))
+            outcomes.append(scored(r.stage, r.final_latent, r.sequence, r.report))
+    return outcomes
+
+
+def _run_tasks(map_fn, chain_tasks, n: int) -> list[list[ConditionOutcome]]:
+    # chain tasks are plan-major, so row p * n + cid is plan p's latent of cid
+    rows = [row for block in map_fn(_chain_task, chain_tasks) for row in block]
+    return list(map_fn(_score_task, [(cid, rows[cid::n]) for cid in range(n)]))
 
 
 def run_variants(
@@ -367,20 +341,23 @@ def run_variants(
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds.
 
-    The conditions are cut into blocks of CHAIN_BLOCK, one task each. A task
-    samples the block's ground-truth clouds, then runs the variants in order,
-    one batched chain per distinct guidance plan (see ``evaluate_condition``).
-    threads > 1 fans the tasks out to a process pool of at most one worker per
-    task. Returns each variant's outcomes in condition order, in the order of
-    ``variants``, either way.
+    Two kinds of task run in turn: one chain task per distinct guidance plan
+    and block of CHAIN_BLOCK conditions, which returns only the latents, then
+    one scoring task per condition (``_score_task``), which samples the
+    ground-truth cloud once. Sharing is exact: every chain row and cloud is
+    seeded by condition id alone. threads > 1 runs both kinds on one process
+    pool of at most min(threads, conditions) workers. Returns each variant's
+    outcomes in condition order, in the order of ``variants``, either way.
     """
     variants = list(variants)
     for variant in variants:
         for name in _required_models(variant):
             if getattr(models, name) is None:
                 raise ValueError(f"variant {variant.value} needs model {name!r}")
+    plans = list(dict.fromkeys(_VARIANT_PLANS[v].guidance for v in variants))
     payload = {
         "variants": variants,
+        "plans": plans,
         "conditions": list(eval_conditions),
         "models": models,
         "schedule": schedule,
@@ -389,20 +366,18 @@ def run_variants(
         "mmd_config": mmd_config,
     }
     n = len(eval_conditions)
-    tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
-    if threads > 1 and len(tasks) > 1:
+    chain_tasks = [
+        (plan, lo, min(lo + CHAIN_BLOCK, n)) for plan in plans for lo in range(0, n, CHAIN_BLOCK)
+    ]
+    workers = min(threads, n)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=min(threads, len(tasks)),
-            initializer=_init_eval_worker,
-            initargs=(payload,),
+            max_workers=workers, initializer=_init_eval_worker, initargs=(payload,)
         ) as pool:
-            blocks = list(pool.map(_eval_task, tasks))
+            outcomes = _run_tasks(pool.map, chain_tasks, n)
     else:
         _init_eval_worker(payload)
-        blocks = [_eval_task(task) for task in tasks]
-    return {
-        variant: [outcome for block in blocks for outcome in block[k]]
-        for k, variant in enumerate(variants)
-    }
+        outcomes = _run_tasks(map, chain_tasks, n)
+    return {variant: [row[k] for row in outcomes] for k, variant in enumerate(variants)}

@@ -24,7 +24,7 @@ from cadrepair import cli, geometry, pipeline
 from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
 from cadrepair.geometry import record_from_sequence
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
-from cadrepair.pipeline import CHAIN_BLOCK, gen_ground_truth
+from cadrepair.pipeline import gen_ground_truth
 
 TINY = {
     "master_seed": 3,
@@ -116,11 +116,14 @@ def test_eval_thread_count_does_not_change_bytes(runs, tmp_path):
         assert (out / name).read_bytes() == (root / "a" / name).read_bytes(), name
 
 
-def test_eval_spanning_chain_blocks_does_not_depend_on_thread_count(runs, tmp_path):
-    # TINY evaluates fewer conditions than one block; here every variant has
-    # two full blocks and a tail block
+def test_eval_spanning_chain_blocks_does_not_depend_on_thread_count(
+    runs, tmp_path, monkeypatch
+):
+    # TINY evaluates fewer conditions than one block; with blocks of 3, every
+    # guidance plan has two full blocks and a tail block
     root, _, _ = runs
-    n_eval = 2 * CHAIN_BLOCK + 3
+    monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 3)
+    n_eval = 2 * pipeline.CHAIN_BLOCK + 3
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -293,6 +296,32 @@ def test_single_class_labels_exit_4(tmp_path, caplog, n_valid):
     assert not (out / "classifier.json").exists()
 
 
+@pytest.mark.parametrize("which", ["classifier", "gt_regressor"])
+def test_malformed_training_csv_exits_2(tmp_path, caplog, which):
+    # classifier: a non-integer `valid` cell on line 6 of labels.csv;
+    # gt_regressor: 30 generated rows and 10 ground-truth rows, and line 9 of
+    # pairs_gt.csv names ground-truth row 10, row 40 of latents.bin
+    out = tmp_path / "out"
+    out.mkdir()
+    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(40, LATENT_DIM)))
+    if which == "classifier":
+        name, header = "labels.csv", ["condition_id", "seed", "valid", "reasons"]
+        rows = [[i, 0, "yes" if i == 4 else i % 2, ""] for i in range(10)]
+        expected = "labels.csv:6: invalid literal for int()"
+    else:
+        name, header = "pairs_gt.csv", ["gen_row", "gt_row"]
+        rows = [[i, 10 if i == 7 else i // 3] for i in range(30)]
+        expected = "pairs_gt.csv:9: names a row outside"
+    with open(out / name, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", which) == cli.EXIT_CONFIG
+    assert expected in caplog.text
+    assert not (out / f"{which}.json").exists()
+
+
 def test_ground_truth_rejection_stall_exits_3(tmp_path, monkeypatch):
     # every rejected draw now counts as a stall
     monkeypatch.setattr(pipeline, "_REJECTION_MIN_DRAWS", 1)
@@ -368,6 +397,18 @@ def test_pca_rejects_non_finite_rows(tmp_path, caplog):
     write_latents(out / "eval_latents_full.bin", rng.normal(size=(3, 5)))
     assert run_stage(config, "pca") == cli.EXIT_CONFIG
     assert f"eval_latents_full.bin: rows are 5 wide, expected {LATENT_DIM}" in caplog.text
+    assert not (out / "pca.csv").exists()
+
+
+def test_pca_with_fewer_than_3_rows_exits_2(tmp_path, caplog):
+    out = tmp_path / "out"
+    out.mkdir()
+    names = ("eval_latents_baseline.bin", "eval_latents_full.bin", "eval_latents_gt.bin")
+    for name in names:
+        write_latents(out / name, np.zeros((0, LATENT_DIM)))
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "pca") == cli.EXIT_CONFIG
+    assert f"{', '.join(names)} hold [0, 0, 0] rows" in caplog.text
     assert not (out / "pca.csv").exists()
 
 

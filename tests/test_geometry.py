@@ -352,6 +352,29 @@ def test_multiple_reasons_reported_sorted():
     )
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        CommandSequence((line(0, 0), line(math.inf, 0), line(1, 1)), 0.5),
+        CommandSequence((line(0, 0), line(-math.inf, math.inf), line(math.inf, 1)), 0.5),
+        CommandSequence((line(0, 0), arc(1, 0, math.nan), line(1, 1)), 0.5),
+        CommandSequence((line(0, 0), line(1, 0), line(1, 1)), math.inf),
+    ],
+    ids=["inf-target", "adjacent-inf-targets", "nan-bulge", "inf-depth"],
+)
+def test_non_finite_values_are_their_own_reason(seq):
+    # the separation and polygon checks are skipped, so no RuntimeWarning
+    # (an error under pytest) comes from inf/NaN arithmetic
+    report = kernel_check(seq)
+    assert not report.valid
+    assert InvalidReason.NON_FINITE in report.reasons
+    assert InvalidReason.SELF_INTERSECTION not in report.reasons
+    assert InvalidReason.NEAR_ZERO_AREA not in report.reasons
+    # appended: the earlier codes keep their values
+    assert [int(r) for r in InvalidReason] == list(range(9))
+    assert InvalidReason.NON_FINITE == 8
+
+
 @given(command_sequences(coord=st.floats(-3, 3, allow_nan=False), bulge=st.floats(-3, 3, allow_nan=False), depth=st.floats(-2, 2, allow_nan=False)))
 @settings(max_examples=300, deadline=None)
 def test_kernel_total_deterministic_valid_iff_no_reasons(seq):

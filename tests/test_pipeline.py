@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import math
 import multiprocessing
 
 import numpy as np
@@ -29,8 +30,6 @@ from cadrepair.pipeline import (
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
-    evaluate_condition,
-    ground_truth_cloud,
     run_variants,
     seed_stream,
     self_repair,
@@ -96,19 +95,22 @@ def test_gen_dataset_labels_match_kernel():
     assert reports == [kernel_check(decode(z)) for z in latents]
 
 
-def test_gen_dataset_blocks_match_single_chains():
-    # 3 x 5 = 15 chains: one full block and a 7-row tail block; each row
-    # equals its own one-row chain (to 1e-12: batched products round
-    # differently) and keeps its condition-major (condition, generation) seed
-    assert 15 % CHAIN_BLOCK != 0
+def test_gen_dataset_blocks_match_single_chains(monkeypatch):
+    # 3 x 5 = 15 chains: one short block by default, three full blocks of 4
+    # and a 3-row tail block with CHAIN_BLOCK = 4; each row equals its own
+    # one-row chain (to 1e-12: batched products round differently) and keeps
+    # its condition-major (condition, generation) seed
     models = toy_models(seed=6)
-    ground_truth, latents, reports = gen_dataset(3, 5, models.denoiser, SCHED, seed=8)
-    for row, (z, report) in enumerate(zip(latents, reports)):
-        cid, g = divmod(row, 5)
-        single = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
-                        [seed_stream(8, STREAM_DATASET_GEN, cid, g)])
-        np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
-        assert report == kernel_check(decode(single[0]))
+    for block in (CHAIN_BLOCK, 4):
+        assert 15 % block != 0
+        monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
+        ground_truth, latents, reports = gen_dataset(3, 5, models.denoiser, SCHED, seed=8)
+        for row, (z, report) in enumerate(zip(latents, reports)):
+            cid, g = divmod(row, 5)
+            single = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
+                            [seed_stream(8, STREAM_DATASET_GEN, cid, g)])
+            np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
+            assert report == kernel_check(decode(single[0]))
 
 
 # ---------------------------------------------------------------- pairing
@@ -310,44 +312,50 @@ def test_guided_variants_use_guidance():
         assert any(not np.array_equal(a, b) for a, b in zip(base, guided)), variant
 
 
-def test_run_variants_blocks_match_single_conditions():
-    # 11 conditions: a full block and a 3-row tail block per variant
-    assert 11 % CHAIN_BLOCK != 0
+def test_run_variants_blocks_match_single_conditions(monkeypatch):
+    # 11 conditions: one short block by default, two full blocks of 4 and a
+    # 3-row tail block with CHAIN_BLOCK = 4; every row agrees with its own
+    # one-row chain (CHAIN_BLOCK = 1) to 1e-12, since batched products round
+    # differently, and blocks never depend on the worker count
     conditions = gen_ground_truth(11, seed=18)
     models = toy_models(seed=7)
     # var1 repairs every sample onto one valid latent, so every row is scored
     models.ssl_regressor = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
     cfg = MmdConfig(cloud_size=64)
     variants = [VariantId.BASELINE, VariantId.VAR1]
-    serial = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg)
-    parallel = run_variants(
-        variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=2
-    )
-    for variant in variants:
-        outcomes = serial[variant]
-        assert [o.condition_id for o in outcomes] == list(range(11))
-        for a, b in zip(outcomes, parallel[variant]):
-            np.testing.assert_array_equal(a.final_latent, b.final_latent)
-            assert (a.valid, a.stage, a.mmd_score) == (b.valid, b.stage, b.mmd_score)
-        for i, outcome in enumerate(outcomes):
-            points = ground_truth_cloud(conditions[i], i, 9, cfg)
-            (single,) = evaluate_condition(
-                variant, [i], [conditions[i]], [points], models, SCHED, 9, GuidanceConfig(), cfg, {}
-            )
-            np.testing.assert_allclose(
-                outcome.final_latent, single.final_latent, rtol=0.0, atol=1e-12
-            )
-            assert (outcome.valid, outcome.stage) == (single.valid, single.stage)
-            if single.mmd_score is not None:
-                assert abs(outcome.mmd_score - single.mmd_score) <= 1e-12
-    assert all(o.mmd_score is not None for o in serial[VariantId.VAR1])
+
+    def run(block, threads=1):
+        monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
+        return run_variants(
+            variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=threads
+        )
+
+    single = run(1)
+    for block in (CHAIN_BLOCK, 4):
+        assert 11 % block != 0
+        serial, parallel = run(block), run(block, threads=2)
+        for variant in variants:
+            outcomes = serial[variant]
+            assert [o.condition_id for o in outcomes] == list(range(11))
+            for a, b in zip(outcomes, parallel[variant]):
+                np.testing.assert_array_equal(a.final_latent, b.final_latent)
+                assert (a.valid, a.stage, a.mmd_score) == (b.valid, b.stage, b.mmd_score)
+            for outcome, one in zip(outcomes, single[variant]):
+                np.testing.assert_allclose(
+                    outcome.final_latent, one.final_latent, rtol=0.0, atol=1e-12
+                )
+                assert (outcome.valid, outcome.stage) == (one.valid, one.stage)
+                if one.mmd_score is not None:
+                    assert abs(outcome.mmd_score - one.mmd_score) <= 1e-12
+        assert all(o.mmd_score is not None for o in serial[VariantId.VAR1])
 
 
-def _sharing_case():
-    # a full block and a 3-row tail block; a briefly trained denoiser and
-    # weak guidance make some samples valid before repair, and the toy
-    # regressors repair some of the others
-    conditions = gen_ground_truth(CHAIN_BLOCK + 3, seed=19)
+def _sharing_case(monkeypatch):
+    # CHAIN_BLOCK = 8 gives a full block and a 3-row tail block; a briefly
+    # trained denoiser and weak guidance make some samples valid before
+    # repair, and the toy regressors repair some of the others
+    monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 8)
+    conditions = gen_ground_truth(11, seed=19)
     train = gen_ground_truth(64, seed=30)
     models = toy_models(seed=8)
     models.denoiser = train_denoiser(
@@ -360,8 +368,8 @@ def _sharing_case():
     return conditions, models, GuidanceConfig(0.1, 0.01), MmdConfig(cloud_size=64)
 
 
-def test_run_variants_shared_chains_match_single_variants():
-    conditions, models, guidance, cfg = _sharing_case()
+def test_run_variants_shared_chains_match_single_variants(monkeypatch):
+    conditions, models, guidance, cfg = _sharing_case(monkeypatch)
 
     def run(variants, threads=1):
         return run_variants(variants, conditions, models, SCHED, 10, guidance, cfg, threads=threads)
@@ -381,8 +389,8 @@ def test_run_variants_shared_chains_match_single_variants():
 
 
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
-    conditions, models, guidance, cfg = _sharing_case()
-    calls = {"sample": 0, "mmd": 0, "decode": 0, "self_repair": 0}
+    conditions, models, guidance, cfg = _sharing_case(monkeypatch)
+    calls = {"sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "self_repair": 0}
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -392,11 +400,12 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
         return wrapper
 
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
-    monkeypatch.setattr(pipeline, "mmd", spy("mmd", pipeline.mmd))
-    for name in ("decode", "self_repair"):
+    for name in ("ground_truth_cloud", "mmd", "decode", "self_repair"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
     outcomes = run_variants(list(VariantId), conditions, models, SCHED, 10, guidance, cfg)
-    assert calls["sample"] == 4 * 2  # 4 guidance plans x 2 blocks
+    # 4 guidance plans, each one chain per block
+    assert calls["sample"] == 4 * math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 4 * 2
+    assert calls["ground_truth_cloud"] == len(conditions)
     unrepaired = (VariantId.BASELINE, VariantId.VAR3, VariantId.VAR4, VariantId.VAR5)
     repaired = (VariantId.VAR1, VariantId.VAR2, VariantId.FULL)
     n_valid = sum(o.valid for v in unrepaired for o in outcomes[v])
@@ -436,6 +445,8 @@ def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method
 
 
 def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
+    # one scoring task per condition: at most min(threads, n) workers, and no
+    # pool for a single condition
     pool_sizes = []
 
     class SerialPool:
@@ -455,15 +466,16 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    conditions = gen_ground_truth(11, seed=20)
-    outcomes = run_variants(
-        [VariantId.BASELINE],
-        conditions,
-        toy_models(seed=9),
-        SCHED,
-        seed=11,
-        mmd_config=MmdConfig(cloud_size=64),
-        threads=64,
-    )
-    assert pool_sizes == [2]  # 11 conditions: 2 blocks
-    assert [o.condition_id for o in outcomes[VariantId.BASELINE]] == list(range(11))
+    for threads, n, workers in ((64, 11, [11]), (3, 11, [3]), (4, 1, [])):
+        pool_sizes.clear()
+        outcomes = run_variants(
+            [VariantId.BASELINE],
+            gen_ground_truth(n, seed=20),
+            toy_models(seed=9),
+            SCHED,
+            seed=11,
+            mmd_config=MmdConfig(cloud_size=64),
+            threads=threads,
+        )
+        assert pool_sizes == workers, (threads, n)
+        assert [o.condition_id for o in outcomes[VariantId.BASELINE]] == list(range(n))
