@@ -165,8 +165,7 @@ def _load_model(path: Path, role: str):
     return model
 
 
-def _load_conditions(out: Path) -> list[GroundTruthCondition]:
-    path = out / "conditions.jsonl"
+def _load_conditions(path: Path) -> list[GroundTruthCondition]:
     conditions = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -180,6 +179,10 @@ def _load_conditions(out: Path) -> list[GroundTruthCondition]:
                     raise ConfigError(
                         f"condition: expected {CONDITION_DIM} numbers, got shape {condition.shape}"
                     )
+                if obj["condition_id"] != len(conditions):
+                    raise ConfigError(
+                        f"condition_id is {obj['condition_id']!r}, expected {len(conditions)}"
+                    )
             except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
@@ -188,12 +191,36 @@ def _load_conditions(out: Path) -> list[GroundTruthCondition]:
     return conditions
 
 
-def _train_gt_conditions(cfg: RunConfig, out: Path) -> list[GroundTruthCondition]:
-    if (out / "conditions.jsonl").exists():
-        return _load_conditions(out)
-    return pipeline.gen_ground_truth(
-        cfg.n_conditions, seed_stream(cfg.master_seed, STREAM_TRAIN_GT)
-    )
+def _train_conditions(cfg: RunConfig, out: Path) -> list[GroundTruthCondition]:
+    """The run directory's training ground truth, kept in ``conditions.jsonl``.
+
+    Rejection-sample it and write the file when absent; else read the file, which
+    must hold ``cfg.n_conditions`` records in ``condition_id`` order whose row 0 is
+    the first draw of ``cfg.master_seed``'s stream (row 0 whatever the count).
+    """
+    path = out / "conditions.jsonl"
+    stream = seed_stream(cfg.master_seed, STREAM_TRAIN_GT)
+    if not path.exists():
+        conditions = pipeline.gen_ground_truth(cfg.n_conditions, stream)
+        with open(path, "w") as fh:
+            for cid, gt in enumerate(conditions):
+                record = {
+                    "condition_id": cid,
+                    "condition": [float(v) for v in gt.condition],
+                    "sequence": record_from_sequence(gt.sequence),
+                }
+                fh.write(json.dumps(record, allow_nan=False, separators=(",", ":")) + "\n")
+        return conditions
+    conditions = _load_conditions(path)
+    if len(conditions) != cfg.n_conditions:
+        raise ConfigError(f"{path}: holds {len(conditions)} conditions, need {cfg.n_conditions}")
+    first, row0 = pipeline.gen_ground_truth(1, stream)[0], conditions[0]
+    if first.sequence != row0.sequence or not np.array_equal(first.condition, row0.condition):
+        raise ConfigError(
+            f"{path}: row 0 is not the ground truth of master_seed {cfg.master_seed}; "
+            "delete the file to generate it again"
+        )
+    return conditions
 
 
 def _read_csv_ints(path: Path, columns: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
@@ -226,8 +253,10 @@ def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) ->
         with open(path) as fh:
             reader = csv.reader(fh)
             next(reader, None)
-            for model, metric, value in reader:
-                rows[(model, metric)] = value
+            for row in reader:
+                if len(row) != 3:
+                    raise ConfigError(f"{path}:{reader.line_num}: expected model,metric,value")
+                rows[(row[0], row[1])] = row[2]
     for metric, value in values.items():
         rows[(model_name, metric)] = _fmt(value)
     ordered = sorted(rows.items())
@@ -235,32 +264,35 @@ def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) ->
 
 
 def cmd_gen_dataset(cfg: RunConfig) -> int:
+    """Sample several unguided latents per training condition, kernel-check them,
+    and write, into the run directory:
+
+    - ``latents.bin``: the generated latents in condition-major order (generation
+      g of condition c is row c * generations_per_condition + g), then one
+      ground-truth latent per condition.
+    - ``labels.csv``: condition_id, seed, valid, reasons; one row per generated
+      latent, reasons joined by ``|``.
+    - ``pairs_ssl.csv``: invalid_row, valid_row; each invalid generation and its
+      nearest valid sibling.
+    - ``pairs_gt.csv``: gen_row, gt_row; each generation and its ground-truth row.
+    - ``dataset_summary.json``: the counts above and the invalid fraction.
+
+    It reads ``denoiser.json`` and the ``conditions.jsonl`` that ``train --which
+    denoiser`` wrote; only when that file is absent does it draw the conditions
+    and write the file.
+    """
     out = _out_dir(cfg)
     denoiser = _load_model(
         _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first"),
         "denoiser",
     )
+    ground_truth = _train_conditions(cfg, out)
     per_condition = cfg.generations_per_condition
-    ground_truth, generated, reports = pipeline.gen_dataset(
-        cfg.n_conditions, per_condition, denoiser, _schedule(cfg), cfg.master_seed
+    generated, reports = pipeline.gen_dataset(
+        ground_truth, per_condition, denoiser, _schedule(cfg), cfg.master_seed
     )
     labels = np.array([r.valid for r in reports], dtype=bool)
     write_latents(out / "latents.bin", np.vstack([generated, [gt.latent for gt in ground_truth]]))
-
-    with open(out / "conditions.jsonl", "w") as fh:
-        for cid, gt in enumerate(ground_truth):
-            fh.write(
-                json.dumps(
-                    {
-                        "condition_id": cid,
-                        "condition": [float(v) for v in gt.condition],
-                        "sequence": record_from_sequence(gt.sequence),
-                    },
-                    allow_nan=False,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
 
     label_rows = [
         [i // per_condition, i % per_condition, int(r.valid), "|".join(x.name for x in r.reasons)]
@@ -308,7 +340,7 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
 def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
     schedule = _schedule(cfg)
     if which == "denoiser":
-        conditions = _train_gt_conditions(cfg, out)
+        conditions = _train_conditions(cfg, out)
         result = train_denoiser(
             np.array([c.condition for c in conditions]),
             np.array([c.latent for c in conditions]),
@@ -638,10 +670,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="override the output directory")
 
-    p_gen = sub.add_parser("gen-dataset", help="generate the labeled latent dataset")
+    p_gen = sub.add_parser(
+        "gen-dataset",
+        help="generate the labeled latent dataset on `train --which denoiser`'s conditions.jsonl",
+    )
     add_common(p_gen)
 
-    p_train = sub.add_parser("train", help="train one model or all of them")
+    p_train = sub.add_parser(
+        "train",
+        help="train one model or all of them; training the denoiser writes conditions.jsonl",
+    )
     add_common(p_train)
     p_train.add_argument(
         "--which",

@@ -115,24 +115,24 @@ def gen_ground_truth(n_conditions: int, seed) -> list[GroundTruthCondition]:
 
 
 def gen_dataset(
-    n_conditions: int,
+    ground_truth: list[GroundTruthCondition],
     generations_per_condition: int,
     denoiser: Mlp,
     schedule: diffusion.DiffusionSchedule,
     seed: int,
-) -> tuple[list[GroundTruthCondition], np.ndarray, list[ValidityReport]]:
-    """Generate the labeled dataset: the ground-truth conditions, several
-    unguided sampled latents per condition, and each latent's kernel report.
+) -> tuple[np.ndarray, list[ValidityReport]]:
+    """Generate the labeled dataset: several unguided sampled latents per
+    ground-truth condition, and each latent's kernel report.
 
-    Latents are (n_conditions * generations_per_condition, d) in condition-major
-    order: generation g of condition cid is row cid * generations_per_condition + g.
-    Their chains run in blocks of CHAIN_BLOCK rows cut from that order.
+    Latents are (len(ground_truth) * generations_per_condition, d) in
+    condition-major order: generation g of condition cid is row
+    cid * generations_per_condition + g. Their chains run in blocks of
+    CHAIN_BLOCK rows cut from that order.
     """
-    ground_truth = gen_ground_truth(n_conditions, seed_stream(seed, STREAM_TRAIN_GT))
     conditions = np.repeat([gt.condition for gt in ground_truth], generations_per_condition, axis=0)
     seeds = [
         seed_stream(seed, STREAM_DATASET_GEN, cid, g)
-        for cid in range(n_conditions)
+        for cid in range(len(ground_truth))
         for g in range(generations_per_condition)
     ]
     latents = np.vstack(
@@ -143,7 +143,7 @@ def gen_dataset(
             for lo in range(0, len(seeds), CHAIN_BLOCK)
         ]
     )
-    return ground_truth, latents, [kernel_check(decode(z)) for z in latents]
+    return latents, [kernel_check(decode(z)) for z in latents]
 
 
 def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:

@@ -380,6 +380,84 @@ def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
     assert not (out / "denoiser.json").exists()
 
 
+def conditions_lines(master_seed: int, n: int) -> list[str]:
+    """The records of conditions.jsonl for ``n`` training conditions of a master seed."""
+    stream = pipeline.seed_stream(master_seed, pipeline.STREAM_TRAIN_GT)
+    return [
+        json.dumps({
+            "condition_id": cid,
+            "condition": [float(v) for v in gt.condition],
+            "sequence": record_from_sequence(gt.sequence),
+        })
+        for cid, gt in enumerate(gen_ground_truth(n, stream))
+    ]
+
+
+@pytest.mark.parametrize("stage", [TRAIN_DENOISER, ("gen-dataset",)], ids=["train", "gen"])
+@pytest.mark.parametrize("defect", ["count", "order", "master-seed"])
+def test_stale_conditions_exit_2(runs, tmp_path, caplog, stage, defect):
+    # a conditions.jsonl that another config left in the run directory
+    root, _, _ = runs
+    n = TINY["n_conditions"]
+    good = conditions_lines(TINY["master_seed"], n)
+    lines, expected = {
+        "count": (
+            good[:-1],
+            f"conditions.jsonl: holds {n - 1} conditions, need {n}",
+        ),
+        "order": (
+            [good[k] for k in (0, 2, 1, *range(3, n))],
+            "conditions.jsonl:2: condition_id is 2, expected 1",
+        ),
+        "master-seed": (
+            conditions_lines(TINY["master_seed"] + 1, n),
+            f"conditions.jsonl: row 0 is not the ground truth of master_seed {TINY['master_seed']}",
+        ),
+    }[defect]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "conditions.jsonl").write_text("\n".join(lines) + "\n")
+    if stage != TRAIN_DENOISER:
+        shutil.copy(root / "a" / "denoiser.json", out / "denoiser.json")
+    before = artifact_bytes(out)
+    assert run_stage(write_config(tmp_path / "c.json", out), *stage) == cli.EXIT_CONFIG
+    assert expected in caplog.text
+    assert artifact_bytes(out) == before
+
+
+def test_gen_dataset_reads_the_conditions_train_wrote(tmp_path, monkeypatch):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    config = write_config(tmp_path / "out.json", out)
+    assert run_stage(config, *TRAIN_DENOISER) == cli.EXIT_OK
+    assert len((out / "conditions.jsonl").read_text().splitlines()) == TINY["n_conditions"]
+    shutil.copytree(out, fresh)
+    (fresh / "conditions.jsonl").unlink()
+    assert run_stage(write_config(tmp_path / "fresh.json", fresh), "gen-dataset") == cli.EXIT_OK
+    # reading the file draws only row 0 again, to check it
+    draw = pipeline.gen_ground_truth
+
+    def first_row_only(n_conditions, seed):
+        if n_conditions != 1:
+            raise AssertionError(f"gen-dataset drew {n_conditions} conditions again")
+        return draw(n_conditions, seed)
+
+    monkeypatch.setattr(pipeline, "gen_ground_truth", first_row_only)
+    assert run_stage(config, "gen-dataset") == cli.EXIT_OK
+    assert artifact_bytes(out) == artifact_bytes(fresh)
+    assert {"latents.bin", "labels.csv", "pairs_ssl.csv", "dataset_summary.json"} <= set(
+        artifact_bytes(out)
+    )
+
+
+def test_malformed_metrics_row_exits_2(tmp_path, caplog):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.csv").write_text("model,metric,value\ndenoiser,final_loss\n")
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, *TRAIN_DENOISER) == cli.EXIT_CONFIG
+    assert "metrics.csv:2: expected model,metric,value" in caplog.text
+
+
 def test_pca_rejects_non_finite_rows(tmp_path, caplog):
     out = tmp_path / "out"
     out.mkdir()

@@ -23,6 +23,7 @@ from cadrepair.nets import (
 from cadrepair.pipeline import (
     CHAIN_BLOCK,
     STREAM_DATASET_GEN,
+    STREAM_TRAIN_GT,
     RepairStage,
     TrainedModels,
     VariantId,
@@ -77,13 +78,20 @@ def test_ground_truth_requires_positive_count():
 # ---------------------------------------------------------------- dataset
 
 
+def train_gt(n, seed):
+    """The training ground truth of master seed ``seed``, as the CLI draws it."""
+    return gen_ground_truth(n, seed_stream(seed, STREAM_TRAIN_GT))
+
+
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
-    ground_truth, latents, reports = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
+    ground_truth = train_gt(4, 11)
+    latents, reports = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=11)
     assert len(ground_truth) == 4
     assert latents.shape == (12, 21)
     assert len(reports) == 12
-    again_gt, again_latents, again_reports = gen_dataset(4, 3, models.denoiser, SCHED, seed=11)
+    again_gt = train_gt(4, 11)
+    again_latents, again_reports = gen_dataset(again_gt, 3, models.denoiser, SCHED, seed=11)
     assert [gt.sequence for gt in again_gt] == [gt.sequence for gt in ground_truth]
     np.testing.assert_array_equal(again_latents, latents)
     assert again_reports == reports
@@ -91,7 +99,7 @@ def test_gen_dataset_counts_and_determinism():
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    _, latents, reports = gen_dataset(3, 2, models.denoiser, SCHED, seed=2)
+    latents, reports = gen_dataset(train_gt(3, 2), 2, models.denoiser, SCHED, seed=2)
     assert reports == [kernel_check(decode(z)) for z in latents]
 
 
@@ -104,7 +112,8 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
     for block in (CHAIN_BLOCK, 4):
         assert 15 % block != 0
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
-        ground_truth, latents, reports = gen_dataset(3, 5, models.denoiser, SCHED, seed=8)
+        ground_truth = train_gt(3, 8)
+        latents, reports = gen_dataset(ground_truth, 5, models.denoiser, SCHED, seed=8)
         for row, (z, report) in enumerate(zip(latents, reports)):
             cid, g = divmod(row, 5)
             single = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
@@ -161,7 +170,8 @@ def test_ssl_pairs_none_is_empty():
 
 def test_gt_pairs_cover_every_generation():
     models = toy_models()
-    ground_truth, latents, _ = gen_dataset(3, 4, models.denoiser, SCHED, seed=7)
+    ground_truth = train_gt(3, 7)
+    latents, _ = gen_dataset(ground_truth, 4, models.denoiser, SCHED, seed=7)
     pairs = build_gt_pairs(len(latents), 4)
     assert pairs.shape == (12, 2)
     assert pairs[:, 0].tolist() == list(range(12))
