@@ -246,8 +246,11 @@ def _reject_rows(path: Path, lines: list[int], bad: np.ndarray, what: str) -> No
         raise ConfigError(f"{path}:{lines[rows[0]]}: {what}")
 
 
-def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) -> None:
-    path = out / "metrics.csv"
+def _read_metrics_csv(path: Path) -> dict[tuple[str, str], str]:
+    """The (model, metric) -> value cells of ``metrics.csv``; none when it is absent.
+
+    A row that is not three cells is a ConfigError naming path:line.
+    """
     rows: dict[tuple[str, str], str] = {}
     if path.exists():
         with open(path) as fh:
@@ -257,10 +260,7 @@ def _update_metrics_csv(out: Path, model_name: str, values: dict[str, float]) ->
                 if len(row) != 3:
                     raise ConfigError(f"{path}:{reader.line_num}: expected model,metric,value")
                 rows[(row[0], row[1])] = row[2]
-    for metric, value in values.items():
-        rows[(model_name, metric)] = _fmt(value)
-    ordered = sorted(rows.items())
-    _write_csv(path, ["model", "metric", "value"], [[m, k, v] for (m, k), v in ordered])
+    return rows
 
 
 def cmd_gen_dataset(cfg: RunConfig) -> int:
@@ -337,7 +337,8 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
+def _train_one(cfg: RunConfig, out: Path, which: str) -> dict[str, float]:
+    """Train and save one model; returns its values for ``metrics.csv``."""
     schedule = _schedule(cfg)
     if which == "denoiser":
         conditions = _train_conditions(cfg, out)
@@ -349,20 +350,15 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
         )
         save_model(out / MODEL_FILES["denoiser"], result.model)
-        _update_metrics_csv(
-            out,
-            "denoiser",
-            {
-                "first_epoch_loss": result.epoch_losses[0],
-                "final_loss": result.epoch_losses[-1],
-                "n_conditions": len(conditions),
-            },
-        )
         print(
             f"denoiser: loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f} "
             f"over {cfg.denoiser.epochs} epochs"
         )
-        return
+        return {
+            "first_epoch_loss": result.epoch_losses[0],
+            "final_loss": result.epoch_losses[-1],
+            "n_conditions": len(conditions),
+        }
 
     latents_path = _require_file(out / "latents.bin", "run gen-dataset first")
     latents = read_latents(latents_path)
@@ -391,31 +387,26 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
         )
         save_model(out / MODEL_FILES["classifier"], result.model)
         m = result.metrics
-        _update_metrics_csv(
-            out,
-            "classifier",
-            {
-                "accuracy": m.accuracy,
-                "balanced_accuracy": m.balanced_accuracy,
-                "precision_valid": m.precision[1],
-                "recall_valid": m.recall[1],
-                "f1_valid": m.f1[1],
-                "precision_invalid": m.precision[0],
-                "recall_invalid": m.recall[0],
-                "f1_invalid": m.f1[0],
-                "confusion_tn": m.confusion[0, 0],
-                "confusion_fp": m.confusion[0, 1],
-                "confusion_fn": m.confusion[1, 0],
-                "confusion_tp": m.confusion[1, 1],
-                "n_train": result.n_train,
-                "n_test": result.n_test,
-            },
-        )
         print("classifier (held out, class 1 = valid):")
         print(f"  precision {m.precision[1]:.3f}  recall {m.recall[1]:.3f}  f1 {m.f1[1]:.3f}")
         print(f"  accuracy {m.accuracy:.3f}  balanced {m.balanced_accuracy:.3f}")
         print(f"  confusion {m.confusion.tolist()}")
-        return
+        return {
+            "accuracy": m.accuracy,
+            "balanced_accuracy": m.balanced_accuracy,
+            "precision_valid": m.precision[1],
+            "recall_valid": m.recall[1],
+            "f1_valid": m.f1[1],
+            "precision_invalid": m.precision[0],
+            "recall_invalid": m.recall[0],
+            "f1_invalid": m.f1[0],
+            "confusion_tn": m.confusion[0, 0],
+            "confusion_fp": m.confusion[0, 1],
+            "confusion_fn": m.confusion[1, 0],
+            "confusion_tp": m.confusion[1, 1],
+            "n_train": result.n_train,
+            "n_test": result.n_test,
+        }
 
     if which in ("ssl_regressor", "gt_regressor"):
         pair_file = "pairs_ssl.csv" if which == "ssl_regressor" else "pairs_gt.csv"
@@ -444,33 +435,33 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> None:
             ridge=cfg.ridge,
         )
         save_model(out / MODEL_FILES[which], result.model)
-        _update_metrics_csv(
-            out,
-            which,
-            {
-                "train_r2": result.train_r2,
-                "train_mse": result.train_mse,
-                "test_r2": result.test_r2,
-                "test_mse": result.test_mse,
-                "n_pairs": len(pairs),
-            },
-        )
         print(
             f"{which}: train R2 {result.train_r2:.4f} MSE {result.train_mse:.4f} | "
             f"test R2 {result.test_r2:.4f} MSE {result.test_mse:.4f} ({len(pairs)} pairs)"
         )
-        return
+        return {
+            "train_r2": result.train_r2,
+            "train_mse": result.train_mse,
+            "test_r2": result.test_r2,
+            "test_mse": result.test_mse,
+            "n_pairs": len(pairs),
+        }
 
     raise ConfigError(f"unknown training target {which!r}")
 
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
+    # read before anything is written, so a malformed file leaves the directory as it was
+    metrics = _read_metrics_csv(Path(cfg.out_dir) / "metrics.csv")
     out = _out_dir(cfg)
     targets = (
         ["denoiser", "classifier", "ssl_regressor", "gt_regressor"] if which == "all" else [which]
     )
     for target in targets:
-        _train_one(cfg, out, target)
+        for metric, value in _train_one(cfg, out, target).items():
+            metrics[(target, metric)] = _fmt(value)
+        rows = [[m, k, v] for (m, k), v in sorted(metrics.items())]
+        _write_csv(out / "metrics.csv", ["model", "metric", "value"], rows)
     return EXIT_OK
 
 

@@ -30,6 +30,11 @@ MAX_DEPTH = 1.0
 # center construction would overflow.
 _BULGE_EPS = 1e-12
 
+# Above this magnitude a target or bulge is far outside COORD_BOUND and
+# MAX_BULGE, and the separation and polygon arithmetic, which reaches the
+# fourth power of a coordinate, could overflow; those checks are skipped.
+_ARITHMETIC_LIMIT = 1e50
+
 _PROPOSAL_CHUNK = 8192
 _STALL_PROPOSALS = 10_000_000
 _STALL_RATE = 1e-4
@@ -313,29 +318,31 @@ def kernel_check(seq: CommandSequence) -> ValidityReport:
     polygon checks need >= 3 pairwise-distinct vertices and are skipped when
     an earlier count/degeneracy failure makes them meaningless. A non-finite
     target, bulge or depth is reported as NON_FINITE, and the separation and
-    polygon checks, whose arithmetic it would poison, are skipped.
+    polygon checks, whose arithmetic it would poison, are skipped; so are they
+    for a target or bulge above 1e50 in magnitude, which is already
+    OUT_OF_BOUNDS or BULGE_OUT_OF_RANGE.
     """
     reasons: set[InvalidReason] = set()
     n = len(seq.edges)
     if n < 3:
         reasons.add(InvalidReason.TOO_FEW_VERTICES)
-    finite = math.isfinite(seq.depth) and all(
-        math.isfinite(v) for e in seq.edges for v in (*e.target, e.bulge)
-    )
+    values = [v for e in seq.edges for v in (*e.target, e.bulge)]
+    finite = math.isfinite(seq.depth) and all(math.isfinite(v) for v in values)
     if not finite:
         reasons.add(InvalidReason.NON_FINITE)
+    measurable = finite and all(abs(v) <= _ARITHMETIC_LIMIT for v in values)
     for edge in seq.edges:
         x, y = edge.target
         if not (abs(x) <= COORD_BOUND and abs(y) <= COORD_BOUND):
             reasons.add(InvalidReason.OUT_OF_BOUNDS)
         if edge.kind is EdgeKind.ARC and not abs(edge.bulge) <= MAX_BULGE:
             reasons.add(InvalidReason.BULGE_OUT_OF_RANGE)
-    if n >= 2 and finite:
+    if n >= 2 and measurable:
         targets = np.array([e.target for e in seq.edges], dtype=float)
         gaps = np.hypot(*(targets - np.roll(targets, -1, axis=0)).T)
         if not bool((gaps >= MIN_VERTEX_SEPARATION).all()):
             reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
-    if n >= 3 and finite and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
+    if n >= 3 and measurable and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
         poly = discretize_profile(seq)
         if self_intersects(poly):
             reasons.add(InvalidReason.SELF_INTERSECTION)
@@ -376,6 +383,8 @@ def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:
 
     (x, y) proposals are uniform over the profile bounding box and accepted by
     the even-odd test on the discretized profile; z is uniform in [0, depth].
+    Proposals are drawn in whole chunks, so z's draws do not move, but each
+    chunk is tested a slice at a time and testing stops at the n-th hit.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -389,10 +398,19 @@ def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:
     proposed = 0
     while accepted < n:
         proposals = rng.uniform(lo, hi, size=(_PROPOSAL_CHUNK, 2))
-        hits = proposals[points_in_polygon(proposals, poly)]
-        chunks.append(hits)
-        accepted += len(hits)
         proposed += _PROPOSAL_CHUNK
+        start = 0
+        while start < _PROPOSAL_CHUNK and accepted < n:
+            # once the stall check below is live it needs the chunk's full hit count
+            if proposed >= _STALL_PROPOSALS:
+                stop = _PROPOSAL_CHUNK
+            else:
+                stop = start + max(2 * (n - accepted), 256)
+            part = proposals[start:stop]
+            hits = part[points_in_polygon(part, poly)]
+            chunks.append(hits)
+            accepted += len(hits)
+            start = stop
         if proposed >= _STALL_PROPOSALS and accepted / proposed < _STALL_RATE:
             raise SamplingStall(
                 f"acceptance rate {accepted / proposed:.2e} after {proposed} proposals"

@@ -3,9 +3,13 @@
 The MMD estimator is the biased V-statistic (diagonal terms included) under a
 Gaussian RBF kernel whose bandwidth defaults to the median pairwise distance
 of the pooled clouds. Each call builds one squared-distance matrix of the
-pooled cloud; the median bandwidth and the xx, yy and xy kernel blocks are all
-read from it. PCA takes the top two eigenvectors of the 21x21 sample
-covariance.
+pooled cloud in Gram form, |x|² + |y|² - 2x·y with one einsum product and
+negatives clamped to 0; the median bandwidth is selected exactly from it, and
+it is then turned into the kernel matrix in place, whose xx, yy and xy blocks
+are summed. The Gram form agrees with summing per-coordinate squared
+differences to about 1e-15, not bitwise; it is BLAS-free, so scores do not
+depend on the BLAS thread count. PCA takes the top two eigenvectors of the
+21x21 sample covariance.
 """
 
 from __future__ import annotations
@@ -35,21 +39,25 @@ class MmdConfig:
 
 
 def _pairwise_square_dists(points: np.ndarray) -> np.ndarray:
-    """(n, n) squared distances between the rows of `points`, summed dx² + dy² + dz².
+    """(n, n) squared distances between the rows of `points`, clamped at 0.
 
-    Built one coordinate at a time into two (n, n) buffers; the summation
-    order matches ``(diff * diff).sum(axis=-1)`` over broadcast differences,
-    so the values agree bitwise.
+    Gram form: after centring, d²(i, j) = |p_i|² + |p_j|² - 2 p_i·p_j, built by one
+    einsum over two contiguous (5, n) operands, [p, |p|², 1] and [-2p, 1, |p|²].
+    einsum without ``optimize`` runs numpy's own loops, never a BLAS call, so the
+    result does not depend on the BLAS thread count; it sums the five terms in
+    order, which makes the diagonal, and every pair of identical points, exactly 0.
     """
-    d2 = np.empty((len(points), len(points)))
-    term = np.empty_like(d2)
-    for k, column in enumerate(points.T):
-        out = d2 if k == 0 else term
-        np.subtract(column[:, None], column[None, :], out=out)
-        np.multiply(out, out, out=out)
-        if k > 0:
-            np.add(d2, term, out=d2)
-    return d2
+    centred = (points - points.mean(axis=0)).T
+    left = np.empty((5, centred.shape[1]))
+    right = np.empty_like(left)
+    left[:3] = centred
+    np.multiply(centred, -2.0, out=right[:3])
+    left[3] = centred[0] * centred[0] + centred[1] * centred[1] + centred[2] * centred[2]
+    left[4] = 1.0
+    right[3] = 1.0
+    right[4] = left[3]
+    d2 = np.einsum("ki,kj->ij", left, right)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _median_distance(d2: np.ndarray) -> float:
@@ -97,12 +105,11 @@ def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
         sigma = median_heuristic_sigma(x, y)
     else:
         sigma = _median_distance(d2)
-    denom = 2.0 * sigma * sigma
-    # -block / denom is a fresh C-contiguous array, so each sum runs in the
-    # same order as over a separately built block
-    kxx = float(np.exp(-d2[:m, :m] / denom).sum()) / (m * m)
-    kyy = float(np.exp(-d2[m:, m:] / denom).sum()) / (n * n)
-    kxy = float(np.exp(-d2[:m, m:] / denom).sum()) * 2.0 / (m * n)
+    # the median above has been read, so d2 becomes the kernel matrix in place
+    kernel = np.exp(np.divide(d2, -2.0 * sigma * sigma, out=d2), out=d2)
+    kxx = float(kernel[:m, :m].sum()) / (m * m)
+    kyy = float(kernel[m:, m:].sum()) / (n * n)
+    kxy = float(kernel[:m, m:].sum()) * 2.0 / (m * n)
     return math.sqrt(max(kxx + kyy - kxy, 0.0))
 
 

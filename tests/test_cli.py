@@ -456,6 +456,8 @@ def test_malformed_metrics_row_exits_2(tmp_path, caplog):
     config = write_config(tmp_path / "c.json", out)
     assert run_stage(config, *TRAIN_DENOISER) == cli.EXIT_CONFIG
     assert "metrics.csv:2: expected model,metric,value" in caplog.text
+    # the file is read before anything is written
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv"]
 
 
 def test_pca_rejects_non_finite_rows(tmp_path, caplog):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadrepair import geometry
 from cadrepair.config import ConfigError
 from cadrepair.geometry import (
     ARC_SEGMENTS,
@@ -375,6 +376,30 @@ def test_non_finite_values_are_their_own_reason(seq):
     assert InvalidReason.NON_FINITE == 8
 
 
+@pytest.mark.parametrize(
+    "seq, reasons",
+    [
+        (
+            CommandSequence((line(0, 0), arc(1, 0, 1e200), line(1, 1)), 0.5),
+            (InvalidReason.BULGE_OUT_OF_RANGE,),
+        ),
+        (
+            CommandSequence((line(0, 0), line(1.7e308, -1.7e308), line(-1.7e308, 1)), 0.5),
+            (InvalidReason.OUT_OF_BOUNDS,),
+        ),
+        (
+            CommandSequence((line(-1e200, 0), line(1e200, 0), line(1e200, 1e200)), 0.5),
+            (InvalidReason.OUT_OF_BOUNDS,),
+        ),
+    ],
+    ids=["bulge-1e200", "targets-1.7e308", "targets-1e200"],
+)
+def test_huge_finite_values_skip_the_polygon_checks(seq, reasons):
+    # their separation and polygon arithmetic would overflow, which is a
+    # RuntimeWarning and so an error under pytest
+    assert kernel_check(seq).reasons == reasons
+
+
 @given(command_sequences(coord=st.floats(-3, 3, allow_nan=False), bulge=st.floats(-3, 3, allow_nan=False), depth=st.floats(-2, 2, allow_nan=False)))
 @settings(max_examples=300, deadline=None)
 def test_kernel_total_deterministic_valid_iff_no_reasons(seq):
@@ -418,6 +443,61 @@ def test_triangle_cloud_statistics():
     mean_z = cloud[:, 2].mean()
     se = depth / math.sqrt(12.0 * n)
     assert abs(mean_z - depth / 2.0) < 3.0 * se
+
+
+def full_chunk_point_cloud(seq, n, seed):
+    """The former sampler: every proposal of every chunk is tested."""
+    poly = discretize_profile(seq)
+    rng = np.random.default_rng(seed)
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    chunks, accepted = [], 0
+    while accepted < n:
+        proposals = rng.uniform(lo, hi, size=(geometry._PROPOSAL_CHUNK, 2))
+        hits = proposals[points_in_polygon(proposals, poly)]
+        chunks.append(hits)
+        accepted += len(hits)
+    xy = np.concatenate(chunks)[:n]
+    z = rng.uniform(0.0, seq.depth, n)
+    return np.column_stack([xy, z])
+
+
+# a diagonal strip covering 5% of its bounding box: about 410 hits per chunk
+THIN_STRIP = CommandSequence((line(-1, -1), line(1, 0.9), line(1, 1), line(-1, -0.9)), 0.3)
+
+
+@pytest.mark.parametrize("n", [1, 16, 512])
+@pytest.mark.parametrize(
+    "seq",
+    [
+        square(),
+        CommandSequence((line(0, 0), line(0.8, 0), arc(0.8, 0.6, 0.7), line(0, 0.6)), 0.9),
+        THIN_STRIP,
+    ],
+    ids=["square", "arc", "thin-strip"],
+)
+def test_cloud_equals_full_chunk_sampler_bitwise(seq, n):
+    for seed in (0, 7, 12345):
+        expected = full_chunk_point_cloud(seq, n, seed)
+        assert sample_point_cloud(seq, n, seed).tobytes() == expected.tobytes()
+
+
+def test_live_stall_check_counts_the_whole_chunk(monkeypatch):
+    # a square fills its bounding box, so the chunk's 8192 hits pass this rate;
+    # the hits of the first slice alone would read as a stall
+    monkeypatch.setattr(geometry, "_STALL_PROPOSALS", 1)
+    monkeypatch.setattr(geometry, "_STALL_RATE", 0.5)
+    expected = full_chunk_point_cloud(square(), 16, 0)
+    assert sample_point_cloud(square(), 16, 0).tobytes() == expected.tobytes()
+
+
+def test_thin_strip_needs_a_second_chunk_at_512_points():
+    # the premise of the thin-strip case above
+    poly = discretize_profile(THIN_STRIP)
+    for seed in (0, 7, 12345):
+        rng = np.random.default_rng(seed)
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        first = rng.uniform(lo, hi, size=(geometry._PROPOSAL_CHUNK, 2))
+        assert points_in_polygon(first, poly).sum() < 512
 
 
 def test_points_in_polygon_even_odd():
