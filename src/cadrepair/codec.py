@@ -91,7 +91,7 @@ def condition_descriptor(seq: CommandSequence) -> np.ndarray:
         raise ValueError(f"descriptor needs a kernel-valid sequence: {names}")
     poly = discretize_profile(seq)
     area = polygon_area(poly)
-    nxt = np.roll(poly, -1, axis=0)
+    nxt = np.concatenate((poly[1:], poly[:1]))
     perimeter = float(np.hypot(*(nxt - poly).T).sum())
     cross = poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1]
     cx = float(((poly[:, 0] + nxt[:, 0]) * cross).sum() / (6.0 * area))

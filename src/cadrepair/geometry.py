@@ -253,7 +253,9 @@ def polygon_area(polygon) -> float:
     if len(poly) < 3:
         raise ValueError("polygon needs at least 3 vertices")
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(
+        np.dot(x, np.concatenate((y[1:], y[:1]))) - np.dot(y, np.concatenate((x[1:], x[:1])))
+    )
 
 
 def _orientations(a, b, c):
@@ -282,7 +284,7 @@ def self_intersects(polygon) -> bool:
     if n < 3:
         raise ValueError("polygon needs at least 3 vertices")
     starts = poly
-    ends = np.roll(poly, -1, axis=0)
+    ends = np.concatenate((poly[1:], poly[:1]))
     i_idx, j_idx = np.triu_indices(n, k=2)
     keep = ~((i_idx == 0) & (j_idx == n - 1))  # wraparound adjacency
     i_idx, j_idx = i_idx[keep], j_idx[keep]
@@ -339,7 +341,7 @@ def kernel_check(seq: CommandSequence) -> ValidityReport:
             reasons.add(InvalidReason.BULGE_OUT_OF_RANGE)
     if n >= 2 and measurable:
         targets = np.array([e.target for e in seq.edges], dtype=float)
-        gaps = np.hypot(*(targets - np.roll(targets, -1, axis=0)).T)
+        gaps = np.hypot(*(targets - np.concatenate((targets[1:], targets[:1]))).T)
         if not bool((gaps >= MIN_VERTEX_SEPARATION).all()):
             reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
     if n >= 3 and measurable and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:

@@ -262,25 +262,6 @@ def regressor_predict(model: LinearRegressor, z) -> np.ndarray:
     return z @ model.weights.T + model.bias
 
 
-def regressor_loss_grad(model: LinearRegressor, z) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-norm self-consistency loss ||Wz + b - z||^2 and its z-gradient,
-    for one latent (d,) or per row of a batch (B, d).
-
-    The prediction is a function of z, so the gradient carries the Jacobian:
-    2 (W - I)^T (Wz + b - z), written row-wise as 2 residual (W - I).
-    """
-    z = np.asarray(z, dtype=float)
-    out_dim, in_dim = model.weights.shape
-    if out_dim != in_dim:
-        raise ValueError("self-consistency loss needs a square regressor")
-    if z.ndim not in (1, 2) or z.shape[-1] != in_dim:
-        raise ValueError(f"latent shape {z.shape} != expected (..., {in_dim})")
-    residual = z @ model.weights.T + model.bias - z
-    loss = (residual * residual).sum(axis=-1)
-    grad = 2.0 * residual @ (model.weights - np.eye(in_dim))
-    return loss, grad
-
-
 def r2_score(y_true, y_pred) -> float:
     """Coefficient of determination, uniformly averaged over output columns."""
     y_true = np.atleast_2d(np.asarray(y_true, dtype=float).T).T

@@ -42,13 +42,14 @@ STREAM_TRAINING = 6
 
 # Rows per batched reverse-chain call, in gen_dataset and run_variants alike.
 # Blocks are cut from the row order alone, never from the worker count, so
-# results do not depend on --threads. A block's noise buffer is
-# CHAIN_BLOCK x T x 21 float64s. Measured on the benchmark's gen config (1000
-# chains of T=100, 2-vCPU host, BLAS threads 1; chain time in process, median
-# of 5, then the gen-dataset CLI's peak RSS): 8 rows 0.79 s, 38.7 MB; 32 rows
-# 0.36 s, 39.3 MB; 64 rows 0.32 s, 40.0 MB; 128 rows 0.27 s, 41.5 MB. 64 rows
-# take most of the gain and still cut an eval of a few hundred conditions into
-# several chain tasks per guidance plan.
+# results do not depend on --threads. In eval a block is one chain task, which
+# runs every guidance plan on the block in lockstep. All plans share the
+# block's one noise buffer of CHAIN_BLOCK x T x 21 float64s. Measured on the
+# benchmark's gen config (1000 chains of T=100, 2-vCPU host, BLAS threads 1;
+# chain time in process, median of 5, then the gen-dataset CLI's peak RSS):
+# 8 rows 0.79 s, 38.7 MB; 32 rows 0.36 s, 39.3 MB; 64 rows 0.32 s, 40.0 MB;
+# 128 rows 0.27 s, 41.5 MB. 64 rows take most of the gain and still cut an
+# eval of a few hundred conditions into several chain tasks.
 CHAIN_BLOCK = 64
 
 _REJECTION_MIN_DRAWS = 1_000_000
@@ -138,8 +139,12 @@ def gen_dataset(
     latents = np.vstack(
         [
             diffusion.sample(
-                conditions[lo : lo + CHAIN_BLOCK], denoiser, schedule, seeds[lo : lo + CHAIN_BLOCK]
-            )
+                conditions[lo : lo + CHAIN_BLOCK],
+                denoiser,
+                schedule,
+                seeds[lo : lo + CHAIN_BLOCK],
+                [(None, None)],
+            )[0]
             for lo in range(0, len(seeds), CHAIN_BLOCK)
         ]
     )
@@ -268,18 +273,18 @@ def _init_eval_worker(payload) -> None:
 
 
 def _chain_task(task) -> np.ndarray:
-    """Latents of one guidance plan's batched reverse chain over conditions [lo, hi)."""
-    guidance, lo, hi = task
+    """Every guidance plan's latents of the lockstep reverse chains over
+    conditions [lo, hi); (plans, hi - lo, d)."""
+    lo, hi = task
     ctx = _WORKER_CONTEXT
-    classifier, guide = (getattr(ctx["models"], name) if name else None for name in guidance)
+    models = ctx["models"]
     return diffusion.sample(
         np.array([c.condition for c in ctx["conditions"][lo:hi]]),
-        ctx["models"].denoiser,
+        models.denoiser,
         ctx["schedule"],
         [seed_stream(ctx["seed"], STREAM_EVAL_SAMPLE, cid) for cid in range(lo, hi)],
-        classifier=classifier,
-        regressor=guide,
-        guidance=ctx["guidance"],
+        [tuple(getattr(models, name) if name else None for name in plan) for plan in ctx["plans"]],
+        ctx["guidance"],
     )
 
 
@@ -323,9 +328,8 @@ def _score_task(task) -> list[ConditionOutcome]:
 
 
 def _run_tasks(map_fn, chain_tasks, n: int) -> list[list[ConditionOutcome]]:
-    # chain tasks are plan-major, so row p * n + cid is plan p's latent of cid
-    rows = [row for block in map_fn(_chain_task, chain_tasks) for row in block]
-    return list(map_fn(_score_task, [(cid, rows[cid::n]) for cid in range(n)]))
+    latents = np.concatenate(list(map_fn(_chain_task, chain_tasks)), axis=1)  # (plans, n, d)
+    return list(map_fn(_score_task, [(cid, latents[:, cid]) for cid in range(n)]))
 
 
 def run_variants(
@@ -341,13 +345,16 @@ def run_variants(
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds.
 
-    Two kinds of task run in turn: one chain task per distinct guidance plan
-    and block of CHAIN_BLOCK conditions, which returns only the latents, then
-    one scoring task per condition (``_score_task``), which samples the
-    ground-truth cloud once. Sharing is exact: every chain row and cloud is
-    seeded by condition id alone. threads > 1 runs both kinds on one process
-    pool of at most min(threads, conditions) workers. Returns each variant's
-    outcomes in condition order, in the order of ``variants``, either way.
+    Two kinds of task run in turn: one chain task per block of CHAIN_BLOCK
+    conditions, which runs every distinct guidance plan of the block in one
+    lockstep ``diffusion.sample`` call with one noise buffer shared by all
+    plans and returns only the latents, then one scoring task per condition
+    (``_score_task``), which samples the ground-truth cloud once. Sharing is
+    exact: every chain row and cloud is seeded by condition id alone, and a
+    plan's rows round the same in the stack as alone. threads > 1 runs both
+    kinds on one process pool of at most min(threads, conditions) workers.
+    Returns each variant's outcomes in condition order, in the order of
+    ``variants``, either way.
     """
     variants = list(variants)
     for variant in variants:
@@ -366,9 +373,7 @@ def run_variants(
         "mmd_config": mmd_config,
     }
     n = len(eval_conditions)
-    chain_tasks = [
-        (plan, lo, min(lo + CHAIN_BLOCK, n)) for plan in plans for lo in range(0, n, CHAIN_BLOCK)
-    ]
+    chain_tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
     workers = min(threads, n)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -18,7 +18,6 @@ from cadrepair.nets import (
     mlp_grad_input,
     mlp_param_grads,
     r2_score,
-    regressor_loss_grad,
     regressor_predict,
     save_model,
     timestep_embedding,
@@ -336,45 +335,6 @@ def test_regressor_predict_hand_case():
         regressor_predict(model, np.zeros(3))
 
 
-def test_identity_regressor_zero_loss_grad():
-    model = LinearRegressor(np.eye(5), np.zeros(5))
-    loss, grad = regressor_loss_grad(model, np.random.default_rng(0).normal(size=5))
-    assert loss == 0.0
-    np.testing.assert_array_equal(grad, np.zeros(5))
-
-
-def test_scalar_regressor_loss_grad():
-    model = LinearRegressor(np.array([[0.0]]), np.array([1.0]))
-    loss, grad = regressor_loss_grad(model, np.array([0.0]))
-    assert loss == 1.0
-    assert grad[0] == -2.0
-
-
-def test_regressor_loss_grad_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    model = LinearRegressor(rng.normal(size=(6, 6)), rng.normal(size=6))
-    for _ in range(100):
-        z = rng.normal(size=6)
-        _, analytic = regressor_loss_grad(model, z)
-        numeric = _fd_grad(lambda v: regressor_loss_grad(model, v)[0], z, h=1e-4)
-        err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
-        assert err < 1e-8
-
-
-def test_batched_regressor_loss_grad_matches_finite_differences_per_row():
-    rng = np.random.default_rng(14)
-    model = LinearRegressor(rng.normal(size=(6, 6)), rng.normal(size=6))
-    z = rng.normal(size=(5, 6))
-    loss, grad = regressor_loss_grad(model, z)
-    assert loss.shape == (5,) and grad.shape == (5, 6)
-    for i in range(5):
-        row_loss, _ = regressor_loss_grad(model, z[i])
-        np.testing.assert_allclose(loss[i], row_loss, rtol=1e-14)
-        numeric = _fd_grad(lambda v: regressor_loss_grad(model, v)[0], z[i], h=1e-4)
-        err = np.linalg.norm(grad[i] - numeric) / max(np.linalg.norm(numeric), 1e-12)
-        assert err < 1e-8
-
-
 def test_train_regressor_reports_split_metrics():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(200, 3))
@@ -461,6 +421,14 @@ def test_timestep_embedding_width_and_uniqueness():
     assert len({tuple(np.round(row, 9)) for row in emb}) == 100
     single = timestep_embedding(17)
     np.testing.assert_array_equal(single, emb[16:17])
+
+
+@pytest.mark.parametrize("T", [2, 100, 500])
+def test_timestep_embedding_table_equals_scalar_calls_bitwise(T):
+    # diffusion.sample reads step t's embedding from one table per call
+    table = timestep_embedding(np.arange(1, T + 1))
+    for t in range(1, T + 1):
+        assert table[t - 1].tobytes() == timestep_embedding(t)[0].tobytes(), t
 
 
 def test_denoiser_features_layout():

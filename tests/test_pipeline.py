@@ -116,8 +116,8 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
         latents, reports = gen_dataset(ground_truth, 5, models.denoiser, SCHED, seed=8)
         for row, (z, report) in enumerate(zip(latents, reports)):
             cid, g = divmod(row, 5)
-            single = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
-                            [seed_stream(8, STREAM_DATASET_GEN, cid, g)])
+            (single,) = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
+                               [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)])
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
             assert report == kernel_check(decode(single[0]))
 
@@ -413,8 +413,8 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     for name in ("ground_truth_cloud", "mmd", "decode", "self_repair"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
     outcomes = run_variants(list(VariantId), conditions, models, SCHED, 10, guidance, cfg)
-    # 4 guidance plans, each one chain per block
-    assert calls["sample"] == 4 * math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 4 * 2
+    # one lockstep chain of all 4 guidance plans per block
+    assert calls["sample"] == math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 2
     assert calls["ground_truth_cloud"] == len(conditions)
     unrepaired = (VariantId.BASELINE, VariantId.VAR3, VariantId.VAR4, VariantId.VAR5)
     repaired = (VariantId.VAR1, VariantId.VAR2, VariantId.FULL)
