@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cadrepair.config import ModelTraining
-from cadrepair.diffusion import build_schedule
+from cadrepair.diffusion import GuidanceConfig, build_schedule, chain_constants, sample_step
 from cadrepair.nets import (
     LinearRegressor,
     Mlp,
@@ -333,6 +333,34 @@ def test_regressor_predict_hand_case():
     np.testing.assert_allclose(regressor_predict(model, np.array([2.0, 3.0])), [8.5, -2.0])
     with pytest.raises(ValueError, match="input width 3 != expected 2"):
         regressor_predict(model, np.zeros(3))
+
+
+def regressor_loss_grad(model, z):
+    """Self-consistency loss ||Wz + b - z||^2 at the latent z, and its gradient,
+    read off the regressor shift that diffusion.sample_step makes at unit scale."""
+    residual = regressor_predict(model, z) - z
+    sched = build_schedule(10, 1e-4, 0.02)
+    guided = chain_constants(sched, [(None, model)], GuidanceConfig(0.0, 1.0))
+    plain = chain_constants(sched, [(None, None)])
+    stack = np.asarray(z, dtype=float)[None, None]
+    eps_hat = np.zeros_like(stack)
+    unguided = sample_step(stack, 1, eps_hat, None, plain)
+    grad = unguided - sample_step(stack, 1, eps_hat, None, guided)
+    return float(residual @ residual), grad[0, 0]
+
+
+def test_identity_regressor_zero_loss_grad():
+    model = LinearRegressor(np.eye(5), np.zeros(5))
+    loss, grad = regressor_loss_grad(model, np.random.default_rng(0).normal(size=5))
+    assert loss == 0.0
+    np.testing.assert_array_equal(grad, np.zeros(5))
+
+
+def test_scalar_regressor_loss_grad():
+    model = LinearRegressor(np.array([[0.0]]), np.array([1.0]))
+    loss, grad = regressor_loss_grad(model, np.array([0.0]))
+    assert loss == 1.0
+    assert grad[0] == -2.0
 
 
 def test_train_regressor_reports_split_metrics():
