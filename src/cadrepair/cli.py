@@ -263,7 +263,7 @@ def _read_metrics_csv(path: Path) -> dict[tuple[str, str], str]:
     return rows
 
 
-def cmd_gen_dataset(cfg: RunConfig) -> int:
+def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     """Sample several unguided latents per training condition, kernel-check them,
     and write, into the run directory:
 
@@ -279,7 +279,9 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
 
     It reads ``denoiser.json`` and the ``conditions.jsonl`` that ``train --which
     denoiser`` wrote; only when that file is absent does it draw the conditions
-    and write the file.
+    and write the file. The chains run in blocks of ``pipeline.CHAIN_BLOCK``
+    rows, each block decoded and kernel-checked in the same task, on at most
+    ``threads`` worker processes; every file is the same at any ``threads``.
     """
     out = _out_dir(cfg)
     denoiser = _load_model(
@@ -289,7 +291,7 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
     ground_truth = _train_conditions(cfg, out)
     per_condition = cfg.generations_per_condition
     generated, reports = pipeline.gen_dataset(
-        ground_truth, per_condition, denoiser, _schedule(cfg), cfg.master_seed
+        ground_truth, per_condition, denoiser, _schedule(cfg), cfg.master_seed, threads
     )
     labels = np.array([r.valid for r in reports], dtype=bool)
     write_latents(out / "latents.bin", np.vstack([generated, [gt.latent for gt in ground_truth]]))
@@ -649,6 +651,14 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (a container pinned to 2 of 64 CPUs gets 2), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cadrepair",
@@ -681,15 +691,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run the variant benchmark on held-out conditions")
     add_common(p_eval)
     p_eval.add_argument("--variants", default="all", help="comma list or 'all'")
-    p_eval.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help=(
-            "worker processes, at most one per condition; reverse chains run in blocks of "
-            f"{pipeline.CHAIN_BLOCK} conditions, then every variant is scored per condition"
-        ),
-    )
+
+    for p in (p_gen, p_eval):
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=_usable_cpus(),
+            help=(
+                "worker processes, at most one per task; chains run in blocks of "
+                f"{pipeline.CHAIN_BLOCK} rows (default: the CPUs this process may use)"
+            ),
+        )
 
     p_pca = sub.add_parser("pca", help="project evaluation latents to 2D")
     add_common(p_pca)
@@ -720,7 +732,7 @@ def main(argv=None) -> int:
             return cmd_repair(args.latents, args.regressor, args.out)
         cfg = _load_config(args)
         if args.command == "gen-dataset":
-            return cmd_gen_dataset(cfg)
+            return cmd_gen_dataset(cfg, max(1, args.threads))
         if args.command == "train":
             return cmd_train(cfg, args.which)
         if args.command == "eval":

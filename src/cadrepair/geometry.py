@@ -10,6 +10,7 @@ into uniform volume point clouds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -272,6 +273,19 @@ def _on_segment(a, b, p):
     )
 
 
+# one entry per vertex count a discretized profile can have
+@functools.lru_cache(maxsize=MAX_EDGES * ARC_SEGMENTS)
+def _non_adjacent_edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) indices, i < j, of every pair of non-adjacent edges of
+    a closed n-gon, in ``np.triu_indices`` order."""
+    i_idx, j_idx = np.triu_indices(n, k=2)
+    keep = ~((i_idx == 0) & (j_idx == n - 1))  # wraparound adjacency
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    i_idx.flags.writeable = False
+    j_idx.flags.writeable = False
+    return i_idx, j_idx
+
+
 def self_intersects(polygon) -> bool:
     """True iff any two non-adjacent closed edges intersect.
 
@@ -285,9 +299,7 @@ def self_intersects(polygon) -> bool:
         raise ValueError("polygon needs at least 3 vertices")
     starts = poly
     ends = np.concatenate((poly[1:], poly[:1]))
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    keep = ~((i_idx == 0) & (j_idx == n - 1))  # wraparound adjacency
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    i_idx, j_idx = _non_adjacent_edge_pairs(n)
     if i_idx.size == 0:
         return False
     a, b = starts[i_idx], ends[i_idx]

@@ -9,6 +9,7 @@ variant of the evaluation matrix shares per-condition starting noise
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -42,9 +43,11 @@ STREAM_TRAINING = 6
 
 # Rows per batched reverse-chain call, in gen_dataset and run_variants alike.
 # Blocks are cut from the row order alone, never from the worker count, so
-# results do not depend on --threads. In eval a block is one chain task, which
-# runs every guidance plan on the block in lockstep. All plans share the
-# block's one noise buffer of CHAIN_BLOCK x T x 21 float64s. Measured on the
+# results do not depend on --threads. In gen-dataset a block is one task, which
+# runs the block's unguided chains and decodes and kernel-checks its rows. In
+# eval a block is one chain task, which runs every guidance plan on the block
+# in lockstep. All plans share the block's one noise buffer of
+# CHAIN_BLOCK x T x 21 float64s. Measured on the
 # benchmark's gen config (1000 chains of T=100, 2-vCPU host, BLAS threads 1;
 # chain time in process, median of 5, then the gen-dataset CLI's peak RSS):
 # 8 rows 0.79 s, 38.7 MB; 32 rows 0.36 s, 39.3 MB; 64 rows 0.32 s, 40.0 MB;
@@ -121,34 +124,33 @@ def gen_dataset(
     denoiser: Mlp,
     schedule: diffusion.DiffusionSchedule,
     seed: int,
+    threads: int = 1,
 ) -> tuple[np.ndarray, list[ValidityReport]]:
     """Generate the labeled dataset: several unguided sampled latents per
     ground-truth condition, and each latent's kernel report.
 
     Latents are (len(ground_truth) * generations_per_condition, d) in
     condition-major order: generation g of condition cid is row
-    cid * generations_per_condition + g. Their chains run in blocks of
-    CHAIN_BLOCK rows cut from that order.
+    cid * generations_per_condition + g. The rows are cut into blocks of
+    CHAIN_BLOCK rows from that order; each block is one task
+    (``_gen_block_task``) that runs the block's chains, then decodes and
+    kernel-checks its rows. threads > 1 runs the tasks on at most
+    min(threads, blocks) worker processes; results join in block order, so
+    they do not depend on ``threads``.
     """
-    conditions = np.repeat([gt.condition for gt in ground_truth], generations_per_condition, axis=0)
-    seeds = [
-        seed_stream(seed, STREAM_DATASET_GEN, cid, g)
-        for cid in range(len(ground_truth))
-        for g in range(generations_per_condition)
-    ]
-    latents = np.vstack(
-        [
-            diffusion.sample(
-                conditions[lo : lo + CHAIN_BLOCK],
-                denoiser,
-                schedule,
-                seeds[lo : lo + CHAIN_BLOCK],
-                [(None, None)],
-            )[0]
-            for lo in range(0, len(seeds), CHAIN_BLOCK)
-        ]
-    )
-    return latents, [kernel_check(decode(z)) for z in latents]
+    n = len(ground_truth) * generations_per_condition
+    payload = {
+        "conditions": np.array([gt.condition for gt in ground_truth]),
+        "generations_per_condition": generations_per_condition,
+        "denoiser": denoiser,
+        "schedule": schedule,
+        "seed": seed,
+    }
+    tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
+    with _worker_pool(payload, threads, len(tasks)) as map_fn:
+        blocks = list(map_fn(_gen_block_task, tasks))
+    latents = np.vstack([block_latents for block_latents, _ in blocks])
+    return latents, [report for _, reports in blocks for report in reports]
 
 
 def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
@@ -268,8 +270,46 @@ def ground_truth_cloud(
 _WORKER_CONTEXT: dict = {}
 
 
-def _init_eval_worker(payload) -> None:
+def _init_worker(payload) -> None:
+    _WORKER_CONTEXT.clear()
     _WORKER_CONTEXT.update(payload)
+
+
+@contextmanager
+def _worker_pool(payload: dict, threads: int, tasks: int):
+    """Yield a ``map`` whose calls run with ``payload`` as the worker context.
+
+    It maps on a process pool of min(threads, tasks) workers, each given the
+    payload once by the pool's initializer, or in process when that is 1. It
+    may be called more than once while the pool is open.
+    """
+    workers = min(threads, tasks)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(payload,)
+        ) as pool:
+            yield pool.map
+    else:
+        _init_worker(payload)
+        yield map
+
+
+def _gen_block_task(task) -> tuple[np.ndarray, list[ValidityReport]]:
+    """The unguided latents of dataset rows [lo, hi), (hi - lo, d), and each
+    one's kernel report."""
+    lo, hi = task
+    ctx = _WORKER_CONTEXT
+    cids, gens = np.divmod(np.arange(lo, hi), ctx["generations_per_condition"])
+    latents = diffusion.sample(
+        ctx["conditions"][cids],
+        ctx["denoiser"],
+        ctx["schedule"],
+        [seed_stream(ctx["seed"], STREAM_DATASET_GEN, c, g) for c, g in zip(cids, gens)],
+        [(None, None)],
+    )[0]
+    return latents, [kernel_check(decode(z)) for z in latents]
 
 
 def _chain_task(task) -> np.ndarray:
@@ -327,11 +367,6 @@ def _score_task(task) -> list[ConditionOutcome]:
     return outcomes
 
 
-def _run_tasks(map_fn, chain_tasks, n: int) -> list[list[ConditionOutcome]]:
-    latents = np.concatenate(list(map_fn(_chain_task, chain_tasks)), axis=1)  # (plans, n, d)
-    return list(map_fn(_score_task, [(cid, latents[:, cid]) for cid in range(n)]))
-
-
 def run_variants(
     variants,
     eval_conditions,
@@ -351,9 +386,9 @@ def run_variants(
     plans and returns only the latents, then one scoring task per condition
     (``_score_task``), which samples the ground-truth cloud once. Sharing is
     exact: every chain row and cloud is seeded by condition id alone, and a
-    plan's rows round the same in the stack as alone. threads > 1 runs both
-    kinds on one process pool of at most min(threads, conditions) workers.
-    Returns each variant's outcomes in condition order, in the order of
+    plan's rows round the same in the stack as alone. Both kinds map on one
+    ``_worker_pool``, the pool ``gen_dataset`` uses too: at most
+    min(threads, conditions) worker processes when threads > 1. Returns each variant's outcomes in condition order, in the order of
     ``variants``, either way.
     """
     variants = list(variants)
@@ -374,15 +409,7 @@ def run_variants(
     }
     n = len(eval_conditions)
     chain_tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
-    workers = min(threads, n)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_eval_worker, initargs=(payload,)
-        ) as pool:
-            outcomes = _run_tasks(pool.map, chain_tasks, n)
-    else:
-        _init_eval_worker(payload)
-        outcomes = _run_tasks(map, chain_tasks, n)
+    with _worker_pool(payload, threads, n) as map_fn:
+        latents = np.concatenate(list(map_fn(_chain_task, chain_tasks)), axis=1)  # (plans, n, d)
+        outcomes = list(map_fn(_score_task, [(cid, latents[:, cid]) for cid in range(n)]))
     return {variant: [row[k] for row in outcomes] for k, variant in enumerate(variants)}

@@ -47,6 +47,8 @@ EVAL_FILES = (
     "eval_latents_full.bin",
 )
 
+GEN_FILES = ("latents.bin", "labels.csv", "pairs_ssl.csv", "pairs_gt.csv", "dataset_summary.json")
+
 
 def write_config(path, out_dir, **overrides) -> str:
     path.write_text(json.dumps({**TINY, "out_dir": str(out_dir), **overrides}))
@@ -120,22 +122,36 @@ def test_eval_spanning_chain_blocks_does_not_depend_on_thread_count(
     runs, tmp_path, monkeypatch
 ):
     # TINY evaluates fewer conditions than one block; with blocks of 3, every
-    # guidance plan has two full blocks and a tail block
+    # guidance plan has two full blocks and a tail block, and gen-dataset's
+    # 40 x 3 rows make 40 blocks
     root, _, _ = runs
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 3)
     n_eval = 2 * pipeline.CHAIN_BLOCK + 3
+    files = (*GEN_FILES, *EVAL_FILES)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         shutil.copytree(root / "a", out)
-        for name in EVAL_FILES:
+        for name in files:
             (out / name).unlink()
         config = write_config(tmp_path / f"{threads}.json", out, n_eval_conditions=n_eval)
+        assert run_stage(config, "gen-dataset", "--threads", threads) == cli.EXIT_OK
         assert run_stage(config, "eval", "--variants", "all", "--threads", threads) == cli.EXIT_OK
-        outputs.append({name: (out / name).read_bytes() for name in EVAL_FILES})
+        outputs.append({name: (out / name).read_bytes() for name in files})
     assert outputs[0] == outputs[1]
     with open(tmp_path / "threads1" / "report.csv") as fh:
         assert {int(row["n"]) for row in csv.DictReader(fh)} == {n_eval}
+
+
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    # a container pinned to 2 of the host's 64 CPUs
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
+    for command in ("gen-dataset", "eval"):
+        assert cli.build_parser().parse_args([command]).threads == 2, command
+    # where the platform has no affinity mask, the host's count
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli.build_parser().parse_args(["gen-dataset"]).threads == 64
 
 
 def read_rows(path) -> list[dict[str, str]]:

@@ -280,6 +280,18 @@ def test_self_intersects_matches_oracle_random():
     assert agree == 1500
 
 
+def test_cached_edge_pairs_are_the_oracle_pairs_in_its_order_and_read_only():
+    for n in (3, 4, 5, 17, geometry.MAX_EDGES * ARC_SEGMENTS):
+        i_idx, j_idx = geometry._non_adjacent_edge_pairs(n)
+        expected = [
+            (i, j) for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1)
+        ]
+        assert list(zip(i_idx.tolist(), j_idx.tolist())) == expected, n
+        assert geometry._non_adjacent_edge_pairs(n)[0] is i_idx
+        with pytest.raises(ValueError):
+            i_idx[...] = 0
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(3, 32))
 @settings(max_examples=150, deadline=None)
 def test_self_intersects_matches_oracle_property(seed, n):

@@ -122,6 +122,19 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
             assert report == kernel_check(decode(single[0]))
 
 
+def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
+    # 4 x 3 = 12 rows with CHAIN_BLOCK = 5: two full blocks and a 2-row tail
+    # block, joined in block order whichever worker ran each
+    monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
+    models = toy_models(seed=3)
+    ground_truth = train_gt(4, 12)
+    serial = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12, threads=1)
+    pooled = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12, threads=2)
+    assert serial[0].shape == (12, 21)
+    assert serial[0].tobytes() == pooled[0].tobytes()
+    assert serial[1] == pooled[1]
+
+
 # ---------------------------------------------------------------- pairing
 
 
@@ -455,8 +468,9 @@ def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method
 
 
 def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
-    # one scoring task per condition: at most min(threads, n) workers, and no
-    # pool for a single condition
+    # run_variants has one scoring task per condition: at most min(threads, n)
+    # workers, and no pool for a single condition; gen_dataset has one task per
+    # block of rows: at most min(threads, blocks) workers, no pool for one block
     pool_sizes = []
 
     class SerialPool:
@@ -489,3 +503,11 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
         )
         assert pool_sizes == workers, (threads, n)
         assert [o.condition_id for o in outcomes[VariantId.BASELINE]] == list(range(n))
+    monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 4)
+    for threads, n, workers in ((64, 4, [3]), (2, 4, [2]), (4, 1, [])):
+        pool_sizes.clear()
+        latents, reports = gen_dataset(
+            train_gt(n, 21), 3, toy_models(seed=9).denoiser, SCHED, seed=21, threads=threads
+        )
+        assert pool_sizes == workers, (threads, n)
+        assert latents.shape == (3 * n, 21) and len(reports) == 3 * n
