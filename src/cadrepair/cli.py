@@ -57,18 +57,13 @@ EXIT_STALL = 3
 EXIT_MISSING = 4
 EXIT_EMPTY = 5
 
-MODEL_FILES = {
-    "denoiser": "denoiser.json",
-    "classifier": "classifier.json",
-    "ssl_regressor": "ssl_regressor.json",
-    "gt_regressor": "gt_regressor.json",
-}
-
-# the class, input width, output width and output activation of each model role
-_MODEL_SPECS = {
+# each model's class, input width, output width and output activation, in the
+# order `train --which all` trains them; a run directory keeps it in <name>.json
+MODELS = {
     "denoiser": (Mlp, LATENT_DIM + TIMESTEP_EMBED_DIM + CONDITION_DIM, LATENT_DIM, "identity"),
     "classifier": (Mlp, LATENT_DIM, 1, "sigmoid"),
-    "regressor": (LinearRegressor, LATENT_DIM, LATENT_DIM, None),
+    "ssl_regressor": (LinearRegressor, LATENT_DIM, LATENT_DIM, None),
+    "gt_regressor": (LinearRegressor, LATENT_DIM, LATENT_DIM, None),
 }
 
 
@@ -150,11 +145,11 @@ def _check_layers(model, width: int, out_width: int, head: str | None) -> None:
         raise ValueError(f"output width is {width}, need {out_width}")
 
 
-def _load_model(path: Path, role: str):
-    """Read the model file of a ``role`` in _MODEL_SPECS. A file that is not JSON,
+def _load_model(path: Path, name: str):
+    """Read a model file against ``name``'s entry in MODELS. A file that is not JSON,
     not an object, of an unknown kind or class, missing a field, of the wrong
     shape or not finite is a ConfigError naming the path."""
-    cls, width, out_width, head = _MODEL_SPECS[role]
+    cls, width, out_width, head = MODELS[name]
     try:
         model = load_model(path)
         if not isinstance(model, cls):
@@ -163,6 +158,12 @@ def _load_model(path: Path, role: str):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: not a model file: {type(exc).__name__}: {exc}") from exc
     return model
+
+
+def _run_model(out: Path, name: str):
+    """Model ``name`` of the run directory ``out``, read by _load_model."""
+    path = _require_file(out / f"{name}.json", f"run `train --which {name}` first")
+    return _load_model(path, name)
 
 
 def _load_conditions(path: Path) -> list[GroundTruthCondition]:
@@ -284,10 +285,7 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     ``threads`` worker processes; every file is the same at any ``threads``.
     """
     out = _out_dir(cfg)
-    denoiser = _load_model(
-        _require_file(out / MODEL_FILES["denoiser"], "run `train --which denoiser` first"),
-        "denoiser",
-    )
+    denoiser = _run_model(out, "denoiser")
     ground_truth = _train_conditions(cfg, out)
     per_condition = cfg.generations_per_condition
     generated, reports = pipeline.gen_dataset(
@@ -339,37 +337,49 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _train_one(cfg: RunConfig, out: Path, which: str) -> dict[str, float]:
-    """Train and save one model; returns its values for ``metrics.csv``."""
-    schedule = _schedule(cfg)
+def _check_layout(path: Path, cids: np.ndarray, latents_path: Path, n_latents: int) -> None:
+    """ConfigError unless ``latents_path`` holds, as gen-dataset writes it, one generated
+    row per row of ``path``, then one ground-truth row per condition id up to max(cids)."""
+    need = len(cids) + int(cids.max(initial=-1)) + 1
+    if n_latents != need:
+        raise ConfigError(
+            f"{path}: its rows and condition ids need {need} rows in {latents_path}, "
+            f"which has {n_latents}"
+        )
+
+
+def _train_one(
+    cfg: RunConfig, out: Path, which: str
+) -> tuple[Mlp | LinearRegressor, dict[str, float]]:
+    """Train one model; returns it and its values for ``metrics.csv``."""
     if which == "denoiser":
         conditions = _train_conditions(cfg, out)
         result = train_denoiser(
             np.array([c.condition for c in conditions]),
             np.array([c.latent for c in conditions]),
-            schedule,
+            _schedule(cfg),
             cfg.denoiser,
             derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
         )
-        save_model(out / MODEL_FILES["denoiser"], result.model)
         print(
             f"denoiser: loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f} "
             f"over {cfg.denoiser.epochs} epochs"
         )
-        return {
+        return result.model, {
             "first_epoch_loss": result.epoch_losses[0],
             "final_loss": result.epoch_losses[-1],
             "n_conditions": len(conditions),
         }
 
     latents_path = _require_file(out / "latents.bin", "run gen-dataset first")
-    latents = read_latents(latents_path)
+    latents = _read_finite_latents(latents_path)
 
     if which == "classifier":
         labels_path = _require_file(out / "labels.csv", "run gen-dataset first")
-        valid, lines = _read_csv_ints(labels_path, (2,))
-        _reject_rows(labels_path, lines, (valid != 0) & (valid != 1), "valid must be 0 or 1")
-        labels = valid[:, 0].astype(bool)
+        cells, lines = _read_csv_ints(labels_path, (0, 2))
+        bad = (cells < 0) | (cells[:, 1:] > 1)
+        _reject_rows(labels_path, lines, bad, "condition_id must be >= 0 and valid 0 or 1")
+        labels = cells[:, 1].astype(bool)
         n_valid = int(labels.sum())
         # train_classifier balances the classes, then splits at cfg.split
         n_bal = 2 * min(n_valid, len(labels) - n_valid)
@@ -380,6 +390,7 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> dict[str, float]:
                 f"rows; their balanced split has {n_train} train and {n_bal - n_train} "
                 "held-out rows, need at least one of each"
             )
+        _check_layout(labels_path, cells[:, 0], latents_path, len(latents))
         result = train_classifier(
             latents[: len(labels)],
             labels,
@@ -387,13 +398,12 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> dict[str, float]:
             derived_seed(cfg.master_seed, STREAM_TRAINING, 1),
             split=cfg.split,
         )
-        save_model(out / MODEL_FILES["classifier"], result.model)
         m = result.metrics
         print("classifier (held out, class 1 = valid):")
         print(f"  precision {m.precision[1]:.3f}  recall {m.recall[1]:.3f}  f1 {m.f1[1]:.3f}")
         print(f"  accuracy {m.accuracy:.3f}  balanced {m.balanced_accuracy:.3f}")
         print(f"  confusion {m.confusion.tolist()}")
-        return {
+        return result.model, {
             "accuracy": m.accuracy,
             "balanced_accuracy": m.balanced_accuracy,
             "precision_valid": m.precision[1],
@@ -410,57 +420,55 @@ def _train_one(cfg: RunConfig, out: Path, which: str) -> dict[str, float]:
             "n_test": result.n_test,
         }
 
-    if which in ("ssl_regressor", "gt_regressor"):
-        pair_file = "pairs_ssl.csv" if which == "ssl_regressor" else "pairs_gt.csv"
-        pairs_path = _require_file(out / pair_file, "run gen-dataset first")
-        pairs, lines = _read_csv_ints(pairs_path, (0, 1))
-        # latents.bin holds the generated rows, one per gt pair, then the ground truth
-        rows = pairs if which == "ssl_regressor" else pairs + [0, len(pairs)]
-        _reject_rows(
-            pairs_path,
-            lines,
-            (pairs < 0) | (rows >= len(latents)),
-            f"names a row outside {latents_path}, which has {len(latents)} rows",
+    ssl = which == "ssl_regressor"
+    pair_file = "pairs_ssl.csv" if ssl else "pairs_gt.csv"
+    pairs_path = _require_file(out / pair_file, "run gen-dataset first")
+    pairs, lines = _read_csv_ints(pairs_path, (0, 1))
+    # latents.bin holds the generated rows, one per gt pair, then the ground truth
+    rows = pairs if ssl else pairs + [0, len(pairs)]
+    _reject_rows(
+        pairs_path,
+        lines,
+        (pairs < 0) | (rows >= len(latents)),
+        f"names a row outside {latents_path}, which has {len(latents)} rows",
+    )
+    if not ssl:
+        _check_layout(pairs_path, pairs[:, 1], latents_path, len(latents))
+    # the fit sees only the train split of the pairs
+    min_rows = latents.shape[1] + 1
+    if round(len(pairs) * cfg.split) < min_rows:
+        raise MissingArtifact(
+            f"{pairs_path} holds {len(pairs)} pairs; need >= {min_rows} in the "
+            f"{cfg.split} train split to fit"
         )
-        # the fit sees only the train split of the pairs
-        min_rows = latents.shape[1] + 1
-        if round(len(pairs) * cfg.split) < min_rows:
-            raise MissingArtifact(
-                f"{pairs_path} holds {len(pairs)} pairs; need >= {min_rows} in the "
-                f"{cfg.split} train split to fit"
-            )
-        result = train_regressor(
-            latents[rows[:, 0]],
-            latents[rows[:, 1]],
-            derived_seed(cfg.master_seed, STREAM_TRAINING, 2 if which == "ssl_regressor" else 3),
-            split=cfg.split,
-            ridge=cfg.ridge,
-        )
-        save_model(out / MODEL_FILES[which], result.model)
-        print(
-            f"{which}: train R2 {result.train_r2:.4f} MSE {result.train_mse:.4f} | "
-            f"test R2 {result.test_r2:.4f} MSE {result.test_mse:.4f} ({len(pairs)} pairs)"
-        )
-        return {
-            "train_r2": result.train_r2,
-            "train_mse": result.train_mse,
-            "test_r2": result.test_r2,
-            "test_mse": result.test_mse,
-            "n_pairs": len(pairs),
-        }
-
-    raise ConfigError(f"unknown training target {which!r}")
+    result = train_regressor(
+        latents[rows[:, 0]],
+        latents[rows[:, 1]],
+        derived_seed(cfg.master_seed, STREAM_TRAINING, 2 if ssl else 3),
+        split=cfg.split,
+        ridge=cfg.ridge,
+    )
+    print(
+        f"{which}: train R2 {result.train_r2:.4f} MSE {result.train_mse:.4f} | "
+        f"test R2 {result.test_r2:.4f} MSE {result.test_mse:.4f} ({len(pairs)} pairs)"
+    )
+    return result.model, {
+        "train_r2": result.train_r2,
+        "train_mse": result.train_mse,
+        "test_r2": result.test_r2,
+        "test_mse": result.test_mse,
+        "n_pairs": len(pairs),
+    }
 
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
     # read before anything is written, so a malformed file leaves the directory as it was
     metrics = _read_metrics_csv(Path(cfg.out_dir) / "metrics.csv")
     out = _out_dir(cfg)
-    targets = (
-        ["denoiser", "classifier", "ssl_regressor", "gt_regressor"] if which == "all" else [which]
-    )
-    for target in targets:
-        for metric, value in _train_one(cfg, out, target).items():
+    for target in MODELS if which == "all" else [which]:
+        model, values = _train_one(cfg, out, target)
+        save_model(out / f"{target}.json", model)
+        for metric, value in values.items():
             metrics[(target, metric)] = _fmt(value)
         rows = [[m, k, v] for (m, k), v in sorted(metrics.items())]
         _write_csv(out / "metrics.csv", ["model", "metric", "value"], rows)
@@ -503,11 +511,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     if cfg.n_eval_conditions < 1:
         raise EmptyEvaluation("n_eval_conditions is 0")
     needed = sorted({name for v in variants for name in pipeline._required_models(v)})
-    models = TrainedModels()
-    for name in needed:
-        path = _require_file(out / MODEL_FILES[name], f"run `train --which {name}` first")
-        role = "regressor" if name.endswith("regressor") else name
-        setattr(models, name, _load_model(path, role))
+    models = TrainedModels(**{name: _run_model(out, name) for name in needed})
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
@@ -623,7 +627,7 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     latents_file = _require_file(Path(latents_path), "point --latents at a latent matrix file")
     regressor_file = _require_file(Path(regressor_path), "point --regressor at a model file")
     latents = _read_finite_latents(latents_file)
-    regressor = _load_model(regressor_file, "regressor")
+    regressor = _load_model(regressor_file, "ssl_regressor")
     destination = Path(out_dir) if out_dir else latents_file.parent
     destination.mkdir(parents=True, exist_ok=True)
     outcomes = []
@@ -682,11 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="train one model or all of them; training the denoiser writes conditions.jsonl",
     )
     add_common(p_train)
-    p_train.add_argument(
-        "--which",
-        default="all",
-        choices=["denoiser", "classifier", "ssl_regressor", "gt_regressor", "all"],
-    )
+    p_train.add_argument("--which", default="all", choices=[*MODELS, "all"])
 
     p_eval = sub.add_parser("eval", help="run the variant benchmark on held-out conditions")
     add_common(p_eval)

@@ -2,7 +2,10 @@
 
 Provides the feasibility classifier (ReLU MLP with sigmoid head), the
 noise-prediction network for the diffusion prior, and closed-form linear
-regressors, plus deterministic mini-batch SGD training. No autodiff
+regressors. Both MLPs train in one deterministic mini-batch SGD loop,
+``_fit``: each epoch permutes the rows, and each batch of rows gives its
+inputs and the loss's gradient at the last pre-activation, which
+``mlp_param_grads`` backpropagates into a momentum step. No autodiff
 framework; every gradient is written out and checked against finite
 differences in the test suite.
 """
@@ -15,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import ModelTraining
+from .config import ConfigError, ModelTraining
 
 CLASSIFIER_HIDDEN = (128, 64)
 DENOISER_HIDDEN = (128, 128)
@@ -119,20 +122,28 @@ def mlp_param_grads(model: Mlp, x, preacts, d_preact_last):
     return grads_w, grads_b
 
 
-def _sgd_step(model: Mlp, grads_w, grads_b, velocity, learning_rate):
-    vw, vb = velocity
-    for k in range(len(model.weights)):
-        vw[k] = MOMENTUM * vw[k] - learning_rate * grads_w[k]
-        vb[k] = MOMENTUM * vb[k] - learning_rate * grads_b[k]
-        model.weights[k] = model.weights[k] + vw[k]
-        model.biases[k] = model.biases[k] + vb[k]
-
-
-def _zero_velocity(model: Mlp):
-    return (
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
+def _fit(name: str, model: Mlp, n_rows: int, batch, config: ModelTraining, rng) -> None:
+    """Train ``model`` in place by mini-batch SGD with momentum. Each epoch cuts
+    ``rng.permutation(n_rows)`` into batches of ``config.batch_size`` indices;
+    ``batch(idx)`` gives the batch's inputs and a function from their outputs to
+    d(loss)/d(last pre-activation). A non-finite result is a ConfigError."""
+    params = [*model.weights, *model.biases]
+    velocity = [np.zeros_like(p) for p in params]
+    for _ in range(config.epochs):
+        order = rng.permutation(n_rows)
+        for start in range(0, n_rows, config.batch_size):
+            x, d_loss = batch(order[start : start + config.batch_size])
+            out, preacts = mlp_forward(model, x)
+            grads_w, grads_b = mlp_param_grads(model, x, preacts, d_loss(out))
+            for p, v, g in zip(params, velocity, grads_w + grads_b):
+                v *= MOMENTUM
+                v -= config.learning_rate * g
+                p += v
+    if not all(np.isfinite(p).all() for p in params):
+        raise ConfigError(
+            f"{name} training diverged to non-finite parameters; "
+            f"lower {name}.learning_rate ({config.learning_rate})"
+        )
 
 
 @dataclass(frozen=True)
@@ -209,19 +220,13 @@ def train_classifier(
     n_train = int(round(len(x) * split))
     x_train, y_train = x[:n_train], y[:n_train]
     x_test, y_test = x[n_train:], y[n_train:]
-    model = init_mlp(
-        [x.shape[1], *CLASSIFIER_HIDDEN, 1], OutputActivation.SIGMOID, rng
-    )
-    velocity = _zero_velocity(model)
-    for _ in range(config.epochs):
-        order = rng.permutation(len(x_train))
-        for start in range(0, len(x_train), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            probs, preacts = mlp_forward(model, xb)
-            d_last = (probs - yb[:, None]) / len(xb)  # BCE through the sigmoid
-            grads_w, grads_b = mlp_param_grads(model, xb, preacts, d_last)
-            _sgd_step(model, grads_w, grads_b, velocity, config.learning_rate)
+    model = init_mlp([x.shape[1], *CLASSIFIER_HIDDEN, 1], OutputActivation.SIGMOID, rng)
+
+    def batch(idx):
+        yb = y_train[idx, None]
+        return x_train[idx], lambda probs: (probs - yb) / len(idx)  # BCE through the sigmoid
+
+    _fit("classifier", model, len(x_train), batch, config, rng)
     probs, _ = mlp_forward(model, x_test)
     metrics = _classification_metrics(y_test.astype(int), (probs[:, 0] >= 0.5).astype(int))
     return ClassifierResult(model, metrics, len(x_train), len(x_test))
@@ -320,19 +325,6 @@ def timestep_embedding(t) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def denoiser_features(z_t, t, condition) -> np.ndarray:
-    """Assemble the denoiser input rows: noisy latent, timestep embedding, condition.
-
-    ``z_t`` is a (B, d) batch; a scalar timestep and a single condition are
-    broadcast over its rows.
-    """
-    z_t = np.asarray(z_t, dtype=float)
-    condition = np.asarray(condition, dtype=float)
-    emb = np.broadcast_to(timestep_embedding(t), (len(z_t), TIMESTEP_EMBED_DIM))
-    cond = np.broadcast_to(condition, (len(z_t), condition.shape[-1]))
-    return np.concatenate([z_t, emb, cond], axis=1)
-
-
 @dataclass(frozen=True)
 class DenoiserResult:
     model: Mlp
@@ -360,28 +352,27 @@ def train_denoiser(
         OutputActivation.IDENTITY,
         rng,
     )
-    velocity = _zero_velocity(model)
-    alpha_bars = schedule.alpha_bars
-    epoch_losses = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(z0))
-        batch_losses = []
-        for start in range(0, len(z0), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            zb, cb = z0[idx], c[idx]
-            t = rng.integers(1, schedule.T + 1, size=len(idx))
-            eps = rng.standard_normal(zb.shape)
-            ab = alpha_bars[t - 1][:, None]
-            z_t = np.sqrt(ab) * zb + np.sqrt(1.0 - ab) * eps
-            feats = denoiser_features(z_t, t, cb)
-            pred, preacts = mlp_forward(model, feats)
+    embeddings = timestep_embedding(np.arange(1, schedule.T + 1))
+    batch_losses = []
+
+    def batch(idx):
+        t = rng.integers(1, schedule.T + 1, size=len(idx))
+        eps = rng.standard_normal((len(idx), latent_dim))
+        ab = schedule.alpha_bars[t - 1][:, None]
+        z_t = np.sqrt(ab) * z0[idx] + np.sqrt(1.0 - ab) * eps
+
+        def d_loss(pred):
             diff = pred - eps
             batch_losses.append(float((diff * diff).sum(axis=1).mean()))
-            d_last = 2.0 * diff / len(idx)
-            grads_w, grads_b = mlp_param_grads(model, feats, preacts, d_last)
-            _sgd_step(model, grads_w, grads_b, velocity, config.learning_rate)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return DenoiserResult(model, epoch_losses)
+            return 2.0 * diff / len(idx)
+
+        # the rows diffusion.sample feeds the denoiser: [z_t, embedding of t, condition]
+        return np.concatenate([z_t, embeddings[t - 1], c[idx]], axis=1), d_loss
+
+    _fit("denoiser", model, len(z0), batch, config, rng)
+    # every epoch runs the same number of batches
+    epoch_losses = np.reshape(batch_losses, (config.epochs, -1)).mean(axis=1)
+    return DenoiserResult(model, epoch_losses.tolist())
 
 
 def save_model(path, model: Mlp | LinearRegressor) -> None:

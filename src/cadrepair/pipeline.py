@@ -388,8 +388,10 @@ def run_variants(
     exact: every chain row and cloud is seeded by condition id alone, and a
     plan's rows round the same in the stack as alone. Both kinds map on one
     ``_worker_pool``, the pool ``gen_dataset`` uses too: at most
-    min(threads, conditions) worker processes when threads > 1. Returns each variant's outcomes in condition order, in the order of
-    ``variants``, either way.
+    min(threads, conditions) worker processes when threads > 1.
+
+    Returns each variant's outcomes in condition order, in the order of
+    ``variants``, at any thread count.
     """
     variants = list(variants)
     for variant in variants:

@@ -338,6 +338,64 @@ def test_malformed_training_csv_exits_2(tmp_path, caplog, which):
     assert not (out / f"{which}.json").exists()
 
 
+@pytest.mark.parametrize(
+    "which, name, edit",
+    [
+        ("classifier", "labels.csv", lambda rows: rows + rows),
+        ("classifier", "labels.csv", lambda rows: rows[:100]),
+        ("gt_regressor", "pairs_gt.csv", lambda rows: rows[:100]),
+    ],
+    ids=["labels-doubled", "labels-cut", "pairs-gt-cut"],
+)
+def test_training_csv_must_match_the_latents_layout(runs, tmp_path, caplog, which, name, edit):
+    # latents.bin holds 120 generated rows, then 40 ground-truth rows; a file
+    # with another row count or other condition ids describes another dataset
+    root, _, _ = runs
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(root / "a" / "latents.bin", out / "latents.bin")
+    header, *rows = (root / "a" / name).read_text().splitlines(keepends=True)
+    (out / name).write_text(header + "".join(edit(rows)))
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", which) == cli.EXIT_CONFIG
+    assert f"{out / name}: its rows and condition ids need" in caplog.text
+    assert not (out / f"{which}.json").exists()
+
+
+@pytest.mark.parametrize("which", ["classifier", "ssl_regressor", "gt_regressor"])
+def test_training_rejects_non_finite_latents(runs, tmp_path, caplog, which):
+    root, _, _ = runs
+    out = tmp_path / "out"
+    shutil.copytree(root / "a", out)
+    (out / f"{which}.json").unlink()
+    latents = read_latents(out / "latents.bin")
+    latents[5, 3] = np.inf
+    write_latents(out / "latents.bin", latents)
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", which) == cli.EXIT_CONFIG
+    assert f"latents.bin: 1 of {len(latents)} rows are not finite" in caplog.text
+    assert not (out / f"{which}.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging steps overflow
+@pytest.mark.parametrize("which, learning_rate", [("denoiser", 1e3), ("classifier", 1e20)])
+def test_diverged_training_exits_2_and_writes_nothing(
+    runs, tmp_path, caplog, which, learning_rate
+):
+    root, _, _ = runs
+    out = tmp_path / "out"
+    shutil.copytree(root / "a", out)
+    (out / f"{which}.json").unlink()
+    metrics = (out / "metrics.csv").read_bytes()
+    config = write_config(
+        tmp_path / "c.json", out, **{which: {**TINY[which], "learning_rate": learning_rate}}
+    )
+    assert run_stage(config, "train", "--which", which) == cli.EXIT_CONFIG
+    assert f"lower {which}.learning_rate ({learning_rate})" in caplog.text
+    assert not (out / f"{which}.json").exists()
+    assert (out / "metrics.csv").read_bytes() == metrics
+
+
 def test_ground_truth_rejection_stall_exits_3(tmp_path, monkeypatch):
     # every rejected draw now counts as a stall
     monkeypatch.setattr(pipeline, "_REJECTION_MIN_DRAWS", 1)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cadrepair.config import ModelTraining
+from cadrepair.config import ConfigError, ModelTraining
 from cadrepair.diffusion import GuidanceConfig, build_schedule, chain_constants, sample_step
 from cadrepair.nets import (
+    CLASSIFIER_HIDDEN,
+    DENOISER_HIDDEN,
+    MOMENTUM,
     LinearRegressor,
     Mlp,
     OutputActivation,
-    denoiser_features,
     fit_linear_regressor,
     init_mlp,
     load_model,
@@ -415,7 +417,8 @@ def test_denoiser_pure_noise_moment_under_full_noising():
         ModelTraining(epochs=150, batch_size=32, learning_rate=2e-3), seed=2,
     )
     z = rng.standard_normal((400, 21))
-    feats = denoiser_features(z, np.full(400, sched.T), conditions[rng.integers(0, 120, 400)])
+    emb = np.broadcast_to(timestep_embedding(sched.T), (400, 8))
+    feats = np.concatenate([z, emb, conditions[rng.integers(0, 120, 400)]], axis=1)
     pred, _ = mlp_forward(result.model, feats)
     second_moment = float((pred**2).mean())
     assert 0.8 < second_moment < 1.2
@@ -440,6 +443,119 @@ def test_denoiser_training_bitwise_reproducible():
     assert a.epoch_losses == b.epoch_losses
 
 
+# ---------------------------------------------------------------- the training loop
+
+
+def oracle_sgd_step(model, grads_w, grads_b, velocity, learning_rate):
+    vw, vb = velocity
+    for k in range(len(model.weights)):
+        vw[k] = MOMENTUM * vw[k] - learning_rate * grads_w[k]
+        vb[k] = MOMENTUM * vb[k] - learning_rate * grads_b[k]
+        model.weights[k] = model.weights[k] + vw[k]
+        model.biases[k] = model.biases[k] + vb[k]
+
+
+def oracle_zero_velocity(model):
+    return [np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases]
+
+
+def oracle_train_classifier(latents, labels, config, seed, split=0.8):
+    """train_classifier's own SGD loop, as it was before both models shared _fit."""
+    rng = np.random.default_rng(seed)
+    chosen = undersample_balanced(labels, rng)
+    x, y = latents[chosen], labels[chosen].astype(float)
+    n_train = int(round(len(x) * split))
+    x_train, y_train = x[:n_train], y[:n_train]
+    model = init_mlp([x.shape[1], *CLASSIFIER_HIDDEN, 1], OutputActivation.SIGMOID, rng)
+    velocity = oracle_zero_velocity(model)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(x_train))
+        for start in range(0, len(x_train), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb, yb = x_train[idx], y_train[idx]
+            probs, preacts = mlp_forward(model, xb)
+            d_last = (probs - yb[:, None]) / len(xb)
+            grads_w, grads_b = mlp_param_grads(model, xb, preacts, d_last)
+            oracle_sgd_step(model, grads_w, grads_b, velocity, config.learning_rate)
+    return model, n_train
+
+
+def oracle_train_denoiser(conditions, latents, schedule, config, seed):
+    """train_denoiser's own SGD loop, as it was before both models shared _fit,
+    with t's embedding computed per batch."""
+    rng = np.random.default_rng(seed)
+    dims = [21 + 8 + conditions.shape[1], *DENOISER_HIDDEN, 21]
+    model = init_mlp(dims, OutputActivation.IDENTITY, rng)
+    velocity = oracle_zero_velocity(model)
+    epoch_losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(latents))
+        batch_losses = []
+        for start in range(0, len(latents), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            zb, cb = latents[idx], conditions[idx]
+            t = rng.integers(1, schedule.T + 1, size=len(idx))
+            eps = rng.standard_normal(zb.shape)
+            ab = schedule.alpha_bars[t - 1][:, None]
+            z_t = np.sqrt(ab) * zb + np.sqrt(1.0 - ab) * eps
+            feats = np.concatenate([z_t, timestep_embedding(t), cb], axis=1)
+            pred, preacts = mlp_forward(model, feats)
+            diff = pred - eps
+            batch_losses.append(float((diff * diff).sum(axis=1).mean()))
+            grads_w, grads_b = mlp_param_grads(model, feats, preacts, 2.0 * diff / len(idx))
+            oracle_sgd_step(model, grads_w, grads_b, velocity, config.learning_rate)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return model, epoch_losses
+
+
+def assert_same_bits(model, oracle):
+    assert len(model.weights) == len(oracle.weights)
+    for got, want in zip(model.weights + model.biases, oracle.weights + oracle.biases):
+        assert got.tobytes() == want.tobytes()
+
+
+# (seed, batch size, rows): the denoiser's last batch is short (22, 1 and 5
+# rows), one batch holds all 200 rows, and a batch size of 256 exceeds them
+FIT_CASES = [(0, 64, 150), (1, 16, 97), (2, 200, 200), (3, 256, 200), (4, 7, 40)]
+
+
+@pytest.mark.parametrize("seed, batch_size, rows", FIT_CASES)
+def test_classifier_fit_equals_its_own_loop_bitwise(seed, batch_size, rows):
+    rng = np.random.default_rng(100 + seed)
+    x = rng.normal(size=(rows, 21))
+    y = x[:, 0] + 0.5 * rng.normal(size=rows) > 0
+    cfg = ModelTraining(epochs=6, batch_size=batch_size, learning_rate=3e-2)
+    result = train_classifier(x, y, cfg, seed)
+    model, n_train = oracle_train_classifier(x, y, cfg, seed)
+    assert result.n_train == n_train
+    assert_same_bits(result.model, model)
+
+
+@pytest.mark.parametrize("seed, batch_size, rows", FIT_CASES)
+def test_denoiser_fit_equals_its_own_loop_bitwise(seed, batch_size, rows):
+    rng = np.random.default_rng(200 + seed)
+    conditions, latents = synthetic_pairs(rows, rng)
+    sched = build_schedule(40, 1e-4, 0.02)
+    cfg = ModelTraining(epochs=4, batch_size=batch_size, learning_rate=3e-3)
+    result = train_denoiser(conditions, latents, sched, cfg, seed)
+    model, epoch_losses = oracle_train_denoiser(conditions, latents, sched, cfg, seed)
+    assert_same_bits(result.model, model)
+    assert np.array(result.epoch_losses).tobytes() == np.array(epoch_losses).tobytes()
+    assert all(type(v) is float for v in result.epoch_losses)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging steps overflow
+def test_diverged_fit_is_a_config_error():
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(60, 21))
+    with pytest.raises(ConfigError, match=r"lower classifier\.learning_rate \(1e\+20\)"):
+        train_classifier(x, x[:, 0] > 0, ModelTraining(5, 16, 1e20), seed=0)
+    conditions, latents = synthetic_pairs(40, rng)
+    with pytest.raises(ConfigError, match=r"lower denoiser\.learning_rate \(1000\.0\)"):
+        train_denoiser(conditions, latents, build_schedule(30, 1e-4, 0.02),
+                       ModelTraining(20, 16, 1e3), seed=0)
+
+
 # ---------------------------------------------------------------- embeddings and IO
 
 
@@ -457,26 +573,6 @@ def test_timestep_embedding_table_equals_scalar_calls_bitwise(T):
     table = timestep_embedding(np.arange(1, T + 1))
     for t in range(1, T + 1):
         assert table[t - 1].tobytes() == timestep_embedding(t)[0].tobytes(), t
-
-
-def test_denoiser_features_layout():
-    z = np.arange(21, dtype=float)[None, :]
-    c = np.arange(8, dtype=float)
-    feats = denoiser_features(z, 3, c)
-    assert feats.shape == (1, 37)
-    np.testing.assert_array_equal(feats[:, :21], z)
-    np.testing.assert_array_equal(feats[:, 29:], c[None, :])
-
-
-def test_denoiser_features_broadcast_scalar_timestep_over_batch():
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(4, 21))
-    c = rng.uniform(size=(4, 8))
-    feats = denoiser_features(z, 3, c)
-    assert feats.shape == (4, 37)
-    for i in range(4):
-        expected = np.concatenate([z[i], timestep_embedding(3)[0], c[i]])
-        np.testing.assert_array_equal(feats[i], expected)
 
 
 def test_model_save_load_roundtrip(tmp_path):
