@@ -176,11 +176,12 @@ def _load_conditions(path: Path) -> list[GroundTruthCondition]:
                 obj = json.loads(line)
                 seq = sequence_from_record(obj["sequence"])
                 condition = np.asarray(obj["condition"], dtype=float)
-                if condition.shape != (CONDITION_DIM,):
+                if condition.shape != (CONDITION_DIM,) or not np.isfinite(condition).all():
                     raise ConfigError(
-                        f"condition: expected {CONDITION_DIM} numbers, got shape {condition.shape}"
+                        f"condition: need {CONDITION_DIM} finite numbers, got {obj['condition']}"
                     )
-                if obj["condition_id"] != len(conditions):
+                # json reads true and 1.0 as well as 1, and both equal 1
+                if type(obj["condition_id"]) is not int or obj["condition_id"] != len(conditions):
                     raise ConfigError(
                         f"condition_id is {obj['condition_id']!r}, expected {len(conditions)}"
                     )
@@ -280,9 +281,10 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
 
     It reads ``denoiser.json`` and the ``conditions.jsonl`` that ``train --which
     denoiser`` wrote; only when that file is absent does it draw the conditions
-    and write the file. The chains run in blocks of ``pipeline.CHAIN_BLOCK``
-    rows, each block decoded and kernel-checked in the same task, on at most
-    ``threads`` worker processes; every file is the same at any ``threads``.
+    and write the file. Its chains run on the chain task that eval uses too: one
+    task per block of ``pipeline.CHAIN_BLOCK`` rows samples, decodes and
+    kernel-checks them, on at most ``threads`` worker processes; every file is
+    the same at any ``threads``.
     """
     out = _out_dir(cfg)
     denoiser = _run_model(out, "denoiser")

@@ -9,6 +9,7 @@ variant of the evaluation matrix shares per-condition starting noise
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -42,12 +43,12 @@ STREAM_CLOUD_GEN = 5
 STREAM_TRAINING = 6
 
 # Rows per batched reverse-chain call, in gen_dataset and run_variants alike.
-# Blocks are cut from the row order alone, never from the worker count, so
-# results do not depend on --threads. In gen-dataset a block is one task, which
-# runs the block's unguided chains and decodes and kernel-checks its rows. In
-# eval a block is one chain task, which runs every guidance plan on the block
-# in lockstep. All plans share the block's one noise buffer of
-# CHAIN_BLOCK x T x 21 float64s. Measured on the
+# Both lay their chains out as rows, one condition row and one seed-stream key
+# each, and cut them into blocks of CHAIN_BLOCK rows from the row order alone,
+# never from the worker count, so results do not depend on --threads. Each block
+# is one _chain_task: it runs every guidance plan on the block in lockstep, all
+# plans sharing the block's one noise buffer of CHAIN_BLOCK x T x 21 float64s,
+# then decodes and kernel-checks each plan's rows. Measured on the
 # benchmark's gen config (1000 chains of T=100, 2-vCPU host, BLAS threads 1;
 # chain time in process, median of 5, then the gen-dataset CLI's peak RSS):
 # 8 rows 0.79 s, 38.7 MB; 32 rows 0.36 s, 39.3 MB; 64 rows 0.32 s, 40.0 MB;
@@ -130,27 +131,25 @@ def gen_dataset(
     ground-truth condition, and each latent's kernel report.
 
     Latents are (len(ground_truth) * generations_per_condition, d) in
-    condition-major order: generation g of condition cid is row
-    cid * generations_per_condition + g. The rows are cut into blocks of
-    CHAIN_BLOCK rows from that order; each block is one task
-    (``_gen_block_task``) that runs the block's chains, then decodes and
-    kernel-checks its rows. threads > 1 runs the tasks on at most
-    min(threads, blocks) worker processes; results join in block order, so
-    they do not depend on ``threads``.
+    condition-major order: generation g of condition c is chain row
+    c * generations_per_condition + g, seeded by (STREAM_DATASET_GEN, c, g). The
+    rows run as ``_chain_task`` blocks of the one unguided plan on at most
+    min(threads, blocks) worker processes; the results do not depend on threads.
     """
-    n = len(ground_truth) * generations_per_condition
+    per = generations_per_condition
+    n = len(ground_truth) * per
     payload = {
-        "conditions": np.array([gt.condition for gt in ground_truth]),
-        "generations_per_condition": generations_per_condition,
+        "chain_conditions": np.repeat([gt.condition for gt in ground_truth], per, axis=0),
+        "chain_keys": [(STREAM_DATASET_GEN, *divmod(row, per)) for row in range(n)],
+        "plans": [(None, None)],
         "denoiser": denoiser,
         "schedule": schedule,
+        "guidance": diffusion.GuidanceConfig(),
         "seed": seed,
     }
-    tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
-    with _worker_pool(payload, threads, len(tasks)) as map_fn:
-        blocks = list(map_fn(_gen_block_task, tasks))
-    latents = np.vstack([block_latents for block_latents, _ in blocks])
-    return latents, [report for _, reports in blocks for report in reports]
+    with _worker_pool(payload, threads, math.ceil(n / CHAIN_BLOCK)) as map_fn:
+        rows = _run_chains(map_fn, n)
+    return np.array([z for ((z, _, _),) in rows]), [report for ((_, _, report),) in rows]
 
 
 def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
@@ -296,48 +295,46 @@ def _worker_pool(payload: dict, threads: int, tasks: int):
         yield map
 
 
-def _gen_block_task(task) -> tuple[np.ndarray, list[ValidityReport]]:
-    """The unguided latents of dataset rows [lo, hi), (hi - lo, d), and each
-    one's kernel report."""
+def _chain_task(task):
+    """Chain rows [lo, hi) of the worker context, run for every guidance plan in
+    one lockstep ``diffusion.sample`` call: the latents, (plans, hi - lo, d), and
+    per row each plan's latent decoded and kernel-checked, as (sequence, report)."""
     lo, hi = task
     ctx = _WORKER_CONTEXT
-    cids, gens = np.divmod(np.arange(lo, hi), ctx["generations_per_condition"])
     latents = diffusion.sample(
-        ctx["conditions"][cids],
+        ctx["chain_conditions"][lo:hi],
         ctx["denoiser"],
         ctx["schedule"],
-        [seed_stream(ctx["seed"], STREAM_DATASET_GEN, c, g) for c, g in zip(cids, gens)],
-        [(None, None)],
-    )[0]
-    return latents, [kernel_check(decode(z)) for z in latents]
-
-
-def _chain_task(task) -> np.ndarray:
-    """Every guidance plan's latents of the lockstep reverse chains over
-    conditions [lo, hi); (plans, hi - lo, d)."""
-    lo, hi = task
-    ctx = _WORKER_CONTEXT
-    models = ctx["models"]
-    return diffusion.sample(
-        np.array([c.condition for c in ctx["conditions"][lo:hi]]),
-        models.denoiser,
-        ctx["schedule"],
-        [seed_stream(ctx["seed"], STREAM_EVAL_SAMPLE, cid) for cid in range(lo, hi)],
-        [tuple(getattr(models, name) if name else None for name in plan) for plan in ctx["plans"]],
+        [seed_stream(ctx["seed"], *key) for key in ctx["chain_keys"][lo:hi]],
+        ctx["plans"],
         ctx["guidance"],
     )
+    rows = latents.swapaxes(0, 1)
+    return latents, [[(s, kernel_check(s)) for s in map(decode, row)] for row in rows]
+
+
+def _run_chains(map_fn, n: int) -> list[list[tuple]]:
+    """Map chain rows [0, n) as ``_chain_task`` blocks of CHAIN_BLOCK rows, joined
+    in block order: per row, each plan's (latent, sequence, report)."""
+    tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
+    return [
+        [(z, *check) for z, check in zip(row, row_checks)]
+        for latents, checks in map_fn(_chain_task, tasks)
+        for row, row_checks in zip(latents.swapaxes(0, 1), checks)
+    ]
 
 
 def _score_task(task) -> list[ConditionOutcome]:
-    """Every variant's outcome on one condition, given each plan's latent for it.
+    """Every variant's outcome on one condition, given each plan's
+    (latent, sequence, report) for it from ``_run_chains``.
 
-    Each plan's latent is decoded, kernel-checked and, if valid, scored once. A
-    repair variant keeps a row valid before repair, latent and score alike, as
-    ``VALID_DIRECT``; only an invalid row is repaired and scored.
+    Each plan's row is scored once if valid. A repair variant keeps a row valid
+    before repair, latent and score alike, as ``VALID_DIRECT``; only an invalid
+    row is repaired, and scored if the repair is valid.
     """
-    cid, plan_latents = task
+    cid, plan_rows = task
     ctx = _WORKER_CONTEXT
-    seed, mmd_config, models = ctx["seed"], ctx["mmd_config"], ctx["models"]
+    seed, mmd_config = ctx["seed"], ctx["mmd_config"]
     points = ground_truth_cloud(ctx["conditions"][cid], cid, seed, mmd_config)
 
     def scored(stage, latent, sequence, report):
@@ -349,20 +346,16 @@ def _score_task(task) -> list[ConditionOutcome]:
             score = mmd(cloud, points, mmd_config)
         return ConditionOutcome(cid, report.valid, stage, latent, score)
 
-    unrepaired = {}
-    for guidance, z0 in zip(ctx["plans"], plan_latents):
-        sequence = decode(z0)
-        unrepaired[guidance] = scored(None, z0, sequence, kernel_check(sequence))
+    unrepaired = [scored(None, *row) for row in plan_rows]
     outcomes = []
-    for variant in ctx["variants"]:
-        plan = _VARIANT_PLANS[variant]
-        row = unrepaired[plan.guidance]
-        if plan.repair_model is None:
+    for plan, regressor in ctx["variants"]:
+        row = unrepaired[plan]
+        if regressor is None:
             outcomes.append(row)
         elif row.valid:
             outcomes.append(replace(row, stage=RepairStage.VALID_DIRECT))
         else:
-            r = self_repair(row.final_latent, getattr(models, plan.repair_model))
+            r = self_repair(row.final_latent, regressor)
             outcomes.append(scored(r.stage, r.final_latent, r.sequence, r.report))
     return outcomes
 
@@ -380,13 +373,13 @@ def run_variants(
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds.
 
-    Two kinds of task run in turn: one chain task per block of CHAIN_BLOCK
-    conditions, which runs every distinct guidance plan of the block in one
-    lockstep ``diffusion.sample`` call with one noise buffer shared by all
-    plans and returns only the latents, then one scoring task per condition
-    (``_score_task``), which samples the ground-truth cloud once. Sharing is
-    exact: every chain row and cloud is seeded by condition id alone, and a
-    plan's rows round the same in the stack as alone. Both kinds map on one
+    Chain row cid is condition cid, seeded by (STREAM_EVAL_SAMPLE, cid). Two
+    kinds of task run in turn: the ``_chain_task`` blocks, which run every
+    distinct guidance plan (its models resolved once, here) in lockstep and
+    decode and kernel-check each plan's rows, then one ``_score_task`` per
+    condition, which samples the ground-truth cloud once. Sharing is exact:
+    every chain row and cloud is seeded by condition id alone, and a plan's
+    rows round the same in the stack as alone. Both kinds map on one
     ``_worker_pool``, the pool ``gen_dataset`` uses too: at most
     min(threads, conditions) worker processes when threads > 1.
 
@@ -398,20 +391,23 @@ def run_variants(
         for name in _required_models(variant):
             if getattr(models, name) is None:
                 raise ValueError(f"variant {variant.value} needs model {name!r}")
-    plans = list(dict.fromkeys(_VARIANT_PLANS[v].guidance for v in variants))
+    by_name = {None: None, **vars(models)}
+    chosen = [_VARIANT_PLANS[v] for v in variants]
+    plans = list(dict.fromkeys(p.guidance for p in chosen))
+    n = len(eval_conditions)
     payload = {
-        "variants": variants,
-        "plans": plans,
-        "conditions": list(eval_conditions),
-        "models": models,
+        "chain_conditions": np.array([c.condition for c in eval_conditions]),
+        "chain_keys": [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)],
+        "plans": [tuple(by_name[name] for name in plan) for plan in plans],
+        "denoiser": models.denoiser,
         "schedule": schedule,
-        "seed": seed,
         "guidance": guidance,
+        "seed": seed,
+        # each variant's (plan index, repair regressor or None)
+        "variants": [(plans.index(p.guidance), by_name[p.repair_model]) for p in chosen],
+        "conditions": list(eval_conditions),
         "mmd_config": mmd_config,
     }
-    n = len(eval_conditions)
-    chain_tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
     with _worker_pool(payload, threads, n) as map_fn:
-        latents = np.concatenate(list(map_fn(_chain_task, chain_tasks)), axis=1)  # (plans, n, d)
-        outcomes = list(map_fn(_score_task, [(cid, latents[:, cid]) for cid in range(n)]))
+        outcomes = list(map_fn(_score_task, enumerate(_run_chains(map_fn, n))))
     return {variant: [row[k] for row in outcomes] for k, variant in enumerate(variants)}

@@ -273,9 +273,52 @@ def test_out_of_range_config_exits_2(tmp_path, overrides, argv):
     assert not (tmp_path / "out" / "config.json").exists()
 
 
-def test_missing_model_exits_4(tmp_path):
-    config = write_config(tmp_path / "c.json", tmp_path / "out")
-    assert run_stage(config, "eval", "--variants", "baseline") == cli.EXIT_MISSING
+REPAIR_ARGV = (
+    "repair", "--latents", "{out}/latents.bin", "--regressor", "{out}/ssl_regressor.json"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, present, missing",
+    [
+        (("eval", "--variants", "baseline"), (), "denoiser.json"),
+        (("gen-dataset",), (), "denoiser.json"),
+        (("train", "--which", "classifier"), (), "latents.bin"),
+        (("train", "--which", "classifier"), ("latents.bin",), "labels.csv"),
+        (("train", "--which", "ssl_regressor"), ("latents.bin",), "pairs_ssl.csv"),
+        (("pca",), ("eval_latents_baseline.bin", "eval_latents_gt.bin"), "eval_latents_full.bin"),
+        (REPAIR_ARGV, ("ssl_regressor.json",), "latents.bin"),
+        (REPAIR_ARGV, ("latents.bin",), "ssl_regressor.json"),
+    ],
+    ids=[
+        "eval",
+        "gen-dataset",
+        "classifier-latents",
+        "classifier-labels",
+        "ssl_regressor-pairs",
+        "pca",
+        "repair-latents",
+        "repair-regressor",
+    ],
+)
+def test_missing_model_exits_4(tmp_path, caplog, argv, present, missing):
+    # every input but ``missing`` is present and well-formed; the stage writes
+    # nothing but the config.json a run-directory stage records first
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in present:
+        if name.endswith(".bin"):
+            write_latents(out / name, np.random.default_rng(0).normal(size=(6, LATENT_DIM)))
+        else:
+            save_model(out / name, LinearRegressor(np.eye(LATENT_DIM), np.zeros(LATENT_DIM)))
+    argv = [arg.format(out=out) for arg in argv]
+    if argv[0] == "repair":
+        code = cli.main(argv)
+    else:
+        code = run_stage(write_config(tmp_path / "c.json", out), *argv)
+    assert code == cli.EXIT_MISSING
+    assert f"{out / missing} is missing" in caplog.text
+    assert {p.name for p in out.iterdir()} - {"config.json"} == set(present)
 
 
 def test_empty_evaluation_exits_5(tmp_path):
@@ -425,7 +468,17 @@ SIX_EDGES = {
 
 
 @pytest.mark.parametrize(
-    "defect", ["truncated-json", "six-edges", "condition-width", "empty-file"]
+    "defect",
+    [
+        "truncated-json",
+        "six-edges",
+        "condition-width",
+        "nan-condition",
+        "infinite-condition",
+        "bool-id",
+        "float-id",
+        "empty-file",
+    ],
 )
 def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
     gt = gen_ground_truth(1, seed=0)[0]
@@ -434,10 +487,18 @@ def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
         "condition": [float(v) for v in gt.condition],
         "sequence": record_from_sequence(gt.sequence),
     }
+    nan_condition = [float("nan"), *good["condition"][1:]]
+    inf_condition = [*good["condition"][:-1], float("inf")]
     bad_line = {
         "truncated-json": json.dumps(good)[:-7],
         "six-edges": json.dumps({**good, "sequence": SIX_EDGES}),
         "condition-width": json.dumps({**good, "condition": [0.1, 0.2, 0.3]}),
+        # json writes NaN and Infinity, and Python's json reads them back
+        "nan-condition": json.dumps({**good, "condition_id": 1, "condition": nan_condition}),
+        "infinite-condition": json.dumps({**good, "condition_id": 1, "condition": inf_condition}),
+        # true and 1.0 both equal the expected id 1
+        "bool-id": json.dumps({**good, "condition_id": True}),
+        "float-id": json.dumps({**good, "condition_id": 1.0}),
         "empty-file": None,
     }[defect]
     out = tmp_path / "out"

@@ -467,6 +467,24 @@ def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method
             )
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_gen_dataset_pool_matches_serial_under_start_method(monkeypatch, method):
+    # the pickled payload carries gen-dataset's condition rows and seed keys;
+    # 4 x 3 = 12 rows with CHAIN_BLOCK = 5 make three blocks on two workers
+    monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
+    models = toy_models(seed=3)
+    ground_truth = train_gt(4, 12)
+    serial = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12)
+    pool = functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+    )
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    pooled = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12, threads=2)
+    assert serial[0].shape == (12, 21)
+    assert serial[0].tobytes() == pooled[0].tobytes()
+    assert serial[1] == pooled[1]
+
+
 def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     # run_variants has one scoring task per condition: at most min(threads, n)
     # workers, and no pool for a single condition; gen_dataset has one task per
