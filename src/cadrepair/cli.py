@@ -8,6 +8,21 @@ rejection sampling or point-cloud sampling accepts too few draws; 4 missing
 artifact, or too little data to fit: too few regressor pairs, or labels of a
 single class (``MissingArtifact``); 5 empty evaluation set (``EmptyEvaluation``).
 Each code has that one exception type; any other exception exits 1 with a traceback.
+
+Each stage, and each target of ``train``, reads and checks all of its inputs
+before it writes a file, then writes all of its outputs, ``config.json``
+included, through ``_write_outputs``. So a stage that exits 2, 3, 4 or 5 writes
+nothing and creates no directory; ``train --which all`` keeps the targets it
+finished before the one that failed. Each artifact kind has one reader, which
+raises MissingArtifact for an absent file and ConfigError naming the path, or
+path:line, for a malformed one:
+
+- latent matrices (``*.bin``): ``codec.read_latents``;
+- model files (``<name>.json`` of MODELS): ``_load_model``;
+- ``conditions.jsonl``: ``_train_conditions``, which draws the conditions when
+  the file is absent;
+- ``labels.csv``, ``pairs_*.csv`` and ``metrics.csv``: ``_read_csv``, against
+  the file's CSV_HEADERS row.
 """
 
 from __future__ import annotations
@@ -18,14 +33,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diffusion, pipeline
 from .codec import CONDITION_DIM, LATENT_DIM, decode, encode, read_latents, write_latents
-from .config import ConfigError, RunConfig
+from .config import ConfigError, MissingArtifact, RunConfig
 from .geometry import SamplingStall, kernel_check, record_from_sequence, sequence_from_record
 from .metrics import MmdConfig, mmd_histogram, pca_2d
 from .nets import (
@@ -43,7 +58,6 @@ from .pipeline import (
     STREAM_TRAIN_GT,
     STREAM_TRAINING,
     GroundTruthCondition,
-    TrainedModels,
     VariantId,
     derived_seed,
     seed_stream,
@@ -66,9 +80,19 @@ MODELS = {
     "gt_regressor": (LinearRegressor, LATENT_DIM, LATENT_DIM, None),
 }
 
-
-class MissingArtifact(Exception):
-    """An input file is missing or holds too little data to fit (exit 4)."""
+# the header row of each CSV file, shared by _write_outputs and _read_csv
+CSV_HEADERS = {
+    "labels.csv": ("condition_id", "seed", "valid", "reasons"),
+    "pairs_ssl.csv": ("invalid_row", "valid_row"),
+    "pairs_gt.csv": ("gen_row", "gt_row"),
+    "metrics.csv": ("model", "metric", "value"),
+    "report.csv": ("variant", "n", "n_valid", "feasibility", "mean_mmd", "median_mmd",
+                   "repaired_count", "repair_failed_count"),
+    "mmd_scores.csv": ("condition_id", "variant", "mmd"),
+    "mmd_hist.csv": ("variant", "bin_lo", "bin_hi", "count"),
+    "pca.csv": ("pc1", "pc2", "tag"),
+    "repair_outcomes.csv": ("row", "stage", "valid"),
+}
 
 
 class EmptyEvaluation(Exception):
@@ -77,13 +101,6 @@ class EmptyEvaluation(Exception):
 
 def _fmt(value) -> str:
     return repr(float(value))
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _schedule(cfg: RunConfig) -> diffusion.DiffusionSchedule:
@@ -102,71 +119,85 @@ def _mmd_config(cfg: RunConfig) -> MmdConfig:
     return MmdConfig(sigma=cfg.fixed_sigma, cloud_size=cfg.cloud_size)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _write_outputs(out: Path, files: dict) -> None:
+    """Create ``out`` and write each ``name: content`` of ``files`` into it through
+    the one writer of its kind: a latent matrix (``.bin``) by write_latents, a CSV
+    file's rows under its CSV_HEADERS row, ``conditions.jsonl``'s ground truth one
+    record a line, a model of MODELS by save_model, and any other ``.json`` file's
+    object sorted and indented."""
     out.mkdir(parents=True, exist_ok=True)
-    cfg.save(out / "config.json")
-    return out
-
-
-def _require_file(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifact(f"{path} is missing; {hint}")
-    return path
-
-
-def _read_finite_latents(path: Path) -> np.ndarray:
-    latents = read_latents(path)
-    if latents.shape[1] != LATENT_DIM:
-        raise ConfigError(f"{path}: rows are {latents.shape[1]} wide, expected {LATENT_DIM}")
-    n_bad = int((~np.isfinite(latents)).any(axis=1).sum())
-    if n_bad:
-        raise ConfigError(f"{path}: {n_bad} of {len(latents)} rows are not finite")
-    return latents
-
-
-def _check_layers(model, width: int, out_width: int, head: str | None) -> None:
-    """Raise ValueError unless each layer of ``model`` takes the previous layer's
-    output (``width`` for the first) and has a bias to match, every value is
-    finite, and the last layer gives ``out_width`` through the ``head`` activation."""
-    if isinstance(model, LinearRegressor):
-        layers = [(model.weights, model.bias)]
-    elif model.output_activation.value != head:
-        raise ValueError(f"output activation is {model.output_activation.value}, need {head}")
-    else:
-        layers = zip(model.weights, model.biases, strict=True)
-    for k, (w, b) in enumerate(layers):
-        if w.ndim != 2 or w.shape[1] != width or b.shape != w.shape[:1]:
-            raise ValueError(f"layer {k}: weights {w.shape}, bias {b.shape}; need {width} inputs")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"layer {k} holds non-finite values")
-        width = w.shape[0]
-    if width != out_width:
-        raise ValueError(f"output width is {width}, need {out_width}")
+    for name, content in files.items():
+        path = out / name
+        if name.endswith(".bin"):
+            write_latents(path, content)
+        elif name.endswith(".csv"):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(CSV_HEADERS[name])
+                writer.writerows(content)
+        elif name == "conditions.jsonl":
+            with open(path, "w") as fh:
+                for cid, gt in enumerate(content):
+                    record = {
+                        "condition_id": cid,
+                        "condition": [float(v) for v in gt.condition],
+                        "sequence": record_from_sequence(gt.sequence),
+                    }
+                    fh.write(json.dumps(record, allow_nan=False, separators=(",", ":")) + "\n")
+        elif name.removesuffix(".json") in MODELS:
+            save_model(path, content)
+        else:
+            path.write_text(json.dumps(content, sort_keys=True, indent=2) + "\n")
 
 
 def _load_model(path: Path, name: str):
-    """Read a model file against ``name``'s entry in MODELS. A file that is not JSON,
-    not an object, of an unknown kind or class, missing a field, of the wrong
-    shape or not finite is a ConfigError naming the path."""
+    """Read a model file against ``name``'s entry in MODELS. An absent file is a
+    MissingArtifact. A file that is not JSON, not an object, of an unknown kind or
+    class, missing a field, of the wrong shape or not finite is a ConfigError
+    naming the path: each layer must take the previous layer's output (the entry's
+    input width for the first) and have a bias to match, and the last layer must
+    give the entry's output width through its output activation."""
     cls, width, out_width, head = MODELS[name]
     try:
         model = load_model(path)
         if not isinstance(model, cls):
-            raise ConfigError(f"{path}: expected a {cls.__name__} model file")
-        _check_layers(model, width, out_width, head)
+            raise ValueError(f"expected a {cls.__name__} model file")
+        if isinstance(model, LinearRegressor):
+            layers = [(model.weights, model.bias)]
+        elif model.output_activation.value != head:
+            raise ValueError(f"output activation is {model.output_activation.value}, need {head}")
+        else:
+            layers = zip(model.weights, model.biases, strict=True)
+        for k, (w, b) in enumerate(layers):
+            if w.ndim != 2 or w.shape[1] != width or b.shape != w.shape[:1]:
+                raise ValueError(
+                    f"layer {k}: weights {w.shape}, bias {b.shape}; need {width} inputs"
+                )
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {k} holds non-finite values")
+            width = w.shape[0]
+        if width != out_width:
+            raise ValueError(f"output width is {width}, need {out_width}")
+    except FileNotFoundError as exc:
+        raise MissingArtifact(f"{path} is missing") from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: not a model file: {type(exc).__name__}: {exc}") from exc
     return model
 
 
-def _run_model(out: Path, name: str):
-    """Model ``name`` of the run directory ``out``, read by _load_model."""
-    path = _require_file(out / f"{name}.json", f"run `train --which {name}` first")
-    return _load_model(path, name)
+def _train_conditions(cfg: RunConfig) -> tuple[list[GroundTruthCondition], dict]:
+    """The run directory's training ground truth, and the files the stage writes for it.
 
-
-def _load_conditions(path: Path) -> list[GroundTruthCondition]:
+    Read ``conditions.jsonl``, which must hold ``cfg.n_conditions`` records in
+    ``condition_id`` order whose row 0 is the first draw of ``cfg.master_seed``'s
+    stream (row 0 whatever the count), and write nothing for it. When the file is
+    absent, rejection-sample the conditions; the stage then writes the file.
+    """
+    path = Path(cfg.out_dir) / "conditions.jsonl"
+    stream = seed_stream(cfg.master_seed, STREAM_TRAIN_GT)
+    if not path.exists():
+        conditions = pipeline.gen_ground_truth(cfg.n_conditions, stream)
+        return conditions, {"conditions.jsonl": conditions}
     conditions = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -190,30 +221,6 @@ def _load_conditions(path: Path) -> list[GroundTruthCondition]:
             conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
     if not conditions:
         raise ConfigError(f"{path}: holds no condition")
-    return conditions
-
-
-def _train_conditions(cfg: RunConfig, out: Path) -> list[GroundTruthCondition]:
-    """The run directory's training ground truth, kept in ``conditions.jsonl``.
-
-    Rejection-sample it and write the file when absent; else read the file, which
-    must hold ``cfg.n_conditions`` records in ``condition_id`` order whose row 0 is
-    the first draw of ``cfg.master_seed``'s stream (row 0 whatever the count).
-    """
-    path = out / "conditions.jsonl"
-    stream = seed_stream(cfg.master_seed, STREAM_TRAIN_GT)
-    if not path.exists():
-        conditions = pipeline.gen_ground_truth(cfg.n_conditions, stream)
-        with open(path, "w") as fh:
-            for cid, gt in enumerate(conditions):
-                record = {
-                    "condition_id": cid,
-                    "condition": [float(v) for v in gt.condition],
-                    "sequence": record_from_sequence(gt.sequence),
-                }
-                fh.write(json.dumps(record, allow_nan=False, separators=(",", ":")) + "\n")
-        return conditions
-    conditions = _load_conditions(path)
     if len(conditions) != cfg.n_conditions:
         raise ConfigError(f"{path}: holds {len(conditions)} conditions, need {cfg.n_conditions}")
     first, row0 = pipeline.gen_ground_truth(1, stream)[0], conditions[0]
@@ -222,23 +229,34 @@ def _train_conditions(cfg: RunConfig, out: Path) -> list[GroundTruthCondition]:
             f"{path}: row 0 is not the ground truth of master_seed {cfg.master_seed}; "
             "delete the file to generate it again"
         )
-    return conditions
+    return conditions, {}
 
 
-def _read_csv_ints(path: Path, columns: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-    """The integer cells in ``columns`` of each data row of a CSV file and each row's
-    line; a short row or a non-integer cell is a ConfigError naming path:line."""
+def _read_csv(path: Path, columns: tuple[int, ...], cast=int) -> tuple[np.ndarray, list[int]]:
+    """The cells in ``columns`` of each data row of a CSV file, through ``cast``, one
+    array row per data row, and each row's line. An absent file is a MissingArtifact;
+    a first row other than the file's CSV_HEADERS row is a ConfigError naming
+    path:1, and a row of another width or a cell that ``cast`` rejects one naming
+    path:line."""
+    header = CSV_HEADERS[path.name]
+    try:
+        fh = open(path, newline="")
+    except FileNotFoundError as exc:
+        raise MissingArtifact(f"{path} is missing") from exc
     rows, lines = [], []
-    with open(path, newline="") as fh:
+    with fh:
         reader = csv.reader(fh)
-        next(reader, None)
+        if next(reader, None) != list(header):
+            raise ConfigError(f"{path}:1: expected the header {','.join(header)}")
         for row in reader:
             try:
-                rows.append([int(row[c]) for c in columns])
-            except (IndexError, ValueError) as exc:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {','.join(header)}")
+                rows.append([cast(row[c]) for c in columns])
+            except ValueError as exc:
                 raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
             lines.append(reader.line_num)
-    return np.array(rows, dtype=int).reshape(-1, len(columns)), lines
+    return np.array(rows, dtype=cast).reshape(-1, len(columns)), lines
 
 
 def _reject_rows(path: Path, lines: list[int], bad: np.ndarray, what: str) -> None:
@@ -246,23 +264,6 @@ def _reject_rows(path: Path, lines: list[int], bad: np.ndarray, what: str) -> No
     rows = np.flatnonzero(bad.any(axis=1))
     if len(rows):
         raise ConfigError(f"{path}:{lines[rows[0]]}: {what}")
-
-
-def _read_metrics_csv(path: Path) -> dict[tuple[str, str], str]:
-    """The (model, metric) -> value cells of ``metrics.csv``; none when it is absent.
-
-    A row that is not three cells is a ConfigError naming path:line.
-    """
-    rows: dict[tuple[str, str], str] = {}
-    if path.exists():
-        with open(path) as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for row in reader:
-                if len(row) != 3:
-                    raise ConfigError(f"{path}:{reader.line_num}: expected model,metric,value")
-                rows[(row[0], row[1])] = row[2]
-    return rows
 
 
 def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
@@ -286,28 +287,18 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     kernel-checks them, on at most ``threads`` worker processes; every file is
     the same at any ``threads``.
     """
-    out = _out_dir(cfg)
-    denoiser = _run_model(out, "denoiser")
-    ground_truth = _train_conditions(cfg, out)
+    out = Path(cfg.out_dir)
+    denoiser = _load_model(out / "denoiser.json", "denoiser")
+    ground_truth, files = _train_conditions(cfg)
     per_condition = cfg.generations_per_condition
     generated, reports = pipeline.gen_dataset(
         ground_truth, per_condition, denoiser, _schedule(cfg), cfg.master_seed, threads
     )
     labels = np.array([r.valid for r in reports], dtype=bool)
-    write_latents(out / "latents.bin", np.vstack([generated, [gt.latent for gt in ground_truth]]))
-
-    label_rows = [
-        [i // per_condition, i % per_condition, int(r.valid), "|".join(x.name for x in r.reasons)]
-        for i, r in enumerate(reports)
-    ]
-    _write_csv(out / "labels.csv", ["condition_id", "seed", "valid", "reasons"], label_rows)
-
     ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
     if not len(ssl_pairs):
         logger.warning("no invalid/valid sibling pairs exist; pairs_ssl.csv is empty")
-    _write_csv(out / "pairs_ssl.csv", ["invalid_row", "valid_row"], ssl_pairs.tolist())
     gt_pairs = pipeline.build_gt_pairs(len(generated), per_condition)
-    _write_csv(out / "pairs_gt.csv", ["gen_row", "gt_row"], gt_pairs.tolist())
 
     n_total = len(labels)
     n_valid = int(labels.sum())
@@ -324,7 +315,19 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
         "ssl_pairs": int(len(ssl_pairs)),
         "gt_pairs": int(len(gt_pairs)),
     }
-    (out / "dataset_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    label_rows = [
+        [i // per_condition, i % per_condition, int(r.valid), "|".join(x.name for x in r.reasons)]
+        for i, r in enumerate(reports)
+    ]
+    _write_outputs(out, {
+        "config.json": asdict(cfg),
+        **files,
+        "latents.bin": np.vstack([generated, [gt.latent for gt in ground_truth]]),
+        "labels.csv": label_rows,
+        "pairs_ssl.csv": ssl_pairs.tolist(),
+        "pairs_gt.csv": gt_pairs.tolist(),
+        "dataset_summary.json": summary,
+    })
     print(f"conditions              {summary['conditions']}")
     print(f"valid latents w/ labels {n_valid}")
     print(f"invalid latents w/ labels {n_invalid}")
@@ -350,12 +353,12 @@ def _check_layout(path: Path, cids: np.ndarray, latents_path: Path, n_latents: i
         )
 
 
-def _train_one(
-    cfg: RunConfig, out: Path, which: str
-) -> tuple[Mlp | LinearRegressor, dict[str, float]]:
-    """Train one model; returns it and its values for ``metrics.csv``."""
+def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
+    """Train one model; returns the files it writes (the model, and
+    ``conditions.jsonl`` when the denoiser drew it) and its values for ``metrics.csv``."""
+    out = Path(cfg.out_dir)
     if which == "denoiser":
-        conditions = _train_conditions(cfg, out)
+        conditions, files = _train_conditions(cfg)
         result = train_denoiser(
             np.array([c.condition for c in conditions]),
             np.array([c.latent for c in conditions]),
@@ -367,18 +370,18 @@ def _train_one(
             f"denoiser: loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f} "
             f"over {cfg.denoiser.epochs} epochs"
         )
-        return result.model, {
+        return {**files, "denoiser.json": result.model}, {
             "first_epoch_loss": result.epoch_losses[0],
             "final_loss": result.epoch_losses[-1],
             "n_conditions": len(conditions),
         }
 
-    latents_path = _require_file(out / "latents.bin", "run gen-dataset first")
-    latents = _read_finite_latents(latents_path)
+    latents_path = out / "latents.bin"
+    latents = read_latents(latents_path)
 
     if which == "classifier":
-        labels_path = _require_file(out / "labels.csv", "run gen-dataset first")
-        cells, lines = _read_csv_ints(labels_path, (0, 2))
+        labels_path = out / "labels.csv"
+        cells, lines = _read_csv(labels_path, (0, 2))
         bad = (cells < 0) | (cells[:, 1:] > 1)
         _reject_rows(labels_path, lines, bad, "condition_id must be >= 0 and valid 0 or 1")
         labels = cells[:, 1].astype(bool)
@@ -405,7 +408,7 @@ def _train_one(
         print(f"  precision {m.precision[1]:.3f}  recall {m.recall[1]:.3f}  f1 {m.f1[1]:.3f}")
         print(f"  accuracy {m.accuracy:.3f}  balanced {m.balanced_accuracy:.3f}")
         print(f"  confusion {m.confusion.tolist()}")
-        return result.model, {
+        return {"classifier.json": result.model}, {
             "accuracy": m.accuracy,
             "balanced_accuracy": m.balanced_accuracy,
             "precision_valid": m.precision[1],
@@ -423,9 +426,8 @@ def _train_one(
         }
 
     ssl = which == "ssl_regressor"
-    pair_file = "pairs_ssl.csv" if ssl else "pairs_gt.csv"
-    pairs_path = _require_file(out / pair_file, "run gen-dataset first")
-    pairs, lines = _read_csv_ints(pairs_path, (0, 1))
+    pairs_path = out / ("pairs_ssl.csv" if ssl else "pairs_gt.csv")
+    pairs, lines = _read_csv(pairs_path, (0, 1))
     # latents.bin holds the generated rows, one per gt pair, then the ground truth
     rows = pairs if ssl else pairs + [0, len(pairs)]
     _reject_rows(
@@ -454,7 +456,7 @@ def _train_one(
         f"{which}: train R2 {result.train_r2:.4f} MSE {result.train_mse:.4f} | "
         f"test R2 {result.test_r2:.4f} MSE {result.test_mse:.4f} ({len(pairs)} pairs)"
     )
-    return result.model, {
+    return {f"{which}.json": result.model}, {
         "train_r2": result.train_r2,
         "train_mse": result.train_mse,
         "test_r2": result.test_r2,
@@ -464,16 +466,17 @@ def _train_one(
 
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
-    # read before anything is written, so a malformed file leaves the directory as it was
-    metrics = _read_metrics_csv(Path(cfg.out_dir) / "metrics.csv")
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
+    metrics = {}
+    if (out / "metrics.csv").exists():
+        rows, _ = _read_csv(out / "metrics.csv", (0, 1, 2), str)
+        metrics = {(m, k): v for m, k, v in rows.tolist()}
     for target in MODELS if which == "all" else [which]:
-        model, values = _train_one(cfg, out, target)
-        save_model(out / f"{target}.json", model)
+        files, values = _train_one(cfg, target)
         for metric, value in values.items():
             metrics[(target, metric)] = _fmt(value)
         rows = [[m, k, v] for (m, k), v in sorted(metrics.items())]
-        _write_csv(out / "metrics.csv", ["model", "metric", "value"], rows)
+        _write_outputs(out, {"config.json": asdict(cfg), **files, "metrics.csv": rows})
     return EXIT_OK
 
 
@@ -508,12 +511,12 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     - ``eval_latents_baseline.bin`` and ``eval_latents_full.bin``: the final
       latents of that variant, written only when that variant runs.
     """
-    out = _out_dir(cfg)
     variants = _parse_variants(variants_raw)
     if cfg.n_eval_conditions < 1:
         raise EmptyEvaluation("n_eval_conditions is 0")
+    out = Path(cfg.out_dir)
     needed = sorted({name for v in variants for name in pipeline._required_models(v)})
-    models = TrainedModels(**{name: _run_model(out, name) for name in needed})
+    models = {name: _load_model(out / f"{name}.json", name) for name in needed}
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
@@ -550,34 +553,18 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
         ]
         mean_str = f"{mean_mmd:.4f}" if scores else "-"
         print(f"{name:<10} {n:>5} {n_valid:>5} {feas:>7.4f} {mean_str:>8} {repaired:>8}")
-    _write_csv(
-        out / "report.csv",
-        [
-            "variant",
-            "n",
-            "n_valid",
-            "feasibility",
-            "mean_mmd",
-            "median_mmd",
-            "repaired_count",
-            "repair_failed_count",
-        ],
-        report_rows,
-    )
-    _write_csv(out / "mmd_scores.csv", ["condition_id", "variant", "mmd"], score_rows)
-    _write_csv(out / "mmd_hist.csv", ["variant", "bin_lo", "bin_hi", "count"], hist_rows)
-
-    write_latents(
-        out / "eval_latents_gt.bin", np.array([c.latent for c in eval_conditions])
-    )
-    for variant, filename in (
-        (VariantId.BASELINE, "eval_latents_baseline.bin"),
-        (VariantId.FULL, "eval_latents_full.bin"),
-    ):
+    files = {
+        "config.json": asdict(cfg),
+        "report.csv": report_rows,
+        "mmd_scores.csv": score_rows,
+        "mmd_hist.csv": hist_rows,
+        "eval_latents_gt.bin": np.array([c.latent for c in eval_conditions]),
+    }
+    for variant in (VariantId.BASELINE, VariantId.FULL):
         if variant in outcome_map:
-            write_latents(
-                out / filename, np.array([o.final_latent for o in outcome_map[variant]])
-            )
+            latents = [o.final_latent for o in outcome_map[variant]]
+            files[f"eval_latents_{variant.value}.bin"] = np.array(latents)
+    _write_outputs(out, files)
     return EXIT_OK
 
 
@@ -587,14 +574,13 @@ def cmd_pca(cfg: RunConfig) -> int:
     ``SelfRepairing`` or ``GroundTruth`` by the file it came from
     (``eval_latents_baseline.bin``, ``eval_latents_full.bin``,
     ``eval_latents_gt.bin``)."""
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     sources = (
         ("eval_latents_baseline.bin", "Baseline"),
         ("eval_latents_full.bin", "SelfRepairing"),
         ("eval_latents_gt.bin", "GroundTruth"),
     )
-    hint = "run `eval` with baseline and full variants first"
-    blocks = [_read_finite_latents(_require_file(out / name, hint)) for name, _ in sources]
+    blocks = [read_latents(out / name) for name, _ in sources]
     counts = [len(block) for block in blocks]
     if min(counts) < 1 or sum(counts) < 3:
         names = ", ".join(name for name, _ in sources)
@@ -602,11 +588,10 @@ def cmd_pca(cfg: RunConfig) -> int:
     tags = np.repeat([tag for _, tag in sources], counts)
     projection = pca_2d(np.vstack(blocks))
     coords = projection.coords
-    _write_csv(
-        out / "pca.csv",
-        ["pc1", "pc2", "tag"],
-        [[_fmt(x), _fmt(y), tag] for (x, y), tag in zip(coords, tags)],
-    )
+    _write_outputs(out, {
+        "config.json": asdict(cfg),
+        "pca.csv": [[_fmt(x), _fmt(y), tag] for (x, y), tag in zip(coords, tags)],
+    })
     base_centroid = coords[tags == "Baseline"].mean(axis=0)
     full_centroid = coords[tags == "SelfRepairing"].mean(axis=0)
     centroid_distance = float(np.linalg.norm(base_centroid - full_centroid))
@@ -626,12 +611,8 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     - ``repair_outcomes.csv``: row, stage, valid; stage ``ValidDirect`` for a
       row that passed, else ``RepairedValid`` or ``RepairedInvalid``.
     """
-    latents_file = _require_file(Path(latents_path), "point --latents at a latent matrix file")
-    regressor_file = _require_file(Path(regressor_path), "point --regressor at a model file")
-    latents = _read_finite_latents(latents_file)
-    regressor = _load_model(regressor_file, "ssl_regressor")
-    destination = Path(out_dir) if out_dir else latents_file.parent
-    destination.mkdir(parents=True, exist_ok=True)
+    latents = read_latents(latents_path)
+    regressor = _load_model(Path(regressor_path), "ssl_regressor")
     outcomes = []
     for row in latents:
         sequence = decode(row)
@@ -642,13 +623,12 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
             )
         else:
             outcomes.append(pipeline.self_repair(row, regressor))
-    repaired = np.array([o.final_latent for o in outcomes]).reshape(-1, LATENT_DIM)
-    write_latents(destination / "repaired.bin", repaired)
-    _write_csv(
-        destination / "repair_outcomes.csv",
-        ["row", "stage", "valid"],
-        [[i, o.stage.value, int(o.report.valid)] for i, o in enumerate(outcomes)],
-    )
+    _write_outputs(Path(out_dir) if out_dir else Path(latents_path).parent, {
+        "repaired.bin": np.array([o.final_latent for o in outcomes]).reshape(-1, LATENT_DIM),
+        "repair_outcomes.csv": [
+            [i, o.stage.value, int(o.report.valid)] for i, o in enumerate(outcomes)
+        ],
+    })
     stages = [o.stage for o in outcomes]
     print(f"rows                {len(outcomes)}")
     print(f"valid direct        {sum(s is pipeline.RepairStage.VALID_DIRECT for s in stages)}")
@@ -730,15 +710,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "repair":
             return cmd_repair(args.latents, args.regressor, args.out)
         cfg = _load_config(args)
         if args.command == "gen-dataset":
-            return cmd_gen_dataset(cfg, max(1, args.threads))
+            return cmd_gen_dataset(cfg, args.threads)
         if args.command == "train":
             return cmd_train(cfg, args.which)
         if args.command == "eval":
-            return cmd_eval(cfg, args.variants, max(1, args.threads))
+            return cmd_eval(cfg, args.variants, args.threads)
         if args.command == "pca":
             return cmd_pca(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, MissingArtifact
 from .geometry import (
     MAX_EDGES,
     CommandSequence,
@@ -113,7 +113,13 @@ def write_latents(path, latents) -> None:
 
 
 def read_latents(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    """Read a latent matrix file. An absent file is a MissingArtifact; a bad header
+    or payload, rows not LATENT_DIM wide, or a value that is not finite is a
+    ConfigError naming the path."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise MissingArtifact(f"{path} is missing") from exc
     if len(data) < _HEADER.size:
         raise ConfigError(f"{path}: too short for a latent matrix header")
     magic, rows, width, _ = _HEADER.unpack_from(data)
@@ -123,4 +129,10 @@ def read_latents(path) -> np.ndarray:
     expected = rows * width * 4
     if len(body) != expected:
         raise ConfigError(f"{path}: expected {expected} payload bytes, got {len(body)}")
-    return np.frombuffer(body, dtype="<f4").reshape(rows, width).astype(np.float64)
+    if width != LATENT_DIM:
+        raise ConfigError(f"{path}: rows are {width} wide, expected {LATENT_DIM}")
+    latents = np.frombuffer(body, dtype="<f4").reshape(rows, width).astype(np.float64)
+    n_bad = int((~np.isfinite(latents)).any(axis=1).sum())
+    if n_bad:
+        raise ConfigError(f"{path}: {n_bad} of {rows} rows are not finite")
+    return latents

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
 class ConfigError(Exception):
     """A config value, input record or artifact file is malformed (exit 2)."""
+
+
+class MissingArtifact(Exception):
+    """An input file is missing or holds too little data to fit (exit 4)."""
 
 
 def _require_ints(obj, names: tuple[str, ...]) -> None:
@@ -115,12 +119,6 @@ class RunConfig:
     @property
     def fixed_sigma(self) -> float | None:
         return None if self.sigma_mode == "median" else float(self.sigma_mode)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

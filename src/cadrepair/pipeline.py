@@ -217,20 +217,12 @@ class VariantId(Enum):
     FULL = "full"
 
 
-@dataclass
-class TrainedModels:
-    denoiser: Mlp | None = None
-    classifier: Mlp | None = None
-    ssl_regressor: LinearRegressor | None = None
-    gt_regressor: LinearRegressor | None = None
-
-
 @dataclass(frozen=True)
 class _VariantPlan:
-    # TrainedModels attribute names of the chain's (classifier, regressor)
+    # model names (cli.MODELS keys) of the chain's (classifier, regressor)
     # guides, each or None; variants of equal guidance share one chain
     guidance: tuple[str | None, str | None]
-    repair_model: str | None  # TrainedModels attribute name
+    repair_model: str | None  # model name
 
 
 _VARIANT_PLANS: dict[VariantId, _VariantPlan] = {
@@ -363,7 +355,7 @@ def _score_task(task) -> list[ConditionOutcome]:
 def run_variants(
     variants,
     eval_conditions,
-    models: TrainedModels,
+    models: dict[str, Mlp | LinearRegressor],
     schedule: diffusion.DiffusionSchedule,
     seed: int,
     guidance: diffusion.GuidanceConfig = diffusion.GuidanceConfig(),
@@ -371,7 +363,8 @@ def run_variants(
     threads: int = 1,
 ) -> dict[VariantId, list[ConditionOutcome]]:
     """Evaluate variants over the condition set with shared ground-truth
-    clouds and paired per-condition seeds.
+    clouds and paired per-condition seeds. ``models`` maps the model names of
+    every variant's plan (``_required_models``) to the models.
 
     Chain row cid is condition cid, seeded by (STREAM_EVAL_SAMPLE, cid). Two
     kinds of task run in turn: the ``_chain_task`` blocks, which run every
@@ -389,9 +382,9 @@ def run_variants(
     variants = list(variants)
     for variant in variants:
         for name in _required_models(variant):
-            if getattr(models, name) is None:
+            if models.get(name) is None:
                 raise ValueError(f"variant {variant.value} needs model {name!r}")
-    by_name = {None: None, **vars(models)}
+    by_name = {None: None, **models}
     chosen = [_VARIANT_PLANS[v] for v in variants]
     plans = list(dict.fromkeys(p.guidance for p in chosen))
     n = len(eval_conditions)
@@ -399,7 +392,7 @@ def run_variants(
         "chain_conditions": np.array([c.condition for c in eval_conditions]),
         "chain_keys": [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)],
         "plans": [tuple(by_name[name] for name in plan) for plan in plans],
-        "denoiser": models.denoiser,
+        "denoiser": models["denoiser"],
         "schedule": schedule,
         "guidance": guidance,
         "seed": seed,

@@ -87,6 +87,13 @@ def artifact_bytes(out_dir) -> dict[str, bytes]:
     }
 
 
+def snapshot(out_dir) -> dict[str, bytes] | None:
+    """Every file of a run directory by name, config.json too; None when it does not exist."""
+    if not out_dir.exists():
+        return None
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -302,8 +309,7 @@ REPAIR_ARGV = (
     ],
 )
 def test_missing_model_exits_4(tmp_path, caplog, argv, present, missing):
-    # every input but ``missing`` is present and well-formed; the stage writes
-    # nothing but the config.json a run-directory stage records first
+    # every input but ``missing`` is present and well-formed; the stage writes nothing
     out = tmp_path / "out"
     out.mkdir()
     for name in present:
@@ -318,7 +324,63 @@ def test_missing_model_exits_4(tmp_path, caplog, argv, present, missing):
         code = run_stage(write_config(tmp_path / "c.json", out), *argv)
     assert code == cli.EXIT_MISSING
     assert f"{out / missing} is missing" in caplog.text
-    assert {p.name for p in out.iterdir()} - {"config.json"} == set(present)
+    assert {p.name for p in out.iterdir()} == set(present)
+
+
+def corrupt_denoiser(out) -> None:
+    (out / "denoiser.json").write_text('{"kind":"mlp"}')
+
+
+def malformed_labels(out) -> None:
+    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(6, LATENT_DIM)))
+    (out / "labels.csv").write_text("condition_id,seed,valid,reasons\n0,0,yes,\n")
+
+
+def non_finite_pca_rows(out) -> None:
+    for name in ("eval_latents_baseline.bin", "eval_latents_full.bin", "eval_latents_gt.bin"):
+        write_latents(out / name, np.full((2, LATENT_DIM), np.inf if "full" in name else 0.0))
+
+
+# argv, config overrides, the inputs the stage finds, and its exit code
+FAILING_STAGES = {
+    "gen-dataset-no-denoiser": (("gen-dataset",), {}, None, cli.EXIT_MISSING),
+    "gen-dataset-corrupt-denoiser": (("gen-dataset",), {}, corrupt_denoiser, cli.EXIT_CONFIG),
+    "classifier-malformed-labels": (
+        ("train", "--which", "classifier"), {}, malformed_labels, cli.EXIT_CONFIG
+    ),
+    "eval-unknown-variant": (("eval", "--variants", "var9"), {}, None, cli.EXIT_CONFIG),
+    "eval-no-conditions": (EVAL_BASELINE, {"n_eval_conditions": 0}, None, cli.EXIT_EMPTY),
+    "pca-non-finite": (("pca",), {}, non_finite_pca_rows, cli.EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("stale_config", [False, True], ids=["fresh", "stale-config"])
+@pytest.mark.parametrize("case", list(FAILING_STAGES))
+def test_failing_stage_leaves_the_run_directory_as_it_was(tmp_path, case, stale_config):
+    # a stage reads all of its inputs before it writes any file, config.json
+    # included: the config.json of an earlier run keeps its bytes, and a stage
+    # that finds no directory and fails creates none
+    argv, overrides, make_inputs, code = FAILING_STAGES[case]
+    out = tmp_path / "out"
+    if make_inputs or stale_config:
+        out.mkdir()
+    if stale_config:
+        (out / "config.json").write_text(json.dumps({**TINY, "master_seed": 9}))
+    if make_inputs:
+        make_inputs(out)
+    before = snapshot(out)
+    assert run_stage(write_config(tmp_path / "c.json", out, **overrides), *argv) == code
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["gen-dataset", "eval"])
+def test_threads_below_one_exit_2(tmp_path, caplog, command, threads):
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, command, "--threads", threads) == cli.EXIT_CONFIG
+    assert f"--threads must be >= 1, got {threads}" in caplog.text
+    assert not out.exists()
 
 
 def test_empty_evaluation_exits_5(tmp_path):
@@ -457,8 +519,9 @@ def test_point_cloud_sampling_stall_exits_3(runs, tmp_path, monkeypatch):
     monkeypatch.setattr(geometry, "_STALL_PROPOSALS", 1)
     monkeypatch.setattr(geometry, "_STALL_RATE", 1.1)
     config = write_config(tmp_path / "c.json", out)
+    before = snapshot(out)
     assert run_stage(config, "eval", "--variants", "baseline", "--threads", "1") == cli.EXIT_STALL
-    assert not (out / "report.csv").exists()
+    assert snapshot(out) == before
 
 
 SIX_EDGES = {
@@ -582,6 +645,32 @@ def test_gen_dataset_reads_the_conditions_train_wrote(tmp_path, monkeypatch):
     assert {"latents.bin", "labels.csv", "pairs_ssl.csv", "dataset_summary.json"} <= set(
         artifact_bytes(out)
     )
+
+
+@pytest.mark.parametrize(
+    "which, name, header",
+    [
+        ("ssl_regressor", "pairs_ssl.csv", "gen_row,gt_row"),
+        ("gt_regressor", "pairs_gt.csv", "invalid_row,valid_row"),
+        ("classifier", "labels.csv", "condition_id,seed,valid"),
+        ("denoiser", "metrics.csv", "model,value,metric"),
+    ],
+)
+def test_csv_with_another_header_exits_2(runs, tmp_path, caplog, which, name, header):
+    # each CSV file is read against the header its writer wrote, so rows whose
+    # columns mean something else are not read as this file's rows
+    root, _, _ = runs
+    out = tmp_path / "out"
+    shutil.copytree(root / "a", out)
+    (out / f"{which}.json").unlink()
+    _, *rows = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text(header + "\n" + "".join(rows))
+    before = snapshot(out)
+    assert run_stage(write_config(tmp_path / "c.json", out), "train", "--which", which) == (
+        cli.EXIT_CONFIG
+    )
+    assert f"{out / name}:1: expected the header {','.join(cli.CSV_HEADERS[name])}" in caplog.text
+    assert snapshot(out) == before
 
 
 def test_malformed_metrics_row_exits_2(tmp_path, caplog):

@@ -25,7 +25,6 @@ from cadrepair.pipeline import (
     STREAM_DATASET_GEN,
     STREAM_TRAIN_GT,
     RepairStage,
-    TrainedModels,
     VariantId,
     build_gt_pairs,
     build_ssl_pairs,
@@ -41,12 +40,12 @@ SCHED = build_schedule(100, 1e-4, 0.02)
 
 def toy_models(seed=0):
     rng = np.random.default_rng(seed)
-    return TrainedModels(
-        denoiser=init_mlp([21 + 8 + 8, 16, 21], OutputActivation.IDENTITY, rng),
-        classifier=init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng),
-        ssl_regressor=LinearRegressor(np.eye(21) * 0.9, rng.normal(size=21) * 0.01),
-        gt_regressor=LinearRegressor(np.eye(21) * 0.8, rng.normal(size=21) * 0.01),
-    )
+    return {
+        "denoiser": init_mlp([21 + 8 + 8, 16, 21], OutputActivation.IDENTITY, rng),
+        "classifier": init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng),
+        "ssl_regressor": LinearRegressor(np.eye(21) * 0.9, rng.normal(size=21) * 0.01),
+        "gt_regressor": LinearRegressor(np.eye(21) * 0.8, rng.normal(size=21) * 0.01),
+    }
 
 
 # ---------------------------------------------------------------- ground truth
@@ -86,12 +85,12 @@ def train_gt(n, seed):
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
     ground_truth = train_gt(4, 11)
-    latents, reports = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=11)
+    latents, reports = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=11)
     assert len(ground_truth) == 4
     assert latents.shape == (12, 21)
     assert len(reports) == 12
     again_gt = train_gt(4, 11)
-    again_latents, again_reports = gen_dataset(again_gt, 3, models.denoiser, SCHED, seed=11)
+    again_latents, again_reports = gen_dataset(again_gt, 3, models["denoiser"], SCHED, seed=11)
     assert [gt.sequence for gt in again_gt] == [gt.sequence for gt in ground_truth]
     np.testing.assert_array_equal(again_latents, latents)
     assert again_reports == reports
@@ -99,7 +98,7 @@ def test_gen_dataset_counts_and_determinism():
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    latents, reports = gen_dataset(train_gt(3, 2), 2, models.denoiser, SCHED, seed=2)
+    latents, reports = gen_dataset(train_gt(3, 2), 2, models["denoiser"], SCHED, seed=2)
     assert reports == [kernel_check(decode(z)) for z in latents]
 
 
@@ -113,10 +112,10 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
         assert 15 % block != 0
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
         ground_truth = train_gt(3, 8)
-        latents, reports = gen_dataset(ground_truth, 5, models.denoiser, SCHED, seed=8)
+        latents, reports = gen_dataset(ground_truth, 5, models["denoiser"], SCHED, seed=8)
         for row, (z, report) in enumerate(zip(latents, reports)):
             cid, g = divmod(row, 5)
-            (single,) = sample(ground_truth[cid].condition[None], models.denoiser, SCHED,
+            (single,) = sample(ground_truth[cid].condition[None], models["denoiser"], SCHED,
                                [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)])
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
             assert report == kernel_check(decode(single[0]))
@@ -128,8 +127,8 @@ def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
     models = toy_models(seed=3)
     ground_truth = train_gt(4, 12)
-    serial = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12, threads=1)
-    pooled = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12, threads=2)
+    serial = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12, threads=1)
+    pooled = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12, threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1] == pooled[1]
@@ -184,7 +183,7 @@ def test_ssl_pairs_none_is_empty():
 def test_gt_pairs_cover_every_generation():
     models = toy_models()
     ground_truth = train_gt(3, 7)
-    latents, _ = gen_dataset(ground_truth, 4, models.denoiser, SCHED, seed=7)
+    latents, _ = gen_dataset(ground_truth, 4, models["denoiser"], SCHED, seed=7)
     pairs = build_gt_pairs(len(latents), 4)
     assert pairs.shape == (12, 2)
     assert pairs[:, 0].tolist() == list(range(12))
@@ -238,7 +237,7 @@ def test_repair_mismatched_regressor_raises():
 
 
 def test_run_variant_missing_model():
-    models = TrainedModels(denoiser=toy_models().denoiser)
+    models = {"denoiser": toy_models()["denoiser"]}
     conditions = gen_ground_truth(2, seed=12)
     with pytest.raises(ValueError, match="variant var3 needs model 'classifier'"):
         run_variants([VariantId.VAR3], conditions, models, SCHED, seed=1)
@@ -343,7 +342,7 @@ def test_run_variants_blocks_match_single_conditions(monkeypatch):
     conditions = gen_ground_truth(11, seed=18)
     models = toy_models(seed=7)
     # var1 repairs every sample onto one valid latent, so every row is scored
-    models.ssl_regressor = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
+    models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
     cfg = MmdConfig(cloud_size=64)
     variants = [VariantId.BASELINE, VariantId.VAR1]
 
@@ -381,7 +380,7 @@ def _sharing_case(monkeypatch):
     conditions = gen_ground_truth(11, seed=19)
     train = gen_ground_truth(64, seed=30)
     models = toy_models(seed=8)
-    models.denoiser = train_denoiser(
+    models["denoiser"] = train_denoiser(
         [gt.condition for gt in train],
         [gt.latent for gt in train],
         SCHED,
@@ -474,12 +473,12 @@ def test_gen_dataset_pool_matches_serial_under_start_method(monkeypatch, method)
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
     models = toy_models(seed=3)
     ground_truth = train_gt(4, 12)
-    serial = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12)
+    serial = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12)
     pool = functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
     )
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    pooled = gen_dataset(ground_truth, 3, models.denoiser, SCHED, seed=12, threads=2)
+    pooled = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12, threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1] == pooled[1]
@@ -525,7 +524,7 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     for threads, n, workers in ((64, 4, [3]), (2, 4, [2]), (4, 1, [])):
         pool_sizes.clear()
         latents, reports = gen_dataset(
-            train_gt(n, 21), 3, toy_models(seed=9).denoiser, SCHED, seed=21, threads=threads
+            train_gt(n, 21), 3, toy_models(seed=9)["denoiser"], SCHED, seed=21, threads=threads
         )
         assert pool_sizes == workers, (threads, n)
         assert latents.shape == (3 * n, 21) and len(reports) == 3 * n
