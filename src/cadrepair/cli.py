@@ -1,21 +1,24 @@
 """Operator surface: seeded subcommands chaining the full experiment.
 
 Every subcommand is a pure function of (config, input files, seed): reruns
-produce byte-identical artifacts. Exit codes are stable for scripting:
-0 success; 2 config/schema error (``ConfigError``): a config value, input record,
-latent file or model file is malformed; 3 stall (``SamplingStall``): ground-truth
-rejection sampling or point-cloud sampling accepts too few draws; 4 missing
-artifact, or too little data to fit: too few regressor pairs, or labels of a
+produce byte-identical artifacts. The one ``RunConfig`` that ``_load_config``
+checks is the only config object below this module: the stages hand it as it is
+to ``pipeline`` and through it to the sampler and the scorer, which read their
+seed, schedule, guidance scales, cloud size and MMD bandwidth from it.
+
+Exit codes are stable for scripting: 0 success; 2 config/schema error
+(``ConfigError``): a config value, input record, latent file or model file is
+malformed; 3 stall (``SamplingStall``): ground-truth rejection sampling or
+point-cloud sampling accepts too few draws; 4 missing artifact, or too little
+data to fit: too few regressor pairs to fit or none held out, or labels of a
 single class (``MissingArtifact``); 5 empty evaluation set (``EmptyEvaluation``).
 Each code has that one exception type; any other exception exits 1 with a traceback.
 
-Each stage, and each target of ``train``, reads and checks all of its inputs
-before it writes a file, then writes all of its outputs, ``config.json``
-included, through ``_write_outputs``. So a stage that exits 2, 3, 4 or 5 writes
-nothing and creates no directory; ``train --which all`` keeps the targets it
-finished before the one that failed. Each artifact kind has one reader, which
-raises MissingArtifact for an absent file and ConfigError naming the path, or
-path:line, for a malformed one:
+Each stage reads and checks all of its inputs before it writes a file, then
+writes all of its outputs, ``config.json`` included, through ``_write_outputs``.
+So a stage that exits 2, 3, 4 or 5 writes nothing and creates no directory. Each
+artifact kind has one reader, which raises MissingArtifact for an absent file and
+ConfigError naming the path, or path:line, for a malformed one:
 
 - latent matrices (``*.bin``): ``codec.read_latents``;
 - model files (``<name>.json`` of MODELS): ``_load_model``;
@@ -42,7 +45,7 @@ from . import diffusion, pipeline
 from .codec import CONDITION_DIM, LATENT_DIM, decode, encode, read_latents, write_latents
 from .config import ConfigError, MissingArtifact, RunConfig
 from .geometry import SamplingStall, kernel_check, record_from_sequence, sequence_from_record
-from .metrics import MmdConfig, mmd_histogram, pca_2d
+from .metrics import mmd_histogram, pca_2d
 from .nets import (
     TIMESTEP_EMBED_DIM,
     LinearRegressor,
@@ -71,8 +74,8 @@ EXIT_STALL = 3
 EXIT_MISSING = 4
 EXIT_EMPTY = 5
 
-# each model's class, input width, output width and output activation, in the
-# order `train --which all` trains them; a run directory keeps it in <name>.json
+# each model's class, input width, output width and output activation, by the
+# name `train --which` takes; a run directory keeps it in <name>.json
 MODELS = {
     "denoiser": (Mlp, LATENT_DIM + TIMESTEP_EMBED_DIM + CONDITION_DIM, LATENT_DIM, "identity"),
     "classifier": (Mlp, LATENT_DIM, 1, "sigmoid"),
@@ -101,22 +104,6 @@ class EmptyEvaluation(Exception):
 
 def _fmt(value) -> str:
     return repr(float(value))
-
-
-def _schedule(cfg: RunConfig) -> diffusion.DiffusionSchedule:
-    return diffusion.build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
-
-
-def _guidance(cfg: RunConfig) -> diffusion.GuidanceConfig:
-    return diffusion.GuidanceConfig(
-        classifier_scale=cfg.classifier_scale,
-        regressor_scale=cfg.regressor_scale,
-        stop_gradient_y=cfg.stop_gradient_y,
-    )
-
-
-def _mmd_config(cfg: RunConfig) -> MmdConfig:
-    return MmdConfig(sigma=cfg.fixed_sigma, cloud_size=cfg.cloud_size)
 
 
 def _write_outputs(out: Path, files: dict) -> None:
@@ -291,9 +278,7 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     denoiser = _load_model(out / "denoiser.json", "denoiser")
     ground_truth, files = _train_conditions(cfg)
     per_condition = cfg.generations_per_condition
-    generated, reports = pipeline.gen_dataset(
-        ground_truth, per_condition, denoiser, _schedule(cfg), cfg.master_seed, threads
-    )
+    generated, reports = pipeline.gen_dataset(ground_truth, denoiser, cfg, threads)
     labels = np.array([r.valid for r in reports], dtype=bool)
     ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
     if not len(ssl_pairs):
@@ -362,7 +347,7 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
         result = train_denoiser(
             np.array([c.condition for c in conditions]),
             np.array([c.latent for c in conditions]),
-            _schedule(cfg),
+            diffusion.build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end),
             cfg.denoiser,
             derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
         )
@@ -438,12 +423,14 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
     )
     if not ssl:
         _check_layout(pairs_path, pairs[:, 1], latents_path, len(latents))
-    # the fit sees only the train split of the pairs
+    # the fit sees only the train split of the pairs, the test scores only the rest
     min_rows = latents.shape[1] + 1
-    if round(len(pairs) * cfg.split) < min_rows:
+    n_train = round(len(pairs) * cfg.split)
+    if not min_rows <= n_train < len(pairs):
         raise MissingArtifact(
-            f"{pairs_path} holds {len(pairs)} pairs; need >= {min_rows} in the "
-            f"{cfg.split} train split to fit"
+            f"{pairs_path} holds {len(pairs)} pairs; split {cfg.split} gives {n_train} train "
+            f"and {len(pairs) - n_train} held-out pairs, need >= {min_rows} train pairs "
+            "to fit and at least one held out"
         )
     result = train_regressor(
         latents[rows[:, 0]],
@@ -471,12 +458,11 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     if (out / "metrics.csv").exists():
         rows, _ = _read_csv(out / "metrics.csv", (0, 1, 2), str)
         metrics = {(m, k): v for m, k, v in rows.tolist()}
-    for target in MODELS if which == "all" else [which]:
-        files, values = _train_one(cfg, target)
-        for metric, value in values.items():
-            metrics[(target, metric)] = _fmt(value)
-        rows = [[m, k, v] for (m, k), v in sorted(metrics.items())]
-        _write_outputs(out, {"config.json": asdict(cfg), **files, "metrics.csv": rows})
+    files, values = _train_one(cfg, which)
+    for metric, value in values.items():
+        metrics[(which, metric)] = _fmt(value)
+    rows = [[m, k, v] for (m, k), v in sorted(metrics.items())]
+    _write_outputs(out, {"config.json": asdict(cfg), **files, "metrics.csv": rows})
     return EXIT_OK
 
 
@@ -520,16 +506,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
-    outcome_map = pipeline.run_variants(
-        variants,
-        eval_conditions,
-        models,
-        _schedule(cfg),
-        cfg.master_seed,
-        guidance=_guidance(cfg),
-        mmd_config=_mmd_config(cfg),
-        threads=threads,
-    )
+    outcome_map = pipeline.run_variants(variants, eval_conditions, models, cfg, threads)
 
     print(f"{'variant':<10} {'n':>5} {'valid':>5} {'feas':>7} {'meanMMD':>8} {'repaired':>8}")
     report_rows, score_rows, hist_rows = [], [], []
@@ -665,10 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser(
         "train",
-        help="train one model or all of them; training the denoiser writes conditions.jsonl",
+        help="train one model; training the denoiser writes conditions.jsonl",
     )
     add_common(p_train)
-    p_train.add_argument("--which", default="all", choices=[*MODELS, "all"])
+    p_train.add_argument("--which", required=True, choices=list(MODELS))
 
     p_eval = sub.add_parser("eval", help="run the variant benchmark on held-out conditions")
     add_common(p_eval)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .nets import (
     TIMESTEP_EMBED_DIM,
     LinearRegressor,
@@ -48,26 +49,9 @@ class DiffusionSchedule:
         return len(self.betas)
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Strengths of the guidance terms; a term runs only when its model is given."""
-
-    classifier_scale: float = 10.0
-    regressor_scale: float = 10.0
-    stop_gradient_y: bool = False
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        if not (0.0 <= self.classifier_scale < np.inf and 0.0 <= self.regressor_scale < np.inf):
-            raise ValueError("guidance scales must be finite and >= 0")
-
-
 def build_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSchedule:
-    """Linear beta schedule with precomputed alphas and posterior variances."""
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
-    if not 0.0 < beta_start < beta_end < 1.0:
-        raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
+    """Linear beta schedule with precomputed alphas and posterior variances;
+    RunConfig checks T >= 2 and 0 < beta_start < beta_end < 1."""
     betas = np.linspace(beta_start, beta_end, T)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
@@ -81,8 +65,9 @@ class ChainConstants:
     """What every reverse step of one ``sample`` call reads, computed once per call.
 
     Per-step arrays hold the step-t value at index t-1. Each guide comes with
-    the rows of the (P, B, d) stack whose plans use it. A guide whose scale is
-    0 is left out, so its plans step as unguided ones do.
+    the rows of the (P, B, d) stack whose plans use it. A guide whose scale in
+    ``cfg`` is 0 is left out, so its plans step as unguided ones do; the steps
+    read ``cfg``'s two scales and ``stop_gradient_y``.
     """
 
     eps_coefs: np.ndarray  # beta_t / sqrt(1 - alpha_bar_t)
@@ -91,7 +76,7 @@ class ChainConstants:
     classifiers: tuple[tuple[Mlp, np.ndarray], ...]  # (classifier, rows)
     # (regressor, W - I, rows)
     regressors: tuple[tuple[LinearRegressor, np.ndarray, np.ndarray], ...]
-    guidance: GuidanceConfig
+    cfg: RunConfig
 
 
 def _rows_by_model(models) -> tuple[tuple, ...]:
@@ -103,13 +88,11 @@ def _rows_by_model(models) -> tuple[tuple, ...]:
     return tuple((model, np.array(model_rows)) for model, model_rows in rows.values())
 
 
-def chain_constants(
-    schedule: DiffusionSchedule, plans, guidance: GuidanceConfig = GuidanceConfig()
-) -> ChainConstants:
+def chain_constants(schedule: DiffusionSchedule, plans, cfg: RunConfig) -> ChainConstants:
     """Per-call constants of the reverse chains of ``plans``, a list of
-    (classifier, regressor) pairs."""
-    classifiers = [c for c, _ in plans] if guidance.classifier_scale else []
-    regressors = [r for _, r in plans] if guidance.regressor_scale else []
+    (classifier, regressor) pairs, guided at ``cfg``'s scales."""
+    classifiers = [c for c, _ in plans] if cfg.classifier_scale else []
+    regressors = [r for _, r in plans] if cfg.regressor_scale else []
     regressor_rows = _rows_by_model(regressors)
     for regressor, _ in regressor_rows:
         if regressor.weights.shape[0] != regressor.weights.shape[1]:
@@ -120,7 +103,7 @@ def chain_constants(
         np.sqrt(schedule.posterior_variance),
         _rows_by_model(classifiers),
         tuple((r, r.weights - np.eye(len(r.weights)), rows) for r, rows in regressor_rows),
-        guidance,
+        cfg,
     )
 
 
@@ -136,20 +119,20 @@ def sample_step(z, t: int, eps_hat, noise, chain: ChainConstants) -> np.ndarray:
     if not 1 <= t <= T:
         raise ValueError(f"step {t} outside [1, {T}]")
     mu = (z - chain.eps_coefs[t - 1] * eps_hat) / chain.sqrt_alphas[t - 1]
-    guidance = chain.guidance
+    cfg = chain.cfg
     for classifier, rows in chain.classifiers:
         # down the infeasibility-probability gradient
-        mu[rows] -= guidance.classifier_scale * -mlp_grad_input(classifier, z[rows])
+        mu[rows] -= cfg.classifier_scale * -mlp_grad_input(classifier, z[rows])
     for regressor, w_minus_i, rows in chain.regressors:
         # down the gradient of ||Wz + b - z||^2: 2 (Wz + b - z) (W - I) per row,
         # or 2 (z - y) with the prediction y held fixed
         zr = z[rows]
         predicted = regressor_predict(regressor, zr)
-        if guidance.stop_gradient_y:
+        if cfg.stop_gradient_y:
             grad = 2.0 * (zr - predicted)
         else:
             grad = 2.0 * (predicted - zr) @ w_minus_i
-        mu[rows] -= guidance.regressor_scale * grad
+        mu[rows] -= cfg.regressor_scale * grad
     if t == 1:
         return mu
     mu += chain.noise_stds[t - 1] * noise
@@ -157,16 +140,13 @@ def sample_step(z, t: int, eps_hat, noise, chain: ChainConstants) -> np.ndarray:
 
 
 def sample(
-    conditions,
-    denoiser: Mlp,
-    schedule: DiffusionSchedule,
-    seeds,
-    plans,
-    guidance: GuidanceConfig = GuidanceConfig(),
+    conditions, denoiser: Mlp, schedule: DiffusionSchedule, seeds, plans, cfg: RunConfig
 ) -> np.ndarray:
     """Draw one latent per row of the (B, c) ``conditions`` under each of the
     P guidance ``plans``, (classifier, regressor) pairs, run in lockstep from
-    t=T down to 1 on one (P, B, d) stack; returns (P, B, d).
+    t=T down to 1 on one (P, B, d) stack; returns (P, B, d). The guides push at
+    ``cfg``'s ``classifier_scale`` and ``regressor_scale``, the regressor's
+    prediction held fixed when ``cfg.stop_gradient_y``.
 
     Row i draws from its own generator, seeded by ``seeds[i]``: its starting
     latent, then one standard normal vector per step with t > 1, all taken up
@@ -185,7 +165,7 @@ def sample(
         )
     if not len(plans):
         raise ValueError("need at least one guidance plan")
-    chain = chain_constants(schedule, plans, guidance)
+    chain = chain_constants(schedule, plans, cfg)
     latent_dim = denoiser.weights[-1].shape[0]
     # (B, T, d): step index 0 is the starting latent, T - t + 1 the step-t noise
     draws = np.empty((len(seeds), schedule.T, latent_dim))

@@ -1,15 +1,15 @@
 """Evaluation mathematics: kernel MMD, score histograms, PCA.
 
 The MMD estimator is the biased V-statistic (diagonal terms included) under a
-Gaussian RBF kernel whose bandwidth defaults to the median pairwise distance
-of the pooled clouds. Each call builds one squared-distance matrix of the
-pooled cloud in Gram form, |x|² + |y|² - 2x·y with one einsum product and
-negatives clamped to 0; the median bandwidth is selected exactly from it, and
-it is then turned into the kernel matrix in place, whose xx, yy and xy blocks
-are summed. The Gram form agrees with summing per-coordinate squared
-differences to about 1e-15, not bitwise; it is BLAS-free, so scores do not
-depend on the BLAS thread count. PCA takes the top two eigenvectors of the
-21x21 sample covariance.
+Gaussian RBF kernel whose bandwidth is given (a run's ``sigma_mode`` number) or
+else the median pairwise distance of the pooled clouds. Each call builds one
+squared-distance matrix of the pooled cloud in Gram form, |x|² + |y|² - 2x·y
+with one einsum product and negatives clamped to 0; the median bandwidth is
+selected exactly from it, and it is then turned into the kernel matrix in
+place, whose xx, yy and xy blocks are summed. The Gram form agrees with summing
+per-coordinate squared differences to about 1e-15, not bitwise; it is
+BLAS-free, so scores do not depend on the BLAS thread count. PCA takes the top
+two eigenvectors of the 21x21 sample covariance.
 """
 
 from __future__ import annotations
@@ -22,20 +22,6 @@ import numpy as np
 
 _MEDIAN_SUBSAMPLE_LIMIT = 2048
 _MEDIAN_SUBSAMPLE_SEED = 0
-
-
-@dataclass(frozen=True)
-class MmdConfig:
-    """RBF bandwidth selection (None = median heuristic) and cloud size."""
-
-    sigma: float | None = None
-    cloud_size: int = 512
-
-    def __post_init__(self):
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"fixed sigma must be finite and > 0, got {self.sigma}")
-        if self.cloud_size < 1:
-            raise ValueError("cloud_size must be >= 1")
 
 
 def _pairwise_square_dists(points: np.ndarray) -> np.ndarray:
@@ -91,19 +77,20 @@ def median_heuristic_sigma(x_points, y_points) -> float:
     return _median_distance(_pairwise_square_dists(pooled))
 
 
-def mmd(x_points, y_points, config: MmdConfig = MmdConfig()) -> float:
-    """Biased empirical MMD between two point clouds, diagonal terms included."""
+def mmd(x_points, y_points, sigma: float | None = None) -> float:
+    """Biased empirical MMD between two point clouds, diagonal terms included,
+    under the RBF kernel of bandwidth ``sigma`` (a run's ``cfg.fixed_sigma``,
+    whose range RunConfig checks), or of the pooled clouds' median pairwise
+    distance when ``sigma`` is None."""
     x = np.asarray(x_points, dtype=float)
     y = np.asarray(y_points, dtype=float)
     m, n = len(x), len(y)
     if m < 1 or n < 1:
         raise ValueError("both clouds must be non-empty")
     d2 = _pairwise_square_dists(np.vstack([x, y]))
-    if config.sigma is not None:
-        sigma = config.sigma
-    elif m + n > _MEDIAN_SUBSAMPLE_LIMIT:
+    if sigma is None and m + n > _MEDIAN_SUBSAMPLE_LIMIT:
         sigma = median_heuristic_sigma(x, y)
-    else:
+    elif sigma is None:
         sigma = _median_distance(d2)
     # the median above has been read, so d2 becomes the kernel matrix in place
     kernel = np.exp(np.divide(d2, -2.0 * sigma * sigma, out=d2), out=d2)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import diffusion
 from .codec import condition_descriptor, decode, encode
+from .config import RunConfig
 from .geometry import (
     CommandSequence,
     EdgeKind,
@@ -28,7 +29,7 @@ from .geometry import (
     kernel_check,
     sample_point_cloud,
 )
-from .metrics import MmdConfig, mmd
+from .metrics import mmd
 from .nets import LinearRegressor, Mlp, regressor_predict
 
 logger = logging.getLogger(__name__)
@@ -120,32 +121,26 @@ def gen_ground_truth(n_conditions: int, seed) -> list[GroundTruthCondition]:
 
 
 def gen_dataset(
-    ground_truth: list[GroundTruthCondition],
-    generations_per_condition: int,
-    denoiser: Mlp,
-    schedule: diffusion.DiffusionSchedule,
-    seed: int,
-    threads: int = 1,
+    ground_truth: list[GroundTruthCondition], denoiser: Mlp, cfg: RunConfig, threads: int = 1
 ) -> tuple[np.ndarray, list[ValidityReport]]:
-    """Generate the labeled dataset: several unguided sampled latents per
-    ground-truth condition, and each latent's kernel report.
+    """Generate the labeled dataset: ``cfg.generations_per_condition`` unguided
+    sampled latents per ground-truth condition, and each latent's kernel report.
 
     Latents are (len(ground_truth) * generations_per_condition, d) in
     condition-major order: generation g of condition c is chain row
-    c * generations_per_condition + g, seeded by (STREAM_DATASET_GEN, c, g). The
-    rows run as ``_chain_task`` blocks of the one unguided plan on at most
-    min(threads, blocks) worker processes; the results do not depend on threads.
+    c * generations_per_condition + g, seeded by (STREAM_DATASET_GEN, c, g) of
+    ``cfg.master_seed``, on ``cfg``'s schedule. The rows run as ``_chain_task``
+    blocks of the one unguided plan on at most min(threads, blocks) worker
+    processes; the results do not depend on threads.
     """
-    per = generations_per_condition
+    per = cfg.generations_per_condition
     n = len(ground_truth) * per
     payload = {
         "chain_conditions": np.repeat([gt.condition for gt in ground_truth], per, axis=0),
         "chain_keys": [(STREAM_DATASET_GEN, *divmod(row, per)) for row in range(n)],
         "plans": [(None, None)],
         "denoiser": denoiser,
-        "schedule": schedule,
-        "guidance": diffusion.GuidanceConfig(),
-        "seed": seed,
+        "cfg": cfg,
     }
     with _worker_pool(payload, threads, math.ceil(n / CHAIN_BLOCK)) as map_fn:
         rows = _run_chains(map_fn, n)
@@ -251,13 +246,19 @@ class ConditionOutcome:
 
 
 def ground_truth_cloud(
-    condition: GroundTruthCondition, condition_id: int, seed: int, mmd_config: MmdConfig
+    condition: GroundTruthCondition, condition_id: int, cfg: RunConfig
 ) -> np.ndarray:
+    """The condition's ``cfg.cloud_size``-point cloud, seeded by its id alone."""
     return sample_point_cloud(
-        condition.sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GT, condition_id)
+        condition.sequence,
+        cfg.cloud_size,
+        seed_stream(cfg.master_seed, STREAM_CLOUD_GT, condition_id),
     )
 
 
+# The worker payload: "chain_conditions", seed-stream "chain_keys", guidance "plans",
+# "denoiser" and the run's "cfg" (seed, schedule, guidance, cloud size, MMD bandwidth);
+# run_variants adds each variant's plan and repair ("variants") and the "conditions".
 _WORKER_CONTEXT: dict = {}
 
 
@@ -289,17 +290,19 @@ def _worker_pool(payload: dict, threads: int, tasks: int):
 
 def _chain_task(task):
     """Chain rows [lo, hi) of the worker context, run for every guidance plan in
-    one lockstep ``diffusion.sample`` call: the latents, (plans, hi - lo, d), and
-    per row each plan's latent decoded and kernel-checked, as (sequence, report)."""
+    one lockstep ``diffusion.sample`` call on the schedule and guidance of the
+    context's ``cfg``: the latents, (plans, hi - lo, d), and per row each plan's
+    latent decoded and kernel-checked, as (sequence, report)."""
     lo, hi = task
     ctx = _WORKER_CONTEXT
+    cfg = ctx["cfg"]
     latents = diffusion.sample(
         ctx["chain_conditions"][lo:hi],
         ctx["denoiser"],
-        ctx["schedule"],
-        [seed_stream(ctx["seed"], *key) for key in ctx["chain_keys"][lo:hi]],
+        diffusion.build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end),
+        [seed_stream(cfg.master_seed, *key) for key in ctx["chain_keys"][lo:hi]],
         ctx["plans"],
-        ctx["guidance"],
+        cfg,
     )
     rows = latents.swapaxes(0, 1)
     return latents, [[(s, kernel_check(s)) for s in map(decode, row)] for row in rows]
@@ -326,16 +329,16 @@ def _score_task(task) -> list[ConditionOutcome]:
     """
     cid, plan_rows = task
     ctx = _WORKER_CONTEXT
-    seed, mmd_config = ctx["seed"], ctx["mmd_config"]
-    points = ground_truth_cloud(ctx["conditions"][cid], cid, seed, mmd_config)
+    cfg = ctx["cfg"]
+    points = ground_truth_cloud(ctx["conditions"][cid], cid, cfg)
 
     def scored(stage, latent, sequence, report):
         score = None
         if report.valid:
             cloud = sample_point_cloud(
-                sequence, mmd_config.cloud_size, seed_stream(seed, STREAM_CLOUD_GEN, cid)
+                sequence, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
             )
-            score = mmd(cloud, points, mmd_config)
+            score = mmd(cloud, points, cfg.fixed_sigma)
         return ConditionOutcome(cid, report.valid, stage, latent, score)
 
     unrepaired = [scored(None, *row) for row in plan_rows]
@@ -356,15 +359,14 @@ def run_variants(
     variants,
     eval_conditions,
     models: dict[str, Mlp | LinearRegressor],
-    schedule: diffusion.DiffusionSchedule,
-    seed: int,
-    guidance: diffusion.GuidanceConfig = diffusion.GuidanceConfig(),
-    mmd_config: MmdConfig = MmdConfig(),
+    cfg: RunConfig,
     threads: int = 1,
 ) -> dict[VariantId, list[ConditionOutcome]]:
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds. ``models`` maps the model names of
-    every variant's plan (``_required_models``) to the models.
+    every variant's plan (``_required_models``) to the models. ``cfg`` gives
+    the master seed, the schedule, the guidance scales and ``stop_gradient_y``,
+    the cloud size and the MMD bandwidth (``fixed_sigma``).
 
     Chain row cid is condition cid, seeded by (STREAM_EVAL_SAMPLE, cid). Two
     kinds of task run in turn: the ``_chain_task`` blocks, which run every
@@ -393,13 +395,10 @@ def run_variants(
         "chain_keys": [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)],
         "plans": [tuple(by_name[name] for name in plan) for plan in plans],
         "denoiser": models["denoiser"],
-        "schedule": schedule,
-        "guidance": guidance,
-        "seed": seed,
+        "cfg": cfg,
         # each variant's (plan index, repair regressor or None)
         "variants": [(plans.index(p.guidance), by_name[p.repair_model]) for p in chosen],
         "conditions": list(eval_conditions),
-        "mmd_config": mmd_config,
     }
     with _worker_pool(payload, threads, n) as map_fn:
         outcomes = list(map_fn(_score_task, enumerate(_run_chains(map_fn, n))))

@@ -231,6 +231,9 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
     [
         ({"timesteps": 1}, TRAIN_DENOISER),
         ({"beta_start": 0.05}, TRAIN_DENOISER),
+        ({"beta_start": 0.0}, TRAIN_DENOISER),
+        ({"beta_start": 0.02, "beta_end": 0.02}, TRAIN_DENOISER),
+        ({"beta_end": 1.0}, TRAIN_DENOISER),
         ({"denoiser": {**TINY["denoiser"], "epochs": 0}}, TRAIN_DENOISER),
         ({"denoiser": {**TINY["denoiser"], "batch_size": 0}}, TRAIN_DENOISER),
         ({"classifier": {**TINY["classifier"], "learning_rate": 0.0}}, TRAIN_DENOISER),
@@ -238,6 +241,9 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"ridge": -1.0}, ("train", "--which", "gt_regressor")),
         ({"classifier_scale": float("nan")}, EVAL_BASELINE),
         ({"regressor_scale": float("inf")}, EVAL_BASELINE),
+        ({"classifier_scale": -1.0}, EVAL_BASELINE),
+        ({"classifier_scale": float("inf")}, EVAL_BASELINE),
+        ({"regressor_scale": float("nan")}, EVAL_BASELINE),
         ({}, (*TRAIN_DENOISER, "--seed", "-1")),
         ({"timesteps": 2.5}, TRAIN_DENOISER),
         ({"cloud_size": 3.5}, EVAL_BASELINE),
@@ -247,12 +253,18 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"sigma_mode": float("inf")}, EVAL_BASELINE),
         ({"sigma_mode": float("nan")}, EVAL_BASELINE),
         ({"sigma_mode": True}, EVAL_BASELINE),
+        ({"sigma_mode": 0}, EVAL_BASELINE),
+        ({"sigma_mode": -1}, EVAL_BASELINE),
+        ({"sigma_mode": float("-inf")}, EVAL_BASELINE),
         ({"use_classifier_guidance": False}, EVAL_BASELINE),
         ({"use_regressor_guidance": False}, EVAL_BASELINE),
     ],
     ids=[
         "timesteps-1",
         "beta_start-above-beta_end",
+        "beta_start-0",
+        "beta_start-equals-beta_end",
+        "beta_end-1",
         "epochs-0",
         "batch_size-0",
         "learning_rate-0",
@@ -260,6 +272,9 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "ridge-negative",
         "scale-nan",
         "scale-inf",
+        "classifier_scale-negative",
+        "classifier_scale-inf",
+        "regressor_scale-nan",
         "seed-override-negative",
         "timesteps-float",
         "cloud_size-float",
@@ -269,6 +284,9 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "sigma_mode-inf",
         "sigma_mode-nan",
         "sigma_mode-bool",
+        "sigma_mode-0",
+        "sigma_mode-negative",
+        "sigma_mode-minus-inf",
         "use_classifier_guidance-false",
         "use_regressor_guidance-false",
     ],
@@ -399,6 +417,33 @@ def test_ssl_regressor_with_too_few_train_pairs_exits_4(tmp_path):
         writer.writerows([i, 22 + i] for i in range(22))
     config = write_config(tmp_path / "c.json", out)
     assert run_stage(config, "train", "--which", "ssl_regressor") == cli.EXIT_MISSING
+
+
+def test_regressor_with_no_held_out_pair_exits_4(runs, tmp_path, caplog):
+    # split 0.999 of TINY's 120 gt pairs rounds to 120 train pairs and none held
+    # out, whose test R2 and MSE would be those of an empty set
+    root, _, _ = runs
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("latents.bin", "pairs_gt.csv"):
+        shutil.copy(root / "a" / name, out / name)
+    before = snapshot(out)
+    config = write_config(tmp_path / "c.json", out, split=0.999)
+    assert run_stage(config, "train", "--which", "gt_regressor") == cli.EXIT_MISSING
+    assert "pairs_gt.csv holds 120 pairs; split 0.999 gives 120 train and 0 held-out" in (
+        caplog.text
+    )
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("which", [(), ("--which", "all")], ids=["no-which", "which-all"])
+def test_train_needs_one_model_name(tmp_path, which):
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", out)
+    with pytest.raises(SystemExit) as exit_info:
+        run_stage(config, "train", *which)
+    assert exit_info.value.code == 2
+    assert not out.exists()
 
 
 # with one valid row of ten the balanced split is 2 rows, both of them train

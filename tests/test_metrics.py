@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from cadrepair import metrics
-from cadrepair.metrics import (
-    MmdConfig,
-    median_heuristic_sigma,
-    mmd,
-    mmd_histogram,
-    pca_2d,
-)
+from cadrepair.metrics import median_heuristic_sigma, mmd, mmd_histogram, pca_2d
 
 
 # ---------------------------------------------------------------- median heuristic
@@ -101,7 +95,7 @@ def test_mmd_hand_case():
     x = np.array([[0.0, 0.0, 0.0]])
     y = np.array([[1.0, 0.0, 0.0]])
     expected = math.sqrt(2.0 - 2.0 * math.exp(-0.5))
-    assert abs(mmd(x, y, MmdConfig(sigma=1.0)) - expected) < 1e-9
+    assert abs(mmd(x, y, 1.0) - expected) < 1e-9
 
 
 def test_mmd_symmetric_bitwise():
@@ -110,8 +104,7 @@ def test_mmd_symmetric_bitwise():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(17, 3))
     y = rng.normal(size=(23, 3)) + 0.5
-    cfg = MmdConfig(sigma=0.8)
-    assert abs(mmd(x, y, cfg) - mmd(y, x, cfg)) <= ORACLE_TOLERANCE
+    assert abs(mmd(x, y, 0.8) - mmd(y, x, 0.8)) <= ORACLE_TOLERANCE
 
 
 def test_mmd_matches_double_loop_oracle():
@@ -122,7 +115,7 @@ def test_mmd_matches_double_loop_oracle():
         x = rng.normal(size=(m, 3))
         y = rng.normal(size=(n, 3)) + rng.normal(scale=0.5, size=3)
         sigma = float(rng.uniform(0.3, 2.0))
-        assert abs(mmd(x, y, MmdConfig(sigma=sigma)) - mmd_oracle(x, y, sigma)) < 1e-12
+        assert abs(mmd(x, y, sigma) - mmd_oracle(x, y, sigma)) < 1e-12
 
 
 def test_mmd_translation_invariance():
@@ -130,24 +123,12 @@ def test_mmd_translation_invariance():
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(30, 3))
     shift = np.array([10.0, -4.0, 2.5])
-    cfg = MmdConfig(sigma=1.0)
-    assert abs(mmd(x, y, cfg) - mmd(x + shift, y + shift, cfg)) < 1e-12
+    assert abs(mmd(x, y, 1.0) - mmd(x + shift, y + shift, 1.0)) < 1e-12
 
 
 def test_mmd_empty_cloud_raises():
     with pytest.raises(ValueError, match="both clouds must be non-empty"):
         mmd(np.zeros((0, 3)), np.zeros((5, 3)))
-
-
-def test_mmd_config_validates_sigma():
-    with pytest.raises(ValueError, match="fixed sigma must be finite and > 0, got -1.0"):
-        MmdConfig(sigma=-1.0)
-
-
-@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0])
-def test_mmd_config_rejects_non_finite_or_zero_sigma(sigma):
-    with pytest.raises(ValueError, match=f"fixed sigma must be finite and > 0, got {sigma}"):
-        MmdConfig(sigma=sigma)
 
 
 # The Gram-form distance build rounds differently from the broadcast
@@ -193,8 +174,7 @@ def test_mmd_matches_broadcast_formula_bitwise(m, n, sigma, spread):
     rng = np.random.default_rng(m * 1000 + n)
     x = spread * rng.normal(size=(m, 3)) + 0.25
     y = spread * rng.normal(size=(n, 3)) + 0.25
-    cfg = MmdConfig(sigma=sigma)
-    assert abs(mmd(x, y, cfg) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
+    assert abs(mmd(x, y, sigma) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
 
 
 def test_mmd_matches_broadcast_formula_bitwise_random_sizes():
@@ -207,10 +187,7 @@ def test_mmd_matches_broadcast_formula_bitwise_random_sizes():
         y = rng.normal(size=(n, 3)) + rng.normal(size=3)
         sigma = float(rng.uniform(0.2, 3.0))
         assert abs(mmd(x, y) - mmd_broadcast_oracle(x, y)) <= ORACLE_TOLERANCE
-        assert (
-            abs(mmd(x, y, MmdConfig(sigma=sigma)) - mmd_broadcast_oracle(x, y, sigma))
-            <= ORACLE_TOLERANCE
-        )
+        assert abs(mmd(x, y, sigma) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 7.77])
@@ -227,7 +204,7 @@ def test_mmd_above_subsample_limit_uses_median_heuristic_sigma():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(1300, 3))
     y = rng.normal(size=(900, 3)) + 0.3
-    assert mmd(x, y) == mmd(x, y, MmdConfig(sigma=median_heuristic_sigma(x, y)))
+    assert mmd(x, y) == mmd(x, y, median_heuristic_sigma(x, y))
 
 
 _DISTANCE_DIGEST = """

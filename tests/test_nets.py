@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cadrepair.config import ConfigError, ModelTraining
-from cadrepair.diffusion import GuidanceConfig, build_schedule, chain_constants, sample_step
+from cadrepair.config import ConfigError, ModelTraining, RunConfig
+from cadrepair.diffusion import build_schedule, chain_constants, sample_step
 from cadrepair.nets import (
     CLASSIFIER_HIDDEN,
     DENOISER_HIDDEN,
@@ -342,8 +342,9 @@ def regressor_loss_grad(model, z):
     read off the regressor shift that diffusion.sample_step makes at unit scale."""
     residual = regressor_predict(model, z) - z
     sched = build_schedule(10, 1e-4, 0.02)
-    guided = chain_constants(sched, [(None, model)], GuidanceConfig(0.0, 1.0))
-    plain = chain_constants(sched, [(None, None)])
+    unit = RunConfig(classifier_scale=0.0, regressor_scale=1.0)
+    guided = chain_constants(sched, [(None, model)], unit)
+    plain = chain_constants(sched, [(None, None)], unit)
     stack = np.asarray(z, dtype=float)[None, None]
     eps_hat = np.zeros_like(stack)
     unguided = sample_step(stack, 1, eps_hat, None, plain)

@@ -8,10 +8,10 @@ import pytest
 
 from cadrepair import pipeline
 from cadrepair.codec import decode, encode
-from cadrepair.config import ModelTraining
-from cadrepair.diffusion import GuidanceConfig, build_schedule, sample
-from cadrepair.geometry import kernel_check
-from cadrepair.metrics import MmdConfig
+from cadrepair.config import ModelTraining, RunConfig
+from cadrepair.diffusion import build_schedule, sample
+from cadrepair.geometry import kernel_check, sample_point_cloud
+from cadrepair.metrics import mmd
 from cadrepair.nets import (
     LinearRegressor,
     OutputActivation,
@@ -22,6 +22,7 @@ from cadrepair.nets import (
 )
 from cadrepair.pipeline import (
     CHAIN_BLOCK,
+    STREAM_CLOUD_GEN,
     STREAM_DATASET_GEN,
     STREAM_TRAIN_GT,
     RepairStage,
@@ -30,12 +31,23 @@ from cadrepair.pipeline import (
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
+    ground_truth_cloud,
     run_variants,
     seed_stream,
     self_repair,
 )
 
+# the default run's schedule, as RunConfig's timesteps and betas give it
 SCHED = build_schedule(100, 1e-4, 0.02)
+
+
+def gen_cfg(seed, generations_per_condition):
+    return RunConfig(master_seed=seed, generations_per_condition=generations_per_condition)
+
+
+def eval_cfg(seed, **fields):
+    """The default run's guidance and median MMD bandwidth on 64-point clouds."""
+    return RunConfig(master_seed=seed, cloud_size=64, **fields)
 
 
 def toy_models(seed=0):
@@ -85,12 +97,12 @@ def train_gt(n, seed):
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
     ground_truth = train_gt(4, 11)
-    latents, reports = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=11)
+    latents, reports = gen_dataset(ground_truth, models["denoiser"], gen_cfg(11, 3))
     assert len(ground_truth) == 4
     assert latents.shape == (12, 21)
     assert len(reports) == 12
     again_gt = train_gt(4, 11)
-    again_latents, again_reports = gen_dataset(again_gt, 3, models["denoiser"], SCHED, seed=11)
+    again_latents, again_reports = gen_dataset(again_gt, models["denoiser"], gen_cfg(11, 3))
     assert [gt.sequence for gt in again_gt] == [gt.sequence for gt in ground_truth]
     np.testing.assert_array_equal(again_latents, latents)
     assert again_reports == reports
@@ -98,7 +110,7 @@ def test_gen_dataset_counts_and_determinism():
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    latents, reports = gen_dataset(train_gt(3, 2), 2, models["denoiser"], SCHED, seed=2)
+    latents, reports = gen_dataset(train_gt(3, 2), models["denoiser"], gen_cfg(2, 2))
     assert reports == [kernel_check(decode(z)) for z in latents]
 
 
@@ -112,11 +124,12 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
         assert 15 % block != 0
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
         ground_truth = train_gt(3, 8)
-        latents, reports = gen_dataset(ground_truth, 5, models["denoiser"], SCHED, seed=8)
+        latents, reports = gen_dataset(ground_truth, models["denoiser"], gen_cfg(8, 5))
         for row, (z, report) in enumerate(zip(latents, reports)):
             cid, g = divmod(row, 5)
             (single,) = sample(ground_truth[cid].condition[None], models["denoiser"], SCHED,
-                               [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)])
+                               [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)],
+                               gen_cfg(8, 5))
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
             assert report == kernel_check(decode(single[0]))
 
@@ -127,8 +140,8 @@ def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
     models = toy_models(seed=3)
     ground_truth = train_gt(4, 12)
-    serial = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12, threads=1)
-    pooled = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12, threads=2)
+    serial = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=1)
+    pooled = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1] == pooled[1]
@@ -183,7 +196,7 @@ def test_ssl_pairs_none_is_empty():
 def test_gt_pairs_cover_every_generation():
     models = toy_models()
     ground_truth = train_gt(3, 7)
-    latents, _ = gen_dataset(ground_truth, 4, models["denoiser"], SCHED, seed=7)
+    latents, _ = gen_dataset(ground_truth, models["denoiser"], gen_cfg(7, 4))
     pairs = build_gt_pairs(len(latents), 4)
     assert pairs.shape == (12, 2)
     assert pairs[:, 0].tolist() == list(range(12))
@@ -240,20 +253,14 @@ def test_run_variant_missing_model():
     models = {"denoiser": toy_models()["denoiser"]}
     conditions = gen_ground_truth(2, seed=12)
     with pytest.raises(ValueError, match="variant var3 needs model 'classifier'"):
-        run_variants([VariantId.VAR3], conditions, models, SCHED, seed=1)
+        run_variants([VariantId.VAR3], conditions, models, RunConfig(master_seed=1))
 
 
 def test_variant_rows_paired_and_monotone():
     models = toy_models(seed=1)
     conditions = gen_ground_truth(6, seed=13)
-    cfg = MmdConfig(cloud_size=64)
     outcomes = run_variants(
-        [VariantId.BASELINE, VariantId.VAR5, VariantId.FULL],
-        conditions,
-        models,
-        SCHED,
-        seed=3,
-        mmd_config=cfg,
+        [VariantId.BASELINE, VariantId.VAR5, VariantId.FULL], conditions, models, eval_cfg(3)
     )
     n_valid = {v: sum(o.valid for o in rows) for v, rows in outcomes.items()}
     assert n_valid[VariantId.FULL] >= n_valid[VariantId.VAR5]  # repair only adds validity
@@ -265,9 +272,7 @@ def test_variant_rows_paired_and_monotone():
 def test_variant_repair_counts_consistent():
     models = toy_models(seed=2)
     conditions = gen_ground_truth(5, seed=14)
-    outcomes = run_variants(
-        [VariantId.VAR1], conditions, models, SCHED, seed=4, mmd_config=MmdConfig(cloud_size=64)
-    )[VariantId.VAR1]
+    outcomes = run_variants([VariantId.VAR1], conditions, models, eval_cfg(4))[VariantId.VAR1]
     assert len(outcomes) == 5
     for o in outcomes:
         assert isinstance(o.stage, RepairStage)  # every row goes through self-repair
@@ -278,9 +283,9 @@ def test_variant_repair_counts_consistent():
 def test_baseline_never_repairs():
     models = toy_models(seed=3)
     conditions = gen_ground_truth(4, seed=15)
-    outcomes = run_variants(
-        [VariantId.BASELINE], conditions, models, SCHED, seed=5, mmd_config=MmdConfig(cloud_size=64)
-    )[VariantId.BASELINE]
+    outcomes = run_variants([VariantId.BASELINE], conditions, models, eval_cfg(5))[
+        VariantId.BASELINE
+    ]
     assert len(outcomes) == 4
     assert all(o.stage is None for o in outcomes)
 
@@ -288,19 +293,9 @@ def test_baseline_never_repairs():
 def test_run_variants_parallel_matches_serial():
     models = toy_models(seed=4)
     conditions = gen_ground_truth(4, seed=16)
-    cfg = MmdConfig(cloud_size=64)
-    serial = run_variants(
-        [VariantId.BASELINE, VariantId.VAR1], conditions, models, SCHED, seed=6, mmd_config=cfg
-    )
-    parallel = run_variants(
-        [VariantId.BASELINE, VariantId.VAR1],
-        conditions,
-        models,
-        SCHED,
-        seed=6,
-        mmd_config=cfg,
-        threads=2,
-    )
+    variants = [VariantId.BASELINE, VariantId.VAR1]
+    serial = run_variants(variants, conditions, models, eval_cfg(6))
+    parallel = run_variants(variants, conditions, models, eval_cfg(6), threads=2)
     assert list(serial) == list(parallel)
     for variant in serial:
         a = [(o.condition_id, o.valid, o.stage, o.mmd_score) for o in serial[variant]]
@@ -311,27 +306,56 @@ def test_run_variants_parallel_matches_serial():
 def test_guided_variants_use_guidance():
     # each guided variant passes exactly its own models: with the scales of
     # its own terms at zero it reproduces the baseline bitwise, whatever the
-    # other term's scale; with its own scale non-zero it diverges from it
+    # other term's scale; with its own scale non-zero it diverges from it.
+    # stop_gradient_y reaches the regressor's push: var4 moves with it
     models = toy_models(seed=5)
     conditions = gen_ground_truth(3, seed=17)
-    cfg = MmdConfig(cloud_size=64)
 
-    def final_latents(variant, guidance):
-        outcomes = run_variants(
-            [variant], conditions, models, SCHED, seed=7, guidance=guidance, mmd_config=cfg
-        )[variant]
-        return [o.final_latent for o in outcomes]
+    def final_latents(variant, classifier_scale=10.0, regressor_scale=10.0, stop_gradient_y=False):
+        cfg = eval_cfg(
+            7,
+            classifier_scale=classifier_scale,
+            regressor_scale=regressor_scale,
+            stop_gradient_y=stop_gradient_y,
+        )
+        return [o.final_latent for o in run_variants([variant], conditions, models, cfg)[variant]]
 
-    base = final_latents(VariantId.BASELINE, GuidanceConfig())
+    base = final_latents(VariantId.BASELINE)
     for variant, silent, active in (
-        (VariantId.VAR3, GuidanceConfig(0.0, 10.0), GuidanceConfig(10.0, 0.0)),
-        (VariantId.VAR4, GuidanceConfig(10.0, 0.0), GuidanceConfig(0.0, 10.0)),
-        (VariantId.VAR5, GuidanceConfig(0.0, 0.0), GuidanceConfig()),
+        (VariantId.VAR3, (0.0, 10.0), (10.0, 0.0)),
+        (VariantId.VAR4, (10.0, 0.0), (0.0, 10.0)),
+        (VariantId.VAR5, (0.0, 0.0), (10.0, 10.0)),
     ):
-        for a, b in zip(base, final_latents(variant, silent)):
+        for a, b in zip(base, final_latents(variant, *silent)):
             np.testing.assert_array_equal(a, b)
-        guided = final_latents(variant, active)
+        guided = final_latents(variant, *active)
         assert any(not np.array_equal(a, b) for a, b in zip(base, guided)), variant
+    full_gradient = final_latents(VariantId.VAR4, 0.0, 10.0, stop_gradient_y=False)
+    stopped = final_latents(VariantId.VAR4, 0.0, 10.0, stop_gradient_y=True)
+    assert any(not np.array_equal(a, b) for a, b in zip(full_gradient, stopped))
+
+
+def test_fixed_sigma_mode_scores_at_that_bandwidth():
+    # var1 repairs every sample onto one valid latent, so every row is scored;
+    # each score is the MMD at sigma 0.5 of its row's cloud and its ground-truth
+    # cloud, and not the median-bandwidth MMD of the same clouds
+    conditions = gen_ground_truth(4, seed=22)
+    models = toy_models(seed=10)
+    models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
+    cfg = eval_cfg(12, sigma_mode=0.5)
+    outcomes = run_variants([VariantId.BASELINE, VariantId.VAR1], conditions, models, cfg)
+    scored = [o for rows in outcomes.values() for o in rows if o.mmd_score is not None]
+    assert len(scored) >= len(conditions)
+    median_scores = []
+    for o in scored:
+        cid = o.condition_id
+        cloud = sample_point_cloud(
+            decode(o.final_latent), 64, seed_stream(12, STREAM_CLOUD_GEN, cid)
+        )
+        points = ground_truth_cloud(conditions[cid], cid, cfg)
+        assert o.mmd_score == mmd(cloud, points, 0.5)
+        median_scores.append(mmd(cloud, points))
+    assert [o.mmd_score for o in scored] != median_scores
 
 
 def test_run_variants_blocks_match_single_conditions(monkeypatch):
@@ -343,14 +367,11 @@ def test_run_variants_blocks_match_single_conditions(monkeypatch):
     models = toy_models(seed=7)
     # var1 repairs every sample onto one valid latent, so every row is scored
     models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
-    cfg = MmdConfig(cloud_size=64)
     variants = [VariantId.BASELINE, VariantId.VAR1]
 
     def run(block, threads=1):
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
-        return run_variants(
-            variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=threads
-        )
+        return run_variants(variants, conditions, models, eval_cfg(9), threads)
 
     single = run(1)
     for block in (CHAIN_BLOCK, 4):
@@ -387,14 +408,14 @@ def _sharing_case(monkeypatch):
         ModelTraining(epochs=100, batch_size=16, learning_rate=3e-3),
         seed=1,
     ).model
-    return conditions, models, GuidanceConfig(0.1, 0.01), MmdConfig(cloud_size=64)
+    return conditions, models, eval_cfg(10, classifier_scale=0.1, regressor_scale=0.01)
 
 
 def test_run_variants_shared_chains_match_single_variants(monkeypatch):
-    conditions, models, guidance, cfg = _sharing_case(monkeypatch)
+    conditions, models, cfg = _sharing_case(monkeypatch)
 
     def run(variants, threads=1):
-        return run_variants(variants, conditions, models, SCHED, 10, guidance, cfg, threads=threads)
+        return run_variants(variants, conditions, models, cfg, threads)
 
     together = {threads: run(list(VariantId), threads) for threads in (1, 2)}
     for variant in VariantId:
@@ -411,7 +432,7 @@ def test_run_variants_shared_chains_match_single_variants(monkeypatch):
 
 
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
-    conditions, models, guidance, cfg = _sharing_case(monkeypatch)
+    conditions, models, cfg = _sharing_case(monkeypatch)
     calls = {"sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "self_repair": 0}
 
     def spy(name, fn):
@@ -424,7 +445,7 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
     for name in ("ground_truth_cloud", "mmd", "decode", "self_repair"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
-    outcomes = run_variants(list(VariantId), conditions, models, SCHED, 10, guidance, cfg)
+    outcomes = run_variants(list(VariantId), conditions, models, cfg)
     # one lockstep chain of all 4 guidance plans per block
     assert calls["sample"] == math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 2
     assert calls["ground_truth_cloud"] == len(conditions)
@@ -448,14 +469,13 @@ def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method
     # (spawn) and, from Python 3.14, on Linux (forkserver)
     conditions = gen_ground_truth(11, seed=18)
     models = toy_models(seed=7)
-    cfg = MmdConfig(cloud_size=64)
     variants = [VariantId.BASELINE, VariantId.VAR1]
-    serial = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg)
+    serial = run_variants(variants, conditions, models, eval_cfg(9))
     pool = functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
     )
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    pooled = run_variants(variants, conditions, models, SCHED, seed=9, mmd_config=cfg, threads=2)
+    pooled = run_variants(variants, conditions, models, eval_cfg(9), threads=2)
     assert list(pooled) == variants
     for variant in variants:
         assert len(pooled[variant]) == len(conditions)
@@ -473,12 +493,12 @@ def test_gen_dataset_pool_matches_serial_under_start_method(monkeypatch, method)
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
     models = toy_models(seed=3)
     ground_truth = train_gt(4, 12)
-    serial = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12)
+    serial = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3))
     pool = functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
     )
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    pooled = gen_dataset(ground_truth, 3, models["denoiser"], SCHED, seed=12, threads=2)
+    pooled = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1] == pooled[1]
@@ -513,10 +533,8 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
             [VariantId.BASELINE],
             gen_ground_truth(n, seed=20),
             toy_models(seed=9),
-            SCHED,
-            seed=11,
-            mmd_config=MmdConfig(cloud_size=64),
-            threads=threads,
+            eval_cfg(11),
+            threads,
         )
         assert pool_sizes == workers, (threads, n)
         assert [o.condition_id for o in outcomes[VariantId.BASELINE]] == list(range(n))
@@ -524,7 +542,7 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     for threads, n, workers in ((64, 4, [3]), (2, 4, [2]), (4, 1, [])):
         pool_sizes.clear()
         latents, reports = gen_dataset(
-            train_gt(n, 21), 3, toy_models(seed=9)["denoiser"], SCHED, seed=21, threads=threads
+            train_gt(n, 21), toy_models(seed=9)["denoiser"], gen_cfg(21, 3), threads
         )
         assert pool_sizes == workers, (threads, n)
         assert latents.shape == (3 * n, 21) and len(reports) == 3 * n
