@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cadrepair import metrics
+from cadrepair.config import ConfigError, RunConfig
 from cadrepair.metrics import median_heuristic_sigma, mmd, mmd_histogram, pca_2d
 
 
@@ -129,6 +130,13 @@ def test_mmd_translation_invariance():
 def test_mmd_empty_cloud_raises():
     with pytest.raises(ValueError, match="both clouds must be non-empty"):
         mmd(np.zeros((0, 3)), np.zeros((5, 3)))
+
+
+# mmd takes its bandwidth as given; a fixed one is checked once, in RunConfig.
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0])
+def test_mmd_config_rejects_non_finite_or_zero_sigma(sigma):
+    with pytest.raises(ConfigError, match="fixed sigma must be finite and > 0"):
+        RunConfig(sigma_mode=sigma)
 
 
 # The Gram-form distance build rounds differently from the broadcast
