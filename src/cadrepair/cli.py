@@ -102,6 +102,11 @@ class EmptyEvaluation(Exception):
     """The evaluation set has no condition (exit 5)."""
 
 
+# the exit code of each exception type that main reports without a traceback
+EXIT_CODES = {ConfigError: EXIT_CONFIG, SamplingStall: EXIT_STALL,
+              MissingArtifact: EXIT_MISSING, EmptyEvaluation: EXIT_EMPTY}
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -701,18 +706,9 @@ def main(argv=None) -> int:
         if args.command == "pca":
             return cmd_pca(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         logger.error("%s", exc)
-        return EXIT_CONFIG
-    except SamplingStall as exc:
-        logger.error("%s", exc)
-        return EXIT_STALL
-    except MissingArtifact as exc:
-        logger.error("%s", exc)
-        return EXIT_MISSING
-    except EmptyEvaluation as exc:
-        logger.error("%s", exc)
-        return EXIT_EMPTY
+        return EXIT_CODES[type(exc)]
 
 
 def entry() -> None:

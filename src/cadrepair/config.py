@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -21,12 +21,18 @@ class MissingArtifact(Exception):
     """An input file is missing or holds too little data to fit (exit 4)."""
 
 
-def _require_ints(obj, names: tuple[str, ...]) -> None:
-    # bool is an int subclass, but `true` is no count
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+# the JSON values each field annotation (a string, as annotations are postponed
+# here) accepts; bool is an int subclass, but `true` is neither a count nor a
+# scale, and only `true` and `false` are flags
+_JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _check_types(obj) -> None:
+    """ConfigError unless each field annotated int, float, bool or str holds such a value."""
+    for f in fields(obj):
+        kinds, value = _JSON_KINDS.get(f.type), getattr(obj, f.name)
+        if kinds and (isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds)):
+            raise ConfigError(f"{f.name} must be a JSON {f.type}, got {value!r}")
 
 
 @dataclass
@@ -36,7 +42,7 @@ class ModelTraining:
     learning_rate: float
 
     def __post_init__(self):
-        _require_ints(self, ("epochs", "batch_size"))
+        _check_types(self)
         # each check is written so that NaN fails it
         if not (self.epochs >= 1 and self.batch_size >= 1):
             raise ConfigError("epochs and batch_size must be >= 1")
@@ -73,17 +79,7 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        _require_ints(
-            self,
-            (
-                "master_seed",
-                "n_conditions",
-                "generations_per_condition",
-                "n_eval_conditions",
-                "timesteps",
-                "cloud_size",
-            ),
-        )
+        _check_types(self)
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
         if self.n_conditions < 1 or self.n_eval_conditions < 0:

@@ -5,11 +5,11 @@ guidance plans at once. A plan is a (classifier, regressor) pair, either of
 which may be None. The plans run in lockstep on a (P, B, d) stack and share
 one noise buffer: each starts from the same z_T and adds the same per-step
 noise, as paired seeds would give it anyway. Each reverse step forms the
-epsilon-parameterized posterior mean, shifts it down the classifier's
-infeasibility gradient where a plan has a classifier and down the
-regressor's self-consistency loss gradient where it has a regressor (both
-evaluated at the current noisy latent, in that order), then adds
-posterior-variance noise. The final step is deterministic.
+epsilon-parameterized posterior mean, steps it down the gradient of each guide of
+the plan (the classifier's infeasibility, then the regressor's self-consistency
+loss, both at the current noisy latent), then adds posterior-variance noise; the
+final step is deterministic. Only ``chain_constants`` reads the run config: it
+builds the schedule and the guide table of (gradient, step sizes, rows) entries.
 
 Stacking keeps each plan's bits. numpy multiplies a (P, B, K) stack by a
 (K, N) matrix with one BLAS call per C-contiguous (B, K) slice, so each plan
@@ -20,6 +20,7 @@ would not: a row's product depends on the row count of its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,19 +65,30 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> DiffusionSched
 class ChainConstants:
     """What every reverse step of one ``sample`` call reads, computed once per call.
 
-    Per-step arrays hold the step-t value at index t-1. Each guide comes with
-    the rows of the (P, B, d) stack whose plans use it. A guide whose scale in
-    ``cfg`` is 0 is left out, so its plans step as unguided ones do; the steps
-    read ``cfg``'s two scales and ``stop_gradient_y``.
+    Per-step arrays hold the step-t value at index t-1, the guides' ``steps``
+    too. Each distinct classifier, then each distinct regressor, has one guide: its
+    gradient at each latent of a stack, and the ``rows`` of the (P, B, d) stack
+    whose plans use it.
     """
 
     eps_coefs: np.ndarray  # beta_t / sqrt(1 - alpha_bar_t)
     sqrt_alphas: np.ndarray
     noise_stds: np.ndarray  # sqrt of the posterior variance
-    classifiers: tuple[tuple[Mlp, np.ndarray], ...]  # (classifier, rows)
-    # (regressor, W - I, rows)
-    regressors: tuple[tuple[LinearRegressor, np.ndarray, np.ndarray], ...]
-    cfg: RunConfig
+    guides: tuple[tuple, ...]  # (gradient, steps, rows)
+
+
+def infeasibility_grad(classifier: Mlp, z) -> np.ndarray:
+    """Gradient of the infeasibility probability 1 - p(feasible | z), per row of ``z``."""
+    return -mlp_grad_input(classifier, z)
+
+
+def consistency_grad(regressor: LinearRegressor, w_minus_i, stop_gradient_y: bool, z):
+    """Gradient of the self-consistency loss ||Wz + b - z||^2 per row of ``z``:
+    2 (Wz + b - z) (W - I), or 2 (z - y) with the prediction y held fixed."""
+    predicted = regressor_predict(regressor, z)
+    if stop_gradient_y:
+        return 2.0 * (z - predicted)
+    return 2.0 * (predicted - z) @ w_minus_i
 
 
 def _rows_by_model(models) -> tuple[tuple, ...]:
@@ -88,65 +100,56 @@ def _rows_by_model(models) -> tuple[tuple, ...]:
     return tuple((model, np.array(model_rows)) for model, model_rows in rows.values())
 
 
-def chain_constants(schedule: DiffusionSchedule, plans, cfg: RunConfig) -> ChainConstants:
-    """Per-call constants of the reverse chains of ``plans``, a list of
-    (classifier, regressor) pairs, guided at ``cfg``'s scales."""
-    classifiers = [c for c, _ in plans] if cfg.classifier_scale else []
-    regressors = [r for _, r in plans] if cfg.regressor_scale else []
-    regressor_rows = _rows_by_model(regressors)
-    for regressor, _ in regressor_rows:
-        if regressor.weights.shape[0] != regressor.weights.shape[1]:
+def chain_constants(plans, cfg: RunConfig) -> ChainConstants:
+    """Per-call constants of the chains of ``plans``, (classifier, regressor) pairs,
+    on ``cfg``'s schedule, each guide stepped at ``cfg``'s scale of its kind at every
+    t. A kind whose scale is 0 gets no entries, so its plans step unguided."""
+    schedule = build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
+    classifiers = _rows_by_model(c for c, _ in plans) if cfg.classifier_scale else ()
+    regressors = _rows_by_model(r for _, r in plans) if cfg.regressor_scale else ()
+    guides = [
+        (partial(infeasibility_grad, c), np.full(schedule.T, cfg.classifier_scale, float), rows)
+        for c, rows in classifiers
+    ]
+    for regressor, rows in regressors:
+        w = regressor.weights
+        if w.shape[0] != w.shape[1]:
             raise ValueError("self-consistency guidance needs a square regressor")
+        grad = partial(consistency_grad, regressor, w - np.eye(len(w)), cfg.stop_gradient_y)
+        guides.append((grad, np.full(schedule.T, cfg.regressor_scale, float), rows))
     return ChainConstants(
         schedule.betas / np.sqrt(1.0 - schedule.alpha_bars),
         np.sqrt(schedule.alphas),
         np.sqrt(schedule.posterior_variance),
-        _rows_by_model(classifiers),
-        tuple((r, r.weights - np.eye(len(r.weights)), rows) for r, rows in regressor_rows),
-        cfg,
+        tuple(guides),
     )
 
 
 def sample_step(z, t: int, eps_hat, noise, chain: ChainConstants) -> np.ndarray:
     """One reverse step of every plan's (B, d) slice of the (P, B, d) stack ``z``.
 
-    Each slice gets the posterior mean, its classifier's shift, then its
-    regressor's shift, both guides evaluated at ``z``, then the (B, d)
-    ``noise`` that all plans share (none at t=1). Each guide's gradient is
-    one call over the slices of the plans that use it.
+    Each slice gets the posterior mean, then a step of ``steps[t - 1]`` down the
+    gradient at ``z`` of each guide of ``chain.guides`` that its plan uses, in
+    table order, then the (B, d) ``noise`` that all plans share (none at t=1).
+    Each guide's gradient is one call over the slices of the plans that use it.
     """
     T = len(chain.eps_coefs)
     if not 1 <= t <= T:
         raise ValueError(f"step {t} outside [1, {T}]")
     mu = (z - chain.eps_coefs[t - 1] * eps_hat) / chain.sqrt_alphas[t - 1]
-    cfg = chain.cfg
-    for classifier, rows in chain.classifiers:
-        # down the infeasibility-probability gradient
-        mu[rows] -= cfg.classifier_scale * -mlp_grad_input(classifier, z[rows])
-    for regressor, w_minus_i, rows in chain.regressors:
-        # down the gradient of ||Wz + b - z||^2: 2 (Wz + b - z) (W - I) per row,
-        # or 2 (z - y) with the prediction y held fixed
-        zr = z[rows]
-        predicted = regressor_predict(regressor, zr)
-        if cfg.stop_gradient_y:
-            grad = 2.0 * (zr - predicted)
-        else:
-            grad = 2.0 * (predicted - zr) @ w_minus_i
-        mu[rows] -= cfg.regressor_scale * grad
+    for grad, steps, rows in chain.guides:
+        mu[rows] -= steps[t - 1] * grad(z[rows])
     if t == 1:
         return mu
     mu += chain.noise_stds[t - 1] * noise
     return mu
 
 
-def sample(
-    conditions, denoiser: Mlp, schedule: DiffusionSchedule, seeds, plans, cfg: RunConfig
-) -> np.ndarray:
+def sample(conditions, denoiser: Mlp, seeds, plans, cfg: RunConfig) -> np.ndarray:
     """Draw one latent per row of the (B, c) ``conditions`` under each of the
     P guidance ``plans``, (classifier, regressor) pairs, run in lockstep from
-    t=T down to 1 on one (P, B, d) stack; returns (P, B, d). The guides push at
-    ``cfg``'s ``classifier_scale`` and ``regressor_scale``, the regressor's
-    prediction held fixed when ``cfg.stop_gradient_y``.
+    t=T down to 1 on one (P, B, d) stack; returns (P, B, d). ``cfg`` fixes the
+    schedule and the guides, through ``chain_constants``.
 
     Row i draws from its own generator, seeded by ``seeds[i]``: its starting
     latent, then one standard normal vector per step with t > 1, all taken up
@@ -165,22 +168,23 @@ def sample(
         )
     if not len(plans):
         raise ValueError("need at least one guidance plan")
-    chain = chain_constants(schedule, plans, cfg)
+    chain = chain_constants(plans, cfg)
+    T = cfg.timesteps
     latent_dim = denoiser.weights[-1].shape[0]
     # (B, T, d): step index 0 is the starting latent, T - t + 1 the step-t noise
-    draws = np.empty((len(seeds), schedule.T, latent_dim))
+    draws = np.empty((len(seeds), T, latent_dim))
     for row, seed in zip(draws, seeds):
         np.random.default_rng(seed).standard_normal(out=row)
-    embeddings = timestep_embedding(np.arange(1, schedule.T + 1))
+    embeddings = timestep_embedding(np.arange(1, T + 1))
     # denoiser input rows [z_t, embedding of t, condition]; the conditions stay put
     cond_lo = latent_dim + TIMESTEP_EMBED_DIM
     feats = np.empty((len(plans), len(seeds), cond_lo + conditions.shape[1]))
     feats[..., cond_lo:] = conditions
     z = np.broadcast_to(draws[:, 0], feats.shape[:2] + (latent_dim,))
-    for t in range(schedule.T, 0, -1):
+    for t in range(T, 0, -1):
         feats[..., :latent_dim] = z
         feats[..., latent_dim:cond_lo] = embeddings[t - 1]
         eps_hat, _ = mlp_forward(denoiser, feats)
-        noise = draws[:, schedule.T - t + 1] if t > 1 else None
+        noise = draws[:, T - t + 1] if t > 1 else None
         z = sample_step(z, t, eps_hat, noise, chain)
     return z

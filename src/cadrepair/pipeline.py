@@ -257,8 +257,9 @@ def ground_truth_cloud(
 
 
 # The worker payload: "chain_conditions", seed-stream "chain_keys", guidance "plans",
-# "denoiser" and the run's "cfg" (seed, schedule, guidance, cloud size, MMD bandwidth);
-# run_variants adds each variant's plan and repair ("variants") and the "conditions".
+# "denoiser" and the run's "cfg" (seed, cloud size and MMD bandwidth here; schedule
+# and guide step sizes through diffusion.chain_constants); run_variants adds each
+# variant's plan and repair ("variants") and the "conditions".
 _WORKER_CONTEXT: dict = {}
 
 
@@ -290,16 +291,15 @@ def _worker_pool(payload: dict, threads: int, tasks: int):
 
 def _chain_task(task):
     """Chain rows [lo, hi) of the worker context, run for every guidance plan in
-    one lockstep ``diffusion.sample`` call on the schedule and guidance of the
-    context's ``cfg``: the latents, (plans, hi - lo, d), and per row each plan's
-    latent decoded and kernel-checked, as (sequence, report)."""
+    one lockstep ``diffusion.sample`` call, which takes its schedule and guides
+    from the context's ``cfg``: the latents, (plans, hi - lo, d), and per row
+    each plan's latent decoded and kernel-checked, as (sequence, report)."""
     lo, hi = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
     latents = diffusion.sample(
         ctx["chain_conditions"][lo:hi],
         ctx["denoiser"],
-        diffusion.build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end),
         [seed_stream(cfg.master_seed, *key) for key in ctx["chain_keys"][lo:hi]],
         ctx["plans"],
         cfg,

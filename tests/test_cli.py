@@ -50,7 +50,7 @@ EVAL_FILES = (
 GEN_FILES = ("latents.bin", "labels.csv", "pairs_ssl.csv", "pairs_gt.csv", "dataset_summary.json")
 
 
-def write_config(path, out_dir, **overrides) -> str:
+def write_config(path, out_dir, /, **overrides) -> str:
     path.write_text(json.dumps({**TINY, "out_dir": str(out_dir), **overrides}))
     return str(path)
 
@@ -258,6 +258,13 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"sigma_mode": float("-inf")}, EVAL_BASELINE),
         ({"use_classifier_guidance": False}, EVAL_BASELINE),
         ({"use_regressor_guidance": False}, EVAL_BASELINE),
+        ({"stop_gradient_y": "false"}, TRAIN_DENOISER),
+        ({"stop_gradient_y": 1}, TRAIN_DENOISER),
+        ({"ridge": True}, TRAIN_DENOISER),
+        ({"classifier_scale": True}, TRAIN_DENOISER),
+        ({"regressor_scale": True}, TRAIN_DENOISER),
+        ({"classifier": {**TINY["classifier"], "learning_rate": True}}, TRAIN_DENOISER),
+        ({"out_dir": 5}, TRAIN_DENOISER),
     ],
     ids=[
         "timesteps-1",
@@ -289,6 +296,13 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "sigma_mode-minus-inf",
         "use_classifier_guidance-false",
         "use_regressor_guidance-false",
+        "stop_gradient_y-string",
+        "stop_gradient_y-int",
+        "ridge-bool",
+        "classifier_scale-bool",
+        "regressor_scale-bool",
+        "learning_rate-bool",
+        "out_dir-int",
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, overrides, argv):

@@ -5,7 +5,14 @@ import pytest
 
 from cadrepair import diffusion
 from cadrepair.config import ModelTraining, RunConfig
-from cadrepair.diffusion import build_schedule, chain_constants, sample, sample_step
+from cadrepair.diffusion import (
+    build_schedule,
+    chain_constants,
+    consistency_grad,
+    infeasibility_grad,
+    sample,
+    sample_step,
+)
 from cadrepair.nets import (
     LinearRegressor,
     Mlp,
@@ -23,8 +30,9 @@ UNGUIDED = [(None, None)]
 CFG = RunConfig()
 
 
-def scales(classifier_scale, regressor_scale, stop_gradient_y=False):
+def scales(classifier_scale, regressor_scale, stop_gradient_y=False, T=100):
     return RunConfig(
+        timesteps=T,
         classifier_scale=classifier_scale,
         regressor_scale=regressor_scale,
         stop_gradient_y=stop_gradient_y,
@@ -33,7 +41,7 @@ def scales(classifier_scale, regressor_scale, stop_gradient_y=False):
 
 def step(z_t, t, eps_hat, noise, classifier=None, regressor=None, cfg=CFG):
     """sample_step on one latent (d,) of a one-plan, one-row stack; returns (d,)."""
-    chain = chain_constants(DEFAULT, [(classifier, regressor)], cfg)
+    chain = chain_constants([(classifier, regressor)], cfg)
     noise = None if noise is None else np.asarray(noise, dtype=float)[None]
     return sample_step(np.asarray(z_t, dtype=float)[None, None], t, eps_hat, noise, chain)[0, 0]
 
@@ -142,6 +150,14 @@ def shift(z_t, classifier=None, regressor=None, cfg=CFG):
     )
 
 
+def guide_grad(z, classifier=None, regressor=None, stop_gradient_y=False):
+    """The gradient of the one guide entry that a (classifier, regressor) plan
+    gets at the default scales, evaluated at z."""
+    chain = chain_constants([(classifier, regressor)], scales(10.0, 10.0, stop_gradient_y))
+    (grad, _, _), = chain.guides
+    return grad(np.asarray(z, dtype=float))
+
+
 def self_consistency_loss(regressor, z):
     residual = regressor.weights @ z + regressor.bias - z
     return float(residual @ residual)
@@ -162,7 +178,7 @@ def test_classifier_guide_zero_scale_bitwise():
     rng = np.random.default_rng(0)
     clf = init_mlp([21, 4, 1], OutputActivation.SIGMOID, rng)
     zero = RunConfig(classifier_scale=0.0)
-    assert chain_constants(DEFAULT, [(clf, None)], zero).classifiers == ()
+    assert chain_constants([(clf, None)], zero).guides == ()
     z_t, eps_hat, noise = rng.normal(size=(3, 21))
     np.testing.assert_array_equal(
         step(z_t, 40, eps_hat, noise, clf, None, zero), step(z_t, 40, eps_hat, noise)
@@ -171,9 +187,9 @@ def test_classifier_guide_zero_scale_bitwise():
 
 def test_classifier_guide_one_dimensional_case():
     clf = one_dim_classifier()
-    out = shift(np.array([0.0]), clf, None, scales(10.0, 0.0))
-    # sigmoid slope at 0 is 1/4: infeasibility gradient -0.25, shift +2.5
-    np.testing.assert_allclose(out, [2.5], atol=1e-14)
+    out = guide_grad(np.array([0.0]), clf)
+    # sigmoid slope at 0 is 1/4: infeasibility gradient -0.25
+    np.testing.assert_allclose(out, [-0.25], atol=1e-14)
 
 
 def test_classifier_guide_increases_feasibility_first_order():
@@ -194,31 +210,31 @@ def test_regressor_guide_zero_scale_and_identity():
     plain = step(z_t, 40, eps_hat, noise)
     identity = LinearRegressor(np.eye(21), np.zeros(21))
     zero = RunConfig(regressor_scale=0.0)
-    assert chain_constants(DEFAULT, [(None, identity)], zero).regressors == ()
+    assert chain_constants([(None, identity)], zero).guides == ()
     np.testing.assert_array_equal(step(z_t, 40, eps_hat, noise, None, identity, zero), plain)
     # the identity map has zero self-consistency loss and zero gradient
     assert self_consistency_loss(identity, z_t) == 0.0
     for stop_gradient_y in (False, True):
-        cfg = scales(10.0, 10.0, stop_gradient_y)
-        np.testing.assert_array_equal(step(z_t, 40, eps_hat, noise, None, identity, cfg), plain)
+        grad = guide_grad(z_t[None], None, identity, stop_gradient_y)
+        np.testing.assert_array_equal(grad, np.zeros((1, 21)))
 
 
 def test_regressor_guide_one_dimensional_case():
     # W = 0, b = 1 at z = 0: loss 1, gradient 2 (Wz + b - z)(W - 1) = -2
     reg = LinearRegressor(np.array([[0.0]]), np.array([1.0]))
     assert self_consistency_loss(reg, np.array([0.0])) == 1.0
-    out = shift(np.array([0.0]), None, reg, scales(0.0, 10.0))
-    np.testing.assert_allclose(out, [20.0], atol=1e-14)
+    out = guide_grad(np.array([0.0]), None, reg)
+    np.testing.assert_allclose(out, [-2.0], atol=1e-14)
 
 
 def test_regressor_guide_stop_gradient_variant():
     rng = np.random.default_rng(5)
     reg = LinearRegressor(rng.normal(size=(4, 4)), rng.normal(size=4))
     z = rng.normal(size=4)
-    full = shift(z, None, reg, scales(0.0, 3.0, stop_gradient_y=False))
-    stopped = shift(z, None, reg, scales(0.0, 3.0, stop_gradient_y=True))
+    full = guide_grad(z, None, reg, stop_gradient_y=False)
+    stopped = guide_grad(z, None, reg, stop_gradient_y=True)
     y = reg.weights @ z + reg.bias
-    np.testing.assert_allclose(stopped, -3.0 * 2.0 * (z - y), atol=1e-12)
+    np.testing.assert_allclose(stopped, 2.0 * (z - y), atol=1e-12)
     assert not np.allclose(full, stopped)
 
 
@@ -227,7 +243,7 @@ def test_regressor_guide_matches_finite_differences():
     reg = LinearRegressor(rng.normal(size=(6, 6)), rng.normal(size=6))
     for _ in range(100):
         z = rng.normal(size=6)
-        analytic = -shift(z, None, reg, scales(0.0, 1.0))
+        analytic = guide_grad(z, None, reg)
         numeric = _fd_grad(lambda v: self_consistency_loss(reg, v), z, h=1e-4)
         err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert err < 1e-8
@@ -239,12 +255,10 @@ def test_regressor_guide_matches_finite_differences_per_row_of_a_stack():
     rng = np.random.default_rng(14)
     reg = LinearRegressor(rng.normal(size=(6, 6)), rng.normal(size=6))
     z = rng.normal(size=(2, 5, 6))
-    chain = chain_constants(DEFAULT, [(None, reg), (None, reg)], scales(0.0, 1.0))
-    (_, _, rows), = chain.regressors
+    chain = chain_constants([(None, reg), (None, reg)], scales(0.0, 1.0))
+    (gradient, _, rows), = chain.guides
     np.testing.assert_array_equal(rows, [0, 1])
-    plain = chain_constants(DEFAULT, UNGUIDED * 2, CFG)
-    eps_hat = np.zeros_like(z)
-    grad = sample_step(z, 1, eps_hat, None, plain) - sample_step(z, 1, eps_hat, None, chain)
+    grad = gradient(z[rows])
     for p in range(2):
         for i in range(5):
             numeric = _fd_grad(lambda v: self_consistency_loss(reg, v), z[p, i], h=1e-4)
@@ -255,7 +269,31 @@ def test_regressor_guide_matches_finite_differences_per_row_of_a_stack():
 def test_regressor_guide_needs_a_square_regressor():
     reg = LinearRegressor(np.zeros((3, 21)), np.zeros(3))
     with pytest.raises(ValueError, match="square regressor"):
-        chain_constants(DEFAULT, [(None, reg)], CFG)
+        chain_constants([(None, reg)], CFG)
+
+
+def test_chain_constants_guide_table():
+    # one entry per distinct model, classifiers first, each stepped at its
+    # scale at every t; a zero-scale guide has no entry
+    rng = np.random.default_rng(19)
+    clf, reg = _toy_guides(rng)
+    other_clf, _ = _toy_guides(rng)
+    plans = [(None, reg), (clf, reg), (other_clf, None), (clf, None)]
+    cases = [
+        (scales(2.0, 3.0, T=7), [(clf, 2.0, [1, 3]), (other_clf, 2.0, [2]), (reg, 3.0, [0, 1])]),
+        (scales(0.0, 3.0, T=7), [(reg, 3.0, [0, 1])]),
+        (scales(2.0, 0.0, T=7), [(clf, 2.0, [1, 3]), (other_clf, 2.0, [2])]),
+        (scales(0.0, 0.0, T=7), []),
+    ]
+    for cfg, expected in cases:
+        guides = chain_constants(plans, cfg).guides
+        assert len(guides) == len(expected)
+        for (grad, steps, rows), (model, scale, model_rows) in zip(guides, expected):
+            kind = consistency_grad if model is reg else infeasibility_grad
+            assert grad.func is kind and grad.args[0] is model
+            assert steps.shape == (7,)
+            np.testing.assert_array_equal(steps, np.full(7, scale))
+            np.testing.assert_array_equal(rows, model_rows)
 
 
 # ---------------------------------------------------------------- sample step
@@ -308,7 +346,7 @@ def test_sample_step_order_is_classifier_then_regressor():
     noise = rng.standard_normal((1, 21))
     clf = init_mlp([21, 16, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(rng.normal(size=(21, 21)) * 0.2, rng.normal(size=21))
-    chain = chain_constants(DEFAULT, [(clf, reg)], scales(10.0, 10.0))
+    chain = chain_constants([(clf, reg)], scales(10.0, 10.0))
     guided = sample_step(z_t, 30, eps_hat, noise, chain)
     beta, ab, alpha = DEFAULT.betas[29], DEFAULT.alpha_bars[29], DEFAULT.alphas[29]
     mu = (z_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
@@ -335,22 +373,22 @@ def test_sample_deterministic_per_seed():
     rng = np.random.default_rng(10)
     denoiser = _toy_denoiser(rng)
     c = rng.uniform(size=(3, 8))
-    a = sample(c, denoiser, DEFAULT, [11, 12, 13], UNGUIDED, CFG)
-    b = sample(c, denoiser, DEFAULT, [11, 12, 13], UNGUIDED, CFG)
+    a = sample(c, denoiser, [11, 12, 13], UNGUIDED, CFG)
+    b = sample(c, denoiser, [11, 12, 13], UNGUIDED, CFG)
     assert a.shape == (1, 3, 21)
     np.testing.assert_array_equal(a, b)
-    other = sample(c, denoiser, DEFAULT, [14, 12, 13], UNGUIDED, CFG)
+    other = sample(c, denoiser, [14, 12, 13], UNGUIDED, CFG)
     assert not np.array_equal(a[0, 0], other[0, 0])
 
 
 def test_sample_needs_one_seed_per_condition_row():
     denoiser = _toy_denoiser(np.random.default_rng(10))
     with pytest.raises(ValueError):
-        sample(np.zeros((3, 8)), denoiser, DEFAULT, [1, 2], UNGUIDED, CFG)
+        sample(np.zeros((3, 8)), denoiser, [1, 2], UNGUIDED, CFG)
     with pytest.raises(ValueError):
-        sample(np.zeros(8), denoiser, DEFAULT, [1], UNGUIDED, CFG)
+        sample(np.zeros(8), denoiser, [1], UNGUIDED, CFG)
     with pytest.raises(ValueError, match="at least one guidance plan"):
-        sample(np.zeros((1, 8)), denoiser, DEFAULT, [1], [], CFG)
+        sample(np.zeros((1, 8)), denoiser, [1], [], CFG)
 
 
 def test_sample_zero_scale_guidance_bitwise_equals_unguided():
@@ -359,8 +397,8 @@ def test_sample_zero_scale_guidance_bitwise_equals_unguided():
     clf = init_mlp([21, 8, 1], OutputActivation.SIGMOID, rng)
     reg = LinearRegressor(np.eye(21) * 0.5, np.zeros(21))
     c = rng.uniform(size=(3, 8))
-    plain = sample(c, denoiser, DEFAULT, [21, 22, 23], UNGUIDED, CFG)
-    zeroed = sample(c, denoiser, DEFAULT, [21, 22, 23], [(clf, reg)], scales(0.0, 0.0))
+    plain = sample(c, denoiser, [21, 22, 23], UNGUIDED, CFG)
+    zeroed = sample(c, denoiser, [21, 22, 23], [(clf, reg)], scales(0.0, 0.0))
     np.testing.assert_array_equal(plain, zeroed)
 
 
@@ -374,7 +412,7 @@ def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
     clf, reg = _toy_guides(rng)
     c = rng.uniform(size=(3, 8))
     seeds = [31, 32, 33]
-    sched = build_schedule(6, 1e-4, 0.02)
+    six_steps = RunConfig(timesteps=6)
     seen = []
 
     def spy(z_t, t, eps_hat, noise, chain):
@@ -382,12 +420,11 @@ def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
         return sample_step(z_t, t, eps_hat, noise, chain)
 
     monkeypatch.setattr(diffusion, "sample_step", spy)
-    sample(c, denoiser, sched, seeds, UNGUIDED, CFG)
+    sample(c, denoiser, seeds, UNGUIDED, six_steps)
     plain, seen = seen, []
-    sample(c, denoiser, sched, seeds, [(None, None), (clf, None), (clf, reg)],
-           scales(1.0, 1.0))
+    sample(c, denoiser, seeds, [(None, None), (clf, None), (clf, reg)], scales(1.0, 1.0, T=6))
     stacked = seen
-    assert len(plain) == len(stacked) == sched.T
+    assert len(plain) == len(stacked) == 6
     for p in range(3):
         np.testing.assert_array_equal(stacked[0][0][p], plain[0][0][0])
     for (_, noise_plain), (_, noise_stacked) in zip(plain, stacked):
@@ -417,13 +454,12 @@ def test_sample_plans_in_lockstep_equal_single_plan_chains_bitwise(stop_gradient
     plans = [(None, None), (clf, None), (None, reg), (clf, reg), (other_clf, reg)]
     c = rng.uniform(size=(rows, 8))
     seeds = list(range(50, 50 + rows))
-    sched = build_schedule(T, 1e-4, 0.02)
     for classifier_scale in (0.5, 0.0):
-        cfg = scales(classifier_scale, 0.5, stop_gradient_y)
-        stacked = sample(c, denoiser, sched, seeds, plans, cfg)
+        cfg = scales(classifier_scale, 0.5, stop_gradient_y, T)
+        stacked = sample(c, denoiser, seeds, plans, cfg)
         assert stacked.shape == (len(plans), rows, 21)
         for p, plan in enumerate(plans):
-            alone = sample(c, denoiser, sched, seeds, [plan], cfg)
+            alone = sample(c, denoiser, seeds, [plan], cfg)
             assert stacked[p].tobytes() == alone[0].tobytes(), (classifier_scale, p)
 
 
@@ -438,9 +474,9 @@ def test_sample_batch_rows_match_single_row_calls():
     seeds = [41, 42, 43, 44, 45]
     cfg = scales(0.5, 0.5)
     plans = [(None, None), (clf, reg)]
-    batch = sample(c, denoiser, DEFAULT, seeds, plans, cfg)
+    batch = sample(c, denoiser, seeds, plans, cfg)
     for i, seed in enumerate(seeds):
-        single = sample(c[i : i + 1], denoiser, DEFAULT, [seed], plans, cfg)
+        single = sample(c[i : i + 1], denoiser, [seed], plans, cfg)
         np.testing.assert_allclose(batch[:, i], single[:, 0], rtol=0.0, atol=1e-12)
 
 
@@ -457,6 +493,6 @@ def test_sample_collapses_to_fixed_latent():
         ModelTraining(epochs=800, batch_size=32, learning_rate=5e-3),
         seed=3,
     )
-    (draws,) = sample(conditions[:40], result.model, DEFAULT, range(100, 140), UNGUIDED, CFG)
+    (draws,) = sample(conditions[:40], result.model, range(100, 140), UNGUIDED, CFG)
     mean_abs_err = np.abs(draws - target).mean(axis=0)
     assert mean_abs_err.max() < 0.1

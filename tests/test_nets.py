@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cadrepair.config import ConfigError, ModelTraining, RunConfig
-from cadrepair.diffusion import build_schedule, chain_constants, sample_step
+from cadrepair.diffusion import build_schedule, chain_constants
 from cadrepair.nets import (
     CLASSIFIER_HIDDEN,
     DENOISER_HIDDEN,
@@ -339,17 +339,10 @@ def test_regressor_predict_hand_case():
 
 def regressor_loss_grad(model, z):
     """Self-consistency loss ||Wz + b - z||^2 at the latent z, and its gradient,
-    read off the regressor shift that diffusion.sample_step makes at unit scale."""
+    read off the gradient of the regressor's guide entry in diffusion.chain_constants."""
     residual = regressor_predict(model, z) - z
-    sched = build_schedule(10, 1e-4, 0.02)
-    unit = RunConfig(classifier_scale=0.0, regressor_scale=1.0)
-    guided = chain_constants(sched, [(None, model)], unit)
-    plain = chain_constants(sched, [(None, None)], unit)
-    stack = np.asarray(z, dtype=float)[None, None]
-    eps_hat = np.zeros_like(stack)
-    unguided = sample_step(stack, 1, eps_hat, None, plain)
-    grad = unguided - sample_step(stack, 1, eps_hat, None, guided)
-    return float(residual @ residual), grad[0, 0]
+    (grad, _, _), = chain_constants([(None, model)], RunConfig(classifier_scale=0.0)).guides
+    return float(residual @ residual), grad(np.asarray(z, dtype=float)[None])[0]
 
 
 def test_identity_regressor_zero_loss_grad():

@@ -127,7 +127,7 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
         latents, reports = gen_dataset(ground_truth, models["denoiser"], gen_cfg(8, 5))
         for row, (z, report) in enumerate(zip(latents, reports)):
             cid, g = divmod(row, 5)
-            (single,) = sample(ground_truth[cid].condition[None], models["denoiser"], SCHED,
+            (single,) = sample(ground_truth[cid].condition[None], models["denoiser"],
                                [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)],
                                gen_cfg(8, 5))
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
