@@ -42,9 +42,15 @@ from pathlib import Path
 import numpy as np
 
 from . import diffusion, pipeline
-from .codec import CONDITION_DIM, LATENT_DIM, decode, encode, read_latents, write_latents
+from .codec import CONDITION_DIM, LATENT_DIM, encode, read_latents, write_latents
 from .config import ConfigError, MissingArtifact, RunConfig
-from .geometry import SamplingStall, kernel_check, record_from_sequence, sequence_from_record
+from .geometry import (
+    SamplingStall,
+    ValidityReport,
+    check_latents,
+    record_from_sequence,
+    sequence_from_record,
+)
 from .metrics import mmd_histogram, pca_2d
 from .nets import (
     TIMESTEP_EMBED_DIM,
@@ -275,16 +281,16 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     It reads ``denoiser.json`` and the ``conditions.jsonl`` that ``train --which
     denoiser`` wrote; only when that file is absent does it draw the conditions
     and write the file. Its chains run on the chain task that eval uses too: one
-    task per block of ``pipeline.CHAIN_BLOCK`` rows samples, decodes and
-    kernel-checks them, on at most ``threads`` worker processes; every file is
-    the same at any ``threads``.
+    task per block of ``pipeline.CHAIN_BLOCK`` rows samples them and
+    kernel-checks them with one call, on at most ``threads`` worker processes;
+    every file is the same at any ``threads``.
     """
     out = Path(cfg.out_dir)
     denoiser = _load_model(out / "denoiser.json", "denoiser")
     ground_truth, files = _train_conditions(cfg)
     per_condition = cfg.generations_per_condition
-    generated, reports = pipeline.gen_dataset(ground_truth, denoiser, cfg, threads)
-    labels = np.array([r.valid for r in reports], dtype=bool)
+    generated, masks = pipeline.gen_dataset(ground_truth, denoiser, cfg, threads)
+    labels = masks == 0
     ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
     if not len(ssl_pairs):
         logger.warning("no invalid/valid sibling pairs exist; pairs_ssl.csv is empty")
@@ -305,6 +311,7 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
         "ssl_pairs": int(len(ssl_pairs)),
         "gt_pairs": int(len(gt_pairs)),
     }
+    reports = map(ValidityReport.from_mask, masks.tolist())
     label_rows = [
         [i // per_condition, i % per_condition, int(r.valid), "|".join(x.name for x in r.reasons)]
         for i, r in enumerate(reports)
@@ -595,23 +602,20 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     """
     latents = read_latents(latents_path)
     regressor = _load_model(Path(regressor_path), "ssl_regressor")
-    outcomes = []
-    for row in latents:
-        sequence = decode(row)
-        report = kernel_check(sequence)
-        if report.valid:
-            outcomes.append(
-                pipeline.RepairOutcome(pipeline.RepairStage.VALID_DIRECT, row, sequence, report)
-            )
+    outcomes = []  # per row: stage, final latent, valid
+    for row, mask in zip(latents, check_latents(latents)):
+        if mask:
+            repair = pipeline.self_repair(row, regressor)
+            outcomes.append((repair.stage, repair.final_latent, repair.report.valid))
         else:
-            outcomes.append(pipeline.self_repair(row, regressor))
+            outcomes.append((pipeline.RepairStage.VALID_DIRECT, row, True))
     _write_outputs(Path(out_dir) if out_dir else Path(latents_path).parent, {
-        "repaired.bin": np.array([o.final_latent for o in outcomes]).reshape(-1, LATENT_DIM),
+        "repaired.bin": np.array([z for _, z, _ in outcomes]).reshape(-1, LATENT_DIM),
         "repair_outcomes.csv": [
-            [i, o.stage.value, int(o.report.valid)] for i, o in enumerate(outcomes)
+            [i, stage.value, int(valid)] for i, (stage, _, valid) in enumerate(outcomes)
         ],
     })
-    stages = [o.stage for o in outcomes]
+    stages = [stage for stage, _, _ in outcomes]
     print(f"rows                {len(outcomes)}")
     print(f"valid direct        {sum(s is pipeline.RepairStage.VALID_DIRECT for s in stages)}")
     print(f"repaired valid      {sum(s is pipeline.RepairStage.REPAIRED_VALID for s in stages)}")

@@ -1,7 +1,8 @@
 """Deterministic codec between command sequences and fixed-width latent vectors.
 
 The latent layout is five slots of (activity/kind channel, x, y, bulge)
-followed by the extrusion depth, 21 values total. Decoding is total and
+followed by the extrusion depth, 21 values total; ``geometry`` defines it,
+since its kernel checks latent rows. Decoding is total and
 discontinuous at the activity threshold 0 and the kind threshold 0.5, which
 is what carves latent space into feasible and infeasible regions. Encoding
 places canonical channel values at the centers of their decision cells so
@@ -17,7 +18,11 @@ import numpy as np
 
 from .config import ConfigError, MissingArtifact
 from .geometry import (
+    ACTIVITY_THRESHOLD,
+    KIND_THRESHOLD,
+    LATENT_DIM,
     MAX_EDGES,
+    SLOT_WIDTH,
     CommandSequence,
     EdgeKind,
     SketchEdge,
@@ -26,12 +31,8 @@ from .geometry import (
     polygon_area,
 )
 
-SLOT_WIDTH = 4
-LATENT_DIM = MAX_EDGES * SLOT_WIDTH + 1  # 21
 CONDITION_DIM = 8
 
-ACTIVITY_THRESHOLD = 0.0
-KIND_THRESHOLD = 0.5
 CANONICAL_LINE = 0.25
 CANONICAL_ARC = 0.75
 CANONICAL_INACTIVE = -0.5
@@ -65,18 +66,11 @@ def decode(latent) -> CommandSequence:
 
 def encode(seq: CommandSequence) -> np.ndarray:
     """Canonical latent embedding of a sequence; decode(encode(seq)) == seq."""
-    z = np.zeros(LATENT_DIM)
-    for i in range(MAX_EDGES):
-        base = SLOT_WIDTH * i
-        if i < len(seq.edges):
-            edge = seq.edges[i]
-            z[base] = CANONICAL_ARC if edge.kind is EdgeKind.ARC else CANONICAL_LINE
-            z[base + 1], z[base + 2] = edge.target
-            z[base + 3] = edge.bulge
-        else:
-            z[base] = CANONICAL_INACTIVE
-    z[-1] = seq.depth
-    return z
+    z = [CANONICAL_INACTIVE, 0.0, 0.0, 0.0] * MAX_EDGES + [seq.depth]
+    for i, edge in enumerate(seq.edges):
+        kind = CANONICAL_ARC if edge.kind is EdgeKind.ARC else CANONICAL_LINE
+        z[SLOT_WIDTH * i : SLOT_WIDTH * (i + 1)] = (kind, *edge.target, edge.bulge)
+    return np.array(z, dtype=float)
 
 
 def condition_descriptor(seq: CommandSequence) -> np.ndarray:

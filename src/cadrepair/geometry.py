@@ -6,11 +6,18 @@ implicitly from the last target back to the first. Feasibility is decided
 by a small rule-based kernel (bounds, degeneracy, self-intersection, area,
 depth) rather than a full B-rep engine, and valid solids can be sampled
 into uniform volume point clouds.
+
+The kernel is one array function, ``check_latents``, which decodes a block of
+latent rows (the codec's layout, defined here) and checks them all at once.
+It returns one uint16 reason mask per row: bit i is set iff the row fails with
+``InvalidReason(i)``, so a mask of 0 is a valid row. ``kernel_check`` runs it
+on the one latent row of a sequence.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -27,6 +34,15 @@ COORD_BOUND = 1.0
 MAX_BULGE = 1.0
 MAX_DEPTH = 1.0
 
+# Latent layout, which the codec shares: MAX_EDGES slots of (activity/kind
+# channel, x, y, bulge), then the extrusion depth. The first slot whose
+# channel is not above ACTIVITY_THRESHOLD ends the sequence; an active slot is
+# an arc when its channel is above KIND_THRESHOLD and a line otherwise.
+SLOT_WIDTH = 4
+LATENT_DIM = MAX_EDGES * SLOT_WIDTH + 1  # 21
+ACTIVITY_THRESHOLD = 0.0
+KIND_THRESHOLD = 0.5
+
 # Below this magnitude the arc is indistinguishable from its chord and the
 # center construction would overflow.
 _BULGE_EPS = 1e-12
@@ -35,6 +51,11 @@ _BULGE_EPS = 1e-12
 # MAX_BULGE, and the separation and polygon arithmetic, which reaches the
 # fourth power of a coordinate, could overflow; those checks are skipped.
 _ARITHMETIC_LIMIT = 1e50
+
+# Edge pairs in one orientation pass of check_latents: bounds the pass's
+# arrays, about 450 bytes a pair, to some 250 kB however many rows and
+# vertices a block holds.
+_PAIR_SLICE = 512
 
 _PROPOSAL_CHUNK = 8192
 _STALL_PROPOSALS = 10_000_000
@@ -96,9 +117,15 @@ class ValidityReport:
     reasons: tuple[InvalidReason, ...]
 
     @classmethod
-    def from_reasons(cls, reasons) -> "ValidityReport":
-        ordered = tuple(sorted(set(reasons)))
-        return cls(valid=not ordered, reasons=ordered)
+    def from_mask(cls, mask) -> "ValidityReport":
+        """The report of a ``check_latents`` mask: bit i stands for InvalidReason(i)."""
+        return _report(int(mask))
+
+
+@functools.lru_cache(maxsize=None)  # one report per mask: 2**9 at most
+def _report(mask: int) -> ValidityReport:
+    reasons = tuple(r for r in InvalidReason if mask >> r & 1)
+    return ValidityReport(valid=not reasons, reasons=reasons)
 
 
 def _require_number(obj: dict, key: str, context: str) -> float:
@@ -164,8 +191,9 @@ def record_from_sequence(seq: CommandSequence) -> dict:
     }
 
 
-def _arc_points(start, end, bulge: float) -> list[tuple[float, float]]:
-    """Points along a bulge arc from start to end: ARC_SEGMENTS-1 intermediates plus end.
+def _arc_points(start, end, bulge: float) -> list[float]:
+    """Points along a bulge arc from start to end, ARC_SEGMENTS-1 intermediates
+    plus end, flattened to x0, y0, x1, y1, ...
 
     Bulge is tan(theta/4) of the included angle, positive for a counterclockwise
     sweep; the sagitta is bulge * chord / 2.
@@ -174,9 +202,9 @@ def _arc_points(start, end, bulge: float) -> list[tuple[float, float]]:
     x1, y1 = float(end[0]), float(end[1])
     chord = math.hypot(x1 - x0, y1 - y0)
     if abs(bulge) < _BULGE_EPS:
-        return [(x1, y1)]  # degenerates to the chord
+        return [x1, y1]  # degenerates to the chord
     if chord == 0.0:
-        return [(x1, y1)] * ARC_SEGMENTS  # degenerate chord: every arc point coincides
+        return [x1, y1] * ARC_SEGMENTS  # degenerate chord: every arc point coincides
     theta = 4.0 * math.atan(bulge)
     signed_radius = chord * (1.0 + bulge * bulge) / (4.0 * bulge)
     offset_angle = math.atan2(y1 - y0, x1 - x0) + math.pi / 2.0 - 2.0 * math.atan(bulge)
@@ -184,12 +212,27 @@ def _arc_points(start, end, bulge: float) -> list[tuple[float, float]]:
     cy = y0 + signed_radius * math.sin(offset_angle)
     radius = abs(signed_radius)
     start_angle = math.atan2(y0 - cy, x0 - cx)
+    cos, sin = math.cos, math.sin
     pts = []
     for k in range(1, ARC_SEGMENTS):
         a = start_angle + theta * k / ARC_SEGMENTS
-        pts.append((cx + radius * math.cos(a), cy + radius * math.sin(a)))
-    pts.append((x1, y1))
+        pts.append(cx + radius * cos(a))
+        pts.append(cy + radius * sin(a))
+    pts += (x1, y1)
     return pts
+
+
+def _profile_vertices(edges) -> np.ndarray:
+    """The (n, 2) polygon vertices of a closed profile, from its edges as
+    (x, y, bulge) with bulge 0 for a line: a line adds its target, an arc its
+    points. Each edge starts at the previous edge's target."""
+    coords = []
+    for i, (x, y, bulge) in enumerate(edges):
+        if bulge:
+            coords += _arc_points(edges[i - 1], (x, y), bulge)
+        else:
+            coords += (x, y)
+    return np.array(coords, dtype=float).reshape(-1, 2)
 
 
 def discretize_profile(seq: CommandSequence) -> np.ndarray:
@@ -199,14 +242,7 @@ def discretize_profile(seq: CommandSequence) -> np.ndarray:
     intermediate points plus the target. The closing edge (last vertex back to
     the first) is implicit, as is each edge's start at the previous target.
     """
-    targets = [e.target for e in seq.edges]
-    pts: list[tuple[float, float]] = []
-    for i, edge in enumerate(seq.edges):
-        if edge.kind is EdgeKind.ARC:
-            pts.extend(_arc_points(targets[i - 1], edge.target, edge.bulge))
-        else:
-            pts.append(edge.target)
-    return np.array(pts, dtype=float).reshape(-1, 2)
+    return _profile_vertices([(*e.target, e.bulge) for e in seq.edges])
 
 
 def reverse_sequence(seq: CommandSequence) -> CommandSequence:
@@ -259,31 +295,60 @@ def polygon_area(polygon) -> float:
     )
 
 
-def _orientations(a, b, c):
-    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-
-
-def _on_segment(a, b, p):
-    # assumes p is already known collinear with segment (a, b)
-    return (
-        (np.minimum(a[:, 0], b[:, 0]) <= p[:, 0])
-        & (p[:, 0] <= np.maximum(a[:, 0], b[:, 0]))
-        & (np.minimum(a[:, 1], b[:, 1]) <= p[:, 1])
-        & (p[:, 1] <= np.maximum(a[:, 1], b[:, 1]))
-    )
-
-
 # one entry per vertex count a discretized profile can have
 @functools.lru_cache(maxsize=MAX_EDGES * ARC_SEGMENTS)
-def _non_adjacent_edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (i, j) indices, i < j, of every pair of non-adjacent edges of
-    a closed n-gon, in ``np.triu_indices`` order."""
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    keep = ~((i_idx == 0) & (j_idx == n - 1))  # wraparound adjacency
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
-    i_idx.flags.writeable = False
-    j_idx.flags.writeable = False
-    return i_idx, j_idx
+def _orientation_triples(n: int) -> np.ndarray:
+    """Read-only (3, 4, pairs) vertex indices, in the smallest unsigned type,
+    of the four orientation tests of every pair of non-adjacent edges a-b and
+    c-d of a closed n-gon, a < c, in ``np.triu_indices`` order of (a, c): test
+    k is the side of vertex [2, k] from the segment [0, k]-[1, k], for
+    (a, b, c), (a, b, d), (c, d, a) and (c, d, b)."""
+    a, c = np.triu_indices(n, k=2)
+    keep = ~((a == 0) & (c == n - 1))  # wraparound adjacency
+    a, c = a[keep], c[keep]
+    b, d = a + 1, (c + 1) % n
+    triples = np.array([[a, a, c, c], [b, b, d, d], [c, d, a, b]], dtype=np.min_scalar_type(n))
+    triples.flags.writeable = False
+    return triples
+
+
+def _self_intersecting(vertices: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """Per polygon, whether any two of its non-adjacent closed edges intersect;
+    polygon p is vertices[bounds[p]:bounds[p + 1]], of 3 or more vertices.
+
+    One pass of exact orientation-sign tests covers the edge pairs of all the
+    polygons, at most _PAIR_SLICE pairs at a time; the touching test runs only
+    where an orientation is exactly 0. Collinear overlap counts as an
+    intersection; edges sharing one endpoint (adjacent, including the
+    wraparound pair) never do.
+    """
+    pieces = []  # (polygon, its first vertex, _PAIR_SLICE of its tests at most)
+    for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        tests = _orientation_triples(hi - lo)
+        for first in range(0, tests.shape[2], _PAIR_SLICE):
+            pieces.append((p, lo, tests[..., first : first + _PAIR_SLICE]))
+    out = np.zeros(len(bounds) - 1, dtype=bool)
+    while pieces:
+        size, held = 1, pieces[0][2].shape[2]
+        while size < len(pieces) and held + pieces[size][2].shape[2] <= _PAIR_SLICE:
+            held += pieces[size][2].shape[2]
+            size += 1
+        batch, pieces = pieces[:size], pieces[size:]
+        index = np.concatenate([np.add(t, lo, dtype=np.intp) for _, lo, t in batch], axis=2)
+        points = np.take(vertices, index, axis=0)
+        # per test, the segment's direction and the vertex's offset from its start
+        arm = points[1:] - points[0]
+        side = np.sign(arm[0, ..., 0] * arm[1, ..., 1] - arm[0, ..., 1] * arm[1, ..., 0])
+        # a proper crossing: each edge's ends lie strictly either side of the other
+        hit = (side[::2] * side[1::2] < 0).all(axis=0)
+        if np.count_nonzero(side) < side.size:  # a vertex on the line of the other edge
+            test, pair = np.nonzero(side == 0)
+            a, b, c = points[:, test, pair]
+            hit[pair[((np.minimum(a, b) <= c) & (c <= np.maximum(a, b))).all(axis=1)]] = True
+        # only a polygon's last piece can be short, so a batch holds one of its pieces
+        starts = itertools.accumulate((t.shape[2] for _, _, t in batch[:-1]), initial=0)
+        out[[p for p, _, _ in batch]] |= np.logical_or.reduceat(hit, list(starts))
+    return out
 
 
 def self_intersects(polygon) -> bool:
@@ -294,32 +359,79 @@ def self_intersects(polygon) -> bool:
     wraparound pair) never do.
     """
     poly = np.asarray(polygon, dtype=float)
-    n = len(poly)
-    if n < 3:
+    if len(poly) < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    starts = poly
-    ends = np.concatenate((poly[1:], poly[:1]))
-    i_idx, j_idx = _non_adjacent_edge_pairs(n)
-    if i_idx.size == 0:
-        return False
-    a, b = starts[i_idx], ends[i_idx]
-    c, d = starts[j_idx], ends[j_idx]
-    d1 = _orientations(a, b, c)
-    d2 = _orientations(a, b, d)
-    d3 = _orientations(c, d, a)
-    d4 = _orientations(c, d, b)
-    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-    )
-    if bool(proper.any()):
-        return True
-    touching = (
-        ((d1 == 0) & _on_segment(a, b, c))
-        | ((d2 == 0) & _on_segment(a, b, d))
-        | ((d3 == 0) & _on_segment(c, d, a))
-        | ((d4 == 0) & _on_segment(c, d, b))
-    )
-    return bool(touching.any())
+    return bool(_self_intersecting(poly, [0, len(poly)])[0])
+
+
+# the bounds of a profile's |x|, |y| and |bulge|
+_SIZE_BOUNDS = np.array([[COORD_BOUND], [COORD_BOUND], [MAX_BULGE]])
+# every gap i -> j between the targets of slots i and j that a profile can
+# have, and by active slot count n, which of them it has: j follows i round
+# the profile. The gap checks need n >= 2.
+_GAPS = [(i, i + 1) for i in range(MAX_EDGES - 1)] + [(i, 0) for i in range(MAX_EDGES)]
+_GAP_ENDS = np.array(_GAPS).T
+_GAPS_USED = np.array(
+    [[n >= 2 and i < n and j == (i + 1) % n for i, j in _GAPS] for n in range(MAX_EDGES + 1)]
+)
+
+
+def check_latents(latents) -> np.ndarray:
+    """Kernel-check every row of an (R, LATENT_DIM) latent block at once.
+
+    Returns one uint16 reason mask per row: bit i is set iff the row's decoded
+    sequence fails with InvalidReason(i), so 0 means valid. Rows decode by
+    ``codec.decode``'s rule: the first slot whose channel is not above 0 ends
+    the sequence, an active slot is an arc above 0.5 and a line otherwise, and
+    a line's bulge is 0. Each row is then judged by the rules ``kernel_check``
+    lists. The polygon rules run on all the block's polygons in one
+    orientation pass; arc points come from ``math`` and each area from
+    ``polygon_area``, so every decision is the one the row's own check makes.
+    """
+    z = np.asarray(latents, dtype=float)
+    if z.ndim != 2 or z.shape[1] != LATENT_DIM:
+        raise ValueError(f"latents must be (rows, {LATENT_DIM}), got {z.shape}")
+    fields = z[:, :-1].reshape(-1, MAX_EDGES, SLOT_WIDTH).transpose(2, 0, 1)
+    depth = z[:, -1]
+    flags = np.zeros((len(z), 16), dtype=bool)  # per row, bit i for InvalidReason(i)
+    # NaN compares false, as in decode; the gaps of unusable rows may overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        active = np.logical_and.accumulate(fields[0] > ACTIVITY_THRESHOLD, axis=1)
+        arc = active & (fields[0] > KIND_THRESHOLD)
+        count = np.add.reduce(active, axis=1)
+        # each slot's x, y and bulge as the decoded sequence holds them, else 0
+        edges = np.where(np.array([active, active, arc]), fields[1:], 0.0)
+        size = np.maximum.reduce(np.abs(edges), axis=2)  # per row, the largest |x|, |y| and |bulge|
+        largest = np.maximum.reduce(size)  # NaN if any is
+        finite = np.isfinite(depth)
+        measurable = finite & (largest <= _ARITHMETIC_LIMIT)
+        within = size <= _SIZE_BOUNDS
+        flags[:, InvalidReason.TOO_FEW_VERTICES] = count < 3
+        flags[:, InvalidReason.OUT_OF_BOUNDS] = ~(within[0] & within[1])
+        flags[:, InvalidReason.BULGE_OUT_OF_RANGE] = ~within[2]
+        flags[:, InvalidReason.DEPTH_NON_POSITIVE] = ~(depth > 0)
+        flags[:, InvalidReason.DEPTH_TOO_LARGE] = depth > MAX_DEPTH
+        flags[:, InvalidReason.NON_FINITE] = ~(finite & (largest < np.inf))
+        # each target's gap to the next one round the profile
+        ends = edges[:2, :, _GAP_ENDS]  # x and y, per row, at each gap's two ends
+        step = ends[..., 0, :] - ends[..., 1, :]
+        close = np.hypot(step[0], step[1]) < MIN_VERTEX_SEPARATION
+    degenerate = measurable & np.logical_or.reduce(close & _GAPS_USED[count], axis=1)
+    flags[:, InvalidReason.DEGENERATE_ADJACENT_VERTICES] = degenerate
+    rows = (measurable & (count >= 3) & ~degenerate).nonzero()[0]
+    if len(rows):
+        polygons = [
+            _profile_vertices(row[:n])
+            for row, n in zip(edges[:, rows].transpose(1, 2, 0).tolist(), count[rows].tolist())
+        ]
+        bounds = list(itertools.accumulate(map(len, polygons), initial=0))
+        flags[rows, InvalidReason.SELF_INTERSECTION] = _self_intersecting(
+            np.concatenate(polygons), bounds
+        )
+        flags[rows, InvalidReason.NEAR_ZERO_AREA] = [
+            not abs(polygon_area(polygon)) >= MIN_PROFILE_AREA for polygon in polygons
+        ]
+    return np.packbits(flags, axis=1, bitorder="little").view("<u2")[:, 0]
 
 
 def kernel_check(seq: CommandSequence) -> ValidityReport:
@@ -335,38 +447,13 @@ def kernel_check(seq: CommandSequence) -> ValidityReport:
     polygon checks, whose arithmetic it would poison, are skipped; so are they
     for a target or bulge above 1e50 in magnitude, which is already
     OUT_OF_BOUNDS or BULGE_OUT_OF_RANGE.
+
+    It is ``check_latents`` on the sequence's one latent row, since decoding
+    that row gives the sequence back.
     """
-    reasons: set[InvalidReason] = set()
-    n = len(seq.edges)
-    if n < 3:
-        reasons.add(InvalidReason.TOO_FEW_VERTICES)
-    values = [v for e in seq.edges for v in (*e.target, e.bulge)]
-    finite = math.isfinite(seq.depth) and all(math.isfinite(v) for v in values)
-    if not finite:
-        reasons.add(InvalidReason.NON_FINITE)
-    measurable = finite and all(abs(v) <= _ARITHMETIC_LIMIT for v in values)
-    for edge in seq.edges:
-        x, y = edge.target
-        if not (abs(x) <= COORD_BOUND and abs(y) <= COORD_BOUND):
-            reasons.add(InvalidReason.OUT_OF_BOUNDS)
-        if edge.kind is EdgeKind.ARC and not abs(edge.bulge) <= MAX_BULGE:
-            reasons.add(InvalidReason.BULGE_OUT_OF_RANGE)
-    if n >= 2 and measurable:
-        targets = np.array([e.target for e in seq.edges], dtype=float)
-        gaps = np.hypot(*(targets - np.concatenate((targets[1:], targets[:1]))).T)
-        if not bool((gaps >= MIN_VERTEX_SEPARATION).all()):
-            reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
-    if n >= 3 and measurable and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
-        poly = discretize_profile(seq)
-        if self_intersects(poly):
-            reasons.add(InvalidReason.SELF_INTERSECTION)
-        if not abs(polygon_area(poly)) >= MIN_PROFILE_AREA:
-            reasons.add(InvalidReason.NEAR_ZERO_AREA)
-    if not seq.depth > 0:
-        reasons.add(InvalidReason.DEPTH_NON_POSITIVE)
-    elif not seq.depth <= MAX_DEPTH:
-        reasons.add(InvalidReason.DEPTH_TOO_LARGE)
-    return ValidityReport.from_reasons(reasons)
+    from .codec import encode  # the codec builds on this module
+
+    return ValidityReport.from_mask(check_latents(encode(seq)[None])[0])
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:

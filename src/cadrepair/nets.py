@@ -394,8 +394,11 @@ def save_model(path, model: Mlp | LinearRegressor) -> None:
             "weights": model.weights.tolist(),
             "bias": model.bias.tolist(),
         }
+    # one dumps call: json.dump streams through the pure-Python encoder, while
+    # dumps encodes with the C one, to the same text
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
 
 
 def load_model(path) -> Mlp | LinearRegressor:

@@ -4,6 +4,11 @@ Every stochastic stage derives its generator from the master seed through
 labeled SeedSequence streams, so regeneration is bitwise stable and every
 variant of the evaluation matrix shares per-condition starting noise
 (paired-seed discipline).
+
+Sampled latents are kernel-checked a block at a time by
+``geometry.check_latents``: a row's uint16 reason mask has bit i set for
+InvalidReason(i) and is 0 when the row is valid. Masks, not decoded sequences,
+come back from the chain tasks; a row is decoded only to be scored.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .geometry import (
     SketchEdge,
     ValidityReport,
     canonicalize_sequence,
+    check_latents,
     kernel_check,
     sample_point_cloud,
 )
@@ -49,12 +55,17 @@ STREAM_TRAINING = 6
 # never from the worker count, so results do not depend on --threads. Each block
 # is one _chain_task: it runs every guidance plan on the block in lockstep, all
 # plans sharing the block's one noise buffer of CHAIN_BLOCK x T x 21 float64s,
-# then decodes and kernel-checks each plan's rows. Measured on the
-# benchmark's gen config (1000 chains of T=100, 2-vCPU host, BLAS threads 1;
-# chain time in process, median of 5, then the gen-dataset CLI's peak RSS):
-# 8 rows 0.79 s, 38.7 MB; 32 rows 0.36 s, 39.3 MB; 64 rows 0.32 s, 40.0 MB;
-# 128 rows 0.27 s, 41.5 MB. 64 rows take most of the gain and still cut an
-# eval of a few hundred conditions into several chain tasks.
+# then kernel-checks every plan's rows with one check_latents call. Measured on
+# the benchmark's gen config (1000 chains of T=100, 2-vCPU host, BLAS threads 1;
+# chain time in process, median of 5), as denoiser GEMMs + noise draws (seed
+# streams and normals, 0.07 s at any block size) + kernel check + the rest:
+# 8 rows 0.68 s (GEMMs 0.40, check 0.06); 32 rows 0.45 s (0.27, 0.04); 64 rows
+# 0.33 s (0.21, 0.03); 128 rows 0.29 s (0.18, 0.02). The gen-dataset CLI's peak
+# RSS is about 40 MB at each. 64 rows take most of the gain and still cut an
+# eval of a few hundred conditions into several chain tasks. The value also
+# fixes the artifacts: there, a GEMM's rows are bitwise those of a 64-row GEMM
+# when it has 62 rows or more, but not at 56 rows or fewer, as a tail block
+# (1000 = 15 x 64 + 40) can have.
 CHAIN_BLOCK = 64
 
 _REJECTION_MIN_DRAWS = 1_000_000
@@ -100,31 +111,43 @@ def _random_sequence(rng: np.random.Generator) -> CommandSequence:
 
 
 def gen_ground_truth(n_conditions: int, seed) -> list[GroundTruthCondition]:
-    """Rejection-sample kernel-valid sequences with their descriptors and latents."""
+    """Rejection-sample kernel-valid sequences with their descriptors and latents.
+
+    Sequences are drawn from one generator in a fixed order, a chunk at a time
+    of twice the remaining need, and each chunk is kernel-checked with one
+    ``check_latents`` call. Draws are accepted in order up to the need, so the
+    conditions, the stall rule and the logged draw count are those of drawing
+    and checking one sequence at a time.
+    """
     if n_conditions < 1:
         raise ValueError("n_conditions must be >= 1")
     rng = np.random.default_rng(seed)
     out: list[GroundTruthCondition] = []
     draws = 0
     while len(out) < n_conditions:
-        seq = _random_sequence(rng)
-        draws += 1
-        if kernel_check(seq).valid:
-            # one representative per cyclic/orientation class, so the
-            # condition -> latent map stays (near-)unimodal
-            seq = canonicalize_sequence(seq)
-            out.append(GroundTruthCondition(condition_descriptor(seq), seq, encode(seq)))
-        elif draws >= _REJECTION_MIN_DRAWS and len(out) / draws < _REJECTION_MIN_RATE:
-            raise SamplingStall(f"acceptance {len(out) / draws:.2e} after {draws} draws")
+        # about half the draws pass, so a chunk mostly meets the need
+        chunk = [_random_sequence(rng) for _ in range(2 * (n_conditions - len(out)))]
+        for seq, mask in zip(chunk, check_latents([encode(seq) for seq in chunk])):
+            draws += 1
+            if not mask:
+                # one representative per cyclic/orientation class, so the
+                # condition -> latent map stays (near-)unimodal
+                seq = canonicalize_sequence(seq)
+                out.append(GroundTruthCondition(condition_descriptor(seq), seq, encode(seq)))
+                if len(out) == n_conditions:
+                    break
+            elif draws >= _REJECTION_MIN_DRAWS and len(out) / draws < _REJECTION_MIN_RATE:
+                raise SamplingStall(f"acceptance {len(out) / draws:.2e} after {draws} draws")
     logger.info("ground-truth acceptance rate %.3f (%d/%d)", len(out) / draws, len(out), draws)
     return out
 
 
 def gen_dataset(
     ground_truth: list[GroundTruthCondition], denoiser: Mlp, cfg: RunConfig, threads: int = 1
-) -> tuple[np.ndarray, list[ValidityReport]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Generate the labeled dataset: ``cfg.generations_per_condition`` unguided
-    sampled latents per ground-truth condition, and each latent's kernel report.
+    sampled latents per ground-truth condition, and each latent's kernel reason
+    mask (``geometry.check_latents``: bit i for InvalidReason(i), 0 if valid).
 
     Latents are (len(ground_truth) * generations_per_condition, d) in
     condition-major order: generation g of condition c is chain row
@@ -143,8 +166,8 @@ def gen_dataset(
         "cfg": cfg,
     }
     with _worker_pool(payload, threads, math.ceil(n / CHAIN_BLOCK)) as map_fn:
-        rows = _run_chains(map_fn, n)
-    return np.array([z for ((z, _, _),) in rows]), [report for ((_, _, report),) in rows]
+        latents, masks = _run_chains(map_fn, n)
+    return np.ascontiguousarray(latents[:, 0]), masks[:, 0]
 
 
 def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
@@ -292,8 +315,8 @@ def _worker_pool(payload: dict, threads: int, tasks: int):
 def _chain_task(task):
     """Chain rows [lo, hi) of the worker context, run for every guidance plan in
     one lockstep ``diffusion.sample`` call, which takes its schedule and guides
-    from the context's ``cfg``: the latents, (plans, hi - lo, d), and per row
-    each plan's latent decoded and kernel-checked, as (sequence, report)."""
+    from the context's ``cfg``: the latents, (plans, hi - lo, d), and their
+    kernel reason masks, (plans, hi - lo), from one ``check_latents`` call."""
     lo, hi = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
@@ -304,44 +327,46 @@ def _chain_task(task):
         ctx["plans"],
         cfg,
     )
-    rows = latents.swapaxes(0, 1)
-    return latents, [[(s, kernel_check(s)) for s in map(decode, row)] for row in rows]
+    masks = check_latents(latents.reshape(-1, latents.shape[-1]))
+    return latents, masks.reshape(latents.shape[:2])
 
 
-def _run_chains(map_fn, n: int) -> list[list[tuple]]:
+def _run_chains(map_fn, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map chain rows [0, n) as ``_chain_task`` blocks of CHAIN_BLOCK rows, joined
-    in block order: per row, each plan's (latent, sequence, report)."""
+    in block order: each row's latent per plan, (n, plans, d), and its kernel
+    reason mask per plan, (n, plans)."""
     tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
-    return [
-        [(z, *check) for z, check in zip(row, row_checks)]
-        for latents, checks in map_fn(_chain_task, tasks)
-        for row, row_checks in zip(latents.swapaxes(0, 1), checks)
-    ]
+    latents, masks = zip(*map_fn(_chain_task, tasks))
+    return np.concatenate(latents, axis=1).swapaxes(0, 1), np.concatenate(masks, axis=1).T
 
 
 def _score_task(task) -> list[ConditionOutcome]:
-    """Every variant's outcome on one condition, given each plan's
-    (latent, sequence, report) for it from ``_run_chains``.
+    """Every variant's outcome on one condition, given each plan's latent and
+    kernel reason mask for it from ``_run_chains``.
 
-    Each plan's row is scored once if valid. A repair variant keeps a row valid
-    before repair, latent and score alike, as ``VALID_DIRECT``; only an invalid
-    row is repaired, and scored if the repair is valid.
+    Each plan's row is decoded and scored once if valid. A repair variant keeps
+    a row valid before repair, latent and score alike, as ``VALID_DIRECT``; only
+    an invalid row is repaired, and scored if the repair is valid.
     """
-    cid, plan_rows = task
+    cid, (latents, masks) = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
     points = ground_truth_cloud(ctx["conditions"][cid], cid, cfg)
 
-    def scored(stage, latent, sequence, report):
+    def scored(stage, latent, sequence):
+        # sequence: the latent's decoded sequence if it is valid, else None
         score = None
-        if report.valid:
+        if sequence is not None:
             cloud = sample_point_cloud(
                 sequence, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
             )
             score = mmd(cloud, points, cfg.fixed_sigma)
-        return ConditionOutcome(cid, report.valid, stage, latent, score)
+        return ConditionOutcome(cid, sequence is not None, stage, latent, score)
 
-    unrepaired = [scored(None, *row) for row in plan_rows]
+    unrepaired = [
+        scored(None, latent, None if mask else decode(latent))
+        for latent, mask in zip(latents, masks)
+    ]
     outcomes = []
     for plan, regressor in ctx["variants"]:
         row = unrepaired[plan]
@@ -351,7 +376,8 @@ def _score_task(task) -> list[ConditionOutcome]:
             outcomes.append(replace(row, stage=RepairStage.VALID_DIRECT))
         else:
             r = self_repair(row.final_latent, regressor)
-            outcomes.append(scored(r.stage, r.final_latent, r.sequence, r.report))
+            sequence = r.sequence if r.report.valid else None
+            outcomes.append(scored(r.stage, r.final_latent, sequence))
     return outcomes
 
 
@@ -371,10 +397,10 @@ def run_variants(
     Chain row cid is condition cid, seeded by (STREAM_EVAL_SAMPLE, cid). Two
     kinds of task run in turn: the ``_chain_task`` blocks, which run every
     distinct guidance plan (its models resolved once, here) in lockstep and
-    decode and kernel-check each plan's rows, then one ``_score_task`` per
-    condition, which samples the ground-truth cloud once. Sharing is exact:
-    every chain row and cloud is seeded by condition id alone, and a plan's
-    rows round the same in the stack as alone. Both kinds map on one
+    kernel-check each plan's rows, then one ``_score_task`` per condition,
+    which samples the ground-truth cloud once and decodes only valid rows.
+    Sharing is exact: every chain row and cloud is seeded by condition id
+    alone, and a plan's rows round the same in the stack as alone. Both kinds map on one
     ``_worker_pool``, the pool ``gen_dataset`` uses too: at most
     min(threads, conditions) worker processes when threads > 1.
 
@@ -401,5 +427,5 @@ def run_variants(
         "conditions": list(eval_conditions),
     }
     with _worker_pool(payload, threads, n) as map_fn:
-        outcomes = list(map_fn(_score_task, enumerate(_run_chains(map_fn, n))))
+        outcomes = list(map_fn(_score_task, enumerate(zip(*_run_chains(map_fn, n)))))
     return {variant: [row[k] for row in outcomes] for k, variant in enumerate(variants)}

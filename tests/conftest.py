@@ -1,9 +1,26 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
-from cadrepair.geometry import CommandSequence, EdgeKind, SketchEdge
+from cadrepair import pipeline
+from cadrepair.codec import condition_descriptor, encode
+from cadrepair.geometry import (
+    CommandSequence,
+    EdgeKind,
+    SamplingStall,
+    SketchEdge,
+    canonicalize_sequence,
+    kernel_check,
+)
+
+# CI's tier-1 step sets HYPOTHESIS_PROFILE=ci, so that a property that leaves
+# max_examples unpinned runs many more examples there than in a local run.
+settings.register_profile("ci", max_examples=3000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 small_floats = st.floats(-2.0, 2.0, allow_nan=False)
@@ -33,3 +50,22 @@ def random_simple_polygon(rng: np.random.Generator, n: int) -> np.ndarray:
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
     radii = rng.uniform(0.3, 1.0, n)
     return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+def one_draw_at_a_time_ground_truth(n_conditions: int, seed):
+    """The former ground-truth sampler, which kernel-checks each draw alone:
+    its conditions and its draw count, or its SamplingStall."""
+    rng = np.random.default_rng(seed)
+    out, draws = [], 0
+    while len(out) < n_conditions:
+        seq = pipeline._random_sequence(rng)
+        draws += 1
+        if kernel_check(seq).valid:
+            seq = canonicalize_sequence(seq)
+            out.append(pipeline.GroundTruthCondition(condition_descriptor(seq), seq, encode(seq)))
+        elif (
+            draws >= pipeline._REJECTION_MIN_DRAWS
+            and len(out) / draws < pipeline._REJECTION_MIN_RATE
+        ):
+            raise SamplingStall(f"acceptance {len(out) / draws:.2e} after {draws} draws")
+    return out, draws

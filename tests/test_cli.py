@@ -26,6 +26,8 @@ from cadrepair.geometry import record_from_sequence
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
 
+from conftest import one_draw_at_a_time_ground_truth
+
 TINY = {
     "master_seed": 3,
     "n_conditions": 40,
@@ -560,13 +562,24 @@ def test_diverged_training_exits_2_and_writes_nothing(
     assert (out / "metrics.csv").read_bytes() == metrics
 
 
-def test_ground_truth_rejection_stall_exits_3(tmp_path, monkeypatch):
+def test_ground_truth_rejection_stall_exits_3(tmp_path, monkeypatch, caplog):
     # every rejected draw now counts as a stall
     monkeypatch.setattr(pipeline, "_REJECTION_MIN_DRAWS", 1)
     monkeypatch.setattr(pipeline, "_REJECTION_MIN_RATE", 1.1)
     config = write_config(tmp_path / "c.json", tmp_path / "out")
     assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_STALL
     assert not (tmp_path / "out" / "denoiser.json").exists()
+    # the chunked sampler stalls at the draw the one-draw-at-a-time one does,
+    # also when the stall rule starts to apply well into the first chunk
+    stream = pipeline.seed_stream(TINY["master_seed"], pipeline.STREAM_TRAIN_GT)
+    for min_draws in (1, 50):
+        monkeypatch.setattr(pipeline, "_REJECTION_MIN_DRAWS", min_draws)
+        caplog.clear()
+        assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_STALL
+        with pytest.raises(geometry.SamplingStall) as stall:
+            one_draw_at_a_time_ground_truth(TINY["n_conditions"], stream)
+        assert str(stall.value) in caplog.text
+        assert int(str(stall.value).split()[-2]) >= min_draws
 
 
 def test_point_cloud_sampling_stall_exits_3(runs, tmp_path, monkeypatch):

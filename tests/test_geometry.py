@@ -4,17 +4,21 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadrepair import geometry
+from cadrepair.codec import decode, encode
 from cadrepair.config import ConfigError
 from cadrepair.geometry import (
     ARC_SEGMENTS,
+    LATENT_DIM,
     CommandSequence,
     EdgeKind,
     InvalidReason,
     SketchEdge,
+    ValidityReport,
+    check_latents,
     discretize_profile,
     kernel_check,
     points_in_polygon,
@@ -281,15 +285,19 @@ def test_self_intersects_matches_oracle_random():
 
 
 def test_cached_edge_pairs_are_the_oracle_pairs_in_its_order_and_read_only():
-    for n in (3, 4, 5, 17, geometry.MAX_EDGES * ARC_SEGMENTS):
-        i_idx, j_idx = geometry._non_adjacent_edge_pairs(n)
+    # the cached orientation tests of edges a-b and c-d, per pair (a, c)
+    for n in (3, 4, 5, 17, geometry.MAX_EDGES * ARC_SEGMENTS, 300):
+        triples = geometry._orientation_triples(n)
+        (a, _, c, _), (b, _, d, _), _ = triples.tolist()
         expected = [
             (i, j) for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1)
         ]
-        assert list(zip(i_idx.tolist(), j_idx.tolist())) == expected, n
-        assert geometry._non_adjacent_edge_pairs(n)[0] is i_idx
+        assert list(zip(a, c)) == expected, n
+        assert b == [i + 1 for i in a] and d == [(j + 1) % n for j in c]
+        assert triples.tolist() == [[a, a, c, c], [b, b, d, d], [c, d, a, b]]
+        assert geometry._orientation_triples(n) is triples
         with pytest.raises(ValueError):
-            i_idx[...] = 0
+            triples[...] = 0
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 32))
@@ -419,6 +427,229 @@ def test_kernel_total_deterministic_valid_iff_no_reasons(seq):
     second = kernel_check(seq)
     assert first == second
     assert first.valid == (len(first.reasons) == 0)
+
+
+# ---------------------------------------------------------------- block kernel
+
+
+def oracle_arc_points(start, end, bulge):
+    """The arc points of the former per-sequence kernel, as (x, y) tuples."""
+    x0, y0 = float(start[0]), float(start[1])
+    x1, y1 = float(end[0]), float(end[1])
+    chord = math.hypot(x1 - x0, y1 - y0)
+    if abs(bulge) < 1e-12:
+        return [(x1, y1)]
+    if chord == 0.0:
+        return [(x1, y1)] * ARC_SEGMENTS
+    theta = 4.0 * math.atan(bulge)
+    signed_radius = chord * (1.0 + bulge * bulge) / (4.0 * bulge)
+    offset_angle = math.atan2(y1 - y0, x1 - x0) + math.pi / 2.0 - 2.0 * math.atan(bulge)
+    cx = x0 + signed_radius * math.cos(offset_angle)
+    cy = y0 + signed_radius * math.sin(offset_angle)
+    radius = abs(signed_radius)
+    start_angle = math.atan2(y0 - cy, x0 - cx)
+    pts = []
+    for k in range(1, ARC_SEGMENTS):
+        a = start_angle + theta * k / ARC_SEGMENTS
+        pts.append((cx + radius * math.cos(a), cy + radius * math.sin(a)))
+    pts.append((x1, y1))
+    return pts
+
+
+def oracle_profile(seq):
+    """The discretized profile of the former per-sequence kernel."""
+    targets = [e.target for e in seq.edges]
+    pts = []
+    for i, edge in enumerate(seq.edges):
+        if edge.kind is EdgeKind.ARC:
+            pts.extend(oracle_arc_points(targets[i - 1], edge.target, edge.bulge))
+        else:
+            pts.append(edge.target)
+    return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def oracle_kernel_check(seq):
+    """The former kernel: every rule applied to one sequence at a time, with
+    the pair-by-pair self-intersection oracle above."""
+    reasons = set()
+    n = len(seq.edges)
+    if n < 3:
+        reasons.add(InvalidReason.TOO_FEW_VERTICES)
+    values = [v for e in seq.edges for v in (*e.target, e.bulge)]
+    finite = math.isfinite(seq.depth) and all(math.isfinite(v) for v in values)
+    if not finite:
+        reasons.add(InvalidReason.NON_FINITE)
+    measurable = finite and all(abs(v) <= 1e50 for v in values)
+    for edge in seq.edges:
+        x, y = edge.target
+        if not (abs(x) <= 1.0 and abs(y) <= 1.0):
+            reasons.add(InvalidReason.OUT_OF_BOUNDS)
+        if edge.kind is EdgeKind.ARC and not abs(edge.bulge) <= 1.0:
+            reasons.add(InvalidReason.BULGE_OUT_OF_RANGE)
+    if n >= 2 and measurable:
+        targets = np.array([e.target for e in seq.edges], dtype=float)
+        gaps = np.hypot(*(targets - np.concatenate((targets[1:], targets[:1]))).T)
+        if not bool((gaps >= 1e-3).all()):
+            reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
+    if n >= 3 and measurable and InvalidReason.DEGENERATE_ADJACENT_VERTICES not in reasons:
+        poly = oracle_profile(seq)
+        if self_intersects_oracle(poly):
+            reasons.add(InvalidReason.SELF_INTERSECTION)
+        if not abs(polygon_area(poly)) >= 1e-3:
+            reasons.add(InvalidReason.NEAR_ZERO_AREA)
+    if not seq.depth > 0:
+        reasons.add(InvalidReason.DEPTH_NON_POSITIVE)
+    elif not seq.depth <= 1.0:
+        reasons.add(InvalidReason.DEPTH_TOO_LARGE)
+    return sum(1 << r for r in reasons)
+
+
+def oracle_masks(latents):
+    return np.array([oracle_kernel_check(decode(z)) for z in latents], dtype=np.uint16)
+
+
+# exact values at every threshold: channels at 0 and 0.5, coordinates and
+# bulges at 1, gaps of exactly 1e-3, bulges at 1e-12, values at the 1e50 limit
+# of the polygon checks, and NaN, inf and 1e60
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, 1e60, -1e60, 1e50, 0.0, -0.0, 1.0, -1.0]
+CHANNELS = st.one_of(
+    st.sampled_from([0.25, 0.75, 0.0, 0.5, -0.5, *SPECIAL_VALUES]), st.floats(-0.5, 1.5)
+)
+# binary fractions put vertices exactly on other edges and their lines
+COORDS = st.one_of(
+    st.sampled_from([0.0, 1e-3, -1e-3, 0.25, -0.25, 0.5, -0.5, 0.75, *SPECIAL_VALUES]),
+    st.floats(-1.25, 1.25),
+)
+BULGES = st.one_of(
+    st.sampled_from([0.0, 1e-12, -1e-12, 1e-13, 0.5, -0.5, *SPECIAL_VALUES]),
+    st.floats(-1.5, 1.5),
+)
+DEPTHS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, *SPECIAL_VALUES]), st.floats(-0.5, 1.5))
+
+
+@st.composite
+def latent_rows(draw):
+    slots = [(draw(CHANNELS), draw(COORDS), draw(COORDS), draw(BULGES)) for _ in range(5)]
+    return np.array([v for slot in slots for v in slot] + [draw(DEPTHS)])
+
+
+def latent(slots, depth):
+    """A latent row from (channel, x, y, bulge) slots; later slots inactive."""
+    slots = list(slots) + [(-0.5, 0.0, 0.0, 0.0)] * (5 - len(slots))
+    return np.array([v for slot in slots for v in slot] + [depth])
+
+
+def random_latent_rows(seed, n):
+    """Latent rows of every kind: mostly near-valid profiles, with exact
+    threshold values and NaN, inf and 1e60 put in at random."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n, LATENT_DIM))
+    channels = [0.25, 0.75, -0.5, 0.0, 0.5]
+    rows[:, 0:20:4] = rng.choice(channels, size=(n, 5), p=[0.5, 0.3, 0.1, 0.05, 0.05])
+    rows[:, 1:20:4] = rng.uniform(-1.1, 1.1, size=(n, 5))
+    rows[:, 2:20:4] = rng.uniform(-1.1, 1.1, size=(n, 5))
+    rows[:, 3:20:4] = rng.uniform(-1.2, 1.2, size=(n, 5))
+    rows[:, 20] = rng.uniform(-0.1, 1.1, size=n)
+    snap = rng.random(n) < 0.3
+    rows[snap, 1:20] = np.round(rows[snap, 1:20] * 4) / 4
+    special = rng.random((n, LATENT_DIM)) < 0.02
+    rows[special] = rng.choice(SPECIAL_VALUES + [1e-12, 1e-3], size=int(special.sum()))
+    return rows
+
+
+@given(latent_rows())
+@example(latent([(0.25, 0, 0, 0), (0.25, 1e-3, 0, 0), (0.25, 1e-3, 1, 0)], 0.5))  # gap 1e-3
+@example(latent([(0.25, 0, 0, 0), (0.25, 5e-4, 0, 0), (0.25, 1, 1, 0)], 0.5))  # gap below it
+@example(latent([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (0.25, 0.5, 0, 0), (0.25, 0.5, 1, 0)], 0.5))
+@example(latent([(0.25, -1, -1, 0), (0.75, 1, -1, 1), (0.75, 1, 1, -1), (0.25, -1, 1, 0)], 1.0))
+@example(latent([(0.25, 0, 0, 0), (0.75, 1, 0, 1e-12), (0.5, 1, 1, 3), (0.75, 0, 1, 1e-13)], 0))
+@example(latent([(0.75, 0, 0, 0.5), (0.75, 0, 0, 0.5), (0.25, 1, 1, 0)], 0.5))  # zero chord
+@example(latent([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (math.nan, 1, 1, 0)], 0.5))
+@example(latent([(0.25, 0, 0, 0), (0.25, 1e60, 0, math.nan), (0.75, 1, 1, math.inf)], 0.5))
+@example(latent([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (0.25, 1, 1, 0)], math.nan))
+@settings(deadline=None)  # max_examples comes from the profile (conftest.py)
+def test_check_latents_equals_oracle_on_arbitrary_rows(z):
+    (mask,) = check_latents(z[None])
+    assert mask == oracle_masks([z])[0]
+    assert ValidityReport.from_mask(mask) == kernel_check(decode(z))
+
+
+def test_check_latents_equals_oracle_on_a_random_block():
+    rows = random_latent_rows(0, 3000)
+    masks = check_latents(rows)
+    assert masks.dtype == np.uint16 and masks.shape == (3000,)
+    np.testing.assert_array_equal(masks, oracle_masks(rows))
+    # the premise: every rule fires, and a fair share of rows is valid
+    for reason in InvalidReason:
+        assert ((masks >> reason) & 1).any(), reason
+    assert (masks == 0).mean() > 0.05
+
+
+def test_check_latents_masks_do_not_depend_on_the_split(monkeypatch):
+    rows = random_latent_rows(1, 500)
+    whole = check_latents(rows)
+    for size in (1, 7, 64):
+        parts = [check_latents(rows[lo : lo + size]) for lo in range(0, len(rows), size)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+    # seven edge pairs per orientation pass, and one pass for the whole block
+    for pairs in (7, 10**9):
+        monkeypatch.setattr(geometry, "_PAIR_SLICE", pairs)
+        np.testing.assert_array_equal(check_latents(rows), whole)
+
+
+def test_orientation_pass_holds_a_bounded_slice_of_pairs(monkeypatch):
+    # the block has many more pairs than a slice, and some polygons do too
+    pairs = []
+    take = np.take
+
+    def spy(vertices, index, axis):
+        pairs.append(index.shape[-1])
+        return take(vertices, index, axis=axis)
+
+    rows = random_latent_rows(2, 300)
+    expected = check_latents(rows)
+    monkeypatch.setattr(geometry.np, "take", spy)
+    monkeypatch.setattr(geometry, "_PAIR_SLICE", 300)
+    masks = check_latents(rows)
+    monkeypatch.undo()
+    assert len(pairs) > 10 and max(pairs) == 300
+    np.testing.assert_array_equal(masks, expected)
+
+
+def test_check_latents_of_no_rows_and_of_bad_shapes():
+    assert check_latents(np.zeros((0, LATENT_DIM))).shape == (0,)
+    for shape in ((LATENT_DIM,), (2, LATENT_DIM - 1)):
+        with pytest.raises(ValueError, match="latents must be"):
+            check_latents(np.zeros(shape))
+
+
+def test_mask_bits_are_the_reason_values():
+    z = latent([(0.25, 0, 0, 0), (0.25, 1.5, 0, 0)], -1.0)
+    (mask,) = check_latents(z[None])
+    reasons = (
+        InvalidReason.TOO_FEW_VERTICES,
+        InvalidReason.OUT_OF_BOUNDS,
+        InvalidReason.DEPTH_NON_POSITIVE,
+    )
+    assert mask == sum(1 << r for r in reasons)
+    assert ValidityReport.from_mask(mask) == ValidityReport(False, reasons)
+    assert ValidityReport.from_mask(0) == ValidityReport(True, ())
+
+
+@given(command_sequences(coord=st.floats(-1.5, 1.5), bulge=BULGES.filter(math.isfinite)))
+@example(CommandSequence((line(0, 0), arc(0, 0, 0.5), line(1, 1)), 0.5))  # zero chord
+@example(CommandSequence((line(0, 0), arc(1, 0, 1e-12), arc(1, 1, -1e-13)), 0.5))
+@settings(max_examples=300, deadline=None)
+def test_discretize_profile_equals_oracle_bitwise(seq):
+    assert discretize_profile(seq).tobytes() == oracle_profile(seq).tobytes()
+
+
+@given(command_sequences(coord=st.floats(-1.5, 1.5), bulge=BULGES, depth=DEPTHS))
+@settings(max_examples=300, deadline=None)
+def test_kernel_check_is_the_block_kernel_on_the_encoded_row(seq):
+    report = kernel_check(seq)
+    assert report == ValidityReport.from_mask(check_latents(encode(seq)[None])[0])
+    assert sum(1 << r for r in report.reasons) == oracle_kernel_check(seq)
 
 
 # ---------------------------------------------------------------- point sampling

@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import logging
 import math
 import multiprocessing
 
@@ -10,7 +11,7 @@ from cadrepair import pipeline
 from cadrepair.codec import decode, encode
 from cadrepair.config import ModelTraining, RunConfig
 from cadrepair.diffusion import build_schedule, sample
-from cadrepair.geometry import kernel_check, sample_point_cloud
+from cadrepair.geometry import ValidityReport, kernel_check, sample_point_cloud
 from cadrepair.metrics import mmd
 from cadrepair.nets import (
     LinearRegressor,
@@ -36,6 +37,8 @@ from cadrepair.pipeline import (
     seed_stream,
     self_repair,
 )
+
+from conftest import one_draw_at_a_time_ground_truth
 
 # the default run's schedule, as RunConfig's timesteps and betas give it
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -81,6 +84,21 @@ def test_ground_truth_deterministic():
         np.testing.assert_array_equal(ca.latent, cb.latent)
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300])
+def test_ground_truth_equals_one_draw_at_a_time(n, caplog):
+    # every chunk is twice the remaining need, so n = 300 takes several
+    for seed in (0, 1, 2):
+        expected, draws = one_draw_at_a_time_ground_truth(n, seed)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="cadrepair.pipeline"):
+            cases = gen_ground_truth(n, seed)
+        assert [c.sequence for c in cases] == [c.sequence for c in expected]
+        for case, want in zip(cases, expected):
+            assert case.condition.tobytes() == want.condition.tobytes()
+            assert case.latent.tobytes() == want.latent.tobytes()
+        assert f"({n}/{draws})" in caplog.text
+
+
 def test_ground_truth_requires_positive_count():
     with pytest.raises(ValueError):
         gen_ground_truth(0, seed=1)
@@ -97,21 +115,21 @@ def train_gt(n, seed):
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
     ground_truth = train_gt(4, 11)
-    latents, reports = gen_dataset(ground_truth, models["denoiser"], gen_cfg(11, 3))
+    latents, masks = gen_dataset(ground_truth, models["denoiser"], gen_cfg(11, 3))
     assert len(ground_truth) == 4
     assert latents.shape == (12, 21)
-    assert len(reports) == 12
+    assert masks.shape == (12,) and masks.dtype == np.uint16
     again_gt = train_gt(4, 11)
-    again_latents, again_reports = gen_dataset(again_gt, models["denoiser"], gen_cfg(11, 3))
+    again_latents, again_masks = gen_dataset(again_gt, models["denoiser"], gen_cfg(11, 3))
     assert [gt.sequence for gt in again_gt] == [gt.sequence for gt in ground_truth]
     np.testing.assert_array_equal(again_latents, latents)
-    assert again_reports == reports
+    np.testing.assert_array_equal(again_masks, masks)
 
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    latents, reports = gen_dataset(train_gt(3, 2), models["denoiser"], gen_cfg(2, 2))
-    assert reports == [kernel_check(decode(z)) for z in latents]
+    latents, masks = gen_dataset(train_gt(3, 2), models["denoiser"], gen_cfg(2, 2))
+    assert list(map(ValidityReport.from_mask, masks)) == [kernel_check(decode(z)) for z in latents]
 
 
 def test_gen_dataset_blocks_match_single_chains(monkeypatch):
@@ -124,14 +142,14 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
         assert 15 % block != 0
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
         ground_truth = train_gt(3, 8)
-        latents, reports = gen_dataset(ground_truth, models["denoiser"], gen_cfg(8, 5))
-        for row, (z, report) in enumerate(zip(latents, reports)):
+        latents, masks = gen_dataset(ground_truth, models["denoiser"], gen_cfg(8, 5))
+        for row, (z, mask) in enumerate(zip(latents, masks)):
             cid, g = divmod(row, 5)
             (single,) = sample(ground_truth[cid].condition[None], models["denoiser"],
                                [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)],
                                gen_cfg(8, 5))
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
-            assert report == kernel_check(decode(single[0]))
+            assert ValidityReport.from_mask(mask) == kernel_check(decode(single[0]))
 
 
 def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
@@ -144,7 +162,7 @@ def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
     pooled = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
-    assert serial[1] == pooled[1]
+    assert serial[1].tobytes() == pooled[1].tobytes()
 
 
 # ---------------------------------------------------------------- pairing
@@ -455,12 +473,13 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     n_repaired = sum(o.stage is RepairStage.REPAIRED_VALID for v in repaired for o in outcomes[v])
     assert 0 < n_valid and 0 < n_repaired
     assert calls["mmd"] == n_valid + n_repaired
-    # each chain row is decoded once; self-repair decodes only its repaired latent
+    # chain rows are kernel-checked a block at a time, and only a valid one is
+    # decoded, once; self-repair decodes only its repaired latent
     n_attempted = sum(
         o.stage is not RepairStage.VALID_DIRECT for v in repaired for o in outcomes[v]
     )
     assert calls["self_repair"] == n_attempted
-    assert calls["decode"] == 4 * len(conditions) + n_attempted
+    assert calls["decode"] == n_valid + n_attempted
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -501,7 +520,7 @@ def test_gen_dataset_pool_matches_serial_under_start_method(monkeypatch, method)
     pooled = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
-    assert serial[1] == pooled[1]
+    assert serial[1].tobytes() == pooled[1].tobytes()
 
 
 def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
@@ -541,8 +560,8 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 4)
     for threads, n, workers in ((64, 4, [3]), (2, 4, [2]), (4, 1, [])):
         pool_sizes.clear()
-        latents, reports = gen_dataset(
+        latents, masks = gen_dataset(
             train_gt(n, 21), toy_models(seed=9)["denoiser"], gen_cfg(21, 3), threads
         )
         assert pool_sizes == workers, (threads, n)
-        assert latents.shape == (3 * n, 21) and len(reports) == 3 * n
+        assert latents.shape == (3 * n, 21) and masks.shape == (3 * n,)
