@@ -18,7 +18,8 @@ Each stage reads and checks all of its inputs before it writes a file, then
 writes all of its outputs, ``config.json`` included, through ``_write_outputs``.
 So a stage that exits 2, 3, 4 or 5 writes nothing and creates no directory. Each
 artifact kind has one reader, which raises MissingArtifact for an absent file and
-ConfigError naming the path, or path:line, for a malformed one:
+ConfigError naming the path, or path:line, for a malformed or unreadable one (a
+directory, or text that is not UTF-8):
 
 - latent matrices (``*.bin``): ``codec.read_latents``;
 - model files (``<name>.json`` of MODELS): ``_load_model``;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -196,27 +198,30 @@ def _train_conditions(cfg: RunConfig) -> tuple[list[GroundTruthCondition], dict]
     if not path.exists():
         conditions = pipeline.gen_ground_truth(cfg.n_conditions, stream)
         return conditions, {"conditions.jsonl": conditions}
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     conditions = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                seq = sequence_from_record(obj["sequence"])
-                condition = np.asarray(obj["condition"], dtype=float)
-                if condition.shape != (CONDITION_DIM,) or not np.isfinite(condition).all():
-                    raise ConfigError(
-                        f"condition: need {CONDITION_DIM} finite numbers, got {obj['condition']}"
-                    )
-                # json reads true and 1.0 as well as 1, and both equal 1
-                if type(obj["condition_id"]) is not int or obj["condition_id"] != len(conditions):
-                    raise ConfigError(
-                        f"condition_id is {obj['condition_id']!r}, expected {len(conditions)}"
-                    )
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            seq = sequence_from_record(obj["sequence"])
+            condition = np.asarray(obj["condition"], dtype=float)
+            if condition.shape != (CONDITION_DIM,) or not np.isfinite(condition).all():
+                raise ConfigError(
+                    f"condition: need {CONDITION_DIM} finite numbers, got {obj['condition']}"
+                )
+            # json reads true and 1.0 as well as 1, and both equal 1
+            if type(obj["condition_id"]) is not int or obj["condition_id"] != len(conditions):
+                raise ConfigError(
+                    f"condition_id is {obj['condition_id']!r}, expected {len(conditions)}"
+                )
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
     if not conditions:
         raise ConfigError(f"{path}: holds no condition")
     if len(conditions) != cfg.n_conditions:
@@ -238,22 +243,24 @@ def _read_csv(path: Path, columns: tuple[int, ...], cast=int) -> tuple[np.ndarra
     path:line."""
     header = CSV_HEADERS[path.name]
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError as exc:
         raise MissingArtifact(f"{path} is missing") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     rows, lines = [], []
-    with fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(header):
-            raise ConfigError(f"{path}:1: expected the header {','.join(header)}")
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {','.join(header)}")
-                rows.append([cast(row[c]) for c in columns])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
-            lines.append(reader.line_num)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, None) != list(header):
+        raise ConfigError(f"{path}:1: expected the header {','.join(header)}")
+    for row in reader:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {','.join(header)}")
+            rows.append([cast(row[c]) for c in columns])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+        lines.append(reader.line_num)
     return np.array(rows, dtype=cast).reshape(-1, len(columns)), lines
 
 
@@ -356,20 +363,18 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
     out = Path(cfg.out_dir)
     if which == "denoiser":
         conditions, files = _train_conditions(cfg)
-        result = train_denoiser(
+        model, losses = train_denoiser(
             np.array([c.condition for c in conditions]),
             np.array([c.latent for c in conditions]),
             diffusion.build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end),
             cfg.denoiser,
             derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
         )
-        print(
-            f"denoiser: loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f} "
-            f"over {cfg.denoiser.epochs} epochs"
-        )
-        return {**files, "denoiser.json": result.model}, {
-            "first_epoch_loss": result.epoch_losses[0],
-            "final_loss": result.epoch_losses[-1],
+        epochs = cfg.denoiser.epochs
+        print(f"denoiser: loss {losses[0]:.4f} -> {losses[-1]:.4f} over {epochs} epochs")
+        return {**files, "denoiser.json": model}, {
+            "first_epoch_loss": losses[0],
+            "final_loss": losses[-1],
             "n_conditions": len(conditions),
         }
 
@@ -393,34 +398,21 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
                 "held-out rows, need at least one of each"
             )
         _check_layout(labels_path, cells[:, 0], latents_path, len(latents))
-        result = train_classifier(
+        model, m = train_classifier(
             latents[: len(labels)],
             labels,
             cfg.classifier,
             derived_seed(cfg.master_seed, STREAM_TRAINING, 1),
             split=cfg.split,
         )
-        m = result.metrics
-        print("classifier (held out, class 1 = valid):")
-        print(f"  precision {m.precision[1]:.3f}  recall {m.recall[1]:.3f}  f1 {m.f1[1]:.3f}")
-        print(f"  accuracy {m.accuracy:.3f}  balanced {m.balanced_accuracy:.3f}")
-        print(f"  confusion {m.confusion.tolist()}")
-        return {"classifier.json": result.model}, {
-            "accuracy": m.accuracy,
-            "balanced_accuracy": m.balanced_accuracy,
-            "precision_valid": m.precision[1],
-            "recall_valid": m.recall[1],
-            "f1_valid": m.f1[1],
-            "precision_invalid": m.precision[0],
-            "recall_invalid": m.recall[0],
-            "f1_invalid": m.f1[0],
-            "confusion_tn": m.confusion[0, 0],
-            "confusion_fp": m.confusion[0, 1],
-            "confusion_fn": m.confusion[1, 0],
-            "confusion_tp": m.confusion[1, 1],
-            "n_train": result.n_train,
-            "n_test": result.n_test,
-        }
+        print(
+            "classifier (held out, class 1 = valid):\n"
+            "  precision {precision_valid:.3f}  recall {recall_valid:.3f}  f1 {f1_valid:.3f}\n"
+            "  accuracy {accuracy:.3f}  balanced {balanced_accuracy:.3f}\n"
+            "  confusion [[{confusion_tn}, {confusion_fp}], [{confusion_fn}, {confusion_tp}]]"
+            .format(**m)
+        )
+        return {"classifier.json": model}, m
 
     ssl = which == "ssl_regressor"
     pairs_path = out / ("pairs_ssl.csv" if ssl else "pairs_gt.csv")
@@ -444,7 +436,7 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
             f"and {len(pairs) - n_train} held-out pairs, need >= {min_rows} train pairs "
             "to fit and at least one held out"
         )
-    result = train_regressor(
+    model, m = train_regressor(
         latents[rows[:, 0]],
         latents[rows[:, 1]],
         derived_seed(cfg.master_seed, STREAM_TRAINING, 2 if ssl else 3),
@@ -452,27 +444,25 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
         ridge=cfg.ridge,
     )
     print(
-        f"{which}: train R2 {result.train_r2:.4f} MSE {result.train_mse:.4f} | "
-        f"test R2 {result.test_r2:.4f} MSE {result.test_mse:.4f} ({len(pairs)} pairs)"
+        f"{which}: train R2 {m['train_r2']:.4f} MSE {m['train_mse']:.4f} | "
+        f"test R2 {m['test_r2']:.4f} MSE {m['test_mse']:.4f} ({len(pairs)} pairs)"
     )
-    return {f"{which}.json": result.model}, {
-        "train_r2": result.train_r2,
-        "train_mse": result.train_mse,
-        "test_r2": result.test_r2,
-        "test_mse": result.test_mse,
-        "n_pairs": len(pairs),
-    }
+    return {f"{which}.json": model}, {**m, "n_pairs": len(pairs)}
 
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
+    """Train the model ``which`` names into ``<which>.json`` and set its rows of
+    ``metrics.csv`` (model, metric, value): the denoiser's first_epoch_loss, final_loss
+    and n_conditions; the classifier's held-out accuracy, balanced_accuracy,
+    {precision,recall,f1}_{valid,invalid} (class 1 = valid), confusion_{tn,fp,fn,tp},
+    n_train and n_test; a regressor's train_r2, train_mse, test_r2, test_mse and n_pairs."""
     out = Path(cfg.out_dir)
     metrics = {}
     if (out / "metrics.csv").exists():
         rows, _ = _read_csv(out / "metrics.csv", (0, 1, 2), str)
         metrics = {(m, k): v for m, k, v in rows.tolist()}
     files, values = _train_one(cfg, which)
-    for metric, value in values.items():
-        metrics[(which, metric)] = _fmt(value)
+    metrics.update({(which, metric): _fmt(value) for metric, value in values.items()})
     rows = [[m, k, v] for (m, k), v in sorted(metrics.items())]
     _write_outputs(out, {"config.json": asdict(cfg), **files, "metrics.csv": rows})
     return EXIT_OK
@@ -575,8 +565,7 @@ def cmd_pca(cfg: RunConfig) -> int:
         names = ", ".join(name for name, _ in sources)
         raise ConfigError(f"{out}: {names} hold {counts} rows; pca needs 3 or more, one per file")
     tags = np.repeat([tag for _, tag in sources], counts)
-    projection = pca_2d(np.vstack(blocks))
-    coords = projection.coords
+    _, coords, explained = pca_2d(np.vstack(blocks))
     _write_outputs(out, {
         "config.json": asdict(cfg),
         "pca.csv": [[_fmt(x), _fmt(y), tag] for (x, y), tag in zip(coords, tags)],
@@ -584,10 +573,7 @@ def cmd_pca(cfg: RunConfig) -> int:
     base_centroid = coords[tags == "Baseline"].mean(axis=0)
     full_centroid = coords[tags == "SelfRepairing"].mean(axis=0)
     centroid_distance = float(np.linalg.norm(base_centroid - full_centroid))
-    print(
-        "explained variance: "
-        f"{projection.explained_variance[0]:.4f}, {projection.explained_variance[1]:.4f}"
-    )
+    print(f"explained variance: {explained[0]:.4f}, {explained[1]:.4f}")
     print(f"baseline vs self-repairing centroid distance: {centroid_distance:.6f}")
     return EXIT_OK
 
@@ -640,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", "-c", help="run config JSON (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="override the output directory")
 
     p_gen = sub.add_parser(
@@ -684,12 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    return replace(cfg, **overrides)  # re-runs RunConfig's range checks
+    return replace(cfg, out_dir=args.out) if args.out else cfg  # re-runs the range checks
 
 
 def main(argv=None) -> int:

@@ -107,13 +107,15 @@ def write_latents(path, latents) -> None:
 
 
 def read_latents(path) -> np.ndarray:
-    """Read a latent matrix file. An absent file is a MissingArtifact; a bad header
-    or payload, rows not LATENT_DIM wide, or a value that is not finite is a
-    ConfigError naming the path."""
+    """Read a latent matrix file. An absent file is a MissingArtifact; one that
+    cannot be read (a directory, say), a bad header or payload, rows not
+    LATENT_DIM wide, or a value that is not finite is a ConfigError naming the path."""
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError as exc:
         raise MissingArtifact(f"{path} is missing") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     if len(data) < _HEADER.size:
         raise ConfigError(f"{path}: too short for a latent matrix header")
     magic, rows, width, _ = _HEADER.unpack_from(data)

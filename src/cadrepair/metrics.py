@@ -15,7 +15,6 @@ two eigenvectors of the 21x21 sample covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,15 +107,11 @@ def mmd_histogram(scores, bins: int = 16) -> tuple[np.ndarray, np.ndarray]:
     return np.histogram(values, bins=bins, range=(0.0, top if top > 0.0 else 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class PcaProjection:
-    components: np.ndarray  # (2, d) orthonormal rows
-    coords: np.ndarray  # (n, 2)
-    explained_variance: np.ndarray  # fractions, descending
-
-
-def pca_2d(latents) -> PcaProjection:
-    """Top-2 principal axes of the latent rows with a deterministic sign fix."""
+def pca_2d(latents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-2 principal axes of the latent rows with a deterministic sign fix:
+    (components, coords, explained_variance), that is the (2, d) orthonormal axes,
+    the (n, 2) coordinates of the centred rows, and the two axes' shares of the
+    total variance, descending."""
     x = np.asarray(latents, dtype=float)
     if x.ndim != 2 or len(x) < 3:
         raise ValueError("need at least 3 latent rows")
@@ -129,8 +124,5 @@ def pca_2d(latents) -> PcaProjection:
         if row[np.argmax(np.abs(row))] < 0.0:
             row *= -1.0
     total = float(eigenvalues.sum())
-    if total > 0.0:
-        explained = eigenvalues[order[:2]] / total
-    else:
-        explained = np.zeros(2)
-    return PcaProjection(components, centered @ components.T, explained)
+    explained = eigenvalues[order[:2]] / total if total > 0.0 else np.zeros(2)
+    return components, centered @ components.T, explained

@@ -146,24 +146,6 @@ def _fit(name: str, model: Mlp, n_rows: int, batch, config: ModelTraining, rng) 
         )
 
 
-@dataclass(frozen=True)
-class ClassifierMetrics:
-    accuracy: float
-    balanced_accuracy: float
-    precision: dict[int, float]
-    recall: dict[int, float]
-    f1: dict[int, float]
-    confusion: np.ndarray  # rows true class (0, 1), columns predicted class
-
-
-@dataclass(frozen=True)
-class ClassifierResult:
-    model: Mlp
-    metrics: ClassifierMetrics
-    n_train: int
-    n_test: int
-
-
 def undersample_balanced(labels, rng) -> np.ndarray:
     """Indices keeping all minority samples and an equal-size majority subset."""
     labels = np.asarray(labels, dtype=bool)
@@ -179,32 +161,36 @@ def undersample_balanced(labels, rng) -> np.ndarray:
     return chosen[rng.permutation(len(chosen))]
 
 
-def _classification_metrics(y_true, y_pred) -> ClassifierMetrics:
+def _classification_metrics(y_true, y_pred) -> dict:
+    """Accuracy, balanced accuracy, each class's precision, recall and F1 (class 1
+    is ``valid``, 0 ``invalid``) and the confusion counts, by their metrics.csv names."""
     y_true = np.asarray(y_true, dtype=int)
     y_pred = np.asarray(y_pred, dtype=int)
-    confusion = np.zeros((2, 2), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        confusion[t, p] += 1
-    precision = {}
-    recall = {}
-    f1 = {}
-    for cls in (0, 1):
+    # rows true class (0, 1), columns predicted class
+    confusion = np.bincount(2 * y_true + y_pred, minlength=4).reshape(2, 2)
+    metrics = {"accuracy": float((y_true == y_pred).mean())}
+    recall = []
+    for cls, name in ((0, "invalid"), (1, "valid")):
         tp = confusion[cls, cls]
         predicted = confusion[:, cls].sum()
         actual = confusion[cls, :].sum()
-        precision[cls] = tp / predicted if predicted else 0.0
-        recall[cls] = tp / actual if actual else 0.0
-        denom = precision[cls] + recall[cls]
-        f1[cls] = 2.0 * precision[cls] * recall[cls] / denom if denom else 0.0
-    accuracy = float((y_true == y_pred).mean())
-    balanced = float((recall[0] + recall[1]) / 2.0)
-    return ClassifierMetrics(accuracy, balanced, precision, recall, f1, confusion)
+        precision = tp / predicted if predicted else 0.0
+        recall.append(tp / actual if actual else 0.0)
+        denom = precision + recall[cls]
+        metrics[f"precision_{name}"] = float(precision)
+        metrics[f"recall_{name}"] = float(recall[cls])
+        metrics[f"f1_{name}"] = float(2.0 * precision * recall[cls] / denom if denom else 0.0)
+    metrics["balanced_accuracy"] = float((recall[0] + recall[1]) / 2.0)
+    (tn, fp), (fn, tp) = confusion.tolist()
+    metrics.update(confusion_tn=tn, confusion_fp=fp, confusion_fn=fn, confusion_tp=tp)
+    return metrics
 
 
 def train_classifier(
     latents, labels, config: ModelTraining, seed: int, split: float = 0.8
-) -> ClassifierResult:
-    """Train the feasibility classifier on labeled latents.
+) -> tuple[Mlp, dict]:
+    """Train the feasibility classifier on labeled latents; returns the model and
+    its held-out ``_classification_metrics`` with ``n_train`` and ``n_test``.
 
     Undersamples the majority class to exact balance, shuffles by ``seed``,
     splits by ``split``, and fits input->128->64->1 with binary cross-entropy via
@@ -229,7 +215,7 @@ def train_classifier(
     _fit("classifier", model, len(x_train), batch, config, rng)
     probs, _ = mlp_forward(model, x_test)
     metrics = _classification_metrics(y_test.astype(int), (probs[:, 0] >= 0.5).astype(int))
-    return ClassifierResult(model, metrics, len(x_train), len(x_test))
+    return model, {**metrics, "n_train": len(x_train), "n_test": len(x_test)}
 
 
 def fit_linear_regressor(inputs, targets, ridge: float = 0.0) -> LinearRegressor:
@@ -284,20 +270,12 @@ def mean_squared_error(y_true, y_pred) -> float:
     return float(((y_true - y_pred) ** 2).mean())
 
 
-@dataclass(frozen=True)
-class RegressorResult:
-    model: LinearRegressor
-    train_r2: float
-    train_mse: float
-    test_r2: float
-    test_mse: float
-
-
 def train_regressor(
     inputs, targets, seed: int, split: float = 0.8, ridge: float = 0.0
-) -> RegressorResult:
+) -> tuple[LinearRegressor, dict[str, float]]:
     """Shuffle by ``seed``, fit on the first ``split`` share of the rows, and
-    report R^2 / MSE on both splits."""
+    return the model with R^2 and MSE on both splits: ``train_r2``, ``train_mse``,
+    ``test_r2`` and ``test_mse``."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(targets, dtype=float)
     rng = np.random.default_rng(seed)
@@ -307,13 +285,12 @@ def train_regressor(
     model = fit_linear_regressor(x[:n_train], y[:n_train], ridge)
     pred_train = regressor_predict(model, x[:n_train])
     pred_test = regressor_predict(model, x[n_train:])
-    return RegressorResult(
-        model,
-        r2_score(y[:n_train], pred_train),
-        mean_squared_error(y[:n_train], pred_train),
-        r2_score(y[n_train:], pred_test),
-        mean_squared_error(y[n_train:], pred_test),
-    )
+    return model, {
+        "train_r2": r2_score(y[:n_train], pred_train),
+        "train_mse": mean_squared_error(y[:n_train], pred_train),
+        "test_r2": r2_score(y[n_train:], pred_test),
+        "test_mse": mean_squared_error(y[n_train:], pred_test),
+    }
 
 
 def timestep_embedding(t) -> np.ndarray:
@@ -325,16 +302,11 @@ def timestep_embedding(t) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-@dataclass(frozen=True)
-class DenoiserResult:
-    model: Mlp
-    epoch_losses: list[float]
-
-
 def train_denoiser(
     conditions, latents, schedule, config: ModelTraining, seed: int
-) -> DenoiserResult:
-    """Train the noise-prediction network on (condition, clean latent) pairs.
+) -> tuple[Mlp, list[float]]:
+    """Train the noise-prediction network on (condition, clean latent) pairs;
+    returns the model and the mean batch loss of each epoch.
 
     Each example in each batch gets a fresh uniform timestep and Gaussian
     noise; the loss is the batch mean of the squared noise-prediction error.
@@ -372,7 +344,7 @@ def train_denoiser(
     _fit("denoiser", model, len(z0), batch, config, rng)
     # every epoch runs the same number of batches
     epoch_losses = np.reshape(batch_losses, (config.epochs, -1)).mean(axis=1)
-    return DenoiserResult(model, epoch_losses.tolist())
+    return model, epoch_losses.tolist()
 
 
 def save_model(path, model: Mlp | LinearRegressor) -> None:

@@ -89,11 +89,12 @@ def artifact_bytes(out_dir) -> dict[str, bytes]:
     }
 
 
-def snapshot(out_dir) -> dict[str, bytes] | None:
-    """Every file of a run directory by name, config.json too; None when it does not exist."""
+def snapshot(out_dir) -> dict[str, bytes | None] | None:
+    """Every file of a run directory by name, config.json too, and None for each
+    directory in it; None when it does not exist."""
     if not out_dir.exists():
         return None
-    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return {p.name: p.read_bytes() if p.is_file() else None for p in sorted(out_dir.iterdir())}
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,45 @@ def test_training_reads_row_counts_from_the_dataset(runs, tmp_path, n_conditions
         assert (out / model).read_bytes() == (root / "a" / model).read_bytes(), model
 
 
+# the rows each model sets in metrics.csv, as cmd_train's docstring lists them
+METRIC_KEYS = {
+    "denoiser": {"first_epoch_loss", "final_loss", "n_conditions"},
+    "classifier": {
+        "accuracy", "balanced_accuracy", "precision_valid", "recall_valid", "f1_valid",
+        "precision_invalid", "recall_invalid", "f1_invalid", "confusion_tn", "confusion_fp",
+        "confusion_fn", "confusion_tp", "n_train", "n_test",
+    },
+    "ssl_regressor": {"train_r2", "train_mse", "test_r2", "test_mse", "n_pairs"},
+    "gt_regressor": {"train_r2", "train_mse", "test_r2", "test_mse", "n_pairs"},
+}
+
+
+def test_metrics_csv_holds_the_documented_keys(runs, tmp_path, capsys):
+    root, _, _ = runs
+    rows = read_rows(root / "a" / "metrics.csv")
+    keys = {}
+    for row in rows:
+        keys.setdefault(row["model"], []).append(row["metric"])
+        assert row["value"] == repr(float(row["value"])), row
+    assert {model: sorted(names) for model, names in keys.items()} == {
+        model: sorted(names) for model, names in METRIC_KEYS.items()
+    }
+    assert [len(METRIC_KEYS[m]) for m in METRIC_KEYS] == [3, 14, 5, 5]
+    value = {(row["model"], row["metric"]): float(row["value"]) for row in rows}
+    cells = [value["classifier", f"confusion_{k}"] for k in ("tn", "fp", "fn", "tp")]
+    assert sum(cells) == value["classifier", "n_test"]
+    assert value["gt_regressor", "n_pairs"] == TINY["n_conditions"] * 3
+    # the classifier's summary prints the same counts, as plain ints
+    out = tmp_path / "out"
+    shutil.copytree(root / "a", out)
+    capsys.readouterr()
+    config = write_config(tmp_path / "c.json", out)
+    assert run_stage(config, "train", "--which", "classifier") == cli.EXIT_OK
+    tn, fp, fn, tp = map(int, cells)
+    assert f"  confusion [[{tn}, {fp}], [{fn}, {tp}]]\n" in capsys.readouterr().out
+    assert (out / "metrics.csv").read_bytes() == (root / "a" / "metrics.csv").read_bytes()
+
+
 def test_console_script_entry_prints_help(monkeypatch, capsys):
     # pyproject.toml's `cadrepair` script calls cli.entry
     monkeypatch.setattr("sys.argv", ["cadrepair", "--help"])
@@ -246,7 +286,7 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"classifier_scale": -1.0}, EVAL_BASELINE),
         ({"classifier_scale": float("inf")}, EVAL_BASELINE),
         ({"regressor_scale": float("nan")}, EVAL_BASELINE),
-        ({}, (*TRAIN_DENOISER, "--seed", "-1")),
+        ({"master_seed": -1}, TRAIN_DENOISER),
         ({"timesteps": 2.5}, TRAIN_DENOISER),
         ({"cloud_size": 3.5}, EVAL_BASELINE),
         ({"n_conditions": True}, TRAIN_DENOISER),
@@ -284,7 +324,7 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "classifier_scale-negative",
         "classifier_scale-inf",
         "regressor_scale-nan",
-        "seed-override-negative",
+        "master_seed-negative",
         "timesteps-float",
         "cloud_size-float",
         "n_conditions-bool",
@@ -405,6 +445,54 @@ def test_failing_stage_leaves_the_run_directory_as_it_was(tmp_path, case, stale_
     before = snapshot(out)
     assert run_stage(write_config(tmp_path / "c.json", out, **overrides), *argv) == code
     assert snapshot(out) == before
+
+
+def as_directory(path) -> None:
+    path.unlink(missing_ok=True)
+    path.mkdir()
+
+
+def not_utf8(path) -> None:
+    path.write_bytes("condition_id,café\n".encode("latin-1"))
+
+
+CLASSIFIER = ("train", "--which", "classifier")
+
+# the input that cannot be read, under the test's directory, what makes it so, and
+# the stage that reads it
+UNREADABLE_INPUTS = {
+    "config-directory": ("c.json", as_directory, TRAIN_DENOISER),
+    "config-not-utf8": ("c.json", not_utf8, TRAIN_DENOISER),
+    "conditions-directory": ("out/conditions.jsonl", as_directory, TRAIN_DENOISER),
+    "conditions-not-utf8": ("out/conditions.jsonl", not_utf8, TRAIN_DENOISER),
+    "labels-directory": ("out/labels.csv", as_directory, CLASSIFIER),
+    "labels-not-utf8": ("out/labels.csv", not_utf8, CLASSIFIER),
+    "latents-directory": ("out/latents.bin", as_directory, CLASSIFIER),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_2(tmp_path, caplog, case):
+    name, make_unreadable, argv = UNREADABLE_INPUTS[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "config.json").write_text(json.dumps({**TINY, "master_seed": 9}))
+    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(6, LATENT_DIM)))
+    config = write_config(tmp_path / "c.json", out)
+    make_unreadable(tmp_path / name)
+    before = snapshot(out)
+    assert cli.main([*argv, "--config", config, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"{tmp_path / name}: cannot read: " in caplog.text
+    assert snapshot(out) == before
+
+
+def test_seed_flag_is_gone(tmp_path):
+    # master_seed in the config is the one way to set the seed
+    config = write_config(tmp_path / "c.json", tmp_path / "out")
+    with pytest.raises(SystemExit) as exit_info:
+        run_stage(config, *TRAIN_DENOISER, "--seed", "1")
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

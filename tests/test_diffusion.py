@@ -486,13 +486,13 @@ def test_sample_collapses_to_fixed_latent():
     target = rng.uniform(-0.6, 0.6, size=21)
     conditions = np.tile(rng.uniform(0.2, 0.8, size=8), (64, 1))
     latents = np.tile(target, (64, 1))
-    result = train_denoiser(
+    model, _ = train_denoiser(
         conditions,
         latents,
         DEFAULT,
         ModelTraining(epochs=800, batch_size=32, learning_rate=5e-3),
         seed=3,
     )
-    (draws,) = sample(conditions[:40], result.model, range(100, 140), UNGUIDED, CFG)
+    (draws,) = sample(conditions[:40], model, range(100, 140), UNGUIDED, CFG)
     mean_abs_err = np.abs(draws - target).mean(axis=0)
     assert mean_abs_err.max() < 0.1

@@ -308,8 +308,8 @@ def principal_angles(a, b):
 def test_pca_components_orthonormal():
     rng = np.random.default_rng(10)
     latents = rng.normal(size=(200, 21))
-    proj = pca_2d(latents)
-    gram = proj.components @ proj.components.T
+    components, _, _ = pca_2d(latents)
+    gram = components @ components.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-9)
 
 
@@ -317,37 +317,37 @@ def test_pca_rank_one_data():
     rng = np.random.default_rng(11)
     direction = rng.normal(size=21)
     latents = np.outer(rng.normal(size=100), direction)
-    proj = pca_2d(latents)
-    assert proj.explained_variance[0] > 0.999
-    assert proj.explained_variance[0] >= proj.explained_variance[1] >= 0.0
+    _, _, explained = pca_2d(latents)
+    assert explained[0] > 0.999
+    assert explained[0] >= explained[1] >= 0.0
 
 
 def test_pca_matches_power_iteration_oracle():
     rng = np.random.default_rng(12)
     latents = rng.normal(size=(300, 21)) @ np.diag(rng.uniform(0.2, 3.0, 21))
-    proj = pca_2d(latents)
+    components, _, _ = pca_2d(latents)
     centered = latents - latents.mean(axis=0)
     cov = centered.T @ centered / (len(latents) - 1)
     oracle = power_iteration_top2(cov)
-    angles = principal_angles(proj.components, oracle)
+    angles = principal_angles(components, oracle)
     assert angles.max() < 1e-6
 
 
 def test_pca_sign_convention():
     rng = np.random.default_rng(13)
     latents = rng.normal(size=(50, 21))
-    proj = pca_2d(latents)
-    for row in proj.components:
+    components, _, _ = pca_2d(latents)
+    for row in components:
         assert row[np.argmax(np.abs(row))] > 0.0
 
 
 def test_pca_projection_non_expansive():
     rng = np.random.default_rng(14)
     latents = rng.normal(size=(80, 21))
-    proj = pca_2d(latents)
+    _, coords, _ = pca_2d(latents)
     for _ in range(100):
         i, j = rng.integers(0, 80, 2)
-        d2 = np.linalg.norm(proj.coords[i] - proj.coords[j])
+        d2 = np.linalg.norm(coords[i] - coords[j])
         dfull = np.linalg.norm(latents[i] - latents[j])
         assert d2 <= dfull + 1e-9
 
@@ -355,9 +355,9 @@ def test_pca_projection_non_expansive():
 def test_pca_reconstruction_error_equals_trailing_eigenvalues():
     rng = np.random.default_rng(15)
     latents = rng.normal(size=(120, 21)) @ np.diag(rng.uniform(0.1, 2.0, 21))
-    proj = pca_2d(latents)
+    components, coords, _ = pca_2d(latents)
     centered = latents - latents.mean(axis=0)
-    resid = centered - proj.coords @ proj.components
+    resid = centered - coords @ components
     per_sample = (resid**2).sum() / (len(latents) - 1)
     eigvals = np.linalg.eigvalsh(centered.T @ centered / (len(latents) - 1))
     trailing = eigvals[:-2].sum()

@@ -12,6 +12,7 @@ from cadrepair.nets import (
     LinearRegressor,
     Mlp,
     OutputActivation,
+    _classification_metrics,
     fit_linear_regressor,
     init_mlp,
     load_model,
@@ -235,12 +236,13 @@ def separable_latents(n, rng):
 def test_classifier_on_separable_data():
     rng = np.random.default_rng(42)
     x, y = separable_latents(600, rng)
-    result = train_classifier(
+    _, metrics = train_classifier(
         x, y, ModelTraining(epochs=60, batch_size=32, learning_rate=0.05), seed=1
     )
-    assert result.metrics.accuracy >= 0.95
-    assert result.metrics.balanced_accuracy >= 0.95
-    assert result.metrics.confusion.sum() == result.n_test
+    assert metrics["accuracy"] >= 0.95
+    assert metrics["balanced_accuracy"] >= 0.95
+    confusion = ("confusion_tn", "confusion_fp", "confusion_fn", "confusion_tp")
+    assert sum(metrics[k] for k in confusion) == metrics["n_test"]
 
 
 def test_classifier_single_class_raises():
@@ -263,22 +265,85 @@ def test_classifier_training_bitwise_reproducible():
     rng = np.random.default_rng(9)
     x, y = separable_latents(200, rng)
     cfg = ModelTraining(epochs=10, batch_size=16, learning_rate=0.05)
-    a = train_classifier(x, y, cfg, seed=5)
-    b = train_classifier(x, y, cfg, seed=5)
-    for wa, wb in zip(a.model.weights, b.model.weights):
+    a, _ = train_classifier(x, y, cfg, seed=5)
+    b, _ = train_classifier(x, y, cfg, seed=5)
+    for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
-    for ba, bb in zip(a.model.biases, b.model.biases):
+    for ba, bb in zip(a.biases, b.biases):
         np.testing.assert_array_equal(ba, bb)
 
 
 def test_classifier_architecture():
     rng = np.random.default_rng(11)
     x, y = separable_latents(80, rng)
-    result = train_classifier(
+    model, _ = train_classifier(
         x, y, ModelTraining(epochs=1, batch_size=8, learning_rate=0.01), seed=2
     )
-    assert result.model.layer_dims == [21, 128, 64, 1]
-    assert result.model.output_activation is OutputActivation.SIGMOID
+    assert model.layer_dims == [21, 128, 64, 1]
+    assert model.output_activation is OutputActivation.SIGMOID
+
+
+def oracle_classification_metrics(y_true, y_pred):
+    """_classification_metrics as it was before it returned metrics.csv's keys: a
+    per-row confusion loop and per-class values keyed 0 (invalid) and 1 (valid),
+    which the CLI then named field by field."""
+    y_true = np.asarray(y_true, dtype=int)
+    y_pred = np.asarray(y_pred, dtype=int)
+    confusion = np.zeros((2, 2), dtype=int)
+    for t, p in zip(y_true, y_pred):
+        confusion[t, p] += 1
+    precision, recall, f1 = {}, {}, {}
+    for cls in (0, 1):
+        tp = confusion[cls, cls]
+        predicted = confusion[:, cls].sum()
+        actual = confusion[cls, :].sum()
+        precision[cls] = tp / predicted if predicted else 0.0
+        recall[cls] = tp / actual if actual else 0.0
+        denom = precision[cls] + recall[cls]
+        f1[cls] = 2.0 * precision[cls] * recall[cls] / denom if denom else 0.0
+    return {
+        "accuracy": float((y_true == y_pred).mean()),
+        "balanced_accuracy": float((recall[0] + recall[1]) / 2.0),
+        "precision_valid": precision[1],
+        "recall_valid": recall[1],
+        "f1_valid": f1[1],
+        "precision_invalid": precision[0],
+        "recall_invalid": recall[0],
+        "f1_invalid": f1[0],
+        "confusion_tn": confusion[0, 0],
+        "confusion_fp": confusion[0, 1],
+        "confusion_fn": confusion[1, 0],
+        "confusion_tp": confusion[1, 1],
+    }
+
+
+def assert_metrics_equal_oracle(y_true, y_pred):
+    got = _classification_metrics(y_true, y_pred)
+    want = oracle_classification_metrics(y_true, y_pred)
+    # repr pins every float's bits, and that each value is a plain float or int
+    plain = {k: v.item() if isinstance(v, np.generic) else v for k, v in want.items()}
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in plain.items()}
+    assert all(type(v) in (float, int) for v in got.values())
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 2), (2, 7), (3, 50), (4, 333), (5, 1000)])
+def test_classification_metrics_equal_the_oracle_on_random_labels(seed, n):
+    rng = np.random.default_rng(seed)
+    assert_metrics_equal_oracle(rng.integers(0, 2, n), rng.integers(0, 2, n))
+
+
+@pytest.mark.parametrize(
+    "y_true, y_pred",
+    [
+        ([0, 1, 1, 0, 1], [0, 0, 0, 0, 0]),
+        ([1, 1, 1, 1], [1, 0, 1, 0]),
+        ([0, 1, 1, 0, 1], [0, 1, 1, 0, 1]),
+        ([0, 1, 1, 0, 1], [1, 0, 0, 1, 0]),
+    ],
+    ids=["class-never-predicted", "class-never-present", "all-right", "all-wrong"],
+)
+def test_classification_metrics_equal_the_oracle_on_edge_cases(y_true, y_pred):
+    assert_metrics_equal_oracle(y_true, y_pred)
 
 
 # ---------------------------------------------------------------- linear regressor
@@ -364,11 +429,12 @@ def test_train_regressor_reports_split_metrics():
     x = rng.normal(size=(200, 3))
     true_w = np.array([[1.0, -2.0, 0.5]])
     y = x @ true_w.T + 0.3
-    result = train_regressor(x, y, seed=6)
-    assert result.train_r2 > 1.0 - 1e-9
-    assert result.test_r2 > 1.0 - 1e-9
-    assert result.train_mse < 1e-12
-    assert result.test_mse < 1e-12
+    _, metrics = train_regressor(x, y, seed=6)
+    assert set(metrics) == {"train_r2", "train_mse", "test_r2", "test_mse"}
+    assert metrics["train_r2"] > 1.0 - 1e-9
+    assert metrics["test_r2"] > 1.0 - 1e-9
+    assert metrics["train_mse"] < 1e-12
+    assert metrics["test_mse"] < 1e-12
 
 
 def test_r2_and_mse_basics():
@@ -391,12 +457,12 @@ def test_denoiser_loss_decreases():
     rng = np.random.default_rng(13)
     conditions, latents = synthetic_pairs(80, rng)
     sched = build_schedule(100, 1e-4, 0.02)
-    result = train_denoiser(
+    model, epoch_losses = train_denoiser(
         conditions, latents, sched,
         ModelTraining(epochs=60, batch_size=32, learning_rate=2e-3), seed=1,
     )
-    assert result.epoch_losses[-1] <= 0.5 * result.epoch_losses[0]
-    assert all(np.isfinite(w).all() for w in result.model.weights)
+    assert epoch_losses[-1] <= 0.5 * epoch_losses[0]
+    assert all(np.isfinite(w).all() for w in model.weights)
 
 
 def test_denoiser_pure_noise_moment_under_full_noising():
@@ -406,14 +472,14 @@ def test_denoiser_pure_noise_moment_under_full_noising():
     conditions, latents = synthetic_pairs(120, rng)
     sched = build_schedule(100, 1e-3, 0.2)
     assert sched.alpha_bars[-1] < 0.01
-    result = train_denoiser(
+    model, _ = train_denoiser(
         conditions, latents, sched,
         ModelTraining(epochs=150, batch_size=32, learning_rate=2e-3), seed=2,
     )
     z = rng.standard_normal((400, 21))
     emb = np.broadcast_to(timestep_embedding(sched.T), (400, 8))
     feats = np.concatenate([z, emb, conditions[rng.integers(0, 120, 400)]], axis=1)
-    pred, _ = mlp_forward(result.model, feats)
+    pred, _ = mlp_forward(model, feats)
     second_moment = float((pred**2).mean())
     assert 0.8 < second_moment < 1.2
 
@@ -430,11 +496,11 @@ def test_denoiser_training_bitwise_reproducible():
     conditions, latents = synthetic_pairs(40, rng)
     sched = build_schedule(50, 1e-4, 0.02)
     cfg = ModelTraining(epochs=5, batch_size=16, learning_rate=1e-3)
-    a = train_denoiser(conditions, latents, sched, cfg, seed=9)
-    b = train_denoiser(conditions, latents, sched, cfg, seed=9)
-    for wa, wb in zip(a.model.weights, b.model.weights):
+    a, losses_a = train_denoiser(conditions, latents, sched, cfg, seed=9)
+    b, losses_b = train_denoiser(conditions, latents, sched, cfg, seed=9)
+    for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
-    assert a.epoch_losses == b.epoch_losses
+    assert losses_a == losses_b
 
 
 # ---------------------------------------------------------------- the training loop
@@ -519,10 +585,10 @@ def test_classifier_fit_equals_its_own_loop_bitwise(seed, batch_size, rows):
     x = rng.normal(size=(rows, 21))
     y = x[:, 0] + 0.5 * rng.normal(size=rows) > 0
     cfg = ModelTraining(epochs=6, batch_size=batch_size, learning_rate=3e-2)
-    result = train_classifier(x, y, cfg, seed)
+    got, metrics = train_classifier(x, y, cfg, seed)
     model, n_train = oracle_train_classifier(x, y, cfg, seed)
-    assert result.n_train == n_train
-    assert_same_bits(result.model, model)
+    assert metrics["n_train"] == n_train
+    assert_same_bits(got, model)
 
 
 @pytest.mark.parametrize("seed, batch_size, rows", FIT_CASES)
@@ -531,11 +597,11 @@ def test_denoiser_fit_equals_its_own_loop_bitwise(seed, batch_size, rows):
     conditions, latents = synthetic_pairs(rows, rng)
     sched = build_schedule(40, 1e-4, 0.02)
     cfg = ModelTraining(epochs=4, batch_size=batch_size, learning_rate=3e-3)
-    result = train_denoiser(conditions, latents, sched, cfg, seed)
+    got, got_losses = train_denoiser(conditions, latents, sched, cfg, seed)
     model, epoch_losses = oracle_train_denoiser(conditions, latents, sched, cfg, seed)
-    assert_same_bits(result.model, model)
-    assert np.array(result.epoch_losses).tobytes() == np.array(epoch_losses).tobytes()
-    assert all(type(v) is float for v in result.epoch_losses)
+    assert_same_bits(got, model)
+    assert np.array(got_losses).tobytes() == np.array(epoch_losses).tobytes()
+    assert all(type(v) is float for v in got_losses)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging steps overflow

@@ -419,13 +419,13 @@ def _sharing_case(monkeypatch):
     conditions = gen_ground_truth(11, seed=19)
     train = gen_ground_truth(64, seed=30)
     models = toy_models(seed=8)
-    models["denoiser"] = train_denoiser(
+    models["denoiser"], _ = train_denoiser(
         [gt.condition for gt in train],
         [gt.latent for gt in train],
         SCHED,
         ModelTraining(epochs=100, batch_size=16, learning_rate=3e-3),
         seed=1,
-    ).model
+    )
     return conditions, models, eval_cfg(10, classifier_scale=0.1, regressor_scale=0.01)
 
 
