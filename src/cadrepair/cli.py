@@ -487,12 +487,14 @@ def _parse_variants(raw: str) -> list[VariantId]:
 
 
 def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
-    """Run the variants on held-out conditions and write, into the run directory:
+    """Run the variants on held-out conditions and write, into the run directory,
+    from each variant's ``pipeline.run_variants`` table of arrays:
 
     - ``report.csv``: variant, n, n_valid, feasibility, mean_mmd, median_mmd,
       repaired_count, repair_failed_count; one row per variant, mean and
-      median ``nan`` when the variant scored nothing.
-    - ``mmd_scores.csv``: condition_id, variant, mmd; one row per valid outcome.
+      median ``nan`` when the variant scored nothing; the counts are of rows
+      that self-repair made valid and left invalid.
+    - ``mmd_scores.csv``: condition_id, variant, mmd; one row per valid row.
     - ``mmd_hist.csv``: variant, bin_lo, bin_hi, count; 16 equal-width bins per
       variant over [0, max score], or over [0, 1] when the variant has no score.
     - ``eval_latents_gt.bin``: the ground-truth latents of the conditions.
@@ -508,30 +510,27 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     eval_conditions = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
-    outcome_map = pipeline.run_variants(variants, eval_conditions, models, cfg, threads)
+    tables = pipeline.run_variants(variants, eval_conditions, models, cfg, threads)
 
     print(f"{'variant':<10} {'n':>5} {'valid':>5} {'feas':>7} {'meanMMD':>8} {'repaired':>8}")
     report_rows, score_rows, hist_rows = [], [], []
-    for variant, outcomes in outcome_map.items():
-        name, n = variant.value, len(outcomes)
-        n_valid = sum(o.valid for o in outcomes)
+    for variant, table in tables.items():
+        name, valid, repaired = variant.value, table["masks"] == 0, table["repaired"]
+        n, n_valid, scores = len(valid), int(valid.sum()), table["scores"][valid]
         feas = n_valid / n
-        scored = [o for o in outcomes if o.mmd_score is not None]
-        scores = [o.mmd_score for o in scored]
-        mean_mmd = float(np.mean(scores)) if scores else float("nan")
-        median_mmd = float(np.median(scores)) if scores else float("nan")
-        repaired = sum(o.stage is pipeline.RepairStage.REPAIRED_VALID for o in outcomes)
-        failed = sum(o.stage is pipeline.RepairStage.REPAIRED_INVALID for o in outcomes)
+        mean_mmd = float(np.mean(scores)) if n_valid else float("nan")
+        median_mmd = float(np.median(scores)) if n_valid else float("nan")
+        n_repaired, n_failed = int((repaired & valid).sum()), int((repaired & ~valid).sum())
         report_rows.append(
-            [name, n, n_valid, _fmt(feas), _fmt(mean_mmd), _fmt(median_mmd), repaired, failed]
+            [name, n, n_valid, _fmt(feas), _fmt(mean_mmd), _fmt(median_mmd), n_repaired, n_failed]
         )
-        score_rows += [[o.condition_id, name, _fmt(o.mmd_score)] for o in scored]
+        score_rows += [[c, name, _fmt(s)] for c, s in zip(np.flatnonzero(valid), scores)]
         counts, edges = mmd_histogram(scores)
         hist_rows += [
             [name, _fmt(lo), _fmt(hi), int(c)] for lo, hi, c in zip(edges, edges[1:], counts)
         ]
-        mean_str = f"{mean_mmd:.4f}" if scores else "-"
-        print(f"{name:<10} {n:>5} {n_valid:>5} {feas:>7.4f} {mean_str:>8} {repaired:>8}")
+        mean_str = f"{mean_mmd:.4f}" if n_valid else "-"
+        print(f"{name:<10} {n:>5} {n_valid:>5} {feas:>7.4f} {mean_str:>8} {n_repaired:>8}")
     files = {
         "config.json": asdict(cfg),
         "report.csv": report_rows,
@@ -540,9 +539,8 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
         "eval_latents_gt.bin": np.array([c.latent for c in eval_conditions]),
     }
     for variant in (VariantId.BASELINE, VariantId.FULL):
-        if variant in outcome_map:
-            latents = [o.final_latent for o in outcome_map[variant]]
-            files[f"eval_latents_{variant.value}.bin"] = np.array(latents)
+        if variant in tables:
+            files[f"eval_latents_{variant.value}.bin"] = tables[variant]["latents"]
     _write_outputs(out, files)
     return EXIT_OK
 
@@ -588,24 +586,21 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
     """
     latents = read_latents(latents_path)
     regressor = _load_model(Path(regressor_path), "ssl_regressor")
-    outcomes = []  # per row: stage, final latent, valid
-    for row, mask in zip(latents, check_latents(latents)):
-        if mask:
-            repair = pipeline.self_repair(row, regressor)
-            outcomes.append((repair.stage, repair.final_latent, repair.report.valid))
-        else:
-            outcomes.append((pipeline.RepairStage.VALID_DIRECT, row, True))
+    masks, repaired = check_latents(latents), latents.copy()
+    stages = [pipeline.RepairStage.VALID_DIRECT] * len(latents)
+    for i in np.flatnonzero(masks):
+        r = pipeline.self_repair(latents[i], regressor)
+        stages[i], repaired[i], masks[i] = r.stage, r.final_latent, r.mask
     _write_outputs(Path(out_dir) if out_dir else Path(latents_path).parent, {
-        "repaired.bin": np.array([z for _, z, _ in outcomes]).reshape(-1, LATENT_DIM),
+        "repaired.bin": repaired,
         "repair_outcomes.csv": [
-            [i, stage.value, int(valid)] for i, (stage, _, valid) in enumerate(outcomes)
+            [i, stage.value, int(mask == 0)] for i, (stage, mask) in enumerate(zip(stages, masks))
         ],
     })
-    stages = [stage for stage, _, _ in outcomes]
-    print(f"rows                {len(outcomes)}")
-    print(f"valid direct        {sum(s is pipeline.RepairStage.VALID_DIRECT for s in stages)}")
-    print(f"repaired valid      {sum(s is pipeline.RepairStage.REPAIRED_VALID for s in stages)}")
-    print(f"repaired invalid    {sum(s is pipeline.RepairStage.REPAIRED_INVALID for s in stages)}")
+    print(f"rows                {len(stages)}")
+    print(f"valid direct        {stages.count(pipeline.RepairStage.VALID_DIRECT)}")
+    print(f"repaired valid      {stages.count(pipeline.RepairStage.REPAIRED_VALID)}")
+    print(f"repaired invalid    {stages.count(pipeline.RepairStage.REPAIRED_INVALID)}")
     return EXIT_OK
 
 

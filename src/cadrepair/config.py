@@ -46,8 +46,8 @@ class ModelTraining:
         # each check is written so that NaN fails it
         if not (self.epochs >= 1 and self.batch_size >= 1):
             raise ConfigError("epochs and batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError("learning_rate must be finite and > 0")
 
 
 @dataclass
@@ -92,8 +92,8 @@ class RunConfig:
             raise ConfigError("timesteps must be >= 2")
         if not 0.0 < self.beta_start < self.beta_end < 1.0:
             raise ConfigError("need 0 < beta_start < beta_end < 1")
-        if not self.ridge >= 0.0:
-            raise ConfigError("ridge must be >= 0")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise ConfigError("ridge must be finite and >= 0")
         if not self.cloud_size >= 1:
             raise ConfigError("cloud_size must be >= 1")
         if self.use_classifier_guidance is not True or self.use_regressor_guidance is not True:

@@ -5,10 +5,10 @@ labeled SeedSequence streams, so regeneration is bitwise stable and every
 variant of the evaluation matrix shares per-condition starting noise
 (paired-seed discipline).
 
-Sampled latents are kernel-checked a block at a time by
-``geometry.check_latents``: a row's uint16 reason mask has bit i set for
+Latents are kernel-checked by ``geometry.check_latents``, a chain block or a
+repaired row at a time: a row's uint16 reason mask has bit i set for
 InvalidReason(i) and is 0 when the row is valid. Masks, not decoded sequences,
-come back from the chain tasks; a row is decoded only to be scored.
+come back from chain tasks, self-repair and eval; rows are decoded only to be scored.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,10 +29,8 @@ from .geometry import (
     EdgeKind,
     SamplingStall,
     SketchEdge,
-    ValidityReport,
     canonicalize_sequence,
     check_latents,
-    kernel_check,
     sample_point_cloud,
 )
 from .metrics import mmd
@@ -207,22 +205,20 @@ class RepairStage(Enum):
 class RepairOutcome:
     stage: RepairStage
     final_latent: np.ndarray
-    sequence: CommandSequence
-    report: ValidityReport
+    mask: int  # the check_latents reason mask of final_latent, 0 when valid
 
 
 def self_repair(latent, regressor: LinearRegressor) -> RepairOutcome:
-    """Re-map a latent through the regressor once, then decode and kernel-check it.
+    """Re-map a latent through the regressor once, then kernel-check it as a one-row block.
 
     Precondition: ``latent`` already failed the kernel check. The caller gates
     on that check and keeps a valid latent as ``VALID_DIRECT`` itself, so this
     returns ``REPAIRED_VALID`` or ``REPAIRED_INVALID`` only.
     """
     repaired = regressor_predict(regressor, latent)
-    sequence = decode(repaired)
-    report = kernel_check(sequence)
-    stage = RepairStage.REPAIRED_VALID if report.valid else RepairStage.REPAIRED_INVALID
-    return RepairOutcome(stage, repaired, sequence, report)
+    mask = int(check_latents(repaired[None])[0])
+    stage = RepairStage.REPAIRED_INVALID if mask else RepairStage.REPAIRED_VALID
+    return RepairOutcome(stage, repaired, mask)
 
 
 class VariantId(Enum):
@@ -259,13 +255,8 @@ def _required_models(variant: VariantId) -> list[str]:
     return [name for name in ("denoiser", *plan.guidance, plan.repair_model) if name]
 
 
-@dataclass(frozen=True)
-class ConditionOutcome:
-    condition_id: int
-    valid: bool
-    stage: RepairStage | None
-    final_latent: np.ndarray
-    mmd_score: float | None
+# the columns of the table run_variants returns per variant, and their dtypes
+_TABLE_COLUMNS = {"latents": float, "masks": np.uint16, "repaired": bool, "scores": float}
 
 
 def ground_truth_cloud(
@@ -340,45 +331,36 @@ def _run_chains(map_fn, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(latents, axis=1).swapaxes(0, 1), np.concatenate(masks, axis=1).T
 
 
-def _score_task(task) -> list[ConditionOutcome]:
-    """Every variant's outcome on one condition, given each plan's latent and
-    kernel reason mask for it from ``_run_chains``.
+def _score_task(task) -> list[tuple]:
+    """Every variant's (final latent, mask, repaired, score) on one condition,
+    given each plan's latent and kernel reason mask for it from ``_run_chains``.
 
-    Each plan's row is decoded and scored once if valid. A repair variant keeps
-    a row valid before repair, latent and score alike, as ``VALID_DIRECT``; only
-    an invalid row is repaired, and scored if the repair is valid.
+    Each plan's row is decoded and scored once if valid, else its score is NaN.
+    A repair variant keeps a row valid before repair as it is; only an invalid
+    row is repaired, and scored if the repair is valid.
     """
     cid, (latents, masks) = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
     points = ground_truth_cloud(ctx["conditions"][cid], cid, cfg)
 
-    def scored(stage, latent, sequence):
-        # sequence: the latent's decoded sequence if it is valid, else None
-        score = None
-        if sequence is not None:
-            cloud = sample_point_cloud(
-                sequence, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
-            )
-            score = mmd(cloud, points, cfg.fixed_sigma)
-        return ConditionOutcome(cid, sequence is not None, stage, latent, score)
+    def score(latent, mask) -> float:
+        if mask:
+            return math.nan
+        cloud = sample_point_cloud(
+            decode(latent), cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
+        )
+        return mmd(cloud, points, cfg.fixed_sigma)
 
-    unrepaired = [
-        scored(None, latent, None if mask else decode(latent))
-        for latent, mask in zip(latents, masks)
-    ]
-    outcomes = []
-    for plan, regressor in ctx["variants"]:
-        row = unrepaired[plan]
-        if regressor is None:
-            outcomes.append(row)
-        elif row.valid:
-            outcomes.append(replace(row, stage=RepairStage.VALID_DIRECT))
-        else:
-            r = self_repair(row.final_latent, regressor)
-            sequence = r.sequence if r.report.valid else None
-            outcomes.append(scored(r.stage, r.final_latent, sequence))
-    return outcomes
+    def repair(row, regressor):
+        latent, mask, _, _ = row
+        if regressor is None or not mask:
+            return row
+        r = self_repair(latent, regressor)
+        return r.final_latent, r.mask, True, score(r.final_latent, r.mask)
+
+    unrepaired = [(z, m, False, score(z, m)) for z, m in zip(latents, masks)]
+    return [repair(unrepaired[plan], regressor) for plan, regressor in ctx["variants"]]
 
 
 def run_variants(
@@ -387,7 +369,7 @@ def run_variants(
     models: dict[str, Mlp | LinearRegressor],
     cfg: RunConfig,
     threads: int = 1,
-) -> dict[VariantId, list[ConditionOutcome]]:
+) -> dict[VariantId, dict[str, np.ndarray]]:
     """Evaluate variants over the condition set with shared ground-truth
     clouds and paired per-condition seeds. ``models`` maps the model names of
     every variant's plan (``_required_models``) to the models. ``cfg`` gives
@@ -398,14 +380,18 @@ def run_variants(
     kinds of task run in turn: the ``_chain_task`` blocks, which run every
     distinct guidance plan (its models resolved once, here) in lockstep and
     kernel-check each plan's rows, then one ``_score_task`` per condition,
-    which samples the ground-truth cloud once and decodes only valid rows.
-    Sharing is exact: every chain row and cloud is seeded by condition id
-    alone, and a plan's rows round the same in the stack as alone. Both kinds map on one
-    ``_worker_pool``, the pool ``gen_dataset`` uses too: at most
-    min(threads, conditions) worker processes when threads > 1.
+    which samples the ground-truth cloud once, decodes only valid rows and
+    repairs only a repair variant's invalid ones. Sharing is exact: every chain
+    row and cloud is seeded by condition id alone, and a plan's rows round the
+    same in the stack as alone. Both kinds map on one ``_worker_pool``, the
+    pool ``gen_dataset`` uses too: at most min(threads, conditions) worker
+    processes when threads > 1.
 
-    Returns each variant's outcomes in condition order, in the order of
-    ``variants``, at any thread count.
+    Returns each variant's table, in the order of ``variants``: four arrays in
+    condition order, the same at any thread count. ``latents`` (n, d) holds each
+    row's final latent, ``masks`` (n,) its ``check_latents`` reason mask (0 when
+    valid), ``repaired`` (n,) whether self-repair ran on it, and ``scores`` (n,)
+    its MMD score, NaN where the mask is not 0.
     """
     variants = list(variants)
     for variant in variants:
@@ -427,5 +413,9 @@ def run_variants(
         "conditions": list(eval_conditions),
     }
     with _worker_pool(payload, threads, n) as map_fn:
-        outcomes = list(map_fn(_score_task, enumerate(zip(*_run_chains(map_fn, n)))))
-    return {variant: [row[k] for row in outcomes] for k, variant in enumerate(variants)}
+        rows = list(map_fn(_score_task, enumerate(zip(*_run_chains(map_fn, n)))))
+    columns = _TABLE_COLUMNS.items()
+    return {
+        variant: {name: np.array(c, dtype) for (name, dtype), c in zip(columns, zip(*variant_rows))}
+        for variant, variant_rows in zip(variants, zip(*rows))
+    }

@@ -307,6 +307,8 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"regressor_scale": True}, TRAIN_DENOISER),
         ({"classifier": {**TINY["classifier"], "learning_rate": True}}, TRAIN_DENOISER),
         ({"out_dir": 5}, TRAIN_DENOISER),
+        ({"ridge": float("inf")}, ("train", "--which", "gt_regressor")),
+        ({"classifier": {**TINY["classifier"], "learning_rate": float("inf")}}, TRAIN_DENOISER),
     ],
     ids=[
         "timesteps-1",
@@ -345,6 +347,8 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "regressor_scale-bool",
         "learning_rate-bool",
         "out_dir-int",
+        "ridge-inf",
+        "classifier-learning_rate-inf",
     ],
 )
 def test_out_of_range_config_exits_2(tmp_path, overrides, argv):

@@ -11,7 +11,7 @@ from cadrepair import pipeline
 from cadrepair.codec import decode, encode
 from cadrepair.config import ModelTraining, RunConfig
 from cadrepair.diffusion import build_schedule, sample
-from cadrepair.geometry import ValidityReport, kernel_check, sample_point_cloud
+from cadrepair.geometry import ValidityReport, check_latents, kernel_check, sample_point_cloud
 from cadrepair.metrics import mmd
 from cadrepair.nets import (
     LinearRegressor,
@@ -39,6 +39,7 @@ from cadrepair.pipeline import (
 )
 
 from conftest import one_draw_at_a_time_ground_truth
+from test_geometry import random_latent_rows
 
 # the default run's schedule, as RunConfig's timesteps and betas give it
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -232,7 +233,7 @@ def test_repair_identity_regressor_cannot_fix():
     outcome = self_repair(bad, identity)
     assert outcome.stage is RepairStage.REPAIRED_INVALID
     np.testing.assert_array_equal(outcome.final_latent, bad)
-    assert not outcome.report.valid
+    assert outcome.mask != 0
 
 
 def test_repair_fixture_recovers_validity():
@@ -248,7 +249,7 @@ def test_repair_fixture_recovers_validity():
     regressor = fit_linear_regressor(inputs, targets, ridge=1e-6)
     outcome = self_repair(broken, regressor)
     assert outcome.stage is RepairStage.REPAIRED_VALID
-    assert outcome.report.valid
+    assert outcome.mask == 0
     np.testing.assert_array_equal(outcome.final_latent, regressor_predict(regressor, broken))
 
 
@@ -259,12 +260,45 @@ def test_repair_applies_regressor_once():
     np.testing.assert_allclose(one.final_latent, np.full(21, 0.05))
 
 
+def test_repair_mask_is_the_kernel_check_of_the_decoded_latent():
+    # the one-row check_latents block agrees with decoding the repaired latent
+    # and kernel-checking its sequence, on random and near-valid rows through
+    # a random near-identity regressor
+    rng = np.random.default_rng(23)
+    regressor = LinearRegressor(
+        np.eye(21) + rng.normal(0.0, 0.03, size=(21, 21)), rng.normal(0.0, 0.02, size=21)
+    )
+    stages = set()
+    for row in random_latent_rows(3, 400):
+        # rows holding NaN, inf or 1e60 map to non-finite rows, and warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            outcome = self_repair(row, regressor)
+        report = kernel_check(decode(outcome.final_latent))
+        assert ValidityReport.from_mask(outcome.mask) == report
+        assert outcome.stage is (
+            RepairStage.REPAIRED_VALID if report.valid else RepairStage.REPAIRED_INVALID
+        )
+        stages.add(outcome.stage)
+    assert stages == {RepairStage.REPAIRED_VALID, RepairStage.REPAIRED_INVALID}
+
+
 def test_repair_mismatched_regressor_raises():
     with pytest.raises(ValueError, match="input width 21 != expected 5"):
         self_repair(np.zeros(21), LinearRegressor(np.zeros((5, 5)), np.zeros(5)))
 
 
 # ---------------------------------------------------------------- variants
+
+
+def assert_tables_equal(a, b):
+    """Two run_variants results hold the same variants in the same order, and
+    each column of each variant's table is bitwise the same."""
+    assert list(a) == list(b)
+    for variant in a:
+        assert list(a[variant]) == list(b[variant]) == ["latents", "masks", "repaired", "scores"]
+        for name, column in a[variant].items():
+            assert column.dtype == b[variant][name].dtype, (variant, name)
+            assert column.tobytes() == b[variant][name].tobytes(), (variant, name)
 
 
 def test_run_variant_missing_model():
@@ -277,35 +311,37 @@ def test_run_variant_missing_model():
 def test_variant_rows_paired_and_monotone():
     models = toy_models(seed=1)
     conditions = gen_ground_truth(6, seed=13)
-    outcomes = run_variants(
+    tables = run_variants(
         [VariantId.BASELINE, VariantId.VAR5, VariantId.FULL], conditions, models, eval_cfg(3)
     )
-    n_valid = {v: sum(o.valid for o in rows) for v, rows in outcomes.items()}
+    n_valid = {v: int((table["masks"] == 0).sum()) for v, table in tables.items()}
     assert n_valid[VariantId.FULL] >= n_valid[VariantId.VAR5]  # repair only adds validity
-    for rows in outcomes.values():
-        assert [o.condition_id for o in rows] == list(range(6))
-        assert all((o.mmd_score is not None) == o.valid for o in rows)  # scored iff valid
+    for table in tables.values():
+        assert table["latents"].shape == (6, 21)  # one row per condition
+        assert all(column.shape[0] == 6 for column in table.values())
+        # scored iff valid
+        np.testing.assert_array_equal(np.isnan(table["scores"]), table["masks"] != 0)
 
 
 def test_variant_repair_counts_consistent():
     models = toy_models(seed=2)
     conditions = gen_ground_truth(5, seed=14)
-    outcomes = run_variants([VariantId.VAR1], conditions, models, eval_cfg(4))[VariantId.VAR1]
-    assert len(outcomes) == 5
-    for o in outcomes:
-        assert isinstance(o.stage, RepairStage)  # every row goes through self-repair
-        assert o.valid == (o.stage is not RepairStage.REPAIRED_INVALID)
-        assert (o.mmd_score is not None) == o.valid
+    table = run_variants([VariantId.VAR1], conditions, models, eval_cfg(4))[VariantId.VAR1]
+    valid = table["masks"] == 0
+    assert len(valid) == 5
+    # every row goes through self-repair: a row it did not repair is valid
+    assert (table["repaired"] | valid).all()
+    np.testing.assert_array_equal(np.isnan(table["scores"]), ~valid)
 
 
 def test_baseline_never_repairs():
     models = toy_models(seed=3)
     conditions = gen_ground_truth(4, seed=15)
-    outcomes = run_variants([VariantId.BASELINE], conditions, models, eval_cfg(5))[
+    table = run_variants([VariantId.BASELINE], conditions, models, eval_cfg(5))[
         VariantId.BASELINE
     ]
-    assert len(outcomes) == 4
-    assert all(o.stage is None for o in outcomes)
+    assert table["repaired"].shape == (4,)
+    assert not table["repaired"].any()
 
 
 def test_run_variants_parallel_matches_serial():
@@ -314,11 +350,7 @@ def test_run_variants_parallel_matches_serial():
     variants = [VariantId.BASELINE, VariantId.VAR1]
     serial = run_variants(variants, conditions, models, eval_cfg(6))
     parallel = run_variants(variants, conditions, models, eval_cfg(6), threads=2)
-    assert list(serial) == list(parallel)
-    for variant in serial:
-        a = [(o.condition_id, o.valid, o.stage, o.mmd_score) for o in serial[variant]]
-        b = [(o.condition_id, o.valid, o.stage, o.mmd_score) for o in parallel[variant]]
-        assert a == b
+    assert_tables_equal(serial, parallel)
 
 
 def test_guided_variants_use_guidance():
@@ -336,7 +368,7 @@ def test_guided_variants_use_guidance():
             regressor_scale=regressor_scale,
             stop_gradient_y=stop_gradient_y,
         )
-        return [o.final_latent for o in run_variants([variant], conditions, models, cfg)[variant]]
+        return list(run_variants([variant], conditions, models, cfg)[variant]["latents"])
 
     base = final_latents(VariantId.BASELINE)
     for variant, silent, active in (
@@ -361,19 +393,20 @@ def test_fixed_sigma_mode_scores_at_that_bandwidth():
     models = toy_models(seed=10)
     models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
     cfg = eval_cfg(12, sigma_mode=0.5)
-    outcomes = run_variants([VariantId.BASELINE, VariantId.VAR1], conditions, models, cfg)
-    scored = [o for rows in outcomes.values() for o in rows if o.mmd_score is not None]
+    tables = run_variants([VariantId.BASELINE, VariantId.VAR1], conditions, models, cfg)
+    scored = [
+        (cid, table["latents"][cid], table["scores"][cid])
+        for table in tables.values()
+        for cid in np.flatnonzero(table["masks"] == 0)
+    ]
     assert len(scored) >= len(conditions)
     median_scores = []
-    for o in scored:
-        cid = o.condition_id
-        cloud = sample_point_cloud(
-            decode(o.final_latent), 64, seed_stream(12, STREAM_CLOUD_GEN, cid)
-        )
+    for cid, latent, score in scored:
+        cloud = sample_point_cloud(decode(latent), 64, seed_stream(12, STREAM_CLOUD_GEN, cid))
         points = ground_truth_cloud(conditions[cid], cid, cfg)
-        assert o.mmd_score == mmd(cloud, points, 0.5)
+        assert score == mmd(cloud, points, 0.5)
         median_scores.append(mmd(cloud, points))
-    assert [o.mmd_score for o in scored] != median_scores
+    assert [score for _, _, score in scored] != median_scores
 
 
 def test_run_variants_blocks_match_single_conditions(monkeypatch):
@@ -395,20 +428,15 @@ def test_run_variants_blocks_match_single_conditions(monkeypatch):
     for block in (CHAIN_BLOCK, 4):
         assert 11 % block != 0
         serial, parallel = run(block), run(block, threads=2)
+        assert_tables_equal(serial, parallel)
         for variant in variants:
-            outcomes = serial[variant]
-            assert [o.condition_id for o in outcomes] == list(range(11))
-            for a, b in zip(outcomes, parallel[variant]):
-                np.testing.assert_array_equal(a.final_latent, b.final_latent)
-                assert (a.valid, a.stage, a.mmd_score) == (b.valid, b.stage, b.mmd_score)
-            for outcome, one in zip(outcomes, single[variant]):
-                np.testing.assert_allclose(
-                    outcome.final_latent, one.final_latent, rtol=0.0, atol=1e-12
-                )
-                assert (outcome.valid, outcome.stage) == (one.valid, one.stage)
-                if one.mmd_score is not None:
-                    assert abs(outcome.mmd_score - one.mmd_score) <= 1e-12
-        assert all(o.mmd_score is not None for o in serial[VariantId.VAR1])
+            table, one = serial[variant], single[variant]
+            assert table["latents"].shape == (11, 21)
+            np.testing.assert_allclose(table["latents"], one["latents"], rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(table["masks"] == 0, one["masks"] == 0)
+            np.testing.assert_array_equal(table["repaired"], one["repaired"])
+            np.testing.assert_allclose(table["scores"], one["scores"], rtol=0.0, atol=1e-12)
+        assert not np.isnan(serial[VariantId.VAR1]["scores"]).any()
 
 
 def _sharing_case(monkeypatch):
@@ -437,21 +465,50 @@ def test_run_variants_shared_chains_match_single_variants(monkeypatch):
 
     together = {threads: run(list(VariantId), threads) for threads in (1, 2)}
     for variant in VariantId:
-        (alone,) = run([variant]).values()
-        for outcomes in (together[1][variant], together[2][variant]):
-            assert len(outcomes) == len(alone) == len(conditions)
-            for a, b in zip(alone, outcomes):
-                assert np.array_equal(a.final_latent, b.final_latent)
-                assert (a.condition_id, a.valid, a.stage, a.mmd_score) == (
-                    b.condition_id, b.valid, b.stage, b.mmd_score
-                )
+        alone = run([variant])
+        assert len(alone[variant]["latents"]) == len(conditions)
+        for threads in (1, 2):
+            assert_tables_equal(alone, {variant: together[threads][variant]})
     for variant in (VariantId.VAR1, VariantId.VAR2, VariantId.FULL):
-        assert {o.stage for o in together[1][variant]} == set(RepairStage), variant
+        # each stage occurs: valid direct, repaired valid, repaired invalid
+        table = together[1][variant]
+        repaired, valid = table["repaired"], table["masks"] == 0
+        assert (~repaired).any() and (repaired & valid).any() and (repaired & ~valid).any()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkeypatch, threads):
+    conditions, models, cfg = _sharing_case(monkeypatch)
+    tables = run_variants(list(VariantId), conditions, models, cfg, threads)
+    # the variant whose chain row each variant starts from
+    chain_of = {VariantId.VAR1: VariantId.BASELINE, VariantId.VAR2: VariantId.BASELINE,
+                VariantId.FULL: VariantId.VAR5}
+    for variant, table in tables.items():
+        n = len(conditions)
+        assert table["latents"].shape == (n, 21) and table["latents"].dtype == np.float64
+        assert table["masks"].shape == (n,) and table["masks"].dtype == np.uint16
+        assert table["repaired"].shape == (n,) and table["repaired"].dtype == bool
+        assert table["scores"].shape == (n,) and table["scores"].dtype == np.float64
+        np.testing.assert_array_equal(table["masks"], check_latents(table["latents"]))
+        np.testing.assert_array_equal(np.isnan(table["scores"]), table["masks"] != 0)
+        chain = tables[chain_of.get(variant, variant)]
+        if variant in chain_of:
+            np.testing.assert_array_equal(table["repaired"], chain["masks"] != 0)
+        else:
+            assert not table["repaired"].any()
+        kept = ~table["repaired"]
+        for name, column in table.items():
+            assert column[kept].tobytes() == chain[name][kept].tobytes(), (variant, name)
+    for variant in chain_of:
+        assert tables[variant]["repaired"].any() and not tables[variant]["repaired"].all()
 
 
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
     conditions, models, cfg = _sharing_case(monkeypatch)
-    calls = {"sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "self_repair": 0}
+    calls = {
+        "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "self_repair": 0,
+        "check_latents": 0,
+    }
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -461,25 +518,26 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
         return wrapper
 
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
-    for name in ("ground_truth_cloud", "mmd", "decode", "self_repair"):
+    for name in ("ground_truth_cloud", "mmd", "decode", "self_repair", "check_latents"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
-    outcomes = run_variants(list(VariantId), conditions, models, cfg)
+    tables = run_variants(list(VariantId), conditions, models, cfg)
     # one lockstep chain of all 4 guidance plans per block
     assert calls["sample"] == math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 2
     assert calls["ground_truth_cloud"] == len(conditions)
     unrepaired = (VariantId.BASELINE, VariantId.VAR3, VariantId.VAR4, VariantId.VAR5)
     repaired = (VariantId.VAR1, VariantId.VAR2, VariantId.FULL)
-    n_valid = sum(o.valid for v in unrepaired for o in outcomes[v])
-    n_repaired = sum(o.stage is RepairStage.REPAIRED_VALID for v in repaired for o in outcomes[v])
+    n_valid = sum(int((tables[v]["masks"] == 0).sum()) for v in unrepaired)
+    n_repaired = sum(
+        int((tables[v]["repaired"] & (tables[v]["masks"] == 0)).sum()) for v in repaired
+    )
     assert 0 < n_valid and 0 < n_repaired
     assert calls["mmd"] == n_valid + n_repaired
-    # chain rows are kernel-checked a block at a time, and only a valid one is
-    # decoded, once; self-repair decodes only its repaired latent
-    n_attempted = sum(
-        o.stage is not RepairStage.VALID_DIRECT for v in repaired for o in outcomes[v]
-    )
+    # chain rows are kernel-checked a block at a time, and each repaired row as
+    # a one-row block; only a valid row is decoded, once, to be scored
+    n_attempted = sum(int(tables[v]["repaired"].sum()) for v in repaired)
     assert calls["self_repair"] == n_attempted
-    assert calls["decode"] == n_valid + n_attempted
+    assert calls["check_latents"] == calls["sample"] + n_attempted
+    assert calls["decode"] == n_valid + n_repaired
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -496,13 +554,8 @@ def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     pooled = run_variants(variants, conditions, models, eval_cfg(9), threads=2)
     assert list(pooled) == variants
-    for variant in variants:
-        assert len(pooled[variant]) == len(conditions)
-        for a, b in zip(serial[variant], pooled[variant]):
-            np.testing.assert_array_equal(a.final_latent, b.final_latent)
-            assert (a.condition_id, a.valid, a.stage, a.mmd_score) == (
-                b.condition_id, b.valid, b.stage, b.mmd_score
-            )
+    assert all(len(pooled[v]["latents"]) == len(conditions) for v in variants)
+    assert_tables_equal(serial, pooled)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -548,7 +601,7 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for threads, n, workers in ((64, 11, [11]), (3, 11, [3]), (4, 1, [])):
         pool_sizes.clear()
-        outcomes = run_variants(
+        tables = run_variants(
             [VariantId.BASELINE],
             gen_ground_truth(n, seed=20),
             toy_models(seed=9),
@@ -556,7 +609,7 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
             threads,
         )
         assert pool_sizes == workers, (threads, n)
-        assert [o.condition_id for o in outcomes[VariantId.BASELINE]] == list(range(n))
+        assert tables[VariantId.BASELINE]["latents"].shape == (n, 21)
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 4)
     for threads, n, workers in ((64, 4, [3]), (2, 4, [2]), (4, 1, [])):
         pool_sizes.clear()
