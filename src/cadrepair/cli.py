@@ -486,6 +486,14 @@ def _parse_variants(raw: str) -> list[VariantId]:
     return [v for v in VariantId if v in chosen]
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median's own arithmetic, the mean of the two middle order statistics,
+    without the import of numpy.ma that np.median's first call makes."""
+    ranked = np.sort(values)
+    k = len(ranked)
+    return float(ranked[(k - 1) // 2] + ranked[k // 2]) / 2.0
+
+
 def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     """Run the variants on held-out conditions and write, into the run directory,
     from each variant's ``pipeline.run_variants`` table of arrays:
@@ -519,7 +527,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
         n, n_valid, scores = len(valid), int(valid.sum()), table["scores"][valid]
         feas = n_valid / n
         mean_mmd = float(np.mean(scores)) if n_valid else float("nan")
-        median_mmd = float(np.median(scores)) if n_valid else float("nan")
+        median_mmd = _median(scores) if n_valid else float("nan")
         n_repaired, n_failed = int((repaired & valid).sum()), int((repaired & ~valid).sum())
         report_rows.append(
             [name, n, n_valid, _fmt(feas), _fmt(mean_mmd), _fmt(median_mmd), n_repaired, n_failed]

@@ -58,6 +58,9 @@ _ARITHMETIC_LIMIT = 1e50
 _PAIR_SLICE = 512
 
 _PROPOSAL_CHUNK = 8192
+# Edge-by-point entries in one block of points_in_polygon: 2**17 float64
+# crossings make each of its temporaries at most 1 MiB.
+_POLYGON_BLOCK = 1 << 17
 _STALL_PROPOSALS = 10_000_000
 _STALL_RATE = 1e-4
 
@@ -457,18 +460,31 @@ def kernel_check(seq: CommandSequence) -> ValidityReport:
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:
-    """Vectorized even-odd (ray crossing) point-in-polygon test."""
+    """Vectorized even-odd (ray crossing) point-in-polygon test.
+
+    Each (edge, point) pair is tested at once over a block of edges: the edge
+    from (x0, y0) to (x1, y1) counts when it spans the point's y and crosses
+    y at some x right of the point. A point is inside when an odd number of
+    edges count.
+    """
     pts = np.asarray(points, dtype=float)
     poly = np.asarray(polygon, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
+    # (edges, 1) columns: edge k runs from vertex k - 1 to vertex k
+    x0, y0 = np.roll(poly, 1, axis=0).T[:, :, None]
+    x1, y1 = poly.T[:, :, None]
     inside = np.zeros(len(pts), dtype=bool)
-    x0, y0 = poly[-1]
+    block = max(1, _POLYGON_BLOCK // max(len(pts), 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for x1, y1 in poly:
-            crosses = (y1 > y) != (y0 > y)
-            cut = (x0 - x1) * (y - y1) / (y0 - y1) + x1
-            inside ^= crosses & (x < cut)
-            x0, y0 = x1, y1
+        for first in range(0, len(poly), block):
+            edges = slice(first, first + block)
+            cut = y - y1[edges]
+            cut *= x0[edges] - x1[edges]
+            cut /= y0[edges] - y1[edges]
+            cut += x1[edges]
+            counts = np.less(x, cut)
+            counts &= (y1[edges] > y) != (y0[edges] > y)
+            inside ^= np.logical_xor.reduce(counts, axis=0)
     return inside
 
 

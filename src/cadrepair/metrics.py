@@ -2,11 +2,16 @@
 
 The MMD estimator is the biased V-statistic (diagonal terms included) under a
 Gaussian RBF kernel whose bandwidth is given (a run's ``sigma_mode`` number) or
-else the median pairwise distance of the pooled clouds. Each call builds one
-squared-distance matrix of the pooled cloud in Gram form, |x|² + |y|² - 2x·y
-with one einsum product and negatives clamped to 0; the median bandwidth is
-selected exactly from it, and it is then turned into the kernel matrix in
-place, whose xx, yy and xy blocks are summed. The Gram form agrees with summing
+else the median pairwise distance of the pooled clouds. Squared distances of
+the pooled cloud are built in Gram form, |x|² + |y|² - 2x·y with one einsum
+product per tile of _TILE_ROWS rows and negatives clamped to 0, so no call
+holds the (m+n)² matrix. The median bandwidth is selected exactly from one
+N(N-1)/2 buffer of the strict upper triangle, filled a tile at a time; the
+kernel sums then rebuild each tile, exponentiate it in its (_TILE_ROWS, N)
+scratch buffer and add its xx, xy and yy parts to running sums. Rows of y are
+built against the columns of y alone, since no sum reads the yx block. So a
+call holds about 4N² bytes for the median (N ≤ 2048 after subsampling) and
+8·_TILE_ROWS·N bytes for the sums. The Gram form agrees with summing
 per-coordinate squared differences to about 1e-15, not bitwise; it is
 BLAS-free, so scores do not depend on the BLAS thread count. PCA takes the top
 two eigenvectors of the 21x21 sample covariance.
@@ -21,16 +26,22 @@ import numpy as np
 
 _MEDIAN_SUBSAMPLE_LIMIT = 2048
 _MEDIAN_SUBSAMPLE_SEED = 0
+# Rows of the squared-distance matrix built at once: at 2,048 pooled points a
+# float64 tile is 1 MiB, small enough to stay in cache while it is
+# exponentiated and summed.
+_TILE_ROWS = 64
+_STRICT_UPPER = ~np.tri(_TILE_ROWS, dtype=bool)
 
 
-def _pairwise_square_dists(points: np.ndarray) -> np.ndarray:
-    """(n, n) squared distances between the rows of `points`, clamped at 0.
+def _gram_operands(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two contiguous (5, n) operands of the Gram form, [p, |p|², 1] and
+    [-2p, 1, |p|²], of the centred rows p of `points`.
 
-    Gram form: after centring, d²(i, j) = |p_i|² + |p_j|² - 2 p_i·p_j, built by one
-    einsum over two contiguous (5, n) operands, [p, |p|², 1] and [-2p, 1, |p|²].
-    einsum without ``optimize`` runs numpy's own loops, never a BLAS call, so the
-    result does not depend on the BLAS thread count; it sums the five terms in
-    order, which makes the diagonal, and every pair of identical points, exactly 0.
+    After centring, d²(i, j) = |p_i|² + |p_j|² - 2 p_i·p_j is the einsum of
+    column i of the first with column j of the second. einsum without
+    ``optimize`` runs numpy's own loops, never a BLAS call, so the result does
+    not depend on the BLAS thread count; it sums the five terms in order, which
+    makes the diagonal, and every pair of identical points, exactly 0.
     """
     centred = (points - points.mean(axis=0)).T
     left = np.empty((5, centred.shape[1]))
@@ -41,17 +52,55 @@ def _pairwise_square_dists(points: np.ndarray) -> np.ndarray:
     left[4] = 1.0
     right[3] = 1.0
     right[4] = left[3]
-    d2 = np.einsum("ki,kj->ij", left, right)
-    return np.maximum(d2, 0.0, out=d2)
+    return left, right
 
 
-def _median_distance(d2: np.ndarray) -> float:
-    """Median of sqrt over the strict upper triangle of `d2`; 1.0 when it is zero.
+def _square_dists(left: np.ndarray, right: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of `left` and of `right`, written
+    into the leading block of `scratch` and clamped at 0. An entry has the same
+    bits in every tile, since the views keep the full operands' strides."""
+    out = scratch[: left.shape[1], : right.shape[1]]
+    np.einsum("ki,kj->ij", left, right, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _kernel_tile(
+    left: np.ndarray, right: np.ndarray, scratch: np.ndarray, sigma: float
+) -> np.ndarray:
+    """The RBF kernel values of one tile of squared distances, in `scratch`."""
+    tile = _square_dists(left, right, scratch)
+    return np.exp(np.divide(tile, -2.0 * sigma * sigma, out=tile), out=tile)
+
+
+def _upper_square_dists(points: np.ndarray) -> np.ndarray:
+    """The n(n-1)/2 squared distances d²(i, j), i < j, between the rows of
+    `points`, in tile order: per tile of rows, the strict upper triangle of its
+    leading square, then the rectangle right of it."""
+    left, right = _gram_operands(points)
+    n = left.shape[1]
+    upper = np.empty(n * (n - 1) // 2)
+    scratch = np.empty((min(_TILE_ROWS, n), n))
+    filled = 0
+    for start in range(0, n, _TILE_ROWS):
+        stop = min(start + _TILE_ROWS, n)
+        rows = stop - start
+        tile = _square_dists(left[:, start:stop], right[:, start:], scratch)
+        triangle = tile[:, :rows][_STRICT_UPPER[:rows, :rows]]
+        upper[filled : filled + len(triangle)] = triangle
+        filled += len(triangle)
+        rectangle = upper[filled : filled + rows * (n - stop)].reshape(rows, n - stop)
+        rectangle[...] = tile[:, rows:]
+        filled += rectangle.size
+    return upper
+
+
+def _median_distance(upper: np.ndarray) -> float:
+    """Median of sqrt over the squared distances `upper`, reordered in place;
+    1.0 when it is zero.
 
     Selects the middle one or two squared distances and takes sqrt of those
     alone: sqrt is monotone, so this equals ``np.median(np.sqrt(upper))``.
     """
-    upper = d2[~np.tri(len(d2), dtype=bool)]
     half = len(upper) // 2
     upper.partition(half)
     median = math.sqrt(upper[half])
@@ -73,7 +122,7 @@ def median_heuristic_sigma(x_points, y_points) -> float:
     if len(pooled) > _MEDIAN_SUBSAMPLE_LIMIT:
         rng = np.random.default_rng(_MEDIAN_SUBSAMPLE_SEED)
         pooled = pooled[rng.choice(len(pooled), _MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
-    return _median_distance(_pairwise_square_dists(pooled))
+    return _median_distance(_upper_square_dists(pooled))
 
 
 def mmd(x_points, y_points, sigma: float | None = None) -> float:
@@ -86,16 +135,22 @@ def mmd(x_points, y_points, sigma: float | None = None) -> float:
     m, n = len(x), len(y)
     if m < 1 or n < 1:
         raise ValueError("both clouds must be non-empty")
-    d2 = _pairwise_square_dists(np.vstack([x, y]))
-    if sigma is None and m + n > _MEDIAN_SUBSAMPLE_LIMIT:
+    if sigma is None:
         sigma = median_heuristic_sigma(x, y)
-    elif sigma is None:
-        sigma = _median_distance(d2)
-    # the median above has been read, so d2 becomes the kernel matrix in place
-    kernel = np.exp(np.divide(d2, -2.0 * sigma * sigma, out=d2), out=d2)
-    kxx = float(kernel[:m, :m].sum()) / (m * m)
-    kyy = float(kernel[m:, m:].sum()) / (n * n)
-    kxy = float(kernel[:m, m:].sum()) * 2.0 / (m * n)
+    left, right = _gram_operands(np.vstack([x, y]))
+    scratch = np.empty((min(_TILE_ROWS, max(m, n)), m + n))
+    kxx = kxy = kyy = 0.0
+    for start in range(0, m, _TILE_ROWS):
+        kernel = _kernel_tile(left[:, start : min(start + _TILE_ROWS, m)], right, scratch, sigma)
+        kxx += float(kernel[:, :m].sum())
+        kxy += float(kernel[:, m:].sum())
+    # rows of y against the columns of y alone, laid out as the xy part above,
+    # so that the three sums of two identical clouds cancel exactly
+    right_y, scratch_y = right[:, m:], scratch[:, m:]
+    for start in range(m, m + n, _TILE_ROWS):
+        kernel = _kernel_tile(left[:, start : start + _TILE_ROWS], right_y, scratch_y, sigma)
+        kyy += float(kernel.sum())
+    kxx, kxy, kyy = kxx / (m * m), kxy * 2.0 / (m * n), kyy / (n * n)
     return math.sqrt(max(kxx + kyy - kxy, 0.0))
 
 

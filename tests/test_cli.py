@@ -13,8 +13,12 @@ import csv
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,46 @@ def test_report_agrees_with_scores_and_histogram(runs):
         assert row["median_mmd"] == (repr(float(np.median(mine))) if mine else "nan")
         if variant in ("baseline", "var3", "var4", "var5"):
             assert row["repaired_count"] == row["repair_failed_count"] == "0"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.4], [0.3, 0.1, 0.7], [0.1, 0.2], [0.25, 0.5, 0.125, 1.0], [0.2, 0.2, 0.7, 0.2]],
+    ids=["one", "odd", "two", "even", "ties"],
+)
+def test_median_equals_numpy_median_bitwise(values):
+    rng = np.random.default_rng(len(values))
+    for scores in (np.array(values), rng.uniform(0.0, 1.5, len(values) * 7)):
+        assert cli._median(scores) == float(np.median(scores))
+        assert cli._median(scores[::-1].copy()) == float(np.median(scores))
+
+
+_EVAL_IMPORTS = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from cadrepair import cli
+code = cli.main(["eval", "--variants", "all", "--threads", "1", "--config", sys.argv[1]])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_eval_does_not_import_numpy_ma(runs, tmp_path):
+    # numpy.ma costs an eval process about 17 ms and 0.75 MB to import; numpy
+    # before 2.0 imports it with numpy itself, so then there is nothing to save
+    root, _, _ = runs
+    out = tmp_path / "run"
+    shutil.copytree(root / "a", out)
+    config = write_config(tmp_path / "c.json", out)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _EVAL_IMPORTS, config],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    code, before, after = run.stdout.split()[-3:]
+    assert code == "0"
+    assert after == before
+    assert (out / "report.csv").read_bytes() == (root / "a" / "report.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_conditions", [TINY["n_conditions"] - 10, TINY["n_conditions"] + 10])

@@ -747,3 +747,51 @@ def test_points_in_polygon_even_odd():
     poly = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     pts = np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2], [0.25, 0.99]])
     np.testing.assert_array_equal(points_in_polygon(pts, poly), [True, False, False, True])
+
+
+def loop_points_in_polygon(points, polygon):
+    """The former test: one pass of five numpy calls per polygon edge."""
+    pts = np.asarray(points, dtype=float)
+    poly = np.asarray(polygon, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    x0, y0 = poly[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x1, y1 in poly:
+            crosses = (y1 > y) != (y0 > y)
+            cut = (x0 - x1) * (y - y1) / (y0 - y1) + x1
+            inside ^= crosses & (x < cut)
+            x0, y0 = x1, y1
+    return inside
+
+
+def polygon_cases():
+    rng = np.random.default_rng(21)
+    yield "triangle", discretize_profile(CommandSequence((line(0, 0), line(1, 0), line(0, 1)), 0.5))
+    yield "arc", discretize_profile(
+        CommandSequence((line(0, 0), line(0.8, 0), arc(0.8, 0.6, 0.7), line(0, 0.6)), 0.9)
+    )
+    yield "arcs", discretize_profile(
+        CommandSequence((arc(0.5, -0.2, 0.4), arc(0.6, 0.7, -0.3), arc(-0.4, 0.1, 0.9)), 0.5)
+    )
+    yield "bowtie", discretize_profile(bowtie())
+    yield "star", random_simple_polygon(rng, 40)
+
+
+@pytest.mark.parametrize("block", [geometry._POLYGON_BLOCK, 1, 7 * 64])
+@pytest.mark.parametrize("case", list(polygon_cases()), ids=lambda case: case[0])
+def test_points_in_polygon_equals_the_edge_loop_bitwise(case, block, monkeypatch):
+    # blocks of 1 and 7 edges (at 64 points) split the polygon's edges
+    monkeypatch.setattr(geometry, "_POLYGON_BLOCK", block)
+    _, poly = case
+    rng = np.random.default_rng(len(poly))
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    on_edges = poly + rng.uniform(0.0, 1.0, (len(poly), 1)) * (np.roll(poly, -1, axis=0) - poly)
+    for pts in (
+        rng.uniform(lo - 0.1, hi + 0.1, size=(64, 2)),
+        rng.uniform(lo, hi, size=(1024, 2)),
+        poly,  # every vertex
+        on_edges,  # a point on every edge
+        np.column_stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]]),  # at vertex heights
+    ):
+        assert points_in_polygon(pts, poly).tobytes() == loop_points_in_polygon(pts, poly).tobytes()

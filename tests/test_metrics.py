@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,62 @@ def test_median_subsample_above_limit_deterministic():
     assert median_heuristic_sigma(x, y) == median_heuristic_sigma(x, y)
 
 
+def full_pairwise_square_dists(points):
+    """The former full-matrix build: (n, n) Gram-form squared distances of the
+    centred rows, one einsum over the whole pooled cloud, clamped at 0."""
+    centred = (points - points.mean(axis=0)).T
+    left = np.empty((5, centred.shape[1]))
+    right = np.empty_like(left)
+    left[:3] = centred
+    np.multiply(centred, -2.0, out=right[:3])
+    left[3] = centred[0] * centred[0] + centred[1] * centred[1] + centred[2] * centred[2]
+    left[4] = 1.0
+    right[3] = 1.0
+    right[4] = left[3]
+    d2 = np.einsum("ki,kj->ij", left, right)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def full_median_distance(d2):
+    """The former median: the strict upper triangle gathered from the full
+    matrix, its middle rank(s) selected, then sqrt; 1.0 when it is zero."""
+    upper = d2[~np.tri(len(d2), dtype=bool)]
+    half = len(upper) // 2
+    upper.partition(half)
+    median = math.sqrt(upper[half])
+    if len(upper) % 2 == 0:
+        median = (math.sqrt(upper[:half].max()) + median) / 2.0
+    return median if median > 0.0 else 1.0
+
+
+def full_matrix_sigma(x, y):
+    pooled = np.vstack([x, y])
+    if len(pooled) > metrics._MEDIAN_SUBSAMPLE_LIMIT:
+        rng = np.random.default_rng(metrics._MEDIAN_SUBSAMPLE_SEED)
+        pooled = pooled[rng.choice(len(pooled), metrics._MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
+    return full_median_distance(full_pairwise_square_dists(pooled))
+
+
+@pytest.mark.parametrize("pooled", [2, 3, 63, 64, 65, 129, 414, 1024, 2048, 2200])
+def test_median_equals_the_full_matrix_oracle_bitwise(pooled):
+    # the tiles hold the same multiset of squared distances, so the same sigma;
+    # 2200 pooled points take the subsample path
+    rng = np.random.default_rng(pooled)
+    points = rng.normal(size=(pooled, 3)) * rng.uniform(0.1, 5.0) + rng.normal(size=3)
+    for m in (1, pooled // 2, pooled - 1):
+        x, y = points[:m], points[m:]
+        assert median_heuristic_sigma(x, y) == full_matrix_sigma(x, y)
+
+
+def test_upper_buffer_holds_the_strict_upper_triangle():
+    rng = np.random.default_rng(6)
+    for pooled in (2, 64, 65, 200):
+        points = rng.normal(size=(pooled, 3))
+        full = full_pairwise_square_dists(points)
+        expected = np.sort(full[~np.tri(pooled, dtype=bool)])
+        np.testing.assert_array_equal(np.sort(metrics._upper_square_dists(points)), expected)
+
+
 # ---------------------------------------------------------------- MMD
 
 
@@ -89,7 +146,16 @@ def mmd_oracle(x, y, sigma):
 def test_mmd_identical_clouds_is_zero():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 3))
-    assert mmd(x, x.copy()) <= 1e-9
+    assert mmd(x, x.copy()) == 0.0
+
+
+@pytest.mark.parametrize("points", [1, 63, 64, 65, 207, 512])
+def test_mmd_identical_clouds_is_zero_on_both_sides_of_the_tile_size(points):
+    # the xx, xy and yy sums run over equal tiles laid out alike, so they cancel
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(points, 3)) * 0.37 + 0.1
+    assert mmd(x, x.copy()) == 0.0
+    assert mmd(x, x.copy(), 0.3) == 0.0
 
 
 def test_mmd_hand_case():
@@ -174,8 +240,25 @@ def mmd_broadcast_oracle(x, y, sigma=None):
         (40, 1, None, 1.0),
         (6, 5, None, 0.0),  # every point identical: median 0, sigma 1.0
         (60, 45, 0.7, 1.0),
+        (63, 65, None, 1.0),
+        (65, 63, None, 1.0),
+        (1, 129, None, 1.0),
+        (200, 64, None, 1.0),
+        (130, 70, 0.5, 1.0),
     ],
-    ids=["512+512", "odd-pairs", "one-point-x", "one-point-y", "identical", "fixed-sigma"],
+    ids=[
+        "512+512",
+        "odd-pairs",
+        "one-point-x",
+        "one-point-y",
+        "identical",
+        "fixed-sigma",
+        "63+65",
+        "65+63",
+        "1+129",
+        "200+64",
+        "130+70-fixed-sigma",
+    ],
 )
 def test_mmd_matches_broadcast_formula_bitwise(m, n, sigma, spread):
     # named for the former bitwise check; the Gram form is held to ORACLE_TOLERANCE
@@ -218,11 +301,11 @@ def test_mmd_above_subsample_limit_uses_median_heuristic_sigma():
 _DISTANCE_DIGEST = """
 import hashlib
 import numpy as np
-from cadrepair.metrics import _pairwise_square_dists
+from cadrepair.metrics import _upper_square_dists
 rng = np.random.default_rng(5)
 digest = hashlib.sha256()
 for pooled in (414, 450, 1024):
-    digest.update(_pairwise_square_dists(rng.normal(size=(pooled, 3))).tobytes())
+    digest.update(_upper_square_dists(rng.normal(size=(pooled, 3))).tobytes())
 print(digest.hexdigest())
 """
 
@@ -239,6 +322,33 @@ def test_distance_build_does_not_depend_on_blas_threads():
         )
         digests.add(run.stdout)
     assert len(digests) == 1
+
+
+def traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fn, m, n, limit_mib",
+    [
+        (mmd, 512, 512, 6.0),  # the full-matrix build peaked at 13.0
+        (mmd, 1100, 1100, 20.0),  # subsample path; 89.0 with the full matrices
+        (median_heuristic_sigma, 512, 512, 5.0),  # 13.0
+        # the kernel sums alone hold one (64, 1024) tile, 0.5 MiB
+        (lambda x, y: mmd(x, y, 0.5), 512, 512, 1.0),
+    ],
+    ids=["mmd-512+512", "mmd-1100+1100", "sigma-512+512", "mmd-fixed-sigma-512+512"],
+)
+def test_peak_memory_stays_below_the_pooled_matrix(fn, m, n, limit_mib):
+    rng = np.random.default_rng(m + n)
+    x = rng.normal(size=(m, 3))
+    y = rng.normal(size=(n, 3)) + 0.2
+    assert traced_peak_mib(fn, x, y) <= limit_mib
 
 
 # ---------------------------------------------------------------- histogram
