@@ -8,8 +8,9 @@ seed, schedule, guidance scales, cloud size and MMD bandwidth from it.
 
 Exit codes are stable for scripting: 0 success; 2 config/schema error
 (``ConfigError``): a config value, input record, latent file or model file is
-malformed; 3 stall (``SamplingStall``): ground-truth rejection sampling or
-point-cloud sampling accepts too few draws; 4 missing artifact, or too little
+malformed, or the output directory cannot be created; 3 stall
+(``SamplingStall``): ground-truth rejection sampling or point-cloud sampling
+accepts too few draws; 4 missing artifact, or too little
 data to fit: too few regressor pairs to fit or none held out, or labels of a
 single class (``MissingArtifact``); 5 empty evaluation set (``EmptyEvaluation``).
 Each code has that one exception type; any other exception exits 1 with a traceback.
@@ -124,8 +125,12 @@ def _write_outputs(out: Path, files: dict) -> None:
     the one writer of its kind: a latent matrix (``.bin``) by write_latents, a CSV
     file's rows under its CSV_HEADERS row, ``conditions.jsonl``'s ground truth one
     record a line, a model of MODELS by save_model, and any other ``.json`` file's
-    object sorted and indented."""
-    out.mkdir(parents=True, exist_ok=True)
+    object sorted and indented. A run directory that cannot be created, such as
+    a path naming a file, is a ConfigError naming it, raised before any write."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot create the output directory: {exc}") from exc
     for name, content in files.items():
         path = out / name
         if name.endswith(".bin"):
@@ -586,29 +591,32 @@ def cmd_pca(cfg: RunConfig) -> int:
 
 def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> int:
     """Kernel-check each row of a latent matrix file, self-repair the rows that
-    fail, and write, into ``out_dir`` (default: beside the latents file):
+    fail with one ``pipeline.repair`` call, and write, into ``out_dir`` (default:
+    beside the latents file):
 
     - ``repaired.bin``: one latent per row; a row that passes is kept unrepaired.
     - ``repair_outcomes.csv``: row, stage, valid; stage ``ValidDirect`` for a
-      row that passed, else ``RepairedValid`` or ``RepairedInvalid``.
+      row that passed, else ``RepairedValid`` or ``RepairedInvalid`` by its
+      check after repair.
     """
     latents = read_latents(latents_path)
     regressor = _load_model(Path(regressor_path), "ssl_regressor")
-    masks, repaired = check_latents(latents), latents.copy()
-    stages = [pipeline.RepairStage.VALID_DIRECT] * len(latents)
-    for i in np.flatnonzero(masks):
-        r = pipeline.self_repair(latents[i], regressor)
-        stages[i], repaired[i], masks[i] = r.stage, r.final_latent, r.mask
+    before = check_latents(latents)
+    repaired, after = pipeline.repair(latents, before, regressor)
+    stages = [
+        "RepairedInvalid" if a else "RepairedValid" if b else "ValidDirect"
+        for b, a in zip(before.tolist(), after.tolist())
+    ]
     _write_outputs(Path(out_dir) if out_dir else Path(latents_path).parent, {
         "repaired.bin": repaired,
         "repair_outcomes.csv": [
-            [i, stage.value, int(mask == 0)] for i, (stage, mask) in enumerate(zip(stages, masks))
+            [i, stage, int(a == 0)] for i, (stage, a) in enumerate(zip(stages, after.tolist()))
         ],
     })
     print(f"rows                {len(stages)}")
-    print(f"valid direct        {stages.count(pipeline.RepairStage.VALID_DIRECT)}")
-    print(f"repaired valid      {stages.count(pipeline.RepairStage.REPAIRED_VALID)}")
-    print(f"repaired invalid    {stages.count(pipeline.RepairStage.REPAIRED_INVALID)}")
+    print(f"valid direct        {stages.count('ValidDirect')}")
+    print(f"repaired valid      {stages.count('RepairedValid')}")
+    print(f"repaired invalid    {stages.count('RepairedInvalid')}")
     return EXIT_OK
 
 

@@ -5,10 +5,12 @@ labeled SeedSequence streams, so regeneration is bitwise stable and every
 variant of the evaluation matrix shares per-condition starting noise
 (paired-seed discipline).
 
-Latents are kernel-checked by ``geometry.check_latents``, a chain block or a
-repaired row at a time: a row's uint16 reason mask has bit i set for
-InvalidReason(i) and is 0 when the row is valid. Masks, not decoded sequences,
-come back from chain tasks, self-repair and eval; rows are decoded only to be scored.
+Latents are kernel-checked by ``geometry.check_latents`` a block at a time, a
+chain block or a variant's repaired rows: a row's uint16 reason mask has bit i
+set for InvalidReason(i) and is 0 when the row is valid. Eval is three array
+steps: chain tasks return each guidance plan's latents and masks, ``repair``
+re-maps a repair variant's rejected rows and returns new latents and masks, and
+score tasks decode and score only the valid rows.
 """
 
 from __future__ import annotations
@@ -195,30 +197,22 @@ def build_gt_pairs(n_generated: int, generations_per_condition: int) -> np.ndarr
     return np.column_stack([rows, rows // generations_per_condition])
 
 
-class RepairStage(Enum):
-    VALID_DIRECT = "ValidDirect"
-    REPAIRED_VALID = "RepairedValid"
-    REPAIRED_INVALID = "RepairedInvalid"
+def repair(latents, masks, regressor: LinearRegressor) -> tuple[np.ndarray, np.ndarray]:
+    """Self-repair a block of latents: re-map each kernel-rejected row through
+    the regressor once, then kernel-check the re-mapped rows as one block.
 
-
-@dataclass(frozen=True)
-class RepairOutcome:
-    stage: RepairStage
-    final_latent: np.ndarray
-    mask: int  # the check_latents reason mask of final_latent, 0 when valid
-
-
-def self_repair(latent, regressor: LinearRegressor) -> RepairOutcome:
-    """Re-map a latent through the regressor once, then kernel-check it as a one-row block.
-
-    Precondition: ``latent`` already failed the kernel check. The caller gates
-    on that check and keeps a valid latent as ``VALID_DIRECT`` itself, so this
-    returns ``REPAIRED_VALID`` or ``REPAIRED_INVALID`` only.
+    ``masks`` are the rows' ``check_latents`` reason masks. Returns new
+    (latents, masks) arrays. A row whose mask is 0 comes back as it is, and so
+    does a row holding inf or NaN, with its mask: every output of W z + b then
+    sums a non-finite term, so no re-mapping could pass the kernel. The others
+    go through one stacked (k, 1, d) product, whose slices round as a single
+    row's product does, so a row's bits do not depend on the rows beside it.
     """
-    repaired = regressor_predict(regressor, latent)
-    mask = int(check_latents(repaired[None])[0])
-    stage = RepairStage.REPAIRED_INVALID if mask else RepairStage.REPAIRED_VALID
-    return RepairOutcome(stage, repaired, mask)
+    latents, masks = np.array(latents, dtype=float), np.array(masks)
+    rows = np.flatnonzero((masks != 0) & np.isfinite(latents).all(axis=1))
+    latents[rows] = regressor_predict(regressor, latents[rows, None])[:, 0]
+    masks[rows] = check_latents(latents[rows])
+    return latents, masks
 
 
 class VariantId(Enum):
@@ -231,32 +225,23 @@ class VariantId(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class _VariantPlan:
-    # model names (cli.MODELS keys) of the chain's (classifier, regressor)
-    # guides, each or None; variants of equal guidance share one chain
-    guidance: tuple[str | None, str | None]
-    repair_model: str | None  # model name
-
-
-_VARIANT_PLANS: dict[VariantId, _VariantPlan] = {
-    VariantId.BASELINE: _VariantPlan((None, None), None),
-    VariantId.VAR1: _VariantPlan((None, None), "ssl_regressor"),
-    VariantId.VAR2: _VariantPlan((None, None), "gt_regressor"),
-    VariantId.VAR3: _VariantPlan(("classifier", None), None),
-    VariantId.VAR4: _VariantPlan((None, "ssl_regressor"), None),
-    VariantId.VAR5: _VariantPlan(("classifier", "ssl_regressor"), None),
-    VariantId.FULL: _VariantPlan(("classifier", "ssl_regressor"), "ssl_regressor"),
+# each variant's chain guidance, the model names (cli.MODELS keys) of its
+# (classifier, regressor) guides, each or None, and the model name of its repair
+# regressor or None; variants of equal guidance share one chain
+_VARIANT_PLANS: dict[VariantId, tuple[tuple[str | None, str | None], str | None]] = {
+    VariantId.BASELINE: ((None, None), None),
+    VariantId.VAR1: ((None, None), "ssl_regressor"),
+    VariantId.VAR2: ((None, None), "gt_regressor"),
+    VariantId.VAR3: (("classifier", None), None),
+    VariantId.VAR4: ((None, "ssl_regressor"), None),
+    VariantId.VAR5: (("classifier", "ssl_regressor"), None),
+    VariantId.FULL: (("classifier", "ssl_regressor"), "ssl_regressor"),
 }
 
 
 def _required_models(variant: VariantId) -> list[str]:
-    plan = _VARIANT_PLANS[variant]
-    return [name for name in ("denoiser", *plan.guidance, plan.repair_model) if name]
-
-
-# the columns of the table run_variants returns per variant, and their dtypes
-_TABLE_COLUMNS = {"latents": float, "masks": np.uint16, "repaired": bool, "scores": float}
+    guidance, repair_model = _VARIANT_PLANS[variant]
+    return [name for name in ("denoiser", *guidance, repair_model) if name]
 
 
 def ground_truth_cloud(
@@ -272,8 +257,8 @@ def ground_truth_cloud(
 
 # The worker payload: "chain_conditions", seed-stream "chain_keys", guidance "plans",
 # "denoiser" and the run's "cfg" (seed, cloud size and MMD bandwidth here; schedule
-# and guide step sizes through diffusion.chain_constants); run_variants adds each
-# variant's plan and repair ("variants") and the "conditions".
+# and guide step sizes through diffusion.chain_constants); run_variants adds the
+# "conditions".
 _WORKER_CONTEXT: dict = {}
 
 
@@ -331,36 +316,25 @@ def _run_chains(map_fn, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(latents, axis=1).swapaxes(0, 1), np.concatenate(masks, axis=1).T
 
 
-def _score_task(task) -> list[tuple]:
-    """Every variant's (final latent, mask, repaired, score) on one condition,
-    given each plan's latent and kernel reason mask for it from ``_run_chains``.
+def _score_task(task) -> list[float]:
+    """Each variant's MMD score on one condition, given each variant's final
+    latent and kernel reason mask for it: NaN where the mask is not 0.
 
-    Each plan's row is decoded and scored once if valid, else its score is NaN.
-    A repair variant keeps a row valid before repair as it is; only an invalid
-    row is repaired, and scored if the repair is valid.
+    The ground-truth cloud is sampled once, and each distinct valid latent is
+    decoded and scored once, so variants that share a row share its score.
     """
     cid, (latents, masks) = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
     points = ground_truth_cloud(ctx["conditions"][cid], cid, cfg)
-
-    def score(latent, mask) -> float:
-        if mask:
-            return math.nan
-        cloud = sample_point_cloud(
-            decode(latent), cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
-        )
-        return mmd(cloud, points, cfg.fixed_sigma)
-
-    def repair(row, regressor):
-        latent, mask, _, _ = row
-        if regressor is None or not mask:
-            return row
-        r = self_repair(latent, regressor)
-        return r.final_latent, r.mask, True, score(r.final_latent, r.mask)
-
-    unrepaired = [(z, m, False, score(z, m)) for z, m in zip(latents, masks)]
-    return [repair(unrepaired[plan], regressor) for plan, regressor in ctx["variants"]]
+    scores = {}
+    for latent, mask in zip(latents, masks):
+        if not mask and latent.tobytes() not in scores:
+            cloud = sample_point_cloud(
+                decode(latent), cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
+            )
+            scores[latent.tobytes()] = mmd(cloud, points, cfg.fixed_sigma)
+    return [math.nan if mask else scores[z.tobytes()] for z, mask in zip(latents, masks)]
 
 
 def run_variants(
@@ -376,16 +350,16 @@ def run_variants(
     the master seed, the schedule, the guidance scales and ``stop_gradient_y``,
     the cloud size and the MMD bandwidth (``fixed_sigma``).
 
-    Chain row cid is condition cid, seeded by (STREAM_EVAL_SAMPLE, cid). Two
-    kinds of task run in turn: the ``_chain_task`` blocks, which run every
-    distinct guidance plan (its models resolved once, here) in lockstep and
-    kernel-check each plan's rows, then one ``_score_task`` per condition,
-    which samples the ground-truth cloud once, decodes only valid rows and
-    repairs only a repair variant's invalid ones. Sharing is exact: every chain
-    row and cloud is seeded by condition id alone, and a plan's rows round the
-    same in the stack as alone. Both kinds map on one ``_worker_pool``, the
-    pool ``gen_dataset`` uses too: at most min(threads, conditions) worker
-    processes when threads > 1.
+    Chain row cid is condition cid, seeded by (STREAM_EVAL_SAMPLE, cid). Three
+    steps run in turn. The ``_chain_task`` blocks run every distinct guidance
+    plan (its models resolved once, here) in lockstep and kernel-check each
+    plan's rows. Then each repair variant runs ``repair`` on its plan's rows,
+    here, as one block. Last, one ``_score_task`` per condition samples the
+    ground-truth cloud once and decodes and scores each distinct valid final
+    latent. Sharing is exact: every chain row and cloud is seeded by condition
+    id alone, and a plan's rows round the same in the stack as alone. Chain and
+    score tasks map on one ``_worker_pool``, the pool ``gen_dataset`` uses too:
+    at most min(threads, conditions) worker processes when threads > 1.
 
     Returns each variant's table, in the order of ``variants``: four arrays in
     condition order, the same at any thread count. ``latents`` (n, d) holds each
@@ -400,7 +374,7 @@ def run_variants(
                 raise ValueError(f"variant {variant.value} needs model {name!r}")
     by_name = {None: None, **models}
     chosen = [_VARIANT_PLANS[v] for v in variants]
-    plans = list(dict.fromkeys(p.guidance for p in chosen))
+    plans = list(dict.fromkeys(guidance for guidance, _ in chosen))
     n = len(eval_conditions)
     payload = {
         "chain_conditions": np.array([c.condition for c in eval_conditions]),
@@ -408,14 +382,20 @@ def run_variants(
         "plans": [tuple(by_name[name] for name in plan) for plan in plans],
         "denoiser": models["denoiser"],
         "cfg": cfg,
-        # each variant's (plan index, repair regressor or None)
-        "variants": [(plans.index(p.guidance), by_name[p.repair_model]) for p in chosen],
         "conditions": list(eval_conditions),
     }
+    tables = {}
     with _worker_pool(payload, threads, n) as map_fn:
-        rows = list(map_fn(_score_task, enumerate(zip(*_run_chains(map_fn, n)))))
-    columns = _TABLE_COLUMNS.items()
-    return {
-        variant: {name: np.array(c, dtype) for (name, dtype), c in zip(columns, zip(*variant_rows))}
-        for variant, variant_rows in zip(variants, zip(*rows))
-    }
+        latents, masks = _run_chains(map_fn, n)
+        for variant, (guidance, repair_model) in zip(variants, chosen):
+            plan = plans.index(guidance)
+            z, m = latents[:, plan], masks[:, plan]
+            repaired = (m != 0) & (repair_model is not None)
+            if repair_model:
+                z, m = repair(z, m, models[repair_model])
+            tables[variant] = {"latents": z, "masks": m, "repaired": repaired}
+        finals = [np.stack([t[k] for t in tables.values()], axis=1) for k in ("latents", "masks")]
+        scores = np.array(list(map_fn(_score_task, enumerate(zip(*finals)))))
+    for table, column in zip(tables.values(), scores.T):
+        table["scores"] = column
+    return tables

@@ -26,7 +26,7 @@ import pytest
 import cadrepair
 from cadrepair import cli, geometry, pipeline
 from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
-from cadrepair.geometry import record_from_sequence
+from cadrepair.geometry import check_latents, record_from_sequence
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
 
@@ -966,19 +966,78 @@ def test_repair_valid_direct_never_calls_regressor(tmp_path, monkeypatch):
     # the all-zero regressor maps every latent to an invalid one
     zero = LinearRegressor(np.zeros((LATENT_DIM, LATENT_DIM)), np.zeros(LATENT_DIM))
     save_model(tmp_path / "reg.json", zero)
-    repairs = []
-    repair = pipeline.self_repair
-    monkeypatch.setattr(pipeline, "self_repair", lambda *a: repairs.append(a) or repair(*a))
+    remapped = []  # the rows of each regressor_predict call
+    predict = pipeline.regressor_predict
+    monkeypatch.setattr(
+        pipeline, "regressor_predict", lambda reg, z: remapped.append(len(z)) or predict(reg, z)
+    )
     code = cli.main(
         ["repair", "--latents", str(tmp_path / "latents.bin"),
          "--regressor", str(tmp_path / "reg.json")]
     )
     assert code == cli.EXIT_OK
-    assert repairs == []
+    assert sum(remapped) == 0
     assert read_rows(tmp_path / "repair_outcomes.csv") == [
         {"row": "0", "stage": "ValidDirect", "valid": "1"}
     ]
     assert (tmp_path / "repaired.bin").read_bytes() == (tmp_path / "latents.bin").read_bytes()
+
+
+def test_repair_outcomes_are_each_rows_own_repair(runs, tmp_path, capsys):
+    # the training latents hold valid and invalid rows, and the ssl regressor
+    # makes some of the invalid ones valid: each row's stage, validity and
+    # repaired latent is that of checking, re-mapping and checking it alone
+    root, _, _ = runs
+    latents = read_latents(root / "a" / "latents.bin")
+    regressor = cli._load_model(root / "a" / "ssl_regressor.json", "ssl_regressor")
+    capsys.readouterr()
+    code = cli.main(
+        ["repair", "--latents", str(root / "a" / "latents.bin"),
+         "--regressor", str(root / "a" / "ssl_regressor.json"), "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_OK
+    rows, finals = [], []
+    for i, row in enumerate(latents):
+        if not check_latents(row[None])[0]:
+            rows.append({"row": str(i), "stage": "ValidDirect", "valid": "1"})
+            finals.append(row)
+            continue
+        final = pipeline.regressor_predict(regressor, row)
+        valid = not check_latents(final[None])[0]
+        rows.append({"row": str(i), "stage": "RepairedValid" if valid else "RepairedInvalid",
+                     "valid": str(int(valid))})
+        finals.append(final)
+    assert read_rows(tmp_path / "repair_outcomes.csv") == rows
+    stages = [row["stage"] for row in rows]
+    assert all(stages.count(s) for s in ("ValidDirect", "RepairedValid", "RepairedInvalid"))
+    write_latents(tmp_path / "oracle.bin", np.array(finals))
+    assert (tmp_path / "repaired.bin").read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+    assert capsys.readouterr().out == (
+        f"rows                {len(rows)}\n"
+        f"valid direct        {stages.count('ValidDirect')}\n"
+        f"repaired valid      {stages.count('RepairedValid')}\n"
+        f"repaired invalid    {stages.count('RepairedInvalid')}\n"
+    )
+
+
+@pytest.mark.parametrize("stage", ["train-denoiser", "repair"])
+def test_out_naming_a_file_exits_2(tmp_path, caplog, stage):
+    # the run directory cannot be created over a file: a config error that
+    # names the path, with the file left as it was
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    if stage == "repair":
+        write_latents(tmp_path / "latents.bin", np.zeros((2, LATENT_DIM)))
+        save_model(tmp_path / "reg.json", LinearRegressor(np.eye(LATENT_DIM), np.zeros(LATENT_DIM)))
+        argv = ["repair", "--latents", str(tmp_path / "latents.bin"),
+                "--regressor", str(tmp_path / "reg.json"), "--out", str(taken)]
+    else:
+        argv = [*TRAIN_DENOISER, "--config", write_config(tmp_path / "c.json", tmp_path / "out"),
+                "--out", str(taken)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"{taken}: cannot create the output directory" in caplog.text
+    assert taken.read_bytes() == b"not a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 def zero_mlp_file(dims, head: str) -> str:

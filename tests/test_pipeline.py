@@ -26,20 +26,19 @@ from cadrepair.pipeline import (
     STREAM_CLOUD_GEN,
     STREAM_DATASET_GEN,
     STREAM_TRAIN_GT,
-    RepairStage,
     VariantId,
     build_gt_pairs,
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
     ground_truth_cloud,
+    repair,
     run_variants,
     seed_stream,
-    self_repair,
 )
 
 from conftest import one_draw_at_a_time_ground_truth
-from test_geometry import random_latent_rows
+from test_geometry import latent, random_latent_rows
 
 # the default run's schedule, as RunConfig's timesteps and betas give it
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -227,13 +226,20 @@ def test_gt_pairs_cover_every_generation():
 # ---------------------------------------------------------------- repair
 
 
+def repair_one(row, regressor):
+    """``repair`` of one row that failed the kernel check: its latent and mask."""
+    (mask,) = check_latents(row[None])
+    assert mask != 0
+    latents, masks = repair(row[None], [mask], regressor)
+    return latents[0], int(masks[0])
+
+
 def test_repair_identity_regressor_cannot_fix():
     bad = np.zeros(21)  # all slots inactive: too few vertices
     identity = LinearRegressor(np.eye(21), np.zeros(21))
-    outcome = self_repair(bad, identity)
-    assert outcome.stage is RepairStage.REPAIRED_INVALID
-    np.testing.assert_array_equal(outcome.final_latent, bad)
-    assert outcome.mask != 0
+    final, mask = repair_one(bad, identity)
+    np.testing.assert_array_equal(final, bad)
+    assert mask != 0
 
 
 def test_repair_fixture_recovers_validity():
@@ -247,44 +253,82 @@ def test_repair_fixture_recovers_validity():
     inputs = broken + rng.normal(0.0, 0.02, size=(60, 21))
     targets = np.tile(target, (60, 1))
     regressor = fit_linear_regressor(inputs, targets, ridge=1e-6)
-    outcome = self_repair(broken, regressor)
-    assert outcome.stage is RepairStage.REPAIRED_VALID
-    assert outcome.mask == 0
-    np.testing.assert_array_equal(outcome.final_latent, regressor_predict(regressor, broken))
+    final, mask = repair_one(broken, regressor)
+    assert mask == 0
+    np.testing.assert_array_equal(final, regressor_predict(regressor, broken))
 
 
 def test_repair_applies_regressor_once():
     bad = np.zeros(21)
     nudger = LinearRegressor(np.eye(21), np.full(21, 0.05))
-    one = self_repair(bad, nudger)
-    np.testing.assert_allclose(one.final_latent, np.full(21, 0.05))
+    final, _ = repair_one(bad, nudger)
+    np.testing.assert_allclose(final, np.full(21, 0.05))
 
 
 def test_repair_mask_is_the_kernel_check_of_the_decoded_latent():
-    # the one-row check_latents block agrees with decoding the repaired latent
-    # and kernel-checking its sequence, on random and near-valid rows through
-    # a random near-identity regressor
+    # the block's masks agree with decoding each final latent and
+    # kernel-checking its sequence, on random and near-valid rows through a
+    # random near-identity regressor; a valid row and a row holding NaN or inf
+    # come back as they are, and every other row is re-mapped
     rng = np.random.default_rng(23)
     regressor = LinearRegressor(
         np.eye(21) + rng.normal(0.0, 0.03, size=(21, 21)), rng.normal(0.0, 0.02, size=21)
     )
-    stages = set()
-    for row in random_latent_rows(3, 400):
-        # rows holding NaN, inf or 1e60 map to non-finite rows, and warn
-        with np.errstate(invalid="ignore", over="ignore"):
-            outcome = self_repair(row, regressor)
-        report = kernel_check(decode(outcome.final_latent))
-        assert ValidityReport.from_mask(outcome.mask) == report
-        assert outcome.stage is (
-            RepairStage.REPAIRED_VALID if report.valid else RepairStage.REPAIRED_INVALID
-        )
-        stages.add(outcome.stage)
-    assert stages == {RepairStage.REPAIRED_VALID, RepairStage.REPAIRED_INVALID}
+    rows = random_latent_rows(3, 400)
+    masks = check_latents(rows)
+    finals, final_masks = repair(rows, masks, regressor)
+    remapped = (masks != 0) & np.isfinite(rows).all(axis=1)
+    outcomes = set()
+    for row, mask, final, final_mask, mapped in zip(rows, masks, finals, final_masks, remapped):
+        report = kernel_check(decode(final))
+        assert ValidityReport.from_mask(final_mask) == report
+        if mapped:
+            assert final.tobytes() == regressor_predict(regressor, row).tobytes()
+            outcomes.add(report.valid)
+        else:
+            assert final.tobytes() == row.tobytes() and final_mask == mask
+    assert outcomes == {True, False}
+    assert (masks == 0).any() and ((masks != 0) & ~remapped).any()
 
 
 def test_repair_mismatched_regressor_raises():
     with pytest.raises(ValueError, match="input width 21 != expected 5"):
-        self_repair(np.zeros(21), LinearRegressor(np.zeros((5, 5)), np.zeros(5)))
+        repair_one(np.zeros(21), LinearRegressor(np.zeros((5, 5)), np.zeros(5)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_repair_keeps_rows_that_are_not_finite(value):
+    # a triangle that is too shallow to pass, with the value put in its first
+    # (active) slot, its fourth (inactive) slot or its depth: every output of
+    # the regressor would sum a non-finite term, so each row is kept as it is
+    # with its mask, a failed repair, and the product never runs on it (it
+    # would warn, which pyproject.toml turns into an error)
+    shallow = latent([(0.25, 0.0, 0.0, 0.0), (0.25, 0.5, 0.0, 0.0), (0.25, 0.0, 0.5, 0.0)], 0.0)
+    rows = np.tile(shallow, (4, 1))
+    rows[0, 1], rows[1, 13], rows[2, 20] = value, value, value
+    masks = check_latents(rows)
+    assert (masks != 0).all()
+    regressor = LinearRegressor(np.eye(21), np.full(21, 0.1))
+    finals, final_masks = repair(rows, masks, regressor)
+    assert finals[:3].tobytes() == rows[:3].tobytes()
+    np.testing.assert_array_equal(final_masks[:3], masks[:3])
+    # the finite row beside them is re-mapped: its depth becomes 0.1
+    assert finals[3].tobytes() == regressor_predict(regressor, shallow).tobytes()
+    assert final_masks[3] == 0
+
+
+def test_repair_equals_the_per_row_product_bitwise():
+    # a plain (k, d) @ (d, d) product rounds its rows differently from one
+    # row's product; the stacked (k, 1, d) product must not, at any block size
+    rng = np.random.default_rng(31)
+    for k in [1, 2, 3, 7, 64, 65, 257, 300, *rng.integers(1, 301, size=12)]:
+        regressor = LinearRegressor(rng.normal(size=(21, 21)), rng.normal(size=21))
+        rows = rng.normal(size=(k, 21)) * rng.choice([1e-3, 1.0, 1e3])
+        masks = np.ones(k, dtype=np.uint16)  # every row taken as rejected, to be re-mapped
+        finals, final_masks = repair(rows, masks, regressor)
+        oracle = np.array([regressor_predict(regressor, row) for row in rows])
+        assert finals.tobytes() == oracle.tobytes(), k
+        np.testing.assert_array_equal(final_masks, check_latents(oracle))
 
 
 # ---------------------------------------------------------------- variants
@@ -499,6 +543,12 @@ def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkey
         kept = ~table["repaired"]
         for name, column in table.items():
             assert column[kept].tobytes() == chain[name][kept].tobytes(), (variant, name)
+        if variant in chain_of:
+            # the repair step is ``repair`` on the chain's rows, as one block
+            regressor = models[pipeline._VARIANT_PLANS[variant][1]]
+            latents, masks = repair(chain["latents"], chain["masks"], regressor)
+            assert table["latents"].tobytes() == latents.tobytes(), variant
+            assert table["masks"].tobytes() == masks.tobytes(), variant
     for variant in chain_of:
         assert tables[variant]["repaired"].any() and not tables[variant]["repaired"].all()
 
@@ -506,9 +556,10 @@ def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkey
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
     conditions, models, cfg = _sharing_case(monkeypatch)
     calls = {
-        "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "self_repair": 0,
+        "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "repair": 0,
         "check_latents": 0,
     }
+    remapped = []  # the rows of each regressor_predict call
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -517,9 +568,14 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
 
         return wrapper
 
+    def predict(regressor, z):
+        remapped.append(len(z))
+        return regressor_predict(regressor, z)
+
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
-    for name in ("ground_truth_cloud", "mmd", "decode", "self_repair", "check_latents"):
+    for name in ("ground_truth_cloud", "mmd", "decode", "repair", "check_latents"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "regressor_predict", predict)
     tables = run_variants(list(VariantId), conditions, models, cfg)
     # one lockstep chain of all 4 guidance plans per block
     assert calls["sample"] == math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 2
@@ -532,11 +588,14 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     )
     assert 0 < n_valid and 0 < n_repaired
     assert calls["mmd"] == n_valid + n_repaired
-    # chain rows are kernel-checked a block at a time, and each repaired row as
-    # a one-row block; only a valid row is decoded, once, to be scored
-    n_attempted = sum(int(tables[v]["repaired"].sum()) for v in repaired)
-    assert calls["self_repair"] == n_attempted
-    assert calls["check_latents"] == calls["sample"] + n_attempted
+    # chain rows are kernel-checked a block at a time, and each repair variant's
+    # rows as one block, re-mapped by one product over exactly its invalid rows
+    # (all finite here); only a valid row is decoded, once, to be scored
+    attempted = [int(tables[v]["repaired"].sum()) for v in repaired]
+    assert all(np.isfinite(tables[v]["latents"]).all() for v in repaired)
+    assert calls["repair"] == len(repaired)
+    assert remapped == attempted
+    assert calls["check_latents"] == calls["sample"] + len(repaired)
     assert calls["decode"] == n_valid + n_repaired
 
 
