@@ -17,10 +17,11 @@ Each code has that one exception type; any other exception exits 1 with a traceb
 
 Each stage reads and checks all of its inputs before it writes a file, then
 writes all of its outputs, ``config.json`` included, through ``_write_outputs``.
-So a stage that exits 2, 3, 4 or 5 writes nothing and creates no directory. Each
-artifact kind has one reader, which raises MissingArtifact for an absent file and
-ConfigError naming the path, or path:line, for a malformed or unreadable one (a
-directory, or text that is not UTF-8):
+So a stage that exits 2, 3, 4 or 5 writes nothing and creates no directory, and
+one whose output directory is, or lies under, a file exits 2 before its work.
+Each artifact kind has one reader, which raises MissingArtifact for an absent file
+and ConfigError naming the path, or path:line, for a malformed or unreadable one
+(a directory, or text that is not UTF-8):
 
 - latent matrices (``*.bin``): ``codec.read_latents``;
 - model files (``<name>.json`` of MODELS): ``_load_model``;
@@ -49,8 +50,8 @@ from .codec import CONDITION_DIM, LATENT_DIM, encode, read_latents, write_latent
 from .config import ConfigError, MissingArtifact, RunConfig
 from .geometry import (
     SamplingStall,
-    ValidityReport,
     check_latents,
+    reason_names,
     record_from_sequence,
     sequence_from_record,
 )
@@ -153,6 +154,17 @@ def _write_outputs(out: Path, files: dict) -> None:
             save_model(path, content)
         else:
             path.write_text(json.dumps(content, sort_keys=True, indent=2) + "\n")
+
+
+def _require_creatable(out: Path) -> None:
+    """ConfigError, as ``_write_outputs`` raises it, when ``out`` cannot be created
+    because its first existing ancestor, ``out`` itself included, is not a
+    directory. It creates nothing, so a stage can check before its work."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(
+            f"{out}: cannot create the output directory: {existing} is not a directory"
+        )
 
 
 def _load_model(path: Path, name: str):
@@ -323,10 +335,10 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
         "ssl_pairs": int(len(ssl_pairs)),
         "gt_pairs": int(len(gt_pairs)),
     }
-    reports = map(ValidityReport.from_mask, masks.tolist())
+    names = {mask: reason_names(mask) for mask in set(masks.tolist())}
     label_rows = [
-        [i // per_condition, i % per_condition, int(r.valid), "|".join(x.name for x in r.reasons)]
-        for i, r in enumerate(reports)
+        [i // per_condition, i % per_condition, int(mask == 0), names[mask]]
+        for i, mask in enumerate(masks.tolist())
     ]
     _write_outputs(out, {
         "config.json": asdict(cfg),
@@ -589,10 +601,9 @@ def cmd_pca(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> int:
+def cmd_repair(latents_path: str, regressor_path: str, out: Path) -> int:
     """Kernel-check each row of a latent matrix file, self-repair the rows that
-    fail with one ``pipeline.repair`` call, and write, into ``out_dir`` (default:
-    beside the latents file):
+    fail with one ``pipeline.repair`` call, and write, into ``out``:
 
     - ``repaired.bin``: one latent per row; a row that passes is kept unrepaired.
     - ``repair_outcomes.csv``: row, stage, valid; stage ``ValidDirect`` for a
@@ -607,7 +618,7 @@ def cmd_repair(latents_path: str, regressor_path: str, out_dir: str | None) -> i
         "RepairedInvalid" if a else "RepairedValid" if b else "ValidDirect"
         for b, a in zip(before.tolist(), after.tolist())
     ]
-    _write_outputs(Path(out_dir) if out_dir else Path(latents_path).parent, {
+    _write_outputs(out, {
         "repaired.bin": repaired,
         "repair_outcomes.csv": [
             [i, stage, int(a == 0)] for i, (stage, a) in enumerate(zip(stages, after.tolist()))
@@ -689,9 +700,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        # an output directory that cannot be created fails before the stage's work
         if args.command == "repair":
-            return cmd_repair(args.latents, args.regressor, args.out)
+            out = Path(args.out) if args.out else Path(args.latents).parent
+            _require_creatable(out)
+            return cmd_repair(args.latents, args.regressor, out)
         cfg = _load_config(args)
+        _require_creatable(Path(cfg.out_dir))
         if args.command == "gen-dataset":
             return cmd_gen_dataset(cfg, args.threads)
         if args.command == "train":

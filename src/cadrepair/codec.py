@@ -1,8 +1,9 @@
-"""Deterministic codec between command sequences and fixed-width latent vectors.
+"""Latent vectors: the encoding of command sequences, the condition
+descriptor of a latent row, and latent matrix files.
 
 The latent layout is five slots of (activity/kind channel, x, y, bulge)
-followed by the extrusion depth, 21 values total; ``geometry`` defines it,
-since its kernel checks latent rows. Decoding is total and
+followed by the extrusion depth, 21 values total. ``geometry`` defines it and
+decodes rows, since its kernel checks them: decoding is total and
 discontinuous at the activity threshold 0 and the kind threshold 0.5, which
 is what carves latent space into feasible and infeasible regions. Encoding
 places canonical channel values at the centers of their decision cells so
@@ -18,16 +19,12 @@ import numpy as np
 
 from .config import ConfigError, MissingArtifact
 from .geometry import (
-    ACTIVITY_THRESHOLD,
-    KIND_THRESHOLD,
     LATENT_DIM,
     MAX_EDGES,
     SLOT_WIDTH,
     CommandSequence,
     EdgeKind,
-    SketchEdge,
-    discretize_profile,
-    kernel_check,
+    latent_solid,
     polygon_area,
 )
 
@@ -41,31 +38,8 @@ _LATENT_MAGIC = b"LAT1"
 _HEADER = struct.Struct("<4sIII")  # magic, row count, row width, reserved
 
 
-def decode(latent) -> CommandSequence:
-    """Decode a 21-vector into a command sequence; never fails.
-
-    Slots are scanned in order and the sequence ends at the first inactive
-    slot (activity channel <= 0). Active slots decode as Arc when the channel
-    exceeds 0.5, Line otherwise; targets and depth are taken verbatim.
-    Feasibility is judged afterwards by the kernel, not here.
-    """
-    z = np.asarray(latent, dtype=float).reshape(-1)
-    if z.shape != (LATENT_DIM,):
-        raise ValueError(f"latent must have {LATENT_DIM} entries, got {z.shape}")
-    edges = []
-    for i in range(MAX_EDGES):
-        t, x, y, b = z[SLOT_WIDTH * i : SLOT_WIDTH * (i + 1)]
-        if not t > ACTIVITY_THRESHOLD:
-            break
-        if t > KIND_THRESHOLD:
-            edges.append(SketchEdge(EdgeKind.ARC, (float(x), float(y)), float(b)))
-        else:
-            edges.append(SketchEdge(EdgeKind.LINE, (float(x), float(y)), 0.0))
-    return CommandSequence(tuple(edges), float(z[-1]))
-
-
 def encode(seq: CommandSequence) -> np.ndarray:
-    """Canonical latent embedding of a sequence; decode(encode(seq)) == seq."""
+    """Canonical latent embedding of a sequence, which decodes to the sequence."""
     z = [CANONICAL_INACTIVE, 0.0, 0.0, 0.0] * MAX_EDGES + [seq.depth]
     for i, edge in enumerate(seq.edges):
         kind = CANONICAL_ARC if edge.kind is EdgeKind.ARC else CANONICAL_LINE
@@ -73,17 +47,13 @@ def encode(seq: CommandSequence) -> np.ndarray:
     return np.array(z, dtype=float)
 
 
-def condition_descriptor(seq: CommandSequence) -> np.ndarray:
-    """Shape descriptor of a kernel-valid sequence, the diffusion condition.
+def condition_descriptor(latent) -> np.ndarray:
+    """Shape descriptor of a kernel-valid latent row, the diffusion condition.
 
     Features: edge_count/5, |area|, perimeter, centroid x, centroid y,
-    bbox width, bbox height, depth, all on the standard discretized profile.
+    bbox width, bbox height, depth, all on the row's ``latent_solid`` profile.
     """
-    report = kernel_check(seq)
-    if not report.valid:
-        names = ",".join(r.name for r in report.reasons)
-        raise ValueError(f"descriptor needs a kernel-valid sequence: {names}")
-    poly = discretize_profile(seq)
+    poly, count, depth = latent_solid(latent)
     area = polygon_area(poly)
     nxt = np.concatenate((poly[1:], poly[:1]))
     perimeter = float(np.hypot(*(nxt - poly).T).sum())
@@ -91,9 +61,7 @@ def condition_descriptor(seq: CommandSequence) -> np.ndarray:
     cx = float(((poly[:, 0] + nxt[:, 0]) * cross).sum() / (6.0 * area))
     cy = float(((poly[:, 1] + nxt[:, 1]) * cross).sum() / (6.0 * area))
     width, height = (poly.max(axis=0) - poly.min(axis=0)).tolist()
-    return np.array(
-        [len(seq.edges) / MAX_EDGES, abs(area), perimeter, cx, cy, width, height, seq.depth]
-    )
+    return np.array([count / MAX_EDGES, abs(area), perimeter, cx, cy, width, height, depth])
 
 
 def write_latents(path, latents) -> None:

@@ -7,11 +7,12 @@ by a small rule-based kernel (bounds, degeneracy, self-intersection, area,
 depth) rather than a full B-rep engine, and valid solids can be sampled
 into uniform volume point clouds.
 
-The kernel is one array function, ``check_latents``, which decodes a block of
-latent rows (the codec's layout, defined here) and checks them all at once.
-It returns one uint16 reason mask per row: bit i is set iff the row fails with
-``InvalidReason(i)``, so a mask of 0 is a valid row. ``kernel_check`` runs it
-on the one latent row of a sequence.
+Latent rows (the codec's layout, defined here) decode by one rule, in
+``_decode``. The kernel is one array function, ``check_latents``, which decodes
+a block of rows and checks them all at once. It returns one uint16 reason mask
+per row: bit i is set iff the row fails with ``InvalidReason(i)``, so a mask of
+0 is a valid row. ``latent_solid`` gives the profile polygon, edge count and
+depth of one valid row, which point clouds and condition descriptors read.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ MAX_BULGE = 1.0
 MAX_DEPTH = 1.0
 
 # Latent layout, which the codec shares: MAX_EDGES slots of (activity/kind
-# channel, x, y, bulge), then the extrusion depth. The first slot whose
-# channel is not above ACTIVITY_THRESHOLD ends the sequence; an active slot is
-# an arc when its channel is above KIND_THRESHOLD and a line otherwise.
+# channel, x, y, bulge), then the extrusion depth. _decode reads a channel
+# against the two thresholds.
 SLOT_WIDTH = 4
 LATENT_DIM = MAX_EDGES * SLOT_WIDTH + 1  # 21
 ACTIVITY_THRESHOLD = 0.0
@@ -114,21 +114,9 @@ class CommandSequence:
             raise ValueError(f"at most {MAX_EDGES} edges allowed, got {len(self.edges)}")
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    valid: bool
-    reasons: tuple[InvalidReason, ...]
-
-    @classmethod
-    def from_mask(cls, mask) -> "ValidityReport":
-        """The report of a ``check_latents`` mask: bit i stands for InvalidReason(i)."""
-        return _report(int(mask))
-
-
-@functools.lru_cache(maxsize=None)  # one report per mask: 2**9 at most
-def _report(mask: int) -> ValidityReport:
-    reasons = tuple(r for r in InvalidReason if mask >> r & 1)
-    return ValidityReport(valid=not reasons, reasons=reasons)
+def reason_names(mask: int) -> str:
+    """The names of a reason mask's InvalidReason bits, in enum order, joined by ``|``."""
+    return "|".join(r.name for r in InvalidReason if mask >> r & 1)
 
 
 def _require_number(obj: dict, key: str, context: str) -> float:
@@ -238,16 +226,6 @@ def _profile_vertices(edges) -> np.ndarray:
     return np.array(coords, dtype=float).reshape(-1, 2)
 
 
-def discretize_profile(seq: CommandSequence) -> np.ndarray:
-    """Realize the closed profile as an (n, 2) polygon vertex array.
-
-    Line edges contribute their target; arc edges contribute ARC_SEGMENTS-1
-    intermediate points plus the target. The closing edge (last vertex back to
-    the first) is implicit, as is each edge's start at the previous target.
-    """
-    return _profile_vertices([(*e.target, e.bulge) for e in seq.edges])
-
-
 def reverse_sequence(seq: CommandSequence) -> CommandSequence:
     """Traverse the same closed profile in the opposite direction.
 
@@ -278,7 +256,7 @@ def canonicalize_sequence(seq: CommandSequence) -> CommandSequence:
     k = len(seq.edges)
     if k < 3:
         return seq
-    poly = discretize_profile(seq)
+    poly = _profile_vertices([(*e.target, e.bulge) for e in seq.edges])
     if polygon_area(poly) < 0.0:
         seq = reverse_sequence(seq)
     targets = [e.target for e in seq.edges]
@@ -354,19 +332,6 @@ def _self_intersecting(vertices: np.ndarray, bounds: list[int]) -> np.ndarray:
     return out
 
 
-def self_intersects(polygon) -> bool:
-    """True iff any two non-adjacent closed edges intersect.
-
-    Uses exact orientation-sign tests; collinear overlap counts as an
-    intersection, edges sharing one endpoint (adjacent, including the
-    wraparound pair) never do.
-    """
-    poly = np.asarray(polygon, dtype=float)
-    if len(poly) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    return bool(_self_intersecting(poly, [0, len(poly)])[0])
-
-
 # the bounds of a profile's |x|, |y| and |bulge|
 _SIZE_BOUNDS = np.array([[COORD_BOUND], [COORD_BOUND], [MAX_BULGE]])
 # every gap i -> j between the targets of slots i and j that a profile can
@@ -379,31 +344,54 @@ _GAPS_USED = np.array(
 )
 
 
+def _decode(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layout's decode rule on an (R, LATENT_DIM) block: each row's edge
+    count, (R,), and each slot's x, y and bulge as its edge holds them,
+    (3, R, MAX_EDGES). The first slot whose channel is not above
+    ACTIVITY_THRESHOLD (NaN included) ends a row's edges, and an active slot is
+    an arc above KIND_THRESHOLD and a line otherwise. Slots past the count hold
+    0, and so does a line's bulge."""
+    fields = z[:, :-1].reshape(-1, MAX_EDGES, SLOT_WIDTH).transpose(2, 0, 1)
+    with np.errstate(invalid="ignore"):
+        active = np.logical_and.accumulate(fields[0] > ACTIVITY_THRESHOLD, axis=1)
+        arc = active & (fields[0] > KIND_THRESHOLD)
+    return np.add.reduce(active, axis=1), np.where(np.array([active, active, arc]), fields[1:], 0.0)
+
+
+def _polygons(count: np.ndarray, edges: np.ndarray, rows) -> list[np.ndarray]:
+    """The profile polygon of each of ``rows``, from ``_decode``'s count and edges."""
+    return [
+        _profile_vertices(row[:n])
+        for row, n in zip(edges[:, rows].transpose(1, 2, 0).tolist(), count[rows].tolist())
+    ]
+
+
 def check_latents(latents) -> np.ndarray:
     """Kernel-check every row of an (R, LATENT_DIM) latent block at once.
 
-    Returns one uint16 reason mask per row: bit i is set iff the row's decoded
-    sequence fails with InvalidReason(i), so 0 means valid. Rows decode by
-    ``codec.decode``'s rule: the first slot whose channel is not above 0 ends
-    the sequence, an active slot is an arc above 0.5 and a line otherwise, and
-    a line's bulge is 0. Each row is then judged by the rules ``kernel_check``
-    lists. The polygon rules run on all the block's polygons in one
+    Returns one uint16 reason mask per row: bit i is set iff the row fails with
+    InvalidReason(i), so 0 means valid; infeasibility is a value, not an error.
+    Rows decode by ``_decode``. Every rule is checked, not only the first to
+    fail: edge count >= 3, targets within [-1, 1], arc |bulge| <= 1, adjacent
+    targets (including the wraparound pair) separated by >= 1e-3, a profile
+    polygon free of self-intersection, |shoelace area| >= 1e-3, and
+    0 < depth <= 1. The two polygon rules need >= 3 pairwise-distinct targets
+    and are skipped when the count or separation rule fails. A non-finite
+    target, bulge or depth is NON_FINITE, and the separation and polygon rules,
+    whose arithmetic it would poison, are skipped; so are they for a target or
+    bulge above 1e50 in magnitude, which is already OUT_OF_BOUNDS or
+    BULGE_OUT_OF_RANGE. The polygon rules run on all the block's polygons in one
     orientation pass; arc points come from ``math`` and each area from
-    ``polygon_area``, so every decision is the one the row's own check makes.
+    ``polygon_area``, so a row's mask does not depend on the rows beside it.
     """
     z = np.asarray(latents, dtype=float)
     if z.ndim != 2 or z.shape[1] != LATENT_DIM:
         raise ValueError(f"latents must be (rows, {LATENT_DIM}), got {z.shape}")
-    fields = z[:, :-1].reshape(-1, MAX_EDGES, SLOT_WIDTH).transpose(2, 0, 1)
+    count, edges = _decode(z)
     depth = z[:, -1]
     flags = np.zeros((len(z), 16), dtype=bool)  # per row, bit i for InvalidReason(i)
-    # NaN compares false, as in decode; the gaps of unusable rows may overflow
+    # the gaps of unusable rows may overflow
     with np.errstate(invalid="ignore", over="ignore"):
-        active = np.logical_and.accumulate(fields[0] > ACTIVITY_THRESHOLD, axis=1)
-        arc = active & (fields[0] > KIND_THRESHOLD)
-        count = np.add.reduce(active, axis=1)
-        # each slot's x, y and bulge as the decoded sequence holds them, else 0
-        edges = np.where(np.array([active, active, arc]), fields[1:], 0.0)
         size = np.maximum.reduce(np.abs(edges), axis=2)  # per row, the largest |x|, |y| and |bulge|
         largest = np.maximum.reduce(size)  # NaN if any is
         finite = np.isfinite(depth)
@@ -423,10 +411,7 @@ def check_latents(latents) -> np.ndarray:
     flags[:, InvalidReason.DEGENERATE_ADJACENT_VERTICES] = degenerate
     rows = (measurable & (count >= 3) & ~degenerate).nonzero()[0]
     if len(rows):
-        polygons = [
-            _profile_vertices(row[:n])
-            for row, n in zip(edges[:, rows].transpose(1, 2, 0).tolist(), count[rows].tolist())
-        ]
+        polygons = _polygons(count, edges, rows)
         bounds = list(itertools.accumulate(map(len, polygons), initial=0))
         flags[rows, InvalidReason.SELF_INTERSECTION] = _self_intersecting(
             np.concatenate(polygons), bounds
@@ -437,26 +422,19 @@ def check_latents(latents) -> np.ndarray:
     return np.packbits(flags, axis=1, bitorder="little").view("<u2")[:, 0]
 
 
-def kernel_check(seq: CommandSequence) -> ValidityReport:
-    """Decide feasibility of a sequence; infeasibility is a value, not an error.
-
-    Checks, all reported rather than first-failure: edge count >= 3, vertex
-    coordinates within [-1, 1], arc |bulge| <= 1, adjacent vertices (including
-    wraparound) separated by >= 1e-3, discretized profile free of
-    self-intersection, |shoelace area| >= 1e-3, and 0 < depth <= 1. The two
-    polygon checks need >= 3 pairwise-distinct vertices and are skipped when
-    an earlier count/degeneracy failure makes them meaningless. A non-finite
-    target, bulge or depth is reported as NON_FINITE, and the separation and
-    polygon checks, whose arithmetic it would poison, are skipped; so are they
-    for a target or bulge above 1e50 in magnitude, which is already
-    OUT_OF_BOUNDS or BULGE_OUT_OF_RANGE.
-
-    It is ``check_latents`` on the sequence's one latent row, since decoding
-    that row gives the sequence back.
-    """
-    from .codec import encode  # the codec builds on this module
-
-    return ValidityReport.from_mask(check_latents(encode(seq)[None])[0])
+def latent_solid(latent) -> tuple[np.ndarray, int, float]:
+    """The solid one kernel-valid latent row decodes to: its (n, 2) profile
+    polygon, its edge count and its extrusion depth. A line adds its target to
+    the polygon, an arc ARC_SEGMENTS-1 intermediate points and then its target;
+    each edge starts at the previous target, and the closing edge is implicit.
+    A row that fails ``check_latents`` is a ValueError naming its reasons."""
+    z = np.asarray(latent, dtype=float)[None]
+    (mask,) = check_latents(z)
+    if mask:
+        raise ValueError(f"latent row fails kernel checks: {reason_names(int(mask))}")
+    count, edges = _decode(z)
+    (polygon,) = _polygons(count, edges, [0])
+    return polygon, int(count[0]), float(z[0, -1])
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:
@@ -488,25 +466,18 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     return inside
 
 
-def _require_valid(seq: CommandSequence) -> None:
-    report = kernel_check(seq)
-    if not report.valid:
-        names = ",".join(r.name for r in report.reasons)
-        raise ValueError(f"sequence fails kernel checks: {names}")
-
-
-def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:
-    """Sample (n, 3) points uniformly from the solid volume; deterministic per seed.
+def sample_point_cloud(latent, n: int, seed) -> np.ndarray:
+    """Sample (n, 3) points uniformly from the solid volume of a kernel-valid
+    latent row (``latent_solid``); deterministic per seed.
 
     (x, y) proposals are uniform over the profile bounding box and accepted by
-    the even-odd test on the discretized profile; z is uniform in [0, depth].
+    the even-odd test on the profile polygon; z is uniform in [0, depth].
     Proposals are drawn in whole chunks, so z's draws do not move, but each
     chunk is tested a slice at a time and testing stops at the n-th hit.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    _require_valid(seq)
-    poly = discretize_profile(seq)
+    poly, _, depth = latent_solid(latent)
     rng = np.random.default_rng(seed)
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
@@ -533,5 +504,5 @@ def sample_point_cloud(seq: CommandSequence, n: int, seed) -> np.ndarray:
                 f"acceptance rate {accepted / proposed:.2e} after {proposed} proposals"
             )
     xy = np.concatenate(chunks)[:n]
-    z = rng.uniform(0.0, seq.depth, n)
+    z = rng.uniform(0.0, depth, n)
     return np.column_stack([xy, z])

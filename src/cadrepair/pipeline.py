@@ -10,7 +10,8 @@ chain block or a variant's repaired rows: a row's uint16 reason mask has bit i
 set for InvalidReason(i) and is 0 when the row is valid. Eval is three array
 steps: chain tasks return each guidance plan's latents and masks, ``repair``
 re-maps a repair variant's rejected rows and returns new latents and masks, and
-score tasks decode and score only the valid rows.
+score tasks score only the valid rows, sampling each one's point cloud straight
+from its latent row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import diffusion
-from .codec import condition_descriptor, decode, encode
+from .codec import condition_descriptor, encode
 from .config import RunConfig
 from .geometry import (
     CommandSequence,
@@ -133,7 +134,8 @@ def gen_ground_truth(n_conditions: int, seed) -> list[GroundTruthCondition]:
                 # one representative per cyclic/orientation class, so the
                 # condition -> latent map stays (near-)unimodal
                 seq = canonicalize_sequence(seq)
-                out.append(GroundTruthCondition(condition_descriptor(seq), seq, encode(seq)))
+                z = encode(seq)
+                out.append(GroundTruthCondition(condition_descriptor(z), seq, z))
                 if len(out) == n_conditions:
                     break
             elif draws >= _REJECTION_MIN_DRAWS and len(out) / draws < _REJECTION_MIN_RATE:
@@ -249,7 +251,7 @@ def ground_truth_cloud(
 ) -> np.ndarray:
     """The condition's ``cfg.cloud_size``-point cloud, seeded by its id alone."""
     return sample_point_cloud(
-        condition.sequence,
+        condition.latent,
         cfg.cloud_size,
         seed_stream(cfg.master_seed, STREAM_CLOUD_GT, condition_id),
     )
@@ -321,7 +323,7 @@ def _score_task(task) -> list[float]:
     latent and kernel reason mask for it: NaN where the mask is not 0.
 
     The ground-truth cloud is sampled once, and each distinct valid latent is
-    decoded and scored once, so variants that share a row share its score.
+    sampled and scored once, so variants that share a row share its score.
     """
     cid, (latents, masks) = task
     ctx = _WORKER_CONTEXT
@@ -331,7 +333,7 @@ def _score_task(task) -> list[float]:
     for latent, mask in zip(latents, masks):
         if not mask and latent.tobytes() not in scores:
             cloud = sample_point_cloud(
-                decode(latent), cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
+                latent, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
             )
             scores[latent.tobytes()] = mmd(cloud, points, cfg.fixed_sigma)
     return [math.nan if mask else scores[z.tobytes()] for z, mask in zip(latents, masks)]
@@ -355,7 +357,7 @@ def run_variants(
     plan (its models resolved once, here) in lockstep and kernel-check each
     plan's rows. Then each repair variant runs ``repair`` on its plan's rows,
     here, as one block. Last, one ``_score_task`` per condition samples the
-    ground-truth cloud once and decodes and scores each distinct valid final
+    ground-truth cloud once and samples and scores each distinct valid final
     latent. Sharing is exact: every chain row and cloud is seeded by condition
     id alone, and a plan's rows round the same in the stack as alone. Chain and
     score tasks map on one ``_worker_pool``, the pool ``gen_dataset`` uses too:

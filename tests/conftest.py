@@ -14,7 +14,7 @@ from cadrepair.geometry import (
     SamplingStall,
     SketchEdge,
     canonicalize_sequence,
-    kernel_check,
+    check_latents,
 )
 
 # CI's tier-1 step sets HYPOTHESIS_PROFILE=ci, so that a property that leaves
@@ -60,9 +60,10 @@ def one_draw_at_a_time_ground_truth(n_conditions: int, seed):
     while len(out) < n_conditions:
         seq = pipeline._random_sequence(rng)
         draws += 1
-        if kernel_check(seq).valid:
+        if not check_latents(encode(seq)[None])[0]:
             seq = canonicalize_sequence(seq)
-            out.append(pipeline.GroundTruthCondition(condition_descriptor(seq), seq, encode(seq)))
+            z = encode(seq)
+            out.append(pipeline.GroundTruthCondition(condition_descriptor(z), seq, z))
         elif (
             draws >= pipeline._REJECTION_MIN_DRAWS
             and len(out) / draws < pipeline._REJECTION_MIN_RATE

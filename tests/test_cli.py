@@ -26,7 +26,7 @@ import pytest
 import cadrepair
 from cadrepair import cli, geometry, pipeline
 from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
-from cadrepair.geometry import check_latents, record_from_sequence
+from cadrepair.geometry import InvalidReason, check_latents, record_from_sequence
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
 
@@ -1020,24 +1020,42 @@ def test_repair_outcomes_are_each_rows_own_repair(runs, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("stage", ["train-denoiser", "repair"])
-def test_out_naming_a_file_exits_2(tmp_path, caplog, stage):
-    # the run directory cannot be created over a file: a config error that
-    # names the path, with the file left as it was
+@pytest.mark.parametrize(
+    "stage, under",
+    [
+        pytest.param(stage, under, id=stage + "-under-file" * under)
+        for under in (False, True)
+        for stage in ("train-denoiser", "eval", "repair")
+    ],
+)
+def test_out_naming_a_file_exits_2(tmp_path, caplog, monkeypatch, stage, under):
+    # the run directory cannot be created over a file or under one: a config
+    # error that names the path, raised before any model trains or chain runs,
+    # with the file left as it was and no directory made
     taken = tmp_path / "taken"
     taken.write_bytes(b"not a directory\n")
+    out = taken / "x" if under else taken
+    ran = []
+    for module, name in ((cli, "train_denoiser"), (pipeline, "run_variants")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name, **k: ran.append(name) or real(*a, **k)
+        )
     if stage == "repair":
         write_latents(tmp_path / "latents.bin", np.zeros((2, LATENT_DIM)))
         save_model(tmp_path / "reg.json", LinearRegressor(np.eye(LATENT_DIM), np.zeros(LATENT_DIM)))
         argv = ["repair", "--latents", str(tmp_path / "latents.bin"),
-                "--regressor", str(tmp_path / "reg.json"), "--out", str(taken)]
+                "--regressor", str(tmp_path / "reg.json"), "--out", str(out)]
     else:
-        argv = [*TRAIN_DENOISER, "--config", write_config(tmp_path / "c.json", tmp_path / "out"),
-                "--out", str(taken)]
+        command = TRAIN_DENOISER if stage == "train-denoiser" else ("eval", "--variants", "all")
+        argv = [*command, "--config", write_config(tmp_path / "c.json", tmp_path / "out"),
+                "--out", str(out)]
+    before = sorted(tmp_path.iterdir())
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert f"{taken}: cannot create the output directory" in caplog.text
+    assert f"{out}: cannot create the output directory" in caplog.text
+    assert ran == []
     assert taken.read_bytes() == b"not a directory\n"
-    assert not (tmp_path / "out").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def zero_mlp_file(dims, head: str) -> str:
@@ -1133,3 +1151,23 @@ def test_every_exception_type_exits_with_its_code(tmp_path, monkeypatch, caplog)
         monkeypatch.setattr(cli, "cmd_pca", fail)
         assert run_stage(config, "pca") == EXIT_CODES[cls.__name__], cls
         assert f"injected {cls.__name__}" in caplog.text
+
+
+def test_labels_name_the_reasons_of_every_mask(tmp_path, monkeypatch):
+    # one generated row for each of the 512 masks the kernel can give: its
+    # reasons are the names of its set bits in enum order, joined by |
+    masks = np.arange(1 << len(InvalidReason), dtype=np.uint16)
+    monkeypatch.setattr(
+        pipeline, "gen_dataset", lambda *args: (np.zeros((len(masks), LATENT_DIM)), masks)
+    )
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", out, n_conditions=128, generations_per_condition=4)
+    out.mkdir()
+    (out / "denoiser.json").write_text(zero_mlp_file([DENOISER_INPUTS, LATENT_DIM], "identity"))
+    assert run_stage(config, "gen-dataset", "--threads", "1") == cli.EXIT_OK
+    rows = read_rows(out / "labels.csv")
+    assert len(rows) == len(masks)
+    for mask, row in zip(masks.tolist(), rows):
+        names = [InvalidReason(bit).name for bit in range(len(InvalidReason)) if mask >> bit & 1]
+        assert row["reasons"] == "|".join(names)
+        assert row["valid"] == str(int(mask == 0))

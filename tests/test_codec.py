@@ -5,27 +5,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cadrepair import geometry
 from cadrepair.codec import (
     CANONICAL_ARC,
     CANONICAL_INACTIVE,
     CANONICAL_LINE,
     LATENT_DIM,
     condition_descriptor,
-    decode,
     encode,
     read_latents,
     write_latents,
 )
 from cadrepair.config import ConfigError
 from cadrepair.geometry import (
+    MAX_EDGES,
     CommandSequence,
     EdgeKind,
+    InvalidReason,
     SketchEdge,
-    kernel_check,
+    check_latents,
+    latent_solid,
 )
 from cadrepair.pipeline import gen_ground_truth
 
 from conftest import command_sequences, latent_vectors
+from test_geometry import oracle_decode
 
 
 def line(x, y):
@@ -38,7 +42,29 @@ def triangle(depth=0.5):
 
 def quantize(z):
     """Projection onto the codec's canonical latents."""
-    return encode(decode(z))
+    return encode(oracle_decode(z))
+
+
+def decoded(z):
+    """The one decoder on a latent row: its edge count, and each slot's
+    (x, y, bulge) as its edge holds them, (MAX_EDGES, 3)."""
+    (count,), edges = geometry._decode(np.asarray(z, dtype=float)[None])
+    return int(count), edges[:, 0].T
+
+
+def sequence_edges(seq):
+    """A sequence's edge count and (x, y, bulge) rows, zero-padded as ``decoded``'s."""
+    edges = np.zeros((MAX_EDGES, 3))
+    for i, e in enumerate(seq.edges):
+        edges[i] = (*e.target, e.bulge)
+    return len(seq.edges), edges
+
+
+def assert_decodes_to(z, seq):
+    count, edges = decoded(z)
+    want_count, want_edges = sequence_edges(seq)
+    assert count == want_count
+    assert edges.tobytes() == want_edges.tobytes()
 
 
 def latent_from_slots(slots, depth):
@@ -63,14 +89,16 @@ def test_decode_triangle_layout():
         ],
         0.5,
     )
-    assert decode(z) == triangle()
+    assert_decodes_to(z, triangle())
+    polygon, count, depth = latent_solid(z)
+    np.testing.assert_array_equal(polygon, [[0, 0], [1, 0], [0, 1]])
+    assert (count, depth) == (3, 0.5)
 
 
 def test_decode_all_inactive_gives_empty_sequence():
     z = latent_from_slots([(-1.0, 9, 9, 9)] * 5, 0.5)
-    seq = decode(z)
-    assert seq.edges == ()
-    assert not kernel_check(seq).valid
+    assert_decodes_to(z, CommandSequence((), 0.5))
+    assert check_latents(z[None])[0] == 1 << InvalidReason.TOO_FEW_VERTICES
 
 
 def test_decode_kind_threshold():
@@ -84,15 +112,10 @@ def test_decode_kind_threshold():
         ],
         0.5,
     )
-    seq = decode(z)
-    assert [e.kind for e in seq.edges] == [
-        EdgeKind.ARC,
-        EdgeKind.LINE,
-        EdgeKind.LINE,
-        EdgeKind.LINE,
-    ]
-    assert seq.edges[0].bulge == 0.3
-    assert seq.edges[1].bulge == 0.0  # line slots ignore the bulge channel
+    count, edges = decoded(z)
+    assert count == 4
+    assert edges[0, 2] == 0.3
+    assert edges[1, 2] == 0.0  # line slots ignore the bulge channel
 
 
 def test_decode_stops_at_first_inactive_slot():
@@ -100,32 +123,32 @@ def test_decode_stops_at_first_inactive_slot():
         [(0.25, 0, 0, 0), (-0.5, 0, 0, 0), (0.25, 1, 1, 0), (0.25, 1, 0, 0), (0.25, 0, 1, 0)],
         0.5,
     )
-    assert len(decode(z).edges) == 1
+    assert decoded(z)[0] == 1
 
 
 def test_decode_threshold_edges():
     # activity threshold is strict: t == 0 is inactive; kind threshold too.
     z = latent_from_slots([(0.0, 0, 0, 0)] * 5, 0.5)
-    assert decode(z).edges == ()
+    assert decoded(z)[0] == 0
     z = latent_from_slots(
         [(0.5, 0.1, 0.1, 0.9), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0)], 0.5
     )
-    assert decode(z).edges[0].kind is EdgeKind.LINE
+    assert_decodes_to(z, CommandSequence((line(0.1, 0.1),), 0.5))  # a line: bulge 0
 
 
 def test_decode_takes_values_verbatim():
     z = latent_from_slots(
-        [(0.25, 7.5, -3.25, 0.0)] + [(-0.5, 0, 0, 0)] * 4,
+        [(0.75, 7.5, -3.25, 2.5)] + [(-0.5, 0, 0, 0)] * 4,
         2.75,
     )
-    seq = decode(z)
-    assert seq.edges[0].target == (7.5, -3.25)
-    assert seq.depth == 2.75
+    assert decoded(z)[1][0].tolist() == [7.5, -3.25, 2.5]
+    assert latent_solid(encode(triangle(0.375)))[2] == 0.375
 
 
 def test_decode_rejects_wrong_width():
-    with pytest.raises(ValueError):
-        decode(np.zeros(20))
+    for row in (np.zeros(20), np.zeros(LATENT_DIM + 1)):
+        with pytest.raises(ValueError, match="latents must be"):
+            latent_solid(row)
 
 
 # ---------------------------------------------------------------- encode
@@ -155,7 +178,8 @@ def test_encode_arc_channel():
 @given(command_sequences())
 @settings(max_examples=300)
 def test_decode_encode_roundtrip(seq):
-    assert decode(encode(seq)) == seq
+    assert_decodes_to(encode(seq), seq)
+    assert oracle_decode(encode(seq)) == seq
 
 
 @given(latent_vectors())
@@ -181,7 +205,6 @@ def test_encode_of_ground_truth_is_quantize_fixed():
 @example(np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 5e-324, 0, 0, 0] + [1.0, 0, 0, 0] * 2 + [0.0]))
 @settings(max_examples=200)
 def test_decode_locally_constant_away_from_thresholds(z):
-    seq = decode(z)
     rng = np.random.default_rng(0)
     perturbed = z.copy()
     for i in range(5):
@@ -194,9 +217,11 @@ def test_decode_locally_constant_away_from_thresholds(z):
         # the step on the threshold; keep it strictly inside (t - margin, t + margin).
         lo, hi = np.nextafter(t - margin, t), np.nextafter(t + margin, t)
         perturbed[4 * i] = min(max(step, lo), hi)
-    reread = decode(perturbed)
-    assert len(reread.edges) == len(seq.edges)
-    assert [e.kind for e in reread.edges] == [e.kind for e in seq.edges]
+    # a changed kind would show as a bulge set to 0 or kept
+    count, edges = decoded(z)
+    reread_count, reread_edges = decoded(perturbed)
+    assert reread_count == count
+    assert reread_edges.tobytes() == edges.tobytes()
 
 
 # ---------------------------------------------------------------- condition descriptor
@@ -204,7 +229,7 @@ def test_decode_locally_constant_away_from_thresholds(z):
 
 def test_descriptor_unit_square():
     seq = CommandSequence((line(0, 0), line(1, 0), line(1, 1), line(0, 1)), 0.5)
-    d = condition_descriptor(seq)
+    d = condition_descriptor(encode(seq))
     assert d.shape == (8,)
     assert d[0] == 4 / 5
     assert math.isclose(d[1], 1.0)  # |area|
@@ -215,7 +240,7 @@ def test_descriptor_unit_square():
 
 
 def test_descriptor_triangle():
-    d = condition_descriptor(triangle())
+    d = condition_descriptor(encode(triangle()))
     assert math.isclose(d[1], 0.5)
     assert math.isclose(d[2], 2.0 + math.sqrt(2.0))
 
@@ -225,19 +250,19 @@ def test_descriptor_translation_moves_only_centroid():
     b = CommandSequence(
         (line(0.3, -0.2), line(0.8, -0.2), line(0.8, 0.3), line(0.3, 0.3)), 0.5
     )
-    da, db = condition_descriptor(a), condition_descriptor(b)
+    da, db = condition_descriptor(encode(a)), condition_descriptor(encode(b))
     np.testing.assert_allclose(np.delete(da, [3, 4]), np.delete(db, [3, 4]), atol=1e-12)
     assert not np.allclose(da[3:5], db[3:5])
 
 
 def test_descriptor_requires_validity():
-    with pytest.raises(ValueError, match="descriptor needs a kernel-valid sequence: TOO_FEW"):
-        condition_descriptor(CommandSequence((line(0, 0), line(1, 0)), 0.5))
+    with pytest.raises(ValueError, match="latent row fails kernel checks: TOO_FEW_VERTICES$"):
+        condition_descriptor(encode(CommandSequence((line(0, 0), line(1, 0)), 0.5)))
 
 
 def test_descriptor_deterministic():
-    seq = triangle()
-    np.testing.assert_array_equal(condition_descriptor(seq), condition_descriptor(seq))
+    z = encode(triangle())
+    np.testing.assert_array_equal(condition_descriptor(z), condition_descriptor(z))
 
 
 # ---------------------------------------------------------------- latent files

@@ -8,26 +8,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadrepair import geometry
-from cadrepair.codec import decode, encode
+from cadrepair.codec import (
+    CANONICAL_ARC,
+    CANONICAL_INACTIVE,
+    CANONICAL_LINE,
+    condition_descriptor,
+    encode,
+)
 from cadrepair.config import ConfigError
 from cadrepair.geometry import (
+    ACTIVITY_THRESHOLD,
     ARC_SEGMENTS,
+    KIND_THRESHOLD,
     LATENT_DIM,
+    MAX_EDGES,
+    SLOT_WIDTH,
     CommandSequence,
     EdgeKind,
     InvalidReason,
     SketchEdge,
-    ValidityReport,
     check_latents,
-    discretize_profile,
-    kernel_check,
     points_in_polygon,
     polygon_area,
+    reason_names,
     record_from_sequence,
     sample_point_cloud,
-    self_intersects,
     sequence_from_record,
 )
+from cadrepair.pipeline import gen_ground_truth
 
 from conftest import command_sequences, random_simple_polygon
 
@@ -46,6 +54,43 @@ def square(depth=0.5):
 
 def bowtie():
     return CommandSequence((line(0, 0), line(1, 1), line(1, 0), line(0, 1)), 0.5)
+
+
+def oracle_decode(latent) -> CommandSequence:
+    """The former per-row decoder: slots are scanned in order and the sequence
+    ends at the first slot whose activity channel is not above 0; an active
+    slot is an arc above 0.5 and a line otherwise, and targets, bulges and
+    depth are taken verbatim, except a line's bulge, which is 0."""
+    z = np.asarray(latent, dtype=float).reshape(-1)
+    assert z.shape == (LATENT_DIM,)
+    edges = []
+    for i in range(MAX_EDGES):
+        t, x, y, b = z[SLOT_WIDTH * i : SLOT_WIDTH * (i + 1)]
+        if not t > ACTIVITY_THRESHOLD:
+            break
+        if t > KIND_THRESHOLD:
+            edges.append(SketchEdge(EdgeKind.ARC, (float(x), float(y)), float(b)))
+        else:
+            edges.append(SketchEdge(EdgeKind.LINE, (float(x), float(y)), 0.0))
+    return CommandSequence(tuple(edges), float(z[-1]))
+
+
+def kernel_reasons(seq):
+    """The kernel's reasons for a sequence's latent row, in enum order."""
+    (mask,) = check_latents(encode(seq)[None])
+    return tuple(r for r in InvalidReason if mask >> r & 1)
+
+
+def profile(seq):
+    """The profile polygon the one decoder builds for a sequence's latent row,
+    valid or not."""
+    count, edges = geometry._decode(encode(seq)[None])
+    return geometry._polygons(count, edges, [0])[0]
+
+
+def self_intersects(polygon):
+    poly = np.asarray(polygon, dtype=float)
+    return bool(geometry._self_intersecting(poly, [0, len(poly)])[0])
 
 
 # ---------------------------------------------------------------- parsing
@@ -76,7 +121,7 @@ def test_parse_empty_sequence_is_structurally_fine():
     seq = parse_sequence('{"edges":[],"depth":1.0}')
     assert seq.edges == ()
     assert seq.depth == 1.0
-    assert not kernel_check(seq).valid
+    assert kernel_reasons(seq) == (InvalidReason.TOO_FEW_VERTICES,)
 
 
 def test_parse_six_edges_is_arity_error():
@@ -137,7 +182,7 @@ def test_line_edge_rejects_bulge():
 
 
 def test_square_discretizes_to_four_vertices():
-    poly = discretize_profile(square())
+    poly = profile(square())
     assert poly.shape == (4, 2)
     np.testing.assert_array_equal(poly, [[0, 0], [1, 0], [1, 1], [0, 1]])
 
@@ -146,7 +191,7 @@ def test_semicircle_midpoint_sagitta():
     # bulge 1 = semicircle: the middle intermediate point sits at chord/2
     # from the chord midpoint (sagitta = bulge * chord / 2).
     seq = CommandSequence((line(0, 0), arc(1, 0, 1.0)), 0.5)
-    poly = discretize_profile(seq)
+    poly = profile(seq)
     assert poly.shape == (1 + ARC_SEGMENTS, 2)
     mid = poly[ARC_SEGMENTS // 2]
     chord_mid = np.array([0.5, 0.0])
@@ -156,12 +201,12 @@ def test_semicircle_midpoint_sagitta():
 def test_zero_bulge_arc_equals_line():
     arcs = CommandSequence((line(0, 0), SketchEdge(EdgeKind.ARC, (1.0, 0.0), 0.0), line(1, 1)), 0.5)
     lines = CommandSequence((line(0, 0), line(1, 0), line(1, 1)), 0.5)
-    np.testing.assert_array_equal(discretize_profile(arcs), discretize_profile(lines))
+    np.testing.assert_array_equal(profile(arcs), profile(lines))
 
 
 def test_arc_points_lie_on_circle():
     seq = CommandSequence((line(0, 0), arc(1, 0, 0.5)), 0.5)
-    poly = discretize_profile(seq)
+    poly = profile(seq)
     arc_pts = poly[1:]
     # center for bulge 0.5 over the unit chord: (0.5, 0.375), radius 0.625
     center = np.array([0.5, 0.375])
@@ -171,7 +216,7 @@ def test_arc_points_lie_on_circle():
 
 def test_arc_segments_count():
     seq = CommandSequence((line(0, 0), arc(1, 0, 0.4)), 0.5)
-    assert discretize_profile(seq).shape == (1 + ARC_SEGMENTS, 2)
+    assert profile(seq).shape == (1 + ARC_SEGMENTS, 2)
 
 
 # ---------------------------------------------------------------- area
@@ -311,62 +356,55 @@ def test_self_intersects_matches_oracle_property(seed, n):
 
 
 def test_square_is_valid():
-    report = kernel_check(square())
-    assert report.valid
-    assert report.reasons == ()
+    assert kernel_reasons(square()) == ()
 
 
 def test_negative_depth():
-    report = kernel_check(square(depth=-0.1))
-    assert not report.valid
-    assert report.reasons == (InvalidReason.DEPTH_NON_POSITIVE,)
+    assert kernel_reasons(square(depth=-0.1)) == (InvalidReason.DEPTH_NON_POSITIVE,)
 
 
 def test_depth_too_large():
-    assert kernel_check(square(depth=1.5)).reasons == (InvalidReason.DEPTH_TOO_LARGE,)
-    assert kernel_check(square(depth=1.0)).valid  # boundary included
+    assert kernel_reasons(square(depth=1.5)) == (InvalidReason.DEPTH_TOO_LARGE,)
+    assert kernel_reasons(square(depth=1.0)) == ()  # boundary included
 
 
 def test_bowtie_reports_self_intersection():
-    report = kernel_check(bowtie())
-    assert not report.valid
-    assert InvalidReason.SELF_INTERSECTION in report.reasons
+    assert InvalidReason.SELF_INTERSECTION in kernel_reasons(bowtie())
 
 
 def test_too_few_vertices():
     seq = CommandSequence((line(0, 0), line(1, 0)), 0.5)
-    assert InvalidReason.TOO_FEW_VERTICES in kernel_check(seq).reasons
+    assert InvalidReason.TOO_FEW_VERTICES in kernel_reasons(seq)
 
 
 def test_out_of_bounds():
     seq = CommandSequence((line(0, 0), line(1.5, 0), line(1, 1)), 0.5)
-    assert InvalidReason.OUT_OF_BOUNDS in kernel_check(seq).reasons
+    assert InvalidReason.OUT_OF_BOUNDS in kernel_reasons(seq)
 
 
 def test_bulge_out_of_range():
     seq = CommandSequence((line(0, 0), arc(1, 0, 1.25), line(1, 1)), 0.5)
-    assert InvalidReason.BULGE_OUT_OF_RANGE in kernel_check(seq).reasons
+    assert InvalidReason.BULGE_OUT_OF_RANGE in kernel_reasons(seq)
     ok = CommandSequence((line(0, 0), arc(1, 0, 1.0), line(1, 1)), 0.5)
-    assert InvalidReason.BULGE_OUT_OF_RANGE not in kernel_check(ok).reasons
+    assert InvalidReason.BULGE_OUT_OF_RANGE not in kernel_reasons(ok)
 
 
 def test_degenerate_adjacent_vertices():
     seq = CommandSequence((line(0, 0), line(0, 5e-4), line(1, 1)), 0.5)
-    report = kernel_check(seq)
-    assert InvalidReason.DEGENERATE_ADJACENT_VERTICES in report.reasons
+    reasons = kernel_reasons(seq)
+    assert InvalidReason.DEGENERATE_ADJACENT_VERTICES in reasons
     # polygon checks are skipped for degenerate input
-    assert InvalidReason.SELF_INTERSECTION not in report.reasons
+    assert InvalidReason.SELF_INTERSECTION not in reasons
 
 
 def test_near_zero_area():
     seq = CommandSequence((line(0, 0), line(1, 0), line(0.5, 1e-4)), 0.5)
-    assert InvalidReason.NEAR_ZERO_AREA in kernel_check(seq).reasons
+    assert InvalidReason.NEAR_ZERO_AREA in kernel_reasons(seq)
 
 
 def test_multiple_reasons_reported_sorted():
     seq = CommandSequence((line(0, 0), line(1.5, 0)), -1.0)
-    report = kernel_check(seq)
-    assert report.reasons == (
+    assert kernel_reasons(seq) == (
         InvalidReason.TOO_FEW_VERTICES,
         InvalidReason.OUT_OF_BOUNDS,
         InvalidReason.DEPTH_NON_POSITIVE,
@@ -386,11 +424,10 @@ def test_multiple_reasons_reported_sorted():
 def test_non_finite_values_are_their_own_reason(seq):
     # the separation and polygon checks are skipped, so no RuntimeWarning
     # (an error under pytest) comes from inf/NaN arithmetic
-    report = kernel_check(seq)
-    assert not report.valid
-    assert InvalidReason.NON_FINITE in report.reasons
-    assert InvalidReason.SELF_INTERSECTION not in report.reasons
-    assert InvalidReason.NEAR_ZERO_AREA not in report.reasons
+    reasons = kernel_reasons(seq)
+    assert InvalidReason.NON_FINITE in reasons
+    assert InvalidReason.SELF_INTERSECTION not in reasons
+    assert InvalidReason.NEAR_ZERO_AREA not in reasons
     # appended: the earlier codes keep their values
     assert [int(r) for r in InvalidReason] == list(range(9))
     assert InvalidReason.NON_FINITE == 8
@@ -417,16 +454,16 @@ def test_non_finite_values_are_their_own_reason(seq):
 def test_huge_finite_values_skip_the_polygon_checks(seq, reasons):
     # their separation and polygon arithmetic would overflow, which is a
     # RuntimeWarning and so an error under pytest
-    assert kernel_check(seq).reasons == reasons
+    assert kernel_reasons(seq) == reasons
 
 
 @given(command_sequences(coord=st.floats(-3, 3, allow_nan=False), bulge=st.floats(-3, 3, allow_nan=False), depth=st.floats(-2, 2, allow_nan=False)))
 @settings(max_examples=300, deadline=None)
 def test_kernel_total_deterministic_valid_iff_no_reasons(seq):
-    first = kernel_check(seq)
-    second = kernel_check(seq)
+    (first,) = check_latents(encode(seq)[None])
+    (second,) = check_latents(encode(seq)[None])
     assert first == second
-    assert first.valid == (len(first.reasons) == 0)
+    assert (first == 0) == (reason_names(int(first)) == "")
 
 
 # ---------------------------------------------------------------- block kernel
@@ -505,7 +542,7 @@ def oracle_kernel_check(seq):
 
 
 def oracle_masks(latents):
-    return np.array([oracle_kernel_check(decode(z)) for z in latents], dtype=np.uint16)
+    return np.array([oracle_kernel_check(oracle_decode(z)) for z in latents], dtype=np.uint16)
 
 
 # exact values at every threshold: channels at 0 and 0.5, coordinates and
@@ -571,7 +608,6 @@ def random_latent_rows(seed, n):
 def test_check_latents_equals_oracle_on_arbitrary_rows(z):
     (mask,) = check_latents(z[None])
     assert mask == oracle_masks([z])[0]
-    assert ValidityReport.from_mask(mask) == kernel_check(decode(z))
 
 
 def test_check_latents_equals_oracle_on_a_random_block():
@@ -632,55 +668,64 @@ def test_mask_bits_are_the_reason_values():
         InvalidReason.DEPTH_NON_POSITIVE,
     )
     assert mask == sum(1 << r for r in reasons)
-    assert ValidityReport.from_mask(mask) == ValidityReport(False, reasons)
-    assert ValidityReport.from_mask(0) == ValidityReport(True, ())
+    assert reason_names(int(mask)) == "TOO_FEW_VERTICES|OUT_OF_BOUNDS|DEPTH_NON_POSITIVE"
+    assert reason_names(0) == ""
 
 
 @given(command_sequences(coord=st.floats(-1.5, 1.5), bulge=BULGES.filter(math.isfinite)))
 @example(CommandSequence((line(0, 0), arc(0, 0, 0.5), line(1, 1)), 0.5))  # zero chord
 @example(CommandSequence((line(0, 0), arc(1, 0, 1e-12), arc(1, 1, -1e-13)), 0.5))
 @settings(max_examples=300, deadline=None)
-def test_discretize_profile_equals_oracle_bitwise(seq):
-    assert discretize_profile(seq).tobytes() == oracle_profile(seq).tobytes()
+def test_row_profile_equals_oracle_bitwise(seq):
+    z = encode(seq)
+    assert profile(seq).tobytes() == oracle_profile(oracle_decode(z)).tobytes()
 
 
 @given(command_sequences(coord=st.floats(-1.5, 1.5), bulge=BULGES, depth=DEPTHS))
 @settings(max_examples=300, deadline=None)
-def test_kernel_check_is_the_block_kernel_on_the_encoded_row(seq):
-    report = kernel_check(seq)
-    assert report == ValidityReport.from_mask(check_latents(encode(seq)[None])[0])
-    assert sum(1 << r for r in report.reasons) == oracle_kernel_check(seq)
+def test_block_kernel_on_the_encoded_row_is_the_oracle(seq):
+    z = encode(seq)
+    assert check_latents(z[None])[0] == oracle_kernel_check(oracle_decode(z))
 
 
 # ---------------------------------------------------------------- point sampling
 
 
 def test_cloud_inside_unit_box():
-    seq = square(depth=1.0)
-    cloud = sample_point_cloud(seq, 1000, seed=3)
+    cloud = sample_point_cloud(encode(square(depth=1.0)), 1000, seed=3)
     assert cloud.shape == (1000, 3)
     assert (cloud >= 0).all() and (cloud <= 1).all()
 
 
 def test_cloud_deterministic():
-    seq = square()
-    a = sample_point_cloud(seq, 256, seed=42)
-    b = sample_point_cloud(seq, 256, seed=42)
+    z = encode(square())
+    a = sample_point_cloud(z, 256, seed=42)
+    b = sample_point_cloud(z, 256, seed=42)
     np.testing.assert_array_equal(a, b)
-    c = sample_point_cloud(seq, 256, seed=43)
+    c = sample_point_cloud(z, 256, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_cloud_rejects_infeasible():
-    with pytest.raises(ValueError, match="sequence fails kernel checks: DEPTH_NON_POSITIVE"):
-        sample_point_cloud(square(depth=-1.0), 10, seed=0)
+    with pytest.raises(ValueError, match="latent row fails kernel checks: DEPTH_NON_POSITIVE$"):
+        sample_point_cloud(encode(square(depth=-1.0)), 10, seed=0)
+
+
+def test_invalid_row_is_a_value_error_naming_its_reasons():
+    # two slots, the second out of bounds, and a negative depth
+    z = latent([(0.25, 0, 0, 0), (0.25, 1.5, 0, 0)], -1.0)
+    message = "latent row fails kernel checks: TOO_FEW_VERTICES|OUT_OF_BOUNDS|DEPTH_NON_POSITIVE"
+    for make in (lambda: sample_point_cloud(z, 16, 0), lambda: condition_descriptor(z)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
 
 def test_triangle_cloud_statistics():
     depth = 0.8
     seq = CommandSequence((line(0, 0), line(1, 0), line(0, 1)), depth)
     n = 100_000
-    cloud = sample_point_cloud(seq, n, seed=7)
+    cloud = sample_point_cloud(encode(seq), n, seed=7)
     xy = cloud[:, :2]
     assert ((xy[:, 0] + xy[:, 1]) < 1.0 + 1e-12).mean() > 0.9999
     mean_z = cloud[:, 2].mean()
@@ -689,8 +734,9 @@ def test_triangle_cloud_statistics():
 
 
 def full_chunk_point_cloud(seq, n, seed):
-    """The former sampler: every proposal of every chunk is tested."""
-    poly = discretize_profile(seq)
+    """The former sampler on the former profile of a sequence: every proposal
+    of every chunk is tested."""
+    poly = oracle_profile(seq)
     rng = np.random.default_rng(seed)
     lo, hi = poly.min(axis=0), poly.max(axis=0)
     chunks, accepted = [], 0
@@ -721,7 +767,7 @@ THIN_STRIP = CommandSequence((line(-1, -1), line(1, 0.9), line(1, 1), line(-1, -
 def test_cloud_equals_full_chunk_sampler_bitwise(seq, n):
     for seed in (0, 7, 12345):
         expected = full_chunk_point_cloud(seq, n, seed)
-        assert sample_point_cloud(seq, n, seed).tobytes() == expected.tobytes()
+        assert sample_point_cloud(encode(seq), n, seed).tobytes() == expected.tobytes()
 
 
 def test_live_stall_check_counts_the_whole_chunk(monkeypatch):
@@ -730,17 +776,88 @@ def test_live_stall_check_counts_the_whole_chunk(monkeypatch):
     monkeypatch.setattr(geometry, "_STALL_PROPOSALS", 1)
     monkeypatch.setattr(geometry, "_STALL_RATE", 0.5)
     expected = full_chunk_point_cloud(square(), 16, 0)
-    assert sample_point_cloud(square(), 16, 0).tobytes() == expected.tobytes()
+    assert sample_point_cloud(encode(square()), 16, 0).tobytes() == expected.tobytes()
 
 
 def test_thin_strip_needs_a_second_chunk_at_512_points():
     # the premise of the thin-strip case above
-    poly = discretize_profile(THIN_STRIP)
+    poly = profile(THIN_STRIP)
     for seed in (0, 7, 12345):
         rng = np.random.default_rng(seed)
         lo, hi = poly.min(axis=0), poly.max(axis=0)
         first = rng.uniform(lo, hi, size=(geometry._PROPOSAL_CHUNK, 2))
         assert points_in_polygon(first, poly).sum() < 512
+
+
+def oracle_descriptor(seq):
+    """The former condition descriptor of a sequence, on its former profile."""
+    poly = oracle_profile(seq)
+    area = polygon_area(poly)
+    nxt = np.concatenate((poly[1:], poly[:1]))
+    perimeter = float(np.hypot(*(nxt - poly).T).sum())
+    cross = poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1]
+    cx = float(((poly[:, 0] + nxt[:, 0]) * cross).sum() / (6.0 * area))
+    cy = float(((poly[:, 1] + nxt[:, 1]) * cross).sum() / (6.0 * area))
+    width, height = (poly.max(axis=0) - poly.min(axis=0)).tolist()
+    count = len(seq.edges) / MAX_EDGES
+    return np.array([count, abs(area), perimeter, cx, cy, width, height, seq.depth])
+
+
+def decoder_rows():
+    """Ground-truth latents, and copies of them: with a bulge in every line
+    slot's bulge channel; with every arc channel at exactly 0.5, a line, and
+    every inactive channel at exactly 0; and with the last active channel at
+    exactly 0, which drops that edge."""
+    rng = np.random.default_rng(29)
+    base = np.array([gt.latent for seed in (2, 3, 7) for gt in gen_ground_truth(10, seed)])
+    channels = base[:, 0:-1:SLOT_WIDTH]
+    bulged = base.copy()
+    lines = channels == CANONICAL_LINE
+    bulged[:, 3:-1:SLOT_WIDTH][lines] = rng.uniform(-0.9, 0.9, int(lines.sum()))
+    on_thresholds = base.copy()
+    on_thresholds[:, 0:-1:SLOT_WIDTH] = np.select(
+        [channels == CANONICAL_ARC, channels == CANONICAL_INACTIVE],
+        [KIND_THRESHOLD, ACTIVITY_THRESHOLD],
+        channels,
+    )
+    cut = base.copy()
+    cut[np.arange(len(cut)), SLOT_WIDTH * ((channels > 0).sum(axis=1) - 1)] = ACTIVITY_THRESHOLD
+    return np.concatenate([base, bulged, on_thresholds, cut])
+
+
+def test_decoder_rows_cover_the_decode_rule():
+    # the premise of the two tests below
+    rows = decoder_rows()
+    base, bulged, on_thresholds, cut = np.split(rows, 4)
+    assert (bulged != base).any(axis=1).mean() > 0.9
+    assert ((base[:, 0:-1:SLOT_WIDTH] == CANONICAL_ARC).any(axis=1)).mean() > 0.5
+    # a line's bulge channel is ignored, and some rows fail the kernel
+    masks = oracle_masks(rows)
+    assert (masks[: 2 * len(base)] == 0).all() and (masks != 0).any()
+    for part in np.split(masks, 4):
+        assert (part == 0).mean() > 0.3
+
+
+@pytest.mark.parametrize("n", [1, 16, 512])
+def test_cloud_of_a_row_equals_the_former_sequence_path_bitwise(n):
+    # the former path decoded the row to a sequence and sampled its profile
+    for seed, row in enumerate(decoder_rows()):
+        if oracle_masks([row])[0]:
+            with pytest.raises(ValueError, match="latent row fails kernel checks"):
+                sample_point_cloud(row, n, seed)
+            continue
+        expected = full_chunk_point_cloud(oracle_decode(row), n, seed)
+        assert sample_point_cloud(row, n, seed).tobytes() == expected.tobytes()
+
+
+def test_descriptor_of_a_row_equals_the_former_sequence_path_bitwise():
+    for row in decoder_rows():
+        if oracle_masks([row])[0]:
+            with pytest.raises(ValueError, match="latent row fails kernel checks"):
+                condition_descriptor(row)
+            continue
+        expected = oracle_descriptor(oracle_decode(row))
+        assert condition_descriptor(row).tobytes() == expected.tobytes()
 
 
 def test_points_in_polygon_even_odd():
@@ -767,14 +884,14 @@ def loop_points_in_polygon(points, polygon):
 
 def polygon_cases():
     rng = np.random.default_rng(21)
-    yield "triangle", discretize_profile(CommandSequence((line(0, 0), line(1, 0), line(0, 1)), 0.5))
-    yield "arc", discretize_profile(
+    yield "triangle", profile(CommandSequence((line(0, 0), line(1, 0), line(0, 1)), 0.5))
+    yield "arc", profile(
         CommandSequence((line(0, 0), line(0.8, 0), arc(0.8, 0.6, 0.7), line(0, 0.6)), 0.9)
     )
-    yield "arcs", discretize_profile(
+    yield "arcs", profile(
         CommandSequence((arc(0.5, -0.2, 0.4), arc(0.6, 0.7, -0.3), arc(-0.4, 0.1, 0.9)), 0.5)
     )
-    yield "bowtie", discretize_profile(bowtie())
+    yield "bowtie", profile(bowtie())
     yield "star", random_simple_polygon(rng, 40)
 
 

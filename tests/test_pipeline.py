@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from cadrepair import pipeline
-from cadrepair.codec import decode, encode
+from cadrepair.codec import encode
 from cadrepair.config import ModelTraining, RunConfig
 from cadrepair.diffusion import build_schedule, sample
-from cadrepair.geometry import ValidityReport, check_latents, kernel_check, sample_point_cloud
+from cadrepair.geometry import check_latents, sample_point_cloud
 from cadrepair.metrics import mmd
 from cadrepair.nets import (
     LinearRegressor,
@@ -38,7 +38,7 @@ from cadrepair.pipeline import (
 )
 
 from conftest import one_draw_at_a_time_ground_truth
-from test_geometry import latent, random_latent_rows
+from test_geometry import latent, oracle_decode, oracle_masks, random_latent_rows
 
 # the default run's schedule, as RunConfig's timesteps and betas give it
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -70,8 +70,8 @@ def test_ground_truth_all_valid_and_roundtrip():
     cases = gen_ground_truth(30, seed=1)
     assert len(cases) == 30
     for case in cases:
-        assert kernel_check(case.sequence).valid
-        assert decode(case.latent) == case.sequence
+        assert check_latents(case.latent[None])[0] == 0
+        assert oracle_decode(case.latent) == case.sequence
         assert case.condition.shape == (8,)
         assert 0.0 < case.condition[0] <= 1.0
 
@@ -129,7 +129,7 @@ def test_gen_dataset_counts_and_determinism():
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
     latents, masks = gen_dataset(train_gt(3, 2), models["denoiser"], gen_cfg(2, 2))
-    assert list(map(ValidityReport.from_mask, masks)) == [kernel_check(decode(z)) for z in latents]
+    np.testing.assert_array_equal(masks, oracle_masks(latents))
 
 
 def test_gen_dataset_blocks_match_single_chains(monkeypatch):
@@ -149,7 +149,7 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
                                [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)],
                                gen_cfg(8, 5))
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
-            assert ValidityReport.from_mask(mask) == kernel_check(decode(single[0]))
+            assert mask == check_latents(single)[0]
 
 
 def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
@@ -220,7 +220,7 @@ def test_gt_pairs_cover_every_generation():
     assert pairs[:, 0].tolist() == list(range(12))
     assert pairs[:, 1].tolist() == [0] * 4 + [1] * 4 + [2] * 4
     for gt in ground_truth:
-        np.testing.assert_array_equal(encode(decode(gt.latent)), gt.latent)  # targets are canonical
+        np.testing.assert_array_equal(encode(oracle_decode(gt.latent)), gt.latent)  # canonical
 
 
 # ---------------------------------------------------------------- repair
@@ -248,7 +248,7 @@ def test_repair_fixture_recovers_validity():
     target = encode(gen_ground_truth(1, seed=9)[0].sequence)
     broken = target.copy()
     broken[0] = -0.1  # first slot inactive: decodes to an empty sequence
-    assert not kernel_check(decode(broken)).valid
+    assert check_latents(broken[None])[0] != 0
     rng = np.random.default_rng(10)
     inputs = broken + rng.normal(0.0, 0.02, size=(60, 21))
     targets = np.tile(target, (60, 1))
@@ -267,7 +267,7 @@ def test_repair_applies_regressor_once():
 
 def test_repair_mask_is_the_kernel_check_of_the_decoded_latent():
     # the block's masks agree with decoding each final latent and
-    # kernel-checking its sequence, on random and near-valid rows through a
+    # kernel-checking its sequence one rule at a time, on random and near-valid rows through a
     # random near-identity regressor; a valid row and a row holding NaN or inf
     # come back as they are, and every other row is re-mapped
     rng = np.random.default_rng(23)
@@ -280,11 +280,10 @@ def test_repair_mask_is_the_kernel_check_of_the_decoded_latent():
     remapped = (masks != 0) & np.isfinite(rows).all(axis=1)
     outcomes = set()
     for row, mask, final, final_mask, mapped in zip(rows, masks, finals, final_masks, remapped):
-        report = kernel_check(decode(final))
-        assert ValidityReport.from_mask(final_mask) == report
+        assert final_mask == oracle_masks([final])[0]
         if mapped:
             assert final.tobytes() == regressor_predict(regressor, row).tobytes()
-            outcomes.add(report.valid)
+            outcomes.add(final_mask == 0)
         else:
             assert final.tobytes() == row.tobytes() and final_mask == mask
     assert outcomes == {True, False}
@@ -446,7 +445,7 @@ def test_fixed_sigma_mode_scores_at_that_bandwidth():
     assert len(scored) >= len(conditions)
     median_scores = []
     for cid, latent, score in scored:
-        cloud = sample_point_cloud(decode(latent), 64, seed_stream(12, STREAM_CLOUD_GEN, cid))
+        cloud = sample_point_cloud(latent, 64, seed_stream(12, STREAM_CLOUD_GEN, cid))
         points = ground_truth_cloud(conditions[cid], cid, cfg)
         assert score == mmd(cloud, points, 0.5)
         median_scores.append(mmd(cloud, points))
@@ -556,7 +555,7 @@ def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkey
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
     conditions, models, cfg = _sharing_case(monkeypatch)
     calls = {
-        "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "decode": 0, "repair": 0,
+        "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "sample_point_cloud": 0, "repair": 0,
         "check_latents": 0,
     }
     remapped = []  # the rows of each regressor_predict call
@@ -573,7 +572,7 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
         return regressor_predict(regressor, z)
 
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
-    for name in ("ground_truth_cloud", "mmd", "decode", "repair", "check_latents"):
+    for name in ("ground_truth_cloud", "mmd", "sample_point_cloud", "repair", "check_latents"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
     monkeypatch.setattr(pipeline, "regressor_predict", predict)
     tables = run_variants(list(VariantId), conditions, models, cfg)
@@ -590,13 +589,14 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     assert calls["mmd"] == n_valid + n_repaired
     # chain rows are kernel-checked a block at a time, and each repair variant's
     # rows as one block, re-mapped by one product over exactly its invalid rows
-    # (all finite here); only a valid row is decoded, once, to be scored
+    # (all finite here); only a valid row is sampled, once, to be scored, and
+    # each condition's ground truth once
     attempted = [int(tables[v]["repaired"].sum()) for v in repaired]
     assert all(np.isfinite(tables[v]["latents"]).all() for v in repaired)
     assert calls["repair"] == len(repaired)
     assert remapped == attempted
     assert calls["check_latents"] == calls["sample"] + len(repaired)
-    assert calls["decode"] == n_valid + n_repaired
+    assert calls["sample_point_cloud"] == n_valid + n_repaired + len(conditions)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
