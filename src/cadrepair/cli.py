@@ -25,8 +25,9 @@ and ConfigError naming the path, or path:line, for a malformed or unreadable one
 
 - latent matrices (``*.bin``): ``codec.read_latents``;
 - model files (``<name>.json`` of MODELS): ``_load_model``;
-- ``conditions.jsonl``: ``_train_conditions``, which draws the conditions when
-  the file is absent;
+- ``conditions.jsonl``: ``_train_conditions``, which turns each record into a
+  latent row by ``geometry.row_from_record``, rejects a row that fails the
+  kernel check, and draws the conditions when the file is absent;
 - ``labels.csv``, ``pairs_*.csv`` and ``metrics.csv``: ``_read_csv``, against
   the file's CSV_HEADERS row.
 """
@@ -46,14 +47,14 @@ from pathlib import Path
 import numpy as np
 
 from . import diffusion, pipeline
-from .codec import CONDITION_DIM, LATENT_DIM, encode, read_latents, write_latents
+from .codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
 from .config import ConfigError, MissingArtifact, RunConfig
 from .geometry import (
     SamplingStall,
     check_latents,
     reason_names,
-    record_from_sequence,
-    sequence_from_record,
+    record_from_row,
+    row_from_record,
 )
 from .metrics import mmd_histogram, pca_2d
 from .nets import (
@@ -70,7 +71,6 @@ from .pipeline import (
     STREAM_EVAL_GT,
     STREAM_TRAIN_GT,
     STREAM_TRAINING,
-    GroundTruthCondition,
     VariantId,
     derived_seed,
     seed_stream,
@@ -124,10 +124,11 @@ def _fmt(value) -> str:
 def _write_outputs(out: Path, files: dict) -> None:
     """Create ``out`` and write each ``name: content`` of ``files`` into it through
     the one writer of its kind: a latent matrix (``.bin``) by write_latents, a CSV
-    file's rows under its CSV_HEADERS row, ``conditions.jsonl``'s ground truth one
-    record a line, a model of MODELS by save_model, and any other ``.json`` file's
-    object sorted and indented. A run directory that cannot be created, such as
-    a path naming a file, is a ConfigError naming it, raised before any write."""
+    file's rows under its CSV_HEADERS row, ``conditions.jsonl``'s ground truth, a
+    (conditions, latents) pair of arrays, one record a line, a model of MODELS by
+    save_model, and any other ``.json`` file's object sorted and indented. A run
+    directory that cannot be created, such as a path naming a file, is a
+    ConfigError naming it, raised before any write."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -143,11 +144,11 @@ def _write_outputs(out: Path, files: dict) -> None:
                 writer.writerows(content)
         elif name == "conditions.jsonl":
             with open(path, "w") as fh:
-                for cid, gt in enumerate(content):
+                for cid, (condition, latent) in enumerate(zip(*content)):
                     record = {
                         "condition_id": cid,
-                        "condition": [float(v) for v in gt.condition],
-                        "sequence": record_from_sequence(gt.sequence),
+                        "condition": condition.tolist(),
+                        "sequence": record_from_row(latent),
                     }
                     fh.write(json.dumps(record, allow_nan=False, separators=(",", ":")) + "\n")
         elif name.removesuffix(".json") in MODELS:
@@ -202,30 +203,32 @@ def _load_model(path: Path, name: str):
     return model
 
 
-def _train_conditions(cfg: RunConfig) -> tuple[list[GroundTruthCondition], dict]:
-    """The run directory's training ground truth, and the files the stage writes for it.
+def _train_conditions(cfg: RunConfig) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+    """The run directory's training ground truth, its (conditions, latents)
+    arrays, and the files the stage writes for it.
 
     Read ``conditions.jsonl``, which must hold ``cfg.n_conditions`` records in
-    ``condition_id`` order whose row 0 is the first draw of ``cfg.master_seed``'s
-    stream (row 0 whatever the count), and write nothing for it. When the file is
-    absent, rejection-sample the conditions; the stage then writes the file.
+    ``condition_id`` order, each row of which passes the kernel check and whose
+    row 0 is the first draw of ``cfg.master_seed``'s stream (row 0 whatever the
+    count), and write nothing for it. When the file is absent, rejection-sample
+    the conditions; the stage then writes the file.
     """
     path = Path(cfg.out_dir) / "conditions.jsonl"
     stream = seed_stream(cfg.master_seed, STREAM_TRAIN_GT)
     if not path.exists():
-        conditions = pipeline.gen_ground_truth(cfg.n_conditions, stream)
-        return conditions, {"conditions.jsonl": conditions}
+        ground_truth = pipeline.gen_ground_truth(cfg.n_conditions, stream)
+        return ground_truth, {"conditions.jsonl": ground_truth}
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
-    conditions = []
+    conditions, latents, lines = [], [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            seq = sequence_from_record(obj["sequence"])
+            latent = row_from_record(obj["sequence"])
             condition = np.asarray(obj["condition"], dtype=float)
             if condition.shape != (CONDITION_DIM,) or not np.isfinite(condition).all():
                 raise ConfigError(
@@ -238,18 +241,30 @@ def _train_conditions(cfg: RunConfig) -> tuple[list[GroundTruthCondition], dict]
                 )
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        conditions.append(GroundTruthCondition(condition, seq, encode(seq)))
+        conditions.append(condition)
+        latents.append(latent)
+        lines.append(lineno)
     if not conditions:
         raise ConfigError(f"{path}: holds no condition")
+    conditions, latents = np.array(conditions), np.array(latents)
+    masks = check_latents(latents)
+    if masks.any():
+        row = np.flatnonzero(masks)[0]
+        raise ConfigError(
+            f"{path}:{lines[row]}: sequence fails kernel checks: {reason_names(int(masks[row]))}"
+        )
     if len(conditions) != cfg.n_conditions:
         raise ConfigError(f"{path}: holds {len(conditions)} conditions, need {cfg.n_conditions}")
-    first, row0 = pipeline.gen_ground_truth(1, stream)[0], conditions[0]
-    if first.sequence != row0.sequence or not np.array_equal(first.condition, row0.condition):
+    first_conditions, first_latents = pipeline.gen_ground_truth(1, stream)
+    if not (
+        np.array_equal(first_latents[0], latents[0])
+        and np.array_equal(first_conditions[0], conditions[0])
+    ):
         raise ConfigError(
             f"{path}: row 0 is not the ground truth of master_seed {cfg.master_seed}; "
             "delete the file to generate it again"
         )
-    return conditions, {}
+    return (conditions, latents), {}
 
 
 def _read_csv(path: Path, columns: tuple[int, ...], cast=int) -> tuple[np.ndarray, list[int]]:
@@ -311,9 +326,9 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     """
     out = Path(cfg.out_dir)
     denoiser = _load_model(out / "denoiser.json", "denoiser")
-    ground_truth, files = _train_conditions(cfg)
+    (conditions, gt_latents), files = _train_conditions(cfg)
     per_condition = cfg.generations_per_condition
-    generated, masks = pipeline.gen_dataset(ground_truth, denoiser, cfg, threads)
+    generated, masks = pipeline.gen_dataset(conditions, denoiser, cfg, threads)
     labels = masks == 0
     ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
     if not len(ssl_pairs):
@@ -325,13 +340,13 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     n_invalid = n_total - n_valid
     invalid_fraction = n_invalid / n_total
     summary = {
-        "conditions": len(ground_truth),
+        "conditions": len(conditions),
         "generations_per_condition": per_condition,
         "generated_latents": n_total,
         "valid_latents": n_valid,
         "invalid_latents": n_invalid,
         "invalid_fraction": invalid_fraction,
-        "ground_truth_latents": len(ground_truth),
+        "ground_truth_latents": len(gt_latents),
         "ssl_pairs": int(len(ssl_pairs)),
         "gt_pairs": int(len(gt_pairs)),
     }
@@ -343,7 +358,7 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     _write_outputs(out, {
         "config.json": asdict(cfg),
         **files,
-        "latents.bin": np.vstack([generated, [gt.latent for gt in ground_truth]]),
+        "latents.bin": np.vstack([generated, gt_latents]),
         "labels.csv": label_rows,
         "pairs_ssl.csv": ssl_pairs.tolist(),
         "pairs_gt.csv": gt_pairs.tolist(),
@@ -379,10 +394,10 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
     ``conditions.jsonl`` when the denoiser drew it) and its values for ``metrics.csv``."""
     out = Path(cfg.out_dir)
     if which == "denoiser":
-        conditions, files = _train_conditions(cfg)
+        (conditions, latents), files = _train_conditions(cfg)
         model, losses = train_denoiser(
-            np.array([c.condition for c in conditions]),
-            np.array([c.latent for c in conditions]),
+            conditions,
+            latents,
             diffusion.build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end),
             cfg.denoiser,
             derived_seed(cfg.master_seed, STREAM_TRAINING, 0),
@@ -532,10 +547,10 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
     out = Path(cfg.out_dir)
     needed = sorted({name for v in variants for name in pipeline._required_models(v)})
     models = {name: _load_model(out / f"{name}.json", name) for name in needed}
-    eval_conditions = pipeline.gen_ground_truth(
+    conditions, gt_latents = pipeline.gen_ground_truth(
         cfg.n_eval_conditions, seed_stream(cfg.master_seed, STREAM_EVAL_GT)
     )
-    tables = pipeline.run_variants(variants, eval_conditions, models, cfg, threads)
+    tables = pipeline.run_variants(variants, conditions, gt_latents, models, cfg, threads)
 
     print(f"{'variant':<10} {'n':>5} {'valid':>5} {'feas':>7} {'meanMMD':>8} {'repaired':>8}")
     report_rows, score_rows, hist_rows = [], [], []
@@ -561,7 +576,7 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
         "report.csv": report_rows,
         "mmd_scores.csv": score_rows,
         "mmd_hist.csv": hist_rows,
-        "eval_latents_gt.bin": np.array([c.latent for c in eval_conditions]),
+        "eval_latents_gt.bin": gt_latents,
     }
     for variant in (VariantId.BASELINE, VariantId.FULL):
         if variant in tables:

@@ -1,13 +1,11 @@
-"""Latent vectors: the encoding of command sequences, the condition
-descriptor of a latent row, and latent matrix files.
+"""Latent vectors: the condition descriptor of a latent row, and latent
+matrix files.
 
 The latent layout is five slots of (activity/kind channel, x, y, bulge)
 followed by the extrusion depth, 21 values total. ``geometry`` defines it and
 decodes rows, since its kernel checks them: decoding is total and
 discontinuous at the activity threshold 0 and the kind threshold 0.5, which
-is what carves latent space into feasible and infeasible regions. Encoding
-places canonical channel values at the centers of their decision cells so
-ground-truth latents have maximal margin.
+is what carves latent space into feasible and infeasible regions.
 """
 
 from __future__ import annotations
@@ -18,33 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, MissingArtifact
-from .geometry import (
-    LATENT_DIM,
-    MAX_EDGES,
-    SLOT_WIDTH,
-    CommandSequence,
-    EdgeKind,
-    latent_solid,
-    polygon_area,
-)
+from .geometry import LATENT_DIM, MAX_EDGES, latent_solid, polygon_area
 
 CONDITION_DIM = 8
 
-CANONICAL_LINE = 0.25
-CANONICAL_ARC = 0.75
-CANONICAL_INACTIVE = -0.5
-
 _LATENT_MAGIC = b"LAT1"
 _HEADER = struct.Struct("<4sIII")  # magic, row count, row width, reserved
-
-
-def encode(seq: CommandSequence) -> np.ndarray:
-    """Canonical latent embedding of a sequence, which decodes to the sequence."""
-    z = [CANONICAL_INACTIVE, 0.0, 0.0, 0.0] * MAX_EDGES + [seq.depth]
-    for i, edge in enumerate(seq.edges):
-        kind = CANONICAL_ARC if edge.kind is EdgeKind.ARC else CANONICAL_LINE
-        z[SLOT_WIDTH * i : SLOT_WIDTH * (i + 1)] = (kind, *edge.target, edge.bulge)
-    return np.array(z, dtype=float)
 
 
 def condition_descriptor(latent) -> np.ndarray:

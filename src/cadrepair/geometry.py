@@ -1,18 +1,21 @@
 """Miniature sketch-extrude CAD language and its feasibility kernel.
 
-A model is a closed profile of at most five line/arc edges extruded to a
-depth. Profile vertices are exactly the edge targets; the loop closes
-implicitly from the last target back to the first. Feasibility is decided
-by a small rule-based kernel (bounds, degeneracy, self-intersection, area,
-depth) rather than a full B-rep engine, and valid solids can be sampled
+A model is one latent row: a closed profile of at most five line/arc edges
+extruded to a depth. Profile vertices are exactly the edge targets; the loop
+closes implicitly from the last target back to the first. Feasibility is
+decided by a small rule-based kernel (bounds, degeneracy, self-intersection,
+area, depth) rather than a full B-rep engine, and valid solids can be sampled
 into uniform volume point clouds.
 
-Latent rows (the codec's layout, defined here) decode by one rule, in
-``_decode``. The kernel is one array function, ``check_latents``, which decodes
-a block of rows and checks them all at once. It returns one uint16 reason mask
-per row: bit i is set iff the row fails with ``InvalidReason(i)``, so a mask of
-0 is a valid row. ``latent_solid`` gives the profile polygon, edge count and
-depth of one valid row, which point clouds and condition descriptors read.
+Latent rows (the layout is defined here) decode by one rule, in ``_decode``.
+The kernel is one array function, ``check_latents``, which decodes a block of
+rows and checks them all at once. It returns one uint16 reason mask per row:
+bit i is set iff the row fails with ``InvalidReason(i)``, so a mask of 0 is a
+valid row. ``latent_solid`` gives the profile polygon, edge count and depth of
+one valid row, which point clouds and condition descriptors read.
+``canonical_row`` picks one row per profile class for the ground truth, and
+``row_from_record`` and ``record_from_row`` convert between a row and its
+``conditions.jsonl`` record.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 import numpy as np
 
@@ -35,13 +37,18 @@ COORD_BOUND = 1.0
 MAX_BULGE = 1.0
 MAX_DEPTH = 1.0
 
-# Latent layout, which the codec shares: MAX_EDGES slots of (activity/kind
-# channel, x, y, bulge), then the extrusion depth. _decode reads a channel
-# against the two thresholds.
+# Latent layout: MAX_EDGES slots of (activity/kind channel, x, y, bulge), then
+# the extrusion depth. _decode reads a channel against the two thresholds.
+# Ground-truth rows hold each channel at the center of its decision cell, the
+# CANONICAL_ values below, so they have maximal margin; an inactive slot's x, y
+# and bulge are 0.
 SLOT_WIDTH = 4
 LATENT_DIM = MAX_EDGES * SLOT_WIDTH + 1  # 21
 ACTIVITY_THRESHOLD = 0.0
 KIND_THRESHOLD = 0.5
+CANONICAL_LINE = 0.25
+CANONICAL_ARC = 0.75
+CANONICAL_INACTIVE = -0.5
 
 # Below this magnitude the arc is indistinguishable from its chord and the
 # center construction would overflow.
@@ -69,11 +76,6 @@ class SamplingStall(Exception):
     """Rejection sampling acceptance rate collapsed below the safety floor (exit 3)."""
 
 
-class EdgeKind(Enum):
-    LINE = "line"
-    ARC = "arc"
-
-
 class InvalidReason(IntEnum):
     """Kernel failure codes, reported in ascending enum order."""
 
@@ -88,98 +90,9 @@ class InvalidReason(IntEnum):
     NON_FINITE = 8
 
 
-@dataclass(frozen=True)
-class SketchEdge:
-    """One profile edge ending at ``target``; ``bulge`` is tan(theta/4) for arcs."""
-
-    kind: EdgeKind
-    target: tuple[float, float]
-    bulge: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is EdgeKind.LINE and self.bulge != 0.0:
-            raise ValueError("line edges carry bulge exactly 0")
-
-
-@dataclass(frozen=True)
-class CommandSequence:
-    """Ordered sketch edges plus an extrusion depth; structurally total."""
-
-    edges: tuple[SketchEdge, ...]
-    depth: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if len(self.edges) > MAX_EDGES:
-            raise ValueError(f"at most {MAX_EDGES} edges allowed, got {len(self.edges)}")
-
-
 def reason_names(mask: int) -> str:
     """The names of a reason mask's InvalidReason bits, in enum order, joined by ``|``."""
     return "|".join(r.name for r in InvalidReason if mask >> r & 1)
-
-
-def _require_number(obj: dict, key: str, context: str) -> float:
-    if key not in obj:
-        raise ConfigError(f"{context}: missing field {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key}: expected a number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{context}.{key}: non-finite number not allowed")
-    return value
-
-
-def sequence_from_record(obj) -> CommandSequence:
-    """Validate a decoded record object into a CommandSequence.
-
-    The record schema is ``{"edges": [{"kind", "x", "y", "bulge"}...], "depth"}``;
-    unknown fields, wrong types, and non-finite numbers are rejected with the
-    offending field named in the error.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError("record must be a JSON object")
-    unknown = set(obj) - {"edges", "depth"}
-    if unknown:
-        raise ConfigError(f"unknown record fields: {sorted(unknown)}")
-    if "edges" not in obj or "depth" not in obj:
-        raise ConfigError("record must carry 'edges' and 'depth'")
-    raw_edges = obj["edges"]
-    if not isinstance(raw_edges, list):
-        raise ConfigError("edges: expected a list")
-    if len(raw_edges) > MAX_EDGES:
-        raise ConfigError(f"at most {MAX_EDGES} edges allowed, got {len(raw_edges)}")
-    edges = []
-    for i, raw in enumerate(raw_edges):
-        context = f"edges[{i}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{context}: expected an object")
-        unknown = set(raw) - {"kind", "x", "y", "bulge"}
-        if unknown:
-            raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
-        kind_raw = raw.get("kind")
-        if kind_raw not in (EdgeKind.LINE.value, EdgeKind.ARC.value):
-            raise ConfigError(f"{context}.kind: expected 'line' or 'arc', got {kind_raw!r}")
-        kind = EdgeKind(kind_raw)
-        x = _require_number(raw, "x", context)
-        y = _require_number(raw, "y", context)
-        bulge = _require_number(raw, "bulge", context) if "bulge" in raw else 0.0
-        if kind is EdgeKind.LINE and bulge != 0.0:
-            raise ConfigError(f"{context}.bulge: must be 0 for line edges")
-        edges.append(SketchEdge(kind, (x, y), bulge))
-    depth = _require_number(obj, "depth", "record")
-    return CommandSequence(tuple(edges), depth)
-
-
-def record_from_sequence(seq: CommandSequence) -> dict:
-    return {
-        "edges": [
-            {"kind": e.kind.value, "x": e.target[0], "y": e.target[1], "bulge": e.bulge}
-            for e in seq.edges
-        ],
-        "depth": seq.depth,
-    }
 
 
 def _arc_points(start, end, bulge: float) -> list[float]:
@@ -224,45 +137,6 @@ def _profile_vertices(edges) -> np.ndarray:
         else:
             coords += (x, y)
     return np.array(coords, dtype=float).reshape(-1, 2)
-
-
-def reverse_sequence(seq: CommandSequence) -> CommandSequence:
-    """Traverse the same closed profile in the opposite direction.
-
-    Edge j of the result retraces original edge k-j+1 backwards, so its kind
-    stays, its bulge flips sign, and it ends at that edge's start vertex.
-    """
-    k = len(seq.edges)
-    if k == 0:
-        return seq
-    targets = [e.target for e in seq.edges]
-    reversed_edges = []
-    for j in range(k):
-        source = seq.edges[k - 1 - j]  # retraces this edge backwards
-        target = targets[(k - 2 - j) % k]
-        bulge = -source.bulge if source.kind is EdgeKind.ARC else 0.0
-        reversed_edges.append(SketchEdge(source.kind, target, bulge))
-    return CommandSequence(tuple(reversed_edges), seq.depth)
-
-
-def canonicalize_sequence(seq: CommandSequence) -> CommandSequence:
-    """Canonical representative of a profile's cyclic/orientation class.
-
-    Same geometry, one fixed encoding: counterclockwise winding and the
-    lexicographically smallest vertex first. Collapses the many equivalent
-    edge orderings of one shape onto a single latent, which is what makes
-    the condition -> latent relation learnable.
-    """
-    k = len(seq.edges)
-    if k < 3:
-        return seq
-    poly = _profile_vertices([(*e.target, e.bulge) for e in seq.edges])
-    if polygon_area(poly) < 0.0:
-        seq = reverse_sequence(seq)
-    targets = [e.target for e in seq.edges]
-    start = min(range(k), key=lambda i: targets[i])
-    rotated = seq.edges[start + 1 :] + seq.edges[: start + 1]
-    return CommandSequence(tuple(rotated), seq.depth)
 
 
 def polygon_area(polygon) -> float:
@@ -344,18 +218,19 @@ _GAPS_USED = np.array(
 )
 
 
-def _decode(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decode(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The layout's decode rule on an (R, LATENT_DIM) block: each row's edge
-    count, (R,), and each slot's x, y and bulge as its edge holds them,
-    (3, R, MAX_EDGES). The first slot whose channel is not above
-    ACTIVITY_THRESHOLD (NaN included) ends a row's edges, and an active slot is
-    an arc above KIND_THRESHOLD and a line otherwise. Slots past the count hold
-    0, and so does a line's bulge."""
+    count, (R,), each slot's x, y and bulge as its edge holds them,
+    (3, R, MAX_EDGES), and whether each slot is an arc, (R, MAX_EDGES). The
+    first slot whose channel is not above ACTIVITY_THRESHOLD (NaN included) ends
+    a row's edges, and an active slot is an arc above KIND_THRESHOLD and a line
+    otherwise. Slots past the count hold 0, and so does a line's bulge."""
     fields = z[:, :-1].reshape(-1, MAX_EDGES, SLOT_WIDTH).transpose(2, 0, 1)
     with np.errstate(invalid="ignore"):
         active = np.logical_and.accumulate(fields[0] > ACTIVITY_THRESHOLD, axis=1)
         arc = active & (fields[0] > KIND_THRESHOLD)
-    return np.add.reduce(active, axis=1), np.where(np.array([active, active, arc]), fields[1:], 0.0)
+    edges = np.where(np.array([active, active, arc]), fields[1:], 0.0)
+    return np.add.reduce(active, axis=1), edges, arc
 
 
 def _polygons(count: np.ndarray, edges: np.ndarray, rows) -> list[np.ndarray]:
@@ -387,7 +262,7 @@ def check_latents(latents) -> np.ndarray:
     z = np.asarray(latents, dtype=float)
     if z.ndim != 2 or z.shape[1] != LATENT_DIM:
         raise ValueError(f"latents must be (rows, {LATENT_DIM}), got {z.shape}")
-    count, edges = _decode(z)
+    count, edges, _ = _decode(z)
     depth = z[:, -1]
     flags = np.zeros((len(z), 16), dtype=bool)  # per row, bit i for InvalidReason(i)
     # the gaps of unusable rows may overflow
@@ -432,9 +307,111 @@ def latent_solid(latent) -> tuple[np.ndarray, int, float]:
     (mask,) = check_latents(z)
     if mask:
         raise ValueError(f"latent row fails kernel checks: {reason_names(int(mask))}")
-    count, edges = _decode(z)
+    count, edges, _ = _decode(z)
     (polygon,) = _polygons(count, edges, [0])
     return polygon, int(count[0]), float(z[0, -1])
+
+
+def canonical_row(latent) -> np.ndarray:
+    """The canonical row of a latent row's profile class, for a row of three or
+    more finite edges: the same solid, counterclockwise, starting from its
+    lexicographically smallest vertex. Collapsing the many equivalent edge
+    orderings of one shape onto a single latent is what makes the condition ->
+    latent relation learnable.
+
+    A clockwise profile (negative ``polygon_area``) is reversed by permuting
+    slots: slot j of k retraces slot k-1-j backwards, so it keeps that slot's
+    channel and bulge, an arc's bulge with its sign flipped, and ends at that
+    slot's start vertex, the target of slot (k-2-j) mod k. Then the slots rotate
+    so that the last one ends at the smallest target, the first vertex.
+    Inactive slots and the depth stay as they are.
+    """
+    z = np.asarray(latent, dtype=float)
+    count, edges, arc = _decode(z[None])
+    k = int(count[0])
+    slots = z[: SLOT_WIDTH * k].reshape(k, SLOT_WIDTH).tolist()
+    (polygon,) = _polygons(count, edges, [0])
+    if polygon_area(polygon) < 0.0:
+        is_arc = arc[0].tolist()
+        slots = [
+            [channel, *slots[(k - 2 - j) % k][1:3], -bulge if is_arc[k - 1 - j] else bulge]
+            for j, (channel, _, _, bulge) in enumerate(reversed(slots))
+        ]
+    start = min(range(k), key=lambda i: (slots[i][1], slots[i][2]))
+    slots = slots[start + 1 :] + slots[: start + 1]
+    return np.array([v for slot in slots for v in slot] + z[SLOT_WIDTH * k :].tolist())
+
+
+def _require_number(obj: dict, key: str, context: str) -> float:
+    if key not in obj:
+        raise ConfigError(f"{context}: missing field {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context}.{key}: expected a number, got {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{context}.{key}: non-finite number not allowed")
+    return value
+
+
+def row_from_record(obj) -> np.ndarray:
+    """The latent row of a ``conditions.jsonl`` sequence record, one slot per
+    edge at its kind's canonical channel, then canonical inactive slots and the
+    depth.
+
+    The record schema is ``{"edges": [{"kind", "x", "y", "bulge"}...], "depth"}``,
+    a missing bulge 0; unknown fields, wrong types, non-finite numbers, more than
+    MAX_EDGES edges and a line's non-zero bulge are rejected with the offending
+    field named in the ConfigError. The row is not kernel-checked.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError("record must be a JSON object")
+    unknown = set(obj) - {"edges", "depth"}
+    if unknown:
+        raise ConfigError(f"unknown record fields: {sorted(unknown)}")
+    if "edges" not in obj or "depth" not in obj:
+        raise ConfigError("record must carry 'edges' and 'depth'")
+    raw_edges = obj["edges"]
+    if not isinstance(raw_edges, list):
+        raise ConfigError("edges: expected a list")
+    if len(raw_edges) > MAX_EDGES:
+        raise ConfigError(f"at most {MAX_EDGES} edges allowed, got {len(raw_edges)}")
+    row = [CANONICAL_INACTIVE, 0.0, 0.0, 0.0] * MAX_EDGES
+    for i, raw in enumerate(raw_edges):
+        context = f"edges[{i}]"
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{context}: expected an object")
+        unknown = set(raw) - {"kind", "x", "y", "bulge"}
+        if unknown:
+            raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
+        kind = raw.get("kind")
+        if kind not in ("line", "arc"):
+            raise ConfigError(f"{context}.kind: expected 'line' or 'arc', got {kind!r}")
+        x = _require_number(raw, "x", context)
+        y = _require_number(raw, "y", context)
+        bulge = _require_number(raw, "bulge", context) if "bulge" in raw else 0.0
+        if kind == "line" and bulge != 0.0:
+            raise ConfigError(f"{context}.bulge: must be 0 for line edges")
+        channel = CANONICAL_ARC if kind == "arc" else CANONICAL_LINE
+        row[SLOT_WIDTH * i : SLOT_WIDTH * (i + 1)] = (channel, x, y, bulge)
+    row.append(_require_number(obj, "depth", "record"))
+    return np.array(row)
+
+
+def record_from_row(latent) -> dict:
+    """The ``conditions.jsonl`` sequence record of a latent row: its decoded
+    edges, each ``{"kind", "x", "y", "bulge"}`` with a line's bulge 0, and its
+    depth."""
+    z = np.asarray(latent, dtype=float)
+    count, edges, arc = _decode(z[None])
+    k = int(count[0])
+    return {
+        "edges": [
+            {"kind": "arc" if is_arc else "line", "x": x, "y": y, "bulge": bulge}
+            for (x, y, bulge), is_arc in zip(edges[:, 0, :k].T.tolist(), arc[0, :k].tolist())
+        ],
+        "depth": float(z[-1]),
+    }
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:

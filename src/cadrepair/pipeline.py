@@ -1,17 +1,20 @@
-"""End-to-end orchestration: dataset generation, pairing, repair, variant runs.
+"""End-to-end orchestration: ground truth, dataset generation, pairing, repair,
+variant runs.
 
 Every stochastic stage derives its generator from the master seed through
 labeled SeedSequence streams, so regeneration is bitwise stable and every
 variant of the evaluation matrix shares per-condition starting noise
 (paired-seed discipline).
 
-Latents are kernel-checked by ``geometry.check_latents`` a block at a time, a
-chain block or a variant's repaired rows: a row's uint16 reason mask has bit i
-set for InvalidReason(i) and is 0 when the row is valid. Eval is three array
-steps: chain tasks return each guidance plan's latents and masks, ``repair``
-re-maps a repair variant's rejected rows and returns new latents and masks, and
-score tasks score only the valid rows, sampling each one's point cloud straight
-from its latent row.
+A model is one latent row throughout. Ground truth is drawn straight into rows
+and returned as two arrays, its conditions and its latents. Latents are
+kernel-checked by ``geometry.check_latents`` a block at a time, a ground-truth
+chunk, a chain block or a variant's repaired rows: a row's uint16 reason mask
+has bit i set for InvalidReason(i) and is 0 when the row is valid. Eval is
+three array steps: chain tasks return each guidance plan's latents and masks,
+``repair`` re-maps a repair variant's rejected rows and returns new latents and
+masks, and score tasks score only the valid rows, sampling each one's point
+cloud straight from its latent row.
 """
 
 from __future__ import annotations
@@ -19,20 +22,20 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import diffusion
-from .codec import condition_descriptor, encode
+from .codec import condition_descriptor
 from .config import RunConfig
 from .geometry import (
-    CommandSequence,
-    EdgeKind,
+    CANONICAL_ARC,
+    CANONICAL_INACTIVE,
+    CANONICAL_LINE,
+    MAX_EDGES,
     SamplingStall,
-    SketchEdge,
-    canonicalize_sequence,
+    canonical_row,
     check_latents,
     sample_point_cloud,
 )
@@ -91,67 +94,67 @@ def derived_seed(master_seed: int, label: int, *indices: int) -> int:
     return int(seed_stream(master_seed, label, *indices).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class GroundTruthCondition:
-    condition: np.ndarray
-    sequence: CommandSequence
-    latent: np.ndarray
-
-
-def _random_sequence(rng: np.random.Generator) -> CommandSequence:
+def _random_row(rng: np.random.Generator) -> list[float]:
+    """One ground-truth candidate, drawn straight into a latent row at the
+    canonical channels: 3 to 5 edges, each an arc with probability
+    _ARC_PROBABILITY, then canonical inactive slots and the depth."""
     count = int(rng.integers(_EDGE_COUNTS[0], _EDGE_COUNTS[1] + 1))
-    edges = []
+    row = []
     for _ in range(count):
         is_arc = rng.random() < _ARC_PROBABILITY
         x, y = rng.uniform(-_TARGET_RANGE, _TARGET_RANGE, 2)
         bulge = float(rng.uniform(-_BULGE_RANGE, _BULGE_RANGE)) if is_arc else 0.0
-        edges.append(
-            SketchEdge(EdgeKind.ARC if is_arc else EdgeKind.LINE, (float(x), float(y)), bulge)
-        )
-    return CommandSequence(tuple(edges), float(rng.uniform(*_DEPTH_RANGE)))
+        row += (CANONICAL_ARC if is_arc else CANONICAL_LINE, float(x), float(y), bulge)
+    row += [CANONICAL_INACTIVE, 0.0, 0.0, 0.0] * (MAX_EDGES - count)
+    row.append(float(rng.uniform(*_DEPTH_RANGE)))
+    return row
 
 
-def gen_ground_truth(n_conditions: int, seed) -> list[GroundTruthCondition]:
-    """Rejection-sample kernel-valid sequences with their descriptors and latents.
+def gen_ground_truth(n_conditions: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection-sample kernel-valid latent rows: their condition descriptors,
+    (n_conditions, CONDITION_DIM), and their canonical rows, (n_conditions,
+    LATENT_DIM), in draw order.
 
-    Sequences are drawn from one generator in a fixed order, a chunk at a time
-    of twice the remaining need, and each chunk is kernel-checked with one
+    Rows are drawn from one generator in a fixed order, a chunk at a time of
+    twice the remaining need, and each chunk is kernel-checked with one
     ``check_latents`` call. Draws are accepted in order up to the need, so the
-    conditions, the stall rule and the logged draw count are those of drawing
-    and checking one sequence at a time.
+    rows, the stall rule and the logged draw count are those of drawing and
+    checking one row at a time. Each accepted row is replaced by
+    ``geometry.canonical_row``, one representative per cyclic/orientation
+    class, so the condition -> latent map stays (near-)unimodal.
     """
     if n_conditions < 1:
         raise ValueError("n_conditions must be >= 1")
     rng = np.random.default_rng(seed)
-    out: list[GroundTruthCondition] = []
+    conditions, latents = [], []
     draws = 0
-    while len(out) < n_conditions:
+    while len(latents) < n_conditions:
         # about half the draws pass, so a chunk mostly meets the need
-        chunk = [_random_sequence(rng) for _ in range(2 * (n_conditions - len(out)))]
-        for seq, mask in zip(chunk, check_latents([encode(seq) for seq in chunk])):
+        chunk = [_random_row(rng) for _ in range(2 * (n_conditions - len(latents)))]
+        for row, mask in zip(chunk, check_latents(np.array(chunk))):
             draws += 1
             if not mask:
-                # one representative per cyclic/orientation class, so the
-                # condition -> latent map stays (near-)unimodal
-                seq = canonicalize_sequence(seq)
-                z = encode(seq)
-                out.append(GroundTruthCondition(condition_descriptor(z), seq, z))
-                if len(out) == n_conditions:
+                latents.append(canonical_row(row))
+                conditions.append(condition_descriptor(latents[-1]))
+                if len(latents) == n_conditions:
                     break
-            elif draws >= _REJECTION_MIN_DRAWS and len(out) / draws < _REJECTION_MIN_RATE:
-                raise SamplingStall(f"acceptance {len(out) / draws:.2e} after {draws} draws")
-    logger.info("ground-truth acceptance rate %.3f (%d/%d)", len(out) / draws, len(out), draws)
-    return out
+            elif draws >= _REJECTION_MIN_DRAWS and len(latents) / draws < _REJECTION_MIN_RATE:
+                raise SamplingStall(f"acceptance {len(latents) / draws:.2e} after {draws} draws")
+    logger.info(
+        "ground-truth acceptance rate %.3f (%d/%d)", len(latents) / draws, len(latents), draws
+    )
+    return np.array(conditions), np.array(latents)
 
 
 def gen_dataset(
-    ground_truth: list[GroundTruthCondition], denoiser: Mlp, cfg: RunConfig, threads: int = 1
+    conditions: np.ndarray, denoiser: Mlp, cfg: RunConfig, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate the labeled dataset: ``cfg.generations_per_condition`` unguided
-    sampled latents per ground-truth condition, and each latent's kernel reason
-    mask (``geometry.check_latents``: bit i for InvalidReason(i), 0 if valid).
+    sampled latents per ground-truth condition, a row of ``conditions``, and
+    each latent's kernel reason mask (``geometry.check_latents``: bit i for
+    InvalidReason(i), 0 if valid).
 
-    Latents are (len(ground_truth) * generations_per_condition, d) in
+    Latents are (len(conditions) * generations_per_condition, d) in
     condition-major order: generation g of condition c is chain row
     c * generations_per_condition + g, seeded by (STREAM_DATASET_GEN, c, g) of
     ``cfg.master_seed``, on ``cfg``'s schedule. The rows run as ``_chain_task``
@@ -159,9 +162,9 @@ def gen_dataset(
     processes; the results do not depend on threads.
     """
     per = cfg.generations_per_condition
-    n = len(ground_truth) * per
+    n = len(conditions) * per
     payload = {
-        "chain_conditions": np.repeat([gt.condition for gt in ground_truth], per, axis=0),
+        "chain_conditions": np.repeat(conditions, per, axis=0),
         "chain_keys": [(STREAM_DATASET_GEN, *divmod(row, per)) for row in range(n)],
         "plans": [(None, None)],
         "denoiser": denoiser,
@@ -246,21 +249,18 @@ def _required_models(variant: VariantId) -> list[str]:
     return [name for name in ("denoiser", *guidance, repair_model) if name]
 
 
-def ground_truth_cloud(
-    condition: GroundTruthCondition, condition_id: int, cfg: RunConfig
-) -> np.ndarray:
-    """The condition's ``cfg.cloud_size``-point cloud, seeded by its id alone."""
+def ground_truth_cloud(latent, condition_id: int, cfg: RunConfig) -> np.ndarray:
+    """The ``cfg.cloud_size``-point cloud of a condition's ground-truth latent
+    row, seeded by the condition's id alone."""
     return sample_point_cloud(
-        condition.latent,
-        cfg.cloud_size,
-        seed_stream(cfg.master_seed, STREAM_CLOUD_GT, condition_id),
+        latent, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GT, condition_id)
     )
 
 
 # The worker payload: "chain_conditions", seed-stream "chain_keys", guidance "plans",
 # "denoiser" and the run's "cfg" (seed, cloud size and MMD bandwidth here; schedule
 # and guide step sizes through diffusion.chain_constants); run_variants adds the
-# "conditions".
+# "ground_truth" latents.
 _WORKER_CONTEXT: dict = {}
 
 
@@ -322,13 +322,14 @@ def _score_task(task) -> list[float]:
     """Each variant's MMD score on one condition, given each variant's final
     latent and kernel reason mask for it: NaN where the mask is not 0.
 
-    The ground-truth cloud is sampled once, and each distinct valid latent is
-    sampled and scored once, so variants that share a row share its score.
+    The ground-truth cloud is sampled once, from the condition's row of the
+    context's "ground_truth" latents, and each distinct valid latent is sampled
+    and scored once, so variants that share a row share its score.
     """
     cid, (latents, masks) = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
-    points = ground_truth_cloud(ctx["conditions"][cid], cid, cfg)
+    points = ground_truth_cloud(ctx["ground_truth"][cid], cid, cfg)
     scores = {}
     for latent, mask in zip(latents, masks):
         if not mask and latent.tobytes() not in scores:
@@ -341,13 +342,15 @@ def _score_task(task) -> list[float]:
 
 def run_variants(
     variants,
-    eval_conditions,
+    conditions: np.ndarray,
+    latents: np.ndarray,
     models: dict[str, Mlp | LinearRegressor],
     cfg: RunConfig,
     threads: int = 1,
 ) -> dict[VariantId, dict[str, np.ndarray]]:
-    """Evaluate variants over the condition set with shared ground-truth
-    clouds and paired per-condition seeds. ``models`` maps the model names of
+    """Evaluate variants over the conditions, rows of ``conditions`` with their
+    ground-truth latent rows ``latents``, with shared ground-truth clouds and
+    paired per-condition seeds. ``models`` maps the model names of
     every variant's plan (``_required_models``) to the models. ``cfg`` gives
     the master seed, the schedule, the guidance scales and ``stop_gradient_y``,
     the cloud size and the MMD bandwidth (``fixed_sigma``).
@@ -377,21 +380,21 @@ def run_variants(
     by_name = {None: None, **models}
     chosen = [_VARIANT_PLANS[v] for v in variants]
     plans = list(dict.fromkeys(guidance for guidance, _ in chosen))
-    n = len(eval_conditions)
+    n = len(conditions)
     payload = {
-        "chain_conditions": np.array([c.condition for c in eval_conditions]),
+        "chain_conditions": conditions,
         "chain_keys": [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)],
         "plans": [tuple(by_name[name] for name in plan) for plan in plans],
         "denoiser": models["denoiser"],
         "cfg": cfg,
-        "conditions": list(eval_conditions),
+        "ground_truth": latents,
     }
     tables = {}
     with _worker_pool(payload, threads, n) as map_fn:
-        latents, masks = _run_chains(map_fn, n)
+        chains, masks = _run_chains(map_fn, n)
         for variant, (guidance, repair_model) in zip(variants, chosen):
             plan = plans.index(guidance)
-            z, m = latents[:, plan], masks[:, plan]
+            z, m = chains[:, plan], masks[:, plan]
             repaired = (m != 0) & (repair_model is not None)
             if repair_model:
                 z, m = repair(z, m, models[repair_model])

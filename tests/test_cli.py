@@ -26,11 +26,11 @@ import pytest
 import cadrepair
 from cadrepair import cli, geometry, pipeline
 from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
-from cadrepair.geometry import InvalidReason, check_latents, record_from_sequence
+from cadrepair.geometry import InvalidReason, check_latents, record_from_row
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
 
-from conftest import one_draw_at_a_time_ground_truth
+from conftest import one_draw_at_a_time_ground_truth, record_from_sequence
 
 TINY = {
     "master_seed": 3,
@@ -749,54 +749,93 @@ SIX_EDGES = {
         "bool-id",
         "float-id",
         "empty-file",
+        "kernel-invalid",
     ],
 )
-def test_malformed_conditions_exit_2(tmp_path, caplog, defect):
-    gt = gen_ground_truth(1, seed=0)[0]
-    good = {
-        "condition_id": 0,
-        "condition": [float(v) for v in gt.condition],
-        "sequence": record_from_sequence(gt.sequence),
-    }
+def test_malformed_conditions_exit_2(runs, tmp_path, caplog, defect):
+    # the config's own conditions.jsonl, with line 2 broken
+    root, _, _ = runs
+    lines = conditions_lines(TINY["master_seed"], TINY["n_conditions"])
+    good = json.loads(lines[1])
     nan_condition = [float("nan"), *good["condition"][1:]]
     inf_condition = [*good["condition"][:-1], float("inf")]
-    bad_line = {
-        "truncated-json": json.dumps(good)[:-7],
-        "six-edges": json.dumps({**good, "sequence": SIX_EDGES}),
-        "condition-width": json.dumps({**good, "condition": [0.1, 0.2, 0.3]}),
+    # two edges and a negative depth: a well-formed record, but no solid
+    flat = {
+        "edges": [{"kind": "line", "x": x, "y": 0.0, "bulge": 0.0} for x in (0.0, 0.5)],
+        "depth": -1.0,
+    }
+    bad_line, expected = {
+        "truncated-json": (json.dumps(good)[:-7], ":2:"),
+        "six-edges": (json.dumps({**good, "sequence": SIX_EDGES}), ":2:"),
+        "condition-width": (json.dumps({**good, "condition": [0.1, 0.2, 0.3]}), ":2:"),
         # json writes NaN and Infinity, and Python's json reads them back
-        "nan-condition": json.dumps({**good, "condition_id": 1, "condition": nan_condition}),
-        "infinite-condition": json.dumps({**good, "condition_id": 1, "condition": inf_condition}),
+        "nan-condition": (json.dumps({**good, "condition": nan_condition}), ":2:"),
+        "infinite-condition": (json.dumps({**good, "condition": inf_condition}), ":2:"),
         # true and 1.0 both equal the expected id 1
-        "bool-id": json.dumps({**good, "condition_id": True}),
-        "float-id": json.dumps({**good, "condition_id": 1.0}),
-        "empty-file": None,
+        "bool-id": (json.dumps({**good, "condition_id": True}), ":2:"),
+        "float-id": (json.dumps({**good, "condition_id": 1.0}), ":2:"),
+        "empty-file": (None, ": holds no condition"),
+        "kernel-invalid": (
+            json.dumps({**good, "sequence": flat}),
+            ":2: sequence fails kernel checks: TOO_FEW_VERTICES|DEPTH_NON_POSITIVE",
+        ),
     }[defect]
     out = tmp_path / "out"
     out.mkdir()
-    if bad_line is None:
-        (out / "conditions.jsonl").write_text("")
-        expected = "conditions.jsonl: holds no condition"
-    else:
-        (out / "conditions.jsonl").write_text(json.dumps(good) + "\n" + bad_line + "\n")
-        expected = "conditions.jsonl:2:"
+    text = "" if bad_line is None else "\n".join([lines[0], bad_line, *lines[2:]]) + "\n"
+    (out / "conditions.jsonl").write_text(text)
+    shutil.copy(root / "a" / "denoiser.json", out / "denoiser.json")
+    before = snapshot(out)
     config = write_config(tmp_path / "c.json", out)
-    assert run_stage(config, "train", "--which", "denoiser") == cli.EXIT_CONFIG
-    assert expected in caplog.text
-    assert not (out / "denoiser.json").exists()
+    for stage in (TRAIN_DENOISER, ("gen-dataset",)):
+        caplog.clear()
+        assert run_stage(config, *stage) == cli.EXIT_CONFIG
+        assert f"conditions.jsonl{expected}" in caplog.text
+        assert snapshot(out) == before
 
 
 def conditions_lines(master_seed: int, n: int) -> list[str]:
     """The records of conditions.jsonl for ``n`` training conditions of a master seed."""
     stream = pipeline.seed_stream(master_seed, pipeline.STREAM_TRAIN_GT)
+    conditions, latents = gen_ground_truth(n, stream)
     return [
         json.dumps({
             "condition_id": cid,
-            "condition": [float(v) for v in gt.condition],
-            "sequence": record_from_sequence(gt.sequence),
+            "condition": condition.tolist(),
+            "sequence": record_from_row(latent),
         })
-        for cid, gt in enumerate(gen_ground_truth(n, stream))
+        for cid, (condition, latent) in enumerate(zip(conditions, latents))
     ]
+
+
+def former_conditions_jsonl(master_seed: int, n: int) -> str:
+    """conditions.jsonl as the former writer wrote it: the records of the
+    canonical sequences of the former sampler, one a line."""
+    stream = pipeline.seed_stream(master_seed, pipeline.STREAM_TRAIN_GT)
+    sequences, conditions, _, _ = one_draw_at_a_time_ground_truth(n, stream)
+    return "".join(
+        json.dumps(
+            {
+                "condition_id": cid,
+                "condition": [float(v) for v in condition],
+                "sequence": record_from_sequence(seq),
+            },
+            allow_nan=False,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for cid, (seq, condition) in enumerate(zip(sequences, conditions))
+    )
+
+
+def test_conditions_jsonl_is_the_former_writers_bytes(runs, tmp_path):
+    root, _, _ = runs
+    expected = former_conditions_jsonl(TINY["master_seed"], TINY["n_conditions"])
+    assert (root / "a" / "conditions.jsonl").read_text() == expected
+    # many more shapes: arcs, clockwise draws that were reversed, 3 to 5 edges
+    stream = pipeline.seed_stream(11, pipeline.STREAM_TRAIN_GT)
+    cli._write_outputs(tmp_path, {"conditions.jsonl": gen_ground_truth(500, stream)})
+    assert (tmp_path / "conditions.jsonl").read_text() == former_conditions_jsonl(11, 500)
 
 
 @pytest.mark.parametrize("stage", [TRAIN_DENOISER, ("gen-dataset",)], ids=["train", "gen"])
@@ -962,7 +1001,7 @@ def test_repair_of_an_empty_file_writes_empty_outputs(tmp_path):
 
 
 def test_repair_valid_direct_never_calls_regressor(tmp_path, monkeypatch):
-    write_latents(tmp_path / "latents.bin", gen_ground_truth(1, seed=8)[0].latent[None])
+    write_latents(tmp_path / "latents.bin", gen_ground_truth(1, seed=8)[1])
     # the all-zero regressor maps every latent to an invalid one
     zero = LinearRegressor(np.zeros((LATENT_DIM, LATENT_DIM)), np.zeros(LATENT_DIM))
     save_model(tmp_path / "reg.json", zero)

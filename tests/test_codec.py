@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,58 +7,48 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadrepair import geometry
-from cadrepair.codec import (
+from cadrepair.codec import LATENT_DIM, condition_descriptor, read_latents, write_latents
+from cadrepair.config import ConfigError
+from cadrepair.geometry import (
     CANONICAL_ARC,
     CANONICAL_INACTIVE,
     CANONICAL_LINE,
-    LATENT_DIM,
-    condition_descriptor,
-    encode,
-    read_latents,
-    write_latents,
-)
-from cadrepair.config import ConfigError
-from cadrepair.geometry import (
     MAX_EDGES,
-    CommandSequence,
-    EdgeKind,
     InvalidReason,
-    SketchEdge,
     check_latents,
     latent_solid,
+    row_from_record,
 )
 from cadrepair.pipeline import gen_ground_truth
 
-from conftest import command_sequences, latent_vectors
-from test_geometry import oracle_decode
-
-
-def line(x, y):
-    return SketchEdge(EdgeKind.LINE, (float(x), float(y)))
+from conftest import command_sequences, encode, latent_row, latent_vectors
+from test_geometry import line, oracle_decode
 
 
 def triangle(depth=0.5):
-    return CommandSequence((line(0, 0), line(1, 0), line(0, 1)), depth)
+    """A reference sequence (conftest.py): the unit right triangle."""
+    return (line(0, 0), line(1, 0), line(0, 1)), depth
 
 
 def quantize(z):
-    """Projection onto the codec's canonical latents."""
+    """Projection onto the canonical latents."""
     return encode(oracle_decode(z))
 
 
 def decoded(z):
     """The one decoder on a latent row: its edge count, and each slot's
     (x, y, bulge) as its edge holds them, (MAX_EDGES, 3)."""
-    (count,), edges = geometry._decode(np.asarray(z, dtype=float)[None])
+    (count,), edges, _ = geometry._decode(np.asarray(z, dtype=float)[None])
     return int(count), edges[:, 0].T
 
 
 def sequence_edges(seq):
     """A sequence's edge count and (x, y, bulge) rows, zero-padded as ``decoded``'s."""
-    edges = np.zeros((MAX_EDGES, 3))
-    for i, e in enumerate(seq.edges):
-        edges[i] = (*e.target, e.bulge)
-    return len(seq.edges), edges
+    edges, _ = seq
+    rows = np.zeros((MAX_EDGES, 3))
+    for i, (_, x, y, bulge) in enumerate(edges):
+        rows[i] = (x, y, bulge)
+    return len(edges), rows
 
 
 def assert_decodes_to(z, seq):
@@ -67,19 +58,11 @@ def assert_decodes_to(z, seq):
     assert edges.tobytes() == want_edges.tobytes()
 
 
-def latent_from_slots(slots, depth):
-    z = np.zeros(LATENT_DIM)
-    for i, slot in enumerate(slots):
-        z[4 * i : 4 * i + 4] = slot
-    z[-1] = depth
-    return z
-
-
 # ---------------------------------------------------------------- decode
 
 
 def test_decode_triangle_layout():
-    z = latent_from_slots(
+    z = latent_row(
         [
             (0.25, 0.0, 0.0, 0.0),
             (0.25, 1.0, 0.0, 0.0),
@@ -96,13 +79,13 @@ def test_decode_triangle_layout():
 
 
 def test_decode_all_inactive_gives_empty_sequence():
-    z = latent_from_slots([(-1.0, 9, 9, 9)] * 5, 0.5)
-    assert_decodes_to(z, CommandSequence((), 0.5))
+    z = latent_row([(-1.0, 9, 9, 9)] * 5, 0.5)
+    assert_decodes_to(z, ((), 0.5))
     assert check_latents(z[None])[0] == 1 << InvalidReason.TOO_FEW_VERTICES
 
 
 def test_decode_kind_threshold():
-    z = latent_from_slots(
+    z = latent_row(
         [
             (0.75, 0.1, 0.2, 0.3),
             (0.25, 0.4, 0.5, 9.0),
@@ -119,7 +102,7 @@ def test_decode_kind_threshold():
 
 
 def test_decode_stops_at_first_inactive_slot():
-    z = latent_from_slots(
+    z = latent_row(
         [(0.25, 0, 0, 0), (-0.5, 0, 0, 0), (0.25, 1, 1, 0), (0.25, 1, 0, 0), (0.25, 0, 1, 0)],
         0.5,
     )
@@ -128,21 +111,21 @@ def test_decode_stops_at_first_inactive_slot():
 
 def test_decode_threshold_edges():
     # activity threshold is strict: t == 0 is inactive; kind threshold too.
-    z = latent_from_slots([(0.0, 0, 0, 0)] * 5, 0.5)
+    z = latent_row([(0.0, 0, 0, 0)] * 5, 0.5)
     assert decoded(z)[0] == 0
-    z = latent_from_slots(
+    z = latent_row(
         [(0.5, 0.1, 0.1, 0.9), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0)], 0.5
     )
-    assert_decodes_to(z, CommandSequence((line(0.1, 0.1),), 0.5))  # a line: bulge 0
+    assert_decodes_to(z, ((line(0.1, 0.1),), 0.5))  # a line: bulge 0
 
 
 def test_decode_takes_values_verbatim():
-    z = latent_from_slots(
+    z = latent_row(
         [(0.75, 7.5, -3.25, 2.5)] + [(-0.5, 0, 0, 0)] * 4,
         2.75,
     )
     assert decoded(z)[1][0].tolist() == [7.5, -3.25, 2.5]
-    assert latent_solid(encode(triangle(0.375)))[2] == 0.375
+    assert latent_solid(latent_row([(0, 0), (1, 0), (0, 1)], 0.375))[2] == 0.375
 
 
 def test_decode_rejects_wrong_width():
@@ -154,8 +137,13 @@ def test_decode_rejects_wrong_width():
 # ---------------------------------------------------------------- encode
 
 
+def triangle_record(depth=0.5):
+    edges = [{"kind": "line", "x": x, "y": y, "bulge": 0.0} for x, y in ((0, 0), (1, 0), (0, 1))]
+    return {"edges": edges, "depth": depth}
+
+
 def test_encode_triangle_canonical():
-    z = encode(triangle())
+    z = row_from_record(triangle_record())
     assert list(z[0::4][:5]) == [
         CANONICAL_LINE,
         CANONICAL_LINE,
@@ -164,13 +152,13 @@ def test_encode_triangle_canonical():
         CANONICAL_INACTIVE,
     ]
     assert z[-1] == 0.5
+    assert z.tobytes() == encode(triangle()).tobytes()
 
 
 def test_encode_arc_channel():
-    seq = CommandSequence(
-        (line(0, 0), SketchEdge(EdgeKind.ARC, (0.5, 0.5), -0.4), line(0, 1)), 0.25
-    )
-    z = encode(seq)
+    record = triangle_record(0.25)
+    record["edges"][1] = {"kind": "arc", "x": 0.5, "y": 0.5, "bulge": -0.4}
+    z = row_from_record(json.loads(json.dumps(record)))
     assert z[4] == CANONICAL_ARC
     assert z[7] == -0.4
 
@@ -197,8 +185,8 @@ def test_quantize_canonicalizes():
 
 
 def test_encode_of_ground_truth_is_quantize_fixed():
-    for case in gen_ground_truth(25, seed=99):
-        np.testing.assert_array_equal(quantize(case.latent), case.latent)
+    for z in gen_ground_truth(25, seed=99)[1]:
+        np.testing.assert_array_equal(quantize(z), z)
 
 
 @given(latent_vectors(values=st.floats(-1.5, 1.5, allow_nan=False)))
@@ -228,8 +216,7 @@ def test_decode_locally_constant_away_from_thresholds(z):
 
 
 def test_descriptor_unit_square():
-    seq = CommandSequence((line(0, 0), line(1, 0), line(1, 1), line(0, 1)), 0.5)
-    d = condition_descriptor(encode(seq))
+    d = condition_descriptor(latent_row([(0, 0), (1, 0), (1, 1), (0, 1)], 0.5))
     assert d.shape == (8,)
     assert d[0] == 4 / 5
     assert math.isclose(d[1], 1.0)  # |area|
@@ -240,28 +227,26 @@ def test_descriptor_unit_square():
 
 
 def test_descriptor_triangle():
-    d = condition_descriptor(encode(triangle()))
+    d = condition_descriptor(latent_row([(0, 0), (1, 0), (0, 1)], 0.5))
     assert math.isclose(d[1], 0.5)
     assert math.isclose(d[2], 2.0 + math.sqrt(2.0))
 
 
 def test_descriptor_translation_moves_only_centroid():
-    a = CommandSequence((line(0, 0), line(0.5, 0), line(0.5, 0.5), line(0, 0.5)), 0.5)
-    b = CommandSequence(
-        (line(0.3, -0.2), line(0.8, -0.2), line(0.8, 0.3), line(0.3, 0.3)), 0.5
-    )
-    da, db = condition_descriptor(encode(a)), condition_descriptor(encode(b))
+    a = latent_row([(0, 0), (0.5, 0), (0.5, 0.5), (0, 0.5)], 0.5)
+    b = latent_row([(0.3, -0.2), (0.8, -0.2), (0.8, 0.3), (0.3, 0.3)], 0.5)
+    da, db = condition_descriptor(a), condition_descriptor(b)
     np.testing.assert_allclose(np.delete(da, [3, 4]), np.delete(db, [3, 4]), atol=1e-12)
     assert not np.allclose(da[3:5], db[3:5])
 
 
 def test_descriptor_requires_validity():
     with pytest.raises(ValueError, match="latent row fails kernel checks: TOO_FEW_VERTICES$"):
-        condition_descriptor(encode(CommandSequence((line(0, 0), line(1, 0)), 0.5)))
+        condition_descriptor(latent_row([(0, 0), (1, 0)], 0.5))
 
 
 def test_descriptor_deterministic():
-    z = encode(triangle())
+    z = latent_row([(0, 0), (1, 0), (0, 1)], 0.5)
     np.testing.assert_array_equal(condition_descriptor(z), condition_descriptor(z))
 
 

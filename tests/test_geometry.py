@@ -8,59 +8,65 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cadrepair import geometry
-from cadrepair.codec import (
-    CANONICAL_ARC,
-    CANONICAL_INACTIVE,
-    CANONICAL_LINE,
-    condition_descriptor,
-    encode,
-)
+from cadrepair.codec import condition_descriptor
 from cadrepair.config import ConfigError
 from cadrepair.geometry import (
     ACTIVITY_THRESHOLD,
     ARC_SEGMENTS,
+    CANONICAL_ARC,
+    CANONICAL_INACTIVE,
+    CANONICAL_LINE,
     KIND_THRESHOLD,
     LATENT_DIM,
     MAX_EDGES,
     SLOT_WIDTH,
-    CommandSequence,
-    EdgeKind,
     InvalidReason,
-    SketchEdge,
+    canonical_row,
     check_latents,
     points_in_polygon,
     polygon_area,
     reason_names,
-    record_from_sequence,
+    record_from_row,
+    row_from_record,
     sample_point_cloud,
-    sequence_from_record,
 )
 from cadrepair.pipeline import gen_ground_truth
 
-from conftest import command_sequences, random_simple_polygon
+from conftest import (
+    canonicalize_sequence,
+    command_sequences,
+    encode,
+    latent_row,
+    random_sequence,
+    random_simple_polygon,
+    record_from_sequence,
+)
 
 
 def line(x, y):
-    return SketchEdge(EdgeKind.LINE, (float(x), float(y)))
+    """A line edge of a reference sequence (conftest.py)."""
+    return ("line", float(x), float(y), 0.0)
 
 
 def arc(x, y, bulge):
-    return SketchEdge(EdgeKind.ARC, (float(x), float(y)), float(bulge))
+    """An arc edge of a reference sequence (conftest.py)."""
+    return ("arc", float(x), float(y), float(bulge))
 
 
 def square(depth=0.5):
-    return CommandSequence((line(0, 0), line(1, 0), line(1, 1), line(0, 1)), depth)
+    return latent_row([(0, 0), (1, 0), (1, 1), (0, 1)], depth)
 
 
 def bowtie():
-    return CommandSequence((line(0, 0), line(1, 1), line(1, 0), line(0, 1)), 0.5)
+    return latent_row([(0, 0), (1, 1), (1, 0), (0, 1)], 0.5)
 
 
-def oracle_decode(latent) -> CommandSequence:
-    """The former per-row decoder: slots are scanned in order and the sequence
-    ends at the first slot whose activity channel is not above 0; an active
-    slot is an arc above 0.5 and a line otherwise, and targets, bulges and
-    depth are taken verbatim, except a line's bulge, which is 0."""
+def oracle_decode(latent):
+    """The former per-row decoder, to a reference sequence: slots are scanned in
+    order and the sequence ends at the first slot whose activity channel is not
+    above 0; an active slot is an arc above 0.5 and a line otherwise, and
+    targets, bulges and depth are taken verbatim, except a line's bulge, which
+    is 0."""
     z = np.asarray(latent, dtype=float).reshape(-1)
     assert z.shape == (LATENT_DIM,)
     edges = []
@@ -69,22 +75,21 @@ def oracle_decode(latent) -> CommandSequence:
         if not t > ACTIVITY_THRESHOLD:
             break
         if t > KIND_THRESHOLD:
-            edges.append(SketchEdge(EdgeKind.ARC, (float(x), float(y)), float(b)))
+            edges.append(arc(x, y, b))
         else:
-            edges.append(SketchEdge(EdgeKind.LINE, (float(x), float(y)), 0.0))
-    return CommandSequence(tuple(edges), float(z[-1]))
+            edges.append(line(x, y))
+    return tuple(edges), float(z[-1])
 
 
-def kernel_reasons(seq):
-    """The kernel's reasons for a sequence's latent row, in enum order."""
-    (mask,) = check_latents(encode(seq)[None])
+def kernel_reasons(z):
+    """The kernel's reasons for a latent row, in enum order."""
+    (mask,) = check_latents(np.asarray(z, dtype=float)[None])
     return tuple(r for r in InvalidReason if mask >> r & 1)
 
 
-def profile(seq):
-    """The profile polygon the one decoder builds for a sequence's latent row,
-    valid or not."""
-    count, edges = geometry._decode(encode(seq)[None])
+def profile(z):
+    """The profile polygon the one decoder builds for a latent row, valid or not."""
+    count, edges, _ = geometry._decode(np.asarray(z, dtype=float)[None])
     return geometry._polygons(count, edges, [0])[0]
 
 
@@ -97,13 +102,13 @@ def self_intersects(polygon):
 
 
 def parse_sequence(text):
-    """One sequence record of conditions.jsonl."""
-    return sequence_from_record(json.loads(text))
+    """The latent row of one sequence record of conditions.jsonl."""
+    return row_from_record(json.loads(text))
 
 
-def serialize_sequence(seq):
-    """The sequence record as gen-dataset writes it to conditions.jsonl."""
-    return json.dumps(record_from_sequence(seq), allow_nan=False, separators=(",", ":"))
+def serialize_sequence(z):
+    """A latent row's sequence record as the stages write it to conditions.jsonl."""
+    return json.dumps(record_from_row(z), allow_nan=False, separators=(",", ":"))
 
 
 def test_parse_square_record():
@@ -113,15 +118,15 @@ def test_parse_square_record():
         '{"kind":"line","x":1.0,"y":1.0,"bulge":0.0},'
         '{"kind":"line","x":0.0,"y":1.0,"bulge":0.0}],"depth":0.5}'
     )
-    seq = parse_sequence(record)
-    assert seq == square()
+    z = parse_sequence(record)
+    assert z.tobytes() == square().tobytes()
+    assert serialize_sequence(z) == record
 
 
 def test_parse_empty_sequence_is_structurally_fine():
-    seq = parse_sequence('{"edges":[],"depth":1.0}')
-    assert seq.edges == ()
-    assert seq.depth == 1.0
-    assert kernel_reasons(seq) == (InvalidReason.TOO_FEW_VERTICES,)
+    z = parse_sequence('{"edges":[],"depth":1.0}')
+    assert z.tobytes() == latent_row([], 1.0).tobytes()
+    assert kernel_reasons(z) == (InvalidReason.TOO_FEW_VERTICES,)
 
 
 def test_parse_six_edges_is_arity_error():
@@ -148,6 +153,8 @@ MALFORMED_RECORDS = {
     '{"depth":0.5}': "record must carry 'edges' and 'depth'",
     '{"edges":[{"kind":"line","x":0,"y":0,"bulge":0}],"depth":true}':
         "record.depth: expected a number, got bool",
+    '{"edges":[{"kind":["line"],"x":0,"y":0,"bulge":0}],"depth":0.5}':
+        "edges[0].kind: expected 'line' or 'arc', got ['line']",
 }
 
 
@@ -158,24 +165,80 @@ def test_parse_malformed_records(text):
 
 
 def test_serialize_carries_bulge():
-    seq = CommandSequence((line(0, 0), arc(0.5, 0.5, 0.3), line(0, 0.5)), 0.25)
-    assert '"bulge":0.3' in serialize_sequence(seq)
+    z = latent_row([(0, 0), (0.5, 0.5, 0.3), (0, 0.5)], 0.25)
+    assert '"bulge":0.3' in serialize_sequence(z)
 
 
 @given(command_sequences())
 @settings(max_examples=300)
 def test_parse_serialize_roundtrip(seq):
-    assert parse_sequence(serialize_sequence(seq)) == seq
+    # record -> row -> record, against the former encoder and record writer
+    record = record_from_sequence(seq)
+    z = row_from_record(json.loads(json.dumps(record)))
+    assert z.tobytes() == encode(seq).tobytes()
+    assert serialize_sequence(z) == json.dumps(record, separators=(",", ":"))
 
 
-def test_sequence_type_enforces_arity():
-    with pytest.raises(ValueError, match="at most 5 edges allowed, got 6"):
-        CommandSequence(tuple(line(i, 0) for i in range(6)), 0.5)
+# ---------------------------------------------------------------- canonical rows
+
+# coordinates drawn often from three values, so that targets tie on x
+TIED_COORDS = st.one_of(st.sampled_from([-0.5, 0.0, 0.5]), st.floats(-1.0, 1.0))
 
 
-def test_line_edge_rejects_bulge():
-    with pytest.raises(ValueError):
-        SketchEdge(EdgeKind.LINE, (0.0, 0.0), 0.5)
+@given(
+    command_sequences(
+        coord=TIED_COORDS, bulge=st.floats(-1.0, 1.0), depth=st.floats(0.1, 0.9), min_edges=3
+    )
+)
+# clockwise with an arc, and two targets on x = 0 and two on x = 1
+@example(((line(0, 0), line(0, 1), arc(1, 1, 0.5), line(1, 0)), 0.5))
+# clockwise, five edges, two arcs and a tie on the smallest x
+@example(
+    (
+        (arc(0.5, 0.5, -0.3), line(0.5, -0.5), line(-0.5, -0.5), arc(-0.5, 0.5, 0.9), line(0, 0.9)),
+        0.3,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_canonical_row_equals_the_former_canonicaliser(seq):
+    want = encode(canonicalize_sequence(seq))
+    assert canonical_row(encode(seq)).tobytes() == want.tobytes()
+
+
+def test_canonical_row_on_the_former_draws():
+    # the former ground-truth draws, valid or not; the premise: many are
+    # clockwise with an arc, and they have 3, 4 and 5 edges
+    rng = np.random.default_rng(31)
+    clockwise_arcs, counts = 0, set()
+    for _ in range(2000):
+        seq = random_sequence(rng)
+        z = encode(seq)
+        assert canonical_row(z).tobytes() == encode(canonicalize_sequence(seq)).tobytes()
+        edges, _ = seq
+        counts.add(len(edges))
+        is_arc = any(kind == "arc" for kind, *_ in edges)
+        clockwise_arcs += is_arc and polygon_area(profile(z)) < 0.0
+    assert counts == {3, 4, 5}
+    assert clockwise_arcs > 200
+
+
+def test_canonical_row_examples_are_clockwise():
+    # the premise of the property's two examples
+    for edges in (
+        [(0, 0), (0, 1), (1, 1, 0.5), (1, 0)],
+        [(0.5, 0.5, -0.3), (0.5, -0.5), (-0.5, -0.5), (-0.5, 0.5, 0.9), (0, 0.9)],
+    ):
+        z = latent_row(edges, 0.5)
+        assert polygon_area(profile(z)) < 0.0
+        again = canonical_row(z)
+        assert polygon_area(profile(again)) > 0.0
+        assert canonical_row(again).tobytes() == again.tobytes()
+
+
+def test_ground_truth_rows_are_their_own_canonical_rows():
+    _, latents = gen_ground_truth(50, seed=4)
+    for z in latents:
+        assert canonical_row(z).tobytes() == z.tobytes()
 
 
 # ---------------------------------------------------------------- discretization
@@ -190,8 +253,7 @@ def test_square_discretizes_to_four_vertices():
 def test_semicircle_midpoint_sagitta():
     # bulge 1 = semicircle: the middle intermediate point sits at chord/2
     # from the chord midpoint (sagitta = bulge * chord / 2).
-    seq = CommandSequence((line(0, 0), arc(1, 0, 1.0)), 0.5)
-    poly = profile(seq)
+    poly = profile(latent_row([(0, 0), (1, 0, 1.0)], 0.5))
     assert poly.shape == (1 + ARC_SEGMENTS, 2)
     mid = poly[ARC_SEGMENTS // 2]
     chord_mid = np.array([0.5, 0.0])
@@ -199,14 +261,13 @@ def test_semicircle_midpoint_sagitta():
 
 
 def test_zero_bulge_arc_equals_line():
-    arcs = CommandSequence((line(0, 0), SketchEdge(EdgeKind.ARC, (1.0, 0.0), 0.0), line(1, 1)), 0.5)
-    lines = CommandSequence((line(0, 0), line(1, 0), line(1, 1)), 0.5)
+    arcs = latent_row([(0, 0), (1.0, 0.0, 0.0), (1, 1)], 0.5)
+    lines = latent_row([(0, 0), (1, 0), (1, 1)], 0.5)
     np.testing.assert_array_equal(profile(arcs), profile(lines))
 
 
 def test_arc_points_lie_on_circle():
-    seq = CommandSequence((line(0, 0), arc(1, 0, 0.5)), 0.5)
-    poly = profile(seq)
+    poly = profile(latent_row([(0, 0), (1, 0, 0.5)], 0.5))
     arc_pts = poly[1:]
     # center for bulge 0.5 over the unit chord: (0.5, 0.375), radius 0.625
     center = np.array([0.5, 0.375])
@@ -215,8 +276,7 @@ def test_arc_points_lie_on_circle():
 
 
 def test_arc_segments_count():
-    seq = CommandSequence((line(0, 0), arc(1, 0, 0.4)), 0.5)
-    assert profile(seq).shape == (1 + ARC_SEGMENTS, 2)
+    assert profile(latent_row([(0, 0), (1, 0, 0.4)], 0.5)).shape == (1 + ARC_SEGMENTS, 2)
 
 
 # ---------------------------------------------------------------- area
@@ -373,38 +433,37 @@ def test_bowtie_reports_self_intersection():
 
 
 def test_too_few_vertices():
-    seq = CommandSequence((line(0, 0), line(1, 0)), 0.5)
-    assert InvalidReason.TOO_FEW_VERTICES in kernel_reasons(seq)
+    z = latent_row([(0, 0), (1, 0)], 0.5)
+    assert InvalidReason.TOO_FEW_VERTICES in kernel_reasons(z)
 
 
 def test_out_of_bounds():
-    seq = CommandSequence((line(0, 0), line(1.5, 0), line(1, 1)), 0.5)
-    assert InvalidReason.OUT_OF_BOUNDS in kernel_reasons(seq)
+    z = latent_row([(0, 0), (1.5, 0), (1, 1)], 0.5)
+    assert InvalidReason.OUT_OF_BOUNDS in kernel_reasons(z)
 
 
 def test_bulge_out_of_range():
-    seq = CommandSequence((line(0, 0), arc(1, 0, 1.25), line(1, 1)), 0.5)
-    assert InvalidReason.BULGE_OUT_OF_RANGE in kernel_reasons(seq)
-    ok = CommandSequence((line(0, 0), arc(1, 0, 1.0), line(1, 1)), 0.5)
+    z = latent_row([(0, 0), (1, 0, 1.25), (1, 1)], 0.5)
+    assert InvalidReason.BULGE_OUT_OF_RANGE in kernel_reasons(z)
+    ok = latent_row([(0, 0), (1, 0, 1.0), (1, 1)], 0.5)
     assert InvalidReason.BULGE_OUT_OF_RANGE not in kernel_reasons(ok)
 
 
 def test_degenerate_adjacent_vertices():
-    seq = CommandSequence((line(0, 0), line(0, 5e-4), line(1, 1)), 0.5)
-    reasons = kernel_reasons(seq)
+    reasons = kernel_reasons(latent_row([(0, 0), (0, 5e-4), (1, 1)], 0.5))
     assert InvalidReason.DEGENERATE_ADJACENT_VERTICES in reasons
     # polygon checks are skipped for degenerate input
     assert InvalidReason.SELF_INTERSECTION not in reasons
 
 
 def test_near_zero_area():
-    seq = CommandSequence((line(0, 0), line(1, 0), line(0.5, 1e-4)), 0.5)
-    assert InvalidReason.NEAR_ZERO_AREA in kernel_reasons(seq)
+    z = latent_row([(0, 0), (1, 0), (0.5, 1e-4)], 0.5)
+    assert InvalidReason.NEAR_ZERO_AREA in kernel_reasons(z)
 
 
 def test_multiple_reasons_reported_sorted():
-    seq = CommandSequence((line(0, 0), line(1.5, 0)), -1.0)
-    assert kernel_reasons(seq) == (
+    z = latent_row([(0, 0), (1.5, 0)], -1.0)
+    assert kernel_reasons(z) == (
         InvalidReason.TOO_FEW_VERTICES,
         InvalidReason.OUT_OF_BOUNDS,
         InvalidReason.DEPTH_NON_POSITIVE,
@@ -412,19 +471,19 @@ def test_multiple_reasons_reported_sorted():
 
 
 @pytest.mark.parametrize(
-    "seq",
+    "z",
     [
-        CommandSequence((line(0, 0), line(math.inf, 0), line(1, 1)), 0.5),
-        CommandSequence((line(0, 0), line(-math.inf, math.inf), line(math.inf, 1)), 0.5),
-        CommandSequence((line(0, 0), arc(1, 0, math.nan), line(1, 1)), 0.5),
-        CommandSequence((line(0, 0), line(1, 0), line(1, 1)), math.inf),
+        latent_row([(0, 0), (math.inf, 0), (1, 1)], 0.5),
+        latent_row([(0, 0), (-math.inf, math.inf), (math.inf, 1)], 0.5),
+        latent_row([(0, 0), (1, 0, math.nan), (1, 1)], 0.5),
+        latent_row([(0, 0), (1, 0), (1, 1)], math.inf),
     ],
     ids=["inf-target", "adjacent-inf-targets", "nan-bulge", "inf-depth"],
 )
-def test_non_finite_values_are_their_own_reason(seq):
+def test_non_finite_values_are_their_own_reason(z):
     # the separation and polygon checks are skipped, so no RuntimeWarning
     # (an error under pytest) comes from inf/NaN arithmetic
-    reasons = kernel_reasons(seq)
+    reasons = kernel_reasons(z)
     assert InvalidReason.NON_FINITE in reasons
     assert InvalidReason.SELF_INTERSECTION not in reasons
     assert InvalidReason.NEAR_ZERO_AREA not in reasons
@@ -434,27 +493,27 @@ def test_non_finite_values_are_their_own_reason(seq):
 
 
 @pytest.mark.parametrize(
-    "seq, reasons",
+    "z, reasons",
     [
         (
-            CommandSequence((line(0, 0), arc(1, 0, 1e200), line(1, 1)), 0.5),
+            latent_row([(0, 0), (1, 0, 1e200), (1, 1)], 0.5),
             (InvalidReason.BULGE_OUT_OF_RANGE,),
         ),
         (
-            CommandSequence((line(0, 0), line(1.7e308, -1.7e308), line(-1.7e308, 1)), 0.5),
+            latent_row([(0, 0), (1.7e308, -1.7e308), (-1.7e308, 1)], 0.5),
             (InvalidReason.OUT_OF_BOUNDS,),
         ),
         (
-            CommandSequence((line(-1e200, 0), line(1e200, 0), line(1e200, 1e200)), 0.5),
+            latent_row([(-1e200, 0), (1e200, 0), (1e200, 1e200)], 0.5),
             (InvalidReason.OUT_OF_BOUNDS,),
         ),
     ],
     ids=["bulge-1e200", "targets-1.7e308", "targets-1e200"],
 )
-def test_huge_finite_values_skip_the_polygon_checks(seq, reasons):
+def test_huge_finite_values_skip_the_polygon_checks(z, reasons):
     # their separation and polygon arithmetic would overflow, which is a
     # RuntimeWarning and so an error under pytest
-    assert kernel_reasons(seq) == reasons
+    assert kernel_reasons(z) == reasons
 
 
 @given(command_sequences(coord=st.floats(-3, 3, allow_nan=False), bulge=st.floats(-3, 3, allow_nan=False), depth=st.floats(-2, 2, allow_nan=False)))
@@ -495,36 +554,37 @@ def oracle_arc_points(start, end, bulge):
 
 def oracle_profile(seq):
     """The discretized profile of the former per-sequence kernel."""
-    targets = [e.target for e in seq.edges]
+    edges, _ = seq
+    targets = [(x, y) for _, x, y, _ in edges]
     pts = []
-    for i, edge in enumerate(seq.edges):
-        if edge.kind is EdgeKind.ARC:
-            pts.extend(oracle_arc_points(targets[i - 1], edge.target, edge.bulge))
+    for i, (kind, x, y, bulge) in enumerate(edges):
+        if kind == "arc":
+            pts.extend(oracle_arc_points(targets[i - 1], (x, y), bulge))
         else:
-            pts.append(edge.target)
+            pts.append((x, y))
     return np.array(pts, dtype=float).reshape(-1, 2)
 
 
 def oracle_kernel_check(seq):
     """The former kernel: every rule applied to one sequence at a time, with
     the pair-by-pair self-intersection oracle above."""
+    edges, depth = seq
     reasons = set()
-    n = len(seq.edges)
+    n = len(edges)
     if n < 3:
         reasons.add(InvalidReason.TOO_FEW_VERTICES)
-    values = [v for e in seq.edges for v in (*e.target, e.bulge)]
-    finite = math.isfinite(seq.depth) and all(math.isfinite(v) for v in values)
+    values = [v for _, x, y, bulge in edges for v in (x, y, bulge)]
+    finite = math.isfinite(depth) and all(math.isfinite(v) for v in values)
     if not finite:
         reasons.add(InvalidReason.NON_FINITE)
     measurable = finite and all(abs(v) <= 1e50 for v in values)
-    for edge in seq.edges:
-        x, y = edge.target
+    for kind, x, y, bulge in edges:
         if not (abs(x) <= 1.0 and abs(y) <= 1.0):
             reasons.add(InvalidReason.OUT_OF_BOUNDS)
-        if edge.kind is EdgeKind.ARC and not abs(edge.bulge) <= 1.0:
+        if kind == "arc" and not abs(bulge) <= 1.0:
             reasons.add(InvalidReason.BULGE_OUT_OF_RANGE)
     if n >= 2 and measurable:
-        targets = np.array([e.target for e in seq.edges], dtype=float)
+        targets = np.array([(x, y) for _, x, y, _ in edges], dtype=float)
         gaps = np.hypot(*(targets - np.concatenate((targets[1:], targets[:1]))).T)
         if not bool((gaps >= 1e-3).all()):
             reasons.add(InvalidReason.DEGENERATE_ADJACENT_VERTICES)
@@ -534,9 +594,9 @@ def oracle_kernel_check(seq):
             reasons.add(InvalidReason.SELF_INTERSECTION)
         if not abs(polygon_area(poly)) >= 1e-3:
             reasons.add(InvalidReason.NEAR_ZERO_AREA)
-    if not seq.depth > 0:
+    if not depth > 0:
         reasons.add(InvalidReason.DEPTH_NON_POSITIVE)
-    elif not seq.depth <= 1.0:
+    elif not depth <= 1.0:
         reasons.add(InvalidReason.DEPTH_TOO_LARGE)
     return sum(1 << r for r in reasons)
 
@@ -570,12 +630,6 @@ def latent_rows(draw):
     return np.array([v for slot in slots for v in slot] + [draw(DEPTHS)])
 
 
-def latent(slots, depth):
-    """A latent row from (channel, x, y, bulge) slots; later slots inactive."""
-    slots = list(slots) + [(-0.5, 0.0, 0.0, 0.0)] * (5 - len(slots))
-    return np.array([v for slot in slots for v in slot] + [depth])
-
-
 def random_latent_rows(seed, n):
     """Latent rows of every kind: mostly near-valid profiles, with exact
     threshold values and NaN, inf and 1e60 put in at random."""
@@ -595,15 +649,15 @@ def random_latent_rows(seed, n):
 
 
 @given(latent_rows())
-@example(latent([(0.25, 0, 0, 0), (0.25, 1e-3, 0, 0), (0.25, 1e-3, 1, 0)], 0.5))  # gap 1e-3
-@example(latent([(0.25, 0, 0, 0), (0.25, 5e-4, 0, 0), (0.25, 1, 1, 0)], 0.5))  # gap below it
-@example(latent([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (0.25, 0.5, 0, 0), (0.25, 0.5, 1, 0)], 0.5))
-@example(latent([(0.25, -1, -1, 0), (0.75, 1, -1, 1), (0.75, 1, 1, -1), (0.25, -1, 1, 0)], 1.0))
-@example(latent([(0.25, 0, 0, 0), (0.75, 1, 0, 1e-12), (0.5, 1, 1, 3), (0.75, 0, 1, 1e-13)], 0))
-@example(latent([(0.75, 0, 0, 0.5), (0.75, 0, 0, 0.5), (0.25, 1, 1, 0)], 0.5))  # zero chord
-@example(latent([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (math.nan, 1, 1, 0)], 0.5))
-@example(latent([(0.25, 0, 0, 0), (0.25, 1e60, 0, math.nan), (0.75, 1, 1, math.inf)], 0.5))
-@example(latent([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (0.25, 1, 1, 0)], math.nan))
+@example(latent_row([(0.25, 0, 0, 0), (0.25, 1e-3, 0, 0), (0.25, 1e-3, 1, 0)], 0.5))  # gap 1e-3
+@example(latent_row([(0.25, 0, 0, 0), (0.25, 5e-4, 0, 0), (0.25, 1, 1, 0)], 0.5))  # gap below it
+@example(latent_row([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (0.25, 0.5, 0, 0), (0.25, 0.5, 1, 0)], 0.5))
+@example(latent_row([(0.25, -1, -1, 0), (0.75, 1, -1, 1), (0.75, 1, 1, -1), (0.25, -1, 1, 0)], 1.0))
+@example(latent_row([(0.25, 0, 0, 0), (0.75, 1, 0, 1e-12), (0.5, 1, 1, 3), (0.75, 0, 1, 1e-13)], 0))
+@example(latent_row([(0.75, 0, 0, 0.5), (0.75, 0, 0, 0.5), (0.25, 1, 1, 0)], 0.5))  # zero chord
+@example(latent_row([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (math.nan, 1, 1, 0)], 0.5))
+@example(latent_row([(0.25, 0, 0, 0), (0.25, 1e60, 0, math.nan), (0.75, 1, 1, math.inf)], 0.5))
+@example(latent_row([(0.25, 0, 0, 0), (0.25, 1, 0, 0), (0.25, 1, 1, 0)], math.nan))
 @settings(deadline=None)  # max_examples comes from the profile (conftest.py)
 def test_check_latents_equals_oracle_on_arbitrary_rows(z):
     (mask,) = check_latents(z[None])
@@ -660,7 +714,7 @@ def test_check_latents_of_no_rows_and_of_bad_shapes():
 
 
 def test_mask_bits_are_the_reason_values():
-    z = latent([(0.25, 0, 0, 0), (0.25, 1.5, 0, 0)], -1.0)
+    z = latent_row([(0.25, 0, 0, 0), (0.25, 1.5, 0, 0)], -1.0)
     (mask,) = check_latents(z[None])
     reasons = (
         InvalidReason.TOO_FEW_VERTICES,
@@ -673,12 +727,12 @@ def test_mask_bits_are_the_reason_values():
 
 
 @given(command_sequences(coord=st.floats(-1.5, 1.5), bulge=BULGES.filter(math.isfinite)))
-@example(CommandSequence((line(0, 0), arc(0, 0, 0.5), line(1, 1)), 0.5))  # zero chord
-@example(CommandSequence((line(0, 0), arc(1, 0, 1e-12), arc(1, 1, -1e-13)), 0.5))
+@example(((line(0, 0), arc(0, 0, 0.5), line(1, 1)), 0.5))  # zero chord
+@example(((line(0, 0), arc(1, 0, 1e-12), arc(1, 1, -1e-13)), 0.5))
 @settings(max_examples=300, deadline=None)
 def test_row_profile_equals_oracle_bitwise(seq):
     z = encode(seq)
-    assert profile(seq).tobytes() == oracle_profile(oracle_decode(z)).tobytes()
+    assert profile(z).tobytes() == oracle_profile(oracle_decode(z)).tobytes()
 
 
 @given(command_sequences(coord=st.floats(-1.5, 1.5), bulge=BULGES, depth=DEPTHS))
@@ -692,13 +746,13 @@ def test_block_kernel_on_the_encoded_row_is_the_oracle(seq):
 
 
 def test_cloud_inside_unit_box():
-    cloud = sample_point_cloud(encode(square(depth=1.0)), 1000, seed=3)
+    cloud = sample_point_cloud(square(depth=1.0), 1000, seed=3)
     assert cloud.shape == (1000, 3)
     assert (cloud >= 0).all() and (cloud <= 1).all()
 
 
 def test_cloud_deterministic():
-    z = encode(square())
+    z = square()
     a = sample_point_cloud(z, 256, seed=42)
     b = sample_point_cloud(z, 256, seed=42)
     np.testing.assert_array_equal(a, b)
@@ -708,12 +762,12 @@ def test_cloud_deterministic():
 
 def test_cloud_rejects_infeasible():
     with pytest.raises(ValueError, match="latent row fails kernel checks: DEPTH_NON_POSITIVE$"):
-        sample_point_cloud(encode(square(depth=-1.0)), 10, seed=0)
+        sample_point_cloud(square(depth=-1.0), 10, seed=0)
 
 
 def test_invalid_row_is_a_value_error_naming_its_reasons():
     # two slots, the second out of bounds, and a negative depth
-    z = latent([(0.25, 0, 0, 0), (0.25, 1.5, 0, 0)], -1.0)
+    z = latent_row([(0.25, 0, 0, 0), (0.25, 1.5, 0, 0)], -1.0)
     message = "latent row fails kernel checks: TOO_FEW_VERTICES|OUT_OF_BOUNDS|DEPTH_NON_POSITIVE"
     for make in (lambda: sample_point_cloud(z, 16, 0), lambda: condition_descriptor(z)):
         with pytest.raises(ValueError) as info:
@@ -723,9 +777,8 @@ def test_invalid_row_is_a_value_error_naming_its_reasons():
 
 def test_triangle_cloud_statistics():
     depth = 0.8
-    seq = CommandSequence((line(0, 0), line(1, 0), line(0, 1)), depth)
     n = 100_000
-    cloud = sample_point_cloud(encode(seq), n, seed=7)
+    cloud = sample_point_cloud(latent_row([(0, 0), (1, 0), (0, 1)], depth), n, seed=7)
     xy = cloud[:, :2]
     assert ((xy[:, 0] + xy[:, 1]) < 1.0 + 1e-12).mean() > 0.9999
     mean_z = cloud[:, 2].mean()
@@ -736,6 +789,7 @@ def test_triangle_cloud_statistics():
 def full_chunk_point_cloud(seq, n, seed):
     """The former sampler on the former profile of a sequence: every proposal
     of every chunk is tested."""
+    _, depth = seq
     poly = oracle_profile(seq)
     rng = np.random.default_rng(seed)
     lo, hi = poly.min(axis=0), poly.max(axis=0)
@@ -746,28 +800,28 @@ def full_chunk_point_cloud(seq, n, seed):
         chunks.append(hits)
         accepted += len(hits)
     xy = np.concatenate(chunks)[:n]
-    z = rng.uniform(0.0, seq.depth, n)
+    z = rng.uniform(0.0, depth, n)
     return np.column_stack([xy, z])
 
 
 # a diagonal strip covering 5% of its bounding box: about 410 hits per chunk
-THIN_STRIP = CommandSequence((line(-1, -1), line(1, 0.9), line(1, 1), line(-1, -0.9)), 0.3)
+THIN_STRIP = latent_row([(-1, -1), (1, 0.9), (1, 1), (-1, -0.9)], 0.3)
 
 
 @pytest.mark.parametrize("n", [1, 16, 512])
 @pytest.mark.parametrize(
-    "seq",
+    "z",
     [
         square(),
-        CommandSequence((line(0, 0), line(0.8, 0), arc(0.8, 0.6, 0.7), line(0, 0.6)), 0.9),
+        latent_row([(0, 0), (0.8, 0), (0.8, 0.6, 0.7), (0, 0.6)], 0.9),
         THIN_STRIP,
     ],
     ids=["square", "arc", "thin-strip"],
 )
-def test_cloud_equals_full_chunk_sampler_bitwise(seq, n):
+def test_cloud_equals_full_chunk_sampler_bitwise(z, n):
     for seed in (0, 7, 12345):
-        expected = full_chunk_point_cloud(seq, n, seed)
-        assert sample_point_cloud(encode(seq), n, seed).tobytes() == expected.tobytes()
+        expected = full_chunk_point_cloud(oracle_decode(z), n, seed)
+        assert sample_point_cloud(z, n, seed).tobytes() == expected.tobytes()
 
 
 def test_live_stall_check_counts_the_whole_chunk(monkeypatch):
@@ -775,8 +829,8 @@ def test_live_stall_check_counts_the_whole_chunk(monkeypatch):
     # the hits of the first slice alone would read as a stall
     monkeypatch.setattr(geometry, "_STALL_PROPOSALS", 1)
     monkeypatch.setattr(geometry, "_STALL_RATE", 0.5)
-    expected = full_chunk_point_cloud(square(), 16, 0)
-    assert sample_point_cloud(encode(square()), 16, 0).tobytes() == expected.tobytes()
+    expected = full_chunk_point_cloud(oracle_decode(square()), 16, 0)
+    assert sample_point_cloud(square(), 16, 0).tobytes() == expected.tobytes()
 
 
 def test_thin_strip_needs_a_second_chunk_at_512_points():
@@ -791,6 +845,7 @@ def test_thin_strip_needs_a_second_chunk_at_512_points():
 
 def oracle_descriptor(seq):
     """The former condition descriptor of a sequence, on its former profile."""
+    edges, depth = seq
     poly = oracle_profile(seq)
     area = polygon_area(poly)
     nxt = np.concatenate((poly[1:], poly[:1]))
@@ -799,8 +854,8 @@ def oracle_descriptor(seq):
     cx = float(((poly[:, 0] + nxt[:, 0]) * cross).sum() / (6.0 * area))
     cy = float(((poly[:, 1] + nxt[:, 1]) * cross).sum() / (6.0 * area))
     width, height = (poly.max(axis=0) - poly.min(axis=0)).tolist()
-    count = len(seq.edges) / MAX_EDGES
-    return np.array([count, abs(area), perimeter, cx, cy, width, height, seq.depth])
+    count = len(edges) / MAX_EDGES
+    return np.array([count, abs(area), perimeter, cx, cy, width, height, depth])
 
 
 def decoder_rows():
@@ -809,7 +864,7 @@ def decoder_rows():
     every inactive channel at exactly 0; and with the last active channel at
     exactly 0, which drops that edge."""
     rng = np.random.default_rng(29)
-    base = np.array([gt.latent for seed in (2, 3, 7) for gt in gen_ground_truth(10, seed)])
+    base = np.concatenate([gen_ground_truth(10, seed)[1] for seed in (2, 3, 7)])
     channels = base[:, 0:-1:SLOT_WIDTH]
     bulged = base.copy()
     lines = channels == CANONICAL_LINE
@@ -884,12 +939,12 @@ def loop_points_in_polygon(points, polygon):
 
 def polygon_cases():
     rng = np.random.default_rng(21)
-    yield "triangle", profile(CommandSequence((line(0, 0), line(1, 0), line(0, 1)), 0.5))
+    yield "triangle", profile(latent_row([(0, 0), (1, 0), (0, 1)], 0.5))
     yield "arc", profile(
-        CommandSequence((line(0, 0), line(0.8, 0), arc(0.8, 0.6, 0.7), line(0, 0.6)), 0.9)
+        latent_row([(0, 0), (0.8, 0), (0.8, 0.6, 0.7), (0, 0.6)], 0.9)
     )
     yield "arcs", profile(
-        CommandSequence((arc(0.5, -0.2, 0.4), arc(0.6, 0.7, -0.3), arc(-0.4, 0.1, 0.9)), 0.5)
+        latent_row([(0.5, -0.2, 0.4), (0.6, 0.7, -0.3), (-0.4, 0.1, 0.9)], 0.5)
     )
     yield "bowtie", profile(bowtie())
     yield "star", random_simple_polygon(rng, 40)

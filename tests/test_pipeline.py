@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cadrepair import pipeline
-from cadrepair.codec import encode
 from cadrepair.config import ModelTraining, RunConfig
 from cadrepair.diffusion import build_schedule, sample
 from cadrepair.geometry import check_latents, sample_point_cloud
@@ -37,8 +36,8 @@ from cadrepair.pipeline import (
     seed_stream,
 )
 
-from conftest import one_draw_at_a_time_ground_truth
-from test_geometry import latent, oracle_decode, oracle_masks, random_latent_rows
+from conftest import encode, latent_row, one_draw_at_a_time_ground_truth
+from test_geometry import oracle_decode, oracle_masks, random_latent_rows
 
 # the default run's schedule, as RunConfig's timesteps and betas give it
 SCHED = build_schedule(100, 1e-4, 0.02)
@@ -67,35 +66,33 @@ def toy_models(seed=0):
 
 
 def test_ground_truth_all_valid_and_roundtrip():
-    cases = gen_ground_truth(30, seed=1)
-    assert len(cases) == 30
-    for case in cases:
-        assert check_latents(case.latent[None])[0] == 0
-        assert oracle_decode(case.latent) == case.sequence
-        assert case.condition.shape == (8,)
-        assert 0.0 < case.condition[0] <= 1.0
+    conditions, latents = gen_ground_truth(30, seed=1)
+    assert conditions.shape == (30, 8) and latents.shape == (30, 21)
+    assert (check_latents(latents) == 0).all()
+    # each row is the former encoding of its decoded sequence, canonical channels included
+    for z in latents:
+        assert encode(oracle_decode(z)).tobytes() == z.tobytes()
+    assert ((0.0 < conditions[:, 0]) & (conditions[:, 0] <= 1.0)).all()
 
 
 def test_ground_truth_deterministic():
     a = gen_ground_truth(10, seed=5)
     b = gen_ground_truth(10, seed=5)
-    for ca, cb in zip(a, b):
-        assert ca.sequence == cb.sequence
-        np.testing.assert_array_equal(ca.latent, cb.latent)
+    for xa, xb in zip(a, b):
+        assert xa.tobytes() == xb.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300])
 def test_ground_truth_equals_one_draw_at_a_time(n, caplog):
     # every chunk is twice the remaining need, so n = 300 takes several
     for seed in (0, 1, 2):
-        expected, draws = one_draw_at_a_time_ground_truth(n, seed)
+        _, want_conditions, want_latents, draws = one_draw_at_a_time_ground_truth(n, seed)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="cadrepair.pipeline"):
-            cases = gen_ground_truth(n, seed)
-        assert [c.sequence for c in cases] == [c.sequence for c in expected]
-        for case, want in zip(cases, expected):
-            assert case.condition.tobytes() == want.condition.tobytes()
-            assert case.latent.tobytes() == want.latent.tobytes()
+            conditions, latents = gen_ground_truth(n, seed)
+        assert conditions.shape == (n, 8) and latents.shape == (n, 21)
+        assert conditions.tobytes() == want_conditions.tobytes()
+        assert latents.tobytes() == want_latents.tobytes()
         assert f"({n}/{draws})" in caplog.text
 
 
@@ -114,21 +111,21 @@ def train_gt(n, seed):
 
 def test_gen_dataset_counts_and_determinism():
     models = toy_models()
-    ground_truth = train_gt(4, 11)
-    latents, masks = gen_dataset(ground_truth, models["denoiser"], gen_cfg(11, 3))
-    assert len(ground_truth) == 4
+    conditions, gt_latents = train_gt(4, 11)
+    latents, masks = gen_dataset(conditions, models["denoiser"], gen_cfg(11, 3))
+    assert conditions.shape == (4, 8)
     assert latents.shape == (12, 21)
     assert masks.shape == (12,) and masks.dtype == np.uint16
-    again_gt = train_gt(4, 11)
-    again_latents, again_masks = gen_dataset(again_gt, models["denoiser"], gen_cfg(11, 3))
-    assert [gt.sequence for gt in again_gt] == [gt.sequence for gt in ground_truth]
+    again_conditions, again_gt_latents = train_gt(4, 11)
+    again_latents, again_masks = gen_dataset(again_conditions, models["denoiser"], gen_cfg(11, 3))
+    assert again_gt_latents.tobytes() == gt_latents.tobytes()
     np.testing.assert_array_equal(again_latents, latents)
     np.testing.assert_array_equal(again_masks, masks)
 
 
 def test_gen_dataset_labels_match_kernel():
     models = toy_models()
-    latents, masks = gen_dataset(train_gt(3, 2), models["denoiser"], gen_cfg(2, 2))
+    latents, masks = gen_dataset(train_gt(3, 2)[0], models["denoiser"], gen_cfg(2, 2))
     np.testing.assert_array_equal(masks, oracle_masks(latents))
 
 
@@ -141,11 +138,11 @@ def test_gen_dataset_blocks_match_single_chains(monkeypatch):
     for block in (CHAIN_BLOCK, 4):
         assert 15 % block != 0
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
-        ground_truth = train_gt(3, 8)
-        latents, masks = gen_dataset(ground_truth, models["denoiser"], gen_cfg(8, 5))
+        conditions, _ = train_gt(3, 8)
+        latents, masks = gen_dataset(conditions, models["denoiser"], gen_cfg(8, 5))
         for row, (z, mask) in enumerate(zip(latents, masks)):
             cid, g = divmod(row, 5)
-            (single,) = sample(ground_truth[cid].condition[None], models["denoiser"],
+            (single,) = sample(conditions[cid][None], models["denoiser"],
                                [seed_stream(8, STREAM_DATASET_GEN, cid, g)], [(None, None)],
                                gen_cfg(8, 5))
             np.testing.assert_allclose(z, single[0], rtol=0.0, atol=1e-12)
@@ -157,9 +154,9 @@ def test_gen_dataset_does_not_depend_on_thread_count(monkeypatch):
     # block, joined in block order whichever worker ran each
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
     models = toy_models(seed=3)
-    ground_truth = train_gt(4, 12)
-    serial = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=1)
-    pooled = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=2)
+    conditions, _ = train_gt(4, 12)
+    serial = gen_dataset(conditions, models["denoiser"], gen_cfg(12, 3), threads=1)
+    pooled = gen_dataset(conditions, models["denoiser"], gen_cfg(12, 3), threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1].tobytes() == pooled[1].tobytes()
@@ -213,14 +210,14 @@ def test_ssl_pairs_none_is_empty():
 
 def test_gt_pairs_cover_every_generation():
     models = toy_models()
-    ground_truth = train_gt(3, 7)
-    latents, _ = gen_dataset(ground_truth, models["denoiser"], gen_cfg(7, 4))
+    conditions, gt_latents = train_gt(3, 7)
+    latents, _ = gen_dataset(conditions, models["denoiser"], gen_cfg(7, 4))
     pairs = build_gt_pairs(len(latents), 4)
     assert pairs.shape == (12, 2)
     assert pairs[:, 0].tolist() == list(range(12))
     assert pairs[:, 1].tolist() == [0] * 4 + [1] * 4 + [2] * 4
-    for gt in ground_truth:
-        np.testing.assert_array_equal(encode(oracle_decode(gt.latent)), gt.latent)  # canonical
+    for gt in gt_latents:
+        np.testing.assert_array_equal(encode(oracle_decode(gt)), gt)  # canonical
 
 
 # ---------------------------------------------------------------- repair
@@ -245,7 +242,7 @@ def test_repair_identity_regressor_cannot_fix():
 def test_repair_fixture_recovers_validity():
     # break a valid canonical latent by flipping one activity channel across
     # its threshold, then fit a local regressor that maps it back
-    target = encode(gen_ground_truth(1, seed=9)[0].sequence)
+    target = gen_ground_truth(1, seed=9)[1][0]
     broken = target.copy()
     broken[0] = -0.1  # first slot inactive: decodes to an empty sequence
     assert check_latents(broken[None])[0] != 0
@@ -302,7 +299,7 @@ def test_repair_keeps_rows_that_are_not_finite(value):
     # the regressor would sum a non-finite term, so each row is kept as it is
     # with its mask, a failed repair, and the product never runs on it (it
     # would warn, which pyproject.toml turns into an error)
-    shallow = latent([(0.25, 0.0, 0.0, 0.0), (0.25, 0.5, 0.0, 0.0), (0.25, 0.0, 0.5, 0.0)], 0.0)
+    shallow = latent_row([(0.25, 0.0, 0.0, 0.0), (0.25, 0.5, 0.0, 0.0), (0.25, 0.0, 0.5, 0.0)], 0.0)
     rows = np.tile(shallow, (4, 1))
     rows[0, 1], rows[1, 13], rows[2, 20] = value, value, value
     masks = check_latents(rows)
@@ -346,16 +343,20 @@ def assert_tables_equal(a, b):
 
 def test_run_variant_missing_model():
     models = {"denoiser": toy_models()["denoiser"]}
-    conditions = gen_ground_truth(2, seed=12)
+    conditions, gt_latents = gen_ground_truth(2, seed=12)
     with pytest.raises(ValueError, match="variant var3 needs model 'classifier'"):
-        run_variants([VariantId.VAR3], conditions, models, RunConfig(master_seed=1))
+        run_variants([VariantId.VAR3], conditions, gt_latents, models, RunConfig(master_seed=1))
 
 
 def test_variant_rows_paired_and_monotone():
     models = toy_models(seed=1)
-    conditions = gen_ground_truth(6, seed=13)
+    conditions, gt_latents = gen_ground_truth(6, seed=13)
     tables = run_variants(
-        [VariantId.BASELINE, VariantId.VAR5, VariantId.FULL], conditions, models, eval_cfg(3)
+        [VariantId.BASELINE, VariantId.VAR5, VariantId.FULL],
+        conditions,
+        gt_latents,
+        models,
+        eval_cfg(3),
     )
     n_valid = {v: int((table["masks"] == 0).sum()) for v, table in tables.items()}
     assert n_valid[VariantId.FULL] >= n_valid[VariantId.VAR5]  # repair only adds validity
@@ -368,8 +369,10 @@ def test_variant_rows_paired_and_monotone():
 
 def test_variant_repair_counts_consistent():
     models = toy_models(seed=2)
-    conditions = gen_ground_truth(5, seed=14)
-    table = run_variants([VariantId.VAR1], conditions, models, eval_cfg(4))[VariantId.VAR1]
+    conditions, gt_latents = gen_ground_truth(5, seed=14)
+    table = run_variants([VariantId.VAR1], conditions, gt_latents, models, eval_cfg(4))[
+        VariantId.VAR1
+    ]
     valid = table["masks"] == 0
     assert len(valid) == 5
     # every row goes through self-repair: a row it did not repair is valid
@@ -379,8 +382,8 @@ def test_variant_repair_counts_consistent():
 
 def test_baseline_never_repairs():
     models = toy_models(seed=3)
-    conditions = gen_ground_truth(4, seed=15)
-    table = run_variants([VariantId.BASELINE], conditions, models, eval_cfg(5))[
+    conditions, gt_latents = gen_ground_truth(4, seed=15)
+    table = run_variants([VariantId.BASELINE], conditions, gt_latents, models, eval_cfg(5))[
         VariantId.BASELINE
     ]
     assert table["repaired"].shape == (4,)
@@ -389,10 +392,10 @@ def test_baseline_never_repairs():
 
 def test_run_variants_parallel_matches_serial():
     models = toy_models(seed=4)
-    conditions = gen_ground_truth(4, seed=16)
+    conditions, gt_latents = gen_ground_truth(4, seed=16)
     variants = [VariantId.BASELINE, VariantId.VAR1]
-    serial = run_variants(variants, conditions, models, eval_cfg(6))
-    parallel = run_variants(variants, conditions, models, eval_cfg(6), threads=2)
+    serial = run_variants(variants, conditions, gt_latents, models, eval_cfg(6))
+    parallel = run_variants(variants, conditions, gt_latents, models, eval_cfg(6), threads=2)
     assert_tables_equal(serial, parallel)
 
 
@@ -402,7 +405,7 @@ def test_guided_variants_use_guidance():
     # other term's scale; with its own scale non-zero it diverges from it.
     # stop_gradient_y reaches the regressor's push: var4 moves with it
     models = toy_models(seed=5)
-    conditions = gen_ground_truth(3, seed=17)
+    conditions, gt_latents = gen_ground_truth(3, seed=17)
 
     def final_latents(variant, classifier_scale=10.0, regressor_scale=10.0, stop_gradient_y=False):
         cfg = eval_cfg(
@@ -411,7 +414,8 @@ def test_guided_variants_use_guidance():
             regressor_scale=regressor_scale,
             stop_gradient_y=stop_gradient_y,
         )
-        return list(run_variants([variant], conditions, models, cfg)[variant]["latents"])
+        tables = run_variants([variant], conditions, gt_latents, models, cfg)
+        return list(tables[variant]["latents"])
 
     base = final_latents(VariantId.BASELINE)
     for variant, silent, active in (
@@ -432,11 +436,12 @@ def test_fixed_sigma_mode_scores_at_that_bandwidth():
     # var1 repairs every sample onto one valid latent, so every row is scored;
     # each score is the MMD at sigma 0.5 of its row's cloud and its ground-truth
     # cloud, and not the median-bandwidth MMD of the same clouds
-    conditions = gen_ground_truth(4, seed=22)
+    conditions, gt_latents = gen_ground_truth(4, seed=22)
     models = toy_models(seed=10)
-    models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
+    models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), gt_latents[0])
     cfg = eval_cfg(12, sigma_mode=0.5)
-    tables = run_variants([VariantId.BASELINE, VariantId.VAR1], conditions, models, cfg)
+    variants = [VariantId.BASELINE, VariantId.VAR1]
+    tables = run_variants(variants, conditions, gt_latents, models, cfg)
     scored = [
         (cid, table["latents"][cid], table["scores"][cid])
         for table in tables.values()
@@ -446,7 +451,7 @@ def test_fixed_sigma_mode_scores_at_that_bandwidth():
     median_scores = []
     for cid, latent, score in scored:
         cloud = sample_point_cloud(latent, 64, seed_stream(12, STREAM_CLOUD_GEN, cid))
-        points = ground_truth_cloud(conditions[cid], cid, cfg)
+        points = ground_truth_cloud(gt_latents[cid], cid, cfg)
         assert score == mmd(cloud, points, 0.5)
         median_scores.append(mmd(cloud, points))
     assert [score for _, _, score in scored] != median_scores
@@ -457,15 +462,15 @@ def test_run_variants_blocks_match_single_conditions(monkeypatch):
     # 3-row tail block with CHAIN_BLOCK = 4; every row agrees with its own
     # one-row chain (CHAIN_BLOCK = 1) to 1e-12, since batched products round
     # differently, and blocks never depend on the worker count
-    conditions = gen_ground_truth(11, seed=18)
+    conditions, gt_latents = gen_ground_truth(11, seed=18)
     models = toy_models(seed=7)
     # var1 repairs every sample onto one valid latent, so every row is scored
-    models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), conditions[0].latent)
+    models["ssl_regressor"] = LinearRegressor(np.zeros((21, 21)), gt_latents[0])
     variants = [VariantId.BASELINE, VariantId.VAR1]
 
     def run(block, threads=1):
         monkeypatch.setattr(pipeline, "CHAIN_BLOCK", block)
-        return run_variants(variants, conditions, models, eval_cfg(9), threads)
+        return run_variants(variants, conditions, gt_latents, models, eval_cfg(9), threads)
 
     single = run(1)
     for block in (CHAIN_BLOCK, 4):
@@ -487,24 +492,24 @@ def _sharing_case(monkeypatch):
     # trained denoiser and weak guidance make some samples valid before
     # repair, and the toy regressors repair some of the others
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 8)
-    conditions = gen_ground_truth(11, seed=19)
+    conditions, gt_latents = gen_ground_truth(11, seed=19)
     train = gen_ground_truth(64, seed=30)
     models = toy_models(seed=8)
     models["denoiser"], _ = train_denoiser(
-        [gt.condition for gt in train],
-        [gt.latent for gt in train],
+        *train,
         SCHED,
         ModelTraining(epochs=100, batch_size=16, learning_rate=3e-3),
         seed=1,
     )
-    return conditions, models, eval_cfg(10, classifier_scale=0.1, regressor_scale=0.01)
+    cfg = eval_cfg(10, classifier_scale=0.1, regressor_scale=0.01)
+    return conditions, gt_latents, models, cfg
 
 
 def test_run_variants_shared_chains_match_single_variants(monkeypatch):
-    conditions, models, cfg = _sharing_case(monkeypatch)
+    conditions, gt_latents, models, cfg = _sharing_case(monkeypatch)
 
     def run(variants, threads=1):
-        return run_variants(variants, conditions, models, cfg, threads)
+        return run_variants(variants, conditions, gt_latents, models, cfg, threads)
 
     together = {threads: run(list(VariantId), threads) for threads in (1, 2)}
     for variant in VariantId:
@@ -521,8 +526,8 @@ def test_run_variants_shared_chains_match_single_variants(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkeypatch, threads):
-    conditions, models, cfg = _sharing_case(monkeypatch)
-    tables = run_variants(list(VariantId), conditions, models, cfg, threads)
+    conditions, gt_latents, models, cfg = _sharing_case(monkeypatch)
+    tables = run_variants(list(VariantId), conditions, gt_latents, models, cfg, threads)
     # the variant whose chain row each variant starts from
     chain_of = {VariantId.VAR1: VariantId.BASELINE, VariantId.VAR2: VariantId.BASELINE,
                 VariantId.FULL: VariantId.VAR5}
@@ -553,7 +558,7 @@ def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkey
 
 
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
-    conditions, models, cfg = _sharing_case(monkeypatch)
+    conditions, gt_latents, models, cfg = _sharing_case(monkeypatch)
     calls = {
         "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "sample_point_cloud": 0, "repair": 0,
         "check_latents": 0,
@@ -575,7 +580,7 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
     for name in ("ground_truth_cloud", "mmd", "sample_point_cloud", "repair", "check_latents"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
     monkeypatch.setattr(pipeline, "regressor_predict", predict)
-    tables = run_variants(list(VariantId), conditions, models, cfg)
+    tables = run_variants(list(VariantId), conditions, gt_latents, models, cfg)
     # one lockstep chain of all 4 guidance plans per block
     assert calls["sample"] == math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 2
     assert calls["ground_truth_cloud"] == len(conditions)
@@ -603,15 +608,15 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
 def test_run_variants_pool_matches_serial_under_start_method(monkeypatch, method):
     # workers that do not fork get the payload pickled: the default on macOS
     # (spawn) and, from Python 3.14, on Linux (forkserver)
-    conditions = gen_ground_truth(11, seed=18)
+    conditions, gt_latents = gen_ground_truth(11, seed=18)
     models = toy_models(seed=7)
     variants = [VariantId.BASELINE, VariantId.VAR1]
-    serial = run_variants(variants, conditions, models, eval_cfg(9))
+    serial = run_variants(variants, conditions, gt_latents, models, eval_cfg(9))
     pool = functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
     )
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    pooled = run_variants(variants, conditions, models, eval_cfg(9), threads=2)
+    pooled = run_variants(variants, conditions, gt_latents, models, eval_cfg(9), threads=2)
     assert list(pooled) == variants
     assert all(len(pooled[v]["latents"]) == len(conditions) for v in variants)
     assert_tables_equal(serial, pooled)
@@ -623,13 +628,13 @@ def test_gen_dataset_pool_matches_serial_under_start_method(monkeypatch, method)
     # 4 x 3 = 12 rows with CHAIN_BLOCK = 5 make three blocks on two workers
     monkeypatch.setattr(pipeline, "CHAIN_BLOCK", 5)
     models = toy_models(seed=3)
-    ground_truth = train_gt(4, 12)
-    serial = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3))
+    conditions, _ = train_gt(4, 12)
+    serial = gen_dataset(conditions, models["denoiser"], gen_cfg(12, 3))
     pool = functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
     )
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    pooled = gen_dataset(ground_truth, models["denoiser"], gen_cfg(12, 3), threads=2)
+    pooled = gen_dataset(conditions, models["denoiser"], gen_cfg(12, 3), threads=2)
     assert serial[0].shape == (12, 21)
     assert serial[0].tobytes() == pooled[0].tobytes()
     assert serial[1].tobytes() == pooled[1].tobytes()
@@ -662,7 +667,7 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
         pool_sizes.clear()
         tables = run_variants(
             [VariantId.BASELINE],
-            gen_ground_truth(n, seed=20),
+            *gen_ground_truth(n, seed=20),
             toy_models(seed=9),
             eval_cfg(11),
             threads,
@@ -673,7 +678,7 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     for threads, n, workers in ((64, 4, [3]), (2, 4, [2]), (4, 1, [])):
         pool_sizes.clear()
         latents, masks = gen_dataset(
-            train_gt(n, 21), toy_models(seed=9)["denoiser"], gen_cfg(21, 3), threads
+            train_gt(n, 21)[0], toy_models(seed=9)["denoiser"], gen_cfg(21, 3), threads
         )
         assert pool_sizes == workers, (threads, n)
         assert latents.shape == (3 * n, 21) and masks.shape == (3 * n,)
