@@ -534,7 +534,10 @@ def cmd_eval(cfg: RunConfig, variants_raw: str, threads: int) -> int:
       repaired_count, repair_failed_count; one row per variant, mean and
       median ``nan`` when the variant scored nothing; the counts are of rows
       that self-repair made valid and left invalid.
-    - ``mmd_scores.csv``: condition_id, variant, mmd; one row per valid row.
+    - ``mmd_scores.csv``: condition_id, variant, mmd; one row per valid row,
+      its cloud's MMD against the condition's ground-truth cloud. Every variant
+      of a condition is scored under one kernel, of bandwidth ``sigma_mode``'s
+      number or else the ground-truth cloud's median pairwise distance.
     - ``mmd_hist.csv``: variant, bin_lo, bin_hi, count; 16 equal-width bins per
       variant over [0, max score], or over [0, 1] when the variant has no score.
     - ``eval_latents_gt.bin``: the ground-truth latents of the conditions.

@@ -1,17 +1,19 @@
 """Evaluation mathematics: kernel MMD, score histograms, PCA.
 
 The MMD estimator is the biased V-statistic (diagonal terms included) under a
-Gaussian RBF kernel whose bandwidth is given (a run's ``sigma_mode`` number) or
-else the median pairwise distance of the pooled clouds. Squared distances of
-the pooled cloud are built in Gram form, |x|² + |y|² - 2x·y with one einsum
+Gaussian RBF kernel. ``mmd`` scores a list of clouds against one reference
+cloud, all under one kernel: its bandwidth is given (a run's ``sigma_mode``
+number) or else the median pairwise distance of the reference alone (Gretton
+et al., JMLR 2012), so every variant of an eval condition is scored under the
+kernel of its ground-truth cloud. Squared distances are built in Gram form,
+|x|² + |y|² - 2x·y of points centred on the reference's mean, with one einsum
 product per tile of _TILE_ROWS rows and negatives clamped to 0, so no call
-holds the (m+n)² matrix. The median bandwidth is selected exactly from one
-N(N-1)/2 buffer of the strict upper triangle, filled a tile at a time; the
-kernel sums then rebuild each tile, exponentiate it in its (_TILE_ROWS, N)
-scratch buffer and add its xx, xy and yy parts to running sums. Rows of y are
-built against the columns of y alone, since no sum reads the yx block. So a
-call holds about 4N² bytes for the median (N ≤ 2048 after subsampling) and
-8·_TILE_ROWS·N bytes for the sums. The Gram form agrees with summing
+holds a full distance matrix. The median bandwidth is selected exactly from
+one N(N-1)/2 buffer of the strict upper triangle, filled a tile at a time
+(N ≤ 2048 after subsampling, about 4N² bytes). The kernel sums rebuild each
+tile in a (_TILE_ROWS, columns) scratch buffer, exponentiate it and add it to
+a running sum: the reference's own sum once per call, then each cloud's sum
+against itself and against the reference. The Gram form agrees with summing
 per-coordinate squared differences to about 1e-15, not bitwise; it is
 BLAS-free, so scores do not depend on the BLAS thread count. PCA takes the top
 two eigenvectors of the 21x21 sample covariance.
@@ -26,24 +28,24 @@ import numpy as np
 
 _MEDIAN_SUBSAMPLE_LIMIT = 2048
 _MEDIAN_SUBSAMPLE_SEED = 0
-# Rows of the squared-distance matrix built at once: at 2,048 pooled points a
+# Rows of the squared-distance matrix built at once: at 2,048 columns a
 # float64 tile is 1 MiB, small enough to stay in cache while it is
 # exponentiated and summed.
 _TILE_ROWS = 64
 _STRICT_UPPER = ~np.tri(_TILE_ROWS, dtype=bool)
 
 
-def _gram_operands(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_operands(points: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two contiguous (5, n) operands of the Gram form, [p, |p|², 1] and
-    [-2p, 1, |p|²], of the centred rows p of `points`.
+    [-2p, 1, |p|²], of the rows p of `points` less `centre`.
 
-    After centring, d²(i, j) = |p_i|² + |p_j|² - 2 p_i·p_j is the einsum of
-    column i of the first with column j of the second. einsum without
-    ``optimize`` runs numpy's own loops, never a BLAS call, so the result does
-    not depend on the BLAS thread count; it sums the five terms in order, which
-    makes the diagonal, and every pair of identical points, exactly 0.
+    d²(i, j) = |p_i|² + |p_j|² - 2 p_i·p_j is the einsum of column i of the
+    first with column j of the second. einsum without ``optimize`` runs numpy's
+    own loops, never a BLAS call, so the result does not depend on the BLAS
+    thread count; it sums the five terms in order, which makes the diagonal,
+    and every pair of identical points, exactly 0.
     """
-    centred = (points - points.mean(axis=0)).T
+    centred = (points - centre).T
     left = np.empty((5, centred.shape[1]))
     right = np.empty_like(left)
     left[:3] = centred
@@ -64,19 +66,25 @@ def _square_dists(left: np.ndarray, right: np.ndarray, scratch: np.ndarray) -> n
     return np.maximum(out, 0.0, out=out)
 
 
-def _kernel_tile(
-    left: np.ndarray, right: np.ndarray, scratch: np.ndarray, sigma: float
-) -> np.ndarray:
-    """The RBF kernel values of one tile of squared distances, in `scratch`."""
-    tile = _square_dists(left, right, scratch)
-    return np.exp(np.divide(tile, -2.0 * sigma * sigma, out=tile), out=tile)
+def _kernel_sum(left: np.ndarray, right: np.ndarray, sigma: float) -> float:
+    """Sum of the RBF kernel over every column of `left` against every column
+    of `right`, a tile of _TILE_ROWS columns of `left` at a time in one
+    contiguous scratch buffer. It depends only on the operands and `sigma`, so
+    equal operands give equal bits, and two identical clouds' sums cancel."""
+    scratch = np.empty((min(_TILE_ROWS, left.shape[1]), right.shape[1]))
+    scale = -0.5 / (sigma * sigma)
+    total = 0.0
+    for start in range(0, left.shape[1], _TILE_ROWS):
+        tile = _square_dists(left[:, start : start + _TILE_ROWS], right, scratch)
+        total += float(np.exp(np.multiply(tile, scale, out=tile), out=tile).sum())
+    return total
 
 
 def _upper_square_dists(points: np.ndarray) -> np.ndarray:
     """The n(n-1)/2 squared distances d²(i, j), i < j, between the rows of
     `points`, in tile order: per tile of rows, the strict upper triangle of its
     leading square, then the rectangle right of it."""
-    left, right = _gram_operands(points)
+    left, right = _gram_operands(points, points.mean(axis=0))
     n = left.shape[1]
     upper = np.empty(n * (n - 1) // 2)
     scratch = np.empty((min(_TILE_ROWS, n), n))
@@ -110,48 +118,48 @@ def _median_distance(upper: np.ndarray) -> float:
     return median if median > 0.0 else 1.0
 
 
-def median_heuristic_sigma(x_points, y_points) -> float:
-    """Median pairwise distance over the pooled clouds; strictly positive.
+def median_heuristic_sigma(points) -> float:
+    """Median pairwise distance of one cloud's points; strictly positive.
 
-    Exact for up to 2048 pooled points, a fixed-seed uniform subsample above
-    that; falls back to 1.0 when the median distance is zero.
+    Exact for up to 2048 points, a fixed-seed uniform subsample above that;
+    1.0 when the median distance is zero or there is no pair of points.
     """
-    pooled = np.vstack([np.asarray(x_points, dtype=float), np.asarray(y_points, dtype=float)])
-    if len(pooled) < 2:
-        raise ValueError("need at least 2 pooled points")
-    if len(pooled) > _MEDIAN_SUBSAMPLE_LIMIT:
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        return 1.0
+    if len(points) > _MEDIAN_SUBSAMPLE_LIMIT:
         rng = np.random.default_rng(_MEDIAN_SUBSAMPLE_SEED)
-        pooled = pooled[rng.choice(len(pooled), _MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
-    return _median_distance(_upper_square_dists(pooled))
+        points = points[rng.choice(len(points), _MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
+    return _median_distance(_upper_square_dists(points))
 
 
-def mmd(x_points, y_points, sigma: float | None = None) -> float:
-    """Biased empirical MMD between two point clouds, diagonal terms included,
-    under the RBF kernel of bandwidth ``sigma`` (a run's ``cfg.fixed_sigma``,
-    whose range RunConfig checks), or of the pooled clouds' median pairwise
-    distance when ``sigma`` is None."""
-    x = np.asarray(x_points, dtype=float)
-    y = np.asarray(y_points, dtype=float)
-    m, n = len(x), len(y)
-    if m < 1 or n < 1:
-        raise ValueError("both clouds must be non-empty")
+def mmd(reference, clouds, sigma: float | None = None) -> list[float]:
+    """Biased empirical MMD of each cloud in `clouds` against the `reference`
+    cloud, diagonal terms included, all under the RBF kernel of bandwidth
+    ``sigma`` (a run's ``cfg.fixed_sigma``, whose range RunConfig checks), or
+    of ``median_heuristic_sigma(reference)`` when ``sigma`` is None.
+
+    The reference's own kernel sum is taken once; a cloud's score depends only
+    on the cloud, the reference and the bandwidth, not on the other clouds.
+    """
+    y = np.asarray(reference, dtype=float)
+    xs = [np.asarray(cloud, dtype=float) for cloud in clouds]
+    if min(len(points) for points in (y, *xs)) < 1:
+        raise ValueError("every cloud must be non-empty")
     if sigma is None:
-        sigma = median_heuristic_sigma(x, y)
-    left, right = _gram_operands(np.vstack([x, y]))
-    scratch = np.empty((min(_TILE_ROWS, max(m, n)), m + n))
-    kxx = kxy = kyy = 0.0
-    for start in range(0, m, _TILE_ROWS):
-        kernel = _kernel_tile(left[:, start : min(start + _TILE_ROWS, m)], right, scratch, sigma)
-        kxx += float(kernel[:, :m].sum())
-        kxy += float(kernel[:, m:].sum())
-    # rows of y against the columns of y alone, laid out as the xy part above,
-    # so that the three sums of two identical clouds cancel exactly
-    right_y, scratch_y = right[:, m:], scratch[:, m:]
-    for start in range(m, m + n, _TILE_ROWS):
-        kernel = _kernel_tile(left[:, start : start + _TILE_ROWS], right_y, scratch_y, sigma)
-        kyy += float(kernel.sum())
-    kxx, kxy, kyy = kxx / (m * m), kxy * 2.0 / (m * n), kyy / (n * n)
-    return math.sqrt(max(kxx + kyy - kxy, 0.0))
+        sigma = median_heuristic_sigma(y)
+    centre = y.mean(axis=0)
+    left_y, right_y = _gram_operands(y, centre)
+    n = len(y)
+    kyy = _kernel_sum(left_y, right_y, sigma) / (n * n)
+    scores = []
+    for x in xs:
+        m = len(x)
+        left_x, right_x = _gram_operands(x, centre)
+        kxx = _kernel_sum(left_x, right_x, sigma) / (m * m)
+        kxy = _kernel_sum(left_x, right_y, sigma) * 2.0 / (m * n)
+        scores.append(math.sqrt(max(kxx + kyy - kxy, 0.0)))
+    return scores
 
 
 def mmd_histogram(scores, bins: int = 16) -> tuple[np.ndarray, np.ndarray]:

@@ -322,21 +322,22 @@ def _score_task(task) -> list[float]:
     """Each variant's MMD score on one condition, given each variant's final
     latent and kernel reason mask for it: NaN where the mask is not 0.
 
-    The ground-truth cloud is sampled once, from the condition's row of the
-    context's "ground_truth" latents, and each distinct valid latent is sampled
-    and scored once, so variants that share a row share its score.
+    Each distinct valid latent is sampled once, so variants that share a row
+    share its score. When there is one, the condition's ground-truth cloud is
+    sampled from its row of the context's "ground_truth" latents, and one
+    ``mmd`` call scores every distinct cloud against it under one kernel: the
+    run's fixed bandwidth, or the ground-truth cloud's median pairwise distance.
     """
     cid, (latents, masks) = task
     ctx = _WORKER_CONTEXT
     cfg = ctx["cfg"]
-    points = ground_truth_cloud(ctx["ground_truth"][cid], cid, cfg)
+    rows = {z.tobytes(): z for z, mask in zip(latents, masks) if not mask}
     scores = {}
-    for latent, mask in zip(latents, masks):
-        if not mask and latent.tobytes() not in scores:
-            cloud = sample_point_cloud(
-                latent, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
-            )
-            scores[latent.tobytes()] = mmd(cloud, points, cfg.fixed_sigma)
+    if rows:
+        seed = seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
+        clouds = [sample_point_cloud(z, cfg.cloud_size, seed) for z in rows.values()]
+        points = ground_truth_cloud(ctx["ground_truth"][cid], cid, cfg)
+        scores = dict(zip(rows, mmd(points, clouds, cfg.fixed_sigma)))
     return [math.nan if mask else scores[z.tobytes()] for z, mask in zip(latents, masks)]
 
 
@@ -359,10 +360,13 @@ def run_variants(
     steps run in turn. The ``_chain_task`` blocks run every distinct guidance
     plan (its models resolved once, here) in lockstep and kernel-check each
     plan's rows. Then each repair variant runs ``repair`` on its plan's rows,
-    here, as one block. Last, one ``_score_task`` per condition samples the
-    ground-truth cloud once and samples and scores each distinct valid final
-    latent. Sharing is exact: every chain row and cloud is seeded by condition
-    id alone, and a plan's rows round the same in the stack as alone. Chain and
+    here, as one block. Last, one ``_score_task`` per condition samples each
+    distinct valid final latent's cloud once and, if there is any, the
+    ground-truth cloud, and scores them all in one ``mmd`` call: every variant
+    of a condition is scored under one kernel, whose bandwidth and reference
+    sum are computed once. Sharing is exact: every chain row and cloud is seeded
+    by condition id alone, a plan's rows round the same in the stack as alone,
+    and a cloud's score does not depend on the clouds beside it. Chain and
     score tasks map on one ``_worker_pool``, the pool ``gen_dataset`` uses too:
     at most min(threads, conditions) worker processes when threads > 1.
 
@@ -370,7 +374,8 @@ def run_variants(
     condition order, the same at any thread count. ``latents`` (n, d) holds each
     row's final latent, ``masks`` (n,) its ``check_latents`` reason mask (0 when
     valid), ``repaired`` (n,) whether self-repair ran on it, and ``scores`` (n,)
-    its MMD score, NaN where the mask is not 0.
+    its MMD score against the condition's ground-truth cloud, NaN where the mask
+    is not 0.
     """
     variants = list(variants)
     for variant in variants:

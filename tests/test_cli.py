@@ -157,6 +157,37 @@ def test_eval_spanning_chain_blocks_does_not_depend_on_thread_count(
         assert {int(row["n"]) for row in csv.DictReader(fh)} == {n_eval}
 
 
+@pytest.mark.parametrize("cloud_size", [1, 2])
+def test_eval_scores_clouds_of_one_and_two_points(runs, tmp_path, monkeypatch, cloud_size):
+    # a one-point ground-truth cloud has no pairwise distance, so its kernel
+    # takes the fallback bandwidth 1.0; two points give the one distance
+    root, _, _ = runs
+    out = tmp_path / "small"
+    shutil.copytree(root / "a", out)
+    calls, pipeline_mmd = [], pipeline.mmd
+
+    def spy(reference, clouds, sigma=None):
+        scores = pipeline_mmd(reference, clouds, sigma)
+        calls.append((reference, clouds, sigma, scores))
+        return scores
+
+    monkeypatch.setattr(pipeline, "mmd", spy)
+    config = write_config(tmp_path / "small.json", out, cloud_size=cloud_size)
+    argv = ("eval", "--variants", "baseline,var1,var2", "--threads", "1")
+    assert run_stage(config, *argv) == cli.EXIT_OK
+    assert calls
+    for reference, clouds, sigma, scores in calls:
+        assert sigma is None and len(reference) == cloud_size
+        if cloud_size == 1:
+            assert scores == pipeline_mmd(reference, clouds, 1.0)
+        else:
+            distance = float(np.linalg.norm(reference[0] - reference[1]))
+            expected = pipeline_mmd(reference, clouds, distance)
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(scores, expected))
+    written = {float(row["mmd"]) for row in read_rows(out / "mmd_scores.csv")}
+    assert written == {score for *_, scores in calls for score in scores}
+
+
 def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
     # a container pinned to 2 of the host's 64 CPUs
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)

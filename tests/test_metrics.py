@@ -17,63 +17,60 @@ from cadrepair.metrics import median_heuristic_sigma, mmd, mmd_histogram, pca_2d
 
 
 def test_median_two_points():
-    x = np.array([[0.0, 0.0, 0.0]])
-    y = np.array([[3.0, 4.0, 0.0]])
-    assert median_heuristic_sigma(x, y) == 5.0
+    assert median_heuristic_sigma(np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])) == 5.0
 
 
 def test_median_identical_points_fallback():
-    cloud = np.zeros((10, 3))
-    assert median_heuristic_sigma(cloud, cloud) == 1.0
+    assert median_heuristic_sigma(np.zeros((10, 3))) == 1.0
+
+
+def sort_oracle_median(points):
+    dists = sorted(
+        float(np.linalg.norm(points[i] - points[j]))
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+    )
+    k = len(dists)
+    return dists[k // 2] if k % 2 else 0.5 * (dists[k // 2 - 1] + dists[k // 2])
 
 
 def test_median_matches_sort_oracle():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        x = rng.normal(size=(60, 3))
-        y = rng.normal(size=(40, 3))
-        pooled = np.vstack([x, y])
-        dists = sorted(
-            float(np.linalg.norm(pooled[i] - pooled[j]))
-            for i in range(len(pooled))
-            for j in range(i + 1, len(pooled))
-        )
-        k = len(dists)
-        oracle = dists[k // 2] if k % 2 else 0.5 * (dists[k // 2 - 1] + dists[k // 2])
-        assert math.isclose(median_heuristic_sigma(x, y), oracle, rel_tol=1e-9)
+        points = rng.normal(size=(100, 3))
+        oracle = sort_oracle_median(points)
+        assert math.isclose(median_heuristic_sigma(points), oracle, rel_tol=1e-9)
 
 
 def test_median_matches_sort_oracle_odd_pair_count():
-    # 7 pooled points give 21 pairs: the median is the single middle rank
+    # 7 points give 21 pairs: the median is the single middle rank
     rng = np.random.default_rng(10)
     for _ in range(10):
-        x = rng.normal(size=(4, 3))
-        y = rng.normal(size=(3, 3))
-        pooled = np.vstack([x, y])
+        points = rng.normal(size=(7, 3))
         dists = sorted(
-            float(np.linalg.norm(pooled[i] - pooled[j]))
-            for i in range(len(pooled))
-            for j in range(i + 1, len(pooled))
+            float(np.linalg.norm(points[i] - points[j]))
+            for i in range(len(points))
+            for j in range(i + 1, len(points))
         )
         assert len(dists) == 21
-        assert math.isclose(median_heuristic_sigma(x, y), dists[10], rel_tol=1e-9)
+        assert math.isclose(median_heuristic_sigma(points), dists[10], rel_tol=1e-9)
 
 
 def test_median_too_few_points():
-    with pytest.raises(ValueError, match="need at least 2 pooled points"):
-        median_heuristic_sigma(np.zeros((1, 3)), np.zeros((0, 3)))
+    # no pair of points, no distance: the zero-median fallback, not an error
+    assert median_heuristic_sigma(np.array([[0.3, -0.2, 0.5]])) == 1.0
+    assert median_heuristic_sigma(np.zeros((0, 3))) == 1.0
 
 
 def test_median_subsample_above_limit_deterministic():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(1500, 3))
-    y = rng.normal(size=(1500, 3))
-    assert median_heuristic_sigma(x, y) == median_heuristic_sigma(x, y)
+    points = rng.normal(size=(3000, 3))
+    assert median_heuristic_sigma(points) == median_heuristic_sigma(points.copy())
 
 
 def full_pairwise_square_dists(points):
     """The former full-matrix build: (n, n) Gram-form squared distances of the
-    centred rows, one einsum over the whole pooled cloud, clamped at 0."""
+    centred rows, one einsum over the whole cloud, clamped at 0."""
     centred = (points - points.mean(axis=0)).T
     left = np.empty((5, centred.shape[1]))
     right = np.empty_like(left)
@@ -99,23 +96,21 @@ def full_median_distance(d2):
     return median if median > 0.0 else 1.0
 
 
-def full_matrix_sigma(x, y):
-    pooled = np.vstack([x, y])
-    if len(pooled) > metrics._MEDIAN_SUBSAMPLE_LIMIT:
+def full_matrix_sigma(points):
+    if len(points) > metrics._MEDIAN_SUBSAMPLE_LIMIT:
         rng = np.random.default_rng(metrics._MEDIAN_SUBSAMPLE_SEED)
-        pooled = pooled[rng.choice(len(pooled), metrics._MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
-    return full_median_distance(full_pairwise_square_dists(pooled))
+        points = points[rng.choice(len(points), metrics._MEDIAN_SUBSAMPLE_LIMIT, replace=False)]
+    return full_median_distance(full_pairwise_square_dists(points))
 
 
-@pytest.mark.parametrize("pooled", [2, 3, 63, 64, 65, 129, 414, 1024, 2048, 2200])
-def test_median_equals_the_full_matrix_oracle_bitwise(pooled):
+@pytest.mark.parametrize("points", [2, 3, 63, 64, 65, 129, 414, 1024, 2048, 2200])
+def test_median_equals_the_full_matrix_oracle_bitwise(points):
     # the tiles hold the same multiset of squared distances, so the same sigma;
-    # 2200 pooled points take the subsample path
-    rng = np.random.default_rng(pooled)
-    points = rng.normal(size=(pooled, 3)) * rng.uniform(0.1, 5.0) + rng.normal(size=3)
-    for m in (1, pooled // 2, pooled - 1):
-        x, y = points[:m], points[m:]
-        assert median_heuristic_sigma(x, y) == full_matrix_sigma(x, y)
+    # 2200 points take the subsample path
+    rng = np.random.default_rng(points)
+    cloud = rng.normal(size=(points, 3)) * rng.uniform(0.1, 5.0) + rng.normal(size=3)
+    for size in (points, max(points // 2, 2)):
+        assert median_heuristic_sigma(cloud[:size]) == full_matrix_sigma(cloud[:size])
 
 
 def test_upper_buffer_holds_the_strict_upper_triangle():
@@ -128,10 +123,23 @@ def test_upper_buffer_holds_the_strict_upper_triangle():
 
 
 # ---------------------------------------------------------------- MMD
+#
+# mmd(reference, clouds, sigma) scores each cloud against the reference under
+# one kernel; the single-cloud cases below score x against the reference y.
 
 
-def mmd_oracle(x, y, sigma):
+def score(x, y, sigma=None):
+    [value] = mmd(y, [x], sigma)
+    return value
+
+
+def mmd_oracle(x, y, sigma=None):
+    """Double loops over the points; sigma None takes the reference y's median
+    pairwise distance, 1.0 when it is zero or y has one point."""
     m, n = len(x), len(y)
+    if sigma is None:
+        sigma = sort_oracle_median(y) if n > 1 else 1.0
+        sigma = sigma if sigma > 0.0 else 1.0
 
     def k(a, b):
         d = a - b
@@ -146,32 +154,37 @@ def mmd_oracle(x, y, sigma):
 def test_mmd_identical_clouds_is_zero():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(50, 3))
-    assert mmd(x, x.copy()) == 0.0
+    assert mmd(x, [x.copy()]) == [0.0]
 
 
 @pytest.mark.parametrize("points", [1, 63, 64, 65, 207, 512])
 def test_mmd_identical_clouds_is_zero_on_both_sides_of_the_tile_size(points):
-    # the xx, xy and yy sums run over equal tiles laid out alike, so they cancel
+    # the xx, xy and yy sums run over equal tiles laid out alike, so they cancel,
+    # also beside a cloud of another size
     rng = np.random.default_rng(2)
     x = rng.normal(size=(points, 3)) * 0.37 + 0.1
-    assert mmd(x, x.copy()) == 0.0
-    assert mmd(x, x.copy(), 0.3) == 0.0
+    other = rng.normal(size=(points + 7, 3))
+    assert mmd(x, [x.copy(), other])[0] == 0.0
+    assert mmd(x, [other, x.copy()], 0.3)[1] == 0.0
 
 
 def test_mmd_hand_case():
     x = np.array([[0.0, 0.0, 0.0]])
     y = np.array([[1.0, 0.0, 0.0]])
     expected = math.sqrt(2.0 - 2.0 * math.exp(-0.5))
-    assert abs(mmd(x, y, 1.0) - expected) < 1e-9
+    assert abs(score(x, y, 1.0) - expected) < 1e-9
+    # a one-point reference has no pair: the median bandwidth falls back to 1.0
+    assert score(x, y) == score(x, y, 1.0)
 
 
 def test_mmd_symmetric_bitwise():
-    # the Gram form's rounding depends on the pooled order, so the two
-    # orders agree to the oracle tolerance rather than bitwise
+    # named for the former bitwise check. The median bandwidth is the
+    # reference's alone, so only a fixed sigma is symmetric; the Gram form is
+    # centred on the reference, so the two orders agree to the oracle tolerance
     rng = np.random.default_rng(3)
     x = rng.normal(size=(17, 3))
     y = rng.normal(size=(23, 3)) + 0.5
-    assert abs(mmd(x, y, 0.8) - mmd(y, x, 0.8)) <= ORACLE_TOLERANCE
+    assert abs(score(x, y, 0.8) - score(y, x, 0.8)) <= ORACLE_TOLERANCE
 
 
 def test_mmd_matches_double_loop_oracle():
@@ -182,7 +195,8 @@ def test_mmd_matches_double_loop_oracle():
         x = rng.normal(size=(m, 3))
         y = rng.normal(size=(n, 3)) + rng.normal(scale=0.5, size=3)
         sigma = float(rng.uniform(0.3, 2.0))
-        assert abs(mmd(x, y, sigma) - mmd_oracle(x, y, sigma)) < 1e-12
+        assert abs(score(x, y, sigma) - mmd_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
+        assert abs(score(x, y) - mmd_oracle(x, y)) <= ORACLE_TOLERANCE
 
 
 def test_mmd_translation_invariance():
@@ -190,12 +204,28 @@ def test_mmd_translation_invariance():
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(30, 3))
     shift = np.array([10.0, -4.0, 2.5])
-    assert abs(mmd(x, y, 1.0) - mmd(x + shift, y + shift, 1.0)) < 1e-12
+    for sigma in (1.0, None):
+        assert abs(score(x, y, sigma) - score(x + shift, y + shift, sigma)) < 1e-12
 
 
 def test_mmd_empty_cloud_raises():
-    with pytest.raises(ValueError, match="both clouds must be non-empty"):
-        mmd(np.zeros((0, 3)), np.zeros((5, 3)))
+    empty, five = np.zeros((0, 3)), np.zeros((5, 3))
+    for reference, cloud in ((empty, five), (five, empty)):
+        with pytest.raises(ValueError, match="every cloud must be non-empty"):
+            mmd(reference, [cloud])
+
+
+def test_mmd_scores_each_cloud_as_if_alone():
+    # the reference's sum and bandwidth are shared; a cloud's bits are not
+    # touched by the clouds beside it, at any size or order
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(207, 3))
+    clouds = [rng.normal(size=(size, 3)) + 0.2 for size in (1, 64, 207, 300)]
+    for sigma in (None, 0.4):
+        alone = [score(x, y, sigma) for x in clouds]
+        assert mmd(y, clouds, sigma) == alone
+        assert mmd(y, clouds[::-1], sigma) == alone[::-1]
+    assert mmd(y, []) == []
 
 
 # mmd takes its bandwidth as given; a fixed one is checked once, in RunConfig.
@@ -212,16 +242,16 @@ ORACLE_TOLERANCE = 1e-13
 
 
 def mmd_broadcast_oracle(x, y, sigma=None):
-    """The former broadcast formula: one (n, m, 3) difference tensor per block."""
+    """The former broadcast formula: one (n, m, 3) difference tensor per block;
+    sigma None takes the reference y's median pairwise distance."""
 
     def square_dists(a, b):
         diff = a[:, None, :] - b[None, :, :]
         return (diff * diff).sum(axis=-1)
 
     if sigma is None:
-        pooled = np.vstack([x, y])
-        upper = square_dists(pooled, pooled)[np.triu_indices(len(pooled), k=1)]
-        median = float(np.median(np.sqrt(upper)))
+        upper = square_dists(y, y)[np.triu_indices(len(y), k=1)]
+        median = float(np.median(np.sqrt(upper))) if len(upper) else 0.0
         sigma = median if median > 0.0 else 1.0
     m, n = len(x), len(y)
     denom = 2.0 * sigma * sigma
@@ -235,9 +265,9 @@ def mmd_broadcast_oracle(x, y, sigma=None):
     "m, n, sigma, spread",
     [
         (512, 512, None, 1.0),
-        (4, 3, None, 1.0),  # 21 pooled pairs: single middle rank
+        (4, 3, None, 1.0),  # 3 reference pairs: single middle rank
         (1, 40, None, 1.0),
-        (40, 1, None, 1.0),
+        (40, 1, None, 1.0),  # one-point reference: sigma 1.0
         (6, 5, None, 0.0),  # every point identical: median 0, sigma 1.0
         (60, 45, 0.7, 1.0),
         (63, 65, None, 1.0),
@@ -265,7 +295,7 @@ def test_mmd_matches_broadcast_formula_bitwise(m, n, sigma, spread):
     rng = np.random.default_rng(m * 1000 + n)
     x = spread * rng.normal(size=(m, 3)) + 0.25
     y = spread * rng.normal(size=(n, 3)) + 0.25
-    assert abs(mmd(x, y, sigma) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
+    assert abs(score(x, y, sigma) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
 
 
 def test_mmd_matches_broadcast_formula_bitwise_random_sizes():
@@ -277,8 +307,8 @@ def test_mmd_matches_broadcast_formula_bitwise_random_sizes():
         x = rng.normal(size=(m, 3)) * rng.uniform(0.1, 5.0)
         y = rng.normal(size=(n, 3)) + rng.normal(size=3)
         sigma = float(rng.uniform(0.2, 3.0))
-        assert abs(mmd(x, y) - mmd_broadcast_oracle(x, y)) <= ORACLE_TOLERANCE
-        assert abs(mmd(x, y, sigma) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
+        assert abs(score(x, y) - mmd_broadcast_oracle(x, y)) <= ORACLE_TOLERANCE
+        assert abs(score(x, y, sigma) - mmd_broadcast_oracle(x, y, sigma)) <= ORACLE_TOLERANCE
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 7.77])
@@ -287,15 +317,24 @@ def test_mmd_identical_points_at_a_non_dyadic_value(value):
     # must still cancel it to d² = 0, so sigma falls back to 1.0
     x = np.full((6, 3), value)
     y = np.full((5, 3), value)
-    assert median_heuristic_sigma(x, y) == 1.0
-    assert mmd(x, y) == 0.0
+    assert median_heuristic_sigma(y) == 1.0
+    assert score(x, y) == 0.0
+
+
+def median_bandwidth_is_the_references_own(points):
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=(points, 3))
+    clouds = [rng.normal(size=(900, 3)) + 0.3, rng.normal(size=(5, 3))]
+    assert mmd(y, clouds) == mmd(y, clouds, median_heuristic_sigma(y))
+
+
+def test_mmd_median_bandwidth_is_the_references_own_bitwise():
+    median_bandwidth_is_the_references_own(207)
 
 
 def test_mmd_above_subsample_limit_uses_median_heuristic_sigma():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(1300, 3))
-    y = rng.normal(size=(900, 3)) + 0.3
-    assert mmd(x, y) == mmd(x, y, median_heuristic_sigma(x, y))
+    # a reference of 2,100 points takes the subsample path
+    median_bandwidth_is_the_references_own(2100)
 
 
 _DISTANCE_DIGEST = """
@@ -336,19 +375,29 @@ def traced_peak_mib(fn, *args):
 @pytest.mark.parametrize(
     "fn, m, n, limit_mib",
     [
-        (mmd, 512, 512, 6.0),  # the full-matrix build peaked at 13.0
-        (mmd, 1100, 1100, 20.0),  # subsample path; 89.0 with the full matrices
-        (median_heuristic_sigma, 512, 512, 5.0),  # 13.0
-        # the kernel sums alone hold one (64, 1024) tile, 0.5 MiB
-        (lambda x, y: mmd(x, y, 0.5), 512, 512, 1.0),
+        (score, 512, 512, 2.0),  # the pooled full-matrix build peaked at 13.0
+        (score, 1100, 1100, 6.0),  # 89.0 with the pooled full matrices
+        (score, 512, 2100, 20.0),  # subsample path: the 2,048-point median buffer
+        # the 1 MiB buffer of 130,816 distances and one (64, 512) tile
+        (median_heuristic_sigma, 0, 512, 1.5),
+        # the kernel sums alone hold one (64, 512) tile, 0.25 MiB
+        (lambda x, y: score(x, y, 0.5), 512, 512, 0.5),
     ],
-    ids=["mmd-512+512", "mmd-1100+1100", "sigma-512+512", "mmd-fixed-sigma-512+512"],
+    ids=[
+        "mmd-512+512",
+        "mmd-1100+1100",
+        "mmd-512+2100",
+        "sigma-512+512",
+        "mmd-fixed-sigma-512+512",
+    ],
 )
 def test_peak_memory_stays_below_the_pooled_matrix(fn, m, n, limit_mib):
+    # x is the scored cloud, y the reference
     rng = np.random.default_rng(m + n)
     x = rng.normal(size=(m, 3))
     y = rng.normal(size=(n, 3)) + 0.2
-    assert traced_peak_mib(fn, x, y) <= limit_mib
+    args = (y,) if fn is median_heuristic_sigma else (x, y)
+    assert traced_peak_mib(fn, *args) <= limit_mib
 
 
 # ---------------------------------------------------------------- histogram

@@ -7,7 +7,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from cadrepair import pipeline
+from cadrepair import metrics, pipeline
 from cadrepair.config import ModelTraining, RunConfig
 from cadrepair.diffusion import build_schedule, sample
 from cadrepair.geometry import check_latents, sample_point_cloud
@@ -452,8 +452,8 @@ def test_fixed_sigma_mode_scores_at_that_bandwidth():
     for cid, latent, score in scored:
         cloud = sample_point_cloud(latent, 64, seed_stream(12, STREAM_CLOUD_GEN, cid))
         points = ground_truth_cloud(gt_latents[cid], cid, cfg)
-        assert score == mmd(cloud, points, 0.5)
-        median_scores.append(mmd(cloud, points))
+        assert [score] == mmd(points, [cloud], 0.5)
+        median_scores += mmd(points, [cloud])
     assert [score for _, _, score in scored] != median_scores
 
 
@@ -560,9 +560,10 @@ def test_run_variants_tables_hold_the_kernel_verdict_of_each_final_latent(monkey
 def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatch):
     conditions, gt_latents, models, cfg = _sharing_case(monkeypatch)
     calls = {
-        "sample": 0, "ground_truth_cloud": 0, "mmd": 0, "sample_point_cloud": 0, "repair": 0,
-        "check_latents": 0,
+        "sample": 0, "ground_truth_cloud": 0, "sample_point_cloud": 0, "repair": 0,
+        "check_latents": 0, "median_heuristic_sigma": 0,
     }
+    scored_clouds = []  # the cloud count of each mmd call
     remapped = []  # the rows of each regressor_predict call
 
     def spy(name, fn):
@@ -577,13 +578,23 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
         return regressor_predict(regressor, z)
 
     monkeypatch.setattr(pipeline.diffusion, "sample", spy("sample", pipeline.diffusion.sample))
-    for name in ("ground_truth_cloud", "mmd", "sample_point_cloud", "repair", "check_latents"):
+    for name in ("ground_truth_cloud", "sample_point_cloud", "repair", "check_latents"):
         monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
     monkeypatch.setattr(pipeline, "regressor_predict", predict)
+    monkeypatch.setattr(
+        metrics,
+        "median_heuristic_sigma",
+        spy("median_heuristic_sigma", metrics.median_heuristic_sigma),
+    )
+
+    def score(reference, clouds, sigma=None):
+        scored_clouds.append(len(clouds))
+        return mmd(reference, clouds, sigma)
+
+    monkeypatch.setattr(pipeline, "mmd", score)
     tables = run_variants(list(VariantId), conditions, gt_latents, models, cfg)
     # one lockstep chain of all 4 guidance plans per block
     assert calls["sample"] == math.ceil(len(conditions) / pipeline.CHAIN_BLOCK) == 2
-    assert calls["ground_truth_cloud"] == len(conditions)
     unrepaired = (VariantId.BASELINE, VariantId.VAR3, VariantId.VAR4, VariantId.VAR5)
     repaired = (VariantId.VAR1, VariantId.VAR2, VariantId.FULL)
     n_valid = sum(int((tables[v]["masks"] == 0).sum()) for v in unrepaired)
@@ -591,17 +602,24 @@ def test_run_variants_runs_each_plan_once_and_scores_each_latent_once(monkeypatc
         int((tables[v]["repaired"] & (tables[v]["masks"] == 0)).sum()) for v in repaired
     )
     assert 0 < n_valid and 0 < n_repaired
-    assert calls["mmd"] == n_valid + n_repaired
+    # one mmd call, one bandwidth and one ground-truth cloud per condition that
+    # has a valid row, the call scoring each of its distinct valid rows
+    valid = np.stack([tables[v]["masks"] == 0 for v in VariantId], axis=1)
+    n_scored = int(valid.any(axis=1).sum())
+    assert 0 < n_scored < len(conditions)
+    assert len(scored_clouds) == calls["median_heuristic_sigma"] == n_scored
+    assert calls["ground_truth_cloud"] == n_scored
+    assert sum(scored_clouds) == n_valid + n_repaired
     # chain rows are kernel-checked a block at a time, and each repair variant's
     # rows as one block, re-mapped by one product over exactly its invalid rows
     # (all finite here); only a valid row is sampled, once, to be scored, and
-    # each condition's ground truth once
+    # the ground truth of each condition that has one, once
     attempted = [int(tables[v]["repaired"].sum()) for v in repaired]
     assert all(np.isfinite(tables[v]["latents"]).all() for v in repaired)
     assert calls["repair"] == len(repaired)
     assert remapped == attempted
     assert calls["check_latents"] == calls["sample"] + len(repaired)
-    assert calls["sample_point_cloud"] == n_valid + n_repaired + len(conditions)
+    assert calls["sample_point_cloud"] == n_valid + n_repaired + n_scored
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
