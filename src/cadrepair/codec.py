@@ -10,6 +10,7 @@ is what carves latent space into feasible and infeasible regions.
 
 from __future__ import annotations
 
+import logging
 import struct
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from .config import ConfigError, MissingArtifact
 from .geometry import LATENT_DIM, MAX_EDGES, latent_solid, polygon_area
 
 CONDITION_DIM = 8
+
+logger = logging.getLogger(__name__)
 
 _LATENT_MAGIC = b"LAT1"
 _HEADER = struct.Struct("<4sIII")  # magic, row count, row width, reserved
@@ -42,10 +45,15 @@ def condition_descriptor(latent) -> np.ndarray:
 
 
 def write_latents(path, latents) -> None:
-    """Write a latent matrix as little-endian float32 rows under a 16-byte header."""
+    """Write a latent matrix as little-endian float32 rows under a 16-byte header,
+    with a WARNING for rows that are not finite as written, which ``read_latents``
+    refuses."""
     arr = np.ascontiguousarray(np.asarray(latents, dtype=np.float64), dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("latent matrix must be 2-dimensional")
+    n_bad = int((~np.isfinite(arr)).any(axis=1).sum())
+    if n_bad:
+        logger.warning("%s: %d of %d rows are not finite", path, n_bad, arr.shape[0])
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_LATENT_MAGIC, arr.shape[0], arr.shape[1], 0))
         fh.write(arr.tobytes())

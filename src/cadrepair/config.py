@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,15 +25,19 @@ class MissingArtifact(Exception):
 # the JSON values each field annotation (a string, as annotations are postponed
 # here) accepts; bool is an int subclass, but `true` is neither a count nor a
 # scale, and only `true` and `false` are flags
-_JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | float": (str, int, float)}
 
 
 def _check_types(obj) -> None:
-    """ConfigError unless each field annotated int, float, bool or str holds such a value."""
+    """ConfigError unless each field holds a JSON value of a kind its annotation names."""
     for f in fields(obj):
         kinds, value = _JSON_KINDS.get(f.type), getattr(obj, f.name)
         if kinds and (isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds)):
             raise ConfigError(f"{f.name} must be a JSON {f.type}, got {value!r}")
+        # the range checks would raise OverflowError on a JSON integer beyond float range
+        if f.type.endswith("float") and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{f.name} must be finite, got an integer beyond float range")
 
 
 @dataclass
@@ -79,6 +84,13 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if f.type == "ModelTraining" and not isinstance(section, ModelTraining):
+                try:
+                    setattr(self, f.name, ModelTraining(**section))
+                except (TypeError, ConfigError) as exc:  # TypeError: a bad key or no object
+                    raise ConfigError(f"{f.name}: {exc}") from exc
         _check_types(self)
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
@@ -107,41 +119,12 @@ class RunConfig:
         if isinstance(self.sigma_mode, str):
             if self.sigma_mode != "median":
                 raise ConfigError("sigma_mode must be 'median' or a positive number")
-        elif isinstance(self.sigma_mode, bool) or not (
-            math.isfinite(self.sigma_mode) and self.sigma_mode > 0.0
-        ):
+        elif not (math.isfinite(self.sigma_mode) and self.sigma_mode > 0.0):
             raise ConfigError("fixed sigma must be finite and > 0")
 
     @property
     def fixed_sigma(self) -> float | None:
         return None if self.sigma_mode == "median" else float(self.sigma_mode)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for section in ("denoiser", "classifier"):
-            if section in kwargs:
-                spec = kwargs[section]
-                if not isinstance(spec, dict) or set(spec) - {
-                    "epochs",
-                    "batch_size",
-                    "learning_rate",
-                }:
-                    raise ConfigError(f"{section}: expected epochs/batch_size/learning_rate")
-                try:
-                    kwargs[section] = ModelTraining(**spec)
-                except TypeError as exc:
-                    raise ConfigError(f"{section}: {exc}") from exc
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -151,6 +134,11 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: cannot read: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # json.JSONDecodeError, or an integer of too many digits
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # an unknown field
+            raise ConfigError(f"{path}: {exc}") from exc

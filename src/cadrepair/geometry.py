@@ -190,6 +190,7 @@ def _self_intersecting(vertices: np.ndarray, bounds: list[int]) -> np.ndarray:
             size += 1
         batch, pieces = pieces[:size], pieces[size:]
         index = np.concatenate([np.add(t, lo, dtype=np.intp) for _, lo, t in batch], axis=2)
+        owner = np.repeat([p for p, _, _ in batch], [t.shape[2] for _, _, t in batch])
         points = np.take(vertices, index, axis=0)
         # per test, the segment's direction and the vertex's offset from its start
         arm = points[1:] - points[0]
@@ -200,22 +201,12 @@ def _self_intersecting(vertices: np.ndarray, bounds: list[int]) -> np.ndarray:
             test, pair = np.nonzero(side == 0)
             a, b, c = points[:, test, pair]
             hit[pair[((np.minimum(a, b) <= c) & (c <= np.maximum(a, b))).all(axis=1)]] = True
-        # only a polygon's last piece can be short, so a batch holds one of its pieces
-        starts = itertools.accumulate((t.shape[2] for _, _, t in batch[:-1]), initial=0)
-        out[[p for p, _, _ in batch]] |= np.logical_or.reduceat(hit, list(starts))
+        out[owner[hit]] = True
     return out
 
 
 # the bounds of a profile's |x|, |y| and |bulge|
 _SIZE_BOUNDS = np.array([[COORD_BOUND], [COORD_BOUND], [MAX_BULGE]])
-# every gap i -> j between the targets of slots i and j that a profile can
-# have, and by active slot count n, which of them it has: j follows i round
-# the profile. The gap checks need n >= 2.
-_GAPS = [(i, i + 1) for i in range(MAX_EDGES - 1)] + [(i, 0) for i in range(MAX_EDGES)]
-_GAP_ENDS = np.array(_GAPS).T
-_GAPS_USED = np.array(
-    [[n >= 2 and i < n and j == (i + 1) % n for i, j in _GAPS] for n in range(MAX_EDGES + 1)]
-)
 
 
 def _decode(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,11 +269,14 @@ def check_latents(latents) -> np.ndarray:
         flags[:, InvalidReason.DEPTH_NON_POSITIVE] = ~(depth > 0)
         flags[:, InvalidReason.DEPTH_TOO_LARGE] = depth > MAX_DEPTH
         flags[:, InvalidReason.NON_FINITE] = ~(finite & (largest < np.inf))
-        # each target's gap to the next one round the profile
-        ends = edges[:2, :, _GAP_ENDS]  # x and y, per row, at each gap's two ends
-        step = ends[..., 0, :] - ends[..., 1, :]
+        # each slot's gap from its target to the next one round the profile
+        slot = np.arange(MAX_EDGES)
+        successor = (slot + 1) % np.maximum(count, 1)[:, None]
+        step = edges[:2] - np.take_along_axis(edges[:2], successor[None], axis=2)
         close = np.hypot(step[0], step[1]) < MIN_VERTEX_SEPARATION
-    degenerate = measurable & np.logical_or.reduce(close & _GAPS_USED[count], axis=1)
+    # a profile of n >= 2 targets has a gap after each of its first n slots
+    gapped = (slot < count[:, None]) & (count[:, None] >= 2)
+    degenerate = measurable & (close & gapped).any(axis=1)
     flags[:, InvalidReason.DEGENERATE_ADJACENT_VERTICES] = degenerate
     rows = (measurable & (count >= 3) & ~degenerate).nonzero()[0]
     if len(rows):

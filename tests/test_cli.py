@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -18,6 +19,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ import pytest
 import cadrepair
 from cadrepair import cli, geometry, pipeline
 from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
+from cadrepair.config import RunConfig
 from cadrepair.geometry import InvalidReason, check_latents, record_from_row
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
@@ -431,6 +434,99 @@ def test_out_of_range_config_exits_2(tmp_path, overrides, argv):
     config = write_config(tmp_path / "c.json", tmp_path / "out", **overrides)
     assert run_stage(config, *argv) == cli.EXIT_CONFIG
     assert not (tmp_path / "out" / "config.json").exists()
+
+
+# a config file's JSON, and what its ConfigError must name
+MISSHAPEN_CONFIGS = {
+    "unknown-section-key": (
+        {**TINY, "denoiser": {**TINY["denoiser"], "ema": 0.99}}, ("denoiser: ", "'ema'")
+    ),
+    "missing-section-key": (
+        {**TINY, "classifier": {"epochs": 5, "batch_size": 16}}, ("classifier: ", "'learning_rate'")
+    ),
+    "section-a-list": ({**TINY, "denoiser": [300, 16, 3e-3]}, ("denoiser: ", "not list")),
+    "config-a-list": ([TINY], ("c.json: config must be a JSON object",)),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSHAPEN_CONFIGS))
+def test_misshapen_config_exits_2_naming_the_key(tmp_path, caplog, case):
+    raw, named = MISSHAPEN_CONFIGS[case]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main([*TRAIN_DENOISER, "--config", str(config)]) == cli.EXIT_CONFIG
+    for text in named:
+        assert text in caplog.text
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ridge",
+        "classifier_scale",
+        "regressor_scale",
+        "sigma_mode",
+        "denoiser.learning_rate",
+        "classifier.learning_rate",
+    ],
+)
+def test_integer_beyond_float_range_exits_2(tmp_path, caplog, name):
+    # json reads 1 followed by 400 zeros as an exact int, which no float holds
+    section, _, key = name.rpartition(".")
+    huge = 10**400
+    overrides = {section: {**TINY[section], key: huge}} if section else {key: huge}
+    config = write_config(tmp_path / "c.json", tmp_path / "out", **overrides)
+    assert run_stage(config, *TRAIN_DENOISER) == cli.EXIT_CONFIG
+    expected = name.replace(".", ": ")
+    assert f"{expected} must be finite, got an integer beyond float range" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python reads integers of any length",
+)
+def test_integer_of_too_many_digits_exits_2(tmp_path, caplog):
+    # Python's json refuses an integer longer than the interpreter's digit limit
+    config = tmp_path / "c.json"
+    config.write_text('{"master_seed": 1' + "0" * sys.get_int_max_str_digits() + "}")
+    assert cli.main([*TRAIN_DENOISER, "--config", str(config)]) == cli.EXIT_CONFIG
+    assert f"{config}: invalid JSON: " in caplog.text
+
+
+def test_every_benchmark_config_loads_field_for_field(tmp_path, monkeypatch):
+    # perfbench/workloads.py, imported by path; its dataclass needs the module
+    # registered in sys.modules while it runs
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert module.WORKLOADS
+    for name, workload in module.WORKLOADS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(workload.config_json(11))
+        assert asdict(RunConfig.load(path)) == workload.run_config(11), name
+
+
+_IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import cadrepair
+for info in pkgutil.iter_modules(cadrepair.__path__):
+    importlib.import_module(f"cadrepair.{info.name}")
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EVERY_MODULE],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    loaded = set(run.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"cadrepair", "numpy"}
 
 
 REPAIR_ARGV = (

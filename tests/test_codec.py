@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -262,6 +264,21 @@ def test_latent_file_roundtrip(tmp_path):
     assert loaded.shape == (17, LATENT_DIM)
     np.testing.assert_array_equal(loaded, matrix.astype(np.float32).astype(np.float64))
     assert path.read_bytes()[:4] == b"LAT1"
+
+
+def test_writing_non_finite_rows_warns_and_keeps_the_bytes(tmp_path, caplog):
+    matrix = np.zeros((5, LATENT_DIM))
+    matrix[1, 3] = np.nan
+    matrix[3, [0, 20]] = -np.inf
+    path = tmp_path / "latents.bin"
+    with caplog.at_level(logging.WARNING, logger="cadrepair.codec"):
+        write_latents(path, matrix)
+        assert f"{path}: 2 of 5 rows are not finite" in caplog.text
+        header = struct.pack("<4sIII", b"LAT1", 5, LATENT_DIM, 0)
+        assert path.read_bytes() == header + matrix.astype("<f4").tobytes()
+        caplog.clear()
+        write_latents(path, np.zeros((5, LATENT_DIM)))
+        assert not caplog.records
 
 
 def test_latent_file_header_validation(tmp_path):
