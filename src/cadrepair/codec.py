@@ -27,13 +27,14 @@ _LATENT_MAGIC = b"LAT1"
 _HEADER = struct.Struct("<4sIII")  # magic, row count, row width, reserved
 
 
-def condition_descriptor(latent) -> np.ndarray:
+def condition_descriptor(latent, mask=None) -> np.ndarray:
     """Shape descriptor of a kernel-valid latent row, the diffusion condition.
 
     Features: edge_count/5, |area|, perimeter, centroid x, centroid y,
-    bbox width, bbox height, depth, all on the row's ``latent_solid`` profile.
+    bbox width, bbox height, depth, all on the row's ``latent_solid`` profile,
+    which reads ``mask``.
     """
-    poly, count, depth = latent_solid(latent)
+    poly, count, depth = latent_solid(latent, mask)
     area = polygon_area(poly)
     nxt = np.concatenate((poly[1:], poly[:1]))
     perimeter = float(np.hypot(*(nxt - poly).T).sum())

@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 
 class ConfigError(Exception):
     """A config value, input record or artifact file is malformed (exit 2)."""
@@ -28,9 +30,16 @@ class MissingArtifact(Exception):
 _JSON_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
                "str | float": (str, int, float)}
 
+# the fields that size arrays and loops, which numpy counts in intp: a larger
+# count fails there (np.linspace, say) with a traceback instead of a ConfigError
+_COUNTS = {"n_conditions", "generations_per_condition", "n_eval_conditions", "timesteps",
+           "cloud_size", "epochs", "batch_size"}
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 def _check_types(obj) -> None:
-    """ConfigError unless each field holds a JSON value of a kind its annotation names."""
+    """ConfigError unless each field holds a JSON value of a kind its annotation
+    names, and each count is at most numpy's largest index."""
     for f in fields(obj):
         kinds, value = _JSON_KINDS.get(f.type), getattr(obj, f.name)
         if kinds and (isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds)):
@@ -38,6 +47,8 @@ def _check_types(obj) -> None:
         # the range checks would raise OverflowError on a JSON integer beyond float range
         if f.type.endswith("float") and isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ConfigError(f"{f.name} must be finite, got an integer beyond float range")
+        if f.name in _COUNTS and value > _MAX_COUNT:
+            raise ConfigError(f"{f.name} must be at most {_MAX_COUNT}, numpy's largest index")
 
 
 @dataclass

@@ -11,15 +11,26 @@ loss, both at the current noisy latent), then adds posterior-variance noise; the
 final step is deterministic. Only ``chain_constants`` reads the run config: it
 builds the schedule and the guide table of (gradient, step sizes, rows) entries.
 
+The networks' forward passes multiply by (in, out) copies of their weights,
+which ``chain_constants`` makes once per ``sample`` call: each weight matrix
+copied to Fortran order, so that ``mlp_forward``'s ``w.T`` is C-contiguous.
+At the sampler's block sizes OpenBLAS runs most of these NN products faster
+than NT products against the (out, in) weights, some twice as fast, and rounds
+some sizes differently, so the copies are part of what a seeded chain
+computes. The classifier's backward pass multiplies by its own (out, in)
+weights, already an NN product.
+
 Stacking keeps each plan's bits. numpy multiplies a (P, B, K) stack by a
 (K, N) matrix with one BLAS call per C-contiguous (B, K) slice, so each plan
 rounds as its own chain would. Merging the plans into one (P*B, K) batch
-would not: a row's product depends on the row count of its batch.
+would still not: with OpenBLAS, a one-row product rounds unlike a row of a
+larger one, and so does the classifier's one-wide output product at most row
+counts. Every other product gives a row the same bits at any row count from 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -68,18 +79,29 @@ class ChainConstants:
     Per-step arrays hold the step-t value at index t-1, the guides' ``steps``
     too. Each distinct classifier, then each distinct regressor, has one guide: its
     gradient at each latent of a stack, and the ``rows`` of the (P, B, d) stack
-    whose plans use it.
+    whose plans use it. ``denoiser`` is the (in, out) copy of the denoiser whose
+    forward passes the chains run, or None when no denoiser was given.
     """
 
     eps_coefs: np.ndarray  # beta_t / sqrt(1 - alpha_bar_t)
     sqrt_alphas: np.ndarray
     noise_stds: np.ndarray  # sqrt of the posterior variance
     guides: tuple[tuple, ...]  # (gradient, steps, rows)
+    denoiser: Mlp | None
 
 
-def infeasibility_grad(classifier: Mlp, z) -> np.ndarray:
-    """Gradient of the infeasibility probability 1 - p(feasible | z), per row of ``z``."""
-    return -mlp_grad_input(classifier, z)
+def _in_out_copy(model: Mlp) -> Mlp:
+    """``model`` with the same values, each weight matrix copied to Fortran
+    order, so that each ``w.T`` that ``mlp_forward`` multiplies by is a
+    C-contiguous (in, out) matrix."""
+    return replace(model, weights=[np.asfortranarray(w) for w in model.weights])
+
+
+def infeasibility_grad(classifier: Mlp, in_out: Mlp, z) -> np.ndarray:
+    """Gradient of the infeasibility probability 1 - p(feasible | z), per row of
+    ``z``: the forward pass runs on ``in_out``, the classifier's (in, out) copy,
+    and the backward pass multiplies by the classifier's own (out, in) weights."""
+    return -mlp_grad_input(classifier, z, mlp_forward(in_out, z))
 
 
 def consistency_grad(regressor: LinearRegressor, w_minus_i, stop_gradient_y: bool, z):
@@ -100,15 +122,20 @@ def _rows_by_model(models) -> tuple[tuple, ...]:
     return tuple((model, np.array(model_rows)) for model, model_rows in rows.values())
 
 
-def chain_constants(plans, cfg: RunConfig) -> ChainConstants:
+def chain_constants(plans, cfg: RunConfig, denoiser: Mlp | None = None) -> ChainConstants:
     """Per-call constants of the chains of ``plans``, (classifier, regressor) pairs,
     on ``cfg``'s schedule, each guide stepped at ``cfg``'s scale of its kind at every
-    t. A kind whose scale is 0 gets no entries, so its plans step unguided."""
+    t. A kind whose scale is 0 gets no entries, so its plans step unguided. Each
+    classifier's guide, and ``denoiser`` if given, get (in, out) copies."""
     schedule = build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     classifiers = _rows_by_model(c for c, _ in plans) if cfg.classifier_scale else ()
     regressors = _rows_by_model(r for _, r in plans) if cfg.regressor_scale else ()
     guides = [
-        (partial(infeasibility_grad, c), np.full(schedule.T, cfg.classifier_scale, float), rows)
+        (
+            partial(infeasibility_grad, c, _in_out_copy(c)),
+            np.full(schedule.T, cfg.classifier_scale, float),
+            rows,
+        )
         for c, rows in classifiers
     ]
     for regressor, rows in regressors:
@@ -122,6 +149,7 @@ def chain_constants(plans, cfg: RunConfig) -> ChainConstants:
         np.sqrt(schedule.alphas),
         np.sqrt(schedule.posterior_variance),
         tuple(guides),
+        None if denoiser is None else _in_out_copy(denoiser),
     )
 
 
@@ -158,7 +186,9 @@ def sample(conditions, denoiser: Mlp, seeds, plans, cfg: RunConfig) -> np.ndarra
     for its seed and independent of the other rows, and paired-seed
     comparisons across plans share the starting latent and every noise draw.
     Each plan's slice keeps the bits of its chain run alone, since numpy makes
-    one BLAS call per 2-D slice of a stacked product.
+    one BLAS call per 2-D slice of a stacked product. The denoiser and each
+    classifier run their forward passes on the (in, out) copies that
+    ``chain_constants`` makes for this call.
     """
     conditions = np.asarray(conditions, dtype=float)
     if conditions.ndim != 2 or len(conditions) != len(seeds):
@@ -168,7 +198,7 @@ def sample(conditions, denoiser: Mlp, seeds, plans, cfg: RunConfig) -> np.ndarra
         )
     if not len(plans):
         raise ValueError("need at least one guidance plan")
-    chain = chain_constants(plans, cfg)
+    chain = chain_constants(plans, cfg, denoiser)
     T = cfg.timesteps
     latent_dim = denoiser.weights[-1].shape[0]
     # (B, T, d): step index 0 is the starting latent, T - t + 1 the step-t noise
@@ -184,7 +214,7 @@ def sample(conditions, denoiser: Mlp, seeds, plans, cfg: RunConfig) -> np.ndarra
     for t in range(T, 0, -1):
         feats[..., :latent_dim] = z
         feats[..., latent_dim:cond_lo] = embeddings[t - 1]
-        eps_hat, _ = mlp_forward(denoiser, feats)
+        eps_hat, _ = mlp_forward(chain.denoiser, feats)
         noise = draws[:, T - t + 1] if t > 1 else None
         z = sample_step(z, t, eps_hat, noise, chain)
     return z

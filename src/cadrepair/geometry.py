@@ -291,14 +291,17 @@ def check_latents(latents) -> np.ndarray:
     return np.packbits(flags, axis=1, bitorder="little").view("<u2")[:, 0]
 
 
-def latent_solid(latent) -> tuple[np.ndarray, int, float]:
+def latent_solid(latent, mask=None) -> tuple[np.ndarray, int, float]:
     """The solid one kernel-valid latent row decodes to: its (n, 2) profile
     polygon, its edge count and its extrusion depth. A line adds its target to
     the polygon, an arc ARC_SEGMENTS-1 intermediate points and then its target;
     each edge starts at the previous target, and the closing edge is implicit.
-    A row that fails ``check_latents`` is a ValueError naming its reasons."""
+    A row that fails ``check_latents`` is a ValueError naming its reasons.
+    ``mask`` is the row's ``check_latents`` mask when the caller holds it, so
+    that the row is not checked again."""
     z = np.asarray(latent, dtype=float)[None]
-    (mask,) = check_latents(z)
+    if mask is None:
+        (mask,) = check_latents(z)
     if mask:
         raise ValueError(f"latent row fails kernel checks: {reason_names(int(mask))}")
     count, edges, _ = _decode(z)
@@ -437,9 +440,9 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     return inside
 
 
-def sample_point_cloud(latent, n: int, seed) -> np.ndarray:
+def sample_point_cloud(latent, n: int, seed, mask=None) -> np.ndarray:
     """Sample (n, 3) points uniformly from the solid volume of a kernel-valid
-    latent row (``latent_solid``); deterministic per seed.
+    latent row (``latent_solid``, which reads ``mask``); deterministic per seed.
 
     (x, y) proposals are uniform over the profile bounding box and accepted by
     the even-odd test on the profile polygon; z is uniform in [0, depth].
@@ -448,7 +451,7 @@ def sample_point_cloud(latent, n: int, seed) -> np.ndarray:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    poly, _, depth = latent_solid(latent)
+    poly, _, depth = latent_solid(latent, mask)
     rng = np.random.default_rng(seed)
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)

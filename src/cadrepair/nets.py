@@ -8,6 +8,11 @@ inputs and the loss's gradient at the last pre-activation, which
 ``mlp_param_grads`` backpropagates into a momentum step. No autodiff
 framework; every gradient is written out and checked against finite
 differences in the test suite.
+
+``Mlp`` weights are (out, in) matrices, in training and in model files.
+``diffusion.sample`` multiplies by per-call copies whose ``w.T`` is a
+C-contiguous (in, out) matrix, which OpenBLAS multiplies by faster; the
+layer loop, ``mlp_forward``, is the same for both.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ def mlp_forward(model: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
     preacts = []
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        s = a @ w.T + b
+        s = a @ w.T
+        s += b
         preacts.append(s)
         if k < last:
             a = np.maximum(s, 0.0)
@@ -80,11 +86,15 @@ def mlp_forward(model: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
     return a, preacts
 
 
-def mlp_grad_input(model: Mlp, x) -> np.ndarray:
-    """Exact gradient of the scalar output with respect to the input vector."""
+def mlp_grad_input(model: Mlp, x, forward=None) -> np.ndarray:
+    """Exact gradient of the scalar output with respect to the input vector.
+    ``forward`` is the ``mlp_forward`` result at ``x`` that the gradient
+    backpropagates through, if the caller holds it; otherwise it runs here."""
     if model.weights[-1].shape[0] != 1:
         raise ValueError(f"output width is {model.weights[-1].shape[0]}, need 1")
-    out, preacts = mlp_forward(model, np.asarray(x, dtype=float))
+    if forward is None:
+        forward = mlp_forward(model, np.asarray(x, dtype=float))
+    out, preacts = forward
     if model.output_activation is OutputActivation.SIGMOID:
         delta = out * (1.0 - out)
     else:

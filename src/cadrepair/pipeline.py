@@ -61,15 +61,16 @@ STREAM_TRAINING = 6
 # plans sharing the block's one noise buffer of CHAIN_BLOCK x T x 21 float64s,
 # then kernel-checks every plan's rows with one check_latents call. Measured on
 # the benchmark's gen config (1000 chains of T=100, 2-vCPU host, BLAS threads 1;
-# chain time in process, median of 5), as denoiser GEMMs + noise draws (seed
-# streams and normals, 0.07 s at any block size) + kernel check + the rest:
-# 8 rows 0.68 s (GEMMs 0.40, check 0.06); 32 rows 0.45 s (0.27, 0.04); 64 rows
-# 0.33 s (0.21, 0.03); 128 rows 0.29 s (0.18, 0.02). The gen-dataset CLI's peak
-# RSS is about 40 MB at each. 64 rows take most of the gain and still cut an
-# eval of a few hundred conditions into several chain tasks. The value also
-# fixes the artifacts: there, a GEMM's rows are bitwise those of a 64-row GEMM
-# when it has 62 rows or more, but not at 56 rows or fewer, as a tail block
-# (1000 = 15 x 64 + 40) can have.
+# gen_dataset in process, median of 5), as the total, its denoiser GEMMs on the
+# (in, out) copies and its kernel checks: 8 rows 0.52 s (GEMMs 0.28, check
+# 0.07); 32 rows 0.30 s (0.16, 0.05); 64 rows 0.27 s (0.16, 0.04); 128 rows
+# 0.24 s (0.14, 0.04). The gen-dataset CLI's peak RSS is 39 to 42 MB. 64 rows
+# take most of the gain and still cut an eval of a few hundred conditions into
+# several chain tasks. The value fixes the artifacts of guided chains, not of
+# unguided ones: there, a denoiser GEMM's rows have the same bits at any row
+# count from 2 (gen's 1000 latents are bitwise equal at all four sizes), but
+# not in a one-row block, and the classifier's one-wide output product rounds
+# by its row count at most counts.
 CHAIN_BLOCK = 64
 
 _REJECTION_MIN_DRAWS = 1_000_000
@@ -134,8 +135,9 @@ def gen_ground_truth(n_conditions: int, seed) -> tuple[np.ndarray, np.ndarray]:
         for row, mask in zip(chunk, check_latents(np.array(chunk))):
             draws += 1
             if not mask:
+                # the canonical row is the same solid, so it keeps the row's mask
                 latents.append(canonical_row(row))
-                conditions.append(condition_descriptor(latents[-1]))
+                conditions.append(condition_descriptor(latents[-1], mask))
                 if len(latents) == n_conditions:
                     break
             elif draws >= _REJECTION_MIN_DRAWS and len(latents) / draws < _REJECTION_MIN_RATE:
@@ -251,10 +253,10 @@ def _required_models(variant: VariantId) -> list[str]:
 
 def ground_truth_cloud(latent, condition_id: int, cfg: RunConfig) -> np.ndarray:
     """The ``cfg.cloud_size``-point cloud of a condition's ground-truth latent
-    row, seeded by the condition's id alone."""
-    return sample_point_cloud(
-        latent, cfg.cloud_size, seed_stream(cfg.master_seed, STREAM_CLOUD_GT, condition_id)
-    )
+    row, a kernel-valid row of ``gen_ground_truth``, seeded by the condition's
+    id alone."""
+    seed = seed_stream(cfg.master_seed, STREAM_CLOUD_GT, condition_id)
+    return sample_point_cloud(latent, cfg.cloud_size, seed, mask=0)
 
 
 # The worker payload: "chain_conditions", seed-stream "chain_keys", guidance "plans",
@@ -335,7 +337,7 @@ def _score_task(task) -> list[float]:
     scores = {}
     if rows:
         seed = seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
-        clouds = [sample_point_cloud(z, cfg.cloud_size, seed) for z in rows.values()]
+        clouds = [sample_point_cloud(z, cfg.cloud_size, seed, mask=0) for z in rows.values()]
         points = ground_truth_cloud(ctx["ground_truth"][cid], cid, cfg)
         scores = dict(zip(rows, mmd(points, clouds, cfg.fixed_sigma)))
     return [math.nan if mask else scores[z.tobytes()] for z, mask in zip(latents, masks)]

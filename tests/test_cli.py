@@ -28,7 +28,7 @@ import pytest
 import cadrepair
 from cadrepair import cli, geometry, pipeline
 from cadrepair.codec import CONDITION_DIM, LATENT_DIM, read_latents, write_latents
-from cadrepair.config import RunConfig
+from cadrepair.config import ConfigError, RunConfig
 from cadrepair.geometry import InvalidReason, check_latents, record_from_row
 from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
@@ -479,6 +479,43 @@ def test_integer_beyond_float_range_exits_2(tmp_path, caplog, name):
     assert run_stage(config, *TRAIN_DENOISER) == cli.EXIT_CONFIG
     expected = name.replace(".", ": ")
     assert f"{expected} must be finite, got an integer beyond float range" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+COUNTS = (
+    "n_conditions",
+    "generations_per_condition",
+    "n_eval_conditions",
+    "timesteps",
+    "cloud_size",
+    "denoiser.epochs",
+    "classifier.batch_size",
+)
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_count_beyond_numpy_index_range_is_a_config_error(name):
+    # numpy sizes arrays and ranges in intp, so the largest intp is the largest count
+    largest = int(np.iinfo(np.intp).max)
+    section, _, key = name.rpartition(".")
+
+    def config(count):
+        if section:
+            return RunConfig(**{section: {**TINY[section], key: count}})
+        return RunConfig(**{key: count})
+
+    config(largest)
+    for count in (largest + 1, 10**30):
+        with pytest.raises(ConfigError) as info:
+            config(count)
+        prefix = f"{section}: " if section else ""
+        assert str(info.value) == f"{prefix}{key} must be at most {largest}, numpy's largest index"
+
+
+def test_huge_timesteps_exits_2_and_creates_no_run_directory(tmp_path, caplog):
+    config = write_config(tmp_path / "c.json", tmp_path / "out", timesteps=10**30)
+    assert run_stage(config, *TRAIN_DENOISER) == cli.EXIT_CONFIG
+    assert "timesteps must be at most" in caplog.text
     assert not (tmp_path / "out").exists()
 
 

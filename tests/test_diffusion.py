@@ -14,12 +14,16 @@ from cadrepair.diffusion import (
     sample_step,
 )
 from cadrepair.nets import (
+    CLASSIFIER_HIDDEN,
+    DENOISER_HIDDEN,
+    TIMESTEP_EMBED_DIM,
     LinearRegressor,
     Mlp,
     OutputActivation,
     init_mlp,
     mlp_forward,
     mlp_grad_input,
+    timestep_embedding,
     train_denoiser,
 )
 from cadrepair.pipeline import CHAIN_BLOCK
@@ -442,7 +446,9 @@ def test_sample_rows_keep_their_own_noise_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("stop_gradient_y", [False, True])
-@pytest.mark.parametrize("rows", [1, CHAIN_BLOCK, 5])
+# 20 and 40 rows are the eval-guided and eval-mmd benchmarks' chain blocks, where
+# OpenBLAS takes its small-matrix path for the 21-wide output layer
+@pytest.mark.parametrize("rows", [1, CHAIN_BLOCK, 5, 20, 40])
 @pytest.mark.parametrize("T", [2, 12])
 def test_sample_plans_in_lockstep_equal_single_plan_chains_bitwise(stop_gradient_y, rows, T):
     # plans 1 and 3 share a classifier, plans 2 to 4 a regressor; with the
@@ -461,6 +467,89 @@ def test_sample_plans_in_lockstep_equal_single_plan_chains_bitwise(stop_gradient
         for p, plan in enumerate(plans):
             alone = sample(c, denoiser, seeds, [plan], cfg)
             assert stacked[p].tobytes() == alone[0].tobytes(), (classifier_scale, p)
+
+
+def in_out_forward(model, x):
+    """The forward pass with each layer multiplied by a C-contiguous (in, out)
+    copy of its weights, written out."""
+    a, preacts = x, []
+    for w, b in zip(model.weights, model.biases):
+        s = a @ np.ascontiguousarray(w.T) + b
+        preacts.append(s)
+        a = np.maximum(s, 0.0)
+    if model.output_activation is OutputActivation.SIGMOID:
+        out = np.empty_like(s)
+        pos = s >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+        out[~pos] = np.exp(s[~pos]) / (1.0 + np.exp(s[~pos]))
+        return out, preacts
+    return s, preacts
+
+
+def in_out_chain(conditions, denoiser, seeds, plan, cfg):
+    """One plan's reverse chains on a (B, c) batch, written out step by step:
+    every forward pass on (in, out) copies, the classifier's backward pass on its
+    own (out, in) weights."""
+    classifier, regressor = plan
+    sched = build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
+    T, d = cfg.timesteps, 21
+    draws = np.stack([np.random.default_rng(seed).standard_normal((T, d)) for seed in seeds])
+    z = draws[:, 0]
+    for t in range(T, 0, -1):
+        emb = np.broadcast_to(timestep_embedding(t), (len(seeds), TIMESTEP_EMBED_DIM))
+        eps_hat, _ = in_out_forward(denoiser, np.concatenate([z, emb, conditions], axis=1))
+        mu = (z - sched.betas[t - 1] / np.sqrt(1.0 - sched.alpha_bars[t - 1]) * eps_hat)
+        mu = mu / np.sqrt(sched.alphas[t - 1])
+        if classifier is not None and cfg.classifier_scale:
+            out, preacts = in_out_forward(classifier, z)
+            delta = out * (1.0 - out)
+            for k in range(len(classifier.weights) - 1, 0, -1):
+                delta = (delta @ classifier.weights[k]) * (preacts[k - 1] > 0)
+            mu = mu - cfg.classifier_scale * -(delta @ classifier.weights[0])
+        if regressor is not None and cfg.regressor_scale:
+            w_minus_i = regressor.weights - np.eye(d)
+            residual = z @ regressor.weights.T + regressor.bias - z
+            mu = mu - cfg.regressor_scale * (2.0 * residual @ w_minus_i)
+        z = mu + np.sqrt(sched.posterior_variance[t - 1]) * draws[:, T - t + 1] if t > 1 else mu
+    return z
+
+
+@pytest.mark.parametrize("rows", [1, 20, CHAIN_BLOCK])
+def test_sample_multiplies_each_layer_by_an_in_out_copy_bitwise(rows):
+    # the run's network sizes, guided and unguided plans in one stack; products
+    # against (in, out) copies round differently from those against transposed
+    # (out, in) views at some of these sizes
+    rng = np.random.default_rng(23)
+    denoiser = init_mlp([21 + 8 + 8, *DENOISER_HIDDEN, 21], OutputActivation.IDENTITY, rng)
+    clf = init_mlp([21, *CLASSIFIER_HIDDEN, 1], OutputActivation.SIGMOID, rng)
+    _, reg = _toy_guides(rng)
+    plans = [(None, None), (clf, None), (clf, reg)]
+    c = rng.uniform(size=(rows, 8))
+    seeds = list(range(80, 80 + rows))
+    cfg = scales(0.5, 0.5, T=6)
+    stacked = sample(c, denoiser, seeds, plans, cfg)
+    for p, plan in enumerate(plans):
+        expected = in_out_chain(c, denoiser, seeds, plan, cfg)
+        assert stacked[p].tobytes() == expected.tobytes(), p
+
+
+def test_sample_step_and_the_guide_gradients_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(24)
+    clf, reg = _toy_guides(rng)
+    z = rng.normal(size=(3, 4, 21))
+    eps_hat = rng.normal(size=(3, 4, 21))
+    noise = rng.normal(size=(4, 21))
+    inputs = (z, eps_hat, noise)
+    before = [a.tobytes() for a in inputs]
+    for stop_gradient_y in (False, True):
+        chain = chain_constants(
+            [(clf, None), (None, reg), (clf, reg)], scales(0.5, 0.5, stop_gradient_y)
+        )
+        for t in (1, 30):
+            sample_step(z, t, eps_hat, noise if t > 1 else None, chain)
+        for grad, _, _ in chain.guides:
+            grad(z)
+        assert [a.tobytes() for a in inputs] == before
 
 
 def test_sample_batch_rows_match_single_row_calls():
