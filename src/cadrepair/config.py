@@ -132,6 +132,13 @@ class RunConfig:
                 raise ConfigError("sigma_mode must be 'median' or a positive number")
         elif not (math.isfinite(self.sigma_mode) and self.sigma_mode > 0.0):
             raise ConfigError("fixed sigma must be finite and > 0")
+        else:
+            # metrics' RBF kernel scales d² by -0.5 / σ²: a σ² that underflows
+            # makes that a division by zero or inf (NaN scores), and one that
+            # overflows makes it 0 (every score 0)
+            square = float(self.sigma_mode) * float(self.sigma_mode)
+            if not (square > 0.0 and 0.0 < 0.5 / square < math.inf):
+                raise ConfigError("fixed sigma must keep 0.5 / sigma² finite and > 0")
 
     @property
     def fixed_sigma(self) -> float | None:

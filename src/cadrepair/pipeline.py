@@ -160,21 +160,18 @@ def gen_dataset(
     condition-major order: generation g of condition c is chain row
     c * generations_per_condition + g, seeded by (STREAM_DATASET_GEN, c, g) of
     ``cfg.master_seed``, on ``cfg``'s schedule. The rows run as ``_chain_task``
-    blocks of the one unguided plan on at most min(threads, blocks) worker
-    processes; the results do not depend on threads.
+    blocks of the one unguided plan, each given its rows, their seed keys, the
+    denoiser and ``cfg``, on at most min(threads, blocks) worker processes; the
+    results do not depend on threads.
     """
     per = cfg.generations_per_condition
     n = len(conditions) * per
-    payload = {
-        "chain_conditions": np.repeat(conditions, per, axis=0),
-        "chain_keys": [(STREAM_DATASET_GEN, *divmod(row, per)) for row in range(n)],
-        "plans": [(None, None)],
-        "denoiser": denoiser,
-        "cfg": cfg,
-    }
-    with _worker_pool(payload, threads, math.ceil(n / CHAIN_BLOCK)) as map_fn:
-        latents, masks = _run_chains(map_fn, n)
-    return np.ascontiguousarray(latents[:, 0]), masks[:, 0]
+    keys = [(STREAM_DATASET_GEN, *divmod(row, per)) for row in range(n)]
+    with _worker_pool(threads, math.ceil(n / CHAIN_BLOCK)) as map_fn:
+        latents, masks = _run_chains(
+            map_fn, np.repeat(conditions, per, axis=0), keys, [(None, None)], denoiser, cfg
+        )
+    return latents[0], masks[0]
 
 
 def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
@@ -259,86 +256,67 @@ def ground_truth_cloud(latent, condition_id: int, cfg: RunConfig) -> np.ndarray:
     return sample_point_cloud(latent, cfg.cloud_size, seed, mask=0)
 
 
-# The worker payload: "chain_conditions", seed-stream "chain_keys", guidance "plans",
-# "denoiser" and the run's "cfg" (seed, cloud size and MMD bandwidth here; schedule
-# and guide step sizes through diffusion.chain_constants); run_variants adds the
-# "ground_truth" latents.
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_worker(payload) -> None:
-    _WORKER_CONTEXT.clear()
-    _WORKER_CONTEXT.update(payload)
-
-
 @contextmanager
-def _worker_pool(payload: dict, threads: int, tasks: int):
-    """Yield a ``map`` whose calls run with ``payload`` as the worker context.
-
-    It maps on a process pool of min(threads, tasks) workers, each given the
-    payload once by the pool's initializer, or in process when that is 1. It
-    may be called more than once while the pool is open.
-    """
+def _worker_pool(threads: int, tasks: int):
+    """Yield a ``map`` for ``tasks`` tasks, each a tuple of all its inputs: a
+    process pool's, of min(threads, tasks) workers, or the builtin ``map``, in
+    process, when that is 1. It may be called more than once while the pool is
+    open."""
     workers = min(threads, tasks)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(payload,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield pool.map
     else:
-        _init_worker(payload)
         yield map
 
 
 def _chain_task(task):
-    """Chain rows [lo, hi) of the worker context, run for every guidance plan in
-    one lockstep ``diffusion.sample`` call, which takes its schedule and guides
-    from the context's ``cfg``: the latents, (plans, hi - lo, d), and their
-    kernel reason masks, (plans, hi - lo), from one ``check_latents`` call."""
-    lo, hi = task
-    ctx = _WORKER_CONTEXT
-    cfg = ctx["cfg"]
-    latents = diffusion.sample(
-        ctx["chain_conditions"][lo:hi],
-        ctx["denoiser"],
-        [seed_stream(cfg.master_seed, *key) for key in ctx["chain_keys"][lo:hi]],
-        ctx["plans"],
-        cfg,
-    )
+    """One chain block, ``(conditions, keys, plans, denoiser, cfg)``: the
+    block's condition rows, run for every guidance plan in one lockstep
+    ``diffusion.sample`` call, row i seeded by ``keys[i]``'s stream of
+    ``cfg.master_seed`` on ``cfg``'s schedule and guides. Returns the latents,
+    (plans, rows, d), and their kernel reason masks, (plans, rows), from one
+    ``check_latents`` call."""
+    conditions, keys, plans, denoiser, cfg = task
+    seeds = [seed_stream(cfg.master_seed, *key) for key in keys]
+    latents = diffusion.sample(conditions, denoiser, seeds, plans, cfg)
     masks = check_latents(latents.reshape(-1, latents.shape[-1]))
     return latents, masks.reshape(latents.shape[:2])
 
 
-def _run_chains(map_fn, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map chain rows [0, n) as ``_chain_task`` blocks of CHAIN_BLOCK rows, joined
-    in block order: each row's latent per plan, (n, plans, d), and its kernel
-    reason mask per plan, (n, plans)."""
-    tasks = [(lo, min(lo + CHAIN_BLOCK, n)) for lo in range(0, n, CHAIN_BLOCK)]
+def _run_chains(map_fn, conditions, keys, plans, denoiser, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Map one chain row per row of ``conditions``, seeded by its entry of
+    ``keys``, as ``_chain_task`` blocks of CHAIN_BLOCK rows, joined in block
+    order: each plan's latents, (plans, n, d), and kernel reason masks,
+    (plans, n)."""
+    tasks = [
+        (conditions[lo : lo + CHAIN_BLOCK], keys[lo : lo + CHAIN_BLOCK], plans, denoiser, cfg)
+        for lo in range(0, len(conditions), CHAIN_BLOCK)
+    ]
     latents, masks = zip(*map_fn(_chain_task, tasks))
-    return np.concatenate(latents, axis=1).swapaxes(0, 1), np.concatenate(masks, axis=1).T
+    return np.concatenate(latents, axis=1), np.concatenate(masks, axis=1)
 
 
 def _score_task(task) -> list[float]:
-    """Each variant's MMD score on one condition, given each variant's final
-    latent and kernel reason mask for it: NaN where the mask is not 0.
+    """Each variant's MMD score on condition ``cid``, from ``(cid, latents,
+    masks, ground_truth, cfg)``: each variant's final latent and kernel reason
+    mask for it, and its ground-truth latent row. NaN where the mask is not 0.
 
     Each distinct valid latent is sampled once, so variants that share a row
-    share its score. When there is one, the condition's ground-truth cloud is
-    sampled from its row of the context's "ground_truth" latents, and one
-    ``mmd`` call scores every distinct cloud against it under one kernel: the
-    run's fixed bandwidth, or the ground-truth cloud's median pairwise distance.
+    share its score. When there is one, the ground-truth row's cloud is sampled,
+    and one ``mmd`` call scores every distinct cloud against it under one
+    kernel: ``cfg``'s fixed bandwidth, or the ground-truth cloud's median
+    pairwise distance.
     """
-    cid, (latents, masks) = task
-    ctx = _WORKER_CONTEXT
-    cfg = ctx["cfg"]
+    cid, latents, masks, ground_truth, cfg = task
     rows = {z.tobytes(): z for z, mask in zip(latents, masks) if not mask}
     scores = {}
     if rows:
         seed = seed_stream(cfg.master_seed, STREAM_CLOUD_GEN, cid)
         clouds = [sample_point_cloud(z, cfg.cloud_size, seed, mask=0) for z in rows.values()]
-        points = ground_truth_cloud(ctx["ground_truth"][cid], cid, cfg)
+        points = ground_truth_cloud(ground_truth, cid, cfg)
         scores = dict(zip(rows, mmd(points, clouds, cfg.fixed_sigma)))
     return [math.nan if mask else scores[z.tobytes()] for z, mask in zip(latents, masks)]
 
@@ -370,7 +348,8 @@ def run_variants(
     by condition id alone, a plan's rows round the same in the stack as alone,
     and a cloud's score does not depend on the clouds beside it. Chain and
     score tasks map on one ``_worker_pool``, the pool ``gen_dataset`` uses too:
-    at most min(threads, conditions) worker processes when threads > 1.
+    at most min(threads, conditions) worker processes when threads > 1. Each
+    task carries its inputs, so no model or array outlives the call here.
 
     Returns each variant's table, in the order of ``variants``: four arrays in
     condition order, the same at any thread count. ``latents`` (n, d) holds each
@@ -388,26 +367,21 @@ def run_variants(
     chosen = [_VARIANT_PLANS[v] for v in variants]
     plans = list(dict.fromkeys(guidance for guidance, _ in chosen))
     n = len(conditions)
-    payload = {
-        "chain_conditions": conditions,
-        "chain_keys": [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)],
-        "plans": [tuple(by_name[name] for name in plan) for plan in plans],
-        "denoiser": models["denoiser"],
-        "cfg": cfg,
-        "ground_truth": latents,
-    }
+    keys = [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)]
+    plan_models = [tuple(by_name[name] for name in plan) for plan in plans]
     tables = {}
-    with _worker_pool(payload, threads, n) as map_fn:
-        chains, masks = _run_chains(map_fn, n)
+    with _worker_pool(threads, n) as map_fn:
+        chains, masks = _run_chains(map_fn, conditions, keys, plan_models, models["denoiser"], cfg)
         for variant, (guidance, repair_model) in zip(variants, chosen):
             plan = plans.index(guidance)
-            z, m = chains[:, plan], masks[:, plan]
+            z, m = chains[plan], masks[plan]
             repaired = (m != 0) & (repair_model is not None)
             if repair_model:
                 z, m = repair(z, m, models[repair_model])
             tables[variant] = {"latents": z, "masks": m, "repaired": repaired}
         finals = [np.stack([t[k] for t in tables.values()], axis=1) for k in ("latents", "masks")]
-        scores = np.array(list(map_fn(_score_task, enumerate(zip(*finals)))))
+        tasks = [(cid, z, m, latents[cid], cfg) for cid, (z, m) in enumerate(zip(*finals))]
+        scores = np.array(list(map_fn(_score_task, tasks)))
     for table, column in zip(tables.values(), scores.T):
         table["scores"] = column
     return tables

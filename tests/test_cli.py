@@ -376,6 +376,10 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         ({"sigma_mode": 0}, EVAL_BASELINE),
         ({"sigma_mode": -1}, EVAL_BASELINE),
         ({"sigma_mode": float("-inf")}, EVAL_BASELINE),
+        # 0.5 / sigma² divides by zero, is inf and is 0 in metrics' RBF kernel
+        ({"sigma_mode": 1e-200}, EVAL_BASELINE),
+        ({"sigma_mode": 1e-160}, EVAL_BASELINE),
+        ({"sigma_mode": 1e300}, EVAL_BASELINE),
         ({"use_classifier_guidance": False}, EVAL_BASELINE),
         ({"use_regressor_guidance": False}, EVAL_BASELINE),
         ({"stop_gradient_y": "false"}, TRAIN_DENOISER),
@@ -416,6 +420,9 @@ EVAL_BASELINE = ("eval", "--variants", "baseline")
         "sigma_mode-0",
         "sigma_mode-negative",
         "sigma_mode-minus-inf",
+        "sigma_mode-square-underflows",
+        "sigma_mode-scale-overflows",
+        "sigma_mode-square-overflows",
         "use_classifier_guidance-false",
         "use_regressor_guidance-false",
         "stop_gradient_y-string",

@@ -1,8 +1,10 @@
 import concurrent.futures
 import functools
+import gc
 import logging
 import math
 import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
@@ -667,9 +669,8 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
     class SerialPool:
         """ProcessPoolExecutor stand-in that records its size and maps in process."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             pool_sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -700,3 +701,22 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
         )
         assert pool_sizes == workers, (threads, n)
         assert latents.shape == (3 * n, 21) and masks.shape == (3 * n,)
+
+
+def test_in_process_runs_keep_no_input_alive():
+    # each task carries its own inputs, so once run_variants or gen_dataset
+    # returns in process and the caller drops the denoiser and the ground-truth
+    # latents, nothing in pipeline still holds them
+    models = toy_models(seed=4)
+    conditions, gt_latents = gen_ground_truth(3, seed=19)
+    refs = [weakref.ref(models["denoiser"]), weakref.ref(gt_latents)]
+    run_variants([VariantId.BASELINE, VariantId.VAR1], conditions, gt_latents, models, eval_cfg(4))
+    del models, gt_latents
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True]
+    denoiser = toy_models(seed=5)["denoiser"]
+    ref = weakref.ref(denoiser)
+    gen_dataset(train_gt(2, 22)[0], denoiser, gen_cfg(22, 2), threads=1)
+    del denoiser
+    gc.collect()
+    assert ref() is None
