@@ -28,8 +28,8 @@ and ConfigError naming the path, or path:line, for a malformed or unreadable one
 - ``conditions.jsonl``: ``_train_conditions``, which turns each record into a
   latent row by ``geometry.row_from_record``, rejects a row that fails the
   kernel check, and draws the conditions when the file is absent;
-- ``labels.csv``, ``pairs_*.csv`` and ``metrics.csv``: ``_read_csv``, against
-  the file's CSV_HEADERS row.
+- ``labels.csv`` and ``metrics.csv``: ``_read_csv``, against the file's
+  CSV_HEADERS row.
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ MODELS = {
 # the header row of each CSV file, shared by _write_outputs and _read_csv
 CSV_HEADERS = {
     "labels.csv": ("condition_id", "seed", "valid", "reasons"),
-    "pairs_ssl.csv": ("invalid_row", "valid_row"),
-    "pairs_gt.csv": ("gen_row", "gt_row"),
     "metrics.csv": ("model", "metric", "value"),
     "report.csv": ("variant", "n", "n_valid", "feasibility", "mean_mmd", "median_mmd",
                    "repaired_count", "repair_failed_count"),
@@ -312,10 +310,8 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
       ground-truth latent per condition.
     - ``labels.csv``: condition_id, seed, valid, reasons; one row per generated
       latent, reasons joined by ``|``.
-    - ``pairs_ssl.csv``: invalid_row, valid_row; each invalid generation and its
-      nearest valid sibling.
-    - ``pairs_gt.csv``: gen_row, gt_row; each generation and its ground-truth row.
-    - ``dataset_summary.json``: the counts above and the invalid fraction.
+    - ``dataset_summary.json``: the counts above, the invalid fraction, and the
+      counts of the pairs ``train`` derives for each regressor, ``ssl_pairs`` and ``gt_pairs``.
 
     It reads ``denoiser.json`` and the ``conditions.jsonl`` that ``train --which
     denoiser`` wrote; only when that file is absent does it draw the conditions
@@ -330,10 +326,7 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     per_condition = cfg.generations_per_condition
     generated, masks = pipeline.gen_dataset(conditions, denoiser, cfg, threads)
     labels = masks == 0
-    ssl_pairs = pipeline.build_ssl_pairs(generated, labels, per_condition)
-    if not len(ssl_pairs):
-        logger.warning("no invalid/valid sibling pairs exist; pairs_ssl.csv is empty")
-    gt_pairs = pipeline.build_gt_pairs(len(generated), per_condition)
+    by_condition = labels.reshape(-1, per_condition)
 
     n_total = len(labels)
     n_valid = int(labels.sum())
@@ -347,8 +340,8 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
         "invalid_latents": n_invalid,
         "invalid_fraction": invalid_fraction,
         "ground_truth_latents": len(gt_latents),
-        "ssl_pairs": int(len(ssl_pairs)),
-        "gt_pairs": int(len(gt_pairs)),
+        "ssl_pairs": int((~by_condition[by_condition.any(axis=1)]).sum()),
+        "gt_pairs": n_total,
     }
     names = {mask: reason_names(mask) for mask in set(masks.tolist())}
     label_rows = [
@@ -360,8 +353,6 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
         **files,
         "latents.bin": np.vstack([generated, gt_latents]),
         "labels.csv": label_rows,
-        "pairs_ssl.csv": ssl_pairs.tolist(),
-        "pairs_gt.csv": gt_pairs.tolist(),
         "dataset_summary.json": summary,
     })
     print(f"conditions              {summary['conditions']}")
@@ -378,20 +369,37 @@ def cmd_gen_dataset(cfg: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _check_layout(path: Path, cids: np.ndarray, latents_path: Path, n_latents: int) -> None:
-    """ConfigError unless ``latents_path`` holds, as gen-dataset writes it, one generated
-    row per row of ``path``, then one ground-truth row per condition id up to max(cids)."""
-    need = len(cids) + int(cids.max(initial=-1)) + 1
+def _check_layout(
+    path: Path, lines: list[int], cids: np.ndarray, latents_path: Path, n_latents: int
+) -> int:
+    """The generations per condition g of ``path``, whose rows must lay out
+    ``latents_path`` as gen-dataset writes it: one generated row per row, row r of
+    condition r // g, then one ground-truth row per condition id up to max(cids).
+    ConfigError naming ``path`` for another row count, or path:line for a row's id."""
+    n_conditions = int(cids.max(initial=-1)) + 1
+    need = len(cids) + n_conditions
     if n_latents != need:
         raise ConfigError(
             f"{path}: its rows and condition ids need {need} rows in {latents_path}, "
             f"which has {n_latents}"
         )
+    # at least 1, so that fewer rows than conditions fail the row check
+    per = max(len(cids) // max(n_conditions, 1), 1)
+    _reject_rows(
+        path,
+        lines,
+        (cids != np.arange(len(cids)) // per)[:, None],
+        f"condition_id is not row // {per}, the layout of {latents_path}",
+    )
+    return per
 
 
 def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
     """Train one model; returns the files it writes (the model, and
-    ``conditions.jsonl`` when the denoiser drew it) and its values for ``metrics.csv``."""
+    ``conditions.jsonl`` when the denoiser drew it) and its values for ``metrics.csv``.
+    A regressor fits on row pairs of ``latents.bin`` derived with ``labels.csv``:
+    each invalid generation and its nearest valid sibling (``build_ssl_pairs``), or
+    each generation and its condition's ground-truth row."""
     out = Path(cfg.out_dir)
     if which == "denoiser":
         (conditions, latents), files = _train_conditions(cfg)
@@ -412,26 +420,28 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
 
     latents_path = out / "latents.bin"
     latents = read_latents(latents_path)
-
+    labels_path = out / "labels.csv"
+    cells, lines = _read_csv(labels_path, (0, 2))
+    bad = (cells < 0) | (cells[:, 1:] > 1)
+    _reject_rows(labels_path, lines, bad, "condition_id must be >= 0 and valid 0 or 1")
+    cids, labels = cells[:, 0], cells[:, 1].astype(bool)
+    n_gen = len(labels)
     if which == "classifier":
-        labels_path = out / "labels.csv"
-        cells, lines = _read_csv(labels_path, (0, 2))
-        bad = (cells < 0) | (cells[:, 1:] > 1)
-        _reject_rows(labels_path, lines, bad, "condition_id must be >= 0 and valid 0 or 1")
-        labels = cells[:, 1].astype(bool)
         n_valid = int(labels.sum())
         # train_classifier balances the classes, then splits at cfg.split
-        n_bal = 2 * min(n_valid, len(labels) - n_valid)
+        n_bal = 2 * min(n_valid, n_gen - n_valid)
         n_train = int(round(n_bal * cfg.split))
         if not 1 <= n_train < n_bal:
             raise MissingArtifact(
-                f"{labels_path} holds {n_valid} valid and {len(labels) - n_valid} invalid "
+                f"{labels_path} holds {n_valid} valid and {n_gen - n_valid} invalid "
                 f"rows; their balanced split has {n_train} train and {n_bal - n_train} "
                 "held-out rows, need at least one of each"
             )
-        _check_layout(labels_path, cells[:, 0], latents_path, len(latents))
+    per = _check_layout(labels_path, lines, cids, latents_path, len(latents))
+
+    if which == "classifier":
         model, m = train_classifier(
-            latents[: len(labels)],
+            latents[:n_gen],
             labels,
             cfg.classifier,
             derived_seed(cfg.master_seed, STREAM_TRAINING, 1),
@@ -447,30 +457,21 @@ def _train_one(cfg: RunConfig, which: str) -> tuple[dict, dict[str, float]]:
         return {"classifier.json": model}, m
 
     ssl = which == "ssl_regressor"
-    pairs_path = out / ("pairs_ssl.csv" if ssl else "pairs_gt.csv")
-    pairs, lines = _read_csv(pairs_path, (0, 1))
-    # latents.bin holds the generated rows, one per gt pair, then the ground truth
-    rows = pairs if ssl else pairs + [0, len(pairs)]
-    _reject_rows(
-        pairs_path,
-        lines,
-        (pairs < 0) | (rows >= len(latents)),
-        f"names a row outside {latents_path}, which has {len(latents)} rows",
-    )
-    if not ssl:
-        _check_layout(pairs_path, pairs[:, 1], latents_path, len(latents))
+    # latents.bin holds the generated rows, then the ground truth by condition id
+    pairs = (pipeline.build_ssl_pairs(latents[:n_gen], labels, per) if ssl
+             else np.column_stack([np.arange(n_gen), n_gen + cids]))
     # the fit sees only the train split of the pairs, the test scores only the rest
     min_rows = latents.shape[1] + 1
     n_train = round(len(pairs) * cfg.split)
     if not min_rows <= n_train < len(pairs):
         raise MissingArtifact(
-            f"{pairs_path} holds {len(pairs)} pairs; split {cfg.split} gives {n_train} train "
+            f"{labels_path} gives {len(pairs)} pairs; split {cfg.split} gives {n_train} train "
             f"and {len(pairs) - n_train} held-out pairs, need >= {min_rows} train pairs "
             "to fit and at least one held out"
         )
     model, m = train_regressor(
-        latents[rows[:, 0]],
-        latents[rows[:, 1]],
+        latents[pairs[:, 0]],
+        latents[pairs[:, 1]],
         derived_seed(cfg.master_seed, STREAM_TRAINING, 2 if ssl else 3),
         split=cfg.split,
         ridge=cfg.ridge,

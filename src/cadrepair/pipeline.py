@@ -1,5 +1,5 @@
-"""End-to-end orchestration: ground truth, dataset generation, pairing, repair,
-variant runs.
+"""End-to-end orchestration: ground truth, dataset generation, the sibling
+pairs ``train`` fits the SSL regressor on, repair, variant runs.
 
 Every stochastic stage derives its generator from the master seed through
 labeled SeedSequence streams, so regeneration is bitwise stable and every
@@ -177,28 +177,21 @@ def gen_dataset(
 def build_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
     """Pair each invalid generation with its nearest valid sibling.
 
-    ``latents`` and ``valid`` are the condition-major rows of ``gen_dataset``.
-    Returns (k, 2) rows of (invalid_row, valid_row) indices into ``latents``;
-    conditions without a valid sibling contribute nothing, so k may be 0.
+    ``latents`` and ``valid`` are the condition-major rows of ``gen_dataset``, g =
+    ``generations_per_condition`` finite rows per condition. Returns (k, 2) rows of
+    (invalid_row, valid_row) indices in row order, a tie going to the first sibling;
+    conditions without a valid sibling contribute nothing, so k may be 0. One array
+    step over the rows grouped as (conditions, g, d): the n·g·d float64 differences
+    of n rows take 4.2 MB at 5,000 rows and g = 5, the default run's dataset.
     """
-    valid = np.asarray(valid, dtype=bool)
-    pairs = []
-    for lo in range(0, len(latents), generations_per_condition):
-        rows = np.arange(lo, lo + generations_per_condition)
-        siblings = rows[valid[rows]]
-        if not len(siblings):
-            continue
-        sibling_latents = latents[siblings]
-        for i in rows[~valid[rows]]:
-            dists = np.linalg.norm(sibling_latents - latents[i], axis=1)
-            pairs.append((i, siblings[int(np.argmin(dists))]))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
-
-
-def build_gt_pairs(n_generated: int, generations_per_condition: int) -> np.ndarray:
-    """(generated_row, ground_truth_row) for every generation, valid or not."""
-    rows = np.arange(n_generated)
-    return np.column_stack([rows, rows // generations_per_condition])
+    g = generations_per_condition
+    latents = np.asarray(latents, dtype=float)
+    valid = np.asarray(valid, dtype=bool).reshape(-1, g)
+    blocks = latents.reshape(len(valid), g, latents.shape[-1])
+    dists = np.linalg.norm(blocks[:, None] - blocks[:, :, None], axis=-1)
+    nearest = np.where(valid[:, None], dists, np.inf).argmin(axis=-1)
+    rows = np.flatnonzero(~valid & valid.any(axis=1, keepdims=True))
+    return np.column_stack([rows, rows - rows % g + nearest.ravel()[rows]])
 
 
 def repair(latents, masks, regressor: LinearRegressor) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ from cadrepair.nets import TIMESTEP_EMBED_DIM, LinearRegressor, save_model
 from cadrepair.pipeline import gen_ground_truth
 
 from conftest import one_draw_at_a_time_ground_truth, record_from_sequence
+from test_pipeline import loop_ssl_pairs
 
 TINY = {
     "master_seed": 3,
@@ -56,7 +57,7 @@ EVAL_FILES = (
     "eval_latents_full.bin",
 )
 
-GEN_FILES = ("latents.bin", "labels.csv", "pairs_ssl.csv", "pairs_gt.csv", "dataset_summary.json")
+GEN_FILES = ("latents.bin", "labels.csv", "dataset_summary.json")
 
 
 def write_config(path, out_dir, /, **overrides) -> str:
@@ -274,10 +275,10 @@ def test_training_reads_row_counts_from_the_dataset(runs, tmp_path, n_conditions
     root, _, _ = runs
     out = tmp_path / "retrain"
     out.mkdir()
-    for name in ("latents.bin", "labels.csv", "pairs_gt.csv"):
+    for name in ("latents.bin", "labels.csv"):
         shutil.copy(root / "a" / name, out / name)
     config = write_config(tmp_path / "retrain.json", out, n_conditions=n_conditions)
-    for which in ("classifier", "gt_regressor"):
+    for which in ("classifier", "ssl_regressor", "gt_regressor"):
         assert run_stage(config, "train", "--which", which) == cli.EXIT_OK
         model = f"{which}.json"
         assert (out / model).read_bytes() == (root / "a" / model).read_bytes(), model
@@ -585,7 +586,7 @@ REPAIR_ARGV = (
         (("gen-dataset",), (), "denoiser.json"),
         (("train", "--which", "classifier"), (), "latents.bin"),
         (("train", "--which", "classifier"), ("latents.bin",), "labels.csv"),
-        (("train", "--which", "ssl_regressor"), ("latents.bin",), "pairs_ssl.csv"),
+        (("train", "--which", "ssl_regressor"), ("latents.bin",), "labels.csv"),
         (("pca",), ("eval_latents_baseline.bin", "eval_latents_gt.bin"), "eval_latents_full.bin"),
         (REPAIR_ARGV, ("ssl_regressor.json",), "latents.bin"),
         (REPAIR_ARGV, ("latents.bin",), "ssl_regressor.json"),
@@ -595,7 +596,7 @@ REPAIR_ARGV = (
         "gen-dataset",
         "classifier-latents",
         "classifier-labels",
-        "ssl_regressor-pairs",
+        "ssl_regressor-labels",
         "pca",
         "repair-latents",
         "repair-regressor",
@@ -729,17 +730,24 @@ def test_empty_evaluation_exits_5(tmp_path):
     assert run_stage(config, "eval", "--variants", "baseline") == cli.EXIT_EMPTY
 
 
-def test_ssl_regressor_with_too_few_train_pairs_exits_4(tmp_path):
-    # 22 pairs pass a plain ">= 22" check, but the 0.8 split fits on 18 rows
+def test_ssl_regressor_with_too_few_train_pairs_exits_4(tmp_path, caplog):
+    # 22 conditions of an invalid and a valid generation give 22 pairs, which pass
+    # a plain ">= 22" check, but the 0.8 split fits on 18 rows
     out = tmp_path / "out"
     out.mkdir()
-    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(44, LATENT_DIM)))
-    with open(out / "pairs_ssl.csv", "w", newline="") as fh:
+    write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(66, LATENT_DIM)))
+    with open(out / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["invalid_row", "valid_row"])
-        writer.writerows([i, 22 + i] for i in range(22))
+        writer.writerow(["condition_id", "seed", "valid", "reasons"])
+        reasons = ["OUT_OF_BOUNDS", ""]
+        writer.writerows([i // 2, i % 2, i % 2, reasons[i % 2]] for i in range(44))
+    before = snapshot(out)
     config = write_config(tmp_path / "c.json", out)
     assert run_stage(config, "train", "--which", "ssl_regressor") == cli.EXIT_MISSING
+    assert "labels.csv gives 22 pairs; split 0.8 gives 18 train and 4 held-out pairs" in (
+        caplog.text
+    )
+    assert snapshot(out) == before
 
 
 def test_regressor_with_no_held_out_pair_exits_4(runs, tmp_path, caplog):
@@ -748,12 +756,12 @@ def test_regressor_with_no_held_out_pair_exits_4(runs, tmp_path, caplog):
     root, _, _ = runs
     out = tmp_path / "out"
     out.mkdir()
-    for name in ("latents.bin", "pairs_gt.csv"):
+    for name in ("latents.bin", "labels.csv"):
         shutil.copy(root / "a" / name, out / name)
     before = snapshot(out)
     config = write_config(tmp_path / "c.json", out, split=0.999)
     assert run_stage(config, "train", "--which", "gt_regressor") == cli.EXIT_MISSING
-    assert "pairs_gt.csv holds 120 pairs; split 0.999 gives 120 train and 0 held-out" in (
+    assert "labels.csv gives 120 pairs; split 0.999 gives 120 train and 0 held-out" in (
         caplog.text
     )
     assert snapshot(out) == before
@@ -787,23 +795,22 @@ def test_single_class_labels_exit_4(tmp_path, caplog, n_valid):
 
 @pytest.mark.parametrize("which", ["classifier", "gt_regressor"])
 def test_malformed_training_csv_exits_2(tmp_path, caplog, which):
-    # classifier: a non-integer `valid` cell on line 6 of labels.csv;
-    # gt_regressor: 30 generated rows and 10 ground-truth rows, and line 9 of
-    # pairs_gt.csv names ground-truth row 10, row 40 of latents.bin
+    # 30 generated rows and 10 ground-truth rows; classifier: a non-integer
+    # `valid` cell on line 6 of labels.csv; gt_regressor: a negative
+    # condition_id on line 9
     out = tmp_path / "out"
     out.mkdir()
     write_latents(out / "latents.bin", np.random.default_rng(0).normal(size=(40, LATENT_DIM)))
+    rows = [[i // 3, 0, i % 2, ""] for i in range(30)]
     if which == "classifier":
-        name, header = "labels.csv", ["condition_id", "seed", "valid", "reasons"]
-        rows = [[i, 0, "yes" if i == 4 else i % 2, ""] for i in range(10)]
+        rows[4][2] = "yes"
         expected = "labels.csv:6: invalid literal for int()"
     else:
-        name, header = "pairs_gt.csv", ["gen_row", "gt_row"]
-        rows = [[i, 10 if i == 7 else i // 3] for i in range(30)]
-        expected = "pairs_gt.csv:9: names a row outside"
-    with open(out / name, "w", newline="") as fh:
+        rows[7][0] = -1
+        expected = "labels.csv:9: condition_id must be >= 0"
+    with open(out / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["condition_id", "seed", "valid", "reasons"])
         writer.writerows(rows)
     config = write_config(tmp_path / "c.json", out)
     assert run_stage(config, "train", "--which", which) == cli.EXIT_CONFIG
@@ -816,9 +823,9 @@ def test_malformed_training_csv_exits_2(tmp_path, caplog, which):
     [
         ("classifier", "labels.csv", lambda rows: rows + rows),
         ("classifier", "labels.csv", lambda rows: rows[:100]),
-        ("gt_regressor", "pairs_gt.csv", lambda rows: rows[:100]),
+        ("gt_regressor", "labels.csv", lambda rows: rows[:100]),
     ],
-    ids=["labels-doubled", "labels-cut", "pairs-gt-cut"],
+    ids=["labels-doubled", "labels-cut", "gt-regressor-labels-cut"],
 )
 def test_training_csv_must_match_the_latents_layout(runs, tmp_path, caplog, which, name, edit):
     # latents.bin holds 120 generated rows, then 40 ground-truth rows; a file
@@ -833,6 +840,77 @@ def test_training_csv_must_match_the_latents_layout(runs, tmp_path, caplog, whic
     assert run_stage(config, "train", "--which", which) == cli.EXIT_CONFIG
     assert f"{out / name}: its rows and condition ids need" in caplog.text
     assert not (out / f"{which}.json").exists()
+
+
+@pytest.mark.parametrize("which", ["classifier", "ssl_regressor", "gt_regressor"])
+def test_training_rejects_condition_ids_out_of_place(runs, tmp_path, caplog, which):
+    # generations 0 and 3 swap condition ids: the row count and the largest id
+    # still fit latents.bin, but row 0 now names condition 1's ground truth
+    root, _, _ = runs
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(root / "a" / "latents.bin", out / "latents.bin")
+    header, *rows = (root / "a" / "labels.csv").read_text().splitlines(keepends=True)
+    ids = [row.split(",", 1) for row in rows]
+    assert (ids[0][0], ids[3][0]) == ("0", "1")
+    ids[0][0], ids[3][0] = ids[3][0], ids[0][0]
+    (out / "labels.csv").write_text(header + "".join(",".join(row) for row in ids))
+    before = snapshot(out)
+    assert run_stage(write_config(tmp_path / "c.json", out), "train", "--which", which) == (
+        cli.EXIT_CONFIG
+    )
+    assert f"{out / 'labels.csv'}:2: condition_id is not row // 3" in caplog.text
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("draws", [False, True], ids=["reads-conditions", "draws-conditions"])
+def test_gen_dataset_writes_exactly_its_artifacts(runs, tmp_path, monkeypatch, draws):
+    # equal sets, so that a deleted artifact cannot come back unnoticed
+    root, _, _ = runs
+    out = tmp_path / "out"
+    out.mkdir()
+    inputs = {"denoiser.json"} | (set() if draws else {"conditions.jsonl"})
+    for name in inputs:
+        shutil.copy(root / "a" / name, out / name)
+    written = []
+    write_outputs = cli._write_outputs
+
+    def record(path, files):
+        written.append(files)
+        write_outputs(path, files)
+
+    monkeypatch.setattr(cli, "_write_outputs", record)
+    assert run_stage(write_config(tmp_path / "c.json", out), "gen-dataset") == cli.EXIT_OK
+    expected = {"config.json", *GEN_FILES} | ({"conditions.jsonl"} if draws else set())
+    assert [set(files) for files in written] == [expected]
+    assert {p.name for p in out.iterdir()} == expected | inputs
+
+
+def test_regressor_pairs_from_the_float32_dataset_equal_the_float64_oracle(runs):
+    # train pairs the float32 rows of latents.bin; the loop oracle pairs the
+    # float64 rows that gen-dataset sampled, before they were written
+    root, _, _ = runs
+    out = root / "a"
+    cfg = RunConfig.load(str(root / "a.json"))
+    (conditions, _), _ = cli._train_conditions(cfg)
+    denoiser = cli._load_model(out / "denoiser.json", "denoiser")
+    generated, masks = pipeline.gen_dataset(conditions, denoiser, cfg)
+    per, n_gen = TINY["generations_per_condition"], len(generated)
+    latents = read_latents(out / "latents.bin")
+    valid = np.array([row["valid"] == "1" for row in read_rows(out / "labels.csv")])
+    np.testing.assert_array_equal(valid, masks == 0)
+    np.testing.assert_array_equal(latents[:n_gen], generated.astype(np.float32))
+    pairs = pipeline.build_ssl_pairs(latents[:n_gen], valid, per)
+    np.testing.assert_array_equal(pairs, loop_ssl_pairs(generated, valid, per))
+    assert 0 < len(pairs) <= (~valid).sum()
+    # gen-dataset's summary counts the pairs each regressor was fit on
+    summary = json.loads((out / "dataset_summary.json").read_text())
+    n_pairs = {
+        row["model"]: float(row["value"])
+        for row in read_rows(out / "metrics.csv") if row["metric"] == "n_pairs"
+    }
+    assert n_pairs == {"ssl_regressor": len(pairs), "gt_regressor": n_gen}
+    assert (summary["ssl_pairs"], summary["gt_pairs"]) == (len(pairs), n_gen)
 
 
 @pytest.mark.parametrize("which", ["classifier", "ssl_regressor", "gt_regressor"])
@@ -1060,16 +1138,16 @@ def test_gen_dataset_reads_the_conditions_train_wrote(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "gen_ground_truth", first_row_only)
     assert run_stage(config, "gen-dataset") == cli.EXIT_OK
     assert artifact_bytes(out) == artifact_bytes(fresh)
-    assert {"latents.bin", "labels.csv", "pairs_ssl.csv", "dataset_summary.json"} <= set(
-        artifact_bytes(out)
-    )
+    assert set(artifact_bytes(out)) == {
+        "conditions.jsonl", "denoiser.json", "metrics.csv", *GEN_FILES
+    }
 
 
 @pytest.mark.parametrize(
     "which, name, header",
     [
-        ("ssl_regressor", "pairs_ssl.csv", "gen_row,gt_row"),
-        ("gt_regressor", "pairs_gt.csv", "invalid_row,valid_row"),
+        ("ssl_regressor", "labels.csv", "condition_id,seed,valid"),
+        ("gt_regressor", "labels.csv", "condition_id,seed,valid"),
         ("classifier", "labels.csv", "condition_id,seed,valid"),
         ("denoiser", "metrics.csv", "model,value,metric"),
     ],

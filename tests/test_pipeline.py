@@ -28,7 +28,6 @@ from cadrepair.pipeline import (
     STREAM_DATASET_GEN,
     STREAM_TRAIN_GT,
     VariantId,
-    build_gt_pairs,
     build_ssl_pairs,
     gen_dataset,
     gen_ground_truth,
@@ -208,18 +207,53 @@ def test_ssl_pairs_none_is_empty():
     pairs = build_ssl_pairs(latents, [False, False, False], 3)
     assert pairs.shape == (0, 2)
     assert pairs.dtype == int
+    assert build_ssl_pairs(latents[:0], [], 3).shape == (0, 2)
 
 
-def test_gt_pairs_cover_every_generation():
-    models = toy_models()
-    conditions, gt_latents = train_gt(3, 7)
-    latents, _ = gen_dataset(conditions, models["denoiser"], gen_cfg(7, 4))
-    pairs = build_gt_pairs(len(latents), 4)
-    assert pairs.shape == (12, 2)
-    assert pairs[:, 0].tolist() == list(range(12))
-    assert pairs[:, 1].tolist() == [0] * 4 + [1] * 4 + [2] * 4
-    for gt in gt_latents:
-        np.testing.assert_array_equal(encode(oracle_decode(gt)), gt)  # canonical
+def loop_ssl_pairs(latents, valid, generations_per_condition: int) -> np.ndarray:
+    """The former pairing loop: each condition's invalid rows in turn, each
+    paired with the argmin of its distances to the condition's valid rows."""
+    valid = np.asarray(valid, dtype=bool)
+    pairs = []
+    for lo in range(0, len(latents), generations_per_condition):
+        rows = np.arange(lo, lo + generations_per_condition)
+        siblings = rows[valid[rows]]
+        if not len(siblings):
+            continue
+        sibling_latents = latents[siblings]
+        for i in rows[~valid[rows]]:
+            dists = np.linalg.norm(sibling_latents - latents[i], axis=1)
+            pairs.append((i, siblings[int(np.argmin(dists))]))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("g", [1, 2, 3, 5])
+def test_ssl_pairs_equal_the_loop(seed, g):
+    # some conditions have no valid row, and in some a valid sibling is
+    # duplicated, so two siblings tie and the first in row order must win
+    rng = np.random.default_rng(seed)
+    n = 40 * g
+    latents = rng.normal(size=(n, 21)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    valid = rng.random(n) < rng.choice([0.2, 0.5, 0.8])
+    valid[: 2 * g] = False
+    for lo in range(2 * g, n, g):
+        siblings = lo + np.flatnonzero(valid[lo : lo + g])
+        if len(siblings) >= 2 and rng.random() < 0.5:
+            latents[siblings[1]] = latents[siblings[0]]
+    pairs = build_ssl_pairs(latents, valid, g)
+    np.testing.assert_array_equal(pairs, loop_ssl_pairs(latents, valid, g))
+    assert pairs.dtype == int and pairs.shape[1] == 2
+    if g == 1:
+        assert pairs.shape == (0, 2)  # a condition's one row has no sibling
+
+
+def test_ssl_pairs_tie_goes_to_the_first_sibling():
+    latents = np.zeros((4, 21))
+    latents[0] = 1.0
+    valid = [False, True, True, True]
+    assert build_ssl_pairs(latents, valid, 4).tolist() == [[0, 1]]
+    assert loop_ssl_pairs(latents, valid, 4).tolist() == [[0, 1]]
 
 
 # ---------------------------------------------------------------- repair
