@@ -8,8 +8,10 @@ noise, as paired seeds would give it anyway. Each reverse step forms the
 epsilon-parameterized posterior mean, steps it down the gradient of each guide of
 the plan (the classifier's infeasibility, then the regressor's self-consistency
 loss, both at the current noisy latent), then adds posterior-variance noise; the
-final step is deterministic. Only ``chain_constants`` reads the run config: it
-builds the schedule and the guide table of (gradient, step sizes, rows) entries.
+final step is deterministic. A guide steps by its scale times beta_t (Ho et al.
+2020), a regressor at most by 1 / lambda_max of its loss's Hessian, so that it
+cannot overshoot. Only ``chain_constants`` reads the run config: it builds the
+schedule and the guide table of (gradient, step sizes, rows) entries.
 
 The networks' forward passes multiply by (in, out) copies of their weights,
 which ``chain_constants`` makes once per ``sample`` call: each weight matrix
@@ -124,28 +126,31 @@ def _rows_by_model(models) -> tuple[tuple, ...]:
 
 def chain_constants(plans, cfg: RunConfig, denoiser: Mlp | None = None) -> ChainConstants:
     """Per-call constants of the chains of ``plans``, (classifier, regressor) pairs,
-    on ``cfg``'s schedule, each guide stepped at ``cfg``'s scale of its kind at every
-    t. A kind whose scale is 0 gets no entries, so its plans step unguided. Each
-    classifier's guide, and ``denoiser`` if given, get (in, out) copies."""
+    on ``cfg``'s schedule, each guide's step at t ``cfg``'s scale of its kind times
+    beta_t. A regressor's step is at most 1 / lambda_max, lambda_max = 2 ||W - I||_2^2
+    the top eigenvalue of its loss's Hessian 2 (W - I)^T (W - I), in both
+    ``stop_gradient_y`` forms; W = I has no bound. A kind whose scale is 0 gets no
+    entries, so its plans step unguided. Each classifier's guide, and ``denoiser``
+    if given, get (in, out) copies."""
     schedule = build_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
+    betas = schedule.betas
     classifiers = _rows_by_model(c for c, _ in plans) if cfg.classifier_scale else ()
     regressors = _rows_by_model(r for _, r in plans) if cfg.regressor_scale else ()
     guides = [
-        (
-            partial(infeasibility_grad, c, _in_out_copy(c)),
-            np.full(schedule.T, cfg.classifier_scale, float),
-            rows,
-        )
+        (partial(infeasibility_grad, c, _in_out_copy(c)), cfg.classifier_scale * betas, rows)
         for c, rows in classifiers
     ]
     for regressor, rows in regressors:
         w = regressor.weights
         if w.shape[0] != w.shape[1]:
             raise ValueError("self-consistency guidance needs a square regressor")
-        grad = partial(consistency_grad, regressor, w - np.eye(len(w)), cfg.stop_gradient_y)
-        guides.append((grad, np.full(schedule.T, cfg.regressor_scale, float), rows))
+        w_minus_i = w - np.eye(len(w))
+        grad = partial(consistency_grad, regressor, w_minus_i, cfg.stop_gradient_y)
+        steps = cfg.regressor_scale * betas
+        lambda_max = 2.0 * np.linalg.norm(w_minus_i, 2) ** 2
+        guides.append((grad, np.minimum(steps, 1.0 / lambda_max) if lambda_max else steps, rows))
     return ChainConstants(
-        schedule.betas / np.sqrt(1.0 - schedule.alpha_bars),
+        betas / np.sqrt(1.0 - schedule.alpha_bars),
         np.sqrt(schedule.alphas),
         np.sqrt(schedule.posterior_variance),
         tuple(guides),

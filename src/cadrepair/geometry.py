@@ -446,8 +446,8 @@ def sample_point_cloud(latent, n: int, seed, mask=None) -> np.ndarray:
 
     (x, y) proposals are uniform over the profile bounding box and accepted by
     the even-odd test on the profile polygon; z is uniform in [0, depth].
-    Proposals are drawn in whole chunks, so z's draws do not move, but each
-    chunk is tested a slice at a time and testing stops at the n-th hit.
+    Proposals are drawn and tested a slice at a time, stopping at the n-th hit,
+    and the rest of each chunk is skipped, not drawn, so z's draws do not move.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -459,7 +459,6 @@ def sample_point_cloud(latent, n: int, seed, mask=None) -> np.ndarray:
     accepted = 0
     proposed = 0
     while accepted < n:
-        proposals = rng.uniform(lo, hi, size=(_PROPOSAL_CHUNK, 2))
         proposed += _PROPOSAL_CHUNK
         start = 0
         while start < _PROPOSAL_CHUNK and accepted < n:
@@ -467,12 +466,13 @@ def sample_point_cloud(latent, n: int, seed, mask=None) -> np.ndarray:
             if proposed >= _STALL_PROPOSALS:
                 stop = _PROPOSAL_CHUNK
             else:
-                stop = start + max(2 * (n - accepted), 256)
-            part = proposals[start:stop]
+                stop = min(start + max(2 * (n - accepted), 256), _PROPOSAL_CHUNK)
+            part = rng.uniform(lo, hi, size=(stop - start, 2))
             hits = part[points_in_polygon(part, poly)]
             chunks.append(hits)
             accepted += len(hits)
             start = stop
+        rng.bit_generator.advance(2 * (_PROPOSAL_CHUNK - start))  # two doubles a proposal
         if proposed >= _STALL_PROPOSALS and accepted / proposed < _STALL_RATE:
             raise SamplingStall(
                 f"acceptance rate {accepted / proposed:.2e} after {proposed} proposals"

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import contextmanager
 from enum import Enum
 
 import numpy as np
@@ -161,16 +160,15 @@ def gen_dataset(
     c * generations_per_condition + g, seeded by (STREAM_DATASET_GEN, c, g) of
     ``cfg.master_seed``, on ``cfg``'s schedule. The rows run as ``_chain_task``
     blocks of the one unguided plan, each given its rows, their seed keys, the
-    denoiser and ``cfg``, on at most min(threads, blocks) worker processes; the
+    denoiser and ``cfg``, on ``_run_chains``' min(threads, blocks) workers; the
     results do not depend on threads.
     """
     per = cfg.generations_per_condition
     n = len(conditions) * per
     keys = [(STREAM_DATASET_GEN, *divmod(row, per)) for row in range(n)]
-    with _worker_pool(threads, math.ceil(n / CHAIN_BLOCK)) as map_fn:
-        latents, masks = _run_chains(
-            map_fn, np.repeat(conditions, per, axis=0), keys, [(None, None)], denoiser, cfg
-        )
+    latents, masks = _run_chains(
+        np.repeat(conditions, per, axis=0), keys, [(None, None)], denoiser, cfg, threads
+    )
     return latents[0], masks[0]
 
 
@@ -249,20 +247,17 @@ def ground_truth_cloud(latent, condition_id: int, cfg: RunConfig) -> np.ndarray:
     return sample_point_cloud(latent, cfg.cloud_size, seed, mask=0)
 
 
-@contextmanager
-def _worker_pool(threads: int, tasks: int):
-    """Yield a ``map`` for ``tasks`` tasks, each a tuple of all its inputs: a
-    process pool's, of min(threads, tasks) workers, or the builtin ``map``, in
-    process, when that is 1. It may be called more than once while the pool is
-    open."""
-    workers = min(threads, tasks)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+def _map(fn, tasks: list, threads: int) -> list:
+    """``fn`` of each of ``tasks``, each a tuple of all its inputs, in order: on
+    a process pool of min(threads, len(tasks)) workers, or in process when that
+    is 1."""
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        return list(map(fn, tasks))
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
-    else:
-        yield map
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _chain_task(task):
@@ -279,16 +274,17 @@ def _chain_task(task):
     return latents, masks.reshape(latents.shape[:2])
 
 
-def _run_chains(map_fn, conditions, keys, plans, denoiser, cfg) -> tuple[np.ndarray, np.ndarray]:
-    """Map one chain row per row of ``conditions``, seeded by its entry of
-    ``keys``, as ``_chain_task`` blocks of CHAIN_BLOCK rows, joined in block
+def _run_chains(conditions, keys, plans, denoiser, cfg, threads) -> tuple[np.ndarray, np.ndarray]:
+    """Run one chain row per row of ``conditions``, seeded by its entry of
+    ``keys``, as ``_chain_task`` blocks of CHAIN_BLOCK rows on ``_map``'s
+    min(threads, blocks) workers, in process for one block, joined in block
     order: each plan's latents, (plans, n, d), and kernel reason masks,
     (plans, n)."""
     tasks = [
         (conditions[lo : lo + CHAIN_BLOCK], keys[lo : lo + CHAIN_BLOCK], plans, denoiser, cfg)
         for lo in range(0, len(conditions), CHAIN_BLOCK)
     ]
-    latents, masks = zip(*map_fn(_chain_task, tasks))
+    latents, masks = zip(*_map(_chain_task, tasks, threads))
     return np.concatenate(latents, axis=1), np.concatenate(masks, axis=1)
 
 
@@ -339,10 +335,10 @@ def run_variants(
     of a condition is scored under one kernel, whose bandwidth and reference
     sum are computed once. Sharing is exact: every chain row and cloud is seeded
     by condition id alone, a plan's rows round the same in the stack as alone,
-    and a cloud's score does not depend on the clouds beside it. Chain and
-    score tasks map on one ``_worker_pool``, the pool ``gen_dataset`` uses too:
-    at most min(threads, conditions) worker processes when threads > 1. Each
-    task carries its inputs, so no model or array outlives the call here.
+    and a cloud's score does not depend on the clouds beside it. The chain
+    tasks, then the score tasks, each go through ``_map`` and its own pool: an
+    eval of at most CHAIN_BLOCK conditions runs its chains in process. Each task
+    carries its inputs, so no model or array outlives the call here.
 
     Returns each variant's table, in the order of ``variants``: four arrays in
     condition order, the same at any thread count. ``latents`` (n, d) holds each
@@ -363,18 +359,17 @@ def run_variants(
     keys = [(STREAM_EVAL_SAMPLE, cid) for cid in range(n)]
     plan_models = [tuple(by_name[name] for name in plan) for plan in plans]
     tables = {}
-    with _worker_pool(threads, n) as map_fn:
-        chains, masks = _run_chains(map_fn, conditions, keys, plan_models, models["denoiser"], cfg)
-        for variant, (guidance, repair_model) in zip(variants, chosen):
-            plan = plans.index(guidance)
-            z, m = chains[plan], masks[plan]
-            repaired = (m != 0) & (repair_model is not None)
-            if repair_model:
-                z, m = repair(z, m, models[repair_model])
-            tables[variant] = {"latents": z, "masks": m, "repaired": repaired}
-        finals = [np.stack([t[k] for t in tables.values()], axis=1) for k in ("latents", "masks")]
-        tasks = [(cid, z, m, latents[cid], cfg) for cid, (z, m) in enumerate(zip(*finals))]
-        scores = np.array(list(map_fn(_score_task, tasks)))
+    chains, masks = _run_chains(conditions, keys, plan_models, models["denoiser"], cfg, threads)
+    for variant, (guidance, repair_model) in zip(variants, chosen):
+        plan = plans.index(guidance)
+        z, m = chains[plan], masks[plan]
+        repaired = (m != 0) & (repair_model is not None)
+        if repair_model:
+            z, m = repair(z, m, models[repair_model])
+        tables[variant] = {"latents": z, "masks": m, "repaired": repaired}
+    finals = [np.stack([t[k] for t in tables.values()], axis=1) for k in ("latents", "masks")]
+    tasks = [(cid, z, m, latents[cid], cfg) for cid, (z, m) in enumerate(zip(*finals))]
+    scores = np.array(_map(_score_task, tasks, threads))
     for table, column in zip(tables.values(), scores.T):
         table["scores"] = column
     return tables

@@ -228,6 +228,26 @@ def test_report_agrees_with_scores_and_histogram(runs):
             assert row["repaired_count"] == row["repair_failed_count"] == "0"
 
 
+def test_classifier_and_regressor_guidance_are_at_least_as_feasible_as_none(runs, tmp_path):
+    # var5 at the default scales, on 20 conditions of TINY's trained models:
+    # with each guide's step at scale x beta_t, the regressor's at most
+    # 1 / lambda_max, guidance adds feasible rows rather than diverging
+    root, _, _ = runs
+    out = tmp_path / "guided"
+    shutil.copytree(root / "a", out)
+    defaults = RunConfig()
+    config = write_config(
+        tmp_path / "guided.json",
+        out,
+        n_eval_conditions=20,
+        classifier_scale=defaults.classifier_scale,
+        regressor_scale=defaults.regressor_scale,
+    )
+    assert run_stage(config, "eval", "--variants", "baseline,var5") == cli.EXIT_OK
+    feasible = {row["variant"]: float(row["feasibility"]) for row in read_rows(out / "report.csv")}
+    assert feasible["var5"] >= feasible["baseline"] > 0.0
+
+
 @pytest.mark.parametrize(
     "values",
     [[0.4], [0.3, 0.1, 0.7], [0.1, 0.2], [0.25, 0.5, 0.125, 1.0], [0.2, 0.2, 0.7, 0.2]],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def step(z_t, t, eps_hat, noise, classifier=None, regressor=None, cfg=CFG):
     chain = chain_constants([(classifier, regressor)], cfg)
     noise = None if noise is None else np.asarray(noise, dtype=float)[None]
     return sample_step(np.asarray(z_t, dtype=float)[None, None], t, eps_hat, noise, chain)[0, 0]
+
+
+def step_bound(regressor):
+    """1 / lambda_max of the self-consistency loss's Hessian 2 (W - I)^T (W - I):
+    1 / (2 ||W - I||_2^2), the cap on a regressor guide's step."""
+    w_minus_i = regressor.weights - np.eye(len(regressor.weights))
+    return 1.0 / (2.0 * np.linalg.norm(w_minus_i, 2) ** 2)
 
 
 def posterior_mean(z_t, t, eps_hat):
@@ -278,7 +286,8 @@ def test_regressor_guide_needs_a_square_regressor():
 
 def test_chain_constants_guide_table():
     # one entry per distinct model, classifiers first, each stepped at its
-    # scale at every t; a zero-scale guide has no entry
+    # scale times beta_t, a regressor's capped at 1 / lambda_max; a zero-scale
+    # guide has no entry
     rng = np.random.default_rng(19)
     clf, reg = _toy_guides(rng)
     other_clf, _ = _toy_guides(rng)
@@ -289,6 +298,7 @@ def test_chain_constants_guide_table():
         (scales(2.0, 0.0, T=7), [(clf, 2.0, [1, 3]), (other_clf, 2.0, [2])]),
         (scales(0.0, 0.0, T=7), []),
     ]
+    betas = build_schedule(7, 1e-4, 0.02).betas
     for cfg, expected in cases:
         guides = chain_constants(plans, cfg).guides
         assert len(guides) == len(expected)
@@ -296,8 +306,48 @@ def test_chain_constants_guide_table():
             kind = consistency_grad if model is reg else infeasibility_grad
             assert grad.func is kind and grad.args[0] is model
             assert steps.shape == (7,)
-            np.testing.assert_array_equal(steps, np.full(7, scale))
+            bound = step_bound(model) if model is reg else np.inf
+            np.testing.assert_array_equal(steps, np.minimum(scale * betas, bound))
             np.testing.assert_array_equal(rows, model_rows)
+
+
+def test_guide_steps_are_scale_times_beta_capped_at_one_over_lambda_max():
+    # ||W - I||_2 = 2, so lambda_max = 8: 10 beta_t passes 1/8 on the late
+    # steps only; both stop_gradient_y forms step alike
+    betas = DEFAULT.betas
+    reg = LinearRegressor(np.eye(21) + np.diag(np.linspace(-2.0, 1.0, 21)), np.zeros(21))
+    clf, _ = _toy_guides(np.random.default_rng(20))
+    for stop_gradient_y in (False, True):
+        (_, clf_steps, _), (_, reg_steps, _) = chain_constants(
+            [(clf, reg)], scales(10.0, 10.0, stop_gradient_y)
+        ).guides
+        np.testing.assert_array_equal(clf_steps, 10.0 * betas)
+        capped = 10.0 * betas > 0.125
+        assert 0 < capped.sum() < len(betas)
+        np.testing.assert_array_equal(reg_steps[capped], 0.125)
+        np.testing.assert_array_equal(reg_steps[~capped], 10.0 * betas[~capped])
+    # W = I: lambda_max is 0, no cap and no division
+    identity = LinearRegressor(np.eye(21), np.zeros(21))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (_, steps, _), = chain_constants([(None, identity)], CFG).guides
+    np.testing.assert_array_equal(steps, 10.0 * betas)
+
+
+def test_guided_chain_stays_finite_under_a_regressor_of_large_lambda_max():
+    # lambda_max = 2 ||W - I||_2^2 is in the thousands: a step of the scale
+    # alone overshoots the loss's minimum at every t and overflows
+    rng = np.random.default_rng(21)
+    denoiser = _toy_denoiser(rng)
+    clf, _ = _toy_guides(rng)
+    reg = LinearRegressor(np.eye(21) + 3.0 * rng.normal(size=(21, 21)), rng.normal(size=21))
+    assert 2.0 * np.linalg.norm(reg.weights - np.eye(21), 2) ** 2 > 1000.0
+    c = rng.uniform(size=(4, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = sample(c, denoiser, [51, 52, 53, 54], [(None, reg), (clf, reg)], CFG)
+    assert np.isfinite(z).all()
+    assert np.abs(z).max() < 100.0
 
 
 # ---------------------------------------------------------------- sample step
@@ -338,8 +388,11 @@ def test_sample_step_guidance_composition_exact():
     grad_inf = -mlp_grad_input(clf, z_t)
     w_minus_i = reg.weights - np.eye(21)
     grad_reg = 2.0 * w_minus_i.T @ (reg.weights @ z_t + reg.bias - z_t)
+    beta = DEFAULT.betas[29]
     np.testing.assert_allclose(
-        plain - guided, 10.0 * grad_inf + 10.0 * grad_reg, atol=1e-10
+        plain - guided,
+        10.0 * beta * grad_inf + min(10.0 * beta, step_bound(reg)) * grad_reg,
+        atol=1e-10,
     )
 
 
@@ -354,8 +407,9 @@ def test_sample_step_order_is_classifier_then_regressor():
     guided = sample_step(z_t, 30, eps_hat, noise, chain)
     beta, ab, alpha = DEFAULT.betas[29], DEFAULT.alpha_bars[29], DEFAULT.alphas[29]
     mu = (z_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
-    mu = mu - 10.0 * -mlp_grad_input(clf, z_t)
-    mu = mu - 10.0 * (2.0 * (z_t @ reg.weights.T + reg.bias - z_t) @ (reg.weights - np.eye(21)))
+    mu = mu - 10.0 * beta * -mlp_grad_input(clf, z_t)
+    residual = z_t @ reg.weights.T + reg.bias - z_t
+    mu = mu - min(10.0 * beta, step_bound(reg)) * (2.0 * residual @ (reg.weights - np.eye(21)))
     expected = mu + math.sqrt(DEFAULT.posterior_variance[29]) * noise
     np.testing.assert_array_equal(guided, expected)
 
@@ -505,11 +559,13 @@ def in_out_chain(conditions, denoiser, seeds, plan, cfg):
             delta = out * (1.0 - out)
             for k in range(len(classifier.weights) - 1, 0, -1):
                 delta = (delta @ classifier.weights[k]) * (preacts[k - 1] > 0)
-            mu = mu - cfg.classifier_scale * -(delta @ classifier.weights[0])
+            step = cfg.classifier_scale * sched.betas[t - 1]
+            mu = mu - step * -(delta @ classifier.weights[0])
         if regressor is not None and cfg.regressor_scale:
             w_minus_i = regressor.weights - np.eye(d)
             residual = z @ regressor.weights.T + regressor.bias - z
-            mu = mu - cfg.regressor_scale * (2.0 * residual @ w_minus_i)
+            step = min(cfg.regressor_scale * sched.betas[t - 1], step_bound(regressor))
+            mu = mu - step * (2.0 * residual @ w_minus_i)
         z = mu + np.sqrt(sched.posterior_variance[t - 1]) * draws[:, T - t + 1] if t > 1 else mu
     return z
 

@@ -808,7 +808,7 @@ def full_chunk_point_cloud(seq, n, seed):
 THIN_STRIP = latent_row([(-1, -1), (1, 0.9), (1, 1), (-1, -0.9)], 0.3)
 
 
-@pytest.mark.parametrize("n", [1, 16, 512])
+@pytest.mark.parametrize("n", [1, 16, 512, 2100, 9000])
 @pytest.mark.parametrize(
     "z",
     [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cadrepair.nets import (
     Mlp,
     OutputActivation,
     _classification_metrics,
+    _sigmoid,
     fit_linear_regressor,
     init_mlp,
     load_model,
@@ -43,6 +45,34 @@ def test_zero_network_sigmoid_outputs_half():
                      OutputActivation.SIGMOID)
     out, _ = mlp_forward(model, np.array([1.0, -2.0, 3.0]))
     assert out[0] == 0.5
+
+
+def masked_sigmoid(x):
+    """The former sigmoid: 1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_masked_form_bitwise():
+    extremes = [0.0, np.inf, 709.0, 745.0, 1e-300, 5e-324, 1e308]
+    x = np.concatenate(
+        [
+            np.random.default_rng(0).normal(scale=30.0, size=100_000),
+            extremes,
+            np.negative(extremes),
+            [np.nan],
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, expected = _sigmoid(x), masked_sigmoid(x)
+    # bitwise up to NaN's sign bit
+    assert out[:-1].tobytes() == expected[:-1].tobytes()
+    assert np.isnan(out[-1]) and np.isnan(expected[-1])
 
 
 def test_identity_single_layer_returns_input():

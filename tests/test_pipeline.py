@@ -737,6 +737,40 @@ def test_run_variants_starts_no_more_workers_than_tasks(monkeypatch):
         assert latents.shape == (3 * n, 21) and masks.shape == (3 * n,)
 
 
+def test_run_variants_maps_chains_in_process_for_one_block(monkeypatch):
+    # chain blocks and score tasks each size their own pool: an eval of at most
+    # CHAIN_BLOCK conditions runs its one chain block in process, and one that
+    # spans two blocks starts a two-worker pool for them before the scores' pool
+    pools = []
+
+    class RecordingPool:
+        """ProcessPoolExecutor stand-in that records its size and what it maps,
+        and maps in process."""
+
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            pools[-1].append(fn)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    score, chain = pipeline._score_task, pipeline._chain_task
+    for n, expected in ((11, [[3, score]]), (CHAIN_BLOCK + 3, [[2, chain], [3, score]])):
+        pools.clear()
+        tables = run_variants(
+            [VariantId.BASELINE], *gen_ground_truth(n, seed=23), toy_models(seed=9), eval_cfg(12), 3
+        )
+        assert pools == expected, n
+        assert tables[VariantId.BASELINE]["scores"].shape == (n,)
+
+
 def test_in_process_runs_keep_no_input_alive():
     # each task carries its own inputs, so once run_variants or gen_dataset
     # returns in process and the caller drops the denoiser and the ground-truth
